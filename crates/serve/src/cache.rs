@@ -1,14 +1,28 @@
 //! The `(CanonicalCoreKey, epoch)`-keyed answer cache with single-flight
-//! deduplication.
+//! deduplication and footprint carry-forward.
 //!
 //! The key is the canonical-core hash from `hp-logic` (PR 6): two queries
 //! get the same key iff their canonical cores are isomorphic, i.e. they
 //! are homomorphically equivalent — the Chandra–Merlin argument the paper
 //! builds on. Pairing it with the epoch number means a hit is *provably*
 //! the same answer set as a fresh evaluation on that snapshot: equivalent
-//! query, identical database. Entries never go stale; they just stop
-//! being asked for once their epoch retires, and [`AnswerCache::retire_before`]
-//! drops them on publication.
+//! query, identical database.
+//!
+//! **Footprint carry-forward:** every published answer records its read
+//! *footprint*, the sorted EDB symbols the publishing query reads. By the
+//! same core argument, a query's answer on a structure is its core's
+//! answer, and the core's atoms are a homomorphic image of the query's,
+//! so they use only footprint symbols. An answer therefore depends on
+//! nothing but the footprint relations and the universe. When the epoch
+//! store publishes epoch *t*, it calls [`AnswerCache::carry_forward`]
+//! before any reader can pin *t*: every published entry of *t−1* whose
+//! footprint misses the write's touched symbols is re-keyed onto
+//! `(key, t)`, sharing the answer. A write that grows the universe touches
+//! everything and carries nothing, and a `None` footprint is never
+//! carried. An answer published for *t−1* after the carry stays on *t−1*:
+//! that costs a miss on *t*, never a wrong answer.
+//! [`AnswerCache::retire_before`] drops entries of epochs no longer asked
+//! for.
 //!
 //! **Single-flight:** when N equivalent queries arrive concurrently, one
 //! becomes the *leader* (evaluates), the rest block on a condvar and
@@ -23,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use hp_structures::Elem;
+use hp_structures::{Elem, SymbolId};
 
 /// A cached answer: the sorted answer rows for the goal predicate on one
 /// epoch, plus the evaluation cost that produced it.
@@ -37,11 +51,15 @@ pub struct CachedAnswer {
     pub stages: usize,
 }
 
+/// The sorted, deduplicated EDB symbols an answer reads. `None` reads
+/// everything.
+pub type Footprint = Option<Arc<[SymbolId]>>;
+
 enum Slot {
     /// A leader holds the claim and is evaluating.
     InFlight,
-    /// The answer is published.
-    Ready(Arc<CachedAnswer>),
+    /// The answer is published, with the footprint it was computed from.
+    Ready(Arc<CachedAnswer>, Footprint),
 }
 
 /// Outcome of [`AnswerCache::claim`].
@@ -74,6 +92,7 @@ struct Shared {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
+    carried: AtomicU64,
 }
 
 /// The shared answer cache. Cheap to clone.
@@ -98,6 +117,7 @@ impl AnswerCache {
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 coalesced: AtomicU64::new(0),
+                carried: AtomicU64::new(0),
             }),
         }
     }
@@ -113,7 +133,7 @@ impl AnswerCache {
         let mut state = self.lock();
         loop {
             match state.slots.get(&(key, epoch)) {
-                Some(Slot::Ready(ans)) => {
+                Some(Slot::Ready(ans, _)) => {
                     self.shared.hits.fetch_add(1, Ordering::Relaxed);
                     return Claim::Hit {
                         answer: ans.clone(),
@@ -136,7 +156,7 @@ impl AnswerCache {
                     if timeout.timed_out() {
                         // Re-check once: the publish may have raced the
                         // timeout.
-                        if let Some(Slot::Ready(ans)) = state.slots.get(&(key, epoch)) {
+                        if let Some(Slot::Ready(ans, _)) = state.slots.get(&(key, epoch)) {
                             self.shared.hits.fetch_add(1, Ordering::Relaxed);
                             return Claim::Hit {
                                 answer: ans.clone(),
@@ -164,7 +184,7 @@ impl AnswerCache {
     /// statistics side effects beyond a hit count).
     pub fn peek(&self, key: u128, epoch: u64) -> Option<Arc<CachedAnswer>> {
         match self.lock().slots.get(&(key, epoch)) {
-            Some(Slot::Ready(ans)) => Some(ans.clone()),
+            Some(Slot::Ready(ans, _)) => Some(ans.clone()),
             _ => None,
         }
     }
@@ -173,6 +193,48 @@ impl AnswerCache {
     /// pinned readers re-evaluate rather than consult retired entries).
     pub fn retire_before(&self, epoch: u64) {
         self.lock().slots.retain(|(_, e), _| *e >= epoch);
+    }
+
+    /// Re-key every published entry of epoch `from` whose footprint is
+    /// disjoint from `touched` onto `(key, from + 1)`, sharing its
+    /// answer. `touched` holds the sorted symbols the write that made
+    /// epoch `from + 1` changed, or is `None` when it grew the universe
+    /// (which every answer reads), and then nothing is carried. Returns
+    /// the number of entries carried.
+    ///
+    /// The epoch store calls this before it publishes `from + 1`, so no
+    /// reader of the new epoch can miss a carried entry.
+    pub fn carry_forward(&self, from: u64, touched: Option<&[SymbolId]>) -> usize {
+        let Some(touched) = touched else { return 0 };
+        let mut state = self.lock();
+        let carried: Vec<(u128, Arc<CachedAnswer>, Arc<[SymbolId]>)> = state
+            .slots
+            .iter()
+            .filter_map(|(&(key, epoch), slot)| match slot {
+                Slot::Ready(ans, Some(reads))
+                    if epoch == from && !reads.iter().any(|s| touched.binary_search(s).is_ok()) =>
+                {
+                    Some((key, ans.clone(), reads.clone()))
+                }
+                _ => None,
+            })
+            .collect();
+        let n = carried.len();
+        for (key, ans, reads) in carried {
+            state
+                .slots
+                .entry((key, from + 1))
+                .or_insert(Slot::Ready(ans, Some(reads)));
+        }
+        drop(state);
+        self.shared.carried.fetch_add(n as u64, Ordering::Relaxed);
+        n
+    }
+
+    /// Entries re-keyed onto a newer epoch by
+    /// [`carry_forward`](AnswerCache::carry_forward) so far.
+    pub fn carried(&self) -> u64 {
+        self.shared.carried.load(Ordering::Relaxed)
     }
 
     /// `(hits, misses, coalesced followers)` so far.
@@ -213,13 +275,15 @@ pub struct LeaderGuard {
 
 impl LeaderGuard {
     /// Publish the evaluated answer, waking all followers with a hit.
-    pub fn publish(mut self, answer: CachedAnswer) -> Arc<CachedAnswer> {
+    /// `footprint` is the sorted EDB symbols the evaluation read (see
+    /// [`Footprint`]); it decides which later writes the answer survives.
+    pub fn publish(mut self, answer: CachedAnswer, footprint: Footprint) -> Arc<CachedAnswer> {
         let ans = Arc::new(answer);
         {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             state
                 .slots
-                .insert((self.key, self.epoch), Slot::Ready(ans.clone()));
+                .insert((self.key, self.epoch), Slot::Ready(ans.clone(), footprint));
         }
         self.done = true;
         self.shared.published.notify_all();
@@ -272,7 +336,7 @@ mod tests {
 
         // Give the follower time to block, then publish.
         thread::sleep(Duration::from_millis(20));
-        leader.publish(ans(42));
+        leader.publish(ans(42), None);
         assert_eq!(follower.join().unwrap(), vec![vec![Elem(42)]]);
 
         let (hits, misses, coalesced) = cache.stats();
@@ -296,7 +360,7 @@ mod tests {
 
         match follower.join().unwrap() {
             Claim::Leader(g) => {
-                g.publish(ans(1));
+                g.publish(ans(1), None);
             }
             _ => panic!("follower re-claims leadership after abandonment"),
         }
@@ -309,7 +373,7 @@ mod tests {
         for epoch in 0..3u64 {
             match cache.claim(5, epoch, Duration::ZERO) {
                 Claim::Leader(g) => {
-                    g.publish(ans(epoch as u32));
+                    g.publish(ans(epoch as u32), None);
                 }
                 _ => panic!("fresh (key, epoch) leads"),
             }
@@ -321,6 +385,75 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.peek(5, 0).is_none());
         assert!(cache.peek(5, 2).is_some());
+    }
+
+    fn publish_at(cache: &AnswerCache, key: u128, epoch: u64, footprint: Footprint) {
+        match cache.claim(key, epoch, Duration::ZERO) {
+            Claim::Leader(g) => {
+                g.publish(ans(key as u32), footprint);
+            }
+            _ => panic!("fresh (key, epoch) leads"),
+        }
+    }
+
+    fn reads(syms: &[u16]) -> Footprint {
+        Some(syms.iter().map(|&s| SymbolId(s)).collect())
+    }
+
+    #[test]
+    fn carry_forward_keeps_only_disjoint_footprints() {
+        let cache = AnswerCache::new();
+        publish_at(&cache, 1, 4, reads(&[0])); // reads E only
+        publish_at(&cache, 2, 4, reads(&[0, 1])); // reads E and S
+        publish_at(&cache, 3, 4, reads(&[])); // reads no relation
+        publish_at(&cache, 4, 3, reads(&[0])); // an older epoch
+
+        // The write that made epoch 5 touched S.
+        assert_eq!(cache.carry_forward(4, Some(&[SymbolId(1)])), 2);
+        assert_eq!(cache.carried(), 2);
+        let carried = cache.peek(1, 5).expect("disjoint entry is carried");
+        assert!(Arc::ptr_eq(&carried, &cache.peek(1, 4).unwrap()), "shared");
+        assert!(cache.peek(3, 5).is_some(), "empty footprint is carried");
+        assert!(cache.peek(2, 5).is_none(), "touched entry is not carried");
+        assert!(
+            cache.peek(4, 5).is_none(),
+            "only the preceding epoch carries"
+        );
+
+        // Carried entries carry again across the next disjoint write.
+        assert_eq!(cache.carry_forward(5, Some(&[SymbolId(1)])), 2);
+        assert!(cache.peek(1, 6).is_some());
+    }
+
+    #[test]
+    fn universe_growth_and_none_footprints_carry_nothing() {
+        let cache = AnswerCache::new();
+        publish_at(&cache, 1, 0, reads(&[0]));
+        publish_at(&cache, 2, 0, None);
+        assert_eq!(cache.carry_forward(0, None), 0, "universe growth");
+        assert!(cache.peek(1, 1).is_none());
+        assert_eq!(cache.carry_forward(0, Some(&[])), 1, "nothing touched");
+        assert!(cache.peek(1, 1).is_some());
+        assert!(cache.peek(2, 1).is_none(), "None reads everything");
+        assert_eq!(cache.carried(), 1);
+    }
+
+    #[test]
+    fn late_publish_for_the_old_epoch_is_not_carried() {
+        let cache = AnswerCache::new();
+        let leader = match cache.claim(7, 0, Duration::ZERO) {
+            Claim::Leader(g) => g,
+            _ => panic!("leads"),
+        };
+        // The write publishes epoch 1 while the leader still evaluates.
+        assert_eq!(cache.carry_forward(0, Some(&[])), 0, "in flight");
+        leader.publish(ans(7), reads(&[0]));
+        assert!(cache.peek(7, 0).is_some());
+        assert!(cache.peek(7, 1).is_none(), "a miss on epoch 1, not stale");
+        match cache.claim(7, 1, Duration::ZERO) {
+            Claim::Leader(_) => {}
+            _ => panic!("epoch 1 evaluates afresh"),
+        }
     }
 
     #[test]

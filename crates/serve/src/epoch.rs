@@ -1,33 +1,45 @@
 //! Epoch-based snapshot isolation for the query service.
 //!
-//! The writer is the only mutator. It prepares each update batch on a
-//! **private clone** of the current structure, validates every tuple
-//! before touching anything, and only then publishes the result as a new
-//! immutable [`Snapshot`] behind an `Arc`. Readers [`pin`](EpochStore::pin)
-//! the current snapshot — a mutex-protected `Arc` clone taking a few
+//! The writer is the only mutator. It validates every tuple of an update
+//! batch before touching anything, then builds the successor structure
+//! **copy-on-write**: the new structure starts as a clone of the current
+//! one, which shares every relation by `Arc`, and only the relations the
+//! batch writes are copied before they change. Universe growth copies
+//! nothing (element ids are stable). The result is published as a new
+//! immutable [`Snapshot`] behind an `Arc`, so an epoch costs what its
+//! write touched, and untouched relations are one allocation shared by
+//! every epoch that has them. Readers [`pin`](EpochStore::pin) the
+//! current snapshot — a mutex-protected `Arc` clone taking a few
 //! nanoseconds — and from then on never interact with the writer: a
 //! pinned epoch stays fully readable while any number of later epochs are
-//! published. An epoch retires (its arena memory is freed) when the last
-//! reader drops its `Arc`; there is no epoch list to garbage-collect and
-//! no reader registration, the `Arc` refcount *is* the retirement
-//! protocol.
+//! published. An epoch retires (the relations only it holds are freed)
+//! when the last reader drops its `Arc`; there is no epoch list to
+//! garbage-collect and no reader registration, the `Arc` refcount *is*
+//! the retirement protocol.
 //!
-//! Because a failed or panicking batch dies on the private clone, the
-//! published snapshot is never observed half-written: writer faults are
-//! contained by construction, which the chaos suite verifies by injecting
-//! a panic mid-batch (site `"serve.writer"`).
+//! Before it publishes epoch *t*, the writer carries the cached answers
+//! of *t−1* that read none of the touched relations over to *t*
+//! ([`AnswerCache::carry_forward`]), so no reader of *t* can miss one.
+//!
+//! Because a failed or panicking batch dies on the unpublished successor,
+//! the published snapshot is never observed half-written: writer faults
+//! are contained by construction, which the chaos suite verifies by
+//! injecting a panic mid-batch (site `"serve.writer"`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
-use hp_structures::{Elem, Structure, Vocabulary};
+use hp_structures::{Elem, Structure, SymbolId, Vocabulary};
+
+use crate::cache::AnswerCache;
 
 /// One immutable published version of the database.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Monotone version number, starting at 0 for the seed structure.
     pub epoch: u64,
-    /// The sealed structure. Never mutated after publication.
+    /// The sealed structure. Never mutated after publication; relations
+    /// the writes since a neighbouring epoch left alone are shared with it.
     pub structure: Structure,
 }
 
@@ -104,20 +116,23 @@ impl std::error::Error for WriteError {}
 /// The single-writer, multi-reader epoch store.
 pub struct EpochStore {
     current: Mutex<Arc<Snapshot>>,
-    // Serializes writers so validate→clone→mutate→publish is atomic with
+    // Serializes writers so validate→build→carry→publish is atomic with
     // respect to other writers; readers never take this lock.
     writer: Mutex<()>,
+    cache: AnswerCache,
 }
 
 impl EpochStore {
-    /// Seal `seed` as epoch 0.
-    pub fn new(seed: Structure) -> Self {
+    /// Seal `seed` as epoch 0; each publish carries `cache`'s answers
+    /// that the write missed onto the new epoch.
+    pub fn new(seed: Structure, cache: AnswerCache) -> Self {
         EpochStore {
             current: Mutex::new(Arc::new(Snapshot {
                 epoch: 0,
                 structure: seed,
             })),
             writer: Mutex::new(()),
+            cache,
         }
     }
 
@@ -143,26 +158,31 @@ impl EpochStore {
     /// Writers are serialized; concurrent readers keep their pinned
     /// epochs throughout. An injected panic at site `"serve.writer"`
     /// (chaos suite) is caught here and surfaces as
-    /// [`WriteError::WriterPanic`] — the panic happens on the private
-    /// clone, so isolation is preserved, which the caller can verify by
-    /// re-pinning.
+    /// [`WriteError::WriterPanic`] — the panic happens on the unpublished
+    /// successor, so isolation is preserved, which the caller can verify
+    /// by re-pinning.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<u64, WriteError> {
         let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let base = self.pin();
         let next_epoch = base.epoch + 1;
 
-        let vocab = base.structure.vocab().clone();
+        let vocab = base.structure.vocab();
         let new_universe = base.structure.universe_size() as u32 + batch.grow_universe;
-        validate(&vocab, new_universe, &batch.inserts)?;
-        validate(&vocab, new_universe, &batch.deletes)?;
+        validate(vocab, new_universe, &batch.inserts)?;
+        validate(vocab, new_universe, &batch.deletes)?;
 
-        // Everything is validated: build the successor structure on a
-        // private value. A panic beyond this point (fault injection)
+        // Everything is validated: build the successor structure on an
+        // unpublished value. A panic beyond this point (fault injection)
         // unwinds out of the closure without having touched `current`.
         let built = catch_unwind(AssertUnwindSafe(|| {
-            apply_validated(&base.structure, &vocab, new_universe, batch, next_epoch)
+            apply_validated(&base.structure, batch, next_epoch)
         }))
         .map_err(|_| WriteError::WriterPanic)?;
+
+        // Carry before the swap: a reader that pins the new epoch finds
+        // every carried answer already in place.
+        let touched = (batch.grow_universe == 0).then(|| touched_symbols(vocab, batch));
+        self.cache.carry_forward(base.epoch, touched.as_deref());
 
         *self.current.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(Snapshot {
             epoch: next_epoch,
@@ -200,26 +220,27 @@ fn validate(
     Ok(())
 }
 
-fn apply_validated(
-    base: &Structure,
-    vocab: &Vocabulary,
-    new_universe: u32,
-    batch: &UpdateBatch,
-    next_epoch: u64,
-) -> Structure {
-    let mut next = if new_universe as usize != base.universe_size() {
-        // Universe growth: rebuild into a larger structure (element ids
-        // are stable, so tuples carry over verbatim).
-        let mut grown = Structure::new(vocab.clone(), new_universe as usize);
-        for (sym, rel) in base.relations() {
-            grown
-                .extend_tuples(sym, rel.iter())
-                .expect("carried-over tuples are valid in a larger universe");
-        }
-        grown
-    } else {
-        base.clone()
-    };
+/// The sorted symbols `batch` names: the relations its epoch may differ
+/// in from its predecessor (besides the universe).
+fn touched_symbols(vocab: &Vocabulary, batch: &UpdateBatch) -> Vec<SymbolId> {
+    let mut syms: Vec<SymbolId> = batch
+        .inserts
+        .iter()
+        .chain(&batch.deletes)
+        .map(|(name, _)| vocab.lookup(name).expect("validated"))
+        .collect();
+    syms.sort_unstable();
+    syms.dedup();
+    syms
+}
+
+/// The successor of `base` under a validated batch. The clone shares
+/// every relation with `base`; each write copies its relation at most
+/// once, on first touch.
+fn apply_validated(base: &Structure, batch: &UpdateBatch, next_epoch: u64) -> Structure {
+    let vocab = base.vocab();
+    let mut next = base.clone();
+    next.grow_universe(batch.grow_universe as usize);
 
     let mut step = 0u64;
     for (name, tuple) in &batch.deletes {
@@ -265,7 +286,7 @@ mod tests {
 
     #[test]
     fn pinned_epoch_survives_later_writes() {
-        let store = EpochStore::new(seed());
+        let store = EpochStore::new(seed(), AnswerCache::new());
         let pinned = store.pin();
         assert_eq!(pinned.epoch, 0);
         let before = pinned.structure.total_tuples();
@@ -285,8 +306,49 @@ mod tests {
     }
 
     #[test]
+    fn writes_copy_only_the_relations_they_touch() {
+        let vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let (e, s) = (vocab.lookup("E").unwrap(), vocab.lookup("S").unwrap());
+        let mut seed = Structure::new(vocab, 4);
+        seed.add_tuple(e, &[Elem(0), Elem(1)]).unwrap();
+        let store = EpochStore::new(seed, AnswerCache::new());
+        let old = store.pin();
+        store
+            .apply(&UpdateBatch {
+                inserts: vec![("S".into(), vec![Elem(2)])],
+                ..Default::default()
+            })
+            .unwrap();
+        let new = store.pin();
+        assert!(std::ptr::eq(
+            old.structure.relation(e),
+            new.structure.relation(e)
+        ));
+        assert!(!std::ptr::eq(
+            old.structure.relation(s),
+            new.structure.relation(s)
+        ));
+        assert!(old.structure.relation(s).is_empty(), "old epoch unchanged");
+        assert_eq!(new.structure.relation(s).len(), 1);
+
+        // Universe growth copies no relation either.
+        store
+            .apply(&UpdateBatch {
+                grow_universe: 1,
+                ..Default::default()
+            })
+            .unwrap();
+        let grown = store.pin();
+        assert_eq!(grown.structure.universe_size(), 5);
+        assert!(std::ptr::eq(
+            new.structure.relation(s),
+            grown.structure.relation(s)
+        ));
+    }
+
+    #[test]
     fn invalid_batches_are_rejected_atomically() {
-        let store = EpochStore::new(seed());
+        let store = EpochStore::new(seed(), AnswerCache::new());
         let bad = UpdateBatch {
             inserts: vec![
                 ("E".into(), vec![Elem(3), Elem(3)]),
@@ -331,7 +393,7 @@ mod tests {
 
     #[test]
     fn universe_growth_preserves_existing_tuples() {
-        let store = EpochStore::new(seed());
+        let store = EpochStore::new(seed(), AnswerCache::new());
         store
             .apply(&UpdateBatch {
                 grow_universe: 2,
@@ -350,7 +412,7 @@ mod tests {
     #[test]
     fn injected_writer_panic_leaves_epoch_unchanged() {
         let _serial = hp_guard::fault::exclusive();
-        let store = EpochStore::new(seed());
+        let store = EpochStore::new(seed(), AnswerCache::new());
         hp_guard::fault::install(hp_guard::fault::FaultPlan {
             exhaust_at: None,
             panic_at: Some(("serve.writer".to_string(), 1)),

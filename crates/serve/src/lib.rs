@@ -5,12 +5,16 @@
 //! survives production traffic:
 //!
 //! * [`epoch`] — snapshot isolation: immutable epochs behind `Arc`;
-//!   readers pin, the writer publishes, retirement is the refcount.
+//!   readers pin, the writer publishes, retirement is the refcount. A
+//!   write copies only the relations it touches; the rest are shared
+//!   with the previous epoch.
 //! * [`admission`] — bounded concurrency with typed [`Overloaded`]
 //!   shedding on queue depth or deadline debt.
 //! * [`cache`] — the `(CanonicalCoreKey, epoch)` answer cache with
 //!   single-flight dedup: N hom-equivalent queries cost one evaluation,
 //!   and a hit is *provably* the fresh answer (Chandra–Merlin cores).
+//!   An answer whose read footprint a write misses is carried onto the
+//!   new epoch, since it depends only on the core's relations.
 //! * [`service`] — the request pipeline: admission → hp-guard budget
 //!   (fuel + deadline + interrupt) → cache → epoch-pinned evaluation,
 //!   with one bounded retry around worker panics and a degradation
@@ -37,7 +41,7 @@ pub mod server;
 pub mod service;
 
 pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
-pub use cache::{AnswerCache, CachedAnswer, Claim, LeaderGuard};
+pub use cache::{AnswerCache, CachedAnswer, Claim, Footprint, LeaderGuard};
 pub use epoch::{EpochStore, Snapshot, UpdateBatch, WriteError};
 pub use protocol::{parse_request, CacheOutcome, QueryRequest, Request, Response};
 pub use server::Server;

@@ -141,6 +141,9 @@ pub enum Response {
         cache_misses: u64,
         /// Followers coalesced onto an in-flight evaluation.
         coalesced: u64,
+        /// Cached answers re-keyed onto a newly published epoch because
+        /// its write missed their footprint, so far.
+        cache_carried: u64,
         /// Requests admitted.
         admitted: u64,
         /// Requests shed.
@@ -149,7 +152,9 @@ pub enum Response {
         depth: u64,
         /// Heap bytes held by the currently published snapshot's column
         /// planes, dictionaries, and pending arenas (analytic
-        /// [`heap_bytes`](hp_structures::Structure::heap_bytes)).
+        /// [`heap_bytes`](hp_structures::Structure::heap_bytes)). Counts
+        /// in full the relations the snapshot shares with neighbouring
+        /// epochs, so summing it over epochs overstates resident memory.
         snapshot_bytes: u64,
     },
     /// Shutdown acknowledged; the connection closes after this line.
@@ -305,6 +310,7 @@ impl Response {
                 cache_hits,
                 cache_misses,
                 coalesced,
+                cache_carried,
                 admitted,
                 shed,
                 depth,
@@ -314,6 +320,7 @@ impl Response {
                 ("epoch".into(), Json::Num(*epoch as f64)),
                 ("cache_hits".into(), Json::Num(*cache_hits as f64)),
                 ("cache_misses".into(), Json::Num(*cache_misses as f64)),
+                ("cache_carried".into(), Json::Num(*cache_carried as f64)),
                 ("coalesced".into(), Json::Num(*coalesced as f64)),
                 ("admitted".into(), Json::Num(*admitted as f64)),
                 ("shed".into(), Json::Num(*shed as f64)),

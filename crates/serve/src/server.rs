@@ -15,24 +15,31 @@
 //! response rather than a hangup, so one client bug cannot poison a
 //! session.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use hp_guard::Interrupt;
 
 use crate::protocol::{parse_request, Request, Response};
 use crate::service::QueryService;
 
-/// The shared drain switch: one flag, every connection's interrupt and
-/// stream, and the socket path (to self-connect and unblock the accept
-/// loop).
+/// How long the accept loop backs off after a failed `accept` (for
+/// example `EMFILE` while every descriptor is in use) before retrying.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The shared drain switch: one flag, every open connection's interrupt
+/// and stream by connection id, and the socket path (to self-connect and
+/// unblock the accept loop).
 struct DrainSwitch {
     path: PathBuf,
     draining: AtomicBool,
-    conns: Mutex<Vec<(Interrupt, UnixStream)>>,
+    next_id: AtomicU64,
+    conns: Mutex<HashMap<u64, (Interrupt, UnixStream)>>,
 }
 
 impl DrainSwitch {
@@ -46,22 +53,39 @@ impl DrainSwitch {
     /// observe the flag.
     fn drain(&self) {
         self.draining.store(true, Ordering::Release);
-        for (token, stream) in self.conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        for (token, stream) in self
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+        {
             token.trigger();
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         let _ = UnixStream::connect(&self.path);
     }
 
-    fn register(&self, stream: &UnixStream) -> Interrupt {
+    /// Track a new connection until [`unregister`](Self::unregister);
+    /// returns its id and interrupt.
+    fn register(&self, stream: &UnixStream) -> (u64, Interrupt) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let token = Interrupt::new();
         if let Ok(clone) = stream.try_clone() {
             self.conns
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .push((token.clone(), clone));
+                .insert(id, (token.clone(), clone));
         }
-        token
+        (id, token)
+    }
+
+    /// Forget a finished connection, closing the stream clone kept for
+    /// drain.
+    fn unregister(&self, id: u64) {
+        self.conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&id);
     }
 }
 
@@ -81,24 +105,39 @@ impl Server {
         let switch = Arc::new(DrainSwitch {
             path: path.to_path_buf(),
             draining: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(0),
+            conns: Mutex::new(HashMap::new()),
         });
 
         let accept_thread = {
             let service = service.clone();
             let switch = switch.clone();
             std::thread::spawn(move || {
-                let mut conn_threads = Vec::new();
+                let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 for stream in listener.incoming() {
                     if switch.is_draining() {
                         break;
                     }
-                    let Ok(stream) = stream else { break };
-                    let token = switch.register(&stream);
+                    let stream = match stream {
+                        Ok(stream) => stream,
+                        Err(_) => {
+                            // Out of descriptors or a connection reset
+                            // before accept: transient, so keep serving.
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                            continue;
+                        }
+                    };
+                    let (done, live) = conn_threads.into_iter().partition(|t| t.is_finished());
+                    conn_threads = live;
+                    for t in done {
+                        let _ = t.join();
+                    }
+                    let (id, token) = switch.register(&stream);
                     let service = service.clone();
                     let switch = switch.clone();
                     conn_threads.push(std::thread::spawn(move || {
                         serve_connection(stream, &service, &token, &switch);
+                        switch.unregister(id);
                     }));
                 }
                 for t in conn_threads {
@@ -258,6 +297,28 @@ mod tests {
         assert!(bye.contains("\"status\":\"bye\""), "{bye}");
         server.wait();
         assert!(!path.exists(), "socket file removed on shutdown");
+    }
+
+    #[test]
+    fn finished_connections_release_their_streams() {
+        let path = sock_path("churn");
+        let svc = Arc::new(QueryService::new(seed(), ServiceConfig::default()));
+        let server = Server::bind(&path, svc).unwrap();
+        for _ in 0..2_000 {
+            let mut c = UnixStream::connect(&path).unwrap();
+            assert!(roundtrip(&mut c, "{\"op\":\"stats\"}").contains("\"status\":\"ok\""));
+        }
+        // One connection stays open; each closed one unregisters when its
+        // reader sees EOF, which may lag the client's drop a little.
+        let mut open = UnixStream::connect(&path).unwrap();
+        assert!(roundtrip(&mut open, "{\"op\":\"stats\"}").contains("\"status\":\"ok\""));
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let open_count = || server.switch.conns.lock().unwrap().len();
+        while open_count() > 1 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(open_count(), 1, "only the open connection is tracked");
+        server.shutdown();
     }
 
     #[test]

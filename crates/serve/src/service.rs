@@ -26,13 +26,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hp_analysis::goal_core_key;
-use hp_datalog::{EvalCheckpoint, EvalConfig, Program};
+use hp_datalog::{EvalCheckpoint, EvalConfig, PredRef, Program};
 use hp_guard::{Budget, Interrupt, Resource};
-use hp_logic::{parse_formula, ucq_of_existential_positive};
-use hp_structures::{Elem, Structure};
+use hp_logic::{parse_formula, ucq_of_existential_positive, Ucq};
+use hp_structures::{Elem, Structure, SymbolId};
 
 use crate::admission::AdmissionGate;
-use crate::cache::{AnswerCache, CachedAnswer, Claim};
+use crate::cache::{AnswerCache, CachedAnswer, Claim, Footprint};
 use crate::epoch::{EpochStore, Snapshot, UpdateBatch, WriteError};
 use crate::protocol::{CacheOutcome, QueryRequest, Request, Response};
 
@@ -115,9 +115,10 @@ pub struct QueryService {
 impl QueryService {
     /// A service over `seed` as epoch 0.
     pub fn new(seed: Structure, cfg: ServiceConfig) -> Self {
+        let cache = AnswerCache::new();
         QueryService {
-            store: EpochStore::new(seed),
-            cache: AnswerCache::new(),
+            store: EpochStore::new(seed, cache.clone()),
+            cache,
             gate: AdmissionGate::new(cfg.max_depth, cfg.max_debt_ms),
             cfg,
             resumes: Mutex::new(ResumeStore::default()),
@@ -161,6 +162,7 @@ impl QueryService {
             cache_hits,
             cache_misses,
             coalesced,
+            cache_carried: self.cache.carried(),
             admitted: self.gate.admitted_count(),
             shed: self.gate.shed_count(),
             depth: self.gate.depth(),
@@ -330,7 +332,8 @@ impl QueryService {
             }
         };
 
-        let outcome = self.cached_eval(key, &snap, deadline, &eval_budget, evaluate);
+        let footprint = program_footprint(&program);
+        let outcome = self.cached_eval(key, footprint, &snap, deadline, &eval_budget, evaluate);
         match outcome {
             Outcome::Answer(ans, cache) => Response::Answer {
                 epoch: snap.epoch,
@@ -351,10 +354,11 @@ impl QueryService {
     }
 
     /// Run `evaluate` under the single-flight cache discipline for `key`
-    /// (bypassing when `key` is `None`).
+    /// (bypassing when `key` is `None`), publishing with `footprint`.
     fn cached_eval(
         &self,
         key: Option<u128>,
+        footprint: Footprint,
         snap: &Arc<Snapshot>,
         deadline: Instant,
         eval_budget: &Budget,
@@ -385,7 +389,7 @@ impl QueryService {
                 Claim::Leader(guard) => {
                     return match evaluate(eval_budget) {
                         Ok(ans) => {
-                            let published = guard.publish(ans);
+                            let published = guard.publish(ans, footprint);
                             Outcome::Answer((*published).clone(), CacheOutcome::Miss)
                         }
                         Err(stopped) => {
@@ -568,7 +572,8 @@ impl QueryService {
             })
         };
 
-        match self.cached_eval(key, snap, deadline, eval_budget, evaluate) {
+        let footprint = ucq_footprint(&ucq);
+        match self.cached_eval(key, footprint, snap, deadline, eval_budget, evaluate) {
             Outcome::Answer(ans, cache) => Response::Answer {
                 epoch: snap.epoch,
                 rows: ans.rows,
@@ -585,6 +590,39 @@ impl QueryService {
             },
         }
     }
+}
+
+/// A program's read footprint: every EDB symbol of any body literal,
+/// positive or negated.
+fn program_footprint(program: &Program) -> Footprint {
+    let syms = program
+        .rules()
+        .iter()
+        .flat_map(|r| &r.body)
+        .filter_map(|a| match a.pred {
+            PredRef::Edb(s) => Some(s),
+            PredRef::Idb(_) => None,
+        });
+    Some(sorted(syms))
+}
+
+/// A UCQ's read footprint: every symbol with a tuple in some disjunct's
+/// canonical structure.
+fn ucq_footprint(ucq: &Ucq) -> Footprint {
+    let syms = ucq.disjuncts().iter().flat_map(|cq| {
+        cq.canonical()
+            .relations()
+            .filter(|(_, rel)| !rel.is_empty())
+            .map(|(s, _)| s)
+    });
+    Some(sorted(syms))
+}
+
+fn sorted(syms: impl Iterator<Item = SymbolId>) -> Arc<[SymbolId]> {
+    let mut syms: Vec<SymbolId> = syms.collect();
+    syms.sort_unstable();
+    syms.dedup();
+    syms.into()
 }
 
 fn goal_rows(goal: Option<&hp_datalog::IdbRelation>) -> Vec<Vec<Elem>> {
@@ -675,6 +713,39 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn answers_survive_writes_that_miss_their_footprint() {
+        let vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let mut seed = Structure::new(vocab, 4);
+        seed.add_tuple_ids(0, &[0, 1]).unwrap();
+        let svc = QueryService::new(seed, ServiceConfig::default());
+        let reads_e = "{\"op\":\"query\",\"program\":\"Goal(x,y) :- E(x,y).\"}";
+        let reads_s = "{\"op\":\"query\",\"formula\":\"S(x)\"}";
+        let outcome = |line: &str| match query(&svc, line) {
+            Response::Answer { cache, epoch, .. } => (cache, epoch),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(outcome(reads_e), (CacheOutcome::Miss, 0));
+        assert_eq!(outcome(reads_s), (CacheOutcome::Miss, 0));
+
+        query(&svc, "{\"op\":\"update\",\"insert\":{\"S\":[[2]]}}");
+        assert_eq!(outcome(reads_e), (CacheOutcome::Hit, 1), "carried");
+        assert_eq!(outcome(reads_s), (CacheOutcome::Miss, 1), "S was written");
+
+        let stats = query(&svc, "{\"op\":\"stats\"}");
+        assert!(
+            matches!(
+                stats,
+                Response::Stats {
+                    cache_carried: 1,
+                    ..
+                }
+            ),
+            "{stats:?}"
+        );
+        assert!(stats.render().contains("\"cache_carried\":1"));
     }
 
     #[test]

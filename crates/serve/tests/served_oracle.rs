@@ -1,0 +1,231 @@
+//! Served answers against the reference evaluator across writes.
+//!
+//! Random update batches (inserts and deletes on `E`, `S` and `T`, now
+//! and then a universe extension) are interleaved with a pool of cached
+//! queries that read different subsets of the vocabulary. Every answer —
+//! whether a miss, a hit on the epoch it was published for, or a hit
+//! carried over from an earlier epoch because the writes since missed
+//! its footprint — must equal `evaluate_reference` on the structure of
+//! the epoch it reports. The cache also stays bounded: at most one entry
+//! per key for the current epoch and one for its predecessor.
+
+use std::collections::HashSet;
+
+use proptest::prelude::*;
+
+use hp_analysis::goal_core_key;
+use hp_datalog::Program;
+use hp_guard::{Budget, Interrupt};
+use hp_logic::{parse_formula, ucq_of_existential_positive};
+use hp_serve::protocol::{QueryRequest, Request, Response};
+use hp_serve::service::{QueryService, ServiceConfig};
+use hp_serve::UpdateBatch;
+use hp_structures::{Elem, Structure, Vocabulary};
+
+/// How a pooled query's answer is computed independently of the service.
+enum Oracle {
+    /// `evaluate_reference` of this Datalog program's goal.
+    Reference(&'static str),
+    /// Every element of the universe, one per row.
+    Universe,
+}
+
+/// A pooled query: the request text, whether it is a formula, and its
+/// oracle.
+struct Pooled {
+    text: &'static str,
+    formula: bool,
+    oracle: Oracle,
+}
+
+const fn program(text: &'static str) -> Pooled {
+    Pooled {
+        text,
+        formula: false,
+        oracle: Oracle::Reference(text),
+    }
+}
+
+const POOL: [Pooled; 12] = [
+    program("Goal(x,y) :- E(x,y)."),
+    // Renamed duplicate of the first (same canonical core key).
+    program("Goal(u,v) :- E(u,v)."),
+    program("Goal(x) :- S(x)."),
+    program("Goal(x) :- E(x,y), T(y)."),
+    // Renamed, reordered duplicate of the previous query.
+    program("Goal(a) :- T(b), E(a,b)."),
+    program("Goal(x) :- S(x), T(x)."),
+    program("Goal(x,z) :- E(x,y), E(y,z)."),
+    program("Goal(x) :- S(x).\nGoal(x) :- T(x)."),
+    program("Goal(x) :- S(x), not T(x)."),
+    // The empty-body rule: reads no relation at all.
+    program("Goal()."),
+    Pooled {
+        text: "exists y. (E(x,y) & T(y))",
+        formula: true,
+        oracle: Oracle::Reference("Goal(x) :- E(x,y), T(y)."),
+    },
+    // Reads only the universe, so only its growth may change the answer.
+    Pooled {
+        text: "x = x",
+        formula: true,
+        oracle: Oracle::Universe,
+    },
+];
+
+fn vocab() -> Vocabulary {
+    Vocabulary::from_pairs([("E", 2), ("S", 1), ("T", 1)])
+}
+
+const NAMES: [&str; 3] = ["E", "S", "T"];
+
+/// One change of a batch: relation index, insert (else delete), and two
+/// raw element picks taken modulo the universe.
+type Change = (usize, u8, u32, u32);
+
+/// One step: a kind roll (queries below 6, writes from 6), a pool pick,
+/// the write's changes, and a growth roll (a write grows the universe
+/// when it is 0).
+type Step = (usize, usize, Vec<Change>, u32);
+
+fn change(
+    vocab: &Vocabulary,
+    universe: u32,
+    &(rel, insert, a, b): &Change,
+) -> (bool, String, Vec<Elem>) {
+    let name = NAMES[rel];
+    let arity = vocab.arity(vocab.lookup(name).unwrap());
+    let tuple = [a, b][..arity]
+        .iter()
+        .map(|&e| Elem(e % universe))
+        .collect();
+    (insert == 1, name.to_string(), tuple)
+}
+
+fn seed_structure(edges: &[(u32, u32)], marks: &[(usize, u32)]) -> Structure {
+    let mut s = Structure::new(vocab(), 5);
+    for &(a, b) in edges {
+        s.add_tuple_ids(0, &[a % 5, b % 5]).unwrap();
+    }
+    for &(rel, a) in marks {
+        s.add_tuple_ids(1 + rel % 2, &[a % 5]).unwrap();
+    }
+    s
+}
+
+fn key_of(q: &Pooled, vocab: &Vocabulary) -> Option<u128> {
+    if q.formula {
+        let (f, _) = parse_formula(q.text, vocab).expect("pooled formula parses");
+        let ucq = ucq_of_existential_positive(&f, vocab).expect("existential positive");
+        return Some(ucq.canonical_core_key().as_u128());
+    }
+    let p = Program::parse(q.text, vocab).expect("pooled program parses");
+    goal_core_key(&p, &Budget::unlimited())
+        .expect("unlimited budget")
+        .map(|k| k.as_u128())
+}
+
+fn expected(q: &Pooled, a: &Structure) -> Vec<Vec<Elem>> {
+    let mut rows: Vec<Vec<Elem>> = match q.oracle {
+        Oracle::Reference(text) => {
+            let p = Program::parse(text, a.vocab()).expect("oracle program parses");
+            p.evaluate_reference(a)
+                .goal()
+                .map(|g| g.iter().map(|t| t.to_vec()).collect())
+                .unwrap_or_default()
+        }
+        Oracle::Universe => a.elements().map(|e| vec![e]).collect(),
+    };
+    rows.sort();
+    rows
+}
+
+fn request(q: &Pooled) -> Request {
+    let text = Some(q.text.to_string());
+    Request::Query(if q.formula {
+        QueryRequest {
+            formula: text,
+            ..QueryRequest::default()
+        }
+    } else {
+        QueryRequest {
+            program: text,
+            ..QueryRequest::default()
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn served_answers_match_the_reference_across_writes(
+        edges in prop::collection::vec((0..64u32, 0..64u32), 0..8),
+        marks in prop::collection::vec((0..2usize, 0..64u32), 0..6),
+        steps in prop::collection::vec(
+            (
+                0..10usize,
+                0..POOL.len(),
+                prop::collection::vec((0..3usize, 0..2u8, 0..64u32, 0..64u32), 1..=3),
+                0..8u32,
+            ),
+            1..60,
+        ),
+    ) {
+        let vocab = vocab();
+        let svc = QueryService::new(seed_structure(&edges, &marks), ServiceConfig::default());
+        let mut keys: HashSet<u128> = HashSet::new();
+        let steps: Vec<Step> = steps;
+        for (kind, pick, changes, grow) in &steps {
+            if *kind >= 6 {
+                let universe = svc.epochs().pin().structure.universe_size() as u32;
+                let grow_universe = if *grow == 0 { 1 + *pick as u32 % 2 } else { 0 };
+                let mut batch = UpdateBatch {
+                    grow_universe,
+                    ..UpdateBatch::default()
+                };
+                for c in changes {
+                    let (insert, name, tuple) = change(&vocab, universe + grow_universe, c);
+                    if insert {
+                        batch.inserts.push((name, tuple));
+                    } else {
+                        batch.deletes.push((name, tuple));
+                    }
+                }
+                let before = svc.epochs().current_epoch();
+                match svc.handle(&Request::Update(batch), &Interrupt::new()) {
+                    Response::Updated { epoch } => prop_assert_eq!(epoch, before + 1),
+                    other => prop_assert!(false, "write failed: {other:?}"),
+                }
+                continue;
+            }
+
+            let q = &POOL[*pick];
+            keys.extend(key_of(q, &vocab));
+            match svc.handle(&request(q), &Interrupt::new()) {
+                Response::Answer { epoch, rows, cache, .. } => {
+                    let snap = svc.epochs().pin();
+                    prop_assert_eq!(epoch, snap.epoch, "single client: answer on the current epoch");
+                    let mut rows = rows;
+                    rows.sort();
+                    prop_assert_eq!(
+                        rows,
+                        expected(q, &snap.structure),
+                        "{:?} answer to {:?} on epoch {}",
+                        cache,
+                        q.text,
+                        epoch
+                    );
+                }
+                other => prop_assert!(false, "{:?} not answered: {other:?}", q.text),
+            }
+            // Nothing is in flight between sequential requests.
+            prop_assert!(
+                svc.cache().len() <= 2 * keys.len(),
+                "{} entries for {} keys",
+                svc.cache().len(),
+                keys.len()
+            );
+        }
+    }
+}

@@ -1,6 +1,7 @@
 //! Finite σ-structures.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::elem::Elem;
 use crate::error::StructureError;
@@ -175,17 +176,25 @@ impl fmt::Debug for Relation {
 /// Structural equality (`==`) is equality of vocabulary, universe size, and
 /// relations — i.e. equality *as labelled structures*, not isomorphism
 /// (isomorphism lives in `hp-hom`).
+///
+/// Relations are **copy-on-write**: each sits behind its own `Arc`, so
+/// `clone` costs one refcount bump per relation, and a mutation copies
+/// only the relation it touches (and only while that relation is still
+/// shared with another clone).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Structure {
     vocab: Vocabulary,
     universe: usize,
-    relations: Vec<Relation>,
+    relations: Vec<Arc<Relation>>,
 }
 
 impl Structure {
     /// The empty-relations structure over `universe` elements.
     pub fn new(vocab: Vocabulary, universe: usize) -> Self {
-        let relations = vocab.iter().map(|(_, s)| Relation::new(s.arity)).collect();
+        let relations = vocab
+            .iter()
+            .map(|(_, s)| Arc::new(Relation::new(s.arity)))
+            .collect();
         Structure {
             vocab,
             universe,
@@ -231,18 +240,26 @@ impl Structure {
         self.relations
             .iter()
             .enumerate()
-            .map(|(i, r)| (SymbolId::from(i), r))
+            .map(|(i, r)| (SymbolId::from(i), &**r))
     }
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.iter().map(Relation::len).sum()
+        self.relations.iter().map(|r| r.len()).sum()
     }
 
     /// Heap bytes held by all relation arenas (see
     /// [`Relation::heap_bytes`]); the universe itself stores nothing.
+    /// Arenas this structure shares with its clones are counted in full.
     pub fn heap_bytes(&self) -> usize {
-        self.relations.iter().map(Relation::heap_bytes).sum()
+        self.relations.iter().map(|r| r.heap_bytes()).sum()
+    }
+
+    /// Add `extra` fresh elements to the universe (they take the next
+    /// ids). Every existing tuple stays in range, so no relation is
+    /// touched or copied.
+    pub fn grow_universe(&mut self, extra: usize) {
+        self.universe += extra;
     }
 
     /// Add a tuple to a relation, validating arity and range.
@@ -264,7 +281,7 @@ impl Structure {
                 });
             }
         }
-        Ok(self.relations[sym.index()].insert(t))
+        Ok(self.relation_mut(sym).insert(t))
     }
 
     /// Convenience: add a tuple given a raw symbol index and raw element ids.
@@ -304,7 +321,7 @@ impl Structure {
             t.append_to(&mut buf);
             count += 1;
         }
-        let rel = &mut self.relations[sym.index()];
+        let rel = self.relation_mut(sym);
         if arity == 0 {
             // Nullary tuples leave `buf` empty; `chunks_exact(0)` is
             // undefined, so feed the counted empty rows directly.
@@ -315,7 +332,7 @@ impl Structure {
 
     /// Remove a tuple from a relation. Returns true if it was present.
     pub fn remove_tuple<R: Row>(&mut self, sym: SymbolId, t: R) -> bool {
-        self.relations[sym.index()].remove(t)
+        self.relation_mut(sym).remove(t)
     }
 
     /// Bulk-remove a sealed batch of tuples from one relation (the EDB
@@ -323,7 +340,13 @@ impl Structure {
     /// tuples actually removed.
     pub fn remove_tuples(&mut self, sym: SymbolId, tuples: &TupleStore) -> usize {
         debug_assert_eq!(tuples.arity(), self.vocab.arity(sym));
-        self.relations[sym.index()].remove_tuples(tuples)
+        self.relation_mut(sym).remove_tuples(tuples)
+    }
+
+    /// The relation of `sym`, unshared first: the one mutation path, so a
+    /// write copies a relation only while a clone still shares it.
+    fn relation_mut(&mut self, sym: SymbolId) -> &mut Relation {
+        Arc::make_mut(&mut self.relations[sym.index()])
     }
 
     /// Membership test.
@@ -405,7 +428,7 @@ impl StructureBuilder {
         let mut inner = Structure::new(self.vocab, self.universe);
         for (sym, (buf, rows)) in self.buffers.into_iter().enumerate() {
             let arity = inner.vocab.arity(SymbolId::from(sym));
-            let rel = &mut inner.relations[sym];
+            let rel = inner.relation_mut(SymbolId::from(sym));
             if arity == 0 {
                 rel.extend_tuples((0..rows).map(|_| [].as_slice()));
             } else {

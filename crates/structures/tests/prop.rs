@@ -608,3 +608,90 @@ proptest! {
         prop_assert!(g.subdivided(1).is_bipartite());
     }
 }
+
+/// The `{E/2, S/1}` structure over 6 elements holding exactly `model`'s
+/// tuples (`model[0]` for `E`, `model[1]` for `S`).
+fn structure_of(model: &[BTreeSet<Vec<Elem>>; 2]) -> Structure {
+    let mut s = Structure::new(Vocabulary::from_pairs([("E", 2), ("S", 1)]), 6);
+    for (sym, tuples) in model.iter().enumerate() {
+        s.extend_tuples(SymbolId::from(sym), tuples).unwrap();
+    }
+    s
+}
+
+fn matches_model(s: &Structure, model: &[BTreeSet<Vec<Elem>>; 2]) -> bool {
+    s.relations().all(|(sym, rel)| {
+        rel.iter()
+            .map(|t| t.to_vec())
+            .eq(model[sym.index()].iter().cloned())
+    })
+}
+
+proptest! {
+    /// Relations are copy-on-write: every mutating path on a clone leaves
+    /// the original bit-identical to its model, and the clone agrees with
+    /// its own model. A relation the clone never wrote stays shared.
+    #[test]
+    fn clone_mutations_leave_the_original_intact(
+        seed in prop::collection::vec((0usize..2, 0u32..6, 0u32..6), 0..24),
+        ops in prop::collection::vec(
+            (0usize..4, 0usize..2, prop::collection::vec((0u32..6, 0u32..6), 1..4)),
+            1..12,
+        ),
+    ) {
+        let mut model: [BTreeSet<Vec<Elem>>; 2] = Default::default();
+        for &(sym, a, b) in &seed {
+            let t = [Elem(a), Elem(b)];
+            model[sym].insert(t[..2 - sym].to_vec());
+        }
+        let original = structure_of(&model);
+        let bytes = original.heap_bytes();
+        let mut copy = original.clone();
+        let mut copy_model = model.clone();
+        let mut written = [false; 2];
+        for (op, sym, pairs) in ops {
+            let id = SymbolId::from(sym);
+            let tuples: Vec<Vec<Elem>> =
+                pairs.iter().map(|&(a, b)| [Elem(a), Elem(b)][..2 - sym].to_vec()).collect();
+            written[sym] = true;
+            match op {
+                0 => {
+                    let fresh = copy_model[sym].insert(tuples[0].clone());
+                    prop_assert_eq!(copy.add_tuple(id, &tuples[0]).unwrap(), fresh);
+                }
+                1 => {
+                    let present = copy_model[sym].remove(&tuples[0]);
+                    prop_assert_eq!(copy.remove_tuple(id, &tuples[0]), present);
+                }
+                2 => {
+                    let before = copy_model[sym].len();
+                    copy_model[sym].extend(tuples.iter().cloned());
+                    let added = copy.extend_tuples(id, &tuples).unwrap();
+                    prop_assert_eq!(added, copy_model[sym].len() - before);
+                }
+                _ => {
+                    let mut batch = TupleStore::new(2 - sym);
+                    for t in &tuples {
+                        batch.push(t);
+                    }
+                    batch.seal();
+                    let before = copy_model[sym].len();
+                    for t in &tuples {
+                        copy_model[sym].remove(t);
+                    }
+                    prop_assert_eq!(copy.remove_tuples(id, &batch), before - copy_model[sym].len());
+                }
+            }
+            prop_assert!(matches_model(&original, &model), "original changed");
+        }
+        prop_assert!(matches_model(&copy, &copy_model));
+        prop_assert_eq!(&original, &structure_of(&model));
+        prop_assert_eq!(original.heap_bytes(), bytes);
+        for (sym, was_written) in written.into_iter().enumerate() {
+            let id = SymbolId::from(sym);
+            if !was_written {
+                prop_assert!(std::ptr::eq(original.relation(id), copy.relation(id)));
+            }
+        }
+    }
+}
