@@ -54,8 +54,8 @@ use std::time::Duration;
 
 use hp_analysis::{
     datalog_core_key, datalog_stratum_profile, fix_check_source, fix_source, formula_core_key,
-    lint_datalog_source_with, lint_formula_source_with, parse_vocab_spec, Analyzer, Code,
-    Diagnostics, Severity, StrataCost,
+    json_string, lint_datalog_source_with, lint_formula_source_with, parse_vocab_spec, Analyzer,
+    Code, Diagnostics, Severity, StrataCost,
 };
 use hp_datalog::gallery;
 use hp_guard::Budget;
@@ -434,25 +434,6 @@ fn removed_atoms_json(removed: &[hp_analysis::RemovedAtom]) -> String {
         })
         .collect();
     items.join(", ")
-}
-
-/// Quote and escape a string per RFC 8259 (for the JSON diff field).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// `--fix=check`: report what the certified rewrites would change without

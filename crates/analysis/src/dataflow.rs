@@ -291,105 +291,6 @@ impl DataflowAnalysis for StageDepth {
     }
 }
 
-/// A stratum bound: `Finite(s)` means the predicate sits in stratum `s`
-/// of the stratified semantics (its negation depth); [`Divergent`] is the
-/// lattice top, reached exactly when the predicate lies on or downstream
-/// of a cycle through a negated edge — i.e. the program is
-/// unstratifiable.
-///
-/// [`Divergent`]: StratumBound::Divergent
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StratumBound {
-    /// Stratum (negation depth) of the predicate.
-    Finite(usize),
-    /// No finite stratum: a negative cycle feeds this predicate.
-    Divergent,
-}
-
-impl StratumBound {
-    /// The finite stratum, if any.
-    pub fn finite(self) -> Option<usize> {
-        match self {
-            StratumBound::Finite(s) => Some(s),
-            StratumBound::Divergent => None,
-        }
-    }
-}
-
-impl JoinSemiLattice for StratumBound {
-    fn join(&mut self, other: &StratumBound) -> bool {
-        let joined = match (*self, *other) {
-            (StratumBound::Divergent, _) | (_, StratumBound::Divergent) => StratumBound::Divergent,
-            (StratumBound::Finite(a), StratumBound::Finite(b)) => StratumBound::Finite(a.max(b)),
-        };
-        let grew = joined != *self;
-        *self = joined;
-        grew
-    }
-}
-
-/// Forward stratum accounting: `stratum(h) = max` over body IDB atoms `q`
-/// of `stratum(q) + 1` if the occurrence is negated, else `stratum(q)`.
-/// A finite stratum can never reach the number of IDB predicates, so the
-/// lattice is capped there: hitting the cap means the value climbed
-/// around a cycle through a negated edge, and the predicate joins to
-/// [`StratumBound::Divergent`] — the dataflow rendering of the
-/// Apt–Blair–Walker stratifiability test. Negated **EDB** guards add no
-/// dependency and never bump a stratum.
-pub struct StratumDepth;
-
-impl DataflowAnalysis for StratumDepth {
-    type Value = StratumBound;
-
-    fn name(&self) -> &'static str {
-        "stratum-depth"
-    }
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn init(&self, _facts: &ProgramFacts, _pdg: &Pdg, _pred: usize) -> StratumBound {
-        StratumBound::Finite(0)
-    }
-
-    fn transfer(
-        &self,
-        facts: &ProgramFacts,
-        _pdg: &Pdg,
-        _ri: usize,
-        rule: &Rule,
-        _target: usize,
-        values: &[StratumBound],
-    ) -> StratumBound {
-        let cap = facts.idbs.len();
-        let mut worst = 0usize;
-        for a in &rule.body {
-            if let PredRef::Idb(q) = a.pred {
-                if q >= values.len() {
-                    continue;
-                }
-                match values[q] {
-                    StratumBound::Finite(s) => {
-                        worst = worst.max(s + usize::from(a.negated));
-                    }
-                    StratumBound::Divergent => return StratumBound::Divergent,
-                }
-            }
-        }
-        if worst >= cap {
-            StratumBound::Divergent
-        } else {
-            StratumBound::Finite(worst)
-        }
-    }
-}
-
-/// Convenience: per-predicate stratum bounds.
-pub fn stratum_bounds(facts: &ProgramFacts, pdg: &Pdg) -> Vec<StratumBound> {
-    solve(&StratumDepth, facts, pdg)
-}
-
 /// Convenience: the set of relevant predicates (goal demand), or `None`
 /// when no goal is designated.
 pub fn relevant_preds(facts: &ProgramFacts, pdg: &Pdg) -> Option<Vec<bool>> {
@@ -489,61 +390,6 @@ mod tests {
         assert_eq!(b[0], StageBound::Unbounded);
         // Downstream of a recursive predicate: still unbounded.
         assert_eq!(b[1], StageBound::Unbounded);
-    }
-
-    #[test]
-    fn stratum_bounds_match_program_strata() {
-        use hp_datalog::gallery;
-        for p in [
-            gallery::non_reachability(),
-            gallery::set_difference(),
-            gallery::win_move(2),
-            gallery::transitive_closure(),
-        ] {
-            let f = ProgramFacts::of_program(&p);
-            let g = Pdg::new(&f);
-            let got: Vec<Option<usize>> = stratum_bounds(&f, &g)
-                .into_iter()
-                .map(StratumBound::finite)
-                .collect();
-            let want: Vec<Option<usize>> = p.strata().iter().map(|&s| Some(s)).collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn negative_cycle_diverges() {
-        // Win negates itself: Program::parse rejects it, so raw facts.
-        use hp_datalog::{DatalogAtom, Rule};
-        let v = Vocabulary::from_pairs([("Move", 2)]);
-        let m = v.lookup("Move").unwrap();
-        let f = ProgramFacts::from_parts(
-            v,
-            vec![("Win".to_string(), 1), ("Top".to_string(), 1)],
-            vec![
-                Rule {
-                    head: DatalogAtom::positive(PredRef::Idb(0), vec![0]),
-                    body: vec![
-                        DatalogAtom::positive(PredRef::Edb(m), vec![0, 1]),
-                        DatalogAtom {
-                            pred: PredRef::Idb(0),
-                            args: vec![1],
-                            negated: true,
-                        },
-                    ],
-                },
-                // Top reads Win positively: divergence propagates.
-                Rule {
-                    head: DatalogAtom::positive(PredRef::Idb(1), vec![0]),
-                    body: vec![DatalogAtom::positive(PredRef::Idb(0), vec![0])],
-                },
-            ],
-            vec!["x".to_string(), "y".to_string()],
-        );
-        let g = Pdg::new(&f);
-        let b = stratum_bounds(&f, &g);
-        assert_eq!(b[0], StratumBound::Divergent);
-        assert_eq!(b[1], StratumBound::Divergent);
     }
 
     #[test]

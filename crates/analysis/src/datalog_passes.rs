@@ -21,7 +21,7 @@ use hp_guard::Budget;
 use hp_structures::Graph;
 use hp_tw::elimination::treewidth_upper_bound;
 
-use crate::dataflow::{possibly_nonempty, relevant_preds, stratum_bounds};
+use crate::dataflow::{possibly_nonempty, relevant_preds};
 use crate::diag::{Code, Diagnostic, Diagnostics, Severity};
 use crate::facts::ProgramFacts;
 use crate::pass::Pass;
@@ -119,13 +119,13 @@ impl Pass for SafetyPass {
 /// HP023 is the negation-safety check (every variable of a negated
 /// literal must be bound by a positive body atom; heads must not be
 /// negated). HP022 fires when an IDB predicate depends on itself through
-/// a negated occurrence — equivalently, when the
-/// [`StratumDepth`](crate::dataflow::StratumDepth) dataflow analysis
-/// diverges — in which case the stratified semantics is undefined and
-/// `Program::parse` / evaluation refuse the program. On stratifiable
-/// programs with negation, HP024 reports the stratification depth and
-/// the per-stratum predicate layering (refining HP008/HP016, which
-/// classify only the positive dependency structure).
+/// a negated occurrence — a negative edge inside an SCC of the
+/// [`DepGraph`](hp_datalog::DepGraph) — in which case the stratified
+/// semantics is undefined and `Program::parse` / evaluation refuse the
+/// program. On stratifiable programs with negation, HP024 reports the
+/// stratification depth and the graph's per-stratum predicate layering
+/// (refining HP008/HP016, which classify only the positive dependency
+/// structure).
 pub struct StratificationPass;
 
 impl Pass for StratificationPass {
@@ -193,38 +193,26 @@ impl Pass for StratificationPass {
         // Report at each rule carrying such an edge.
         let mut unstratifiable = false;
         for (ri, r) in facts.rules.iter().enumerate() {
-            let PredRef::Idb(h) = r.head.pred else {
-                continue;
-            };
-            if h >= facts.idbs.len() {
-                continue;
-            }
-            for a in &r.body {
-                if let PredRef::Idb(q) = a.pred {
-                    if a.negated && q < facts.idbs.len() && pdg.scc_of(q) == pdg.scc_of(h) {
-                        unstratifiable = true;
-                        out.push(Diagnostic::new(
-                            Code::Hp022,
-                            format!(
-                                "program is not stratifiable: {} depends on itself through \
-                                 a negated occurrence of {} — the stratified semantics is \
-                                 undefined and evaluation refuses the program",
-                                facts.pred_name(r.head.pred),
-                                facts.pred_name(a.pred),
-                            ),
-                            facts.rule_span(ri),
-                        ));
-                        break;
-                    }
-                }
+            if let Some(q) = pdg.negative_cycle_via(r) {
+                unstratifiable = true;
+                out.push(Diagnostic::new(
+                    Code::Hp022,
+                    format!(
+                        "program is not stratifiable: {} depends on itself through \
+                         a negated occurrence of {} — the stratified semantics is \
+                         undefined and evaluation refuses the program",
+                        facts.pred_name(r.head.pred),
+                        facts.pred_name(PredRef::Idb(q)),
+                    ),
+                    facts.rule_span(ri),
+                ));
             }
         }
-        let bounds = stratum_bounds(facts, &pdg);
-        if unstratifiable || bounds.iter().any(|b| b.finite().is_none()) {
+        if unstratifiable {
             return;
         }
         // HP024: stratum report for stratifiable programs with negation.
-        let strata: Vec<usize> = bounds.iter().map(|b| b.finite().expect("finite")).collect();
+        let strata = pdg.strata();
         let depth = strata.iter().copied().max().unwrap_or(0) + 1;
         let mut layers: Vec<Vec<&str>> = vec![Vec::new(); depth];
         for (i, &s) in strata.iter().enumerate() {

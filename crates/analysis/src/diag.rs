@@ -358,8 +358,10 @@ impl Diagnostic {
     }
 }
 
-/// Quote and escape a string per RFC 8259.
-fn json_string(s: &str) -> String {
+/// Quote and escape a string per RFC 8259 — the one JSON string escaper
+/// behind every JSON emitter in the workspace (lint output, the query
+/// service's codec).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -15,6 +15,7 @@ use hp_datalog::{PredRef, Program, Rule};
 use hp_structures::Vocabulary;
 
 use crate::diag::Span;
+use crate::pdg::Pdg;
 
 /// The raw parts of a (possibly invalid) Datalog program, plus the
 /// inferred goal predicate.
@@ -126,42 +127,12 @@ impl ProgramFacts {
         }
     }
 
-    /// The IDB dependency graph: `deps[h]` is the set of IDB indices
-    /// occurring in the body of some rule with head IDB `h`.
-    pub fn idb_dependencies(&self) -> Vec<BTreeSet<usize>> {
-        let mut deps = vec![BTreeSet::new(); self.idbs.len()];
-        for r in &self.rules {
-            let PredRef::Idb(h) = r.head.pred else {
-                continue;
-            };
-            if h >= self.idbs.len() {
-                continue;
-            }
-            for a in &r.body {
-                if let PredRef::Idb(i) = a.pred {
-                    if i < self.idbs.len() {
-                        deps[h].insert(i);
-                    }
-                }
-            }
-        }
-        deps
-    }
-
     /// The IDBs the goal (transitively) depends on, including the goal
     /// itself — the set of *useful* predicates. `None` when no goal is
     /// designated.
     pub fn useful_idbs(&self) -> Option<BTreeSet<usize>> {
         let g = self.goal?;
-        let deps = self.idb_dependencies();
-        let mut useful = BTreeSet::new();
-        let mut stack = vec![g];
-        while let Some(i) = stack.pop() {
-            if useful.insert(i) {
-                stack.extend(deps[i].iter().copied());
-            }
-        }
-        Some(useful)
+        Some(Pdg::new(self).reachable([g], false))
     }
 
     /// Total number of distinct variables across all rules — the `k` of
@@ -202,10 +173,10 @@ mod tests {
     #[test]
     fn dependency_graph_of_tc() {
         let f = ProgramFacts::of_program(&gallery::transitive_closure());
-        let deps = f.idb_dependencies();
+        let g = Pdg::new(&f);
         // T depends on itself (recursive rule).
-        assert_eq!(deps.len(), 1);
-        assert!(deps[0].contains(&0));
+        assert_eq!(g.num_preds(), 1);
+        assert!(g.deps(0).contains(&0));
     }
 
     #[test]

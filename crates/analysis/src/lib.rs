@@ -58,7 +58,7 @@ pub use dataflow::{
     JoinSemiLattice, StageBound,
 };
 pub use dce::{eliminate_dead_rules, DeadRuleElimination};
-pub use diag::{Code, Diagnostic, Diagnostics, Severity, Span};
+pub use diag::{json_string, Code, Diagnostic, Diagnostics, Severity, Span};
 pub use diff::unified_diff;
 pub use facts::ProgramFacts;
 pub use fix::{

@@ -1,48 +1,40 @@
-//! The predicate dependency graph (PDG) with its SCC condensation — the
-//! substrate every program-level analysis pass runs over.
+//! The predicate dependency graph (PDG) — the substrate every
+//! program-level analysis pass runs over.
 //!
-//! Nodes are the program's IDB predicates; there is an edge `h → q`
-//! whenever some rule with head `h` mentions `q` in its body ("`h`
-//! depends on `q`"). The graph is condensed into strongly connected
-//! components by an iterative Tarjan walk; components come out in
-//! **topological order with dependencies first**, which is exactly the
-//! evaluation order a forward dataflow analysis wants (and, reversed, the
-//! order a backward one wants). Recursion lives entirely inside the
-//! recursive SCCs, so per-SCC questions — is this component recursive,
-//! how many same-component atoms does its widest rule carry — localize
-//! the HP008/HP016 classifications the paper's §7 reasons about.
+//! A [`Pdg`] is the engine's own [`DepGraph`] (edges `h → q` whenever a
+//! rule with head `h` mentions IDB `q` in its body, condensed into SCCs in
+//! topological order with dependencies first — the evaluation order a
+//! forward dataflow analysis wants, and reversed the one a backward one
+//! wants) plus the reverse indexes only the analyses need. Recursion
+//! lives entirely inside the recursive SCCs, so per-SCC questions — is
+//! this component recursive, how many same-component atoms does its
+//! widest rule carry — localize the HP008/HP016 classifications the
+//! paper's §7 reasons about.
 
 use std::collections::BTreeSet;
+use std::ops::Deref;
 
-use hp_datalog::PredRef;
+use hp_datalog::{DepGraph, PredRef};
 
 use crate::facts::ProgramFacts;
 
-/// The predicate dependency graph of a program, with rule cross-indexes
-/// and the SCC condensation precomputed.
+/// The predicate dependency graph of a program: a [`DepGraph`] (every
+/// graph query derefs to it) plus reverse edges and rule cross-indexes.
 #[derive(Clone, Debug)]
 pub struct Pdg {
-    /// `deps[h]` = IDB indices occurring in bodies of rules with head `h`
-    /// (positive *and* negated occurrences — a negated guard is still a
-    /// dependency, both for demand and for evaluation order).
-    deps: Vec<BTreeSet<usize>>,
-    /// `neg_deps[h]` ⊆ `deps[h]` = IDB indices with a **negated**
-    /// occurrence in some body of a rule with head `h`. Edge polarity is
-    /// what stratification is about: a program is stratifiable iff no
-    /// strongly connected component contains a negative edge.
-    neg_deps: Vec<BTreeSet<usize>>,
+    graph: DepGraph,
     /// Reverse edges: `dependents[q]` = heads whose rules mention `q`.
     dependents: Vec<BTreeSet<usize>>,
-    /// `rules_of[h]` = indices of rules whose head is IDB `h`.
-    rules_of: Vec<Vec<usize>>,
     /// `rules_using[q]` = indices of rules with an IDB-`q` body atom.
     rules_using: Vec<Vec<usize>>,
-    /// SCC index of each predicate. SCC indices are topological:
-    /// dependencies always live in an SCC with a **smaller or equal**
-    /// index, with equality exactly for same-component edges.
-    scc_of: Vec<usize>,
-    /// Members of each SCC, in topological order (dependencies first).
-    sccs: Vec<Vec<usize>>,
+}
+
+impl Deref for Pdg {
+    type Target = DepGraph;
+
+    fn deref(&self) -> &DepGraph {
+        &self.graph
+    }
 }
 
 impl Pdg {
@@ -50,11 +42,9 @@ impl Pdg {
     /// Out-of-range IDB indices (possible in raw, unvalidated facts) are
     /// ignored, matching the robustness contract of [`ProgramFacts`].
     pub fn new(facts: &ProgramFacts) -> Pdg {
-        let n = facts.idbs.len();
-        let mut deps = vec![BTreeSet::new(); n];
-        let mut neg_deps = vec![BTreeSet::new(); n];
+        let graph = DepGraph::new(facts.idbs.len(), &facts.rules);
+        let n = graph.num_preds();
         let mut dependents = vec![BTreeSet::new(); n];
-        let mut rules_of = vec![Vec::new(); n];
         let mut rules_using = vec![Vec::new(); n];
         for (ri, r) in facts.rules.iter().enumerate() {
             let PredRef::Idb(h) = r.head.pred else {
@@ -63,65 +53,24 @@ impl Pdg {
             if h >= n {
                 continue;
             }
-            rules_of[h].push(ri);
-            let mut used_here: BTreeSet<usize> = BTreeSet::new();
-            for a in &r.body {
-                if let PredRef::Idb(q) = a.pred {
-                    if q < n {
-                        deps[h].insert(q);
-                        if a.negated {
-                            neg_deps[h].insert(q);
-                        }
-                        dependents[q].insert(h);
-                        used_here.insert(q);
-                    }
-                }
-            }
+            let used_here: BTreeSet<usize> = r
+                .body
+                .iter()
+                .filter_map(|a| match a.pred {
+                    PredRef::Idb(q) if q < n => Some(q),
+                    _ => None,
+                })
+                .collect();
             for q in used_here {
+                dependents[q].insert(h);
                 rules_using[q].push(ri);
             }
         }
-        let (scc_of, sccs) = tarjan_sccs(&deps);
         Pdg {
-            deps,
-            neg_deps,
+            graph,
             dependents,
-            rules_of,
             rules_using,
-            scc_of,
-            sccs,
         }
-    }
-
-    /// Number of predicates (nodes).
-    pub fn num_preds(&self) -> usize {
-        self.deps.len()
-    }
-
-    /// IDB predicates the given predicate's rules depend on.
-    pub fn deps(&self, p: usize) -> &BTreeSet<usize> {
-        &self.deps[p]
-    }
-
-    /// IDB predicates with a **negated** occurrence in the bodies of
-    /// `p`'s rules (a subset of [`deps`](Pdg::deps)).
-    pub fn neg_deps(&self, p: usize) -> &BTreeSet<usize> {
-        &self.neg_deps[p]
-    }
-
-    /// True when some rule body negates an IDB predicate (negated EDB
-    /// guards carry no dependency edge and do not count).
-    pub fn has_negative_edge(&self) -> bool {
-        self.neg_deps.iter().any(|s| !s.is_empty())
-    }
-
-    /// True when SCC `s` contains a negative edge — i.e. some member's
-    /// rules negate another member (or itself). A program is
-    /// stratifiable iff **no** SCC has one (Apt–Blair–Walker).
-    pub fn scc_has_negative_edge(&self, s: usize) -> bool {
-        self.sccs[s]
-            .iter()
-            .any(|&p| self.neg_deps[p].iter().any(|&q| self.scc_of[q] == s))
     }
 
     /// IDB predicates whose rules mention `p` in a body.
@@ -129,49 +78,9 @@ impl Pdg {
         &self.dependents[p]
     }
 
-    /// Indices of rules whose head is `p`.
-    pub fn rules_of(&self, p: usize) -> &[usize] {
-        &self.rules_of[p]
-    }
-
     /// Indices of rules with an IDB-`p` body atom.
     pub fn rules_using(&self, p: usize) -> &[usize] {
         &self.rules_using[p]
-    }
-
-    /// Number of strongly connected components.
-    pub fn scc_count(&self) -> usize {
-        self.sccs.len()
-    }
-
-    /// SCC index of a predicate. Indices are topological: every
-    /// dependency of `p` outside its own SCC has a strictly smaller SCC
-    /// index.
-    pub fn scc_of(&self, p: usize) -> usize {
-        self.scc_of[p]
-    }
-
-    /// Members of an SCC (ascending predicate indices).
-    pub fn scc_members(&self, s: usize) -> &[usize] {
-        &self.sccs[s]
-    }
-
-    /// All SCCs in topological order, dependencies first.
-    pub fn sccs(&self) -> impl Iterator<Item = &[usize]> {
-        self.sccs.iter().map(|m| m.as_slice())
-    }
-
-    /// True when the SCC contains a cycle: more than one member, or a
-    /// single member with a self-loop. Exactly the recursive components.
-    pub fn is_recursive_scc(&self, s: usize) -> bool {
-        let m = &self.sccs[s];
-        m.len() > 1 || self.deps[m[0]].contains(&m[0])
-    }
-
-    /// True when predicate `p` is (transitively) recursive, i.e. lives in
-    /// a recursive SCC.
-    pub fn is_recursive_pred(&self, p: usize) -> bool {
-        self.is_recursive_scc(self.scc_of[p])
     }
 
     /// The **recursion width** of an SCC: the maximum, over rules whose
@@ -181,14 +90,14 @@ impl Pdg {
     /// has width 2). Refines the whole-program HP008 class per component.
     pub fn scc_recursion_width(&self, facts: &ProgramFacts, s: usize) -> usize {
         let mut width = 0;
-        for &p in &self.sccs[s] {
-            for &ri in &self.rules_of[p] {
+        for &p in self.scc_members(s) {
+            for &ri in self.rules_of(p) {
                 let w = facts.rules[ri]
                     .body
                     .iter()
-                    .filter(
-                        |a| matches!(a.pred, PredRef::Idb(q) if q < self.scc_of.len() && self.scc_of[q] == s),
-                    )
+                    .filter(|a| {
+                        matches!(a.pred, PredRef::Idb(q) if q < self.num_preds() && self.scc_of(q) == s)
+                    })
                     .count();
                 width = width.max(w);
             }
@@ -205,88 +114,23 @@ impl Pdg {
         start: impl IntoIterator<Item = usize>,
         backward: bool,
     ) -> BTreeSet<usize> {
-        let edges = if backward {
-            &self.dependents
-        } else {
-            &self.deps
-        };
         let mut seen = BTreeSet::new();
-        let mut stack: Vec<usize> = start.into_iter().filter(|&p| p < edges.len()).collect();
+        let mut stack: Vec<usize> = start
+            .into_iter()
+            .filter(|&p| p < self.num_preds())
+            .collect();
         while let Some(p) = stack.pop() {
             if seen.insert(p) {
-                stack.extend(edges[p].iter().copied());
+                let edges = if backward {
+                    &self.dependents[p]
+                } else {
+                    self.deps(p)
+                };
+                stack.extend(edges.iter().copied());
             }
         }
         seen
     }
-}
-
-/// Iterative Tarjan SCC. Returns `(scc_of, sccs)` with components
-/// numbered in topological order, dependencies first — Tarjan finishes a
-/// component only after every component it can reach, so the natural
-/// emission order is already the one we want.
-fn tarjan_sccs(deps: &[BTreeSet<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
-    let n = deps.len();
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut scc_of = vec![0usize; n];
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS frames: (node, iterator position into deps[node]).
-    for root in 0..n {
-        if index[root] != UNSEEN {
-            continue;
-        }
-        let mut frames: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        frames.push((root, deps[root].iter().copied().collect(), 0));
-        while !frames.is_empty() {
-            let top = frames.len() - 1;
-            let v = frames[top].0;
-            if frames[top].2 < frames[top].1.len() {
-                let w = frames[top].1[frames[top].2];
-                frames[top].2 += 1;
-                if index[w] == UNSEEN {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, deps[w].iter().copied().collect(), 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _, _)) = frames.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut members = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack invariant");
-                        on_stack[w] = false;
-                        scc_of[w] = sccs.len();
-                        members.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    members.sort_unstable();
-                    sccs.push(members);
-                }
-            }
-        }
-    }
-    (scc_of, sccs)
 }
 
 #[cfg(test)]

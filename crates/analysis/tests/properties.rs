@@ -288,13 +288,16 @@ proptest! {
 
     /// Programs rejected by `Program::new` map to the matching HP code:
     /// whatever structured error the constructor reports, the analyzer
-    /// reports the same code as an Error at the same rule.
+    /// reports the same code as an Error at the same rule — including
+    /// unsafe negation (HP023) and cycles through negation (HP022), which
+    /// both sides read off the same dependency graph.
     #[test]
     fn rejected_programs_map_to_specific_codes(
         shapes in prop::collection::vec(
-            // (head_pred, head_nargs, body_pred, body_nargs) with preds
-            // drawn loosely so arity/safety/head violations all occur.
-            (0usize..3, 0usize..4, 0usize..3, 0usize..4),
+            // (head_pred, head_nargs, body_pred, body_nargs, negated) with
+            // preds drawn loosely so arity/safety/head/negation violations
+            // all occur.
+            (0usize..3, 0usize..4, 0usize..3, 0usize..4, any::<bool>()),
             1..5,
         ),
     ) {
@@ -308,7 +311,7 @@ proptest! {
         };
         let rules: Vec<Rule> = shapes
             .iter()
-            .map(|&(hp, hn, bp, bn)| Rule {
+            .map(|&(hp, hn, bp, bn, negated)| Rule {
                 head: DatalogAtom {
                     pred: pred_of(hp),
                     // Head args drawn from {0,1}; body args from {2,3,...}
@@ -319,7 +322,7 @@ proptest! {
                 body: vec![DatalogAtom {
                     pred: pred_of(bp),
                     args: (0..bn as u32).collect(),
-                    negated: false,
+                    negated,
                 }],
             })
             .collect();

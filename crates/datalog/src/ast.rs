@@ -4,6 +4,7 @@ use std::collections::BTreeSet;
 
 use hp_structures::{SymbolId, Vocabulary};
 
+use crate::depgraph::DepGraph;
 use crate::error::{DatalogError, DatalogErrorKind, DatalogSpan};
 
 /// Reference to a predicate: either an EDB symbol of the input vocabulary
@@ -111,11 +112,9 @@ pub struct Program {
     /// `# goal: Name` pragma when parsed from text, otherwise the IDB
     /// named [`DEFAULT_GOAL_NAME`] by convention.
     goal: Option<usize>,
-    /// Stratum of each IDB (aligned with `idbs`). A purely positive
-    /// program has every IDB in stratum 0; each negated dependency bumps
-    /// the dependent's stratum by one. Computed (and stratifiability
-    /// enforced) at construction.
-    strata: Vec<usize>,
+    /// The IDB dependency graph, its condensation and least strata.
+    /// Built (and stratifiability enforced) at construction.
+    graph: DepGraph,
 }
 
 /// The IDB name treated as the goal when no `# goal:` pragma designates
@@ -147,14 +146,15 @@ impl Program {
     ) -> Result<Program, DatalogError> {
         assert_eq!(rules.len(), rule_lines.len(), "rule_lines misaligned");
         let goal = idbs.iter().position(|(n, _)| n == DEFAULT_GOAL_NAME);
-        let mut p = Program {
+        let graph = DepGraph::new(idbs.len(), &rules);
+        let p = Program {
             edb,
             idbs,
             rules,
             var_names,
             rule_lines,
             goal,
-            strata: Vec::new(),
+            graph,
         };
         for (ri, r) in p.rules.iter().enumerate() {
             let span = DatalogSpan {
@@ -203,93 +203,23 @@ impl Program {
                 }
             }
         }
-        p.strata = p.compute_strata()?;
+        // A program is stratifiable iff no negated edge closes a cycle;
+        // the error points at the first rule, in rule order, holding one.
+        for (ri, r) in p.rules.iter().enumerate() {
+            if let Some(q) = p.graph.negative_cycle_via(r) {
+                return Err(DatalogError::new(
+                    DatalogErrorKind::UnstratifiableNegation {
+                        pred: p.pred_name(r.head.pred),
+                        via: p.idbs[q].0.clone(),
+                    },
+                    DatalogSpan {
+                        line: p.rule_lines[ri],
+                        rule: Some(ri),
+                    },
+                ));
+            }
+        }
         Ok(p)
-    }
-
-    /// Stratify the program: assign each IDB its negation depth, the
-    /// least `s` such that every positive dependency sits in a stratum
-    /// `≤ s` and every negated dependency in a stratum `< s`. Errors with
-    /// [`DatalogErrorKind::UnstratifiableNegation`] (spanned at the rule
-    /// holding the offending negated literal) when a dependency cycle
-    /// passes through a negative edge.
-    fn compute_strata(&self) -> Result<Vec<usize>, DatalogError> {
-        let n = self.idbs.len();
-        let mut strata = vec![0usize; n];
-        if !self.rules.iter().any(Rule::has_negation) {
-            return Ok(strata); // positive program: single stratum 0
-        }
-        // Fixpoint of stratum(h) = max over body IDB atoms q of
-        // stratum(q) + [q negated]. Diverges (stratum ≥ n) exactly when a
-        // cycle passes through a negative edge.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for r in &self.rules {
-                let PredRef::Idb(h) = r.head.pred else {
-                    continue;
-                };
-                for a in &r.body {
-                    let PredRef::Idb(q) = a.pred else { continue };
-                    let need = strata[q] + usize::from(a.negated);
-                    if strata[h] < need {
-                        strata[h] = need;
-                        changed = true;
-                    }
-                }
-            }
-            if strata.iter().any(|&s| s >= n) {
-                // Point the error at a rule whose negated literal closes a
-                // cycle: head h with negated body IDB q where q transitively
-                // depends on h.
-                for (ri, r) in self.rules.iter().enumerate() {
-                    let PredRef::Idb(h) = r.head.pred else {
-                        continue;
-                    };
-                    for a in r.body.iter().filter(|a| a.negated) {
-                        let PredRef::Idb(q) = a.pred else { continue };
-                        if self.idb_depends_on(q, h) {
-                            return Err(DatalogError::new(
-                                DatalogErrorKind::UnstratifiableNegation {
-                                    pred: self.idbs[h].0.clone(),
-                                    via: self.idbs[q].0.clone(),
-                                },
-                                DatalogSpan {
-                                    line: self.rule_lines[ri],
-                                    rule: Some(ri),
-                                },
-                            ));
-                        }
-                    }
-                }
-                unreachable!("divergent strata without a negative cycle");
-            }
-        }
-        Ok(strata)
-    }
-
-    /// True when IDB `from` depends on IDB `to` through zero or more
-    /// dependency edges (either polarity).
-    fn idb_depends_on(&self, from: usize, to: usize) -> bool {
-        let mut seen = vec![false; self.idbs.len()];
-        let mut stack = vec![from];
-        seen[from] = true;
-        while let Some(p) = stack.pop() {
-            if p == to {
-                return true;
-            }
-            for r in self.rules.iter().filter(|r| r.head.pred == PredRef::Idb(p)) {
-                for a in &r.body {
-                    if let PredRef::Idb(q) = a.pred {
-                        if !seen[q] {
-                            seen[q] = true;
-                            stack.push(q);
-                        }
-                    }
-                }
-            }
-        }
-        false
     }
 
     /// Parse a program text (grammar documented in the crate-level docs;
@@ -406,24 +336,31 @@ impl Program {
     /// Stratum of IDB `i` (its negation depth). All zero for positive
     /// programs.
     pub fn stratum_of(&self, i: usize) -> usize {
-        self.strata[i]
+        self.graph.strata()[i]
     }
 
-    /// Stratum of each IDB, aligned with [`Program::idbs`].
+    /// Stratum of each IDB, aligned with [`Program::idbs`]: the least
+    /// with every positive dependency in a stratum `≤` and every negated
+    /// one in a stratum `<` the dependent's.
     pub fn strata(&self) -> &[usize] {
-        &self.strata
+        self.graph.strata()
     }
 
     /// Number of strata (`1 + max stratum`; `1` for positive programs,
     /// including programs with no IDBs at all).
     pub fn num_strata(&self) -> usize {
-        self.strata.iter().copied().max().unwrap_or(0) + 1
+        self.strata().iter().copied().max().unwrap_or(0) + 1
+    }
+
+    /// The IDB dependency graph and its SCC condensation.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
     }
 
     /// Stratum a rule belongs to: the stratum of its head predicate.
     pub fn rule_stratum(&self, ri: usize) -> usize {
         match self.rules[ri].head.pred {
-            PredRef::Idb(i) => self.strata[i],
+            PredRef::Idb(i) => self.strata()[i],
             PredRef::Edb(_) => 0,
         }
     }

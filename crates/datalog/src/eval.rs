@@ -11,14 +11,11 @@
 //!   [`Program::evaluate_with`]) — delta rounds driven through precomputed
 //!   join plans ([`crate::plan`]) and per-predicate hash indexes
 //!   ([`crate::index`]). With [`EvalConfig::threads`] > 1 each round's
-//!   `(rule × delta atom × delta shard)` work items run on a hand-rolled
-//!   scoped worker pool; rounds are barriers and every derived tuple lands
-//!   in an ordered set, so the result — relations *and* stage counts — is
-//!   bit-identical to the sequential evaluator for every thread count.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//!   `(rule × delta atom × delta shard)` work items run on the engine's
+//!   [worker pool](crate::pool); rounds are barriers and every derived
+//!   tuple lands in an ordered set, so the result — relations *and* stage
+//!   counts — is bit-identical to the sequential evaluator for every
+//!   thread count.
 
 use std::fmt;
 
@@ -726,28 +723,20 @@ fn recovery_note(round: usize) -> String {
     )
 }
 
-/// Run one round's work items, sequentially or on the scoped pool, and
+/// Run one round's work items on the [worker pool](crate::pool::run) and
 /// return each item's `(head IDB, derived tuples)` plus whether a worker
-/// panic forced a sequential recovery. Items are independent and the
-/// per-item outputs are ordered sets, so the merge is deterministic
-/// regardless of scheduling.
-///
-/// Panic isolation: every item runs behind its own `catch_unwind`
-/// boundary, so a panicking item can neither unwind through the scope
-/// (which would abort the process from a worker) nor stall siblings at
-/// the round barrier — the remaining workers drain and join normally.
-/// When any item panicked, the round's parallel results are discarded
-/// wholesale and the full item list is recomputed on the calling thread:
-/// items are pure functions of the immutable round context, so the rerun
-/// observes no state from the abandoned pass, and the returned tuples are
-/// bit-identical to what an all-sequential evaluation produces.
+/// panic forced a sequential recovery. Items are pure functions of the
+/// immutable round context and the per-item outputs are ordered sets, so
+/// the merge is deterministic regardless of scheduling, and a recovered
+/// round is bit-identical to an all-sequential one.
 fn run_round(
     plan: &ProgramPlan,
     ctx: &JoinCtx<'_>,
     items: &[WorkItem],
     workers: usize,
 ) -> (Vec<(usize, TupleStore)>, bool) {
-    let run_one = |&(ri, delta_atom, chunk): &WorkItem| -> (usize, TupleStore) {
+    crate::pool::run(workers, items.len(), |i| {
+        let (ri, delta_atom, chunk) = items[i];
         let rp = &plan.rules[ri];
         // Derivations land in the store's pending delta (no per-tuple
         // ordering work); one seal per item sorts and dedups them.
@@ -755,60 +744,7 @@ fn run_round(
         run_item(ctx, rp, delta_atom, chunk, &mut out);
         out.seal();
         (rp.head, out)
-    };
-    if workers <= 1 || items.len() <= 1 {
-        return (items.iter().map(run_one).collect(), false);
-    }
-    // Hand-rolled scoped pool: workers pull item indices from an atomic
-    // cursor (cheap dynamic load balancing) and stash `(index, result)`
-    // pairs; results are re-ordered by item index afterwards so the round
-    // is deterministic by construction.
-    let cursor = AtomicUsize::new(0);
-    let panicked = AtomicBool::new(false);
-    let collected: Mutex<Vec<(usize, (usize, TupleStore))>> =
-        Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(items.len()) {
-            s.spawn(|| {
-                let mut local: Vec<(usize, (usize, TupleStore))> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(feature = "fault-inject")]
-                        if hp_guard::fault::should_panic("datalog.worker", i as u64) {
-                            panic!("fault injection: forced worker panic at item {i}");
-                        }
-                        run_one(&items[i])
-                    }));
-                    match result {
-                        Ok(r) => local.push((i, r)),
-                        Err(_) => {
-                            // This round is void; stop pulling work and let
-                            // the caller recover sequentially.
-                            panicked.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                // Tolerate a poisoned results lock: the Vec under it is
-                // still well-formed, and on the recovery path it is
-                // discarded anyway.
-                collected
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(local);
-            });
-        }
-    });
-    if panicked.load(Ordering::Relaxed) {
-        return (items.iter().map(run_one).collect(), true);
-    }
-    let mut results = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    results.sort_by_key(|&(i, _)| i);
-    (results.into_iter().map(|(_, r)| r).collect(), false)
+    })
 }
 
 /// Evaluate one work item: all satisfying substitutions of the rule along

@@ -17,8 +17,8 @@
 //!   derivation is revived, and insertions run as a warm-started semi-naive
 //!   fixpoint over the repaired state.
 //!
-//! Strata come from a condensation of the program's IDB dependency graph
-//! (Tarjan, topologically ordered). Delta joins reuse the join-order
+//! Strata are the SCCs of the program's [`DepGraph`], visited
+//! dependencies first. Delta joins reuse the join-order
 //! machinery of [`crate::plan`] — each rule gets one seeded order per body
 //! occurrence plus a fully-prebound rederivation order — and probe permuted
 //! sorted copies of the committed stores ([`TupleStore::prefix_range`])
@@ -33,8 +33,6 @@
 //! of a single `f1 + f2` run.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
 use hp_structures::{
@@ -43,6 +41,7 @@ use hp_structures::{
 };
 
 use crate::ast::{PredRef, Program};
+use crate::depgraph::DepGraph;
 use crate::eval::{EvalConfig, EvalError, FixpointResult};
 use crate::plan::{plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, RulePlan};
 
@@ -118,16 +117,6 @@ impl EdbDelta {
 // Maintenance plan: SCC condensation + per-rule join orders
 // ---------------------------------------------------------------------------
 
-/// One strongly connected component of the IDB dependency graph.
-#[derive(Clone, Debug)]
-struct SccInfo {
-    /// Member IDB indices, ascending.
-    members: Vec<usize>,
-    /// True when the component is recursive (more than one member, or a
-    /// self-loop) and must be maintained by DRed instead of counting.
-    recursive: bool,
-}
-
 /// One rule, pre-planned for maintenance: the dense slotting of
 /// [`RulePlan`], plus one seeded join order per body occurrence (the
 /// signed-delta work items) and a fully head-prebound rederivation order.
@@ -155,21 +144,16 @@ struct MaintRule {
 struct MaintPlan {
     rules: Vec<MaintRule>,
     specs: Vec<IndexSpec>,
-    rules_by_head: Vec<Vec<usize>>,
-    /// Condensation of the IDB dependency graph, topologically ordered
-    /// (producers before consumers).
-    sccs: Vec<SccInfo>,
-    /// SCC id of each IDB.
-    scc_of: Vec<usize>,
+    /// The program's dependency graph: maintenance visits its SCCs in
+    /// order, dependencies first.
+    graph: DepGraph,
 }
 
 impl MaintPlan {
     fn new(p: &Program) -> MaintPlan {
-        let n_idb = p.idbs().len();
         let mut specs: Vec<IndexSpec> = Vec::new();
         let mut rules: Vec<MaintRule> = Vec::new();
-        let mut rules_by_head: Vec<Vec<usize>> = vec![Vec::new(); n_idb];
-        for (ri, rule) in p.rules().iter().enumerate() {
+        for rule in p.rules() {
             // Reuse the dense slotting; the seed/delta orders interned into
             // `throwaway` are not needed for maintenance.
             let mut throwaway = Vec::new();
@@ -190,7 +174,6 @@ impl MaintPlan {
             }
             let rederive_order =
                 plan_steps_prebound(&rp.atoms, rp.var_count, &prebound, &mut specs);
-            rules_by_head[rp.head].push(ri);
             rules.push(MaintRule {
                 head: rp.head,
                 head_args: rp.head_args,
@@ -202,105 +185,12 @@ impl MaintPlan {
                 rederive_order,
             });
         }
-        let (sccs, scc_of) = condense(n_idb, &idb_dependencies(p));
         MaintPlan {
             rules,
             specs,
-            rules_by_head,
-            sccs,
-            scc_of,
+            graph: p.graph().clone(),
         }
     }
-}
-
-/// Adjacency of the IDB dependency graph: an edge `b → h` for every rule
-/// with head `h` and an IDB body atom `b` (producers point at consumers).
-fn idb_dependencies(p: &Program) -> Vec<Vec<usize>> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); p.idbs().len()];
-    for rule in p.rules() {
-        let PredRef::Idb(h) = rule.head.pred else {
-            unreachable!("validated: rule heads are IDB atoms")
-        };
-        for atom in &rule.body {
-            if let PredRef::Idb(b) = atom.pred {
-                if !adj[b].contains(&h) {
-                    adj[b].push(h);
-                }
-            }
-        }
-    }
-    adj
-}
-
-/// Iterative Tarjan condensation. Components come out in topological order
-/// of the condensation (with edges producer → consumer, producers first),
-/// which is exactly the order maintenance must process strata in.
-fn condense(n: usize, adj: &[Vec<usize>]) -> (Vec<SccInfo>, Vec<usize>) {
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSEEN {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(frame) = call.last_mut() {
-            let v = frame.0;
-            if frame.1 == 0 {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if frame.1 < adj[v].len() {
-                let w = adj[v][frame.1];
-                frame.1 += 1;
-                if index[w] == UNSEEN {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack holds the root");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    comps.push(comp);
-                }
-                call.pop();
-                if let Some(parent) = call.last_mut() {
-                    low[parent.0] = low[parent.0].min(low[v]);
-                }
-            }
-        }
-    }
-    // Tarjan pops sinks first; reversed, producers come first.
-    comps.reverse();
-    let mut scc_of = vec![0usize; n];
-    let sccs: Vec<SccInfo> = comps
-        .into_iter()
-        .enumerate()
-        .map(|(id, members)| {
-            for &m in &members {
-                scc_of[m] = id;
-            }
-            let recursive = members.len() > 1 || members.iter().any(|&m| adj[m].contains(&m));
-            SccInfo { members, recursive }
-        })
-        .collect();
-    (sccs, scc_of)
 }
 
 // ---------------------------------------------------------------------------
@@ -465,8 +355,8 @@ impl MaterializedDb {
                 overlay: None,
                 gate: None,
             };
-            for (si, scc) in plan.sccs.iter().enumerate() {
-                if scc.recursive {
+            for si in 0..plan.graph.scc_count() {
+                if plan.graph.is_recursive_scc(si) {
                     depth_clock = depth_clock.max(build_depths(
                         &ctx,
                         si,
@@ -474,7 +364,7 @@ impl MaterializedDb {
                         &mut depths,
                     ));
                 } else {
-                    let p = scc.members[0];
+                    let p = plan.graph.scc_members(si)[0];
                     counts[p] = Some(build_counts(&ctx, p, program.idbs()[p].1));
                 }
             }
@@ -521,7 +411,7 @@ impl MaterializedDb {
 fn build_counts(ctx: &Ctx<'_>, p: usize, arity: usize) -> CountedStore {
     let mut cs = CountedStore::new(arity);
     let mut head = Vec::with_capacity(arity);
-    for &ri in &ctx.plan.rules_by_head[p] {
+    for &ri in ctx.plan.graph.rules_of(p) {
         let mr = &ctx.plan.rules[ri];
         let views = vec![View::New; mr.atoms.len()];
         let mut asg = vec![Elem(0); mr.var_count];
@@ -559,7 +449,7 @@ fn build_depths(
     arity_of: impl Fn(usize) -> usize,
     depths: &mut [Option<DepthMap>],
 ) -> u64 {
-    let members = &ctx.plan.sccs[scc].members;
+    let members = ctx.plan.graph.scc_members(scc);
     let n_idb = ctx.idb.len();
     let removed: Vec<TupleStore> = (0..n_idb)
         .map(|p| {
@@ -595,7 +485,7 @@ fn build_depths(
                 gate: None,
             };
             for &p in members {
-                for &ri in &ctx.plan.rules_by_head[p] {
+                for &ri in ctx.plan.graph.rules_of(p) {
                     let mr = &ctx.plan.rules[ri];
                     let views = scc_views(ctx.plan, mr, scc, View::New);
                     let mut head = Vec::with_capacity(arity_of(p));
@@ -622,7 +512,7 @@ fn build_depths(
                             let PredRef::Idb(q) = mr.atoms[ai].pred else {
                                 continue;
                             };
-                            if ctx.plan.scc_of[q] != scc || frontier[q].is_empty() {
+                            if ctx.plan.graph.scc_of(q) != scc || frontier[q].is_empty() {
                                 continue;
                             }
                             run_seeded(
@@ -690,6 +580,8 @@ pub struct IncCheckpoint {
     idb_plus: Vec<TupleStore>,
     idb_minus: Vec<TupleStore>,
     stages: usize,
+    /// Worker-panic recoveries so far; a resume stays single-threaded.
+    diagnostics: Vec<String>,
     fuel: GaugeState,
 }
 
@@ -1135,7 +1027,7 @@ fn rederives(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem]) -> bool {
 /// context's depth gate), so its witnesses use only pre-existing external
 /// tuples and strictly shallower members.
 fn rederives_with(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem], external: View) -> bool {
-    for &ri in &ctx.plan.rules_by_head[p] {
+    for &ri in ctx.plan.graph.rules_of(p) {
         let mr = &ctx.plan.rules[ri];
         if mr.head_repeats.iter().any(|&(i, j)| t[i] != t[j]) {
             continue;
@@ -1173,48 +1065,29 @@ fn scc_views(plan: &MaintPlan, mr: &MaintRule, scc: usize, external: View) -> Ve
     mr.atoms
         .iter()
         .map(|a| match a.pred {
-            PredRef::Idb(q) if plan.scc_of[q] == scc => View::Cur,
+            PredRef::Idb(q) if plan.graph.scc_of(q) == scc => View::Cur,
             _ => external,
         })
         .collect()
 }
 
 fn is_member(plan: &MaintPlan, pred: PredRef, scc: usize) -> bool {
-    matches!(pred, PredRef::Idb(q) if plan.scc_of[q] == scc)
+    matches!(pred, PredRef::Idb(q) if plan.graph.scc_of(q) == scc)
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic parallel map
-// ---------------------------------------------------------------------------
-
-/// Map `f` over `0..n` on up to `workers` scoped threads. Results come back
-/// in index order regardless of scheduling, so every fold over them is
-/// deterministic; `workers <= 1` (the default config) runs inline.
-fn par_map<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+/// Map `f` over `0..n` on the engine's [worker pool](crate::pool::run),
+/// results in index order. A recovered worker panic drops the rest of the
+/// batch to the calling thread (`*workers = 1`); [`maintain`] records it.
+fn pooled<T, F>(workers: &mut usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+    let (out, recovered) = crate::pool::run(*workers, n, f);
+    if recovered {
+        *workers = 1;
     }
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                results.lock().expect("no worker panicked").push((i, r));
-            });
-        }
-    });
-    let mut v = results.into_inner().expect("no worker panicked");
-    v.sort_unstable_by_key(|&(i, _)| i);
-    v.into_iter().map(|(_, r)| r).collect()
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1290,13 +1163,13 @@ fn commit_edb(
 /// `(rounds, changed_tuples)`.
 fn counting_scc(
     db: &mut MaterializedDb,
-    workers: usize,
+    workers: &mut usize,
     deltas: &mut Deltas,
     p: usize,
 ) -> (usize, usize) {
     let arity = db.idb[p].arity();
     let mut items: Vec<(usize, usize)> = Vec::new();
-    for &ri in &db.plan.rules_by_head[p] {
+    for &ri in db.plan.graph.rules_of(p) {
         let mr = &db.plan.rules[ri];
         for ai in 0..mr.atoms.len() {
             let pred = mr.atoms[ai].pred;
@@ -1318,7 +1191,7 @@ fn counting_scc(
             overlay: None,
             gate: None,
         };
-        par_map(workers, items.len(), |ix| {
+        pooled(workers, items.len(), |ix| {
             let (ri, ai) = items[ix];
             let mr = &ctx.plan.rules[ri];
             // Telescoped views: occurrences before the seed read the
@@ -1367,12 +1240,12 @@ fn counting_scc(
 /// Maintain one recursive SCC by DRed. Returns `(rounds, changed_tuples)`.
 fn dred_scc(
     db: &mut MaterializedDb,
-    workers: usize,
+    workers: &mut usize,
     deltas: &mut Deltas,
     scc: usize,
 ) -> (usize, usize) {
     let n_idb = db.idb.len();
-    let members: Vec<usize> = db.plan.sccs[scc].members.clone();
+    let members: Vec<usize> = db.plan.graph.scc_members(scc).to_vec();
     let arity_of = |p: usize| db.idb[p].arity();
     let mut removed: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
     let mut revived: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
@@ -1393,14 +1266,14 @@ fn dred_scc(
     loop {
         let mut items: Vec<(usize, usize)> = Vec::new();
         for &p in &members {
-            for &ri in &db.plan.rules_by_head[p] {
+            for &ri in db.plan.graph.rules_of(p) {
                 let mr = &db.plan.rules[ri];
                 for ai in 0..mr.atoms.len() {
                     let pred = mr.atoms[ai].pred;
                     let seeded = if first {
                         !is_member(&db.plan, pred, scc) && !deltas.minus(pred).is_empty()
                     } else {
-                        matches!(pred, PredRef::Idb(q) if db.plan.scc_of[q] == scc
+                        matches!(pred, PredRef::Idb(q) if db.plan.graph.scc_of(q) == scc
                             && !frontier[q].is_empty())
                     };
                     if seeded {
@@ -1425,7 +1298,7 @@ fn dred_scc(
             };
             let removed_ref = &removed;
             let frontier_ref = &frontier;
-            par_map(workers, items.len(), |ix| {
+            pooled(workers, items.len(), |ix| {
                 let (ri, ai) = items[ix];
                 let mr = &ctx.plan.rules[ri];
                 let h = mr.head;
@@ -1475,7 +1348,7 @@ fn dred_scc(
             let revived_ref = &revived;
             let added_ref = &added;
             let cands_ref = &cands;
-            par_map(workers, cands.len(), |i| {
+            pooled(workers, cands.len(), |i| {
                 let (p, t) = &cands_ref[i];
                 let limit = depths[*p]
                     .as_ref()
@@ -1544,7 +1417,7 @@ fn dred_scc(
                 }),
                 gate: None,
             };
-            par_map(workers, cands.len(), |i| {
+            pooled(workers, cands.len(), |i| {
                 rederives(&ctx, scc, cands[i].0, &cands[i].1)
             })
         };
@@ -1574,14 +1447,14 @@ fn dred_scc(
     loop {
         let mut items: Vec<(usize, usize)> = Vec::new();
         for &p in &members {
-            for &ri in &db.plan.rules_by_head[p] {
+            for &ri in db.plan.graph.rules_of(p) {
                 let mr = &db.plan.rules[ri];
                 for ai in 0..mr.atoms.len() {
                     let pred = mr.atoms[ai].pred;
                     let seeded = if first {
                         !is_member(&db.plan, pred, scc) && !deltas.plus(pred).is_empty()
                     } else {
-                        matches!(pred, PredRef::Idb(q) if db.plan.scc_of[q] == scc
+                        matches!(pred, PredRef::Idb(q) if db.plan.graph.scc_of(q) == scc
                             && !frontier[q].is_empty())
                     };
                     if seeded {
@@ -1609,7 +1482,7 @@ fn dred_scc(
                 gate: None,
             };
             let frontier_ref = &frontier;
-            par_map(workers, items.len(), |ix| {
+            pooled(workers, items.len(), |ix| {
                 let (ri, ai) = items[ix];
                 let mr = &ctx.plan.rules[ri];
                 let h = mr.head;
@@ -1721,23 +1594,36 @@ fn maintain(
     mut deltas: Deltas,
     first_scc: usize,
     mut stages: usize,
+    mut diagnostics: Vec<String>,
 ) -> Budgeted<FixpointResult, IncCheckpoint> {
-    let workers = cfg.worker_count();
-    let n_scc = db.plan.sccs.len();
-    for si in first_scc..n_scc {
+    // As in the full evaluator, a worker panic degrades the rest of the
+    // batch (resumes included) to the calling thread.
+    let mut workers = if diagnostics.is_empty() {
+        cfg.worker_count()
+    } else {
+        1
+    };
+    for si in first_scc..db.plan.graph.scc_count() {
         if let Err(stop) = gauge.check() {
             db.in_flight = true;
-            return Err(stop.with_partial(checkpoint(si, &deltas, stages, &gauge)));
+            let cp = checkpoint(si, &deltas, stages, diagnostics, &gauge);
+            return Err(stop.with_partial(cp));
         }
-        let (rounds, changed) = if db.plan.sccs[si].recursive {
-            dred_scc(db, workers, &mut deltas, si)
+        let before = workers;
+        let (rounds, changed) = if db.plan.graph.is_recursive_scc(si) {
+            dred_scc(db, &mut workers, &mut deltas, si)
         } else {
-            counting_scc(db, workers, &mut deltas, db.plan.sccs[si].members[0])
+            let p = db.plan.graph.scc_members(si)[0];
+            counting_scc(db, &mut workers, &mut deltas, p)
         };
+        if workers < before {
+            diagnostics.push(recovery_note(si));
+        }
         stages += rounds;
         if let Err(stop) = gauge.tick(1 + changed as u64) {
             db.in_flight = true;
-            return Err(stop.with_partial(checkpoint(si + 1, &deltas, stages, &gauge)));
+            let cp = checkpoint(si + 1, &deltas, stages, diagnostics, &gauge);
+            return Err(stop.with_partial(cp));
         }
     }
     db.in_flight = false;
@@ -1747,12 +1633,28 @@ fn maintain(
         relations: db.idb.clone(),
         stages,
         converged: true,
-        diagnostics: Vec::new(),
+        diagnostics,
         profile: Vec::new(),
     })
 }
 
-fn checkpoint(next_scc: usize, deltas: &Deltas, stages: usize, gauge: &Gauge) -> IncCheckpoint {
+/// The diagnostic recorded when a pool worker panicked while maintaining
+/// SCC `scc` and its parallel results were recomputed on the calling
+/// thread.
+fn recovery_note(scc: usize) -> String {
+    format!(
+        "stratum {scc}: a pool worker panicked; the parallel results were discarded and \
+         recomputed on the calling thread, and maintenance continued single-threaded"
+    )
+}
+
+fn checkpoint(
+    next_scc: usize,
+    deltas: &Deltas,
+    stages: usize,
+    diagnostics: Vec<String>,
+    gauge: &Gauge,
+) -> IncCheckpoint {
     IncCheckpoint {
         next_scc,
         edb_plus: deltas.edb_plus.clone(),
@@ -1760,6 +1662,7 @@ fn checkpoint(next_scc: usize, deltas: &Deltas, stages: usize, gauge: &Gauge) ->
         idb_plus: deltas.idb_plus.clone(),
         idb_minus: deltas.idb_minus.clone(),
         stages,
+        diagnostics,
         fuel: gauge.state(),
     }
 }
@@ -1787,7 +1690,9 @@ impl Program {
 
     /// As [`Program::evaluate_incremental`] with an explicit configuration
     /// (worker threads for the per-round delta items; results are
-    /// bit-identical for every thread count).
+    /// bit-identical for every thread count). A worker panic is recovered
+    /// on the calling thread, recorded in [`FixpointResult::diagnostics`],
+    /// and the rest of the batch runs single-threaded.
     pub fn evaluate_incremental_with(
         &self,
         db: &mut MaterializedDb,
@@ -1830,7 +1735,7 @@ impl Program {
             });
         }
         let deltas = commit_edb(db, plus, minus)?;
-        Ok(maintain(db, cfg, budget.gauge(), deltas, 0, 0))
+        Ok(maintain(db, cfg, budget.gauge(), deltas, 0, 0, Vec::new()))
     }
 
     /// Resume a budget-exhausted maintenance run from its checkpoint,
@@ -1849,7 +1754,7 @@ impl Program {
                 detail: "no maintenance run is in progress on this database".to_string(),
             });
         }
-        if checkpoint.next_scc > db.plan.sccs.len()
+        if checkpoint.next_scc > db.plan.graph.scc_count()
             || checkpoint.edb_plus.len() != self.edb().len()
             || checkpoint.idb_plus.len() != self.idbs().len()
         {
@@ -1871,6 +1776,7 @@ impl Program {
             deltas,
             checkpoint.next_scc,
             checkpoint.stages,
+            checkpoint.diagnostics,
         ))
     }
 

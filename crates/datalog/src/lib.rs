@@ -48,6 +48,7 @@
 
 mod ast;
 mod bounded;
+mod depgraph;
 mod error;
 mod eval;
 pub mod gallery;
@@ -55,6 +56,7 @@ mod incremental;
 mod index;
 mod parser;
 mod plan;
+mod pool;
 mod reference;
 mod unfold;
 
@@ -63,6 +65,7 @@ pub use bounded::{
     certified_bounded_at, certified_boundedness, certify_boundedness, stage_probe,
     BoundednessProbe, BoundednessVerdict,
 };
+pub use depgraph::DepGraph;
 pub use error::{DatalogError, DatalogErrorKind, DatalogSpan};
 pub use eval::{
     EvalCheckpoint, EvalConfig, EvalError, FixpointResult, IdbRelation, StageSequence,

@@ -1,12 +1,12 @@
 //! Fault-injection harness for the workspace's robustness guarantees.
 //!
-//! Installs [`hp_guard::fault::FaultPlan`]s and checks, against the sharded
-//! Datalog evaluator (the workspace's only multi-threaded exponential
-//! construction):
+//! Installs [`hp_guard::fault::FaultPlan`]s and checks, against the
+//! Datalog engine's multi-threaded paths (the sharded evaluator and
+//! incremental maintenance, which share one worker pool):
 //!
-//! * a forced worker panic never hangs or poisons the evaluation — it is
-//!   recovered sequentially, recorded as a diagnostic, and the result is
-//!   bit-identical to the naive reference evaluator;
+//! * a forced worker panic never hangs or poisons the evaluation or the
+//!   maintained database — it is recovered sequentially, recorded as a
+//!   diagnostic, and the result is bit-identical to a sequential run;
 //! * a forced fuel exhaustion at a fixed point yields the same
 //!   deterministic partial every time;
 //! * resuming an exhausted run with a larger budget reaches the same
@@ -276,5 +276,66 @@ fn randomized_exhaustion_points_in_maintenance_never_poison() {
             assert_eq!(clean.relations, reference.relations, "seed {seed} at {at}");
             assert_eq!(clean.stages, 0);
         }
+    }
+}
+
+/// A worker panic during parallel maintenance is recovered on the calling
+/// thread: the batch still lands on the full re-evaluation's fixpoint, the
+/// recovery is recorded, and the database is neither left in flight nor
+/// out of step with its EDB.
+#[test]
+fn worker_panic_during_maintenance_recovers() {
+    use hp_datalog::{EdbDelta, MaterializedDb};
+
+    let _serial = fault::exclusive();
+    fault::clear();
+    let p = gallery::cycle_detection();
+    let cfg = EvalConfig::new().with_threads(4);
+    for item in 0..3u64 {
+        let a = random_digraph(8, 16, item);
+        let mut db = MaterializedDb::new_with(&p, a.clone(), &cfg).expect("vocab matches");
+        // One deletion and one insertion, both touching the recursive
+        // stratum, so the first DRed round already has several items.
+        let (u, v) = a
+            .relation(0usize.into())
+            .iter()
+            .map(|t| (t.get(0).0, t.get(1).0))
+            .find(|(u, v)| u != v)
+            .expect("random digraph has a non-loop edge");
+        let mut minus = EdbDelta::new(p.edb());
+        minus.push_ids(0, &[u, v]);
+        let mut plus = EdbDelta::new(p.edb());
+        plus.push_ids(0, &[v, u]);
+        let mut b = a;
+        let _ = b.add_tuple_ids(0, &[v, u]);
+        b.remove_tuple(0usize.into(), &[u.into(), v.into()]);
+        let reference = p.evaluate(&b);
+
+        fault::install(fault::FaultPlan {
+            exhaust_at: None,
+            panic_at: Some(("datalog.worker".to_string(), item)),
+            panic_span: None,
+        });
+        let r = p
+            .evaluate_incremental_with(&mut db, &plus, &minus, &cfg)
+            .expect("valid batch");
+        fault::clear();
+        assert!(
+            r.diagnostics.iter().any(|d| d.contains("panicked")),
+            "item {item}: recovery must be recorded: {:?}",
+            r.diagnostics
+        );
+        assert_eq!(r.relations, reference.relations, "item {item}");
+        assert!(!db.is_in_flight(), "item {item}");
+        assert_eq!(db.relations(), &reference.relations[..], "item {item}");
+
+        // Nothing lingers: an empty follow-up batch is a clean no-op.
+        let empty = EdbDelta::new(p.edb());
+        let clean = p
+            .evaluate_incremental_with(&mut db, &empty, &empty, &cfg)
+            .expect("no-op batch");
+        assert!(clean.diagnostics.is_empty(), "item {item}");
+        assert_eq!(clean.relations, reference.relations, "item {item}");
+        assert_eq!(clean.stages, 0, "item {item}");
     }
 }
