@@ -19,9 +19,9 @@
 //! - **HP019 equivalent queries** — in a nonrecursive program, two IDB
 //!   predicates whose unfolded UCQs are homomorphically equivalent
 //!   (identical canonical cores). The pairwise check is keyed on per-IDB
-//!   [`CanonicalCoreKey`]s: each predicate is unfolded and canonically
-//!   labelled once, and a pair pays for the homomorphism check only when
-//!   the two 128-bit keys collide — distinct keys certify inequivalence;
+//!   [`CanonicalCoreKey`]s: each predicate's core is computed once, and a
+//!   pair pays for the homomorphism check only when the two 128-bit keys
+//!   collide — distinct keys certify inequivalence;
 //! - **HP020 cross join** — the body's variable-sharing graph is
 //!   disconnected, so variable-disjoint atom groups multiply
 //!   independently (a Cartesian product, usually a bug and always a
@@ -43,12 +43,19 @@
 //! [`goal_core_key`] exposes the cache identity: the canonical-core key
 //! of the goal's unfolded UCQ, stable across runs, machines, variable
 //! renamings, redundant atoms, and disjunct order.
+//!
+//! Cores are compositional. Replacing a subquery by an equivalent one
+//! keeps the query equivalent (Theorem 2.1), and cores are unique up to
+//! isomorphism (§6.2), so an IDB's core is computed by unfolding its rules
+//! one step over its children's memoised *cores* rather than their raw
+//! unfoldings, and the key comes out identical. Each IDB is unfolded and
+//! minimized once per scan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hp_datalog::{stage_ucq, DatalogAtom, PredRef, Program, Rule};
+use hp_datalog::{unfold_over, DatalogAtom, PredRef, Program, Rule};
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState, Stop};
-use hp_logic::{CanonicalCoreKey, Cq};
+use hp_logic::{CanonicalCoreKey, Cq, Ucq};
 use hp_structures::{Elem, Structure, Vocabulary};
 
 use crate::datalog_passes::{recursion_class, RecursionClass};
@@ -67,7 +74,8 @@ enum Item {
     Redundant(usize, usize),
     /// HP018 on rule `ri`.
     Subsumed(usize),
-    /// Canonical-core key of IDB `i`'s unfolded UCQ (feeds HP019).
+    /// Core and canonical-core key of IDB `i`'s unfolded UCQ (feeds
+    /// HP019).
     CoreKey(usize),
     /// HP019 on the IDB pair `(i, j)`, `i < j`.
     Equivalent(usize, usize),
@@ -168,12 +176,17 @@ pub struct SemanticCheckpoint {
     next_item: usize,
     gauge: GaugeState,
     findings: Vec<Diagnostic>,
-    /// Canonical-core keys computed by completed [`Item::CoreKey`] items
-    /// (`None` when the IDB's unfolding failed, e.g. under negation).
-    /// Part of the checkpoint so a resumed scan compares exactly the keys
-    /// the one-shot scan would have — the resume law covers the memo.
-    core_keys: BTreeMap<usize, Option<CanonicalCoreKey>>,
+    /// Cores and keys computed by completed [`Item::CoreKey`] items, for
+    /// their IDBs and every IDB below them (`None` when the IDB has no
+    /// unfolding, e.g. under negation). Part of the checkpoint so a
+    /// resumed scan compares exactly the keys the one-shot scan would
+    /// have — the resume law covers the memo.
+    core_keys: BTreeMap<usize, CoreEntry>,
 }
+
+/// An IDB's irredundant union of cores and its canonical-core key; `None`
+/// when the IDB has no UCQ unfolding (a negated literal in the program).
+type CoreEntry = Option<(Ucq, CanonicalCoreKey)>;
 
 impl SemanticCheckpoint {
     /// Findings confirmed before the budget ran out. Every one is final:
@@ -191,6 +204,55 @@ impl SemanticCheckpoint {
     pub fn items_done(&self) -> usize {
         self.next_item
     }
+}
+
+/// Make sure IDB `i`'s core is in `memo` or `fresh`, computing it and every
+/// missing IDB below it into `fresh`. IDBs are visited in `p.graph()` SCC
+/// order, dependencies first, and each is unfolded one step over its
+/// children's cores and minimized (see the module docs). A child without a
+/// core — negation, or a recursive SCC, where no child is ready — leaves
+/// its parent without one. Charges one fuel unit per IDB, one per
+/// disjunct of its unfolding, and the minimization.
+///
+/// The caller commits `fresh` into `memo` only once its item completes,
+/// so an interrupted item leaves the checkpointed memo untouched.
+fn core_of_idb(
+    p: &Program,
+    i: usize,
+    memo: &BTreeMap<usize, CoreEntry>,
+    fresh: &mut BTreeMap<usize, CoreEntry>,
+    gauge: &mut Gauge,
+) -> Result<(), Stop> {
+    let g = p.graph();
+    let mut missing: BTreeSet<usize> = BTreeSet::new();
+    let mut stack = vec![i];
+    while let Some(q) = stack.pop() {
+        if !memo.contains_key(&q) && !fresh.contains_key(&q) && missing.insert(q) {
+            stack.extend(g.deps(q).iter().copied());
+        }
+    }
+    let mut order: Vec<usize> = missing.into_iter().collect();
+    order.sort_by_key(|&q| g.scc_of(q));
+    for q in order {
+        gauge.tick(1)?;
+        let core = |c: usize| match memo.get(&c).or_else(|| fresh.get(&c)) {
+            Some(Some((u, _))) => Some(u),
+            _ => None,
+        };
+        let entry = if g.deps(q).iter().all(|&c| core(c).is_some()) {
+            match unfold_over(p, q, |c| core(c).expect("children are ready")) {
+                Ok(u) => {
+                    gauge.tick(u.len() as u64)?;
+                    Some(u.core_and_key_gauged(gauge)?)
+                }
+                Err(_) => None,
+            }
+        } else {
+            None
+        };
+        fresh.insert(q, entry);
+    }
+    Ok(())
 }
 
 /// The combined EDB ∪ IDB vocabulary rule bodies are interpreted over.
@@ -363,7 +425,7 @@ fn run_item(
     ctx: &Ctx,
     item: Item,
     findings: &mut Vec<Diagnostic>,
-    keys: &mut BTreeMap<usize, Option<CanonicalCoreKey>>,
+    keys: &mut BTreeMap<usize, CoreEntry>,
     gauge: &mut Gauge,
 ) -> Result<(), Stop> {
     match item {
@@ -478,30 +540,22 @@ fn run_item(
             let Some(p) = &ctx.program else {
                 return Ok(());
             };
-            // Unfold once per IDB and canonically label the core union;
-            // every Equivalent item involving `i` reads this key instead
-            // of redoing the unfolding. `None` (unfolding failed, e.g. a
-            // negated rule in the support) makes every pair with `i`
+            // One core per IDB, built over the memoised cores below it;
+            // every Equivalent item involving `i` reads it instead of
+            // redoing the unfolding. `None` (no unfolding, e.g. a negated
+            // rule in the program) makes every pair with `i`
             // inconclusive, and inconclusive never flags.
-            let key = match stage_ucq(p, i, facts.idbs.len()) {
-                Ok(u) => {
-                    gauge.tick(u.len() as u64)?;
-                    Some(u.canonical_core_key_gauged(gauge)?)
-                }
-                Err(_) => None,
-            };
-            keys.insert(i, key);
+            let mut fresh = BTreeMap::new();
+            core_of_idb(p, i, keys, &mut fresh, gauge)?;
+            keys.append(&mut fresh);
         }
         Item::Equivalent(i, j) => {
             gauge.tick(1)?;
-            let Some(p) = &ctx.program else {
-                return Ok(());
-            };
-            let (Some(&ki), Some(&kj)) = (keys.get(&i), keys.get(&j)) else {
+            let (Some(ei), Some(ej)) = (keys.get(&i), keys.get(&j)) else {
                 return Ok(()); // raw facts: CoreKey items never ran
             };
-            let (Some(ki), Some(kj)) = (ki, kj) else {
-                return Ok(()); // unfolding failed for one side
+            let (Some((ui, ki)), Some((uj, kj))) = (ei, ej) else {
+                return Ok(()); // no unfolding for one side
             };
             // Canonical-core keys agree on every pair of equivalent
             // queries, so distinct keys certify inequivalence — the
@@ -510,13 +564,10 @@ fn run_item(
                 return Ok(());
             }
             // Equal keys are only evidence (a 128-bit hash can collide):
-            // confirm with the authoritative hom-equivalence check.
-            let m = facts.idbs.len();
-            let (Ok(ui), Ok(uj)) = (stage_ucq(p, i, m), stage_ucq(p, j, m)) else {
-                return Ok(());
-            };
+            // confirm with the authoritative hom-equivalence check on the
+            // memoised cores, which are equivalent to the unfoldings.
             gauge.tick((ui.len() + uj.len()) as u64)?;
-            if ui.is_equivalent_to_gauged(&uj, gauge)? {
+            if ui.is_equivalent_to_gauged(uj, gauge)? {
                 let span = facts
                     .rules
                     .iter()
@@ -553,7 +604,7 @@ fn scan_from(
     facts: &ProgramFacts,
     start: usize,
     mut findings: Vec<Diagnostic>,
-    mut core_keys: BTreeMap<usize, Option<CanonicalCoreKey>>,
+    mut core_keys: BTreeMap<usize, CoreEntry>,
     mut gauge: Gauge,
 ) -> Budgeted<Vec<Diagnostic>, SemanticCheckpoint> {
     let ctx = Ctx::new(facts);
@@ -683,32 +734,29 @@ impl Pass for SemanticPass {
 /// The canonical-core key of the program's goal query: the unfolded UCQ
 /// of the goal in a **nonrecursive** program, minimized to its
 /// irredundant core union and canonically labelled. `None` for programs
-/// with no designated goal or with recursion (a recursive goal is not a
-/// UCQ; Theorem 7.5 boundedness certification is the escape hatch).
+/// with no designated goal, with recursion (a recursive goal is not a
+/// UCQ; Theorem 7.5 boundedness certification is the escape hatch), or
+/// with negation.
 ///
 /// The key is what an answer cache should index on: programs equal up to
 /// variable renaming, rule order, redundant atoms, and subsumed rules or
 /// disjuncts map to the same key (Chandra–Merlin + §6.2 core uniqueness).
+/// It is computed like the scan's [`Item::CoreKey`], over the cores of
+/// the goal's dependencies.
 #[allow(clippy::result_large_err)]
 pub fn goal_core_key(p: &Program, budget: &Budget) -> Budgeted<Option<CanonicalCoreKey>, ()> {
-    let facts = ProgramFacts::of_program(p);
-    if recursion_class(&facts) != RecursionClass::Nonrecursive {
+    let g = p.graph();
+    if (0..g.scc_count()).any(|s| g.is_recursive_scc(s)) {
         return Ok(None);
     }
-    let Some(g) = p.goal_index() else {
+    let Some(goal) = p.goal_index() else {
         return Ok(None);
     };
     let mut gauge = budget.gauge();
-    let ucq = match stage_ucq(p, g, p.idbs().len()) {
-        Ok(u) => u,
-        Err(_) => return Ok(None),
-    };
-    gauge
-        .tick(ucq.len() as u64)
+    let mut cores = BTreeMap::new();
+    core_of_idb(p, goal, &BTreeMap::new(), &mut cores, &mut gauge)
         .map_err(|s| s.with_partial(()))?;
-    ucq.canonical_core_key_gauged(&mut gauge)
-        .map(Some)
-        .map_err(|s| s.with_partial(()))
+    Ok(cores[&goal].as_ref().map(|(_, key)| *key))
 }
 
 #[cfg(test)]
@@ -919,6 +967,51 @@ mod tests {
                 resume_semantic_scan(&facts, ex.partial, &Budget::fuel(oneshot_total)).unwrap();
             let oneshot = semantic_scan(&facts, &Budget::fuel(f1 + oneshot_total)).unwrap();
             assert_eq!(resumed, oneshot, "resume at fuel {f1} diverged");
+        }
+    }
+
+    #[test]
+    fn resume_inside_a_core_key_item_that_fills_descendants() {
+        // D's key item comes first and fills C, B and A on the way; every
+        // fuel value that stops inside it must leave the memo uncommitted
+        // and resume to the one-shot result.
+        let facts = facts_of(
+            "D(x,y) :- E(x,z), C(z,y), E(x,w).\nC(x,y) :- E(x,z), B(z,y).\n\
+             B(x,y) :- E(x,z), A(z,y), E(z,w).\nA(x,y) :- E(x,y), E(y,y).\n\
+             Goal() :- D(x,x).",
+        );
+        let items = items_of(&facts, true);
+        let d = facts.idbs.iter().position(|(n, _)| n == "D").unwrap();
+        let at = items.iter().position(|&it| it == Item::CoreKey(d)).unwrap();
+        assert!(
+            !items[..at].iter().any(|it| matches!(it, Item::CoreKey(_))),
+            "test premise: D's key item is the first: {items:?}"
+        );
+        let ctx = Ctx::new(&facts);
+        let (mut fs, mut ks, mut g) = (Vec::new(), BTreeMap::new(), Budget::unlimited().gauge());
+        let mut spent = Vec::new();
+        for &it in &items {
+            run_item(&facts, &ctx, it, &mut fs, &mut ks, &mut g).unwrap();
+            spent.push(g.spent());
+        }
+        assert_eq!(
+            ks.len(),
+            4,
+            "test premise: the key items fill D, C, B and A"
+        );
+        let (start, end, total) = (spent[at - 1], spent[at], g.spent());
+        assert!(end > start + 3, "test premise: the item costs real fuel");
+        let full = semantic_scan(&facts, &Budget::unlimited()).unwrap();
+        // A tick that reaches the limit stops, so fuel in start+1..=end
+        // stops inside the item.
+        for f1 in start + 1..=end {
+            let ex = semantic_scan(&facts, &Budget::fuel(f1)).unwrap_err();
+            assert_eq!(ex.partial.next_item, at, "fuel {f1}");
+            assert!(ex.partial.core_keys.is_empty(), "fuel {f1} committed cores");
+            let resumed = resume_semantic_scan(&facts, ex.partial, &Budget::fuel(total)).unwrap();
+            let oneshot = semantic_scan(&facts, &Budget::fuel(f1 + total)).unwrap();
+            assert_eq!(resumed, oneshot, "resume at fuel {f1} diverged");
+            assert_eq!(resumed, full, "fuel {f1}");
         }
     }
 

@@ -11,9 +11,20 @@
 //!    goal fixpoint on random programs and random EDB structures —
 //!    checked differentially against the independent `evaluate_reference`
 //!    oracle — and both are idempotent.
+//! 4. **Core keys are compositional**: on random nonrecursive positive
+//!    programs, every IDB's key — built over its children's memoised
+//!    cores — equals the key of its from-scratch unfolding, and HP019
+//!    flags exactly the pairs whose from-scratch unfoldings are
+//!    equivalent. `goal_core_key`'s recursion gate agrees with the
+//!    analyzer's recursion class.
 
-use hp_analysis::{eliminate_dead_rules, fix_program, fix_source, Analyzer, Code, ProgramFacts};
-use hp_datalog::{DatalogAtom, PredRef, Program, Rule};
+use hp_analysis::datalog_passes::{recursion_class, RecursionClass};
+use hp_analysis::{
+    eliminate_dead_rules, fix_program, fix_source, goal_core_key, semantic_scan, Analyzer, Code,
+    ProgramFacts,
+};
+use hp_datalog::{stage_ucq, DatalogAtom, PredRef, Program, Rule};
+use hp_guard::Budget;
 use hp_structures::{Elem, Structure, Vocabulary};
 use proptest::prelude::*;
 
@@ -144,6 +155,96 @@ fn structure_from_edges(n: usize, edges: &[(u8, u8)]) -> Structure {
         s.add_tuple(e, &[Elem(u as u32), Elem(v as u32)]).unwrap();
     }
     s
+}
+
+/// The EDB vocabulary of [`random_positive_program`].
+fn em_vocab() -> Vocabulary {
+    Vocabulary::from_pairs([("E", 2), ("M", 1)])
+}
+
+/// A body atom of [`random_positive_program`]: `E`, `M`, or IDB `I{c}`,
+/// with indices into the variable pool.
+#[derive(Clone)]
+enum Pred {
+    E,
+    M,
+    Idb(usize),
+}
+
+/// A generated rule: head arguments and body atoms, as variable indices.
+type GenRule = (Vec<usize>, Vec<(Pred, Vec<usize>)>);
+
+/// Decode a random positive program over `{E/2, M/1}` from `bytes`: IDBs
+/// `I0 … I{k-1}` of arity 0–2, each defined by 1–3 rules whose bodies mix
+/// `E`/`M` atoms with IDB atoms (so shared children make diamonds). Head
+/// arguments are drawn from the body's variables, repeats allowed, so
+/// every rule is safe. Without `back_edges` an IDB's body mentions only
+/// lower IDBs, so the program is nonrecursive, and an IDB atom is left
+/// out when the rule's unfolding would exceed 4 disjuncts, keeping the
+/// from-scratch unfoldings small. Some IDBs are renamed copies of the
+/// previous one, so HP019 has equivalent pairs to find.
+fn random_positive_program(k: usize, bytes: &[u8], back_edges: bool) -> String {
+    const VARS: [&str; 4] = ["x", "y", "z", "w"];
+    let mut stream = bytes.iter().cycle().map(|&b| b as usize);
+    let mut next = |m: usize| stream.next().expect("cycled bytes") % m;
+    let arity: Vec<usize> = (0..k).map(|_| next(3)).collect();
+    // Upper bound on the disjuncts of each IDB's unfolding.
+    let mut width: Vec<usize> = Vec::new();
+    let mut rules: Vec<Vec<GenRule>> = Vec::new();
+    let mut text = String::new();
+    for j in 0..k {
+        let copy = j > 0 && arity[j] == arity[j - 1] && next(3) == 0;
+        if !copy {
+            let mut defs = Vec::new();
+            let mut total = 0;
+            for _ in 0..1 + next(3) {
+                let mut body = Vec::new();
+                let mut prod = 1;
+                for _ in 0..1 + next(3) {
+                    let c = if back_edges { next(k) } else { next(j.max(1)) };
+                    let w = width.get(c).copied().unwrap_or(1);
+                    let atom = match next(5) {
+                        0 | 1 if (back_edges || c < j) && prod * w <= 4 => {
+                            prod *= w;
+                            (Pred::Idb(c), (0..arity[c]).map(|_| next(4)).collect())
+                        }
+                        2 => (Pred::M, vec![next(4)]),
+                        _ => (Pred::E, vec![next(4), next(4)]),
+                    };
+                    body.push(atom);
+                }
+                let mut vars: Vec<usize> = body.iter().flat_map(|(_, a)| a.clone()).collect();
+                if vars.is_empty() && arity[j] > 0 {
+                    body.push((Pred::M, vec![0]));
+                    vars.push(0);
+                }
+                let head = (0..arity[j]).map(|_| vars[next(vars.len())]).collect();
+                total += prod;
+                defs.push((head, body));
+            }
+            width.push(total);
+            rules.push(defs);
+        } else {
+            width.push(width[j - 1]);
+            rules.push(rules[j - 1].clone());
+        }
+        // A copy renders the previous IDB's rules with rotated variables.
+        let rot = usize::from(copy);
+        for (head, body) in &rules[j] {
+            let v = |i: &usize| VARS[(i + rot) % VARS.len()];
+            let args = |a: &[usize]| a.iter().map(v).collect::<Vec<_>>().join(",");
+            let atoms: Vec<String> = body
+                .iter()
+                .map(|(pred, a)| match pred {
+                    Pred::E => format!("E({})", args(a)),
+                    Pred::M => format!("M({})", args(a)),
+                    Pred::Idb(c) => format!("I{c}({})", args(a)),
+                })
+                .collect();
+            text.push_str(&format!("I{j}({}) :- {}.\n", args(head), atoms.join(", ")));
+        }
+    }
+    text
 }
 
 proptest! {
@@ -353,5 +454,68 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Compositional core keys equal from-scratch ones. Every IDB's key,
+    /// computed by `goal_core_key` over its children's memoised cores,
+    /// equals the canonical-core key of its full `stage_ucq` unfolding;
+    /// and the scan's HP019 findings are exactly the same-arity pairs
+    /// whose from-scratch unfoldings are equivalent, in pair order.
+    #[test]
+    fn compositional_core_keys_match_from_scratch_unfoldings(
+        k in 1usize..6,
+        bytes in prop::collection::vec(any::<u8>(), 96),
+    ) {
+        let text = random_positive_program(k, &bytes, false);
+        let p = Program::parse(&text, &em_vocab()).expect("generated programs are valid");
+        let m = p.idbs().len();
+        let unfolded: Vec<_> = (0..m).map(|i| stage_ucq(&p, i, m).unwrap()).collect();
+        for (i, (name, _)) in p.idbs().iter().enumerate() {
+            let q = p.clone().with_goal(name).unwrap();
+            let key = goal_core_key(&q, &Budget::unlimited()).unwrap();
+            prop_assert_eq!(key, Some(unfolded[i].canonical_core_key()), "{} in\n{}", name, text);
+        }
+        let facts = ProgramFacts::of_program(&p);
+        let found = semantic_scan(&facts, &Budget::unlimited()).unwrap();
+        let hp019: Vec<_> = found.iter().filter(|d| d.code == Code::Hp019).collect();
+        let mut expected = Vec::new();
+        for i in 0..m {
+            for j in i + 1..m {
+                if p.idbs()[i].1 == p.idbs()[j].1 && unfolded[i].is_equivalent_to(&unfolded[j]) {
+                    let first_rule = p.rules().iter().position(|r| r.head.pred == PredRef::Idb(j));
+                    let names = format!("IDB predicates {} and {} ", p.idbs()[i].0, p.idbs()[j].0);
+                    expected.push((names, first_rule));
+                }
+            }
+        }
+        prop_assert_eq!(hp019.len(), expected.len(), "{:?} in\n{}", hp019, text);
+        for (d, (names, rule)) in hp019.iter().zip(&expected) {
+            prop_assert!(d.message.starts_with(names.as_str()), "{} vs {}", d.message, names);
+            prop_assert_eq!(d.span.rule, *rule);
+        }
+    }
+
+    /// `goal_core_key` gates on the program's dependency graph; the gate
+    /// lets a program through exactly when the analyzer classes it
+    /// nonrecursive. A fuel cap bounds the key work past the gate, and
+    /// exhaustion there still means the gate let the program through.
+    #[test]
+    fn goal_core_key_gate_matches_recursion_class(
+        k in 1usize..6,
+        bytes in prop::collection::vec(any::<u8>(), 96),
+        back_edges in any::<bool>(),
+    ) {
+        let text = random_positive_program(k, &bytes, back_edges);
+        let p = Program::parse(&text, &em_vocab())
+            .and_then(|p| p.with_goal(&format!("I{}", k - 1)))
+            .expect("generated programs are valid");
+        let nonrecursive =
+            recursion_class(&ProgramFacts::of_program(&p)) == RecursionClass::Nonrecursive;
+        let keyed = !matches!(goal_core_key(&p, &Budget::fuel(5_000)), Ok(None));
+        prop_assert_eq!(keyed, nonrecursive, "{}", text);
     }
 }

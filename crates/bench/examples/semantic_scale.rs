@@ -13,16 +13,18 @@
 //! `~2n` elements.
 //!
 //! Usage: `semantic_scale [MAX_RULES] [--json PATH]` — rows for chain
-//! lengths 4, 8, … up to `MAX_RULES` (default 64; CI passes 16 to keep
-//! the smoke run short). The pairwise hom-equivalence check HP019 is
-//! key-first: every same-arity IDB gets one canonical-core key up front
-//! and a pair runs the authoritative hom check only when the keys
-//! collide, so all-distinct chains (like this family) pay the quadratic
-//! pair stage as `u128` compares. Cost is dominated by computing each
-//! IDB's unfolded core once — a doubling costs roughly 15–17×, down
-//! from roughly 30× when every pair ran the hom check. With
-//! `--json PATH` a machine-readable snapshot (the committed
-//! `BENCH_semantic.json`) is written alongside the table.
+//! lengths 4, 8, … up to `MAX_RULES` (default 64). The pairwise
+//! hom-equivalence check HP019 is key-first: every same-arity IDB gets
+//! one canonical-core key up front and a pair runs the authoritative hom
+//! check only when the keys collide, so all-distinct chains (like this
+//! family) pay the quadratic pair stage as `u128` compares. The keys are
+//! compositional: each IDB's rules are unfolded over its children's
+//! memoised cores, so the chain's `i`-th core is built from `~i`
+//! elements rather than `~3i`, and cost is dominated by folding each
+//! core once — a doubling costs roughly 8×. With `--json PATH` a
+//! machine-readable snapshot (the committed `BENCH_semantic.json`) is
+//! written alongside the table; CI compares its result columns with the
+//! committed file.
 
 use std::time::Instant;
 

@@ -18,7 +18,8 @@
 //!   bit-identical to sequential evaluation;
 //! - **Theorem 7.1** made executable: the m-th stage of a k-Datalog program
 //!   unfolded into a finite disjunction of `CQ^k` formulas
-//!   ([`stage_formula`] / [`stage_ucq`]);
+//!   ([`stage_formula`] / [`stage_ucq`]), or one IDB at a time over its
+//!   children's UCQs ([`unfold_over`]);
 //! - **boundedness**: an empirical stage-count probe over structure
 //!   families, and a *certified* decision procedure
 //!   ([`certified_bounded_at`]) that checks `Θ^s ≡ Θ^{s+1}` by
@@ -75,5 +76,5 @@ pub use incremental::{EdbDelta, IncCheckpoint, MaterializedDb};
 pub use parser::{body_atom_byte_ranges, rule_byte_ranges};
 pub use unfold::{
     stage_formula, stage_formulas, stage_formulas_with_budget, stage_ucq, stage_ucq_with_budget,
-    stages_agree,
+    stages_agree, unfold_over,
 };

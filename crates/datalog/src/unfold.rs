@@ -208,6 +208,35 @@ fn substitute_free(f: &Formula, args: &[u32], fresh: &mut u32) -> Formula {
     g.rename_vars(&map)
 }
 
+/// One unfolding step of IDB `idb` over given UCQs for the IDBs its rules
+/// mention: every IDB body atom `Q(ū)` is replaced by `child(Q)` with its
+/// free positions renamed to `ū` — the same substitution as one stage of
+/// [`stage_ucq`] — and the result is flattened to a UCQ over the EDB
+/// vocabulary. In a nonrecursive program, when each child is equivalent
+/// to that child's full unfolding (its core, say), the result is
+/// equivalent to `idb`'s full unfolding: replacing a subquery by an
+/// equivalent one preserves equivalence (Theorem 2.1).
+pub fn unfold_over<'a>(
+    p: &Program,
+    idb: usize,
+    child: impl Fn(usize) -> &'a Ucq,
+) -> Result<Ucq, String> {
+    if p.has_negation() {
+        return Err("stage unfoldings are defined for positive programs only".to_string());
+    }
+    let deps = p.graph().deps(idb);
+    let prev: Vec<Formula> = (0..p.idbs().len())
+        .map(|q| {
+            if deps.contains(&q) {
+                child(q).to_formula()
+            } else {
+                Formula::bottom()
+            }
+        })
+        .collect();
+    ucq_of_existential_positive(&stage_step(p, idb, &prev), p.edb())
+}
+
 /// Free-standing form of [`Program::stage_ucq`].
 pub fn stage_ucq(p: &Program, idb: usize, m: usize) -> Result<Ucq, String> {
     if p.has_negation() {

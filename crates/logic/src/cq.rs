@@ -217,35 +217,48 @@ impl Cq {
 
     /// [`minimize`](Cq::minimize) charging an existing gauge. Exhaustion
     /// aborts mid-fold; no partial is returned (re-run with more fuel).
+    ///
+    /// An element no endomorphism can avoid stays unavoidable in every
+    /// later retract: if `g` avoided it on the image `h(C)`, then `g∘h`
+    /// would avoid it on `C`. Such elements are marked `kept` and never
+    /// re-tested; `induced` preserves element order, so the folds happen
+    /// exactly as in a restart-from-scratch loop.
     pub fn minimize_gauged(&self, gauge: &mut Gauge) -> Result<Cq, Stop> {
         let mut current = self.canonical.clone();
         let mut free = self.free.clone();
+        let mut kept = vec![false; current.universe_size()];
+        for fe in &free {
+            kept[fe.index()] = true;
+        }
         'outer: loop {
             for e in current.elements() {
-                if free.contains(&e) {
+                if kept[e.index()] {
                     continue;
                 }
                 let mut s = HomSearch::new(&current, &current).forbid_value(e);
                 for &fe in &free {
                     s = s.pin(fe, fe);
                 }
-                if let Some(h) = s.solve_gauged(gauge)? {
-                    let mut image = BitSet::new(current.universe_size());
-                    for &v in &h {
-                        image.insert(v.index());
-                    }
-                    for &fe in &free {
-                        image.insert(fe.index());
-                    }
-                    let (next, old_of_new) = current.induced(&image);
-                    let mut new_of_old = vec![u32::MAX; current.universe_size()];
-                    for (new, &old) in old_of_new.iter().enumerate() {
-                        new_of_old[old.index()] = new as u32;
-                    }
-                    free = free.iter().map(|f| Elem(new_of_old[f.index()])).collect();
-                    current = next;
-                    continue 'outer;
+                let Some(h) = s.solve_gauged(gauge)? else {
+                    kept[e.index()] = true;
+                    continue;
+                };
+                let mut image = BitSet::new(current.universe_size());
+                for &v in &h {
+                    image.insert(v.index());
                 }
+                for &fe in &free {
+                    image.insert(fe.index());
+                }
+                let (next, old_of_new) = current.induced(&image);
+                let mut new_of_old = vec![u32::MAX; current.universe_size()];
+                for (new, &old) in old_of_new.iter().enumerate() {
+                    new_of_old[old.index()] = new as u32;
+                }
+                free = free.iter().map(|f| Elem(new_of_old[f.index()])).collect();
+                kept = old_of_new.iter().map(|old| kept[old.index()]).collect();
+                current = next;
+                continue 'outer;
             }
             break;
         }

@@ -192,13 +192,22 @@ impl Ucq {
     /// [`canonical_core_key`](Ucq::canonical_core_key) charging an
     /// existing gauge.
     pub fn canonical_core_key_gauged(&self, gauge: &mut Gauge) -> Result<CanonicalCoreKey, Stop> {
+        self.core_and_key_gauged(gauge).map(|(_, key)| key)
+    }
+
+    /// The irredundant union of cores ([`minimize`](Ucq::minimize)) together
+    /// with its [`CanonicalCoreKey`], charging an existing gauge. Callers
+    /// that keep the core — to unfold a parent query over it, say — get
+    /// it without minimizing a second time.
+    pub fn core_and_key_gauged(&self, gauge: &mut Gauge) -> Result<(Ucq, CanonicalCoreKey), Stop> {
         let m = self.minimize_gauged(gauge)?;
         let mut keys: Vec<CanonicalCoreKey> = Vec::with_capacity(m.disjuncts.len());
         for d in &m.disjuncts {
             let form = canonical_form_pointed_gauged(d.canonical(), d.free(), gauge)?;
             keys.push(CanonicalCoreKey::of_form(&form));
         }
-        Ok(CanonicalCoreKey::combine(self.arity, &keys))
+        let key = CanonicalCoreKey::combine(self.arity, &keys);
+        Ok((m, key))
     }
 
     /// Render as an existential-positive formula (disjunction of prenex

@@ -21,6 +21,38 @@ fn digraph_strategy(max_n: usize, max_m: usize) -> impl Strategy<Value = Structu
         })
 }
 
+/// Reference core fold: after every successful fold, restart the scan
+/// from the first element and re-test every non-free element.
+fn minimize_restarting(q: &Cq) -> Cq {
+    let mut current = q.canonical().clone();
+    let mut free = q.free().to_vec();
+    'outer: loop {
+        for e in current.elements() {
+            if free.contains(&e) {
+                continue;
+            }
+            let mut s = hp_hom::HomSearch::new(&current, &current).forbid_value(e);
+            for &fe in &free {
+                s = s.pin(fe, fe);
+            }
+            if let Some(h) = s.solve() {
+                let mut image = hp_structures::BitSet::new(current.universe_size());
+                for v in h.iter().chain(&free) {
+                    image.insert(v.index());
+                }
+                let (next, old_of_new) = current.induced(&image);
+                free = free
+                    .iter()
+                    .map(|f| Elem(old_of_new.iter().position(|o| o == f).unwrap() as u32))
+                    .collect();
+                current = next;
+                continue 'outer;
+            }
+        }
+        return Cq::with_free(&current, &free);
+    }
+}
+
 /// Random existential-positive sentences over {E/2} with ≤ 4 variables.
 fn ep_sentence_strategy() -> impl Strategy<Value = Formula> {
     let leaf = (0u32..4, 0u32..4).prop_map(|(x, y)| Formula::atom(0usize, &[x, y]));
@@ -176,6 +208,29 @@ proptest! {
         let m = u.minimize();
         prop_assert!(m.len() <= u.len());
         prop_assert!(m.is_equivalent_to(&u));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The folding loop skips elements it already proved unavoidable;
+    /// its output is bit-identical to the restart-from-scratch loop that
+    /// re-tests every element after each fold. Disjoint unions of small
+    /// digraphs give components that fold onto each other.
+    #[test]
+    fn cq_minimize_matches_restart_reference(
+        parts in prop::collection::vec(digraph_strategy(4, 6), 1..4),
+        picks in prop::collection::vec(0usize..12, 0..4),
+    ) {
+        let mut a = parts[0].clone();
+        for p in &parts[1..] {
+            a = a.disjoint_union(p).unwrap();
+        }
+        let n = a.universe_size();
+        let free: Vec<Elem> = picks.iter().map(|&i| Elem((i % n) as u32)).collect();
+        let q = Cq::with_free(&a, &free);
+        prop_assert_eq!(q.minimize(), minimize_restarting(&q));
     }
 }
 
