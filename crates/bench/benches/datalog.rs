@@ -4,6 +4,7 @@
 //! series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hp_bench::{random_game_structure, random_reach_structure, reach_program};
 use hp_preservation::datalog::{stage_probe, stage_ucq};
 use hp_preservation::prelude::*;
 
@@ -13,63 +14,6 @@ fn tc() -> Program {
         &Vocabulary::digraph(),
     )
     .unwrap()
-}
-
-/// Single-source reachability over a marked-source vocabulary — the
-/// linear-output workload that scales to 10⁴-element EDBs (transitive
-/// closure's quadratic output would dominate the measurement there).
-fn reach_program() -> Program {
-    let v = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
-    Program::parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).", &v).unwrap()
-}
-
-/// Deterministic xorshift64* stream so the large random-EDB families need
-/// no RNG dependency and are identical on every run.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-/// `n` elements, `m` random directed edges, element 0 marked as the source.
-fn random_reach_structure(n: usize, m: usize, seed: u64) -> Structure {
-    let v = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
-    let mut rng = XorShift(seed | 1);
-    let mut a = Structure::new(v, n);
-    a.add_tuple_ids(1, &[0]).unwrap();
-    for _ in 0..m {
-        let u = (rng.next() % n as u64) as u32;
-        let w = (rng.next() % n as u64) as u32;
-        let _ = a.add_tuple_ids(0, &[u, w]);
-    }
-    a
-}
-
-/// Random DAG move graph over `{Move/2, Pos/1}` for the stratified
-/// `win_move` family: every element a position, `m` draws of a move
-/// oriented low → high id (well-founded game).
-fn random_game_structure(n: usize, m: usize, seed: u64) -> Structure {
-    let v = Vocabulary::from_pairs([("Move", 2), ("Pos", 1)]);
-    let mut rng = XorShift(seed | 1);
-    let mut a = Structure::new(v, n);
-    for x in 0..n as u32 {
-        a.add_tuple_ids(1, &[x]).unwrap();
-    }
-    for _ in 0..m {
-        let u = (rng.next() % n as u64) as u32;
-        let w = (rng.next() % n as u64) as u32;
-        if u != w {
-            let _ = a.add_tuple_ids(0, &[u.min(w), u.max(w)]);
-        }
-    }
-    a
 }
 
 fn tables() {

@@ -4,111 +4,61 @@
 //! counting/DRed maintenance of a [`MaterializedDb`] under single-edge
 //! deltas.
 //!
-//! The workload matches `columnar_scale`: `R(x) :- S(x).` /
-//! `R(y) :- R(x), E(x,y).` over `{E/2, S/1}`, `n = m/4` elements,
-//! xorshift64* edge stream seeded with `0xE5CA1E`, element 0 marked.
+//! The workload matches `columnar_scale`: [`reach_program`] over
+//! [`random_reach_structure`] with `n = m/4` elements and seed
+//! `0xE5CA1E`.
 //!
-//! Per size, the materialized view is built once; then `K = 20` cycles
+//! Per size, the materialized view is built; then `CYCLES = 20` cycles
 //! each insert one fresh random edge and delete it again (two maintenance
-//! calls per cycle, so `2K` single-edge deltas total). The reported
-//! incremental time is the mean per delta; the full-eval column is a
-//! from-scratch `evaluate` on the same structure. After the cycles the
-//! maintained IDB is asserted bit-identical to a fresh evaluation.
+//! calls per cycle, so `2 × CYCLES` single-edge deltas per run). The
+//! incremental column is the per-delta time of the median run; the
+//! full-eval column is a from-scratch `evaluate` on the same structure.
+//! Every timing is the median of [`hp_bench::K`] runs. After the cycles
+//! the maintained IDB is asserted bit-identical to a fresh evaluation.
 //!
 //! Usage: `incremental_scale [MAX_EXP] [--json PATH]` — rows for
 //! 10³ … 10^MAX_EXP edges (default 6; CI passes 5 to keep the smoke run
 //! short). With `--json PATH` a machine-readable snapshot (the committed
 //! `BENCH_incremental.json`) is written alongside the table.
 
-use std::time::Instant;
-
+use hp_bench::{
+    args, median_ms, random_reach_structure, reach_program, write_json, Row, Table, XorShift,
+};
 use hp_preservation::prelude::*;
+use hp_serve::json::Json;
 
-/// Deterministic xorshift64* stream, identical to the bench harness.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-fn reach_program() -> Program {
-    let v = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
-    Program::parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).", &v).unwrap()
-}
-
-/// `n` elements, `m` random directed edges (bulk-loaded through the
-/// builder), element 0 marked as the source.
-fn random_reach_structure(n: usize, m: usize, seed: u64) -> Structure {
-    let v = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
-    let mut rng = XorShift(seed | 1);
-    let mut b = Structure::builder(v, n).tuple(1, &[0]);
-    for _ in 0..m {
-        let u = (rng.next() % n as u64) as u32;
-        let w = (rng.next() % n as u64) as u32;
-        b = b.tuple(0, &[u, w]);
-    }
-    b.build()
-}
+const CYCLES: usize = 20;
 
 fn main() {
-    let mut max_exp: u32 = 6;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            json_path = Some(args.next().expect("--json needs a PATH"));
-        } else {
-            max_exp = a.parse().expect("MAX_EXP must be a small integer");
-        }
-    }
-    assert!((3..=7).contains(&max_exp), "MAX_EXP must be in 3..=7");
-    const CYCLES: usize = 20;
-    let mut json_rows: Vec<String> = Vec::new();
+    let (max_exp, json) = args(6, 3..=7);
     let p = reach_program();
-    println!(
-        "{:>9} {:>9} {:>10} {:>10} {:>12} {:>10} {:>9}",
-        "edges", "n", "build_ms", "full_ms", "inc_upd_ms", "speedup", "reached"
-    );
-    for exp in 3..=max_exp {
+    let mut table = Table::new();
+    for exp in 3..=max_exp as u32 {
         let m = 10usize.pow(exp);
         let n = m / 4;
         let a = random_reach_structure(n, m, 0xE5CA1E);
+        let (build_ms, mut db) =
+            median_ms(|| MaterializedDb::new(&p, a.clone()).expect("vocab matches"));
+        let (full_ms, full) = median_ms(|| p.evaluate(&a));
 
-        let t0 = Instant::now();
-        let mut db = MaterializedDb::new(&p, a.clone()).expect("vocab matches");
-        let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t1 = Instant::now();
-        let full = p.evaluate(&a);
-        let full_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        // 20 insert-then-delete cycles of a fresh random edge: 40 deltas.
         let mut rng = XorShift(0xE5CA1E ^ m as u64);
+        let edges: Vec<EdbDelta> = (0..CYCLES)
+            .map(|_| {
+                let mut edge = EdbDelta::new(p.edb());
+                edge.push_ids(0, &[rng.below(n), rng.below(n)]);
+                edge
+            })
+            .collect();
         let empty = EdbDelta::new(p.edb());
-        let mut inc_total = 0.0f64;
-        let mut deltas = 0usize;
-        for _ in 0..CYCLES {
-            let u = (rng.next() % n as u64) as u32;
-            let w = (rng.next() % n as u64) as u32;
-            let mut edge = EdbDelta::new(p.edb());
-            edge.push_ids(0, &[u, w]);
-            let t = Instant::now();
-            p.evaluate_incremental(&mut db, &edge, &empty)
-                .expect("insert delta");
-            p.evaluate_incremental(&mut db, &empty, &edge)
-                .expect("delete delta");
-            inc_total += t.elapsed().as_secs_f64() * 1e3;
-            deltas += 2;
-        }
-        let inc_upd_ms = inc_total / deltas as f64;
-        let speedup = full_ms / inc_upd_ms;
+        let (cycles_ms, ()) = median_ms(|| {
+            for edge in &edges {
+                p.evaluate_incremental(&mut db, edge, &empty)
+                    .expect("insert delta");
+                p.evaluate_incremental(&mut db, &empty, edge)
+                    .expect("delete delta");
+            }
+        });
+        let inc_upd_ms = cycles_ms / (2 * CYCLES) as f64;
 
         // Insert-then-delete of the same edge is a round trip: the
         // maintained view must be bit-identical to a fresh fixpoint.
@@ -117,33 +67,28 @@ fn main() {
             &full.relations[..],
             "maintained view diverged at m={m}"
         );
-        println!(
-            "{:>9} {:>9} {:>10.1} {:>10.1} {:>12.4} {:>9.0}x {:>9}",
-            m,
-            n,
-            build_ms,
-            full_ms,
-            inc_upd_ms,
-            speedup,
-            full.relations[0].len()
+        table.push(
+            Row::new()
+                .int("edges", m)
+                .int("n", n)
+                .num("build_ms", build_ms, 3)
+                .num("full_eval_ms", full_ms, 3)
+                .num("inc_upd_ms", inc_upd_ms, 4)
+                .num("speedup", full_ms / inc_upd_ms, 1)
+                .int("reached", full.relations[0].len()),
         );
-        json_rows.push(format!(
-            "    {{\"edges\": {m}, \"n\": {n}, \"build_ms\": {build_ms:.3}, \
-             \"full_eval_ms\": {full_ms:.3}, \"inc_upd_ms\": {inc_upd_ms:.4}, \
-             \"speedup\": {speedup:.1}, \"reached\": {}}}",
-            full.relations[0].len()
-        ));
     }
 
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"bench\": \"incremental_scale\",\n  \"workload\": \
-             \"single-edge insert/delete maintenance vs full re-evaluation, \
-             single-source reachability, xorshift64* edges, n = m/4\",\n  \
-             \"cycles_per_size\": {CYCLES},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            json_rows.join(",\n")
+    if let Some(path) = json {
+        write_json(
+            &path,
+            "incremental_scale",
+            "single-edge insert/delete maintenance vs full re-evaluation, \
+             single-source reachability, xorshift64* edges, n = m/4",
+            vec![
+                ("cycles_per_size", Json::Num(CYCLES as f64)),
+                ("rows", table.json()),
+            ],
         );
-        std::fs::write(&path, json).expect("write BENCH json");
-        println!("wrote {path}");
     }
 }

@@ -24,10 +24,9 @@
 //! core once — a doubling costs roughly 8×. With `--json PATH` a
 //! machine-readable snapshot (the committed `BENCH_semantic.json`) is
 //! written alongside the table; CI compares its result columns with the
-//! committed file.
+//! committed file. Every timing is the median of [`hp_bench::K`] runs.
 
-use std::time::Instant;
-
+use hp_bench::{args, median_ms, write_json, Row, Table};
 use hp_preservation::analysis::{fix_source, goal_core_key, semantic_scan, ProgramFacts};
 use hp_preservation::prelude::*;
 
@@ -46,128 +45,60 @@ fn chain_program_text(n: usize) -> String {
     s
 }
 
-struct Row {
-    rules: usize,
-    scan_ms: f64,
-    findings: usize,
-    fix_ms: f64,
-    removed_rules: usize,
-    removed_atoms: usize,
-    key_ms: f64,
-    core_key: String,
-}
-
-fn measure(n: usize) -> Row {
+/// The row for the size-`n` chain; its `core_key` is returned alongside.
+fn measure(n: usize) -> (Row, String) {
     let vocab = Vocabulary::from_pairs([("E", 2)]);
     let text = chain_program_text(n);
     let p = Program::parse(&text, &vocab).expect("chain program parses");
     let facts = ProgramFacts::of_program(&p);
-
-    let t0 = Instant::now();
-    let findings = semantic_scan(&facts, &Budget::unlimited())
-        .expect("unlimited scan cannot exhaust")
-        .len();
-    let scan_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let t1 = Instant::now();
-    let fix = fix_source(&text, Some(&vocab)).expect("chain program fixes");
-    let fix_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let t2 = Instant::now();
-    let key = goal_core_key(&p, &Budget::unlimited())
-        .expect("unlimited key cannot exhaust")
-        .expect("chain program is nonrecursive with a goal");
-    let key_ms = t2.elapsed().as_secs_f64() * 1e3;
-
-    Row {
-        rules: p.rules().len(),
-        scan_ms,
-        findings,
-        fix_ms,
-        removed_rules: fix.removed.len(),
-        removed_atoms: fix.removed_atoms.len(),
-        key_ms,
-        core_key: key.to_string(),
-    }
+    let (scan_ms, findings) = median_ms(|| {
+        semantic_scan(&facts, &Budget::unlimited()).expect("unlimited scan cannot exhaust")
+    });
+    let (fix_ms, fix) = median_ms(|| fix_source(&text, Some(&vocab)).expect("chain program fixes"));
+    let (key_ms, key) = median_ms(|| {
+        goal_core_key(&p, &Budget::unlimited())
+            .expect("unlimited key cannot exhaust")
+            .expect("chain program is nonrecursive with a goal")
+    });
+    let key = key.to_string();
+    let row = Row::new()
+        .int("rules", p.rules().len())
+        .num("scan_ms", scan_ms, 3)
+        .int("findings", findings.len())
+        .num("fix_ms", fix_ms, 3)
+        .int("removed_rules", fix.removed.len())
+        .int("removed_atoms", fix.removed_atoms.len())
+        .num("key_ms", key_ms, 3)
+        .text("core_key", &key);
+    (row, key)
 }
 
 fn main() {
-    let mut max_rules: usize = 64;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            json_path = Some(args.next().expect("--json needs a PATH"));
-        } else {
-            max_rules = a.parse().expect("MAX_RULES must be a small integer");
-        }
-    }
-    assert!(
-        (4..=512).contains(&max_rules),
-        "MAX_RULES must be in 4..=512"
-    );
-
-    println!(
-        "{:>6} {:>9} {:>9} {:>8} {:>8} {:>8} {:>9}  core_key",
-        "rules", "scan_ms", "findings", "fix_ms", "-rules", "-atoms", "key_ms"
-    );
-    let mut rows = Vec::new();
+    let (max_rules, json) = args(64, 4..=512);
+    let mut table = Table::new();
+    let mut keys = Vec::new();
     let mut n = 4;
     while n <= max_rules {
-        let r = measure(n);
-        println!(
-            "{:>6} {:>9.2} {:>9} {:>8.2} {:>8} {:>8} {:>9.2}  {}",
-            r.rules,
-            r.scan_ms,
-            r.findings,
-            r.fix_ms,
-            r.removed_rules,
-            r.removed_atoms,
-            r.key_ms,
-            r.core_key
-        );
-        rows.push(r);
+        let (row, key) = measure(n);
+        table.push(row);
+        keys.push(key);
         n *= 2;
     }
 
     // Every chain length folds to a bare E-path of a different length, so
     // all keys must be distinct — a cheap end-to-end sanity check on the
     // canonical-core cache key.
-    let mut keys: Vec<&str> = rows.iter().map(|r| r.core_key.as_str()).collect();
+    let rows = keys.len();
     keys.sort();
     keys.dedup();
-    assert_eq!(
-        keys.len(),
-        rows.len(),
-        "core keys must be pairwise distinct"
-    );
+    assert_eq!(keys.len(), rows, "core keys must be pairwise distinct");
 
-    if let Some(path) = json_path {
-        let body: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"rules\": {}, \"scan_ms\": {:.3}, \"findings\": {}, \
-                     \"fix_ms\": {:.3}, \"removed_rules\": {}, \"removed_atoms\": {}, \
-                     \"key_ms\": {:.3}, \"core_key\": \"{}\"}}",
-                    r.rules,
-                    r.scan_ms,
-                    r.findings,
-                    r.fix_ms,
-                    r.removed_rules,
-                    r.removed_atoms,
-                    r.key_ms,
-                    r.core_key
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"semantic_scale\",\n  \"workload\": \
-             \"chain program, one redundant atom per rule, one subsumed rule\",\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            body.join(",\n")
+    if let Some(path) = json {
+        write_json(
+            &path,
+            "semantic_scale",
+            "chain program, one redundant atom per rule, one subsumed rule",
+            vec![("rows", table.json())],
         );
-        std::fs::write(&path, json).expect("write BENCH json");
-        println!("wrote {path}");
     }
 }

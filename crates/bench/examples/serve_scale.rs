@@ -17,43 +17,33 @@
 //! Admission depth is capped at 4, so the 8-thread row exercises the
 //! shed path under real contention. Per row the table reports throughput,
 //! p50/p99 latency, cache hit rate (hits + coalesced waits over full
-//! answers), and shed rate.
+//! answers), and shed rate. A shed request counts as missing every
+//! latency limit: it ranks above every served latency, and a percentile
+//! that lands on one is `null`. Each row is run [`hp_bench::K`] times;
+//! throughput is from the median run's wall time, everything else from
+//! the last run.
 //!
 //! Usage: `serve_scale [REQS_PER_ROW] [--json PATH]` — rows for 1, 2, 4,
-//! and 8 client threads (default 60000 requests per row ≈ 2.4 × 10⁵
-//! total; CI passes a smaller count for the smoke run). With `--json
+//! and 8 client threads (default 60000 requests per row; CI passes a
+//! smaller count for the smoke run). With `--json
 //! PATH` a machine-readable snapshot (the committed `BENCH_serve.json`)
 //! is written alongside the table.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
+use hp_bench::{args, median_ms, write_json, Row, Table, XorShift};
 use hp_preservation::prelude::*;
-use hp_serve::protocol::{parse_request, CacheOutcome, Response};
+use hp_serve::epoch::UpdateBatch;
+use hp_serve::json::Json;
+use hp_serve::protocol::{CacheOutcome, QueryRequest, Request, Response};
 use hp_serve::service::{QueryService, ServiceConfig};
-
-/// Deterministic xorshift64* stream, identical to the bench harness.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
 
 /// 64 elements, 128 random edges over `{E/2}`.
 fn serve_structure() -> Structure {
     let mut rng = XorShift(0xE5CA1E | 1);
     let mut b = Structure::builder(Vocabulary::digraph(), 64);
     for _ in 0..128 {
-        let u = (rng.next() % 64) as u32;
-        let w = (rng.next() % 64) as u32;
+        let (u, w) = (rng.below(64), rng.below(64));
         b = b.tuple(0, &[u, w]);
     }
     b.build()
@@ -83,15 +73,18 @@ const POOL_RENAMED: [&str; 8] = [
     "Goal(u) :- E(u,v), E(u,w), E(v,w).",
 ];
 
-const TC: &str = "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\\n# goal: T";
+const TC: &str = "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\n# goal: T";
+
+/// The latency recorded for a shed request: above every served one.
+const SHED: u64 = u64::MAX;
 
 /// Per-thread tallies, merged after the run.
 #[derive(Default)]
 struct Tally {
-    latencies_us: Vec<u64>,
+    /// Nanoseconds per request, [`SHED`] for a shed one.
+    latencies_ns: Vec<u64>,
     answers: u64,
     hits: u64,
-    sheds: u64,
     partials: u64,
     faults: u64,
 }
@@ -99,47 +92,52 @@ struct Tally {
 fn client(svc: &QueryService, seed: u64, reqs: usize) -> Tally {
     let mut rng = XorShift(seed | 1);
     let mut t = Tally {
-        latencies_us: Vec::with_capacity(reqs),
+        latencies_ns: Vec::with_capacity(reqs),
         ..Tally::default()
     };
+    let query = |program: &str, no_cache, fuel| {
+        Request::Query(QueryRequest {
+            program: Some(program.to_string()),
+            no_cache,
+            fuel,
+            ..QueryRequest::default()
+        })
+    };
     for _ in 0..reqs {
-        let roll = rng.next() % 100;
-        let line = match roll {
-            0..=59 => format!(
-                "{{\"op\":\"query\",\"program\":\"{}\"}}",
-                POOL[(rng.next() % 8) as usize]
-            ),
-            60..=74 => format!(
-                "{{\"op\":\"query\",\"program\":\"{}\"}}",
-                POOL_RENAMED[(rng.next() % 8) as usize]
-            ),
-            75..=84 => format!(
-                "{{\"op\":\"query\",\"program\":\"{}\",\"no_cache\":true}}",
-                POOL[(rng.next() % 8) as usize]
-            ),
-            85..=89 => format!("{{\"op\":\"query\",\"program\":\"{TC}\"}}"),
+        let req = match rng.below(100) {
+            0..=59 => query(POOL[rng.below(8) as usize], false, None),
+            60..=74 => query(POOL_RENAMED[rng.below(8) as usize], false, None),
+            75..=84 => query(POOL[rng.below(8) as usize], true, None),
+            85..=89 => query(TC, false, None),
             90..=94 => {
                 // Flip one churn-pool edge: density stays bounded, the
                 // epoch (and cache invalidation) still churns.
-                let i = rng.next() % 32;
-                let (u, w) = (i, (i * 7 + 13) % 64);
-                let verb = if rng.next().is_multiple_of(2) {
-                    "insert"
+                let i = rng.below(32);
+                let edge = vec![("E".to_string(), vec![Elem(i), Elem((i * 7 + 13) % 64)])];
+                Request::Update(if rng.below(2) == 0 {
+                    UpdateBatch {
+                        inserts: edge,
+                        ..UpdateBatch::default()
+                    }
                 } else {
-                    "delete"
-                };
-                format!("{{\"op\":\"update\",\"{verb}\":{{\"E\":[[{u},{w}]]}}}}")
+                    UpdateBatch {
+                        deletes: edge,
+                        ..UpdateBatch::default()
+                    }
+                })
             }
-            _ => format!(
-                "{{\"op\":\"query\",\"program\":\"{}\",\"fuel\":1}}",
-                POOL[(rng.next() % 8) as usize]
-            ),
+            _ => query(POOL[rng.below(8) as usize], false, Some(1)),
         };
-        let req = parse_request(&line).expect("bench request lines are well-formed");
         let interrupt = Interrupt::new();
         let t0 = Instant::now();
         let resp = svc.handle(&req, &interrupt);
-        t.latencies_us.push(t0.elapsed().as_micros() as u64);
+        let ns = t0.elapsed().as_nanos() as u64;
+        t.latencies_ns
+            .push(if matches!(resp, Response::Overloaded(_)) {
+                SHED
+            } else {
+                ns
+            });
         match resp {
             Response::Answer { cache, .. } => {
                 t.answers += 1;
@@ -147,10 +145,9 @@ fn client(svc: &QueryService, seed: u64, reqs: usize) -> Tally {
                     t.hits += 1;
                 }
             }
-            Response::Overloaded(_) => t.sheds += 1,
             Response::Partial { .. } => t.partials += 1,
             Response::Fault { .. } => t.faults += 1,
-            Response::Updated { .. } | Response::Stats { .. } => {}
+            Response::Overloaded(_) | Response::Updated { .. } | Response::Stats { .. } => {}
             other @ (Response::Error { .. } | Response::Bye) => {
                 panic!("unexpected response in bench loop: {other:?}")
             }
@@ -159,111 +156,87 @@ fn client(svc: &QueryService, seed: u64, reqs: usize) -> Tally {
     t
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx] as f64 / 1e3
+/// The `p`-quantile of `sorted_ns` in ms, `None` when it lands on a shed
+/// request.
+fn percentile(sorted_ns: &[u64], p: f64) -> Option<f64> {
+    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
+    Some(sorted_ns[idx])
+        .filter(|&ns| ns != SHED)
+        .map(|ns| ns as f64 / 1e6)
+}
+
+/// Runs `threads` clients of `per_thread` requests each against a fresh
+/// service and returns their tallies, checking that the service drained.
+fn run(threads: usize, per_thread: usize) -> Vec<Tally> {
+    let svc = QueryService::new(
+        serve_structure(),
+        ServiceConfig {
+            max_depth: 4,
+            ..ServiceConfig::default()
+        },
+    );
+    let tallies = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads as u64)
+            .map(|i| {
+                let svc = &svc;
+                s.spawn(move || client(svc, 0xBEEF + i * 0x9e37_79b9, per_thread))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(svc.gate().depth(), 0, "admission permits must drain");
+    tallies
 }
 
 fn main() {
-    let mut reqs_per_row: usize = 60_000;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            json_path = Some(args.next().expect("--json needs a PATH"));
-        } else {
-            reqs_per_row = a.parse().expect("REQS_PER_ROW must be an integer");
-        }
-    }
-    assert!(reqs_per_row >= 8, "need at least one request per thread");
-
-    let mut json_rows: Vec<String> = Vec::new();
-    println!(
-        "{:>8} {:>9} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "threads", "requests", "req_per_s", "p50_ms", "p99_ms", "hit_rate", "sheds", "partials"
-    );
-    for &threads in &[1usize, 2, 4, 8] {
-        let svc = Arc::new(QueryService::new(
-            serve_structure(),
-            ServiceConfig {
-                max_depth: 4,
-                ..ServiceConfig::default()
-            },
-        ));
+    let (reqs_per_row, json) = args(60_000, 8..=usize::MAX);
+    let mut table = Table::new();
+    for threads in [1usize, 2, 4, 8] {
         let per_thread = reqs_per_row / threads;
-        let next_seed = AtomicU64::new(0xBEEF);
-        let wall = Instant::now();
-        let tallies: Vec<Tally> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let svc = &svc;
-                    let seed = next_seed.fetch_add(0x9e37_79b9, Ordering::Relaxed);
-                    s.spawn(move || client(svc, seed, per_thread))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let elapsed = wall.elapsed().as_secs_f64();
-
-        let total: usize = per_thread * threads;
+        let (ms, tallies) = median_ms(|| run(threads, per_thread));
+        let total = per_thread * threads;
         let mut latencies: Vec<u64> = tallies
             .iter()
-            .flat_map(|t| t.latencies_us.clone())
+            .flat_map(|t| t.latencies_ns.iter().copied())
             .collect();
         latencies.sort_unstable();
-        let p50 = percentile(&latencies, 0.50);
-        let p99 = percentile(&latencies, 0.99);
-        let answers: u64 = tallies.iter().map(|t| t.answers).sum();
-        let hits: u64 = tallies.iter().map(|t| t.hits).sum();
-        let sheds: u64 = tallies.iter().map(|t| t.sheds).sum();
-        let partials: u64 = tallies.iter().map(|t| t.partials).sum();
-        let faults: u64 = tallies.iter().map(|t| t.faults).sum();
+        let sum = |f: fn(&Tally) -> u64| tallies.iter().map(f).sum::<u64>();
+        let (answers, hits) = (sum(|t| t.answers), sum(|t| t.hits));
+        let sheds = latencies.iter().filter(|&&ns| ns == SHED).count();
         assert_eq!(
-            faults, 0,
+            sum(|t| t.faults),
+            0,
             "no fault plan installed: the bench must be fault-free"
         );
-        let rps = total as f64 / elapsed;
-        let hit_rate = if answers > 0 {
-            hits as f64 / answers as f64
-        } else {
-            0.0
-        };
-        let shed_rate = sheds as f64 / total as f64;
-        assert_eq!(svc.gate().depth(), 0, "admission permits must drain");
-
-        println!(
-            "{:>8} {:>9} {:>10.0} {:>9.3} {:>9.3} {:>8.1}% {:>9} {:>9}",
-            threads,
-            total,
-            rps,
-            p50,
-            p99,
-            hit_rate * 100.0,
-            sheds,
-            partials
+        table.push(
+            Row::new()
+                .int("threads", threads)
+                .int("requests", total)
+                .num("req_per_s", total as f64 / ms * 1e3, 0)
+                .num("p50_ms", percentile(&latencies, 0.50), 4)
+                .num("p99_ms", percentile(&latencies, 0.99), 4)
+                .num("cache_hit_rate", hits as f64 / answers.max(1) as f64, 4)
+                .num("shed_rate", sheds as f64 / total as f64, 6)
+                .int("sheds", sheds)
+                .int("partials", sum(|t| t.partials) as usize),
         );
-        json_rows.push(format!(
-            "    {{\"threads\": {threads}, \"requests\": {total}, \
-             \"req_per_s\": {rps:.0}, \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \
-             \"cache_hit_rate\": {hit_rate:.4}, \"shed_rate\": {shed_rate:.6}, \
-             \"sheds\": {sheds}, \"partials\": {partials}}}"
-        ));
     }
 
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"bench\": \"serve_scale\",\n  \"workload\": \
-             \"closed-loop mixed request stream (60% pooled CQs, 15% renamed \
+    if let Some(path) = json {
+        write_json(
+            &path,
+            "serve_scale",
+            "closed-loop mixed request stream (60% pooled CQs, 15% renamed \
              duplicates, 10% no_cache, 5% recursive TC, 5% EDB updates, 5% \
              1-fuel partials) against an in-process QueryService, 64-element \
-             random digraph, admission depth 4\",\n  \
-             \"requests_per_row\": {reqs_per_row},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            json_rows.join(",\n")
+             random digraph, admission depth 4",
+            vec![
+                ("requests_per_row", Json::Num(reqs_per_row as f64)),
+                ("rows", table.json()),
+            ],
         );
-        std::fs::write(&path, json).expect("write BENCH json");
-        println!("wrote {path}");
     }
 }

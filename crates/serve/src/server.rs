@@ -13,10 +13,12 @@
 //! The protocol is strictly line-delimited: requests are answered in
 //! order on each connection, and a malformed line gets an `error`
 //! response rather than a hangup, so one client bug cannot poison a
-//! session.
+//! session. A line longer than [`MAX_LINE_BYTES`] is the one exception:
+//! it gets `{"status":"too_large","max_line_bytes":…}` and the
+//! connection closes, since the rest of the line cannot be parsed.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,12 +27,17 @@ use std::time::Duration;
 
 use hp_guard::Interrupt;
 
+use crate::json::Json;
 use crate::protocol::{parse_request, Request, Response};
 use crate::service::QueryService;
 
 /// How long the accept loop backs off after a failed `accept` (for
 /// example `EMFILE` while every descriptor is in use) before retrying.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The longest request line read, newline excluded (1 MiB): a longer one
+/// is answered `too_large` instead of being buffered whole.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The shared drain switch: one flag, every open connection's interrupt
 /// and stream by connection id, and the socket path (to self-connect and
@@ -196,10 +203,38 @@ fn serve_connection(
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            // Read error: the client is gone. Cancel its in-flight work.
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(_) => {
+                // Read error: the client is gone. Cancel its in-flight work.
+                token.trigger();
+                return;
+            }
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE_BYTES {
+            let too_large = Json::Obj(vec![
+                ("status".into(), Json::Str("too_large".into())),
+                ("max_line_bytes".into(), Json::Num(MAX_LINE_BYTES as f64)),
+            ]);
+            let _ = writeln!(writer, "{too_large}");
+            let _ = writer.flush();
+            token.trigger();
+            return;
+        }
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            // Not UTF-8, so not a request line: drop the client as on a
+            // read error.
             token.trigger();
             return;
         };
@@ -211,7 +246,7 @@ fn serve_connection(
                 message: "service is draining".to_string(),
             }
         } else {
-            match parse_request(&line) {
+            match parse_request(line) {
                 Ok(req) => {
                     let resp = service.handle(&req, token);
                     if matches!(req, Request::Shutdown) {
@@ -318,6 +353,38 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(open_count(), 1, "only the open connection is tracked");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_line_is_answered_too_large_and_closed() {
+        let path = sock_path("too-large");
+        let svc = Arc::new(QueryService::new(seed(), ServiceConfig::default()));
+        let server = Server::bind(&path, svc).unwrap();
+
+        // A line of exactly the limit is read and parsed (it is not JSON).
+        let mut c = UnixStream::connect(&path).unwrap();
+        let at_limit = "x".repeat(MAX_LINE_BYTES);
+        assert!(roundtrip(&mut c, &at_limit).contains("\"status\":\"error\""));
+
+        // One byte more is refused, typed, and the connection closes. The
+        // server may close before the tail of the line is sent.
+        let c = UnixStream::connect(&path).unwrap();
+        let _ = writeln!(c.try_clone().unwrap(), "{}x", at_limit);
+        let mut r = BufReader::new(c);
+        let mut reply = String::new();
+        r.read_line(&mut reply).unwrap();
+        assert_eq!(
+            reply.trim_end(),
+            format!("{{\"status\":\"too_large\",\"max_line_bytes\":{MAX_LINE_BYTES}}}")
+        );
+        // Closed: EOF, or a reset when the unread tail was still queued.
+        let tail = r.read_line(&mut reply);
+        assert!(!matches!(tail, Ok(n) if n > 0), "{tail:?}");
+
+        // The server keeps serving other connections.
+        let mut c2 = UnixStream::connect(&path).unwrap();
+        assert!(roundtrip(&mut c2, "{\"op\":\"stats\"}").contains("\"status\":\"ok\""));
         server.shutdown();
     }
 
