@@ -741,8 +741,8 @@ impl Pass for SemanticPass {
 /// The key is what an answer cache should index on: programs equal up to
 /// variable renaming, rule order, redundant atoms, and subsumed rules or
 /// disjuncts map to the same key (Chandra–Merlin + §6.2 core uniqueness).
-/// It is computed like the scan's [`Item::CoreKey`], over the cores of
-/// the goal's dependencies.
+/// It is computed like the scan's core-key items (`Item::CoreKey`), over
+/// the cores of the goal's dependencies.
 #[allow(clippy::result_large_err)]
 pub fn goal_core_key(p: &Program, budget: &Budget) -> Budgeted<Option<CanonicalCoreKey>, ()> {
     let g = p.graph();

@@ -8,7 +8,9 @@
 //! * 15% renamed duplicates of pool queries (hit via the canonical core),
 //! * 10% `no_cache` fresh evaluations (bit-identity spot checks ride on
 //!   the chaos suite; here they are the cache-miss floor),
-//! *  5% recursive transitive closure (cache bypass, the heavy tail),
+//! *  5% recursive transitive closure (no core key: answered from its
+//!    maintained view once two evaluations completed, caught up after
+//!    each update),
 //! *  5% single-edge EDB updates (epoch churn: each one invalidates the
 //!    cache's older epochs) — flips of a fixed 32-edge churn pool, so the
 //!    graph's density stays bounded while epochs keep advancing,

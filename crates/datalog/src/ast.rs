@@ -9,7 +9,7 @@ use crate::error::{DatalogError, DatalogErrorKind, DatalogSpan};
 
 /// Reference to a predicate: either an EDB symbol of the input vocabulary
 /// or an IDB predicate of the program.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PredRef {
     /// Extensional predicate (input relation).
     Edb(SymbolId),
@@ -21,7 +21,7 @@ pub enum PredRef {
 /// paper's Datalog is constant-free; constants are simulated by unary EDB
 /// marks when needed). Body atoms may be negated (`not R(x,y)`); heads
 /// never are.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DatalogAtom {
     /// The predicate.
     pub pred: PredRef,
@@ -43,7 +43,7 @@ impl DatalogAtom {
 }
 
 /// A rule `H ← B₁, …, B_m`. The head must be an IDB atom.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Rule {
     /// Head atom (IDB).
     pub head: DatalogAtom,

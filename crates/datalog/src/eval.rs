@@ -175,8 +175,10 @@ impl EvalConfig {
 /// Recorded by the budgeted and unbudgeted fixpoint entry points, one
 /// entry per stratum *entered* (in ascending stratum order). Positive
 /// programs have a single entry for stratum 0. The oracle-simple
-/// reference evaluator and the incremental-maintenance path do not
-/// profile; their results carry an empty profile.
+/// reference evaluator does not profile; its results carry an empty
+/// profile. Incremental maintenance (positive programs only) reports one
+/// entry for stratum 0: its maintenance rounds, the IDB tuples it added
+/// or removed, and the fuel it charged (`1 + changed` per SCC).
 #[derive(Clone, Debug, PartialEq)]
 pub struct StratumProfile {
     /// The stratum index (ascending; 0 for positive programs).
@@ -215,8 +217,8 @@ pub struct FixpointResult {
     pub diagnostics: Vec<String>,
     /// Per-stratum measured cost (rounds, derived tuples, fuel,
     /// wall-clock), one entry per stratum entered. Empty for the
-    /// reference evaluator and the incremental-maintenance path, which
-    /// do not profile.
+    /// reference evaluator, which does not profile; see
+    /// [`StratumProfile`] for the incremental-maintenance entry.
     pub profile: Vec<StratumProfile>,
 }
 

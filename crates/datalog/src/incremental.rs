@@ -20,10 +20,10 @@
 //! Strata are the SCCs of the program's [`DepGraph`], visited
 //! dependencies first. Delta joins reuse the join-order
 //! machinery of [`crate::plan`] — each rule gets one seeded order per body
-//! occurrence plus a fully-prebound rederivation order — and probe permuted
-//! sorted copies of the committed stores ([`TupleStore::prefix_range`])
-//! instead of per-evaluation hash maps, because the committed stores
-//! persist across update batches.
+//! occurrence plus a fully-prebound rederivation order — and probe the
+//! committed stores, or permuted sorted copies of them where the key is not
+//! a prefix ([`TupleStore::prefix_range`]), instead of per-evaluation hash
+//! maps, because the committed stores persist across update batches.
 //!
 //! Maintenance is budgeted and resumable under the same law as
 //! [`Program::resume_budgeted`]: the gauge is charged at SCC boundaries, an
@@ -36,13 +36,13 @@ use std::collections::HashMap;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
 use hp_structures::{
-    CountedStore, Elem, Relation, RowRef, Structure, StructureError, SymbolId, TupleStore,
+    CountedStore, Elem, Relation, Row, RowRef, Structure, StructureError, SymbolId, TupleStore,
     Vocabulary,
 };
 
 use crate::ast::{PredRef, Program};
 use crate::depgraph::DepGraph;
-use crate::eval::{EvalConfig, EvalError, FixpointResult};
+use crate::eval::{EvalConfig, EvalError, FixpointResult, StratumProfile};
 use crate::plan::{plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, RulePlan};
 
 // ---------------------------------------------------------------------------
@@ -110,6 +110,25 @@ impl EdbDelta {
     /// Total number of tuples in the batch (duplicates included).
     pub fn len(&self) -> usize {
         self.stores.iter().map(|s| s.len() + s.pending_len()).sum()
+    }
+
+    /// The insertion and deletion batches that turn `old` into `new` (two
+    /// structures over one vocabulary). Only relations the two do not
+    /// [share](Structure::shares_relation) are diffed, so between
+    /// copy-on-write versions of one database the cost is that of the
+    /// relations written in between.
+    pub fn between(old: &Structure, new: &Structure) -> (EdbDelta, EdbDelta) {
+        let vocab = new.vocab();
+        let (mut plus, mut minus) = (EdbDelta::new(vocab), EdbDelta::new(vocab));
+        for (sym, rel) in new.relations() {
+            if new.shares_relation(old, sym) {
+                continue;
+            }
+            let before = old.relation(sym).store();
+            plus.stores[sym.index()] = rel.store().difference(before);
+            minus.stores[sym.index()] = before.difference(rel.store());
+        }
+        (plus, minus)
     }
 }
 
@@ -202,6 +221,11 @@ impl MaintPlan {
 /// come first; a probe is then [`TupleStore::prefix_range`]. Unlike the
 /// per-evaluation hash pool of [`crate::index`], these survive across
 /// update batches and are maintained by sorted-run batch merge/difference.
+///
+/// When the key columns are already a prefix, the permutation is the
+/// identity and the committed store is sorted exactly as the copy would
+/// be, so no copy is kept: probes read the committed relation itself, as
+/// the evaluator's `Natural` arena does.
 #[derive(Clone, Debug)]
 struct SecondaryIndex {
     arity: usize,
@@ -210,11 +234,15 @@ struct SecondaryIndex {
     perm: Vec<usize>,
     /// `pos_of[i]` = permuted position of original column `i`.
     pos_of: Vec<usize>,
-    store: TupleStore,
+    /// The permuted copy; `None` for the identity permutation.
+    store: Option<TupleStore>,
 }
 
 impl SecondaryIndex {
-    fn new(spec: &IndexSpec, arity: usize) -> SecondaryIndex {
+    /// The index for `spec` over `committed`, copying it only when the
+    /// key columns are not a prefix.
+    fn new(spec: &IndexSpec, committed: &TupleStore) -> SecondaryIndex {
+        let arity = committed.arity();
         let mut perm = spec.key_positions.clone();
         for i in 0..arity {
             if !perm.contains(&i) {
@@ -225,12 +253,16 @@ impl SecondaryIndex {
         for (k, &i) in perm.iter().enumerate() {
             pos_of[i] = k;
         }
-        SecondaryIndex {
+        let mut ix = SecondaryIndex {
             arity,
             perm,
             pos_of,
-            store: TupleStore::new(arity),
+            store: None,
+        };
+        if ix.perm.iter().enumerate().any(|(k, &i)| k != i) {
+            ix.store = Some(ix.permuted(committed));
         }
+        ix
     }
 
     fn permuted(&self, rows: &TupleStore) -> TupleStore {
@@ -242,26 +274,45 @@ impl SecondaryIndex {
         out
     }
 
+    /// The store a probe reads: the permuted copy, or `committed` itself
+    /// for the identity permutation, with the position map to read its
+    /// rows in original column order (`None` when they already are).
+    fn probe_store<'a>(
+        &'a self,
+        committed: &'a TupleStore,
+    ) -> (&'a TupleStore, Option<&'a [usize]>) {
+        match &self.store {
+            Some(s) => (s, Some(self.pos_of.as_slice())),
+            None => (committed, None),
+        }
+    }
+
     /// Recover the original column order of a permuted candidate row.
     fn unpermute_into(&self, row: RowRef<'_>, out: &mut Vec<Elem>) {
         out.clear();
         out.extend((0..self.arity).map(|i| row.get(self.pos_of[i])));
     }
 
-    fn insert_batch(&mut self, rows: &TupleStore) {
-        if rows.is_empty() {
+    /// Fold a committed batch in: the copy follows it, while an identity
+    /// index already sees it through the committed store.
+    fn apply_batch(&mut self, removed: &TupleStore, inserted: &TupleStore) {
+        if self.store.is_none() {
             return;
         }
-        let p = self.permuted(rows);
-        self.store.merge(&p);
+        let removed = (!removed.is_empty()).then(|| self.permuted(removed));
+        let inserted = (!inserted.is_empty()).then(|| self.permuted(inserted));
+        let store = self.store.as_mut().expect("checked above");
+        if let Some(r) = removed {
+            *store = store.difference(&r);
+        }
+        if let Some(i) = inserted {
+            store.merge(&i);
+        }
     }
 
-    fn remove_batch(&mut self, rows: &TupleStore) {
-        if rows.is_empty() {
-            return;
-        }
-        let p = self.permuted(rows);
-        self.store = self.store.difference(&p);
+    /// Heap bytes of the permuted copy (0 for the identity).
+    fn heap_bytes(&self) -> usize {
+        self.store.as_ref().map_or(0, TupleStore::heap_bytes)
     }
 }
 
@@ -313,32 +364,38 @@ impl MaterializedDb {
         structure: Structure,
         cfg: &EvalConfig,
     ) -> Result<MaterializedDb, EvalError> {
-        if program.has_negation() {
-            return Err(EvalError::NegationUnsupported {
-                operation: "incremental view maintenance".to_string(),
-            });
-        }
-        if structure.vocab() != program.edb() {
-            return Err(EvalError::ProgramMismatch {
-                detail: "structure vocabulary differs from the program's EDB".to_string(),
-            });
-        }
+        check_materializable(program, &structure)?;
         let full = program.evaluate_with(&structure, cfg);
+        MaterializedDb::from_fixpoint(program, structure, full)
+    }
+
+    /// Materialize an already computed least fixpoint of `program` on
+    /// `structure` (from [`Program::evaluate`] or one of its variants):
+    /// the one construction path, so a caller that has just evaluated the
+    /// program pays no second evaluation. `result` must be that
+    /// evaluation's converged result; an unconverged one is refused.
+    pub fn from_fixpoint(
+        program: &Program,
+        structure: Structure,
+        result: FixpointResult,
+    ) -> Result<MaterializedDb, EvalError> {
+        check_materializable(program, &structure)?;
+        if !result.converged || result.relations.len() != program.idbs().len() {
+            return Err(EvalError::ProgramMismatch {
+                detail: "fixpoint result is not this program's least fixpoint".to_string(),
+            });
+        }
         let plan = MaintPlan::new(program);
-        let idb = full.relations;
+        let idb = result.relations;
         let indexes: Vec<SecondaryIndex> = plan
             .specs
             .iter()
             .map(|spec| {
-                let (arity, committed) = match spec.pred {
-                    PredRef::Edb(sym) => {
-                        (program.edb().arity(sym), structure.relation(sym).store())
-                    }
-                    PredRef::Idb(i) => (program.idbs()[i].1, idb[i].store()),
+                let committed = match spec.pred {
+                    PredRef::Edb(sym) => structure.relation(sym).store(),
+                    PredRef::Idb(i) => idb[i].store(),
                 };
-                let mut ix = SecondaryIndex::new(spec, arity);
-                ix.insert_batch(committed);
-                ix
+                SecondaryIndex::new(spec, committed)
             })
             .collect();
         let mut counts: Vec<Option<CountedStore>> = (0..idb.len()).map(|_| None).collect();
@@ -403,6 +460,47 @@ impl MaterializedDb {
     pub fn is_in_flight(&self) -> bool {
         self.in_flight
     }
+
+    /// Share `other`'s relation wherever its content equals this
+    /// database's input relation: the two then hold one allocation, so a
+    /// later [`Structure::shares_relation`] test against `other` (or a
+    /// copy-on-write successor of it) is a pointer comparison. Relations
+    /// that differ are left alone. Returns the number adopted.
+    pub fn adopt_relations(&mut self, other: &Structure) -> usize {
+        self.structure.adopt_equal_relations(other)
+    }
+
+    /// Heap bytes this database holds beyond its input structure: the
+    /// materialized IDB relations, the derivation counts and depths, and
+    /// the permuted secondary-index copies (identity-keyed indexes probe
+    /// the committed relation and hold nothing).
+    pub fn heap_bytes(&self) -> usize {
+        let idb: usize = self.idb.iter().map(Relation::heap_bytes).sum();
+        let counts: usize = self
+            .counts
+            .iter()
+            .flatten()
+            .map(CountedStore::heap_bytes)
+            .sum();
+        let depths: usize = self.depths.iter().flatten().map(DepthMap::heap_bytes).sum();
+        let indexes: usize = self.indexes.iter().map(SecondaryIndex::heap_bytes).sum();
+        idb + counts + depths + indexes
+    }
+}
+
+/// The checks every [`MaterializedDb`] construction makes first.
+fn check_materializable(program: &Program, structure: &Structure) -> Result<(), EvalError> {
+    if program.has_negation() {
+        return Err(EvalError::NegationUnsupported {
+            operation: "incremental view maintenance".to_string(),
+        });
+    }
+    if structure.vocab() != program.edb() {
+        return Err(EvalError::ProgramMismatch {
+            detail: "structure vocabulary differs from the program's EDB".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Rebuild the derivation counts for non-recursive IDB `p` from the
@@ -464,7 +562,7 @@ fn build_depths(
     let added: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
     let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
     for &p in members {
-        depths[p] = Some(DepthMap::new());
+        depths[p] = Some(DepthMap::default());
     }
     let mut round = 0u64;
     loop {
@@ -539,7 +637,7 @@ fn build_depths(
             let fresh = cand[p].difference(known[p].store());
             let map = depths[p].as_mut().expect("member map was just created");
             for t in fresh.iter() {
-                map.insert(t.to_vec().into(), round);
+                map.insert(t, round);
             }
             known[p].merge_store(&fresh);
             any = any || !fresh.is_empty();
@@ -626,11 +724,68 @@ enum View {
     Stable,
 }
 
-/// Per-tuple derivation depths of one recursive SCC's members, keyed by the
+/// Per-tuple derivation depths of one recursive SCC member, keyed by the
 /// tuple's row. Any assignment where every alive tuple has a derivation
 /// whose in-SCC supporters all carry strictly smaller depths works; the
 /// maintenance code keeps that invariant with a monotone clock.
-type DepthMap = HashMap<Box<[Elem]>, u64>;
+///
+/// Rows of arity at most 2 pack into one `u64` key, so the common unary
+/// and binary members hold no allocation per row; wider rows are boxed.
+#[derive(Clone, Debug, Default)]
+struct DepthMap {
+    packed: HashMap<u64, u64>,
+    boxed: HashMap<Box<[Elem]>, u64>,
+}
+
+impl DepthMap {
+    /// The packed key of `t`, when its arity allows one. A map only ever
+    /// holds rows of one arity, so keys of different arities never meet.
+    fn pack<R: Row>(t: &R) -> Option<u64> {
+        match t.width() {
+            0 => Some(0),
+            1 => Some(t.at(0).0 as u64),
+            2 => Some((t.at(0).0 as u64) << 32 | t.at(1).0 as u64),
+            _ => None,
+        }
+    }
+
+    fn get<R: Row>(&self, t: R) -> Option<u64> {
+        match DepthMap::pack(&t) {
+            Some(k) => self.packed.get(&k).copied(),
+            None => self.boxed.get(t.to_elems().as_slice()).copied(),
+        }
+    }
+
+    fn insert<R: Row>(&mut self, t: R, depth: u64) {
+        match DepthMap::pack(&t) {
+            Some(k) => self.packed.insert(k, depth),
+            None => self.boxed.insert(t.to_elems().into(), depth),
+        };
+    }
+
+    fn remove<R: Row>(&mut self, t: R) {
+        match DepthMap::pack(&t) {
+            Some(k) => self.packed.remove(&k),
+            None => self.boxed.remove(t.to_elems().as_slice()),
+        };
+    }
+
+    /// Approximate heap bytes: both tables plus one boxed row per wide
+    /// entry.
+    fn heap_bytes(&self) -> usize {
+        let table = |cap: usize, entry: usize| cap * (entry + 1);
+        table(self.packed.capacity(), std::mem::size_of::<(u64, u64)>())
+            + table(
+                self.boxed.capacity(),
+                std::mem::size_of::<(Box<[Elem]>, u64)>(),
+            )
+            + self
+                .boxed
+                .keys()
+                .map(|k| std::mem::size_of_val(&**k))
+                .sum::<usize>()
+    }
+}
 
 /// Depth filter applied on top of a `Cur` view during the deletion-phase
 /// support check: an SCC-member candidate only counts as support when its
@@ -647,16 +802,11 @@ impl DepthGate<'_> {
     /// May row `t` of member predicate `p` support the examined tuple?
     /// Unknown rows get depth `∞`, i.e. never support (safe: at worst an
     /// over-deletion, which the rederive phase revives).
-    fn admits(&self, p: usize, t: &[Elem]) -> bool {
+    fn admits<R: Row>(&self, p: usize, t: R) -> bool {
         self.depths[p]
             .as_ref()
             .and_then(|m| m.get(t))
-            .is_some_and(|&d| d < self.limit)
-    }
-
-    /// [`DepthGate::admits`] for a decoded store row.
-    fn admits_row(&self, p: usize, t: RowRef<'_>) -> bool {
-        self.admits(p, &t.to_vec())
+            .is_some_and(|d| d < self.limit)
     }
 }
 
@@ -809,15 +959,15 @@ fn mjoin(
     let view = views[step.atom];
     if let Some(si) = step.index {
         let sidx = &ctx.indexes[si];
+        let (store, map) = sidx.probe_store(ctx.committed(atom.pred));
         let mut key: Vec<Elem> = Vec::with_capacity(step.bound.len());
         key.extend(step.bound.iter().map(|&(_, s)| asg[s]));
-        let range = sidx.store.prefix_range(&key);
-        let map = Some(sidx.pos_of.as_slice());
+        let range = store.prefix_range(&key);
         match view {
             View::New => {
                 for r in range {
                     let cand = Cand {
-                        row: sidx.store.row(r),
+                        row: store.row(r),
                         map,
                     };
                     if !accept(
@@ -830,7 +980,7 @@ fn mjoin(
             View::Old => {
                 let plus = ctx.deltas.plus(atom.pred);
                 for r in range {
-                    let row = sidx.store.row(r);
+                    let row = store.row(r);
                     if !plus.is_empty() {
                         sidx.unpermute_into(row, scratch);
                         if plus.contains(scratch.as_slice()) {
@@ -857,7 +1007,7 @@ fn mjoin(
                     unreachable!("Cur views are only assigned to SCC members")
                 };
                 for r in range {
-                    let row = sidx.store.row(r);
+                    let row = store.row(r);
                     if !ov.removed[p].is_empty() || ctx.gate.is_some() {
                         sidx.unpermute_into(row, scratch);
                         if !ov.removed[p].is_empty()
@@ -867,7 +1017,7 @@ fn mjoin(
                             continue;
                         }
                         if let Some(g) = &ctx.gate {
-                            if !g.admits(p, scratch) {
+                            if !g.admits(p, scratch.as_slice()) {
                                 continue;
                             }
                         }
@@ -880,7 +1030,7 @@ fn mjoin(
                     }
                 }
                 for t in ov.added[p].iter() {
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits_row(p, t)) {
+                    if ctx.gate.as_ref().is_some_and(|g| !g.admits(p, t)) {
                         continue;
                     }
                     let cand = Cand { row: t, map: None };
@@ -892,7 +1042,7 @@ fn mjoin(
             View::Stable => {
                 let plus = ctx.deltas.plus(atom.pred);
                 for r in range {
-                    let row = sidx.store.row(r);
+                    let row = store.row(r);
                     if !plus.is_empty() {
                         sidx.unpermute_into(row, scratch);
                         if plus.contains(scratch.as_slice()) {
@@ -950,7 +1100,7 @@ fn mjoin(
                     {
                         continue;
                     }
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits_row(p, t)) {
+                    if ctx.gate.as_ref().is_some_and(|g| !g.admits(p, t)) {
                         continue;
                     }
                     let cand = Cand { row: t, map: None };
@@ -959,7 +1109,7 @@ fn mjoin(
                     }
                 }
                 for t in ov.added[p].iter() {
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits_row(p, t)) {
+                    if ctx.gate.as_ref().is_some_and(|g| !g.admits(p, t)) {
                         continue;
                     }
                     let cand = Cand { row: t, map: None };
@@ -1147,8 +1297,7 @@ fn commit_edb(
         db.structure.remove_tuples(sym, &eff_minus);
         for (si, spec) in db.plan.specs.iter().enumerate() {
             if spec.pred == PredRef::Edb(sym) {
-                db.indexes[si].remove_batch(&eff_minus);
-                db.indexes[si].insert_batch(&eff_plus);
+                db.indexes[si].apply_batch(&eff_minus, &eff_plus);
             }
         }
         deltas.edb_plus[i] = eff_plus;
@@ -1228,8 +1377,7 @@ fn counting_scc(
     db.idb[p].merge_store(&delta.inserted);
     for (si, spec) in db.plan.specs.iter().enumerate() {
         if spec.pred == PredRef::Idb(p) {
-            db.indexes[si].remove_batch(&delta.removed);
-            db.indexes[si].insert_batch(&delta.inserted);
+            db.indexes[si].apply_batch(&delta.removed, &delta.inserted);
         }
     }
     deltas.idb_minus[p] = delta.removed;
@@ -1353,7 +1501,6 @@ fn dred_scc(
                 let limit = depths[*p]
                     .as_ref()
                     .and_then(|m| m.get(t.as_slice()))
-                    .copied()
                     .unwrap_or(0);
                 let gctx = Ctx {
                     plan,
@@ -1430,7 +1577,7 @@ fn dred_scc(
                 db.depths[*p]
                     .as_mut()
                     .expect("recursive members carry depths")
-                    .insert(t.as_slice().into(), clock);
+                    .insert(t.as_slice(), clock);
                 any = true;
             }
         }
@@ -1536,7 +1683,7 @@ fn dred_scc(
                 .as_mut()
                 .expect("recursive members carry depths");
             for t in fresh.iter().chain(revive.iter()) {
-                map.insert(t.to_vec().into(), clock);
+                map.insert(t, clock);
             }
             added[p].merge_store(&fresh);
             revived[p].merge_store(&revive);
@@ -1563,14 +1710,13 @@ fn dred_scc(
             .as_mut()
             .expect("recursive members carry depths");
         for t in final_minus.iter() {
-            map.remove(t.to_vec().as_slice());
+            map.remove(t);
         }
         db.idb[p].remove_tuples(&final_minus);
         db.idb[p].merge_store(&final_plus);
         for (si, spec) in db.plan.specs.iter().enumerate() {
             if spec.pred == PredRef::Idb(p) {
-                db.indexes[si].remove_batch(&final_minus);
-                db.indexes[si].insert_batch(&final_plus);
+                db.indexes[si].apply_batch(&final_minus, &final_plus);
             }
         }
         deltas.idb_minus[p] = final_minus;
@@ -1603,6 +1749,8 @@ fn maintain(
     } else {
         1
     };
+    let started = std::time::Instant::now();
+    let (first_stages, mut derived, mut fuel) = (stages, 0u64, 0u64);
     for si in first_scc..db.plan.graph.scc_count() {
         if let Err(stop) = gauge.check() {
             db.in_flight = true;
@@ -1620,6 +1768,8 @@ fn maintain(
             diagnostics.push(recovery_note(si));
         }
         stages += rounds;
+        derived += changed as u64;
+        fuel += 1 + changed as u64;
         if let Err(stop) = gauge.tick(1 + changed as u64) {
             db.in_flight = true;
             let cp = checkpoint(si + 1, &deltas, stages, diagnostics, &gauge);
@@ -1634,7 +1784,14 @@ fn maintain(
         stages,
         converged: true,
         diagnostics,
-        profile: Vec::new(),
+        // Maintained programs are positive: one stratum.
+        profile: vec![StratumProfile {
+            stratum: 0,
+            stages: stages - first_stages,
+            derived,
+            fuel,
+            elapsed: started.elapsed(),
+        }],
     })
 }
 
@@ -1890,6 +2047,119 @@ mod tests {
         let (plus, minus) = delta_pair(q.edb());
         let err = q.evaluate_incremental(&mut db, &plus, &minus).unwrap_err();
         assert!(matches!(err, EvalError::ProgramMismatch { .. }));
+    }
+
+    #[test]
+    fn identity_indexes_probe_the_committed_relations() {
+        // Reach from S: maintenance probes E and R on their first column
+        // (the identity permutation, so no copy) and E on its second (the
+        // rederivation probe, a permuted copy).
+        let vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let p = Program::parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).\n# goal: R", &vocab).unwrap();
+        let mut a = Structure::new(vocab, 48);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..150 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let _ = a.add_tuple_ids(0, &[(x % 48) as u32, ((x >> 32) % 48) as u32]);
+        }
+        let _ = a.add_tuple_ids(1, &[0]);
+        let mut db = MaterializedDb::new(&p, a).unwrap();
+        let e = SymbolId::from(0usize);
+
+        let (mut shared, mut copies) = (0usize, 0usize);
+        for (spec, ix) in db.plan.specs.iter().zip(&db.indexes) {
+            let committed = db_committed(&db, spec.pred);
+            match &ix.store {
+                None => {
+                    assert!(spec.key_positions.iter().enumerate().all(|(k, &i)| k == i));
+                    shared += committed.heap_bytes();
+                }
+                Some(copy) => {
+                    assert_eq!(spec.pred, PredRef::Edb(e));
+                    assert_eq!(spec.key_positions, vec![1]);
+                    copies += copy.heap_bytes();
+                }
+            }
+        }
+        let e_bytes = db.structure().relation(e).heap_bytes();
+        let r_bytes = db.idb(0).heap_bytes();
+        let s_bytes = db.structure().relation(SymbolId::from(1usize)).heap_bytes();
+        // The identity indexes are S, E and R keyed on their first column:
+        // a copy of each is what the database no longer holds.
+        assert_eq!(shared, s_bytes + e_bytes + r_bytes);
+        let depths: usize = db.depths.iter().flatten().map(DepthMap::heap_bytes).sum();
+        assert_eq!(db.heap_bytes(), r_bytes + depths + copies);
+
+        // Maintenance over the shared stores stays bit-identical to a
+        // full evaluation, batch after batch.
+        for step in 0..40u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (mut plus, mut minus) = delta_pair(p.edb());
+            let (u, v) = ((x % 48) as u32, ((x >> 32) % 48) as u32);
+            match step % 4 {
+                0 => plus.push_ids(1, &[u]),
+                1 => minus.push_ids(1, &[u]),
+                2 => plus.push_ids(0, &[u, v]),
+                _ => {
+                    let victim = db.structure().relation(e).tuple(u as usize % 100).to_vec();
+                    minus.push(e, &victim);
+                }
+            }
+            let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+            let full = p.evaluate(db.structure());
+            assert_eq!(r.relations, full.relations, "step {step}");
+            assert_eq!(db.relations(), &full.relations[..], "step {step}");
+        }
+    }
+
+    fn db_committed(db: &MaterializedDb, pred: PredRef) -> &TupleStore {
+        match pred {
+            PredRef::Edb(sym) => db.structure.relation(sym).store(),
+            PredRef::Idb(i) => db.idb[i].store(),
+        }
+    }
+
+    #[test]
+    fn from_fixpoint_matches_new_and_refuses_a_partial_result() {
+        let p = gallery::transitive_closure();
+        let a = directed_path(6);
+        let built = MaterializedDb::from_fixpoint(&p, a.clone(), p.evaluate(&a)).unwrap();
+        let fresh = MaterializedDb::new(&p, a.clone()).unwrap();
+        assert_eq!(built.relations(), fresh.relations());
+        assert_eq!(built.heap_bytes(), fresh.heap_bytes());
+        let capped = EvalConfig {
+            max_stages: Some(1),
+            ..EvalConfig::new()
+        };
+        let mut partial = p.evaluate_with(&a, &capped);
+        assert!(!partial.converged);
+        assert!(MaterializedDb::from_fixpoint(&p, a.clone(), partial.clone()).is_err());
+        partial.converged = true;
+        partial.relations.clear();
+        assert!(MaterializedDb::from_fixpoint(&p, a, partial).is_err());
+    }
+
+    #[test]
+    fn edb_delta_between_diffs_only_unshared_relations() {
+        let p = gallery::transitive_closure();
+        let a = directed_path(5);
+        let mut b = a.clone();
+        assert!(b.shares_relation(&a, SymbolId::from(0usize)));
+        let (plus, minus) = EdbDelta::between(&a, &b);
+        assert!(plus.is_empty() && minus.is_empty());
+        let _ = b.add_tuple_ids(0, &[4, 0]);
+        assert!(b.remove_tuple(SymbolId::from(0usize), &[Elem(1), Elem(2)]));
+        let (plus, minus) = EdbDelta::between(&a, &b);
+        assert_eq!((plus.len(), minus.len()), (1, 1));
+        let mut db = MaterializedDb::new(&p, a).unwrap();
+        p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+        assert_eq!(db.relations(), &p.evaluate(&b).relations[..]);
+        assert_eq!(db.adopt_relations(&b), 1);
+        assert!(db.structure().shares_relation(&b, SymbolId::from(0usize)));
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl<'a> IndexPool<'a> {
         delta: &[IdbRelation],
     ) -> Result<(), StructureError> {
         for (idx, spec) in plan.index_specs.iter().enumerate() {
-            if let PredRef::Idb(i) = spec.pred {
+            if let (PredRef::Idb(i), true) = (spec.pred, plan.absorbed[idx]) {
                 for t in delta[i].iter() {
                     self.indexes[idx].absorb_row(t)?;
                 }

@@ -94,6 +94,12 @@ pub(crate) struct ProgramPlan {
     pub rules: Vec<RulePlan>,
     /// Interned index-key specs referenced by [`JoinStep::index`].
     pub index_specs: Vec<IndexSpec>,
+    /// Aligned with `index_specs`: whether the evaluator fills an IDB
+    /// index as its predicate grows. False when only the round-0 orders of
+    /// the predicate's own stratum probe it: those run while the predicate
+    /// is still empty, so the index may stay empty too. Unused for EDB
+    /// specs.
+    pub absorbed: Vec<bool>,
     /// IDB arities, aligned with [`Program::idbs`] — the row strides the
     /// index pool's owned arenas use.
     pub idb_arities: Vec<usize>,
@@ -103,14 +109,34 @@ impl ProgramPlan {
     /// Build the plan for a validated program.
     pub fn new(p: &Program) -> ProgramPlan {
         let mut index_specs: Vec<IndexSpec> = Vec::new();
-        let rules = p
+        let rules: Vec<RulePlan> = p
             .rules()
             .iter()
             .map(|r| RulePlan::new(r, &mut index_specs))
             .collect();
+        let mut absorbed = vec![false; index_specs.len()];
+        for (ri, rp) in rules.iter().enumerate() {
+            // Delta orders run while the accumulated IDBs grow; round-0
+            // orders only see other strata's IDBs non-empty.
+            for i in rp
+                .delta_orders
+                .iter()
+                .flatten()
+                .flatten()
+                .filter_map(|s| s.index)
+            {
+                absorbed[i] = true;
+            }
+            for i in rp.seed_order.iter().filter_map(|s| s.index) {
+                if let PredRef::Idb(q) = index_specs[i].pred {
+                    absorbed[i] |= p.stratum_of(q) < p.rule_stratum(ri);
+                }
+            }
+        }
         ProgramPlan {
             rules,
             index_specs,
+            absorbed,
             idb_arities: p.idbs().iter().map(|&(_, a)| a).collect(),
         }
     }

@@ -16,9 +16,13 @@
 //!   An answer whose read footprint a write misses is carried onto the
 //!   new epoch, since it depends only on the core's relations.
 //! * [`service`] — the request pipeline: admission → hp-guard budget
-//!   (fuel + deadline + interrupt) → cache → epoch-pinned evaluation,
-//!   with one bounded retry around worker panics and a degradation
-//!   ladder of full answer → budget-partial with resume token → shed.
+//!   (fuel + deadline + interrupt) → cache or view → epoch-pinned
+//!   evaluation, with one bounded retry around worker panics and a
+//!   degradation ladder of full answer → budget-partial with resume
+//!   token → shed.
+//! * [`view`] — maintained views: a recursive positive program, which
+//!   has no core key, is answered from its materialized fixpoint,
+//!   caught up to the reader's epoch by incremental maintenance.
 //! * [`server`] — the line-delimited JSON protocol over a Unix socket,
 //!   with per-connection interrupts and graceful drain.
 //! * [`protocol`] / [`json`] — the wire format (hand-rolled RFC 8259;
@@ -39,6 +43,7 @@ pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod service;
+pub mod view;
 
 pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
 pub use cache::{AnswerCache, CachedAnswer, Claim, Footprint, LeaderGuard};
@@ -46,3 +51,4 @@ pub use epoch::{EpochStore, Snapshot, UpdateBatch, WriteError};
 pub use protocol::{parse_request, CacheOutcome, QueryRequest, Request, Response};
 pub use server::Server;
 pub use service::{QueryService, ServiceConfig};
+pub use view::ViewRegistry;

@@ -17,7 +17,9 @@
 //! ```
 //!
 //! Responses (`"status"` discriminant): `ok` (answer rows or update
-//! epoch), `partial` (budget ran out; rows so far plus an optional
+//! epoch; an answer's `"cache"` says where it came from: `hit`, `miss`,
+//! `coalesced`, `bypass`, or `view` for a recursive program read from its
+//! maintained view), `partial` (budget ran out; rows so far plus an optional
 //! `resume` token), `overloaded` (shed at the door), `fault` (worker
 //! failure after the bounded retry), `error` (bad request), `bye`
 //! (shutdown acknowledgement). See [`Response::render`] for exact shapes.
@@ -69,6 +71,9 @@ pub enum CacheOutcome {
     Coalesced,
     /// Not cacheable (recursive / goal-less / `no_cache` / key budget).
     Bypass,
+    /// Read from the program's maintained view, caught up to the pinned
+    /// epoch by incremental maintenance (recursive positive programs).
+    View,
 }
 
 impl CacheOutcome {
@@ -78,6 +83,7 @@ impl CacheOutcome {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Coalesced => "coalesced",
             CacheOutcome::Bypass => "bypass",
+            CacheOutcome::View => "view",
         }
     }
 }
@@ -144,6 +150,11 @@ pub enum Response {
         /// Cached answers re-keyed onto a newly published epoch because
         /// its write missed their footprint, so far.
         cache_carried: u64,
+        /// Maintained views currently held.
+        views: u64,
+        /// Catch-ups that brought a view forward to a reader's epoch, so
+        /// far.
+        view_catchups: u64,
         /// Requests admitted.
         admitted: u64,
         /// Requests shed.
@@ -239,97 +250,173 @@ fn tuple_map(v: Option<&Json>) -> Result<Vec<(String, Vec<Elem>)>, String> {
     Ok(out)
 }
 
-fn rows_json(rows: &[Vec<Elem>]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| Json::Arr(r.iter().map(|e| Json::Num(e.0 as f64)).collect()))
-            .collect(),
-    )
+/// A JSON object written field by field straight into its output line:
+/// the bytes [`Json::Obj`]'s `Display` would produce, without building
+/// the tree first.
+struct ObjWriter(String);
+
+impl ObjWriter {
+    fn new(capacity: usize) -> ObjWriter {
+        let mut out = String::with_capacity(capacity);
+        out.push('{');
+        ObjWriter(out)
+    }
+
+    /// Open field `key`, leaving the output positioned at its value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if self.0.len() > 1 {
+            self.0.push(',');
+        }
+        self.0.push_str(&json::escape(key));
+        self.0.push(':');
+        &mut self.0
+    }
+
+    fn str(mut self, key: &str, value: &str) -> Self {
+        let v = json::escape(value);
+        self.key(key).push_str(&v);
+        self
+    }
+
+    fn num(mut self, key: &str, value: u64) -> Self {
+        push_uint(self.key(key), value);
+        self
+    }
+
+    fn bool(mut self, key: &str, value: bool) -> Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    fn null(mut self, key: &str) -> Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// `rows` as an array of arrays of element ids, digits appended as
+    /// they are produced.
+    fn rows(mut self, key: &str, rows: &[Vec<Elem>]) -> Self {
+        let out = self.key(key);
+        out.reserve(rows.iter().map(|r| 2 + 11 * r.len()).sum());
+        out.push('[');
+        for (i, row) in rows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            for (j, e) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                push_uint(out, e.0 as u64);
+            }
+            out.push(']');
+        }
+        out.push(']');
+        self
+    }
+
+    fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
+}
+
+/// Append the decimal digits of `n`. Every protocol integer is below
+/// `2^53`, where [`Json::Num`] prints the same digits.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 impl Response {
     /// Render as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        let obj = match self {
+        match self {
             Response::Answer {
                 epoch,
                 rows,
                 cache,
                 stages,
                 fuel_spent,
-            } => Json::Obj(vec![
-                ("status".into(), Json::Str("ok".into())),
-                ("epoch".into(), Json::Num(*epoch as f64)),
-                ("rows".into(), rows_json(rows)),
-                ("cache".into(), Json::Str(cache.as_str().into())),
-                ("stages".into(), Json::Num(*stages as f64)),
-                ("fuel_spent".into(), Json::Num(*fuel_spent as f64)),
-            ]),
-            Response::Updated { epoch } => Json::Obj(vec![
-                ("status".into(), Json::Str("ok".into())),
-                ("epoch".into(), Json::Num(*epoch as f64)),
-            ]),
-            Response::Overloaded(o) => Json::Obj(vec![
-                ("status".into(), Json::Str("overloaded".into())),
-                ("depth".into(), Json::Num(o.depth as f64)),
-                ("max_depth".into(), Json::Num(o.max_depth as f64)),
-                ("debt_ms".into(), Json::Num(o.debt_ms as f64)),
-                ("max_debt_ms".into(), Json::Num(o.max_debt_ms as f64)),
-            ]),
+            } => ObjWriter::new(96)
+                .str("status", "ok")
+                .num("epoch", *epoch)
+                .rows("rows", rows)
+                .str("cache", cache.as_str())
+                .num("stages", *stages as u64)
+                .num("fuel_spent", *fuel_spent),
+            Response::Updated { epoch } => {
+                ObjWriter::new(32).str("status", "ok").num("epoch", *epoch)
+            }
+            Response::Overloaded(o) => ObjWriter::new(96)
+                .str("status", "overloaded")
+                .num("depth", o.depth)
+                .num("max_depth", o.max_depth)
+                .num("debt_ms", o.debt_ms)
+                .num("max_debt_ms", o.max_debt_ms),
             Response::Partial {
                 epoch,
                 resource,
                 rows,
                 resume,
                 fuel_spent,
-            } => Json::Obj(vec![
-                ("status".into(), Json::Str("partial".into())),
-                ("epoch".into(), Json::Num(*epoch as f64)),
-                ("resource".into(), Json::Str(resource.clone())),
-                ("rows".into(), rows_json(rows)),
-                (
-                    "resume".into(),
-                    match resume {
-                        Some(t) => Json::Str(t.clone()),
-                        None => Json::Null,
-                    },
-                ),
-                ("fuel_spent".into(), Json::Num(*fuel_spent as f64)),
-            ]),
-            Response::Fault { message, retried } => Json::Obj(vec![
-                ("status".into(), Json::Str("fault".into())),
-                ("message".into(), Json::Str(message.clone())),
-                ("retried".into(), Json::Bool(*retried)),
-            ]),
-            Response::Error { message } => Json::Obj(vec![
-                ("status".into(), Json::Str("error".into())),
-                ("message".into(), Json::Str(message.clone())),
-            ]),
+            } => {
+                let obj = ObjWriter::new(96)
+                    .str("status", "partial")
+                    .num("epoch", *epoch)
+                    .str("resource", resource)
+                    .rows("rows", rows);
+                match resume {
+                    Some(t) => obj.str("resume", t),
+                    None => obj.null("resume"),
+                }
+                .num("fuel_spent", *fuel_spent)
+            }
+            Response::Fault { message, retried } => ObjWriter::new(64)
+                .str("status", "fault")
+                .str("message", message)
+                .bool("retried", *retried),
+            Response::Error { message } => ObjWriter::new(64)
+                .str("status", "error")
+                .str("message", message),
             Response::Stats {
                 epoch,
                 cache_hits,
                 cache_misses,
                 coalesced,
                 cache_carried,
+                views,
+                view_catchups,
                 admitted,
                 shed,
                 depth,
                 snapshot_bytes,
-            } => Json::Obj(vec![
-                ("status".into(), Json::Str("ok".into())),
-                ("epoch".into(), Json::Num(*epoch as f64)),
-                ("cache_hits".into(), Json::Num(*cache_hits as f64)),
-                ("cache_misses".into(), Json::Num(*cache_misses as f64)),
-                ("cache_carried".into(), Json::Num(*cache_carried as f64)),
-                ("coalesced".into(), Json::Num(*coalesced as f64)),
-                ("admitted".into(), Json::Num(*admitted as f64)),
-                ("shed".into(), Json::Num(*shed as f64)),
-                ("depth".into(), Json::Num(*depth as f64)),
-                ("snapshot_bytes".into(), Json::Num(*snapshot_bytes as f64)),
-            ]),
-            Response::Bye => Json::Obj(vec![("status".into(), Json::Str("bye".into()))]),
-        };
-        obj.to_string()
+            } => ObjWriter::new(256)
+                .str("status", "ok")
+                .num("epoch", *epoch)
+                .num("cache_hits", *cache_hits)
+                .num("cache_misses", *cache_misses)
+                .num("cache_carried", *cache_carried)
+                .num("coalesced", *coalesced)
+                .num("views", *views)
+                .num("view_catchups", *view_catchups)
+                .num("admitted", *admitted)
+                .num("shed", *shed)
+                .num("depth", *depth)
+                .num("snapshot_bytes", *snapshot_bytes),
+            Response::Bye => ObjWriter::new(16).str("status", "bye"),
+        }
+        .finish()
     }
 
     /// The `"status"` discriminant of the rendered line.
@@ -348,6 +435,97 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tree rendering the streamed writer replaces.
+    fn tree_rendering(r: &Response) -> String {
+        let rows_json = |rows: &[Vec<Elem>]| {
+            Json::Arr(
+                rows.iter()
+                    .map(|r| Json::Arr(r.iter().map(|e| Json::Num(e.0 as f64)).collect()))
+                    .collect(),
+            )
+        };
+        let obj = match r {
+            Response::Answer {
+                epoch,
+                rows,
+                cache,
+                stages,
+                fuel_spent,
+            } => Json::Obj(vec![
+                ("status".into(), Json::Str("ok".into())),
+                ("epoch".into(), Json::Num(*epoch as f64)),
+                ("rows".into(), rows_json(rows)),
+                ("cache".into(), Json::Str(cache.as_str().into())),
+                ("stages".into(), Json::Num(*stages as f64)),
+                ("fuel_spent".into(), Json::Num(*fuel_spent as f64)),
+            ]),
+            Response::Partial {
+                epoch,
+                resource,
+                rows,
+                resume,
+                fuel_spent,
+            } => Json::Obj(vec![
+                ("status".into(), Json::Str("partial".into())),
+                ("epoch".into(), Json::Num(*epoch as f64)),
+                ("resource".into(), Json::Str(resource.clone())),
+                ("rows".into(), rows_json(rows)),
+                (
+                    "resume".into(),
+                    resume.clone().map_or(Json::Null, Json::Str),
+                ),
+                ("fuel_spent".into(), Json::Num(*fuel_spent as f64)),
+            ]),
+            other => unreachable!("{other:?}"),
+        };
+        obj.to_string()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn streamed_rows_match_the_json_tree(
+            rows in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..4), 0..24),
+            epoch in 0..(1u64 << 53),
+            fuel in 0..(1u64 << 53),
+            stages in 0..100_000usize,
+            pick in 0..6usize,
+            resume in 0..3usize,
+        ) {
+            let resume = [None, Some("r1f"), Some("q\"u\\o\nte")][resume].map(str::to_string);
+            let rows: Vec<Vec<Elem>> = rows
+                .into_iter()
+                .map(|r| r.into_iter().map(Elem).collect())
+                .collect();
+            let cache = [
+                CacheOutcome::Hit,
+                CacheOutcome::Miss,
+                CacheOutcome::Coalesced,
+                CacheOutcome::Bypass,
+                CacheOutcome::View,
+                CacheOutcome::Hit,
+            ][pick];
+            let answer = Response::Answer {
+                epoch,
+                rows: rows.clone(),
+                cache,
+                stages,
+                fuel_spent: fuel,
+            };
+            prop_assert_eq!(answer.render(), tree_rendering(&answer));
+            let partial = Response::Partial {
+                epoch,
+                resource: ["fuel", "wall-clock", "interrupt"][pick % 3].to_string(),
+                rows,
+                resume,
+                fuel_spent: fuel,
+            };
+            prop_assert_eq!(partial.render(), tree_rendering(&partial));
+        }
+    }
 
     #[test]
     fn query_request_roundtrip() {

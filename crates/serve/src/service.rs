@@ -8,7 +8,9 @@
 //!
 //! * **full answer** — epoch-consistent rows, possibly from the cache
 //!   (identical `CanonicalCoreKey` + identical epoch ⇒ identical answer
-//!   set, by the Chandra–Merlin core argument);
+//!   set, by the Chandra–Merlin core argument), or, for a recursive
+//!   positive program, from its maintained [view](crate::view) caught up
+//!   to the pinned epoch;
 //! * **budget partial** — the rows derived before fuel or the deadline
 //!   ran out, a *sound lower bound* on the answer (semi-naive stages are
 //!   monotone), plus a resume token that continues the very same
@@ -26,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hp_analysis::goal_core_key;
-use hp_datalog::{EvalCheckpoint, EvalConfig, PredRef, Program};
+use hp_datalog::{EvalCheckpoint, EvalConfig, FixpointResult, IdbRelation, PredRef, Program};
 use hp_guard::{Budget, Interrupt, Resource};
 use hp_logic::{parse_formula, ucq_of_existential_positive, Ucq};
 use hp_structures::{Elem, Structure, SymbolId};
@@ -35,6 +37,7 @@ use crate::admission::AdmissionGate;
 use crate::cache::{AnswerCache, CachedAnswer, Claim, Footprint};
 use crate::epoch::{EpochStore, Snapshot, UpdateBatch, WriteError};
 use crate::protocol::{CacheOutcome, QueryRequest, Request, Response};
+use crate::view::ViewRegistry;
 
 /// Tuning knobs for a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -96,6 +99,15 @@ struct Stopped {
     checkpoint: Option<EvalCheckpoint>,
 }
 
+impl From<hp_guard::Exhausted<EvalCheckpoint>> for Stopped {
+    fn from(exhausted: hp_guard::Exhausted<EvalCheckpoint>) -> Stopped {
+        Stopped {
+            resource: exhausted.resource,
+            checkpoint: Some(exhausted.partial),
+        }
+    }
+}
+
 /// An evaluation outcome after cache resolution.
 enum Outcome {
     Answer(CachedAnswer, CacheOutcome),
@@ -106,6 +118,7 @@ enum Outcome {
 pub struct QueryService {
     store: EpochStore,
     cache: AnswerCache,
+    views: ViewRegistry,
     gate: AdmissionGate,
     cfg: ServiceConfig,
     resumes: Mutex<ResumeStore>,
@@ -119,6 +132,7 @@ impl QueryService {
         QueryService {
             store: EpochStore::new(seed, cache.clone()),
             cache,
+            views: ViewRegistry::default(),
             gate: AdmissionGate::new(cfg.max_depth, cfg.max_debt_ms),
             cfg,
             resumes: Mutex::new(ResumeStore::default()),
@@ -141,17 +155,38 @@ impl QueryService {
         &self.store
     }
 
+    /// The maintained views (exposed for stats and tests).
+    pub fn views(&self) -> &ViewRegistry {
+        &self.views
+    }
+
     /// Handle one request to a typed response. `interrupt` is the
     /// caller's cancellation token (wired to connection drop and drain by
     /// the server); triggering it stops in-flight evaluation at the next
     /// gauge poll.
     pub fn handle(&self, req: &Request, interrupt: &Interrupt) -> Response {
         match req {
-            Request::Query(q) => self.handle_query(q, interrupt),
+            Request::Query(q) => self.handle_query(q, None, interrupt),
             Request::Update(batch) => self.handle_update(batch),
             Request::Stats => self.handle_stats(),
             Request::Shutdown => Response::Bye,
         }
+    }
+
+    /// Answer `q` on `snap` instead of on the epoch current at admission:
+    /// the request of a reader that pinned `snap` before later writes
+    /// published, such as a client asking several queries of one epoch.
+    /// Admission, budget, retry, cache and views apply as in
+    /// [`handle`](Self::handle); a resume continues on its own epoch. An
+    /// answer cached for an epoch the writer already retired stays until
+    /// the next write retires it again.
+    pub fn query_at(
+        &self,
+        q: &QueryRequest,
+        snap: &Arc<Snapshot>,
+        interrupt: &Interrupt,
+    ) -> Response {
+        self.handle_query(q, Some(snap), interrupt)
     }
 
     fn handle_stats(&self) -> Response {
@@ -163,6 +198,8 @@ impl QueryService {
             cache_misses,
             coalesced,
             cache_carried: self.cache.carried(),
+            views: self.views.len() as u64,
+            view_catchups: self.views.catchups(),
             admitted: self.gate.admitted_count(),
             shed: self.gate.shed_count(),
             depth: self.gate.depth(),
@@ -203,7 +240,12 @@ impl QueryService {
         }
     }
 
-    fn handle_query(&self, q: &QueryRequest, interrupt: &Interrupt) -> Response {
+    fn handle_query(
+        &self,
+        q: &QueryRequest,
+        pinned: Option<&Arc<Snapshot>>,
+        interrupt: &Interrupt,
+    ) -> Response {
         let timeout_ms = q.timeout_ms.unwrap_or(self.cfg.default_timeout_ms);
         let fuel = q.fuel.unwrap_or(self.cfg.default_fuel);
         let _permit = match self.gate.try_admit(timeout_ms) {
@@ -221,7 +263,7 @@ impl QueryService {
         let mut retried = false;
         loop {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.attempt_query(q, interrupt, fuel, deadline, seq)
+                self.attempt_query(q, pinned, interrupt, fuel, deadline, seq)
             }));
             match attempt {
                 Ok(resp) => return resp,
@@ -244,6 +286,7 @@ impl QueryService {
     fn attempt_query(
         &self,
         q: &QueryRequest,
+        pinned: Option<&Arc<Snapshot>>,
         interrupt: &Interrupt,
         fuel: u64,
         deadline: Instant,
@@ -255,7 +298,7 @@ impl QueryService {
             return self.resume_query(token, fuel, deadline, interrupt);
         }
 
-        let snap = self.store.pin();
+        let snap = pinned.cloned().unwrap_or_else(|| self.store.pin());
         let remaining = deadline.saturating_duration_since(Instant::now());
         let eval_budget = Budget::fuel(fuel)
             .with_wall_clock(remaining)
@@ -296,15 +339,18 @@ impl QueryService {
             };
         }
 
+        // Recursive programs yield Ok(None): the positive ones are served
+        // from a maintained view. Key-budget exhaustion yields Err and
+        // degrades to a bypass.
         let key = if q.no_cache {
             None
         } else {
-            // Recursive programs yield Ok(None); key-budget exhaustion
-            // yields Err. Both degrade to a bypass.
-            goal_core_key(&program, &key_budget)
-                .ok()
-                .flatten()
-                .map(|k| k.as_u128())
+            match goal_core_key(&program, &key_budget) {
+                Ok(None) if !program.has_negation() => {
+                    return self.view_query(&program, &snap, &eval_budget, seq);
+                }
+                key => key.ok().flatten().map(|k| k.as_u128()),
+            }
         };
 
         let eval_cfg = self.eval_config();
@@ -312,37 +358,51 @@ impl QueryService {
         // once, immediately, on the partial-response path — not stored.
         #[allow(clippy::result_large_err)]
         let evaluate = |budget: &Budget| -> Result<CachedAnswer, Stopped> {
-            match program.evaluate_budgeted(&snap.structure, &eval_cfg, budget) {
-                Ok(result) => {
-                    let rows = goal_rows(result.goal());
-                    // Mirrors the evaluator's charge: one unit per round
-                    // plus one per derived tuple.
-                    let fuel_spent = result.stages as u64
-                        + result.relations.iter().map(|r| r.len() as u64).sum::<u64>();
-                    Ok(CachedAnswer {
-                        rows,
-                        fuel_spent,
-                        stages: result.stages,
-                    })
-                }
-                Err(exhausted) => Err(Stopped {
-                    resource: exhausted.resource,
-                    checkpoint: Some(exhausted.partial),
-                }),
-            }
+            program
+                .evaluate_budgeted(&snap.structure, &eval_cfg, budget)
+                .map(|result| fixpoint_answer(&result))
+                .map_err(Stopped::from)
         };
 
         let footprint = program_footprint(&program);
         let outcome = self.cached_eval(key, footprint, &snap, deadline, &eval_budget, evaluate);
         match outcome {
-            Outcome::Answer(ans, cache) => Response::Answer {
-                epoch: snap.epoch,
-                rows: ans.rows,
-                cache,
-                stages: ans.stages,
-                fuel_spent: ans.fuel_spent,
-            },
+            Outcome::Answer(ans, cache) => answer(snap.epoch, ans, cache),
             Outcome::Stopped(stopped) => self.stash_partial(&program, &snap, stopped),
+        }
+    }
+
+    /// A recursive positive program: read its maintained view, or
+    /// evaluate and let the completed evaluation record (and on its
+    /// second time build) the view.
+    fn view_query(
+        &self,
+        program: &Program,
+        snap: &Arc<Snapshot>,
+        budget: &Budget,
+        seq: u64,
+    ) -> Response {
+        let cfg = self.eval_config();
+        if let Some(ans) = self.views.read(program, snap, &cfg, budget, seq) {
+            return answer(snap.epoch, ans, CacheOutcome::View);
+        }
+        match program.evaluate_budgeted(&snap.structure, &cfg, budget) {
+            Ok(result) => {
+                let (stages, fuel_spent) = (result.stages, fixpoint_fuel(&result));
+                let (rows, built) = self.views.record(program, snap, result);
+                let cache = if built {
+                    CacheOutcome::View
+                } else {
+                    CacheOutcome::Bypass
+                };
+                let ans = CachedAnswer {
+                    rows,
+                    fuel_spent,
+                    stages,
+                };
+                answer(snap.epoch, ans, cache)
+            }
+            Err(exhausted) => self.stash_partial(program, snap, Stopped::from(exhausted)),
         }
     }
 
@@ -492,26 +552,14 @@ impl QueryService {
             slot.checkpoint,
             &budget,
         ) {
-            Ok(Ok(result)) => {
-                let rows = goal_rows(result.goal());
-                let fuel_spent = result.stages as u64
-                    + result.relations.iter().map(|r| r.len() as u64).sum::<u64>();
-                Response::Answer {
-                    epoch: slot.snapshot.epoch,
-                    rows,
-                    cache: CacheOutcome::Bypass,
-                    stages: result.stages,
-                    fuel_spent,
-                }
-            }
-            Ok(Err(exhausted)) => self.stash_partial(
-                &slot.program,
-                &slot.snapshot,
-                Stopped {
-                    resource: exhausted.resource,
-                    checkpoint: Some(exhausted.partial),
-                },
+            Ok(Ok(result)) => answer(
+                slot.snapshot.epoch,
+                fixpoint_answer(&result),
+                CacheOutcome::Bypass,
             ),
+            Ok(Err(exhausted)) => {
+                self.stash_partial(&slot.program, &slot.snapshot, Stopped::from(exhausted))
+            }
             Err(e) => Response::Error {
                 message: format!("resume rejected: {e}"),
             },
@@ -574,13 +622,7 @@ impl QueryService {
 
         let footprint = ucq_footprint(&ucq);
         match self.cached_eval(key, footprint, snap, deadline, eval_budget, evaluate) {
-            Outcome::Answer(ans, cache) => Response::Answer {
-                epoch: snap.epoch,
-                rows: ans.rows,
-                cache,
-                stages: ans.stages,
-                fuel_spent: ans.fuel_spent,
-            },
+            Outcome::Answer(ans, cache) => answer(snap.epoch, ans, cache),
             Outcome::Stopped(stopped) => Response::Partial {
                 epoch: snap.epoch,
                 resource: stopped.resource.to_string(),
@@ -625,9 +667,34 @@ fn sorted(syms: impl Iterator<Item = SymbolId>) -> Arc<[SymbolId]> {
     syms.into()
 }
 
-fn goal_rows(goal: Option<&hp_datalog::IdbRelation>) -> Vec<Vec<Elem>> {
+pub(crate) fn goal_rows(goal: Option<&IdbRelation>) -> Vec<Vec<Elem>> {
     goal.map(|g| g.iter().map(|t| t.to_vec()).collect())
         .unwrap_or_default()
+}
+
+/// A completed evaluation's answer.
+fn fixpoint_answer(result: &FixpointResult) -> CachedAnswer {
+    CachedAnswer {
+        rows: goal_rows(result.goal()),
+        fuel_spent: fixpoint_fuel(result),
+        stages: result.stages,
+    }
+}
+
+/// The fuel a completed evaluation was charged, mirroring the evaluator:
+/// one unit per round plus one per derived tuple.
+fn fixpoint_fuel(result: &FixpointResult) -> u64 {
+    result.stages as u64 + result.relations.iter().map(|r| r.len() as u64).sum::<u64>()
+}
+
+fn answer(epoch: u64, ans: CachedAnswer, cache: CacheOutcome) -> Response {
+    Response::Answer {
+        epoch,
+        rows: ans.rows,
+        cache,
+        stages: ans.stages,
+        fuel_spent: ans.fuel_spent,
+    }
 }
 
 /// Chaos-suite hook: panic at site `"serve.worker"` when the installed
@@ -797,18 +864,105 @@ mod tests {
     }
 
     #[test]
-    fn recursive_program_bypasses_cache() {
+    fn recursive_program_is_served_from_a_view_across_writes() {
         let svc = service();
-        let q = "{\"op\":\"query\",\"program\":\"T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\\n# goal: T\"}";
-        for _ in 0..2 {
-            match query(&svc, q) {
-                Response::Answer { cache, rows, .. } => {
-                    assert_eq!(cache, CacheOutcome::Bypass);
-                    assert_eq!(rows.len(), 10);
-                }
-                other => panic!("{other:?}"),
-            }
+        let text = "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\n# goal: T";
+        let q = format!(
+            "{{\"op\":\"query\",\"program\":{}}}",
+            crate::json::escape(text)
+        );
+        let expect = |svc: &QueryService| {
+            let snap = svc.epochs().pin();
+            let p = Program::parse(text, snap.structure.vocab()).unwrap();
+            goal_rows(p.evaluate_reference(&snap.structure).goal())
+        };
+        let served = |svc: &QueryService| served_line(svc, &q);
+        // The first evaluation only records the program; the second
+        // builds the view from its own fixpoint and answers from it.
+        assert_eq!(served(&svc), (CacheOutcome::Bypass, expect(&svc)));
+        assert_eq!(served(&svc), (CacheOutcome::View, expect(&svc)));
+        assert_eq!(svc.views().len(), 1);
+        assert_eq!(
+            svc.cache().len(),
+            0,
+            "recursive programs have no cache entry"
+        );
+
+        // A write closing the path into a cycle; the view catches up.
+        query(&svc, "{\"op\":\"update\",\"insert\":{\"E\":[[4,0]]}}");
+        let (cache, rows) = served(&svc);
+        assert_eq!(cache, CacheOutcome::View);
+        assert_eq!(rows.len(), 25);
+        assert_eq!(rows, expect(&svc));
+        // ... and a deletion cutting it again.
+        query(&svc, "{\"op\":\"update\",\"delete\":{\"E\":[[1,2]]}}");
+        assert_eq!(served(&svc), (CacheOutcome::View, expect(&svc)));
+        assert_eq!(svc.views().catchups(), 2);
+
+        // `no_cache` and negation keep the plain path.
+        let fresh = q.replacen('}', ",\"no_cache\":true}", 1);
+        assert_eq!(served_line(&svc, &fresh).0, CacheOutcome::Bypass);
+        let negated = "{\"op\":\"query\",\"program\":\"T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z). Goal(x) :- T(x,y), not E(x,y).\"}";
+        assert_eq!(served_line(&svc, negated).0, CacheOutcome::Bypass);
+        assert_eq!(served_line(&svc, negated).0, CacheOutcome::Bypass);
+        let stats = query(&svc, "{\"op\":\"stats\"}").render();
+        assert!(stats.contains("\"views\":1,\"view_catchups\":2"), "{stats}");
+    }
+
+    fn served_line(svc: &QueryService, line: &str) -> (CacheOutcome, Vec<Vec<Elem>>) {
+        match query(svc, line) {
+            Response::Answer { cache, rows, .. } => (cache, rows),
+            other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn readers_behind_the_view_and_universe_growth_take_the_plain_path() {
+        let svc = service();
+        let text = "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\n# goal: T";
+        let q = QueryRequest {
+            program: Some(text.to_string()),
+            ..QueryRequest::default()
+        };
+        let ask = |snap: &Arc<Snapshot>| match svc.query_at(&q, snap, &Interrupt::new()) {
+            Response::Answer {
+                cache, rows, epoch, ..
+            } => {
+                assert_eq!(epoch, snap.epoch);
+                let p = Program::parse(text, snap.structure.vocab()).unwrap();
+                assert_eq!(
+                    rows,
+                    goal_rows(p.evaluate_reference(&snap.structure).goal())
+                );
+                cache
+            }
+            other => panic!("{other:?}"),
+        };
+        let old = svc.epochs().pin();
+        ask(&old);
+        assert_eq!(ask(&old), CacheOutcome::View, "built at epoch 0");
+        query(&svc, "{\"op\":\"update\",\"insert\":{\"E\":[[4,0]]}}");
+        assert_eq!(
+            ask(&svc.epochs().pin()),
+            CacheOutcome::View,
+            "caught up to 1"
+        );
+        assert_eq!(
+            ask(&old),
+            CacheOutcome::Bypass,
+            "epoch 0 is behind the view"
+        );
+        assert_eq!(svc.views().len(), 1, "a reader behind keeps the view");
+
+        // Growth drops the view; the next completed evaluation rebuilds it.
+        query(
+            &svc,
+            "{\"op\":\"update\",\"grow_universe\":1,\"insert\":{\"E\":[[4,5]]}}",
+        );
+        let grown = svc.epochs().pin();
+        assert_eq!(ask(&grown), CacheOutcome::View, "dropped and rebuilt");
+        assert_eq!(svc.views().len(), 1);
+        assert_eq!(ask(&grown), CacheOutcome::View);
     }
 
     #[test]

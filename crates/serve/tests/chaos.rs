@@ -14,7 +14,8 @@
 //! * no leaked admission permits: depth drains to zero,
 //! * no stale- or mixed-epoch answers: all full answers observed for the
 //!   same `(query, epoch)` pair — cache hits, misses, coalesced waits,
-//!   and explicit `no_cache` fresh evaluations alike — are bit-identical.
+//!   maintained-view reads, and explicit `no_cache` fresh evaluations
+//!   alike — are bit-identical.
 
 #![cfg(feature = "fault-inject")]
 
@@ -22,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use hp_guard::{fault, Interrupt};
-use hp_serve::protocol::{parse_request, Response};
+use hp_serve::protocol::{parse_request, CacheOutcome, Response};
 use hp_serve::service::{QueryService, ServiceConfig};
 use hp_structures::{Elem, Structure, Vocabulary};
 
@@ -89,7 +90,8 @@ fn record(observed: &Observed, label: &'static str, epoch: u64, rows: &[Vec<Elem
 /// One randomized fault plan. Roughly: half the schedules inject a
 /// one-shot worker panic (absorbed by the retry), a quarter a persistent
 /// worker panic span (surfaces as a typed fault), a quarter a writer
-/// panic, and some force budget exhaustion on top.
+/// panic, some force budget exhaustion on top, and half of those left
+/// without a panic get a one-shot panic in a view catch-up.
 fn random_plan(rng: &mut XorShift) -> fault::FaultPlan {
     let panic_roll = rng.below(4);
     let (panic_at, panic_span) = match panic_roll {
@@ -108,6 +110,12 @@ fn random_plan(rng: &mut XorShift) -> fault::FaultPlan {
         Some(200 + rng.below(400))
     } else {
         None
+    };
+    // Drawn last, so the plans above stay what they were: some schedules
+    // without a worker or writer panic panic a view catch-up instead.
+    let panic_at = match panic_at {
+        None if rng.below(2) == 0 => Some(("serve.view".to_string(), rng.below(24))),
+        other => other,
     };
     fault::FaultPlan {
         exhaust_at,
@@ -140,7 +148,9 @@ fn client(svc: &QueryService, schedule_seed: u64, id: u64, observed: &Observed) 
                 );
                 (line, "")
             }
-            6 => (TC.to_string(), ""),
+            // Served from the maintained view once built; it must agree
+            // with every other full TC answer on the same epoch.
+            6 => (TC.to_string(), "tc"),
             7 => match pending_resume.take() {
                 // A resume completes the TC query, possibly on an epoch
                 // older than current — unlabeled, like TC itself.
@@ -294,8 +304,8 @@ fn socket_worker_panic_is_typed_and_connection_survives() {
         panic_span: Some(("serve.worker".to_string(), 0, 0)),
     });
 
-    let mut c = UnixStream::connect(&path).unwrap();
-    let mut roundtrip = move |line: &str| -> String {
+    let c = UnixStream::connect(&path).unwrap();
+    let roundtrip = move |line: &str| -> String {
         let mut w = c.try_clone().unwrap();
         writeln!(w, "{line}").unwrap();
         w.flush().unwrap();
@@ -320,6 +330,74 @@ fn socket_worker_panic_is_typed_and_connection_survives() {
     assert!(bye.contains("\"status\":\"bye\""), "{bye}");
     server.wait();
     assert!(!path.exists(), "socket removed on clean shutdown");
+}
+
+/// A panic in the middle of a view catch-up (site `"serve.view"`, after
+/// maintenance, before the epoch stamp) poisons that view's lock. The
+/// retry finds it poisoned, drops the view and evaluates; the answer is
+/// correct, the next request rebuilds nothing stale, and no permit leaks.
+#[test]
+fn view_catchup_panic_is_retried_on_the_plain_path() {
+    let _serial = fault::exclusive();
+    let svc = QueryService::new(seed_structure(), ServiceConfig::default());
+    let req = parse_request(TC).unwrap();
+    let ask = |svc: &QueryService| match svc.handle(&req, &Interrupt::new()) {
+        Response::Answer {
+            rows, cache, epoch, ..
+        } => {
+            let snap = svc.epochs().pin();
+            assert_eq!(epoch, snap.epoch);
+            let p = hp_datalog::Program::parse(
+                "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\n# goal: T",
+                snap.structure.vocab(),
+            )
+            .unwrap();
+            let mut want: Vec<Vec<Elem>> = p
+                .evaluate_reference(&snap.structure)
+                .goal()
+                .map(|g| g.iter().map(|t| t.to_vec()).collect())
+                .unwrap_or_default();
+            want.sort();
+            let mut rows = rows;
+            rows.sort();
+            assert_eq!(rows, want, "{cache:?} answer on epoch {epoch}");
+            cache
+        }
+        other => panic!("{other:?}"),
+    };
+    // Requests 0 and 1 record the program and build its view.
+    ask(&svc);
+    assert_eq!(ask(&svc), CacheOutcome::View);
+    let update = parse_request("{\"op\":\"update\",\"insert\":{\"E\":[[5,0]]}}").unwrap();
+    assert!(matches!(
+        svc.handle(&update, &Interrupt::new()),
+        Response::Updated { epoch: 1 }
+    ));
+    // Request 2's first attempt panics mid catch-up.
+    fault::install(fault::FaultPlan {
+        exhaust_at: None,
+        panic_at: Some(("serve.view".to_string(), 2)),
+        panic_span: None,
+    });
+    let outcome = ask(&svc);
+    fault::clear();
+    assert_eq!(outcome, CacheOutcome::View, "the retry rebuilt the view");
+    assert_eq!(svc.views().len(), 1);
+    assert_eq!(
+        svc.views().catchups(),
+        0,
+        "the poisoned catch-up never counted"
+    );
+    assert_eq!(svc.gate().depth(), 0, "no permit leaked");
+
+    // Nothing poisoned stays reachable: the rebuilt view catches up.
+    svc.handle(
+        &parse_request("{\"op\":\"update\",\"delete\":{\"E\":[[2,3]]}}").unwrap(),
+        &Interrupt::new(),
+    );
+    assert_eq!(ask(&svc), CacheOutcome::View);
+    assert_eq!(svc.views().catchups(), 1);
+    assert_eq!(svc.gate().depth(), 0);
 }
 
 /// Mid-batch writer failure: a panic invalidates nothing — the published

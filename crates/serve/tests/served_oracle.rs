@@ -1,15 +1,19 @@
 //! Served answers against the reference evaluator across writes.
 //!
 //! Random update batches (inserts and deletes on `E`, `S` and `T`, now
-//! and then a universe extension) are interleaved with a pool of cached
-//! queries that read different subsets of the vocabulary. Every answer —
-//! whether a miss, a hit on the epoch it was published for, or a hit
+//! and then a universe extension) are interleaved with a pool of queries
+//! that read different subsets of the vocabulary: cached conjunctive
+//! queries and recursive programs served from maintained views. Every
+//! answer — a miss, a hit on the epoch it was published for, a hit
 //! carried over from an earlier epoch because the writes since missed
-//! its footprint — must equal `evaluate_reference` on the structure of
-//! the epoch it reports. The cache also stays bounded: at most one entry
-//! per key for the current epoch and one for its predecessor.
+//! its footprint, or a view caught up to the reader's epoch — must equal
+//! `evaluate_reference` on the structure of the epoch it reports. So must
+//! the answers of readers pinned to an epoch the views have moved past.
+//! The cache also stays bounded: at most one entry per key for the
+//! current epoch and one for its predecessor.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -17,9 +21,9 @@ use hp_analysis::goal_core_key;
 use hp_datalog::Program;
 use hp_guard::{Budget, Interrupt};
 use hp_logic::{parse_formula, ucq_of_existential_positive};
-use hp_serve::protocol::{QueryRequest, Request, Response};
+use hp_serve::protocol::{CacheOutcome, QueryRequest, Request, Response};
 use hp_serve::service::{QueryService, ServiceConfig};
-use hp_serve::UpdateBatch;
+use hp_serve::{Snapshot, UpdateBatch};
 use hp_structures::{Elem, Structure, Vocabulary};
 
 /// How a pooled query's answer is computed independently of the service.
@@ -46,7 +50,7 @@ const fn program(text: &'static str) -> Pooled {
     }
 }
 
-const POOL: [Pooled; 12] = [
+const POOL: [Pooled; 16] = [
     program("Goal(x,y) :- E(x,y)."),
     // Renamed duplicate of the first (same canonical core key).
     program("Goal(u,v) :- E(u,v)."),
@@ -71,7 +75,20 @@ const POOL: [Pooled; 12] = [
         formula: true,
         oracle: Oracle::Universe,
     },
+    // Recursive positive programs, served from maintained views.
+    program("R(x) :- S(x).\nR(y) :- R(x), E(x,y).\n# goal: R"),
+    program("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n# goal: T"),
+    // Two IDBs in one recursive component: walks of odd and even length.
+    program(
+        "Odd(x,y) :- E(x,y).\nOdd(x,z) :- Even(x,y), E(y,z).\nEven(x,z) :- Odd(x,y), E(y,z).\n# goal: Even",
+    ),
+    // A recursive component below a non-recursive consumer.
+    program("R(x) :- S(x).\nR(y) :- R(x), E(x,y).\nGoal(x) :- R(x), T(x)."),
 ];
+
+/// The pool's recursive programs: no core key, so pinned readers can ask
+/// them without publishing cache entries for a past epoch.
+const RECURSIVE: std::ops::Range<usize> = 12..16;
 
 fn vocab() -> Vocabulary {
     Vocabulary::from_pairs([("E", 2), ("S", 1), ("T", 1)])
@@ -141,8 +158,12 @@ fn expected(q: &Pooled, a: &Structure) -> Vec<Vec<Elem>> {
 }
 
 fn request(q: &Pooled) -> Request {
+    Request::Query(query_request(q))
+}
+
+fn query_request(q: &Pooled) -> QueryRequest {
     let text = Some(q.text.to_string());
-    Request::Query(if q.formula {
+    if q.formula {
         QueryRequest {
             formula: text,
             ..QueryRequest::default()
@@ -152,7 +173,40 @@ fn request(q: &Pooled) -> Request {
             program: text,
             ..QueryRequest::default()
         }
-    })
+    }
+}
+
+/// The rows of a full answer on `snap`, checked against the reference;
+/// returns the cache outcome.
+fn check_answer(
+    resp: Response,
+    q: &Pooled,
+    snap: &Snapshot,
+) -> Result<CacheOutcome, TestCaseError> {
+    match resp {
+        Response::Answer {
+            epoch,
+            mut rows,
+            cache,
+            ..
+        } => {
+            prop_assert_eq!(epoch, snap.epoch, "answer on the pinned epoch");
+            rows.sort();
+            prop_assert_eq!(
+                rows,
+                expected(q, &snap.structure),
+                "{:?} answer to {:?} on epoch {}",
+                cache,
+                q.text,
+                epoch
+            );
+            Ok(cache)
+        }
+        other => {
+            prop_assert!(false, "{:?} not answered: {other:?}", q.text);
+            unreachable!()
+        }
+    }
 }
 
 proptest! {
@@ -175,9 +229,14 @@ proptest! {
         let vocab = vocab();
         let svc = QueryService::new(seed_structure(&edges, &marks), ServiceConfig::default());
         let mut keys: HashSet<u128> = HashSet::new();
+        // An epoch some writes ago, still pinned by a reader.
+        let mut behind: Option<Arc<Snapshot>> = None;
         let steps: Vec<Step> = steps;
         for (kind, pick, changes, grow) in &steps {
             if *kind >= 6 {
+                if pick % 2 == 0 || behind.is_none() {
+                    behind = Some(svc.epochs().pin());
+                }
                 let universe = svc.epochs().pin().structure.universe_size() as u32;
                 let grow_universe = if *grow == 0 { 1 + *pick as u32 % 2 } else { 0 };
                 let mut batch = UpdateBatch {
@@ -202,22 +261,16 @@ proptest! {
 
             let q = &POOL[*pick];
             keys.extend(key_of(q, &vocab));
-            match svc.handle(&request(q), &Interrupt::new()) {
-                Response::Answer { epoch, rows, cache, .. } => {
-                    let snap = svc.epochs().pin();
-                    prop_assert_eq!(epoch, snap.epoch, "single client: answer on the current epoch");
-                    let mut rows = rows;
-                    rows.sort();
-                    prop_assert_eq!(
-                        rows,
-                        expected(q, &snap.structure),
-                        "{:?} answer to {:?} on epoch {}",
-                        cache,
-                        q.text,
-                        epoch
-                    );
+            match &behind {
+                Some(old) if *kind == 5 && RECURSIVE.contains(pick) => {
+                    let resp = svc.query_at(&query_request(q), old, &Interrupt::new());
+                    check_answer(resp, q, old)?;
                 }
-                other => prop_assert!(false, "{:?} not answered: {other:?}", q.text),
+                _ => {
+                    let resp = svc.handle(&request(q), &Interrupt::new());
+                    // Single client: the answer is on the current epoch.
+                    check_answer(resp, q, &svc.epochs().pin())?;
+                }
             }
             // Nothing is in flight between sequential requests.
             prop_assert!(
@@ -227,5 +280,99 @@ proptest! {
                 keys.len()
             );
         }
+    }
+}
+
+/// A fixed schedule through every view transition: record, build, catch up
+/// across inserts and deletes, a reader pinned behind the view, universe
+/// growth (drop and rebuild), and `no_cache`. Every answer is checked
+/// against the reference, and the outcomes must show the view at work.
+#[test]
+fn views_follow_writes_readers_behind_and_growth() {
+    let svc = QueryService::new(
+        seed_structure(&[(0, 1), (1, 2), (2, 3), (3, 4)], &[(0, 0), (1, 3)]),
+        ServiceConfig::default(),
+    );
+    let write = |inserts: &[(&str, Vec<u32>)], deletes: &[(&str, Vec<u32>)], grow: u32| {
+        let tuples = |ts: &[(&str, Vec<u32>)]| {
+            ts.iter()
+                .map(|(r, t)| (r.to_string(), t.iter().map(|&e| Elem(e)).collect()))
+                .collect()
+        };
+        let batch = UpdateBatch {
+            grow_universe: grow,
+            inserts: tuples(inserts),
+            deletes: tuples(deletes),
+        };
+        assert!(matches!(
+            svc.handle(&Request::Update(batch), &Interrupt::new()),
+            Response::Updated { .. }
+        ));
+    };
+    let ask_all = |snap: &Arc<Snapshot>| -> Vec<CacheOutcome> {
+        POOL[RECURSIVE]
+            .iter()
+            .map(|q| {
+                check_answer(
+                    svc.query_at(&query_request(q), snap, &Interrupt::new()),
+                    q,
+                    snap,
+                )
+                .unwrap_or_else(|e| panic!("{e:?}"))
+            })
+            .collect()
+    };
+    let current = || svc.epochs().pin();
+    let n = RECURSIVE.len();
+
+    assert_eq!(
+        ask_all(&current()),
+        vec![CacheOutcome::Bypass; n],
+        "recorded"
+    );
+    assert_eq!(ask_all(&current()), vec![CacheOutcome::View; n], "built");
+    let epoch0 = current();
+    write(&[("E", vec![4, 0]), ("T", vec![2])], &[], 0);
+    assert_eq!(
+        ask_all(&current()),
+        vec![CacheOutcome::View; n],
+        "caught up"
+    );
+    write(&[("S", vec![4])], &[("E", vec![1, 2]), ("S", vec![0])], 0);
+    assert_eq!(
+        ask_all(&current()),
+        vec![CacheOutcome::View; n],
+        "caught up"
+    );
+    assert_eq!(
+        ask_all(&epoch0),
+        vec![CacheOutcome::Bypass; n],
+        "behind the views"
+    );
+    assert_eq!(svc.views().len(), n);
+
+    write(&[("E", vec![4, 5]), ("S", vec![5])], &[], 1);
+    assert_eq!(
+        ask_all(&current()),
+        vec![CacheOutcome::View; n],
+        "dropped and rebuilt"
+    );
+    write(&[("E", vec![5, 1])], &[("T", vec![2])], 0);
+    assert_eq!(
+        ask_all(&current()),
+        vec![CacheOutcome::View; n],
+        "caught up"
+    );
+    assert_eq!(svc.views().catchups(), 3 * n as u64);
+
+    let fresh = |q: &Pooled| QueryRequest {
+        no_cache: true,
+        ..query_request(q)
+    };
+    for q in &POOL[RECURSIVE] {
+        let snap = current();
+        let resp = svc.query_at(&fresh(q), &snap, &Interrupt::new());
+        let outcome = check_answer(resp, q, &snap).unwrap_or_else(|e| panic!("{e:?}"));
+        assert_eq!(outcome, CacheOutcome::Bypass, "no_cache skips the view");
     }
 }

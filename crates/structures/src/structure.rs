@@ -255,6 +255,30 @@ impl Structure {
         self.relations.iter().map(|r| r.heap_bytes()).sum()
     }
 
+    /// True when `self` and `other` hold `sym`'s relation in one shared
+    /// allocation — a pointer comparison, so content equality without a
+    /// scan. Copy-on-write keeps a relation shared between a structure
+    /// and its clones until one of them writes it.
+    pub fn shares_relation(&self, other: &Structure, sym: SymbolId) -> bool {
+        Arc::ptr_eq(&self.relations[sym.index()], &other.relations[sym.index()])
+    }
+
+    /// Share `other`'s allocation for every relation whose content equals
+    /// this structure's, so later [`shares_relation`](Self::shares_relation)
+    /// tests succeed without a scan. Both structures must have the same
+    /// vocabulary. Returns the number of relations adopted.
+    pub fn adopt_equal_relations(&mut self, other: &Structure) -> usize {
+        debug_assert_eq!(self.vocab, other.vocab);
+        let mut adopted = 0;
+        for (mine, theirs) in self.relations.iter_mut().zip(&other.relations) {
+            if !Arc::ptr_eq(mine, theirs) && mine == theirs {
+                *mine = theirs.clone();
+                adopted += 1;
+            }
+        }
+        adopted
+    }
+
     /// Add `extra` fresh elements to the universe (they take the next
     /// ids). Every existing tuple stays in range, so no relation is
     /// touched or copied.
