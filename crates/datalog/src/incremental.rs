@@ -2,8 +2,9 @@
 //!
 //! A [`MaterializedDb`] keeps a program's least fixpoint materialized next
 //! to its input structure. [`Program::evaluate_incremental`] then folds a
-//! batch of EDB insertions and deletions into that fixpoint without
-//! recomputing it from scratch:
+//! batch of EDB insertions and deletions into that fixpoint, in place and
+//! without recomputing it from scratch, and returns a
+//! [`MaintenanceReport`]; the database itself is the result:
 //!
 //! * **non-recursive strata** (singleton SCCs of the predicate dependency
 //!   graph without a self-loop) are maintained by the *counting* algorithm —
@@ -220,7 +221,8 @@ impl MaintPlan {
 /// rows are the committed relation's rows **permuted** so the key columns
 /// come first; a probe is then [`TupleStore::prefix_range`]. Unlike the
 /// per-evaluation hash pool of [`crate::index`], these survive across
-/// update batches and are maintained by sorted-run batch merge/difference.
+/// update batches and follow each committed batch in place
+/// ([`TupleStore::subtract`], [`TupleStore::merge`]).
 ///
 /// When the key columns are already a prefix, the permutation is the
 /// identity and the committed store is sorted exactly as the copy would
@@ -260,18 +262,9 @@ impl SecondaryIndex {
             store: None,
         };
         if ix.perm.iter().enumerate().any(|(k, &i)| k != i) {
-            ix.store = Some(ix.permuted(committed));
+            ix.store = Some(permute(&ix.perm, committed));
         }
         ix
-    }
-
-    fn permuted(&self, rows: &TupleStore) -> TupleStore {
-        let mut out = TupleStore::with_capacity(self.arity, rows.len());
-        for t in rows.iter() {
-            out.push_with(|buf| buf.extend(self.perm.iter().map(|&i| t.get(i))));
-        }
-        out.seal();
-        out
     }
 
     /// The store a probe reads: the permuted copy, or `committed` itself
@@ -293,20 +286,19 @@ impl SecondaryIndex {
         out.extend((0..self.arity).map(|i| row.get(self.pos_of[i])));
     }
 
-    /// Fold a committed batch in: the copy follows it, while an identity
+    /// Fold a committed batch in: the copy follows it in place (the
+    /// permuted deletions are [subtracted](TupleStore::subtract), the
+    /// permuted insertions [merged](TupleStore::merge)), while an identity
     /// index already sees it through the committed store.
     fn apply_batch(&mut self, removed: &TupleStore, inserted: &TupleStore) {
-        if self.store.is_none() {
+        let Some(store) = &mut self.store else {
             return;
+        };
+        if !removed.is_empty() {
+            store.subtract(&permute(&self.perm, removed));
         }
-        let removed = (!removed.is_empty()).then(|| self.permuted(removed));
-        let inserted = (!inserted.is_empty()).then(|| self.permuted(inserted));
-        let store = self.store.as_mut().expect("checked above");
-        if let Some(r) = removed {
-            *store = store.difference(&r);
-        }
-        if let Some(i) = inserted {
-            store.merge(&i);
+        if !inserted.is_empty() {
+            store.merge(&permute(&self.perm, inserted));
         }
     }
 
@@ -314,6 +306,16 @@ impl SecondaryIndex {
     fn heap_bytes(&self) -> usize {
         self.store.as_ref().map_or(0, TupleStore::heap_bytes)
     }
+}
+
+/// The rows of `rows` with their columns reordered by `perm`, sealed.
+fn permute(perm: &[usize], rows: &TupleStore) -> TupleStore {
+    let mut out = TupleStore::with_capacity(perm.len(), rows.len());
+    for t in rows.iter() {
+        out.push_with(|buf| buf.extend(perm.iter().map(|&i| t.get(i))));
+    }
+    out.seal();
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -699,6 +701,30 @@ impl IncCheckpoint {
     pub fn stages(&self) -> usize {
         self.stages
     }
+}
+
+/// What one maintenance run did — the `Ok` value of
+/// [`Program::evaluate_incremental`] and its variants.
+///
+/// It carries no relations: the [`MaterializedDb`] the run updated *is*
+/// the result, read through [`MaterializedDb::relations`] and
+/// [`MaterializedDb::idb`], so a run costs no copy of the fixpoint.
+#[derive(Clone, Debug)]
+pub struct MaintenanceReport {
+    /// Maintenance rounds (delta passes across all strata), cumulative
+    /// over a resume chain — not the full evaluator's Φ rounds; an update
+    /// nothing depends on reports 0.
+    pub stages: usize,
+    /// True when every stratum was maintained (always, for a completed
+    /// run: an exhausted one returns an [`IncCheckpoint`] instead).
+    pub converged: bool,
+    /// Worker-panic recoveries, one note per affected stratum, as in
+    /// [`FixpointResult::diagnostics`].
+    pub diagnostics: Vec<String>,
+    /// One [`StratumProfile`] for the run (maintained programs are
+    /// positive, so there is one stratum): rounds, changed tuples, fuel
+    /// and wall time of this call.
+    pub profile: Vec<StratumProfile>,
 }
 
 // ---------------------------------------------------------------------------
@@ -1245,9 +1271,12 @@ where
 // ---------------------------------------------------------------------------
 
 /// Apply the update batch to the EDB: compute effective per-symbol deltas
-/// against the committed structure, mutate it, and keep the EDB secondary
-/// indexes in sync. Validates every inserted tuple **before** any mutation
-/// so a bad batch leaves the database untouched.
+/// against the committed structure, splice them into (and subtract them
+/// from) the committed relations in place, and keep the EDB secondary
+/// indexes in sync the same way — `O(batch · log n)` plus one tail shift
+/// per touched store. A relation still shared with a snapshot is copied
+/// once, by copy-on-write. Validates every inserted tuple **before** any
+/// mutation so a bad batch leaves the database untouched.
 fn commit_edb(
     db: &mut MaterializedDb,
     plus: &EdbDelta,
@@ -1741,7 +1770,7 @@ fn maintain(
     first_scc: usize,
     mut stages: usize,
     mut diagnostics: Vec<String>,
-) -> Budgeted<FixpointResult, IncCheckpoint> {
+) -> Budgeted<MaintenanceReport, IncCheckpoint> {
     // As in the full evaluator, a worker panic degrades the rest of the
     // batch (resumes included) to the calling thread.
     let mut workers = if diagnostics.is_empty() {
@@ -1777,10 +1806,7 @@ fn maintain(
         }
     }
     db.in_flight = false;
-    Ok(FixpointResult {
-        idb_names: db.program.idbs().iter().map(|(n, _)| n.clone()).collect(),
-        goal: db.program.goal_index(),
-        relations: db.idb.clone(),
+    Ok(MaintenanceReport {
         stages,
         converged: true,
         diagnostics,
@@ -1829,40 +1855,45 @@ fn checkpoint(
 // ---------------------------------------------------------------------------
 
 impl Program {
-    /// Fold an EDB update batch into a materialized database and return the
-    /// maintained fixpoint — bit-identical relations to a from-scratch
-    /// [`Program::evaluate`] on the updated structure.
+    /// Fold an EDB update batch into a materialized database, in place:
+    /// afterwards [`MaterializedDb::relations`] are bit-identical to a
+    /// from-scratch [`Program::evaluate`] on the updated structure. Returns
+    /// a [`MaintenanceReport`], which holds no copy of the relations.
     ///
-    /// [`FixpointResult::stages`] counts *maintenance rounds* (delta
+    /// [`MaintenanceReport::stages`] counts *maintenance rounds* (delta
     /// passes across all strata), not the full evaluator's Φ rounds; an
-    /// update nothing depends on reports 0 stages.
+    /// update nothing depends on reports 0 stages. The batch is committed
+    /// to the input structure and its permuted index copies in place, at
+    /// `O(batch · log n)` plus one tail shift per touched store.
     pub fn evaluate_incremental(
         &self,
         db: &mut MaterializedDb,
         plus: &EdbDelta,
         minus: &EdbDelta,
-    ) -> Result<FixpointResult, EvalError> {
+    ) -> Result<MaintenanceReport, EvalError> {
         self.evaluate_incremental_with(db, plus, minus, &EvalConfig::new())
     }
 
     /// As [`Program::evaluate_incremental`] with an explicit configuration
     /// (worker threads for the per-round delta items; results are
     /// bit-identical for every thread count). A worker panic is recovered
-    /// on the calling thread, recorded in [`FixpointResult::diagnostics`],
-    /// and the rest of the batch runs single-threaded.
+    /// on the calling thread, recorded in
+    /// [`MaintenanceReport::diagnostics`], and the rest of the batch runs
+    /// single-threaded.
     pub fn evaluate_incremental_with(
         &self,
         db: &mut MaterializedDb,
         plus: &EdbDelta,
         minus: &EdbDelta,
         cfg: &EvalConfig,
-    ) -> Result<FixpointResult, EvalError> {
+    ) -> Result<MaintenanceReport, EvalError> {
         self.evaluate_incremental_budgeted(db, plus, minus, cfg, &Budget::unlimited())
             .map(|r| r.expect("unlimited budgets cannot exhaust"))
     }
 
-    /// Budgeted incremental maintenance. On exhaustion the returned
-    /// [`IncCheckpoint`] snapshots the run at a stratum boundary — already
+    /// Budgeted incremental maintenance, returning a [`MaintenanceReport`]
+    /// on completion. On exhaustion the returned [`IncCheckpoint`]
+    /// snapshots the run at a stratum boundary — already
     /// maintained strata stay committed in `db`, which refuses further
     /// update batches until [`Program::resume_incremental`] completes the
     /// run. The resume law of [`Program::resume_budgeted`] holds: fuel `f1`
@@ -1874,7 +1905,7 @@ impl Program {
         minus: &EdbDelta,
         cfg: &EvalConfig,
         budget: &Budget,
-    ) -> Result<Budgeted<FixpointResult, IncCheckpoint>, EvalError> {
+    ) -> Result<Budgeted<MaintenanceReport, IncCheckpoint>, EvalError> {
         if self.has_negation() {
             return Err(EvalError::NegationUnsupported {
                 operation: "incremental view maintenance".to_string(),
@@ -1897,14 +1928,15 @@ impl Program {
 
     /// Resume a budget-exhausted maintenance run from its checkpoint,
     /// continuing at the first unmaintained stratum with cumulative fuel
-    /// accounting.
+    /// accounting; a completed resume returns a [`MaintenanceReport`]
+    /// whose `stages` count the whole chain.
     pub fn resume_incremental(
         &self,
         db: &mut MaterializedDb,
         checkpoint: IncCheckpoint,
         cfg: &EvalConfig,
         budget: &Budget,
-    ) -> Result<Budgeted<FixpointResult, IncCheckpoint>, EvalError> {
+    ) -> Result<Budgeted<MaintenanceReport, IncCheckpoint>, EvalError> {
         self.check_db(db)?;
         if !db.in_flight {
             return Err(EvalError::CheckpointMismatch {
@@ -1968,11 +2000,10 @@ mod tests {
         let mut db = MaterializedDb::new(&p, a.clone()).unwrap();
         let (mut plus, minus) = delta_pair(p.edb());
         plus.push_ids(0, &[4, 0]); // close the cycle
-        let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+        p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
         let mut b = a;
         let _ = b.add_tuple_ids(0, &[4, 0]);
         let full = p.evaluate(&b);
-        assert_eq!(r.relations, full.relations);
         assert_eq!(db.relations(), &full.relations[..]);
     }
 
@@ -1983,11 +2014,11 @@ mod tests {
         let mut db = MaterializedDb::new(&p, a.clone()).unwrap();
         let (plus, mut minus) = delta_pair(p.edb());
         minus.push_ids(0, &[2, 3]); // cut the path in the middle
-        let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+        p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
         let mut b = a;
         assert!(b.remove_tuple(SymbolId::from(0usize), &[Elem(2), Elem(3)]));
         let full = p.evaluate(&b);
-        assert_eq!(r.relations, full.relations);
+        assert_eq!(db.relations(), &full.relations[..]);
     }
 
     #[test]
@@ -2001,8 +2032,8 @@ mod tests {
         p.evaluate_incremental(&mut db, &plus0, &minus0).unwrap();
         let (mut plus1, minus1) = delta_pair(p.edb());
         plus1.push_ids(0, &[3, 4]);
-        let r = p.evaluate_incremental(&mut db, &plus1, &minus1).unwrap();
-        assert_eq!(r.relations, before);
+        p.evaluate_incremental(&mut db, &plus1, &minus1).unwrap();
+        assert_eq!(db.relations(), &before[..]);
         assert_eq!(db.structure().relation(SymbolId::from(0usize)).len(), 5);
     }
 
@@ -2018,12 +2049,12 @@ mod tests {
         let mut db = MaterializedDb::new(&p, a.clone()).unwrap();
         let (plus, mut minus) = delta_pair(p.edb());
         minus.push_ids(0, &[1, 3]);
-        let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+        p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
         // (0,3) survives via 0→2→3.
-        assert!(r.relations[0].contains(&[Elem(0), Elem(3)]));
+        assert!(db.idb(0).contains(&[Elem(0), Elem(3)]));
         let mut b = a;
         assert!(b.remove_tuple(SymbolId::from(0usize), &[Elem(1), Elem(3)]));
-        assert_eq!(r.relations, p.evaluate(&b).relations);
+        assert_eq!(db.relations(), &p.evaluate(&b).relations[..]);
     }
 
     #[test]
@@ -2109,10 +2140,82 @@ mod tests {
                     minus.push(e, &victim);
                 }
             }
-            let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+            p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
             let full = p.evaluate(db.structure());
-            assert_eq!(r.relations, full.relations, "step {step}");
             assert_eq!(db.relations(), &full.relations[..], "step {step}");
+        }
+    }
+
+    #[test]
+    fn in_place_commits_keep_the_index_copy_canonical() {
+        // Reach from S over a 48-cycle plus random chords: maintenance
+        // keeps one permuted copy, E keyed on its second column. The cycle
+        // is never deleted, so every element stays referenced and the
+        // copy's dictionary holds what a fresh build's does (a store keeps
+        // unreferenced dictionary entries by design); what is left to
+        // differ is the planes, capacity included.
+        let vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let p = Program::parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).\n# goal: R", &vocab).unwrap();
+        let n = 48u32;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 16) as u32
+        };
+        let mut a = Structure::new(vocab, n as usize);
+        for v in 0..n {
+            a.add_tuple_ids(0, &[v, (v + 1) % n]).unwrap();
+        }
+        for _ in 0..100 {
+            a.add_tuple_ids(0, &[next() % n, next() % n]).unwrap();
+        }
+        a.add_tuple_ids(1, &[0]).unwrap();
+        let mut db = MaterializedDb::new(&p, a).unwrap();
+        let e = SymbolId::from(0usize);
+        let copies = |db: &MaterializedDb| -> Vec<TupleStore> {
+            db.indexes
+                .iter()
+                .filter_map(|ix| ix.store.clone())
+                .collect()
+        };
+        // Read on the stores themselves: a clone's planes are exact.
+        let copy_bytes = |db: &MaterializedDb| -> usize {
+            db.indexes.iter().map(SecondaryIndex::heap_bytes).sum()
+        };
+        assert_eq!(copies(&db).len(), 1);
+
+        for step in 0..200 {
+            let (u, v) = (next() % n, next() % n);
+            let (mut plus, mut minus) = delta_pair(p.edb());
+            match step % 4 {
+                // Inserts, some of edges already present.
+                0 | 1 => plus.push_ids(0, &[u, v]),
+                // Deletes of a present chord, else of a chord that may be
+                // absent (`u → u+2` is never a cycle edge).
+                2 => {
+                    let rel = db.structure().relation(e);
+                    let t = rel.tuple(next() as usize % rel.len()).to_vec();
+                    if t[1].0 != (t[0].0 + 1) % n {
+                        minus.push(e, &t);
+                    } else {
+                        minus.push_ids(0, &[u, (u + 2) % n]);
+                    }
+                }
+                _ if next() % 2 == 0 => plus.push_ids(1, &[u]),
+                _ => minus.push_ids(1, &[u]),
+            }
+            p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
+            let full = p.evaluate(db.structure());
+            assert_eq!(db.relations(), &full.relations[..], "step {step}");
+            let fresh = MaterializedDb::new(&p, db.structure().clone()).unwrap();
+            assert_eq!(copies(&db), copies(&fresh), "step {step}");
+            assert_eq!(
+                copy_bytes(&db),
+                copy_bytes(&fresh),
+                "step {step}: the in-place copy holds no spare capacity"
+            );
         }
     }
 
@@ -2173,7 +2276,7 @@ mod tests {
         assert!(matches!(err, EvalError::Structure(_)));
         // Untouched: a follow-up no-op batch still matches full eval.
         let (plus2, minus2) = delta_pair(p.edb());
-        let r = p.evaluate_incremental(&mut db, &plus2, &minus2).unwrap();
-        assert_eq!(r.relations, p.evaluate(&a).relations);
+        p.evaluate_incremental(&mut db, &plus2, &minus2).unwrap();
+        assert_eq!(db.relations(), &p.evaluate(&a).relations[..]);
     }
 }

@@ -72,7 +72,7 @@ pub use eval::{
     EvalCheckpoint, EvalConfig, EvalError, FixpointResult, IdbRelation, StageSequence,
     StratumProfile,
 };
-pub use incremental::{EdbDelta, IncCheckpoint, MaterializedDb};
+pub use incremental::{EdbDelta, IncCheckpoint, MaintenanceReport, MaterializedDb};
 pub use parser::{body_atom_byte_ranges, rule_byte_ranges};
 pub use unfold::{
     stage_formula, stage_formulas, stage_formulas_with_budget, stage_ucq, stage_ucq_with_budget,

@@ -76,9 +76,11 @@ impl Relation {
     }
 
     /// Bulk-insert: buffer every tuple into the pending delta, then sort,
-    /// dedup, and merge **once**. Returns the number of newly inserted
-    /// tuples. This is the O((n+m)·log m) path generators and builders use
-    /// in place of m shifting inserts.
+    /// dedup, and splice them into the sorted run **once**, in place
+    /// ([`TupleStore::seal`]). Returns the number of newly inserted
+    /// tuples. This is the `O(m · log m + m · log n)` path (plus one tail
+    /// shift) generators, builders and update batches use in place of m
+    /// shifting inserts.
     pub fn extend_tuples<I, T>(&mut self, tuples: I) -> usize
     where
         I: IntoIterator<Item = T>,
@@ -92,8 +94,9 @@ impl Relation {
         self.store.len() - before
     }
 
-    /// Set-union `other` into `self` via one sorted-run merge. Returns the
-    /// number of newly inserted tuples.
+    /// Set-union `other` into `self`, spliced into the sorted run in place
+    /// ([`TupleStore::merge`]). Returns the number of newly inserted
+    /// tuples.
     pub fn merge(&mut self, other: &Relation) -> usize {
         self.merge_store(other.store())
     }
@@ -117,13 +120,12 @@ impl Relation {
         self.store.remove(t)
     }
 
-    /// Bulk-remove: drop every tuple of the sealed store `other` in one
-    /// galloping [`TupleStore::difference`] pass. Returns the number of
-    /// tuples actually removed.
+    /// Bulk-remove: drop every tuple of the sealed store `other` in place,
+    /// one galloping search per tuple and one compaction of the run
+    /// ([`TupleStore::subtract`]). Returns the number of tuples actually
+    /// removed; an empty batch costs nothing.
     pub fn remove_tuples(&mut self, other: &TupleStore) -> usize {
-        let before = self.store.len();
-        self.store = self.store.difference(other);
-        before - self.store.len()
+        self.store.subtract(other)
     }
 
     /// Drop all tuples, keeping the arena allocation.
@@ -315,8 +317,9 @@ impl Structure {
     }
 
     /// Bulk-add tuples to one relation, validating each, with a single
-    /// sort+dedup+merge at the end ([`Relation::extend_tuples`]). Returns the
-    /// number of newly inserted tuples. On error nothing is inserted.
+    /// sort+dedup+splice at the end ([`Relation::extend_tuples`]). Returns
+    /// the number of newly inserted tuples. On error nothing is inserted,
+    /// and an empty batch leaves a shared relation shared.
     pub fn extend_tuples<I, T>(&mut self, sym: SymbolId, tuples: I) -> Result<usize, StructureError>
     where
         I: IntoIterator<Item = T>,
@@ -345,6 +348,9 @@ impl Structure {
             t.append_to(&mut buf);
             count += 1;
         }
+        if count == 0 {
+            return Ok(0);
+        }
         let rel = self.relation_mut(sym);
         if arity == 0 {
             // Nullary tuples leave `buf` empty; `chunks_exact(0)` is
@@ -361,9 +367,13 @@ impl Structure {
 
     /// Bulk-remove a sealed batch of tuples from one relation (the EDB
     /// delete path of incremental maintenance). Returns the number of
-    /// tuples actually removed.
+    /// tuples actually removed. An empty batch leaves a shared relation
+    /// shared.
     pub fn remove_tuples(&mut self, sym: SymbolId, tuples: &TupleStore) -> usize {
         debug_assert_eq!(tuples.arity(), self.vocab.arity(sym));
+        if tuples.is_empty() {
+            return 0;
+        }
         self.relation_mut(sym).remove_tuples(tuples)
     }
 

@@ -441,6 +441,111 @@ proptest! {
     }
 }
 
+/// Element values for the in-place batch kernels: a band `10..20` the
+/// seeded store draws from, values outside it (new to the dictionary both
+/// below and above its maximum), and the sparse extremes.
+fn batch_elem() -> impl Strategy<Value = Elem> {
+    prop_oneof![(0u32..30).prop_map(Elem), sparse_elem()]
+}
+
+/// The canonical store holding exactly `model`: one bulk load into an
+/// empty store.
+fn fresh_store(k: usize, model: &BTreeSet<Vec<Elem>>) -> TupleStore {
+    let mut s = TupleStore::new(k);
+    for t in model {
+        s.push(t);
+    }
+    s.seal();
+    s
+}
+
+fn hash_of(s: &TupleStore) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    s.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The in-place batch kernels — `seal`'s splice, `merge`, `subtract`
+    /// and the single-row `insert`/`remove` — agree with a `BTreeSet`
+    /// model at arities 0–3, over empty batches, duplicates within a
+    /// batch, rows already present on insert and absent on delete, values
+    /// new to the dictionary below and above its maximum, and batches
+    /// larger than the store. After every step the store is sealed and
+    /// canonical: equal to, and hashing like, a fresh bulk load of the
+    /// model.
+    #[test]
+    fn in_place_batch_kernels_match_model(
+        input in (0usize..=3).prop_flat_map(|k| (
+            Just(k),
+            prop::collection::vec(prop::collection::vec((10u32..20).prop_map(Elem), k..=k), 0..10),
+            prop::collection::vec(
+                (0usize..5, prop::collection::vec(prop::collection::vec(batch_elem(), k..=k), 0..24)),
+                0..12,
+            ),
+        )),
+    ) {
+        let (k, seed, ops) = input;
+        let mut s = TupleStore::new(k);
+        let mut model: BTreeSet<Vec<Elem>> = BTreeSet::new();
+        for t in &seed {
+            s.push(t);
+            model.insert(t.clone());
+        }
+        s.seal();
+        for (op, batch) in ops {
+            let mut b = TupleStore::new(k);
+            for t in &batch {
+                b.push(t);
+            }
+            b.seal();
+            match op {
+                0 => {
+                    // Raw pending rows, duplicates included, sealed in.
+                    for t in &batch {
+                        s.push(t);
+                        model.insert(t.clone());
+                    }
+                    s.seal();
+                }
+                1 => {
+                    s.merge(&b);
+                    model.extend(batch.iter().cloned());
+                }
+                2 => {
+                    let want = batch.iter().collect::<BTreeSet<_>>()
+                        .into_iter()
+                        .filter(|t| model.remove(*t))
+                        .count();
+                    prop_assert_eq!(s.subtract(&b), want, "subtract count");
+                }
+                3 => {
+                    if let Some(t) = batch.first() {
+                        prop_assert_eq!(s.insert(t), model.insert(t.clone()), "insert");
+                    }
+                }
+                _ => {
+                    if let Some(t) = batch.first() {
+                        prop_assert_eq!(s.remove(t), model.remove(t), "remove");
+                    }
+                }
+            }
+            prop_assert!(s.is_sealed());
+            let got: Vec<Vec<Elem>> = s.iter().map(|t| t.to_vec()).collect();
+            prop_assert_eq!(got, model.iter().cloned().collect::<Vec<_>>());
+            for t in &model {
+                prop_assert!(s.contains(t));
+            }
+            let fresh = fresh_store(k, &model);
+            prop_assert!(s == fresh, "not canonical after op {}", op);
+            prop_assert_eq!(hash_of(&s), hash_of(&fresh));
+        }
+    }
+}
+
 /// A strategy for small random digraph structures.
 fn digraph_strategy(max_n: usize, max_m: usize) -> impl Strategy<Value = Structure> {
     (
