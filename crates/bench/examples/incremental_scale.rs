@@ -1,8 +1,7 @@
 //! E-IVM measurement behind the "Incremental maintenance" table in
 //! EXPERIMENTS.md: single-source reachability over random EDBs of
-//! 10³–10⁶ edges, comparing a full from-scratch fixpoint against
-//! counting/DRed maintenance of a [`MaterializedDb`] under single-edge
-//! deltas.
+//! 10³–10⁶ edges, comparing a full from-scratch fixpoint against DRed
+//! maintenance of a [`MaterializedDb`] under single-edge deltas.
 //!
 //! The workload matches `columnar_scale`: [`reach_program`] over
 //! [`random_reach_structure`] with `n = m/4` elements and seed

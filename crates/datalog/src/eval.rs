@@ -53,8 +53,8 @@ pub enum EvalError {
     /// An update batch contained invalid tuples (arity or element range).
     Structure(StructureError),
     /// The requested operation does not support programs with negated
-    /// body literals (today: incremental view maintenance, whose
-    /// counting/DRed machinery is sound only for monotone programs).
+    /// body literals (today: incremental view maintenance, whose DRed
+    /// machinery is sound only for monotone programs).
     NegationUnsupported {
         /// The operation that was refused.
         operation: String,

@@ -6,17 +6,14 @@
 //! without recomputing it from scratch, and returns a
 //! [`MaintenanceReport`]; the database itself is the result:
 //!
-//! * **non-recursive strata** (singleton SCCs of the predicate dependency
-//!   graph without a self-loop) are maintained by the *counting* algorithm —
-//!   a per-tuple derivation count is stored beside the relation's
-//!   [`TupleStore`] run in a [`CountedStore`], and a signed, telescoped
-//!   delta-join pass adjusts the counts: a tuple leaves the relation exactly
-//!   when its count reaches zero;
-//! * **recursive SCCs** are maintained by *DRed* (delete and re-derive):
-//!   an over-approximation of the deleted tuples is propagated to a
-//!   fixpoint, every over-deleted tuple with a surviving alternative
-//!   derivation is revived, and insertions run as a warm-started semi-naive
-//!   fixpoint over the repaired state.
+//! Every stratum — each SCC of the predicate dependency graph, recursive
+//! or not — is maintained by *DRed* (delete and re-derive): an
+//! over-approximation of the deleted tuples is propagated to a fixpoint,
+//! every over-deleted tuple with a surviving alternative derivation is
+//! revived, and insertions run as a warm-started semi-naive fixpoint over
+//! the repaired state. Maintained programs are positive, hence monotone,
+//! and monotonicity is all DRed needs. In a non-recursive stratum no rule
+//! body mentions a member, so each phase has at most one productive round.
 //!
 //! Strata are the SCCs of the program's [`DepGraph`], visited
 //! dependencies first. Delta joins reuse the join-order
@@ -37,13 +34,13 @@ use std::collections::HashMap;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
 use hp_structures::{
-    CountedStore, Elem, Relation, Row, RowRef, Structure, StructureError, SymbolId, TupleStore,
-    Vocabulary,
+    Elem, Relation, Row, Structure, StructureError, SymbolId, TupleStore, Vocabulary,
 };
 
 use crate::ast::{PredRef, Program};
 use crate::depgraph::DepGraph;
 use crate::eval::{EvalConfig, EvalError, FixpointResult, StratumProfile};
+use crate::index::{permuted_copy, KeyOrder, ResolvedRow};
 use crate::plan::{plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, RulePlan};
 
 // ---------------------------------------------------------------------------
@@ -150,7 +147,7 @@ struct MaintRule {
     head_repeats: Vec<(usize, usize)>,
     var_count: usize,
     atoms: Vec<AtomPlan>,
-    /// Naive order over all atoms — used to (re)build derivation counts.
+    /// Naive order over all atoms — the first stage of the depth replay.
     full_order: Vec<JoinStep>,
     /// Order seeded by body occurrence `i` scanning a delta, one per atom.
     seeded_orders: Vec<Vec<JoinStep>>,
@@ -219,52 +216,28 @@ impl MaintPlan {
 
 /// A persistent index for one [`IndexSpec`]: a sorted [`TupleStore`] whose
 /// rows are the committed relation's rows **permuted** so the key columns
-/// come first; a probe is then [`TupleStore::prefix_range`]. Unlike the
-/// per-evaluation hash pool of [`crate::index`], these survive across
-/// update batches and follow each committed batch in place
-/// ([`TupleStore::subtract`], [`TupleStore::merge`]).
+/// come first ([`permuted_copy`]); a probe is then
+/// [`TupleStore::prefix_range`]. Unlike the per-evaluation hash pool of
+/// [`crate::index`], these survive across update batches and follow each
+/// committed batch in place ([`TupleStore::subtract`],
+/// [`TupleStore::merge`]).
 ///
-/// When the key columns are already a prefix, the permutation is the
-/// identity and the committed store is sorted exactly as the copy would
-/// be, so no copy is kept: probes read the committed relation itself, as
-/// the evaluator's `Natural` arena does.
+/// When the key columns are already a prefix, the committed store is
+/// sorted exactly as the copy would be, so no copy is kept: probes read
+/// the committed relation itself, as the evaluator's `Natural` arena does.
 #[derive(Clone, Debug)]
 struct SecondaryIndex {
-    arity: usize,
-    /// `perm[k]` = original column stored at permuted position `k` (key
-    /// columns first, remaining columns ascending).
-    perm: Vec<usize>,
-    /// `pos_of[i]` = permuted position of original column `i`.
-    pos_of: Vec<usize>,
-    /// The permuted copy; `None` for the identity permutation.
-    store: Option<TupleStore>,
+    /// The permuted copy and its column order; `None` for the identity.
+    copy: Option<(KeyOrder, TupleStore)>,
 }
 
 impl SecondaryIndex {
     /// The index for `spec` over `committed`, copying it only when the
     /// key columns are not a prefix.
     fn new(spec: &IndexSpec, committed: &TupleStore) -> SecondaryIndex {
-        let arity = committed.arity();
-        let mut perm = spec.key_positions.clone();
-        for i in 0..arity {
-            if !perm.contains(&i) {
-                perm.push(i);
-            }
+        SecondaryIndex {
+            copy: permuted_copy(&spec.key_positions, committed),
         }
-        let mut pos_of = vec![0usize; arity];
-        for (k, &i) in perm.iter().enumerate() {
-            pos_of[i] = k;
-        }
-        let mut ix = SecondaryIndex {
-            arity,
-            perm,
-            pos_of,
-            store: None,
-        };
-        if ix.perm.iter().enumerate().any(|(k, &i)| k != i) {
-            ix.store = Some(permute(&ix.perm, committed));
-        }
-        ix
     }
 
     /// The store a probe reads: the permuted copy, or `committed` itself
@@ -274,16 +247,10 @@ impl SecondaryIndex {
         &'a self,
         committed: &'a TupleStore,
     ) -> (&'a TupleStore, Option<&'a [usize]>) {
-        match &self.store {
-            Some(s) => (s, Some(self.pos_of.as_slice())),
+        match &self.copy {
+            Some((order, store)) => (store, Some(order.pos_of.as_slice())),
             None => (committed, None),
         }
-    }
-
-    /// Recover the original column order of a permuted candidate row.
-    fn unpermute_into(&self, row: RowRef<'_>, out: &mut Vec<Elem>) {
-        out.clear();
-        out.extend((0..self.arity).map(|i| row.get(self.pos_of[i])));
     }
 
     /// Fold a committed batch in: the copy follows it in place (the
@@ -291,31 +258,21 @@ impl SecondaryIndex {
     /// permuted insertions [merged](TupleStore::merge)), while an identity
     /// index already sees it through the committed store.
     fn apply_batch(&mut self, removed: &TupleStore, inserted: &TupleStore) {
-        let Some(store) = &mut self.store else {
+        let Some((order, store)) = &mut self.copy else {
             return;
         };
         if !removed.is_empty() {
-            store.subtract(&permute(&self.perm, removed));
+            store.subtract(&order.permute(removed));
         }
         if !inserted.is_empty() {
-            store.merge(&permute(&self.perm, inserted));
+            store.merge(&order.permute(inserted));
         }
     }
 
     /// Heap bytes of the permuted copy (0 for the identity).
     fn heap_bytes(&self) -> usize {
-        self.store.as_ref().map_or(0, TupleStore::heap_bytes)
+        self.copy.as_ref().map_or(0, |(_, s)| s.heap_bytes())
     }
-}
-
-/// The rows of `rows` with their columns reordered by `perm`, sealed.
-fn permute(perm: &[usize], rows: &TupleStore) -> TupleStore {
-    let mut out = TupleStore::with_capacity(perm.len(), rows.len());
-    for t in rows.iter() {
-        out.push_with(|buf| buf.extend(perm.iter().map(|&i| t.get(i))));
-    }
-    out.seal();
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +280,7 @@ fn permute(perm: &[usize], rows: &TupleStore) -> TupleStore {
 // ---------------------------------------------------------------------------
 
 /// A program's input structure together with its materialized least
-/// fixpoint, derivation counts for the non-recursive strata, and the
+/// fixpoint, derivation depths for the recursive strata, and the
 /// persistent secondary indexes the maintenance joins probe.
 ///
 /// Build one with [`MaterializedDb::new`], then apply update batches with
@@ -336,8 +293,6 @@ pub struct MaterializedDb {
     plan: MaintPlan,
     structure: Structure,
     idb: Vec<Relation>,
-    /// Derivation counts, `Some` exactly for non-recursive singleton SCCs.
-    counts: Vec<Option<CountedStore>>,
     /// Derivation depths, `Some` exactly for members of recursive SCCs:
     /// every tuple has a derivation whose in-SCC supporters all carry
     /// strictly smaller depths. DRed's deletion phase uses them to only
@@ -400,7 +355,6 @@ impl MaterializedDb {
                 SecondaryIndex::new(spec, committed)
             })
             .collect();
-        let mut counts: Vec<Option<CountedStore>> = (0..idb.len()).map(|_| None).collect();
         let mut depths: Vec<Option<DepthMap>> = (0..idb.len()).map(|_| None).collect();
         let mut depth_clock = 0u64;
         {
@@ -422,9 +376,6 @@ impl MaterializedDb {
                         |p| program.idbs()[p].1,
                         &mut depths,
                     ));
-                } else {
-                    let p = plan.graph.scc_members(si)[0];
-                    counts[p] = Some(build_counts(&ctx, p, program.idbs()[p].1));
                 }
             }
         }
@@ -433,7 +384,6 @@ impl MaterializedDb {
             plan,
             structure,
             idb,
-            counts,
             depths,
             depth_clock,
             indexes,
@@ -473,20 +423,14 @@ impl MaterializedDb {
     }
 
     /// Heap bytes this database holds beyond its input structure: the
-    /// materialized IDB relations, the derivation counts and depths, and
+    /// materialized IDB relations, the derivation depths, and
     /// the permuted secondary-index copies (identity-keyed indexes probe
     /// the committed relation and hold nothing).
     pub fn heap_bytes(&self) -> usize {
         let idb: usize = self.idb.iter().map(Relation::heap_bytes).sum();
-        let counts: usize = self
-            .counts
-            .iter()
-            .flatten()
-            .map(CountedStore::heap_bytes)
-            .sum();
         let depths: usize = self.depths.iter().flatten().map(DepthMap::heap_bytes).sum();
         let indexes: usize = self.indexes.iter().map(SecondaryIndex::heap_bytes).sum();
-        idb + counts + depths + indexes
+        idb + depths + indexes
     }
 }
 
@@ -503,39 +447,6 @@ fn check_materializable(program: &Program, structure: &Structure) -> Result<(), 
         });
     }
     Ok(())
-}
-
-/// Rebuild the derivation counts for non-recursive IDB `p` from the
-/// committed relations: one full (all-`New`) enumeration per rule, one
-/// count unit per satisfying assignment.
-fn build_counts(ctx: &Ctx<'_>, p: usize, arity: usize) -> CountedStore {
-    let mut cs = CountedStore::new(arity);
-    let mut head = Vec::with_capacity(arity);
-    for &ri in ctx.plan.graph.rules_of(p) {
-        let mr = &ctx.plan.rules[ri];
-        let views = vec![View::New; mr.atoms.len()];
-        let mut asg = vec![Elem(0); mr.var_count];
-        let mut scratch = Vec::new();
-        mjoin(
-            ctx,
-            mr,
-            &mr.full_order,
-            &views,
-            0,
-            &mut asg,
-            &mut scratch,
-            &mut |a| {
-                head.clear();
-                head.extend(mr.head_args.iter().map(|&s| a[s]));
-                cs.push(&head, 1);
-                true
-            },
-        );
-    }
-    let delta = cs.apply();
-    debug_assert!(delta.removed.is_empty());
-    debug_assert_eq!(delta.inserted.len(), ctx.idb[p].len());
-    cs
 }
 
 /// Assign derivation depths to every tuple of recursive SCC `scc` by
@@ -591,22 +502,12 @@ fn build_depths(
                     let mut head = Vec::with_capacity(arity_of(p));
                     if round == 1 {
                         let mut asg = vec![Elem(0); mr.var_count];
-                        let mut scratch = Vec::new();
-                        mjoin(
-                            &rctx,
-                            mr,
-                            &mr.full_order,
-                            &views,
-                            0,
-                            &mut asg,
-                            &mut scratch,
-                            &mut |a| {
-                                head.clear();
-                                head.extend(mr.head_args.iter().map(|&s| a[s]));
-                                cand[p].push(&head);
-                                true
-                            },
-                        );
+                        mjoin(&rctx, mr, &mr.full_order, &views, 0, &mut asg, &mut |a| {
+                            head.clear();
+                            head.extend(mr.head_args.iter().map(|&s| a[s]));
+                            cand[p].push(&head);
+                            true
+                        });
                     } else {
                         for ai in 0..mr.atoms.len() {
                             let PredRef::Idb(q) = mr.atoms[ai].pred else {
@@ -713,7 +614,9 @@ impl IncCheckpoint {
 pub struct MaintenanceReport {
     /// Maintenance rounds (delta passes across all strata), cumulative
     /// over a resume chain — not the full evaluator's Φ rounds; an update
-    /// nothing depends on reports 0.
+    /// nothing depends on reports 0. Every stratum reports the rounds its
+    /// DRed phases ran, a non-recursive one included (up to one deletion,
+    /// two rederivation and one insertion round), not a flat 1.
     pub stages: usize,
     /// True when every stratum was maintained (always, for a completed
     /// run: an exhausted one returns an [`IncCheckpoint`] instead).
@@ -877,7 +780,7 @@ impl Deltas {
     }
 }
 
-/// The in-progress DRed state of one recursive SCC, overlaid on the
+/// The in-progress DRed state of one SCC, overlaid on the
 /// committed relations to form the `Cur` view. All three vectors are
 /// indexed by IDB id; non-members stay empty.
 struct Overlay<'a> {
@@ -909,22 +812,65 @@ impl Ctx<'_> {
     }
 }
 
-/// A candidate row for one join step: either an original-order store row
-/// (from a delta or overlay scan) or a permuted secondary-index row read
-/// through the index's position map.
-#[derive(Clone, Copy)]
-struct Cand<'t> {
-    row: RowRef<'t>,
-    map: Option<&'t [usize]>,
+/// How one [`View`] of an atom differs from the committed rows: which of
+/// them it hides and which rows it adds.
+#[derive(Default)]
+struct ViewRows<'a> {
+    /// Committed rows in this store are hidden (`Old`, `Stable`: the rows
+    /// this batch inserted; `Cur`: the over-deleted rows) …
+    hidden: Option<&'a TupleStore>,
+    /// … unless they are in this one (`Cur`: the revived rows).
+    revived: Option<&'a Relation>,
+    /// Rows the view reads beyond the committed ones (`Old`: the rows this
+    /// batch deleted; `Cur`: the rows added so far).
+    extra: Option<&'a TupleStore>,
+    /// `Cur` under a depth gate: every row, committed or added, must pass
+    /// it as a row of member `p`.
+    gate: Option<(&'a DepthGate<'a>, usize)>,
 }
 
-impl Cand<'_> {
-    #[inline]
-    fn at(&self, i: usize) -> Elem {
-        match self.map {
-            Some(m) => self.row.get(m[i]),
-            None => self.row.get(i),
+impl<'a> ViewRows<'a> {
+    fn new(ctx: &'a Ctx<'a>, pred: PredRef, view: View) -> ViewRows<'a> {
+        match view {
+            View::New => ViewRows::default(),
+            View::Old | View::Stable => {
+                let plus = ctx.deltas.plus(pred);
+                ViewRows {
+                    hidden: (!plus.is_empty()).then_some(plus),
+                    extra: (view == View::Old).then(|| ctx.deltas.minus(pred)),
+                    ..ViewRows::default()
+                }
+            }
+            View::Cur => {
+                let ov = ctx.overlay.as_ref().expect("Cur view requires an overlay");
+                let PredRef::Idb(p) = pred else {
+                    unreachable!("Cur views are only assigned to SCC members")
+                };
+                ViewRows {
+                    hidden: (!ov.removed[p].is_empty()).then_some(&ov.removed[p]),
+                    revived: Some(&ov.revived[p]),
+                    extra: Some(ov.added[p].store()),
+                    gate: ctx.gate.as_ref().map(|g| (g, p)),
+                }
+            }
         }
+    }
+
+    /// Does the view read committed row `t`?
+    #[inline]
+    fn shows(&self, t: ResolvedRow<'_>) -> bool {
+        if let Some(hidden) = self.hidden {
+            if hidden.contains(t) && !self.revived.is_some_and(|r| r.contains(t)) {
+                return false;
+            }
+        }
+        self.admits(t)
+    }
+
+    /// Does the depth gate, if any, admit row `t`?
+    #[inline]
+    fn admits(&self, t: ResolvedRow<'_>) -> bool {
+        self.gate.is_none_or(|(g, p)| g.admits(p, t))
     }
 }
 
@@ -938,9 +884,8 @@ fn accept(
     views: &[View],
     depth: usize,
     asg: &mut [Elem],
-    scratch: &mut Vec<Elem>,
     emit: &mut dyn FnMut(&[Elem]) -> bool,
-    cand: Cand<'_>,
+    cand: ResolvedRow<'_>,
     check_bound: bool,
 ) -> bool {
     let step = &steps[depth];
@@ -959,14 +904,17 @@ fn accept(
     for &(i, s) in &step.binds {
         asg[s] = cand.at(i);
     }
-    mjoin(ctx, mr, steps, views, depth + 1, asg, scratch, emit)
+    mjoin(ctx, mr, steps, views, depth + 1, asg, emit)
 }
 
 /// The maintenance join core: enumerate every extension of `asg` through
 /// `steps[depth..]`, reading each atom in the state its [`View`] names, and
 /// call `emit` per complete assignment. Returns `false` iff `emit` stopped
 /// the enumeration.
-#[allow(clippy::too_many_arguments)]
+///
+/// A step reads the committed rows its index probe returns (or, unindexed,
+/// all of them, checking the bound positions per row), minus the rows its
+/// view hides, followed by the rows its view adds.
 fn mjoin(
     ctx: &Ctx<'_>,
     mr: &MaintRule,
@@ -974,188 +922,37 @@ fn mjoin(
     views: &[View],
     depth: usize,
     asg: &mut [Elem],
-    scratch: &mut Vec<Elem>,
     emit: &mut dyn FnMut(&[Elem]) -> bool,
 ) -> bool {
     if depth == steps.len() {
         return emit(asg);
     }
     let step = &steps[depth];
-    let atom = &mr.atoms[step.atom];
-    let view = views[step.atom];
-    if let Some(si) = step.index {
-        let sidx = &ctx.indexes[si];
-        let (store, map) = sidx.probe_store(ctx.committed(atom.pred));
-        let mut key: Vec<Elem> = Vec::with_capacity(step.bound.len());
-        key.extend(step.bound.iter().map(|&(_, s)| asg[s]));
-        let range = store.prefix_range(&key);
-        match view {
-            View::New => {
-                for r in range {
-                    let cand = Cand {
-                        row: store.row(r),
-                        map,
-                    };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
-            }
-            View::Old => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for r in range {
-                    let row = store.row(r);
-                    if !plus.is_empty() {
-                        sidx.unpermute_into(row, scratch);
-                        if plus.contains(scratch.as_slice()) {
-                            continue;
-                        }
-                    }
-                    let cand = Cand { row, map };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
-                for t in ctx.deltas.minus(atom.pred).iter() {
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Cur => {
-                let ov = ctx.overlay.as_ref().expect("Cur view requires an overlay");
-                let PredRef::Idb(p) = atom.pred else {
-                    unreachable!("Cur views are only assigned to SCC members")
-                };
-                for r in range {
-                    let row = store.row(r);
-                    if !ov.removed[p].is_empty() || ctx.gate.is_some() {
-                        sidx.unpermute_into(row, scratch);
-                        if !ov.removed[p].is_empty()
-                            && ov.removed[p].contains(scratch.as_slice())
-                            && !ov.revived[p].contains(scratch.as_slice())
-                        {
-                            continue;
-                        }
-                        if let Some(g) = &ctx.gate {
-                            if !g.admits(p, scratch.as_slice()) {
-                                continue;
-                            }
-                        }
-                    }
-                    let cand = Cand { row, map };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
-                for t in ov.added[p].iter() {
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits(p, t)) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Stable => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for r in range {
-                    let row = store.row(r);
-                    if !plus.is_empty() {
-                        sidx.unpermute_into(row, scratch);
-                        if plus.contains(scratch.as_slice()) {
-                            continue;
-                        }
-                    }
-                    let cand = Cand { row, map };
-                    if !accept(
-                        ctx, mr, steps, views, depth, asg, scratch, emit, cand, false,
-                    ) {
-                        return false;
-                    }
-                }
-            }
+    let pred = mr.atoms[step.atom].pred;
+    let committed = ctx.committed(pred);
+    let (store, pos_of, range, check_bound) = match step.index {
+        Some(si) => {
+            let (store, pos_of) = ctx.indexes[si].probe_store(committed);
+            let key: Vec<Elem> = step.bound.iter().map(|&(_, s)| asg[s]).collect();
+            (store, pos_of, store.prefix_range(&key), false)
         }
-    } else {
-        // Unindexed step: scan the whole view, checking any bound positions
-        // per candidate.
-        match view {
-            View::New => {
-                for t in ctx.committed(atom.pred).iter() {
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Old => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for t in ctx.committed(atom.pred).iter() {
-                    if !plus.is_empty() && plus.contains(t) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-                for t in ctx.deltas.minus(atom.pred).iter() {
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Cur => {
-                let ov = ctx.overlay.as_ref().expect("Cur view requires an overlay");
-                let PredRef::Idb(p) = atom.pred else {
-                    unreachable!("Cur views are only assigned to SCC members")
-                };
-                for t in ctx.committed(atom.pred).iter() {
-                    if !ov.removed[p].is_empty()
-                        && ov.removed[p].contains(t)
-                        && !ov.revived[p].contains(t)
-                    {
-                        continue;
-                    }
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits(p, t)) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-                for t in ov.added[p].iter() {
-                    if ctx.gate.as_ref().is_some_and(|g| !g.admits(p, t)) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
-            View::Stable => {
-                let plus = ctx.deltas.plus(atom.pred);
-                for t in ctx.committed(atom.pred).iter() {
-                    if !plus.is_empty() && plus.contains(t) {
-                        continue;
-                    }
-                    let cand = Cand { row: t, map: None };
-                    if !accept(ctx, mr, steps, views, depth, asg, scratch, emit, cand, true) {
-                        return false;
-                    }
-                }
-            }
+        None => (committed, None, 0..committed.len(), true),
+    };
+    let rows = ViewRows::new(ctx, pred, views[step.atom]);
+    for r in range {
+        let row = store.row(r);
+        let cand = match pos_of {
+            Some(pos_of) => ResolvedRow::Permuted { row, pos_of },
+            None => ResolvedRow::Direct(row),
+        };
+        if rows.shows(cand) && !accept(ctx, mr, steps, views, depth, asg, emit, cand, check_bound) {
+            return false;
+        }
+    }
+    for t in rows.extra.into_iter().flat_map(TupleStore::iter) {
+        let cand = ResolvedRow::Direct(t);
+        if rows.admits(cand) && !accept(ctx, mr, steps, views, depth, asg, emit, cand, true) {
+            return false;
         }
     }
     true
@@ -1175,7 +972,6 @@ fn run_seeded(
     let step0 = &steps[0];
     debug_assert!(step0.bound.is_empty(), "seed step binds first");
     let mut asg = vec![Elem(0); mr.var_count];
-    let mut scratch = Vec::new();
     'seeds: for t in seeds.iter() {
         for &(i, j) in &step0.repeats {
             if t[i] != t[j] {
@@ -1185,7 +981,7 @@ fn run_seeded(
         for &(i, s) in &step0.binds {
             asg[s] = t.get(i);
         }
-        if !mjoin(ctx, mr, steps, views, 1, &mut asg, &mut scratch, emit) {
+        if !mjoin(ctx, mr, steps, views, 1, &mut asg, emit) {
             return;
         }
     }
@@ -1214,7 +1010,6 @@ fn rederives_with(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem], external: Vie
             asg[s] = t[i];
         }
         let mut found = false;
-        let mut scratch = Vec::new();
         mjoin(
             ctx,
             mr,
@@ -1222,7 +1017,6 @@ fn rederives_with(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem], external: Vie
             &views,
             0,
             &mut asg,
-            &mut scratch,
             &mut |_| {
                 found = true;
                 false
@@ -1335,86 +1129,11 @@ fn commit_edb(
     Ok(deltas)
 }
 
-/// Maintain one non-recursive singleton stratum by counting: one signed,
-/// telescoped delta pass per `(rule, body occurrence)` with a non-empty
-/// delta, folded into the stratum's [`CountedStore`]. Returns
-/// `(rounds, changed_tuples)`.
-fn counting_scc(
-    db: &mut MaterializedDb,
-    workers: &mut usize,
-    deltas: &mut Deltas,
-    p: usize,
-) -> (usize, usize) {
-    let arity = db.idb[p].arity();
-    let mut items: Vec<(usize, usize)> = Vec::new();
-    for &ri in db.plan.graph.rules_of(p) {
-        let mr = &db.plan.rules[ri];
-        for ai in 0..mr.atoms.len() {
-            let pred = mr.atoms[ai].pred;
-            if !deltas.plus(pred).is_empty() || !deltas.minus(pred).is_empty() {
-                items.push((ri, ai));
-            }
-        }
-    }
-    if items.is_empty() {
-        return (0, 0);
-    }
-    let stores: Vec<CountedStore> = {
-        let ctx = Ctx {
-            plan: &db.plan,
-            structure: &db.structure,
-            idb: &db.idb,
-            indexes: &db.indexes,
-            deltas,
-            overlay: None,
-            gate: None,
-        };
-        pooled(workers, items.len(), |ix| {
-            let (ri, ai) = items[ix];
-            let mr = &ctx.plan.rules[ri];
-            // Telescoped views: occurrences before the seed read the
-            // post-update state, occurrences after it the pre-update state,
-            // so summing the signed items is exactly New − Old at the
-            // derivation-count level.
-            let views: Vec<View> = (0..mr.atoms.len())
-                .map(|j| if j < ai { View::New } else { View::Old })
-                .collect();
-            let steps = &mr.seeded_orders[ai];
-            let pred = mr.atoms[ai].pred;
-            let mut out = CountedStore::new(arity);
-            let mut head = Vec::with_capacity(arity);
-            for (seeds, sign) in [(ctx.deltas.minus(pred), -1i64), (ctx.deltas.plus(pred), 1)] {
-                run_seeded(&ctx, mr, steps, &views, seeds, &mut |asg| {
-                    head.clear();
-                    head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                    out.push(&head, sign);
-                    true
-                });
-            }
-            out
-        })
-    };
-    let counts = db.counts[p]
-        .as_mut()
-        .expect("non-recursive strata carry counts");
-    for s in stores {
-        counts.absorb_pending(s);
-    }
-    let delta = counts.apply();
-    let changed = delta.inserted.len() + delta.removed.len();
-    db.idb[p].remove_tuples(&delta.removed);
-    db.idb[p].merge_store(&delta.inserted);
-    for (si, spec) in db.plan.specs.iter().enumerate() {
-        if spec.pred == PredRef::Idb(p) {
-            db.indexes[si].apply_batch(&delta.removed, &delta.inserted);
-        }
-    }
-    deltas.idb_minus[p] = delta.removed;
-    deltas.idb_plus[p] = delta.inserted;
-    (1, changed)
-}
-
-/// Maintain one recursive SCC by DRed. Returns `(rounds, changed_tuples)`.
+/// Maintain one SCC by DRed. Returns `(rounds, changed_tuples)`.
+///
+/// A non-recursive member carries no depth map, and needs none: the depth
+/// gate only filters `Cur` atoms, and none of its rule bodies mentions an
+/// SCC member.
 fn dred_scc(
     db: &mut MaterializedDb,
     workers: &mut usize,
@@ -1603,10 +1322,9 @@ fn dred_scc(
             if *hit {
                 let (p, t) = &cands[i];
                 revived[*p].insert(t);
-                db.depths[*p]
-                    .as_mut()
-                    .expect("recursive members carry depths")
-                    .insert(t.as_slice(), clock);
+                if let Some(map) = db.depths[*p].as_mut() {
+                    map.insert(t.as_slice(), clock);
+                }
                 any = true;
             }
         }
@@ -1708,11 +1426,10 @@ fn dred_scc(
             }
             fresh.seal();
             revive.seal();
-            let map = db.depths[p]
-                .as_mut()
-                .expect("recursive members carry depths");
-            for t in fresh.iter().chain(revive.iter()) {
-                map.insert(t, clock);
+            if let Some(map) = db.depths[p].as_mut() {
+                for t in fresh.iter().chain(revive.iter()) {
+                    map.insert(t, clock);
+                }
             }
             added[p].merge_store(&fresh);
             revived[p].merge_store(&revive);
@@ -1735,11 +1452,10 @@ fn dred_scc(
         let final_minus = removed[p].difference(revived[p].store());
         let final_plus = added[p].store().clone();
         changed += final_minus.len() + final_plus.len();
-        let map = db.depths[p]
-            .as_mut()
-            .expect("recursive members carry depths");
-        for t in final_minus.iter() {
-            map.remove(t);
+        if let Some(map) = db.depths[p].as_mut() {
+            for t in final_minus.iter() {
+                map.remove(t);
+            }
         }
         db.idb[p].remove_tuples(&final_minus);
         db.idb[p].merge_store(&final_plus);
@@ -1787,12 +1503,7 @@ fn maintain(
             return Err(stop.with_partial(cp));
         }
         let before = workers;
-        let (rounds, changed) = if db.plan.graph.is_recursive_scc(si) {
-            dred_scc(db, &mut workers, &mut deltas, si)
-        } else {
-            let p = db.plan.graph.scc_members(si)[0];
-            counting_scc(db, &mut workers, &mut deltas, p)
-        };
+        let (rounds, changed) = dred_scc(db, &mut workers, &mut deltas, si);
         if workers < before {
             diagnostics.push(recovery_note(si));
         }
@@ -2038,7 +1749,7 @@ mod tests {
     }
 
     #[test]
-    fn nonrecursive_counting_keeps_multiply_derived_tuples() {
+    fn nonrecursive_stratum_keeps_multiply_derived_tuples() {
         // two_hop is non-recursive: H(x,y) has one derivation per length-2
         // path. Deleting one of two parallel mid-edges must keep the pair.
         let p = gallery::two_hop();
@@ -2102,12 +1813,12 @@ mod tests {
         let (mut shared, mut copies) = (0usize, 0usize);
         for (spec, ix) in db.plan.specs.iter().zip(&db.indexes) {
             let committed = db_committed(&db, spec.pred);
-            match &ix.store {
+            match &ix.copy {
                 None => {
                     assert!(spec.key_positions.iter().enumerate().all(|(k, &i)| k == i));
                     shared += committed.heap_bytes();
                 }
-                Some(copy) => {
+                Some((_, copy)) => {
                     assert_eq!(spec.pred, PredRef::Edb(e));
                     assert_eq!(spec.key_positions, vec![1]);
                     copies += copy.heap_bytes();
@@ -2177,7 +1888,7 @@ mod tests {
         let copies = |db: &MaterializedDb| -> Vec<TupleStore> {
             db.indexes
                 .iter()
-                .filter_map(|ix| ix.store.clone())
+                .filter_map(|ix| ix.copy.as_ref().map(|(_, s)| s.clone()))
                 .collect()
         };
         // Read on the stores themselves: a clone's planes are exact.

@@ -45,13 +45,9 @@ enum Arena<'a> {
     /// EDB indexed on a positional prefix: probe the relation's own sealed
     /// store, nothing materialized.
     Natural(&'a Relation),
-    /// EDB indexed on non-prefix positions: a sorted permuted copy
-    /// (key columns moved to the front, remaining columns ascending).
-    Permuted {
-        /// `pos_of[i]` = permuted position of original column `i`.
-        pos_of: Vec<usize>,
-        store: TupleStore,
-    },
+    /// EDB indexed on non-prefix positions: a sorted [permuted
+    /// copy](permuted_copy).
+    Permuted { order: KeyOrder, store: TupleStore },
     /// IDB: rows are appended to `data` (one `arity`-stride row per
     /// absorbed tuple, in absorption order); `map` sends each key to the
     /// row ids carrying it.
@@ -177,9 +173,9 @@ impl<'a> TupleIndex<'a> {
                 store: rel.store(),
                 range: rel.store().prefix_range(key),
             },
-            Arena::Permuted { pos_of, store, .. } => ProbeIter::Permuted {
+            Arena::Permuted { order, store } => ProbeIter::Permuted {
                 store,
-                pos_of,
+                pos_of: &order.pos_of,
                 range: store.prefix_range(key),
             },
             Arena::Idb { arity, data, map } => ProbeIter::Ids {
@@ -191,10 +187,50 @@ impl<'a> TupleIndex<'a> {
     }
 }
 
-/// True when `key_positions` is exactly the positional prefix `0..k`, i.e.
-/// the relation's own lexicographic order already serves the probe.
-fn is_prefix(key_positions: &[usize]) -> bool {
-    key_positions.iter().copied().eq(0..key_positions.len())
+/// A column order that moves an index's key columns to the front, the
+/// remaining columns following in ascending order, so that a probe on the
+/// key is a [`TupleStore::prefix_range`].
+#[derive(Clone, Debug)]
+pub(crate) struct KeyOrder {
+    /// `perm[k]` = original column stored at permuted position `k`.
+    perm: Vec<usize>,
+    /// `pos_of[i]` = permuted position of original column `i`.
+    pub(crate) pos_of: Vec<usize>,
+}
+
+impl KeyOrder {
+    /// The rows of `rows` with their columns in this order, sealed.
+    pub(crate) fn permute(&self, rows: &TupleStore) -> TupleStore {
+        let mut out = TupleStore::with_capacity(self.perm.len(), rows.len());
+        for t in rows.iter() {
+            out.push_with(|buf| buf.extend(self.perm.iter().map(|&i| t.get(i))));
+        }
+        out.seal();
+        out
+    }
+}
+
+/// The sorted copy of `rows` with the columns `key_positions` moved to the
+/// front, and the order that built it. `None` when the key columns already
+/// are the prefix `0..k`: `rows` is then sorted exactly as the copy would
+/// be, and serves every probe itself.
+pub(crate) fn permuted_copy(
+    key_positions: &[usize],
+    rows: &TupleStore,
+) -> Option<(KeyOrder, TupleStore)> {
+    if key_positions.iter().copied().eq(0..key_positions.len()) {
+        return None;
+    }
+    let arity = rows.arity();
+    let mut perm = key_positions.to_vec();
+    perm.extend((0..arity).filter(|i| !key_positions.contains(i)));
+    let mut pos_of = vec![0usize; arity];
+    for (k, &i) in perm.iter().enumerate() {
+        pos_of[i] = k;
+    }
+    let order = KeyOrder { perm, pos_of };
+    let store = order.permute(rows);
+    Some((order, store))
 }
 
 /// All indexes one evaluation needs, aligned with
@@ -216,26 +252,9 @@ impl<'a> IndexPool<'a> {
                 let arena = match s.pred {
                     PredRef::Edb(sym) => {
                         let rel = a.relation(sym);
-                        if is_prefix(&s.key_positions) {
-                            Arena::Natural(rel)
-                        } else {
-                            let arity = rel.arity();
-                            let mut perm = s.key_positions.clone();
-                            for i in 0..arity {
-                                if !perm.contains(&i) {
-                                    perm.push(i);
-                                }
-                            }
-                            let mut pos_of = vec![0usize; arity];
-                            for (k, &i) in perm.iter().enumerate() {
-                                pos_of[i] = k;
-                            }
-                            let mut store = TupleStore::with_capacity(arity, rel.len());
-                            for t in rel.iter() {
-                                store.push_with(|buf| buf.extend(perm.iter().map(|&i| t.get(i))));
-                            }
-                            store.seal();
-                            Arena::Permuted { pos_of, store }
+                        match permuted_copy(&s.key_positions, rel.store()) {
+                            None => Arena::Natural(rel),
+                            Some((order, store)) => Arena::Permuted { order, store },
                         }
                     }
                     PredRef::Idb(i) => Arena::Idb {

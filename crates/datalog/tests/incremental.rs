@@ -105,15 +105,58 @@ fn check_stream(p: &Program, initial: Structure, stream: &Stream, cfg: &EvalConf
     }
 }
 
+/// Maintain one random stream at 1, 2 and 4 threads (with the parallel
+/// path forced) and require identical relations and stage counts after
+/// every batch, matching a from-scratch evaluation.
+fn check_thread_invariance(
+    p: &Program,
+    n: usize,
+    m: usize,
+    seed: u64,
+    stream: &Stream,
+) -> Result<(), TestCaseError> {
+    let a = random_structure(p.edb(), n, m, seed);
+    let configs: Vec<EvalConfig> = [1, 2, 4]
+        .iter()
+        .map(|&t| EvalConfig::new().with_threads(t).with_parallel_min_seed(0))
+        .collect();
+    let mut dbs: Vec<MaterializedDb> = configs
+        .iter()
+        .map(|cfg| MaterializedDb::new_with(p, a.clone(), cfg).unwrap())
+        .collect();
+    let mut mirror = a;
+    for batch in stream {
+        let (plus, minus) = apply_batch(p.edb(), &mut mirror, batch);
+        let results: Vec<MaintenanceReport> = dbs
+            .iter_mut()
+            .zip(&configs)
+            .map(|(db, cfg)| p.evaluate_incremental_with(db, &plus, &minus, cfg).unwrap())
+            .collect();
+        for (db, r) in dbs[1..].iter().zip(&results[1..]) {
+            prop_assert_eq!(db.relations(), dbs[0].relations());
+            prop_assert_eq!(r.stages, results[0].stages);
+        }
+        let full = p.evaluate(&mirror);
+        prop_assert_eq!(dbs[0].relations(), &full.relations[..]);
+    }
+    Ok(())
+}
+
 fn digraph_programs() -> Vec<Program> {
     vec![
         gallery::transitive_closure(),
-        gallery::cycle_detection(), // recursive SCC + nullary counting consumer
-        gallery::two_hop(),         // pure counting
+        gallery::cycle_detection(), // recursive SCC + nullary non-recursive consumer
+        gallery::two_hop(),         // one non-recursive stratum
         gallery::absorbed_recursion(),
         // Mutual recursion: a two-member SCC.
         Program::parse(
             "Even(x,y) :- E(x,z), Odd(z,y).\nOdd(x,y) :- E(x,y).\nOdd(x,y) :- E(x,z), Even(z,y).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap(),
+        // A multiply-derived non-recursive stratum below a recursive one.
+        Program::parse(
+            "P2(x,y) :- E(x,z), E(z,y).\nT(x,y) :- P2(x,y).\nT(x,y) :- P2(x,z), T(z,y).",
             &Vocabulary::digraph(),
         )
         .unwrap(),
@@ -164,7 +207,9 @@ proptest! {
     }
 
     /// Worker-thread invariance: relations AND stage counts are identical
-    /// at 1, 2, and 4 threads (with the parallel path forced).
+    /// at 1, 2, and 4 threads (with the parallel path forced), for a
+    /// recursive program, one with a non-recursive stratum above a
+    /// recursive one, and a non-recursive one.
     #[test]
     fn thread_counts_are_invisible(
         n in 1usize..7,
@@ -172,35 +217,14 @@ proptest! {
         seed in 0u64..1000,
         stream in stream_strategy(3, 8),
     ) {
-        let p = gallery::transitive_closure();
-        let a = random_structure(p.edb(), n, m, seed);
-        let configs: Vec<EvalConfig> = [1, 2, 4]
-            .iter()
-            .map(|&t| EvalConfig::new().with_threads(t).with_parallel_min_seed(0))
-            .collect();
-        let mut dbs: Vec<MaterializedDb> = configs
-            .iter()
-            .map(|cfg| MaterializedDb::new_with(&p, a.clone(), cfg).unwrap())
-            .collect();
-        let mut mirror = a;
-        for batch in &stream {
-            let (plus, minus) = apply_batch(p.edb(), &mut mirror, batch);
-            let results: Vec<MaintenanceReport> = dbs
-                .iter_mut()
-                .zip(&configs)
-                .map(|(db, cfg)| {
-                    p.evaluate_incremental_with(db, &plus, &minus, cfg).unwrap()
-                })
-                .collect();
-            for (db, r) in dbs[1..].iter().zip(&results[1..]) {
-                prop_assert_eq!(db.relations(), dbs[0].relations());
-                prop_assert_eq!(r.stages, results[0].stages);
-            }
-            let full = p.evaluate(&mirror);
-            prop_assert_eq!(dbs[0].relations(), &full.relations[..]);
+        for p in [
+            gallery::transitive_closure(),
+            gallery::cycle_detection(),
+            gallery::two_hop(),
+        ] {
+            check_thread_invariance(&p, n, m, seed, &stream)?;
         }
     }
-
     /// Split-budget maintenance equals single-budget maintenance: fuel `f1`
     /// then `f2` leaves the database and the outcome exactly where one
     /// `f1 + f2` run does.

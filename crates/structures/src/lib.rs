@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod counted;
 mod elem;
 mod error;
 mod fmt;
@@ -60,7 +59,6 @@ mod vocab;
 pub mod generators;
 
 pub use bitset::BitSet;
-pub use counted::{CountedDelta, CountedStore};
 pub use elem::Elem;
 pub use error::StructureError;
 pub use gaifman::{is_d_scattered, Neighborhoods};

@@ -198,66 +198,6 @@ proptest! {
         prop_assert_eq!(got, inter, "intersection");
     }
 
-    /// `CountedStore` agrees with a `BTreeMap<tuple, i64>` multiset model:
-    /// after each `apply`, per-tuple counts match and the reported
-    /// inserted/removed stores are exactly the set-level membership
-    /// transitions.
-    #[test]
-    fn counted_store_matches_model(
-        input in (0usize..=2).prop_flat_map(|k| (
-            Just(k),
-            prop::collection::vec(
-                (prop::collection::vec((0u32..4).prop_map(Elem), k..=k), any::<bool>()),
-                0..120,
-            ),
-            prop::collection::vec(any::<bool>(), 120..121),
-        ))
-    ) {
-        use std::collections::BTreeMap;
-        let (k, pushes, applies) = input;
-        let mut c = hp_structures::CountedStore::new(k);
-        let mut model: BTreeMap<Vec<Elem>, i64> = BTreeMap::new();
-        let mut buffered: Vec<(Vec<Elem>, i64)> = Vec::new();
-        for (i, (t, _)) in pushes.iter().enumerate() {
-            // Keep model counts non-negative: only retract what the model
-            // (committed + buffered) currently holds, mirroring how the
-            // maintenance algebra only retracts counted derivations.
-            let cur = model.get(t).copied().unwrap_or(0)
-                + buffered.iter().filter(|(b, _)| b == t).map(|(_, d)| d).sum::<i64>();
-            let delta = if pushes[i].1 && cur > 0 { -1 } else { 1 };
-            c.push(t, delta);
-            buffered.push((t.clone(), delta));
-            if applies[i] {
-                let before: BTreeSet<Vec<Elem>> = model.keys().cloned().collect();
-                for (b, d) in buffered.drain(..) {
-                    let e = model.entry(b).or_insert(0);
-                    *e += d;
-                }
-                model.retain(|_, v| *v > 0);
-                let after: BTreeSet<Vec<Elem>> = model.keys().cloned().collect();
-                let d = c.apply();
-                let ins: Vec<Vec<Elem>> =
-                    d.inserted.iter().map(|t| t.to_vec()).collect();
-                let rem: Vec<Vec<Elem>> =
-                    d.removed.iter().map(|t| t.to_vec()).collect();
-                prop_assert_eq!(
-                    ins,
-                    after.difference(&before).cloned().collect::<Vec<_>>(),
-                    "inserted transitions"
-                );
-                prop_assert_eq!(
-                    rem,
-                    before.difference(&after).cloned().collect::<Vec<_>>(),
-                    "removed transitions"
-                );
-                prop_assert_eq!(c.len(), model.len());
-                for (t, &n) in &model {
-                    prop_assert_eq!(c.count(t), n, "count mismatch");
-                }
-            }
-        }
-    }
-
     /// `Relation` (the always-sealed wrapper) agrees with the model under
     /// arbitrary insert/remove/contains sequences.
     #[test]
