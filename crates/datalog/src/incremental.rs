@@ -1860,11 +1860,8 @@ mod tests {
     #[test]
     fn in_place_commits_keep_the_index_copy_canonical() {
         // Reach from S over a 48-cycle plus random chords: maintenance
-        // keeps one permuted copy, E keyed on its second column. The cycle
-        // is never deleted, so every element stays referenced and the
-        // copy's dictionary holds what a fresh build's does (a store keeps
-        // unreferenced dictionary entries by design); what is left to
-        // differ is the planes, capacity included.
+        // keeps one permuted copy, E keyed on its second column, whose
+        // planes, capacity included, must match a fresh build's.
         let vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
         let p = Program::parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).\n# goal: R", &vocab).unwrap();
         let n = 48u32;

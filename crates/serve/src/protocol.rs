@@ -162,7 +162,7 @@ pub enum Response {
         /// Requests in flight right now.
         depth: u64,
         /// Heap bytes held by the currently published snapshot's column
-        /// planes, dictionaries, and pending arenas (analytic
+        /// planes and pending arenas (analytic
         /// [`heap_bytes`](hp_structures::Structure::heap_bytes)). Counts
         /// in full the relations the snapshot shares with neighbouring
         /// epochs, so summing it over epochs overstates resident memory.

@@ -40,7 +40,7 @@ pub enum StructureError {
     /// of a debug-only assert so release builds fail loudly rather than
     /// silently wrapping at 10⁸-row scale.
     CapacityExceeded {
-        /// What ran out of id space ("row id", "dictionary id", ...).
+        /// What ran out of id space ("IDB index row id", ...).
         what: &'static str,
         /// The count that no longer fits.
         requested: usize,

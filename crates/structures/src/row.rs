@@ -3,12 +3,11 @@
 //!
 //! With the structure-of-arrays layout a stored row is no longer a
 //! contiguous `&[Elem]` slice — its cells live in `arity` separate column
-//! planes as dense dictionary ids. [`RowRef`] is the zero-copy handle the
-//! store hands out instead: a `(store, row-index)` pair that decodes cells
-//! on access. It is `Copy`, indexes like a slice (`t[i]` yields an
-//! [`Elem`] through the store's dictionary), iterates cells by value, and
-//! compares by decoded element values so rows from stores with *different*
-//! dictionaries still order lexicographically.
+//! planes of element values. [`RowRef`] is the zero-copy handle the store
+//! hands out instead: a `(store, row-index)` pair that reads cells from
+//! the planes on access. It is `Copy`, indexes like a slice (`t[i]` borrows
+//! the [`Elem`] in the plane), iterates cells by value, and compares by
+//! element values so rows from different stores order lexicographically.
 //!
 //! [`Row`] abstracts over everything callers pass as "a tuple": borrowed
 //! slices, `Vec`s, array literals, and `RowRef` itself. Write-side store
@@ -28,12 +27,12 @@ use crate::store::TupleStore;
 ///
 /// Implemented for borrowed slices, `Vec`s, arrays (by reference), boxed
 /// slices, and [`RowRef`]. Store and structure write paths take
-/// `impl Row` so both decoded handles and plain element buffers flow in
+/// `impl Row` so both row handles and plain element buffers flow in
 /// without copies.
 pub trait Row {
     /// Number of cells in the row.
     fn width(&self) -> usize;
-    /// The `i`-th cell, decoded to an element value.
+    /// The `i`-th cell.
     fn at(&self, i: usize) -> Elem;
     /// Append every cell, in order, to `buf`.
     #[inline]
@@ -180,12 +179,10 @@ impl Row for &RowRef<'_> {
 
 /// A borrowed, zero-copy handle to one sealed row of a [`TupleStore`].
 ///
-/// Cells decode through the store's dictionary on access: `t[i]` and
-/// [`get`](RowRef::get) read the `i`-th column plane at this row and map
-/// the dense id back to its [`Elem`]. Comparisons (`==`, `<`) are by
-/// decoded values, so handles from different stores (different
-/// dictionaries) compare lexicographically, exactly as the old contiguous
-/// `&[Elem]` rows did.
+/// Cells are read on access: `t[i]` and [`get`](RowRef::get) read the
+/// `i`-th column plane at this row. Comparisons (`==`, `<`) are by element
+/// values, so handles from different stores compare lexicographically,
+/// exactly as contiguous `&[Elem]` rows do.
 #[derive(Clone, Copy)]
 pub struct RowRef<'a> {
     pub(crate) store: &'a TupleStore,
@@ -205,7 +202,7 @@ impl<'a> RowRef<'a> {
         self.len() == 0
     }
 
-    /// The `i`-th cell, decoded.
+    /// The `i`-th cell.
     #[inline]
     pub fn get(&self, i: usize) -> Elem {
         self.store.cell(i, self.row)

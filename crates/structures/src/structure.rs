@@ -11,8 +11,8 @@ use crate::vocab::{SymbolId, Vocabulary};
 
 /// The interpretation of one relation symbol: a set of tuples.
 ///
-/// Backed by a columnar [`TupleStore`] (dictionary-encoded id planes, one
-/// per column), kept **sealed** — sorted lexicographically and
+/// Backed by a columnar [`TupleStore`] (one plane of element values per
+/// column), kept **sealed** — sorted lexicographically and
 /// deduplicated — after every `&mut self` method returns. Relation equality
 /// is therefore structural equality, membership is a chunked galloping
 /// search, and iteration hands out zero-copy [`RowRef`] handles in
@@ -32,13 +32,6 @@ impl Relation {
         Relation {
             store: TupleStore::new(arity),
         }
-    }
-
-    /// Wrap a [`TupleStore`], sealing it so the canonical-order invariant
-    /// holds.
-    pub fn from_store(mut store: TupleStore) -> Self {
-        store.seal();
-        Relation { store }
     }
 
     /// The backing columnar store (always sealed).

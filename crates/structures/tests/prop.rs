@@ -220,9 +220,9 @@ proptest! {
     }
 }
 
-/// Element values chosen to stress the store's dictionary: dense low ids,
-/// the extremes of the `u32` range, and isolated powers of two, so dense
-/// dictionary ids bear no resemblance to the element values they encode.
+/// Element values chosen to stress the store's kernels: dense low values,
+/// the extremes of the `u32` range, and isolated powers of two, so rows
+/// spread sparsely over the whole value range.
 fn sparse_elem() -> impl Strategy<Value = Elem> {
     prop_oneof![
         (0u32..4).prop_map(Elem),
@@ -233,9 +233,8 @@ fn sparse_elem() -> impl Strategy<Value = Elem> {
 }
 
 proptest! {
-    /// Sparse, high element values round-trip through the dictionary: the
-    /// store agrees with the model on membership and sorted iteration, and
-    /// the dictionary holds exactly the distinct values in play.
+    /// Sparse, high element values round-trip through the store: it
+    /// agrees with the model on membership and sorted iteration.
     #[test]
     fn sparse_high_elem_values_roundtrip(
         xs in prop::collection::vec(
@@ -259,14 +258,11 @@ proptest! {
         for t in &model {
             prop_assert!(s.contains(t));
         }
-        let distinct: BTreeSet<Elem> = model.iter().flatten().copied().collect();
-        prop_assert_eq!(s.dict_len(), distinct.len());
     }
 
-    /// Sealing a batch whose values sort *below* existing dictionary
-    /// entries forces a dense-id remap of every already-sealed plane; rows
-    /// decoded before and after any number of such remaps must be
-    /// identical.
+    /// Sealing a batch whose values sort *below* existing rows splices
+    /// them ahead of every already-sealed row; rows read before and after
+    /// any number of such seals must be identical.
     #[test]
     fn dictionary_remap_stable_across_seals(
         batches in prop::collection::vec(
@@ -283,7 +279,7 @@ proptest! {
             }
             s.seal();
             // Everything inserted so far — including rows sealed under an
-            // older, smaller dictionary — still decodes to itself.
+            // older, smaller run — still reads back as itself.
             prop_assert_eq!(s.len(), model.len());
             let got: Vec<Vec<Elem>> = s.iter().map(|t| t.to_vec()).collect();
             prop_assert_eq!(got, model.iter().cloned().collect::<Vec<_>>());
@@ -382,7 +378,7 @@ proptest! {
 }
 
 /// Element values for the in-place batch kernels: a band `10..20` the
-/// seeded store draws from, values outside it (new to the dictionary both
+/// seeded store draws from, values outside it (new to the store both
 /// below and above its maximum), and the sparse extremes.
 fn batch_elem() -> impl Strategy<Value = Elem> {
     prop_oneof![(0u32..30).prop_map(Elem), sparse_elem()]
@@ -413,7 +409,7 @@ proptest! {
     /// and the single-row `insert`/`remove` — agree with a `BTreeSet`
     /// model at arities 0–3, over empty batches, duplicates within a
     /// batch, rows already present on insert and absent on delete, values
-    /// new to the dictionary below and above its maximum, and batches
+    /// new to the store below and above its maximum, and batches
     /// larger than the store. After every step the store is sealed and
     /// canonical: equal to, and hashing like, a fresh bulk load of the
     /// model.
