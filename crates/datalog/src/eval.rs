@@ -24,7 +24,7 @@ use hp_structures::{Elem, Relation, Row, Structure, StructureError, TupleStore};
 
 use crate::ast::{PredRef, Program};
 use crate::index::IndexPool;
-use crate::plan::{JoinStep, ProgramPlan, RulePlan};
+use crate::plan::{JoinStep, ProbeScratch, ProgramPlan, RulePlan};
 
 /// User-reachable misuse of the evaluation APIs, reported as a typed error
 /// instead of a panic.
@@ -494,6 +494,23 @@ impl Program {
         let rule_strata: Vec<usize> = (0..plan.rules.len())
             .map(|ri| self.rule_stratum(ri))
             .collect();
+        // Each rule's positive body atoms over an IDB of its own stratum:
+        // the atoms that seed its delta work items. A rule with none is an
+        // exit rule.
+        let delta_atoms: Vec<Vec<usize>> = plan
+            .rules
+            .iter()
+            .zip(&rule_strata)
+            .map(|(rp, &s)| {
+                rp.idb_atoms
+                    .iter()
+                    .copied()
+                    .filter(
+                        |&bi| matches!(rp.atoms[bi].pred, PredRef::Idb(p) if idb_strata[p] == s),
+                    )
+                    .collect()
+            })
+            .collect();
         let mut pool = IndexPool::new(&plan, a);
         // A worker panic degrades the rest of the evaluation to the
         // calling thread; the diagnostics record every such recovery.
@@ -553,15 +570,17 @@ impl Program {
             let stratum_stages_entry = stages;
             let stratum_fuel_entry = gauge.spent();
             let mut stratum_derived: u64 = 0;
-            // Round 0 of stratum `s`: every rule of the stratum against the
-            // IDBs accumulated so far (sealed lower strata; this stratum's
-            // own predicates are still empty, so everything derived is new).
-            // A resumed run re-enters its interrupted stratum directly at
-            // the delta loop, pending delta in hand.
+            // Round 0 of stratum `s`: the stratum's exit rules against the
+            // IDBs accumulated so far (sealed lower strata). This stratum's
+            // own predicates are still empty, so everything derived is new,
+            // and a rule with a positive atom over one of them derives
+            // nothing here: it first runs in the delta rounds. A resumed run
+            // re-enters its interrupted stratum directly at the delta loop,
+            // pending delta in hand.
             if !std::mem::take(&mut mid_stratum) {
                 delta = self.empty_idbs();
                 let items: Vec<WorkItem> = (0..plan.rules.len())
-                    .filter(|&ri| rule_strata[ri] == s)
+                    .filter(|&ri| rule_strata[ri] == s && delta_atoms[ri].is_empty())
                     .flat_map(|ri| (0..chunks).map(move |c| (ri, None, (c, chunks))))
                     .collect();
                 let ctx = JoinCtx {
@@ -638,21 +657,12 @@ impl Program {
                 // body atom, delta shard): the standard semi-naive split,
                 // sharded for the pool. Lower-stratum atoms have drained
                 // deltas and seed nothing.
-                let items: Vec<WorkItem> = plan
-                    .rules
-                    .iter()
-                    .enumerate()
-                    .filter(|&(ri, _)| rule_strata[ri] == s)
-                    .flat_map(|(ri, rp)| {
-                        rp.idb_atoms
-                            .iter()
-                            .filter(|&&bi| match rp.atoms[bi].pred {
-                                PredRef::Idb(p) => idb_strata[p] == s,
-                                PredRef::Edb(_) => false,
-                            })
-                            .flat_map(move |&bi| {
-                                (0..chunks).map(move |c| (ri, Some(bi), (c, chunks)))
-                            })
+                let items: Vec<WorkItem> = (0..plan.rules.len())
+                    .filter(|&ri| rule_strata[ri] == s)
+                    .flat_map(|ri| {
+                        delta_atoms[ri].iter().flat_map(move |&bi| {
+                            (0..chunks).map(move |c| (ri, Some(bi), (c, chunks)))
+                        })
                     })
                     .collect();
                 let ctx = JoinCtx {
@@ -749,6 +759,16 @@ fn run_round(
     })
 }
 
+/// One work item's fixed inputs: the rule, the join order of its seeding
+/// variant, the delta atom (if any), and the item's `(shard, of)` slice
+/// of the depth-0 scan.
+struct Item<'a> {
+    rp: &'a RulePlan,
+    steps: &'a [JoinStep],
+    delta_atom: Option<usize>,
+    chunk: (usize, usize),
+}
+
 /// Evaluate one work item: all satisfying substitutions of the rule along
 /// the precomputed join order for its seeding variant, with the seed scan
 /// restricted to the item's shard.
@@ -765,27 +785,31 @@ fn run_item(
             .as_ref()
             .expect("delta atom is an IDB atom"),
     };
+    let item = Item {
+        rp,
+        steps,
+        delta_atom,
+        chunk,
+    };
     let mut asg = vec![Elem(0); rp.var_count];
-    join(ctx, rp, steps, delta_atom, chunk, 0, &mut asg, out);
+    join(ctx, &item, 0, &mut asg, &mut ProbeScratch::default(), out);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn join(
     ctx: &JoinCtx<'_>,
-    rp: &RulePlan,
-    steps: &[JoinStep],
-    delta_atom: Option<usize>,
-    chunk: (usize, usize),
+    item: &Item<'_>,
     depth: usize,
     asg: &mut Vec<Elem>,
+    probes: &mut ProbeScratch,
     out: &mut TupleStore,
 ) {
-    if depth == steps.len() {
+    let rp = item.rp;
+    if depth == item.steps.len() {
         // Duplicates are fine here: the item's seal dedups in one pass.
         out.push_with(|buf| buf.extend(rp.head_args.iter().map(|&s| asg[s])));
         return;
     }
-    let step = &steps[depth];
+    let step = &item.steps[depth];
     let atom = &rp.atoms[step.atom];
     if atom.negated {
         // Negated guard: the plan schedules it only once every argument is
@@ -794,49 +818,43 @@ fn join(
         // (`TupleStore::difference` restricted to one candidate). Negated
         // IDB atoms live in strictly lower strata, whose deltas drained
         // before this stratum started, so `ctx.idb` is their final value.
-        let key: Vec<Elem> = step.bound.iter().map(|&(_, s)| asg[s]).collect();
+        let (key, _) = probes.key(step, depth, asg);
         let present = match atom.pred {
-            PredRef::Edb(sym) => ctx.a.relation(sym).contains(&key),
-            PredRef::Idb(p) => ctx.idb[p].contains(&key),
+            PredRef::Edb(sym) => ctx.a.relation(sym).contains(key),
+            PredRef::Idb(p) => ctx.idb[p].contains(key),
         };
         if !present {
-            join(ctx, rp, steps, delta_atom, chunk, depth + 1, asg, out);
+            join(ctx, item, depth + 1, asg, probes, out);
         }
         return;
     }
     if let Some(spec) = step.index {
-        // Hash probe on exactly the bound positions; candidates satisfy the
+        // Index probe on exactly the bound positions; candidates satisfy the
         // bound equalities by construction of the key.
-        let key: Vec<Elem> = step.bound.iter().map(|&(_, s)| asg[s]).collect();
-        for t in ctx.pool.get(spec).probe(&key) {
-            advance(ctx, rp, steps, delta_atom, chunk, depth, asg, out, t, false);
+        let (key, cursor) = probes.key(step, depth, asg);
+        for t in ctx.pool.get(spec).probe(key, cursor) {
+            advance(ctx, item, depth, asg, probes, out, t, false);
         }
         return;
     }
     // Scan path: the whole relation (nothing bound, or this is the delta
     // atom). The seed scan at depth 0 is the sharding point: each work item
-    // visits only its residue class of the scan.
-    let (shard, of) = if depth == 0 { chunk } else { (0, 1) };
-    match atom.pred {
-        PredRef::Edb(sym) => {
-            for (i, t) in ctx.a.relation(sym).iter().enumerate() {
-                if i % of == shard {
-                    advance(ctx, rp, steps, delta_atom, chunk, depth, asg, out, t, true);
-                }
-            }
-        }
-        PredRef::Idb(p) => {
-            let rel: &IdbRelation = if delta_atom == Some(step.atom) {
-                &ctx.delta[p]
-            } else {
-                &ctx.idb[p]
-            };
-            for (i, t) in rel.iter().enumerate() {
-                if i % of == shard {
-                    advance(ctx, rp, steps, delta_atom, chunk, depth, asg, out, t, true);
-                }
-            }
-        }
+    // visits only its own contiguous slice of the scan.
+    let rel: &IdbRelation = match atom.pred {
+        PredRef::Edb(sym) => ctx.a.relation(sym),
+        PredRef::Idb(p) if item.delta_atom == Some(step.atom) => &ctx.delta[p],
+        PredRef::Idb(p) => &ctx.idb[p],
+    };
+    let n = rel.len();
+    let rows = if depth == 0 {
+        let (shard, of) = item.chunk;
+        n * shard / of..n * (shard + 1) / of
+    } else {
+        0..n
+    };
+    let store = rel.store();
+    for i in rows {
+        advance(ctx, item, depth, asg, probes, out, store.row(i), true);
     }
 }
 
@@ -847,17 +865,15 @@ fn join(
 #[allow(clippy::too_many_arguments)]
 fn advance<R: Row>(
     ctx: &JoinCtx<'_>,
-    rp: &RulePlan,
-    steps: &[JoinStep],
-    delta_atom: Option<usize>,
-    chunk: (usize, usize),
+    item: &Item<'_>,
     depth: usize,
     asg: &mut Vec<Elem>,
+    probes: &mut ProbeScratch,
     out: &mut TupleStore,
     t: R,
     check_bound: bool,
 ) {
-    let step = &steps[depth];
+    let step = &item.steps[depth];
     if check_bound {
         for &(i, s) in &step.bound {
             if t.at(i) != asg[s] {
@@ -873,7 +889,7 @@ fn advance<R: Row>(
     for &(i, s) in &step.binds {
         asg[s] = t.at(i);
     }
-    join(ctx, rp, steps, delta_atom, chunk, depth + 1, asg, out);
+    join(ctx, item, depth + 1, asg, probes, out);
 }
 
 #[cfg(test)]
@@ -1229,6 +1245,152 @@ mod tests {
                     );
                 }
                 _ => panic!("fuel stop depends on thread count at fuel {fuel}"),
+            }
+        }
+    }
+
+    /// A digraph's edges as `Move` of a `win_move` game, every element a
+    /// `Pos`.
+    fn game(n: usize, m: usize, seed: u64) -> Structure {
+        let g = random_digraph(n, m, seed);
+        let mut b = Structure::builder(crate::gallery::win_move(0).edb().clone(), n);
+        for t in g.relation(g.vocab().lookup("E").unwrap()).iter() {
+            b = b.tuple(0, &[t.get(0).0, t.get(1).0]);
+        }
+        for x in 0..n as u32 {
+            b = b.tuple(1, &[x]);
+        }
+        b.build()
+    }
+
+    /// A digraph's edges as `E` of the reach program, source `S = {0}`.
+    fn reach_input(n: usize, m: usize, seed: u64) -> Structure {
+        let g = random_digraph(n, m, seed);
+        let v = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let mut b = Structure::builder(v, n);
+        for t in g.relation(g.vocab().lookup("E").unwrap()).iter() {
+            b = b.tuple(0, &[t.get(0).0, t.get(1).0]);
+        }
+        b.tuple(1, &[0]).build()
+    }
+
+    /// `(len, hash of the row sequence)` per relation.
+    fn fingerprint(rels: &[IdbRelation]) -> Vec<(usize, u64)> {
+        rels.iter()
+            .map(|rel| {
+                let h = rel.iter().fold(0u64, |h, t| {
+                    t.iter().fold(h, |h, e| {
+                        h.wrapping_mul(0x100_0000_01b3)
+                            .wrapping_add(u64::from(e.0) + 1)
+                    })
+                });
+                (rel.len(), h)
+            })
+            .collect()
+    }
+
+    /// Per fuel cap: `(finished, stages, fuel spent)`.
+    type FuelStops = &'static [(u64, (bool, usize, u64))];
+
+    #[test]
+    fn fuel_schedule_is_pinned() {
+        // Relations, stage counts, per-stratum profiles and fuel stops of
+        // two programs, at 1, 2 and 4 threads with every round on the
+        // pool. The figures were recorded from the evaluator that still ran
+        // every rule in round 0 and probed without cursors; restricting
+        // round 0 to exit rules, sharding by contiguous ranges and
+        // galloping probes must leave all of them unchanged.
+        let reach = Program::parse(
+            "R(x) :- S(x).\nR(y) :- R(x), E(x,y).",
+            &Vocabulary::from_pairs([("E", 2), ("S", 1)]),
+        )
+        .unwrap();
+        let win_fp: &[(usize, u64)] = &[
+            (255, 9881877594153117429),
+            (45, 3592193965482187297),
+            (77, 3962541203839909045),
+            (229, 13792242120987104487),
+            (71, 2560579094187590057),
+            (116, 9763340133274431948),
+            (209, 5405153958236445887),
+            (91, 15433725292103277751),
+            (138, 6289843376023379193),
+            (200, 10535811293564397560),
+            (100, 4240805171779651316),
+        ];
+        let win_profile: &[(usize, u64, u64)] = &[
+            (1, 255, 257),
+            (2, 122, 125),
+            (1, 229, 231),
+            (2, 187, 190),
+            (1, 209, 211),
+            (2, 229, 232),
+            (1, 200, 202),
+            (1, 100, 102),
+        ];
+        let win_stops: FuelStops = &[
+            (1, (false, 0, 256)),
+            (40, (false, 0, 256)),
+            (256, (false, 0, 256)),
+            (257, (false, 1, 257)),
+            (300, (false, 1, 303)),
+            (700, (false, 5, 802)),
+            (1100, (false, 7, 1106)),
+            (1549, (false, 10, 1549)),
+            (1550, (false, 11, 1550)),
+            (1551, (true, 11, 1550)),
+        ];
+        let reach_stops: FuelStops = &[
+            (1, (false, 0, 2)),
+            (2, (false, 0, 2)),
+            (3, (false, 1, 6)),
+            (8, (false, 2, 13)),
+            (40, (false, 4, 58)),
+            (256, (false, 7, 328)),
+            (382, (false, 11, 382)),
+            (383, (false, 12, 383)),
+            (384, (true, 12, 383)),
+        ];
+        let cases = [
+            (
+                crate::gallery::win_move(3),
+                game(300, 600, 7),
+                11,
+                win_fp,
+                win_profile,
+                win_stops,
+            ),
+            (
+                reach,
+                reach_input(400, 1000, 3),
+                12,
+                &[(370, 13783079395887220828)][..],
+                &[(12, 370, 383)][..],
+                reach_stops,
+            ),
+        ];
+        for (p, a, stages, fp, profile, stops) in &cases {
+            for threads in [1usize, 2, 4] {
+                let cfg = EvalConfig::new()
+                    .with_threads(threads)
+                    .with_parallel_min_seed(0);
+                let r = p.evaluate_with(a, &cfg);
+                assert!(r.converged, "threads {threads}");
+                assert_eq!(r.stages, *stages, "threads {threads}");
+                assert_eq!(fingerprint(&r.relations), *fp, "threads {threads}");
+                let got: Vec<(usize, u64, u64)> = r
+                    .profile
+                    .iter()
+                    .map(|s| (s.stages, s.derived, s.fuel))
+                    .collect();
+                assert_eq!(got, *profile, "threads {threads}");
+                for &(fuel, want) in *stops {
+                    let got = match p.evaluate_budgeted(a, &cfg, &Budget::fuel(fuel)) {
+                        Ok(r) => (true, r.stages, r.profile.iter().map(|s| s.fuel).sum()),
+                        Err(e) => (false, e.partial.partial.stages, e.partial.fuel_spent()),
+                    };
+                    assert_eq!(got, want, "threads {threads}, fuel {fuel}");
+                }
             }
         }
     }

@@ -9,9 +9,10 @@
 //! - **Natural** (EDB, key positions are the prefix `0..k`): no index is
 //!   built at all. The relation's sealed store is already sorted
 //!   lexicographically, so a probe is
-//!   [`TupleStore::prefix_range`](hp_structures::TupleStore::prefix_range) —
-//!   a chunked galloping search over the leading column planes. Setup cost
-//!   is zero, which matters because the pool is rebuilt per evaluation.
+//!   [`TupleStore::prefix_range_from`](hp_structures::TupleStore::prefix_range_from) —
+//!   a chunked search over the leading column planes that gallops forward
+//!   from the caller's cursor while keys ascend. Setup cost is zero, which
+//!   matters because the pool is rebuilt per evaluation.
 //! - **Permuted** (EDB, any other key positions): a sorted copy of the
 //!   relation with the key columns permuted to the front (remaining
 //!   columns keep their relative order, so rows sharing a key enumerate in
@@ -167,16 +168,27 @@ impl<'a> TupleIndex<'a> {
     /// original column order. EDB probes enumerate ascending store rows,
     /// IDB probes absorption order — both match the row-id orders the
     /// hash-only pool produced, and every consumer seals its output anyway.
-    pub fn probe<'s>(&'s self, key: &[Elem]) -> ProbeIter<'s> {
+    ///
+    /// `cursor` is the caller's per-(work item, depth) position: a sorted
+    /// EDB probe gallops forward from it when it is still valid (see
+    /// [`TupleStore::prefix_range_from`]) and leaves its range's start
+    /// there, so ascending keys sweep the store once. The answer never
+    /// depends on it; IDB hash probes leave it alone.
+    pub fn probe<'s>(&'s self, key: &[Elem], cursor: &mut usize) -> ProbeIter<'s> {
+        let mut sorted = |store: &TupleStore| {
+            let range = store.prefix_range_from(key, *cursor);
+            *cursor = range.start;
+            range
+        };
         match &self.arena {
             Arena::Natural(rel) => ProbeIter::Rows {
                 store: rel.store(),
-                range: rel.store().prefix_range(key),
+                range: sorted(rel.store()),
             },
             Arena::Permuted { order, store } => ProbeIter::Permuted {
                 store,
                 pos_of: &order.pos_of,
-                range: store.prefix_range(key),
+                range: sorted(store),
             },
             Arena::Idb { arity, data, map } => ProbeIter::Ids {
                 arity: *arity,
@@ -324,9 +336,9 @@ mod tests {
             .iter()
             .position(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![1])
             .expect("E indexed on position 1");
-        let hits = collect(pool.get(spec).probe(&[Elem(2)]));
+        let hits = collect(pool.get(spec).probe(&[Elem(2)], &mut 0));
         assert_eq!(hits, vec![vec![Elem(1), Elem(2)]]);
-        assert!(pool.get(spec).probe(&[Elem(0)]).next().is_none());
+        assert!(pool.get(spec).probe(&[Elem(0)], &mut 0).next().is_none());
     }
 
     #[test]
@@ -349,7 +361,7 @@ mod tests {
             .position(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![0])
             .expect("E indexed on position 0 (the linear chain probe)");
         assert!(matches!(pool.get(spec).arena, Arena::Natural(_)));
-        let hits = collect(pool.get(spec).probe(&[Elem(2)]));
+        let hits = collect(pool.get(spec).probe(&[Elem(2)], &mut 0));
         assert_eq!(hits, vec![vec![Elem(2), Elem(3)]]);
     }
 
@@ -373,7 +385,7 @@ mod tests {
         // Edges into 2: (0,2), (1,2), (3,2) — ascending by the remaining
         // (source) column, exactly the relation's own row order restricted
         // to the key, with every row decoded back to (src, dst).
-        let hits = collect(pool.get(spec).probe(&[Elem(2)]));
+        let hits = collect(pool.get(spec).probe(&[Elem(2)], &mut 0));
         assert_eq!(
             hits,
             vec![
@@ -382,6 +394,39 @@ mod tests {
                 vec![Elem(3), Elem(2)],
             ]
         );
+    }
+
+    #[test]
+    fn a_shared_cursor_never_changes_an_answer() {
+        // One cursor through ascending, repeated and descending keys, on
+        // both sorted shapes: every answer equals a fresh-cursor probe.
+        let p = Program::parse(
+            "R(y) :- S(x), E(x,y).\nR(y) :- R(x), E(x,y).\nT(x) :- E(x,y), R(y).",
+            &Vocabulary::from_pairs([("E", 2), ("S", 1)]),
+        )
+        .unwrap();
+        let plan = ProgramPlan::new(&p);
+        let mut a = hp_structures::Structure::new(p.edb().clone(), 200);
+        for i in 0..200u32 {
+            for d in [1, 7, 30] {
+                a.add_tuple_ids(0, &[i, (i * d + 3) % 200]).unwrap();
+            }
+        }
+        let pool = IndexPool::new(&plan, &a);
+        let keys: Vec<u32> = (0..200)
+            .chain([5, 5, 199, 0, 150, 150, 3])
+            .chain((0..200).rev())
+            .collect();
+        for (spec, s) in plan.index_specs.iter().enumerate() {
+            if !matches!(s.pred, PredRef::Edb(_)) {
+                continue;
+            }
+            let mut cursor = 0;
+            for &k in &keys {
+                let got = collect(pool.get(spec).probe(&[Elem(k)], &mut cursor));
+                assert_eq!(got, collect(pool.get(spec).probe(&[Elem(k)], &mut 0)));
+            }
+        }
     }
 
     #[test]
@@ -399,7 +444,7 @@ mod tests {
             .iter()
             .position(|s| matches!(s.pred, PredRef::Idb(0)))
             .expect("T is indexed (nonlinear rule)");
-        assert!(pool.get(spec).probe(&[Elem(1)]).next().is_none());
+        assert!(pool.get(spec).probe(&[Elem(1)], &mut 0).next().is_none());
         let mut delta: Vec<IdbRelation> = vec![Relation::new(2)];
         delta[0].insert(&[Elem(0), Elem(1)]);
         pool.absorb(&plan, &delta).unwrap();
@@ -408,7 +453,7 @@ mod tests {
         pool.absorb(&plan, &delta).unwrap();
         let key = plan.index_specs[spec].key_positions.clone();
         let probe_key = if key == vec![0] { Elem(0) } else { Elem(1) };
-        assert!(pool.get(spec).probe(&[probe_key]).next().is_some());
+        assert!(pool.get(spec).probe(&[probe_key], &mut 0).next().is_some());
     }
 
     #[test]

@@ -19,6 +19,8 @@
 
 use std::cmp::Reverse;
 
+use hp_structures::Elem;
+
 use crate::ast::{PredRef, Program, Rule};
 
 /// Key specification for one hash index: a predicate together with the
@@ -66,6 +68,38 @@ pub(crate) struct JoinStep {
     pub index: Option<usize>,
 }
 
+/// One work item's probe scratch, shared by both join cores: the key
+/// buffer every probe writes into, so no probe allocates, and one cursor
+/// per join depth — the start of that depth's previous probe range, from
+/// which a sorted probe ([`TupleStore::prefix_range_from`]) gallops
+/// forward while keys arrive in ascending order, as they do under a
+/// sorted delta scan.
+///
+/// [`TupleStore::prefix_range_from`]: hp_structures::TupleStore::prefix_range_from
+#[derive(Default)]
+pub(crate) struct ProbeScratch {
+    key: Vec<Elem>,
+    cursors: Vec<usize>,
+}
+
+impl ProbeScratch {
+    /// Write `step`'s probe key — the values of its bound slots under
+    /// `asg` — into the buffer, and return it with the cursor of `depth`.
+    pub(crate) fn key(
+        &mut self,
+        step: &JoinStep,
+        depth: usize,
+        asg: &[Elem],
+    ) -> (&[Elem], &mut usize) {
+        self.key.clear();
+        self.key.extend(step.bound.iter().map(|&(_, s)| asg[s]));
+        if self.cursors.len() <= depth {
+            self.cursors.resize(depth + 1, 0);
+        }
+        (&self.key, &mut self.cursors[depth])
+    }
+}
+
 /// Everything the join core needs to know about one rule, precomputed.
 #[derive(Clone, Debug)]
 pub(crate) struct RulePlan {
@@ -95,9 +129,10 @@ pub(crate) struct ProgramPlan {
     /// Interned index-key specs referenced by [`JoinStep::index`].
     pub index_specs: Vec<IndexSpec>,
     /// Aligned with `index_specs`: whether the evaluator fills an IDB
-    /// index as its predicate grows. False when only the round-0 orders of
-    /// the predicate's own stratum probe it: those run while the predicate
-    /// is still empty, so the index may stay empty too. Unused for EDB
+    /// index as its predicate grows. False when only the seed orders of
+    /// rules in the predicate's own stratum probe it: such a rule is not an
+    /// exit rule, so the fixpoint never runs its seed order (round 0 runs
+    /// exit rules only), and the index is never read. Unused for EDB
     /// specs.
     pub absorbed: Vec<bool>,
     /// IDB arities, aligned with [`Program::idbs`] — the row strides the
@@ -116,8 +151,9 @@ impl ProgramPlan {
             .collect();
         let mut absorbed = vec![false; index_specs.len()];
         for (ri, rp) in rules.iter().enumerate() {
-            // Delta orders run while the accumulated IDBs grow; round-0
-            // orders only see other strata's IDBs non-empty.
+            // Delta orders run while the accumulated IDBs grow; a seed
+            // order runs in round 0 only for an exit rule, whose IDB atoms
+            // all lie in lower strata.
             for i in rp
                 .delta_orders
                 .iter()

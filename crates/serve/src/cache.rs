@@ -25,12 +25,13 @@
 //! for.
 //!
 //! **Single-flight:** when N equivalent queries arrive concurrently, one
-//! becomes the *leader* (evaluates), the rest block on a condvar and
-//! receive the leader's answer. The leader's claim is an RAII
-//! [`LeaderGuard`]: if the leader panics or is shed mid-evaluation, the
-//! guard's `Drop` abandons the slot and wakes every follower, who then
-//! re-claim (one becomes the new leader). No follower can wait on a dead
-//! leader — chaos-suite property.
+//! becomes the *leader* (evaluates), the rest block on the in-flight
+//! slot's own condvar and receive the leader's answer; a publish or
+//! abandon wakes only that slot's followers, never those of other keys.
+//! The leader's claim is an RAII [`LeaderGuard`]: if the leader panics or
+//! is shed mid-evaluation, the guard's `Drop` abandons the slot and wakes
+//! its followers, who then re-claim (one becomes the new leader). No
+//! follower can wait on a dead leader — chaos-suite property.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,8 +57,9 @@ pub struct CachedAnswer {
 pub type Footprint = Option<Arc<[SymbolId]>>;
 
 enum Slot {
-    /// A leader holds the claim and is evaluating.
-    InFlight,
+    /// A leader holds the claim and is evaluating; its followers wait on
+    /// the condvar (with the cache's one state mutex).
+    InFlight(Arc<Condvar>),
     /// The answer is published, with the footprint it was computed from.
     Ready(Arc<CachedAnswer>, Footprint),
 }
@@ -88,7 +90,6 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    published: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -113,7 +114,6 @@ impl AnswerCache {
         AnswerCache {
             shared: Arc::new(Shared {
                 state: Mutex::new(State::default()),
-                published: Condvar::new(),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 coalesced: AtomicU64::new(0),
@@ -140,9 +140,10 @@ impl AnswerCache {
                         waited,
                     };
                 }
-                Some(Slot::InFlight) => {
-                    // One follower counts once, however often the shared
-                    // condvar wakes it (any key's publish or abandon does).
+                Some(Slot::InFlight(wake)) => {
+                    let wake = Arc::clone(wake);
+                    // One follower counts once, however often it wakes
+                    // (a condvar may wake spuriously).
                     if !waited {
                         self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
                         waited = true;
@@ -151,9 +152,7 @@ impl AnswerCache {
                     if now >= deadline {
                         return Claim::TimedOut;
                     }
-                    let (s, timeout) = self
-                        .shared
-                        .published
+                    let (s, timeout) = wake
                         .wait_timeout(state, deadline - now)
                         .unwrap_or_else(|e| e.into_inner());
                     state = s;
@@ -172,7 +171,9 @@ impl AnswerCache {
                 }
                 None => {
                     self.shared.misses.fetch_add(1, Ordering::Relaxed);
-                    state.slots.insert((key, epoch), Slot::InFlight);
+                    state
+                        .slots
+                        .insert((key, epoch), Slot::InFlight(Arc::default()));
                     return Claim::Leader(LeaderGuard {
                         shared: self.shared.clone(),
                         key,
@@ -195,8 +196,14 @@ impl AnswerCache {
 
     /// Drop every entry for epochs older than `epoch` (called on publish;
     /// pinned readers re-evaluate rather than consult retired entries).
+    /// Followers of a dropped in-flight slot wake and re-claim.
     pub fn retire_before(&self, epoch: u64) {
-        self.lock().slots.retain(|(_, e), _| *e >= epoch);
+        self.lock().slots.retain(|&(_, e), slot| {
+            if let (true, Slot::InFlight(wake)) = (e < epoch, &*slot) {
+                wake.notify_all();
+            }
+            e >= epoch
+        });
     }
 
     /// Re-key every published entry of epoch `from` whose footprint is
@@ -278,19 +285,23 @@ pub struct LeaderGuard {
 }
 
 impl LeaderGuard {
-    /// Publish the evaluated answer, waking all followers with a hit.
+    /// Publish the evaluated answer, waking the slot's followers with a
+    /// hit.
     /// `footprint` is the sorted EDB symbols the evaluation read (see
     /// [`Footprint`]); it decides which later writes the answer survives.
     pub fn publish(mut self, answer: CachedAnswer, footprint: Footprint) -> Arc<CachedAnswer> {
         let ans = Arc::new(answer);
-        {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state
-                .slots
-                .insert((self.key, self.epoch), Slot::Ready(ans.clone(), footprint));
-        }
+        let prev = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .slots
+            .insert((self.key, self.epoch), Slot::Ready(ans.clone(), footprint));
         self.done = true;
-        self.shared.published.notify_all();
+        if let Some(Slot::InFlight(wake)) = prev {
+            wake.notify_all();
+        }
         ans
     }
 }
@@ -300,14 +311,14 @@ impl Drop for LeaderGuard {
         if self.done {
             return;
         }
-        // Abandon: clear the in-flight slot and wake followers so one of
-        // them becomes the new leader. Runs on panic unwind too.
+        // Abandon: clear the in-flight slot and wake its followers so one
+        // of them becomes the new leader. Runs on panic unwind too.
         let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(Slot::InFlight) = state.slots.get(&(self.key, self.epoch)) {
-            state.slots.remove(&(self.key, self.epoch));
+        let slot = (self.key, self.epoch);
+        if let Some(Slot::InFlight(wake)) = state.slots.get(&slot) {
+            wake.notify_all();
+            state.slots.remove(&slot);
         }
-        drop(state);
-        self.shared.published.notify_all();
     }
 }
 
@@ -367,9 +378,9 @@ mod tests {
         while cache.stats().2 == 0 {
             thread::sleep(Duration::from_millis(1));
         }
-        // Every publish wakes every waiter, whatever its key. The pauses
-        // let the follower re-check key 1 between wake-ups; the count
-        // must read 1 however many of them it sees.
+        // Publishes of other keys must not disturb the follower. The
+        // pauses would let it re-check key 1 between wake-ups if it were
+        // woken; the count must read 1 however many of them it sees.
         for key in 2..6 {
             publish_at(&cache, key, 0, None);
             thread::sleep(Duration::from_millis(20));
@@ -400,6 +411,26 @@ mod tests {
             _ => panic!("follower re-claims leadership after abandonment"),
         }
         assert!(cache.peek(9, 3).is_some());
+    }
+
+    #[test]
+    fn retiring_an_in_flight_slot_wakes_its_followers() {
+        let cache = AnswerCache::new();
+        let _leader = match cache.claim(9, 0, Duration::from_secs(1)) {
+            Claim::Leader(g) => g,
+            _ => panic!("first claim leads"),
+        };
+        let c2 = cache.clone();
+        let follower = thread::spawn(move || c2.claim(9, 0, Duration::from_secs(30)));
+        while cache.stats().2 == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        // The slot is gone, so the woken follower leads a fresh
+        // evaluation instead of waiting out its 30 s.
+        let t0 = std::time::Instant::now();
+        cache.retire_before(1);
+        assert!(matches!(follower.join().unwrap(), Claim::Leader(_)));
+        assert!(t0.elapsed() < Duration::from_secs(10));
     }
 
     #[test]

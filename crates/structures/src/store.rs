@@ -34,15 +34,19 @@
 //! use `Vec::insert`/`Vec::remove` instead, whose geometric capacity keeps
 //! row-by-row builds amortised.
 //!
-//! The galloping kernels (`contains`, [`merge`](TupleStore::merge),
+//! The search kernels run on the **lead plane first**: a binary search —
+//! or, from a cursor, an exponential gallop — narrows to a window of at
+//! most 64 values, which a branch-free `(v < target) as usize` counting
+//! loop — a shape LLVM autovectorizes — resolves; equal-lead groups then
+//! narrow column by column the same way, and each group's end gallops
+//! from its start. The batch kernels ([`merge`](TupleStore::merge),
 //! [`subtract`](TupleStore::subtract),
 //! [`difference`](TupleStore::difference),
-//! [`intersection`](TupleStore::intersection),
-//! [`prefix_range`](TupleStore::prefix_range)) run on the **lead plane
-//! first**: an exponential gallop plus binary search narrows to a window of
-//! at most 64 values, which a branch-free `(v < target) as usize` counting
-//! loop — a shape LLVM autovectorizes — resolves; equal-lead groups then
-//! narrow column by column the same way. Cross-store operations read the
+//! [`intersection`](TupleStore::intersection)) gallop from an advancing
+//! cursor; `contains` and [`prefix_range`](TupleStore::prefix_range)
+//! search the whole run, and
+//! [`prefix_range_from`](TupleStore::prefix_range_from) gallops from a
+//! caller's cursor when it is valid. Cross-store operations read the
 //! other store's planes as they are: two stores holding the same rows hold
 //! the same planes.
 //!
@@ -62,52 +66,39 @@ use crate::row::{Row, RowRef};
 /// to a branch-free counting scan over the plane (autovectorizable).
 const CHUNK: usize = 64;
 
-/// First index in sorted `w` with `w[i] >= t`: binary halving to a
-/// `CHUNK`-wide window, then a branch-free count of smaller values.
+/// First index in `w` where `below` turns false (`w` is partitioned:
+/// `below` holds on a prefix): binary halving to a `CHUNK`-wide window,
+/// then a branch-free count of the values still below.
 #[inline]
-fn lb<T: Copy + Ord>(w: &[T], t: T) -> usize {
+fn search<T: Copy>(w: &[T], below: impl Fn(T) -> bool) -> usize {
     let (mut lo, mut hi) = (0usize, w.len());
     while hi - lo > CHUNK {
         let mid = lo + (hi - lo) / 2;
-        if w[mid] < t {
+        if below(w[mid]) {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    lo + w[lo..hi].iter().map(|&v| (v < t) as usize).sum::<usize>()
+    lo + w[lo..hi].iter().map(|&v| below(v) as usize).sum::<usize>()
 }
 
-/// First index in sorted `w` with `w[i] > t`.
+/// Like [`search`], but with an exponential gallop from the front, so the
+/// cost is logarithmic in the answer rather than in `w.len()`: cheap when
+/// the answer is near, as for an advancing cursor or a short equal group.
 #[inline]
-fn ub<T: Copy + Ord>(w: &[T], t: T) -> usize {
-    let (mut lo, mut hi) = (0usize, w.len());
-    while hi - lo > CHUNK {
-        let mid = lo + (hi - lo) / 2;
-        if w[mid] <= t {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo + w[lo..hi].iter().map(|&v| (v <= t) as usize).sum::<usize>()
-}
-
-/// Like [`lb`], but with an exponential gallop from the front so repeated
-/// calls with an advancing cursor (merges, subset scans) stay near-linear.
-#[inline]
-fn gallop_lb<T: Copy + Ord>(w: &[T], t: T) -> usize {
-    if w.is_empty() || w[0] >= t {
+fn gallop<T: Copy>(w: &[T], below: impl Fn(T) -> bool) -> usize {
+    if w.is_empty() || !below(w[0]) {
         return 0;
     }
-    let mut lo = 0usize; // invariant: w[lo] < t
+    let mut lo = 0usize; // invariant: below(w[lo])
     let mut step = 1usize;
-    while lo + step < w.len() && w[lo + step] < t {
+    while lo + step < w.len() && below(w[lo + step]) {
         lo += step;
         step <<= 1;
     }
     let hi = (lo + step).min(w.len());
-    lo + 1 + lb(&w[lo + 1..hi], t)
+    lo + 1 + search(&w[lo + 1..hi], below)
 }
 
 /// Sort row indices `idx` by the rows they address in the arity-`k`
@@ -358,7 +349,7 @@ impl TupleStore {
         let mut at: Vec<(usize, usize)> = Vec::new();
         let mut from = 0usize;
         for (j, _) in batch[0].iter().enumerate() {
-            let (pos, found) = self.locate(from, |c| batch[c][j]);
+            let (pos, found) = self.locate(Some(from), |c| batch[c][j]);
             if found {
                 from = pos + 1;
             } else {
@@ -405,27 +396,44 @@ impl TupleStore {
         self.rows = n - at.len();
     }
 
-    /// Seek the row whose cell in column `c` is `target(c)`, starting at
-    /// `from`. Returns the lexicographic lower bound and whether the row
-    /// is present.
-    fn locate(&self, from: usize, target: impl Fn(usize) -> Elem) -> (usize, bool) {
-        let k = self.arity;
-        debug_assert!(k > 0);
-        let (mut lo, mut hi) = (from, self.rows);
+    /// The rows of the sorted run whose first `k` cells are
+    /// `target(0..k)`, as a range; when there are none, the empty range
+    /// sits at their lexicographic lower bound. The lead column is searched
+    /// from `from` — galloping forward from a cursor (`Some`), or binary
+    /// over the whole run (`None`) — and each later column within the
+    /// previous column's equal group; every group's end gallops from the
+    /// group's start. With `from = Some(i)`, every row before `i` must sort
+    /// below the target.
+    fn narrow(
+        &self,
+        from: Option<usize>,
+        k: usize,
+        target: impl Fn(usize) -> Elem,
+    ) -> std::ops::Range<usize> {
+        let (mut lo, mut hi) = (from.unwrap_or(0), self.rows);
         for c in 0..k {
             let t = target(c);
             let w = &self.planes[c][lo..hi];
-            let s = if c == 0 { gallop_lb(w, t) } else { lb(w, t) };
+            let s = match from {
+                Some(_) if c == 0 => gallop(w, |v| v < t),
+                _ => search(w, |v| v < t),
+            };
             if s >= w.len() || w[s] != t {
-                return (lo + s, false);
+                return lo + s..lo + s;
             }
-            if c + 1 == k {
-                return (lo + s, true);
-            }
-            hi = lo + s + ub(&w[s..], t);
+            hi = lo + s + gallop(&w[s..], |v| v <= t);
             lo += s;
         }
-        (lo, true)
+        lo..hi
+    }
+
+    /// Seek the row whose cell in column `c` is `target(c)`, from a cursor
+    /// (`Some`, galloping) or over the whole run (`None`). Returns the
+    /// lexicographic lower bound and whether the row is present.
+    fn locate(&self, from: Option<usize>, target: impl Fn(usize) -> Elem) -> (usize, bool) {
+        debug_assert!(self.arity > 0);
+        let r = self.narrow(from, self.arity, target);
+        (r.start, !r.is_empty())
     }
 
     /// The rows of `probe` (sealed) whose presence in `base` (sealed)
@@ -436,7 +444,7 @@ impl TupleStore {
         let mut out = TupleStore::new(k);
         let mut j = 0usize;
         for i in 0..probe.rows {
-            let (nj, found) = base.locate(j, |c| probe.planes[c][i]);
+            let (nj, found) = base.locate(Some(j), |c| probe.planes[c][i]);
             j = nj + usize::from(found);
             if found == keep {
                 for (o, p) in out.planes.iter_mut().zip(&probe.planes) {
@@ -448,14 +456,14 @@ impl TupleStore {
         out
     }
 
-    /// Membership test: chunked-galloping search of the sorted run plus a
+    /// Membership test: a chunked binary search of the sorted run plus a
     /// linear scan of the pending delta.
     pub fn contains<R: Row>(&self, t: R) -> bool {
         debug_assert_eq!(t.width(), self.arity);
         if self.arity == 0 {
             return self.rows > 0 || self.pending_rows > 0;
         }
-        if self.rows > 0 && self.locate(0, |c| t.at(c)).1 {
+        if self.rows > 0 && self.locate(None, |c| t.at(c)).1 {
             return true;
         }
         let k = self.arity;
@@ -479,7 +487,7 @@ impl TupleStore {
             self.rows = 1;
             return added;
         }
-        let (pos, found) = self.locate(0, |c| t.at(c));
+        let (pos, found) = self.locate(None, |c| t.at(c));
         if found {
             return false;
         }
@@ -501,7 +509,7 @@ impl TupleStore {
             self.rows = 0;
             return removed;
         }
-        let (pos, found) = self.locate(0, |c| t.at(c));
+        let (pos, found) = self.locate(None, |c| t.at(c));
         if !found {
             return false;
         }
@@ -550,7 +558,7 @@ impl TupleStore {
         let mut at: Vec<usize> = Vec::new();
         let mut from = 0usize;
         for j in 0..other.rows {
-            let (pos, found) = self.locate(from, |c| other.planes[c][j]);
+            let (pos, found) = self.locate(Some(from), |c| other.planes[c][j]);
             if found {
                 at.push(pos);
             }
@@ -603,19 +611,26 @@ impl TupleStore {
     /// EDB relation whose join key is a column prefix needs *no* index
     /// build at all — `prefix_range(key)` is the matching row set.
     pub fn prefix_range(&self, prefix: &[Elem]) -> std::ops::Range<usize> {
+        self.prefix_range_from(prefix, 0)
+    }
+
+    /// [`prefix_range`](TupleStore::prefix_range) with a cursor: `hint` is
+    /// a row index, typically the start of the previous probe's range.
+    /// When the row just before `hint` sorts strictly below `prefix`, so
+    /// does every earlier row, and the search gallops forward from `hint`;
+    /// otherwise (a hint of 0, past the end of a shorter run, or left by a
+    /// larger key) it searches from row 0. The answer is the unhinted
+    /// one whatever the hint; a run of probes with ascending keys becomes
+    /// one forward sweep.
+    pub fn prefix_range_from(&self, prefix: &[Elem], hint: usize) -> std::ops::Range<usize> {
         debug_assert!(self.is_sealed());
         debug_assert!(prefix.len() <= self.arity);
-        let (mut lo, mut hi) = (0usize, self.rows);
-        for (c, &v) in prefix.iter().enumerate() {
-            let w = &self.planes[c][lo..hi];
-            let s = lb(w, v);
-            if s >= w.len() || w[s] != v {
-                return lo + s..lo + s;
-            }
-            hi = lo + s + ub(&w[s..], v);
-            lo += s;
-        }
-        lo..hi
+        let h = hint.min(self.rows);
+        let below = h > 0
+            && (0..prefix.len())
+                .map(|c| self.planes[c][h - 1])
+                .lt(prefix.iter().copied());
+        self.narrow(below.then_some(h), prefix.len(), |c| prefix[c])
     }
 
     /// True when every sealed row of `self` is a row of `other` (both
@@ -631,7 +646,7 @@ impl TupleStore {
         }
         let mut j = 0usize;
         for i in 0..self.rows {
-            let (nj, found) = other.locate(j, |c| self.planes[c][i]);
+            let (nj, found) = other.locate(Some(j), |c| self.planes[c][i]);
             if !found {
                 return false;
             }

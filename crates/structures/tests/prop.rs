@@ -482,6 +482,76 @@ proptest! {
     }
 }
 
+/// A row over three columns: a lead value wide enough for runs longer
+/// than the kernels' 64-value counting window, two narrow columns so
+/// equal groups form. Keys draw one past each range, so some are absent.
+fn wide_lead_row(extra: u32) -> impl Strategy<Value = [u32; 3]> {
+    (0u32..96 + extra, 0u32..5 + extra, 0u32..5 + extra).prop_map(|(a, b, c)| [a, b, c])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `prefix_range_from` returns exactly what the unhinted
+    /// `prefix_range` returns — the matching rows, or the empty range at
+    /// their lower bound — at arities 1–3 and every prefix length, with
+    /// hints at 0, inside the run, past its end, at the answer's own
+    /// bounds, and stale from a larger key; and a cursor carried through a
+    /// run of probes, in ascending or arbitrary key order, never changes
+    /// an answer. The unhinted answer is checked against a row scan.
+    #[test]
+    fn hinted_prefix_range_matches_unhinted(
+        k in 1usize..=3,
+        rows in prop::collection::vec(wide_lead_row(0), 0..300),
+        keys in prop::collection::vec(wide_lead_row(1), 1..16),
+        inside in any::<usize>(),
+        past in 1usize..50,
+    ) {
+        let mut s = TupleStore::new(k);
+        for r in &rows {
+            s.push(r[..k].iter().map(|&v| Elem(v)).collect::<Vec<_>>());
+        }
+        s.seal();
+        let n = s.len();
+        let prefixes: Vec<Vec<Elem>> = keys
+            .iter()
+            .flat_map(|key| (0..=k).map(move |len| key[..len].iter().map(|&v| Elem(v)).collect()))
+            .collect();
+        for prefix in &prefixes {
+            let want = s.prefix_range(prefix);
+            let len = prefix.len();
+            let head = |i: usize| s.row(i).to_vec()[..len].to_vec();
+            let lower = (0..n).filter(|&i| head(i) < *prefix).count();
+            let hits = (0..n).filter(|&i| head(i) == *prefix).count();
+            prop_assert_eq!(want.clone(), lower..lower + hits, "unhinted {:?}", prefix);
+            let mut hints = vec![0, inside % (n + 1), n, n + past, want.start, want.end];
+            if let Some(last) = len.checked_sub(1) {
+                let mut larger = prefix.clone();
+                larger[last] = Elem(larger[last].0 + 1);
+                hints.push(s.prefix_range(&larger).start);
+                hints.push(s.prefix_range(&larger).end);
+            }
+            for h in hints {
+                prop_assert_eq!(
+                    s.prefix_range_from(prefix, h),
+                    want.clone(),
+                    "prefix {:?}, hint {}", prefix, h
+                );
+            }
+        }
+        let mut sorted = prefixes.clone();
+        sorted.sort();
+        for order in [&prefixes, &sorted] {
+            let mut cursor = 0usize;
+            for prefix in order.iter() {
+                let got = s.prefix_range_from(prefix, cursor);
+                prop_assert_eq!(got.clone(), s.prefix_range(prefix), "swept {:?}", prefix);
+                cursor = got.start;
+            }
+        }
+    }
+}
+
 /// A strategy for small random digraph structures.
 fn digraph_strategy(max_n: usize, max_m: usize) -> impl Strategy<Value = Structure> {
     (
