@@ -105,9 +105,9 @@ fn bench_scale(c: &mut Criterion) {
         .iter()
         .map(|&n| random_reach_structure(n, 4 * n, 0xE5CA1E))
         .collect();
-    // Stratified-negation family: win_move(2) evaluates eight strata in
-    // order, reading each stratum's negated guards as membership probes
-    // against the sealed lower layer. The generic loop below also gives
+    // Stratified-negation family: win_move(2) evaluates six strata in
+    // order, reading each stratum's negated unary guards as bit tests
+    // against the lower strata's membership arenas. The generic loop below also gives
     // it the seed-oracle agreement assertion and all three engine rows.
     let wm = hp_preservation::datalog::gallery::win_move(2);
     let wm_inputs: Vec<Structure> = [1_000usize, 10_000]

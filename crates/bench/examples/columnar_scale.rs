@@ -16,7 +16,7 @@
 //! the median of [`hp_bench::K`] runs.
 //!
 //! A second table runs the stratified-negation family: `win_move(2)`
-//! (eight strata of game-value approximation over `{Move/2, Pos/1}`) on
+//! (six strata of game-value approximation over `{Move/2, Pos/1}`) on
 //! random DAG move graphs of 10³–10⁵ positions, timing the stratum-
 //! ordered engine at 1/2/4 threads — asserted bit-identical — and the
 //! scan-join reference oracle at the sizes where it is feasible.
@@ -80,16 +80,20 @@ fn main() {
         );
     }
 
-    // Stratified-negation family: win_move(2) — eight strata, each
-    // evaluated to its fixpoint before the next reads its negated guards
-    // as membership probes against the sealed store.
+    // Stratified-negation family: win_move(2), each stratum evaluated to
+    // its fixpoint before the next reads its negated unary guards as bit
+    // tests against the lower strata's membership arenas.
     let wm = gallery::win_move(2);
+    let workload = format!(
+        "win_move(2), {} strata, random DAG move graphs, m = 2n",
+        wm.num_strata()
+    );
     let (t2, t4) = (
         EvalConfig::new().with_threads(2),
         EvalConfig::new().with_threads(4),
     );
     let mut win_move = Table::new();
-    println!("\nwin_move(2): stratified negation (8 strata), random DAG move graphs, m = 2n");
+    println!("\nstratified negation: {workload}");
     for exp in 3..=max_exp.min(5) as u32 {
         let n = 10usize.pow(exp);
         let m = 2 * n;
@@ -131,10 +135,7 @@ fn main() {
 
     if let Some(path) = json {
         let win_move = Json::Obj(vec![
-            (
-                "workload".into(),
-                Json::Str("win_move(2), 8 strata, random DAG move graphs, m = 2n".into()),
-            ),
+            ("workload".into(), Json::Str(workload)),
             ("rows".into(), win_move.json()),
         ]);
         write_json(

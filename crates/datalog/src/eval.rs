@@ -329,6 +329,18 @@ impl EvalCheckpoint {
     pub fn fuel_spent(&self) -> u64 {
         self.fuel.spent
     }
+
+    /// The fuel position at the stop: cumulative spend and the limit then
+    /// in force.
+    pub fn fuel_state(&self) -> GaugeState {
+        self.fuel
+    }
+
+    /// The delta the last completed round derived, one relation per IDB:
+    /// the tuples a resumed run absorbs first.
+    pub fn pending_delta(&self) -> &[IdbRelation] {
+        &self.delta
+    }
 }
 
 impl Program {
@@ -404,8 +416,9 @@ impl Program {
     /// Continue an exhausted [`Program::evaluate_budgeted`] run from its
     /// checkpoint with a fresh allowance. The checkpoint must come from
     /// the same program and structure; a checkpoint whose IDB shape
-    /// (count, names, or arities) disagrees with this program is rejected
-    /// with [`EvalError::CheckpointMismatch`] instead of corrupting the
+    /// (count, names, or arities) disagrees with this program, or that
+    /// holds an element outside `a`'s universe, is rejected with
+    /// [`EvalError::CheckpointMismatch`] instead of corrupting the
     /// resumed run. Fuel accounting is cumulative (`budget`'s fuel is
     /// added on top of the prior limit), so a run split as `f1` then `f2`
     /// stops at exactly the same rounds — and reaches the same fixpoint —
@@ -418,13 +431,14 @@ impl Program {
         checkpoint: EvalCheckpoint,
         budget: &Budget,
     ) -> Result<Budgeted<FixpointResult, EvalCheckpoint>, EvalError> {
-        self.check_checkpoint(&checkpoint)?;
+        self.check_checkpoint(&checkpoint, a.universe_size())?;
         let gauge = budget.resume(checkpoint.fuel);
         Ok(self.fixpoint(a, cfg, gauge, Some(checkpoint)))
     }
 
-    /// Validate that a checkpoint's IDB shape matches this program.
-    fn check_checkpoint(&self, cp: &EvalCheckpoint) -> Result<(), EvalError> {
+    /// Validate that a checkpoint's IDB shape matches this program and its
+    /// elements lie in a universe of `universe` elements.
+    fn check_checkpoint(&self, cp: &EvalCheckpoint, universe: usize) -> Result<(), EvalError> {
         let idbs = self.idbs();
         if cp.partial.relations.len() != idbs.len() {
             return Err(EvalError::CheckpointMismatch {
@@ -459,6 +473,24 @@ impl Program {
                     "checkpoint stopped in stratum {}, but the program has {} strata",
                     cp.stratum,
                     self.num_strata()
+                ),
+            });
+        }
+        // The resumed pool refills its arenas, the guard bitmaps among
+        // them, from these tuples.
+        if let Some(e) = cp
+            .partial
+            .relations
+            .iter()
+            .chain(&cp.delta)
+            .flat_map(|r| r.iter())
+            .flat_map(|t| t.iter())
+            .find(|e| e.index() >= universe)
+        {
+            return Err(EvalError::CheckpointMismatch {
+                detail: format!(
+                    "checkpoint holds element {} but the structure has {universe} elements",
+                    e.index()
                 ),
             });
         }
@@ -813,15 +845,27 @@ fn join(
     let atom = &rp.atoms[step.atom];
     if atom.negated {
         // Negated guard: the plan schedules it only once every argument is
-        // bound, so the step is a single membership probe against the sealed
-        // relation — the point lookup of the sorted-store complement
-        // (`TupleStore::difference` restricted to one candidate). Negated
-        // IDB atoms live in strictly lower strata, whose deltas drained
-        // before this stratum started, so `ctx.idb` is their final value.
-        let (key, _) = probes.key(step, depth, asg);
-        let present = match atom.pred {
-            PredRef::Edb(sym) => ctx.a.relation(sym).contains(key),
-            PredRef::Idb(p) => ctx.idb[p].contains(key),
+        // bound, so the step filters one candidate tuple — the point lookup
+        // of the sorted-store complement. Negated IDB atoms live in
+        // strictly lower strata, whose deltas drained before this stratum
+        // started, so their relations are final. A unary guard tests one
+        // bit of the pool's membership arena (filled at setup for an EDB,
+        // by `IndexPool::absorb` as the lower stratum grew for an IDB). A
+        // wider guard probes the sealed relation from this depth's cursor,
+        // so guard keys arriving in ascending order sweep it once.
+        let (key, cursor) = probes.key(step, depth, asg);
+        let present = match step.index {
+            Some(spec) => ctx.pool.get(spec).contains(key[0]),
+            None => {
+                let store = match atom.pred {
+                    PredRef::Edb(sym) => ctx.a.relation(sym).store(),
+                    PredRef::Idb(p) => ctx.idb[p].store(),
+                };
+                debug_assert!(store.is_sealed(), "a negated guard reads a sealed relation");
+                let range = store.prefix_range_from(key, *cursor);
+                *cursor = range.start;
+                !range.is_empty()
+            }
         };
         if !present {
             join(ctx, item, depth + 1, asg, probes, out);
@@ -1174,6 +1218,17 @@ mod tests {
             .resume_budgeted(&a, &cfg, e.partial.clone(), &Budget::unlimited())
             .expect_err("IDB arity differs");
         assert!(matches!(err, EvalError::CheckpointMismatch { .. }), "{err}");
+
+        // Same program, a structure too small for the checkpoint's tuples.
+        let err = p
+            .resume_budgeted(
+                &directed_path(3),
+                &cfg,
+                e.partial.clone(),
+                &Budget::unlimited(),
+            )
+            .expect_err("checkpoint elements exceed the universe");
+        assert!(err.to_string().contains("3 elements"), "{err}");
 
         // The same checkpoint still resumes cleanly on its own program.
         let r = p

@@ -3,7 +3,7 @@
 //! The [`ProgramPlan`](crate::plan::ProgramPlan) knows, statically, every
 //! `(predicate, bound positions)` combination the join orders probe. An
 //! [`IndexPool`] materializes one [`TupleIndex`] per such spec. With the
-//! column-plane [`TupleStore`](hp_structures::TupleStore) there are three
+//! column-plane [`TupleStore`](hp_structures::TupleStore) there are four
 //! shapes, picked per spec:
 //!
 //! - **Natural** (EDB, key positions are the prefix `0..k`): no index is
@@ -25,6 +25,12 @@
 //!   **incrementally**: each delta round folds exactly the newly derived
 //!   tuples in, so maintaining them costs `O(Σ|Δ|)` over the whole
 //!   fixpoint instead of `O(rounds × |IDB|)` rebuilds.
+//! - **Members** (guard specs: a negated literal over a unary predicate):
+//!   a [`BitSet`] over the universe, one bit per element, so the guard is
+//!   a single bit test (`universe / 8` bytes, 12.5 KB at 10⁵ elements).
+//!   An EDB arena is filled once at setup; an IDB arena is filled by
+//!   [`IndexPool::absorb`] as its lower stratum grows, like an `Idb`
+//!   arena. Guards of arity ≥ 2 get no spec: they probe the sealed store.
 //!
 //! Row ids are `u32`; an IDB arena that outgrows them reports a typed
 //! [`StructureError::CapacityExceeded`] instead of silently wrapping (the
@@ -34,7 +40,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use hp_structures::{Elem, Relation, Row, RowRef, Structure, StructureError, TupleStore};
+use hp_structures::{BitSet, Elem, Relation, Row, RowRef, Structure, StructureError, TupleStore};
 
 use crate::ast::PredRef;
 use crate::eval::IdbRelation;
@@ -57,6 +63,8 @@ enum Arena<'a> {
         data: Vec<Elem>,
         map: HashMap<Vec<Elem>, Vec<u32>>,
     },
+    /// Unary guard: the relation's members as a bit per universe element.
+    Members(BitSet),
 }
 
 /// One candidate row handed out by a probe, in the atom's original column
@@ -145,11 +153,17 @@ pub(crate) struct TupleIndex<'a> {
 }
 
 impl<'a> TupleIndex<'a> {
-    /// Append `t` to the owned IDB arena and record its fresh row id,
+    /// Add `t` to an IDB arena: set its bit in a membership arena, or
+    /// append it to the owned row arena and record its fresh row id,
     /// refusing (typed, not wrapping) once ids no longer fit in `u32`.
     fn absorb_row(&mut self, t: RowRef<'_>) -> Result<(), StructureError> {
-        let Arena::Idb { arity, data, map } = &mut self.arena else {
-            unreachable!("absorb_row on an EDB index");
+        let (arity, data, map) = match &mut self.arena {
+            Arena::Idb { arity, data, map } => (arity, data, map),
+            Arena::Members(bits) => {
+                bits.insert(t.get(0).index());
+                return Ok(());
+            }
+            _ => unreachable!("absorb_row on an EDB index"),
         };
         debug_assert_eq!(t.len(), *arity);
         let rows = data.len().checked_div(*arity).unwrap_or(0);
@@ -195,7 +209,17 @@ impl<'a> TupleIndex<'a> {
                 data,
                 ids: map.get(key).map(Vec::as_slice).unwrap_or(&[]).iter(),
             },
+            Arena::Members(_) => unreachable!("a guard arena is tested, not probed"),
         }
+    }
+
+    /// Whether the unary relation behind a guard arena holds `e`.
+    #[inline]
+    pub fn contains(&self, e: Elem) -> bool {
+        let Arena::Members(bits) = &self.arena else {
+            unreachable!("membership test on a probe index");
+        };
+        bits.contains(e.index())
     }
 }
 
@@ -254,22 +278,29 @@ pub(crate) struct IndexPool<'a> {
 
 impl<'a> IndexPool<'a> {
     /// Build the pool: prefix-keyed EDB specs borrow the relation as-is,
-    /// non-prefix EDB specs sort one permuted copy, IDB indexes start
-    /// empty (mirroring the empty stage Φ⁰).
+    /// non-prefix EDB specs sort one permuted copy, EDB guard arenas set
+    /// one bit per row, and IDB indexes start empty (mirroring the empty
+    /// stage Φ⁰).
     pub fn new(plan: &ProgramPlan, a: &'a Structure) -> IndexPool<'a> {
+        let n = a.universe_size();
         let indexes: Vec<TupleIndex<'a>> = plan
             .index_specs
             .iter()
             .map(|s| {
-                let arena = match s.pred {
-                    PredRef::Edb(sym) => {
+                let arena = match (s.pred, s.guard) {
+                    (PredRef::Edb(sym), true) => Arena::Members(BitSet::from_indices(
+                        n,
+                        a.relation(sym).iter().map(|t| t.get(0).index()),
+                    )),
+                    (PredRef::Idb(_), true) => Arena::Members(BitSet::new(n)),
+                    (PredRef::Edb(sym), false) => {
                         let rel = a.relation(sym);
                         match permuted_copy(&s.key_positions, rel.store()) {
                             None => Arena::Natural(rel),
                             Some((order, store)) => Arena::Permuted { order, store },
                         }
                     }
-                    PredRef::Idb(i) => Arena::Idb {
+                    (PredRef::Idb(i), false) => Arena::Idb {
                         arity: plan.idb_arities[i],
                         data: Vec::new(),
                         map: HashMap::new(),
@@ -454,6 +485,41 @@ mod tests {
         let key = plan.index_specs[spec].key_positions.clone();
         let probe_key = if key == vec![0] { Elem(0) } else { Elem(1) };
         assert!(pool.get(spec).probe(&[probe_key], &mut 0).next().is_some());
+    }
+
+    #[test]
+    fn guard_arenas_hold_one_bit_per_member() {
+        // `not M(y)` is an EDB guard, filled at setup; `not R(x)` an IDB
+        // guard, filled as `R` is absorbed. 70 elements span two words.
+        let p = Program::parse(
+            "U(x) :- E(x,y), not M(y).\nR(x) :- M(x).\nS(x) :- E(x,y), not R(x).",
+            &Vocabulary::from_pairs([("E", 2), ("M", 1)]),
+        )
+        .unwrap();
+        let plan = ProgramPlan::new(&p);
+        let mut a = hp_structures::Structure::new(p.edb().clone(), 70);
+        for m in [0u32, 63, 64, 69] {
+            a.add_tuple_ids(1, &[m]).unwrap();
+        }
+        let mut pool = IndexPool::new(&plan, &a);
+        let spec = |pred: PredRef| {
+            plan.index_specs
+                .iter()
+                .position(|s| s.pred == pred && s.guard)
+                .expect("guard spec")
+        };
+        let (m, r) = (spec(PredRef::Edb(1usize.into())), spec(PredRef::Idb(1)));
+        let members = |pool: &IndexPool<'_>, spec: usize| -> Vec<u32> {
+            (0..70u32)
+                .filter(|&e| pool.get(spec).contains(Elem(e)))
+                .collect()
+        };
+        assert_eq!(members(&pool, m), vec![0, 63, 64, 69]);
+        assert!(members(&pool, r).is_empty());
+        let mut delta: Vec<IdbRelation> = p.idbs().iter().map(|&(_, k)| Relation::new(k)).collect();
+        delta[1].insert(&[Elem(64)]);
+        pool.absorb(&plan, &delta).unwrap();
+        assert_eq!(members(&pool, r), vec![64]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! first). Orders are greedy: after the seed, repeatedly pick the atom with
 //! the most argument positions over already-bound variables (ties prefer
 //! EDB atoms, then source order), so each step can be answered by a hash
-//! index keyed on exactly those bound positions.
+//! index keyed on exactly those bound positions. A negated literal over a
+//! unary predicate gets a spec of its own kind, a membership arena, so the
+//! guard is one bit test.
 
 use std::cmp::Reverse;
 
@@ -32,6 +34,11 @@ pub(crate) struct IndexSpec {
     pub pred: PredRef,
     /// Sorted tuple positions forming the key.
     pub key_positions: Vec<usize>,
+    /// True for the membership arena of a negated unary guard (key `[0]`):
+    /// a bit per universe element, tested rather than probed. Part of the
+    /// interning key, so a guard never shares a positive probe's index
+    /// on the same predicate and positions.
+    pub guard: bool,
 }
 
 /// One body atom with its arguments renumbered to dense rule-local slots.
@@ -64,7 +71,9 @@ pub(crate) struct JoinStep {
     pub repeats: Vec<(usize, usize)>,
     /// Index into [`ProgramPlan::index_specs`] to probe with the values of
     /// `bound`, or `None` to scan the whole relation (nothing bound yet, or
-    /// the step reads a delta relation).
+    /// the step reads a delta relation). On a negated step: the guard's
+    /// membership arena when the predicate is unary, else `None` — the
+    /// guard then probes the sealed relation itself.
     pub index: Option<usize>,
 }
 
@@ -132,8 +141,9 @@ pub(crate) struct ProgramPlan {
     /// index as its predicate grows. False when only the seed orders of
     /// rules in the predicate's own stratum probe it: such a rule is not an
     /// exit rule, so the fixpoint never runs its seed order (round 0 runs
-    /// exit rules only), and the index is never read. Unused for EDB
-    /// specs.
+    /// exit rules only), and the index is never read. Always true for a
+    /// guard arena over an IDB: a negated predicate sits in a strictly
+    /// lower stratum than every rule reading it. Unused for EDB specs.
     pub absorbed: Vec<bool>,
     /// IDB arities, aligned with [`Program::idbs`] — the row strides the
     /// index pool's owned arenas use.
@@ -323,13 +333,25 @@ fn plan_steps_inner(
                 bound_var[s] = true;
             }
             // The delta atom (always at depth 0) reads the per-round delta
-            // relation, which is scanned, never indexed; a negated guard is
-            // answered by a direct sorted-store membership probe, not an
-            // index; any other step with at least one bound position probes
-            // a hash index on exactly those positions.
+            // relation, which is scanned, never indexed. A negated guard
+            // over a unary predicate tests one bit of its membership arena;
+            // a wider (or 0-ary) guard is a sorted-store probe of the
+            // sealed relation from the depth's cursor, not an index. Any
+            // other step with at least one bound position probes an index
+            // on exactly those positions.
             let reads_delta = seed == Some(ai);
-            let index = (!bound.is_empty() && !reads_delta && !atom.negated)
-                .then(|| intern(specs, atom.pred, bound.iter().map(|&(i, _)| i).collect()));
+            let index = if atom.negated {
+                (atom.args.len() == 1).then(|| intern(specs, atom.pred, vec![0], true))
+            } else {
+                (!bound.is_empty() && !reads_delta).then(|| {
+                    intern(
+                        specs,
+                        atom.pred,
+                        bound.iter().map(|&(i, _)| i).collect(),
+                        false,
+                    )
+                })
+            };
             JoinStep {
                 atom: ai,
                 bound,
@@ -341,17 +363,21 @@ fn plan_steps_inner(
         .collect()
 }
 
-fn intern(specs: &mut Vec<IndexSpec>, pred: PredRef, key_positions: Vec<usize>) -> usize {
-    if let Some(i) = specs
-        .iter()
-        .position(|s| s.pred == pred && s.key_positions == key_positions)
-    {
+fn intern(
+    specs: &mut Vec<IndexSpec>,
+    pred: PredRef,
+    key_positions: Vec<usize>,
+    guard: bool,
+) -> usize {
+    let spec = IndexSpec {
+        pred,
+        key_positions,
+        guard,
+    };
+    if let Some(i) = specs.iter().position(|s| *s == spec) {
         i
     } else {
-        specs.push(IndexSpec {
-            pred,
-            key_positions,
-        });
+        specs.push(spec);
         specs.len() - 1
     }
 }
@@ -395,6 +421,29 @@ mod tests {
         assert_eq!(step.repeats, vec![(1, 0)]);
         assert!(step.bound.is_empty());
         assert!(step.index.is_none());
+    }
+
+    #[test]
+    fn unary_guards_get_a_membership_spec_of_their_own() {
+        // `R` is probed on position 0 and guarded on position 0: two specs,
+        // only the guard's marked, and the guard's IDB arena is absorbed.
+        // The binary guard `not E(y,x)` gets no spec at all.
+        let p = Program::parse(
+            "R(x) :- M(x).\nS(x) :- E(x,y), R(y), not R(x).\nU(x) :- E(x,y), not E(y,x).",
+            &Vocabulary::from_pairs([("E", 2), ("M", 1)]),
+        )
+        .unwrap();
+        let plan = ProgramPlan::new(&p);
+        let r = p.idbs().iter().position(|(n, _)| n == "R").unwrap();
+        let on_r: Vec<(bool, bool)> = (0..plan.index_specs.len())
+            .filter(|&i| plan.index_specs[i].pred == PredRef::Idb(r))
+            .map(|i| (plan.index_specs[i].guard, plan.absorbed[i]))
+            .collect();
+        assert_eq!(on_r, vec![(false, true), (true, true)]);
+        let u = p.idbs().iter().position(|(n, _)| n == "U").unwrap();
+        let rp = plan.rules.iter().find(|rp| rp.head == u).unwrap();
+        let guard = &rp.seed_order[1];
+        assert!(rp.atoms[guard.atom].negated && guard.index.is_none());
     }
 
     #[test]
