@@ -520,8 +520,12 @@ pub mod fault {
 mod tests {
     use super::*;
 
+    // `Gauge::tick` consults the process-global fault plan, which
+    // `forced_exhaustion_fires_once` arms on another test thread: every
+    // test that ticks a gauge holds the serial lock.
     #[test]
     fn unlimited_never_stops() {
+        let _serial = fault::exclusive();
         let mut g = Budget::unlimited().gauge();
         for _ in 0..10_000 {
             g.tick(1).expect("unlimited budget never exhausts");
@@ -532,6 +536,7 @@ mod tests {
 
     #[test]
     fn fuel_stops_at_limit() {
+        let _serial = fault::exclusive();
         let mut g = Budget::fuel(5).gauge();
         for _ in 0..4 {
             g.tick(1).expect("under the limit");
@@ -543,6 +548,7 @@ mod tests {
 
     #[test]
     fn resume_is_additive() {
+        let _serial = fault::exclusive();
         // f1 then f2 stops exactly where a single f1+f2 run stops, for
         // coarse ticks that straddle the limits.
         let run = |budget: Budget, from: Option<GaugeState>| -> (u64, Option<Stop>) {
@@ -584,6 +590,7 @@ mod tests {
 
     #[test]
     fn interrupt_observed_within_poll_stride_ticks() {
+        let _serial = fault::exclusive();
         let token = Interrupt::new();
         let mut g = Budget::unlimited().with_interrupt(token.clone()).gauge();
         token.trigger();
@@ -606,6 +613,7 @@ mod tests {
 
     #[test]
     fn exhausted_carries_partial_and_provenance() {
+        let _serial = fault::exclusive();
         let mut g = Budget::fuel(1).gauge();
         let stop = g.tick(3).unwrap_err();
         let e = stop.with_partial(vec![1, 2]);
