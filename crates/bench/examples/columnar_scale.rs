@@ -21,6 +21,13 @@
 //! ordered engine at 1/2/4 threads — asserted bit-identical — and the
 //! scan-join reference oracle at the sizes where it is feasible.
 //!
+//! A third table runs nonlinear transitive closure (`T(x,z) :- T(x,y),
+//! T(y,z)`) on directed paths of 100–400 elements, whatever the size
+//! argument: its delta orders probe `T` both through the accumulated
+//! relation itself (key `[0]`) and through a permuted copy that absorbs
+//! every round's delta (key `[1]`), a path no other family takes. Work
+//! grows as n³, so 400 elements stay well under a second.
+//!
 //! The "boxed" column is the analytic footprint of the seed
 //! representation (`BTreeSet<Vec<Elem>>`, counted as one 24-byte
 //! `(ptr, len, cap)` header plus a separate `arity × 4`-byte heap buffer
@@ -133,7 +140,33 @@ fn main() {
         );
     }
 
+    // Nonlinear TC: `|T| = n(n-1)/2` on a path of `n` elements, reached
+    // in ⌈log₂ n⌉ + 1 rounds.
+    let nltc = Program::parse(
+        "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).",
+        &Vocabulary::digraph(),
+    )
+    .expect("nonlinear TC parses");
+    let nltc_workload = "nonlinear transitive closure, directed paths";
+    let mut nonlinear = Table::new();
+    println!("\n{nltc_workload}");
+    for n in [100usize, 200, 400] {
+        let a = generators::directed_path(n);
+        let (eval_ms, fix) = median_ms(|| nltc.evaluate(&a));
+        nonlinear.push(
+            Row::new()
+                .int("path", n)
+                .num("eval_ms", eval_ms, 3)
+                .int("stages", fix.stages)
+                .int("tc", fix.relations[0].len()),
+        );
+    }
+
     if let Some(path) = json {
+        let nonlinear = Json::Obj(vec![
+            ("workload".into(), Json::Str(nltc_workload.into())),
+            ("rows".into(), nonlinear.json()),
+        ]);
         let win_move = Json::Obj(vec![
             ("workload".into(), Json::Str(workload)),
             ("rows".into(), win_move.json()),
@@ -142,7 +175,11 @@ fn main() {
             &path,
             "columnar_scale",
             "single-source reachability, xorshift64* edges, n = m/4",
-            vec![("rows", reach.json()), ("win_move", win_move)],
+            vec![
+                ("rows", reach.json()),
+                ("win_move", win_move),
+                ("nonlinear_tc", nonlinear),
+            ],
         );
     }
 }

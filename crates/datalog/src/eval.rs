@@ -9,7 +9,7 @@
 //!   the least fixpoint was actually verified within the cap;
 //! - **semi-naive fixpoints** ([`Program::evaluate`] /
 //!   [`Program::evaluate_with`]) — delta rounds driven through precomputed
-//!   join plans ([`crate::plan`]) and per-predicate hash indexes
+//!   join plans ([`crate::plan`]) and sorted probe indexes
 //!   ([`crate::index`]). With [`EvalConfig::threads`] > 1 each round's
 //!   `(rule × delta atom × delta shard)` work items run on the engine's
 //!   [worker pool](crate::pool); rounds are barriers and every derived
@@ -19,11 +19,11 @@
 
 use std::fmt;
 
-use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
+use hp_guard::{Budget, Budgeted, Exhausted, Gauge, GaugeState, Stop};
 use hp_structures::{Elem, Relation, Row, Structure, StructureError, TupleStore};
 
 use crate::ast::{PredRef, Program};
-use crate::index::IndexPool;
+use crate::index::{IndexPool, ResolvedRow};
 use crate::plan::{JoinStep, ProbeScratch, ProgramPlan, RulePlan};
 
 /// User-reachable misuse of the evaluation APIs, reported as a typed error
@@ -296,7 +296,58 @@ struct JoinCtx<'a> {
     a: &'a Structure,
     idb: &'a [IdbRelation],
     delta: &'a [IdbRelation],
-    pool: &'a IndexPool<'a>,
+    pool: &'a IndexPool,
+}
+
+impl JoinCtx<'_> {
+    /// The relation an atom over `pred` reads outside the delta: the EDB
+    /// relation, or the IDB accumulated so far — which, while a round
+    /// runs, already holds every delta the pool has absorbed.
+    fn rows(&self, pred: PredRef) -> &IdbRelation {
+        match pred {
+            PredRef::Edb(sym) => self.a.relation(sym),
+            PredRef::Idb(p) => &self.idb[p],
+        }
+    }
+}
+
+/// What a semi-naive run carries from round to round: everything an
+/// [`EvalCheckpoint`] snapshots but the stratum and the fuel position.
+struct RunState {
+    idb: Vec<IdbRelation>,
+    delta: Vec<IdbRelation>,
+    stages: usize,
+    /// Worker-panic recoveries so far; a non-empty list keeps every later
+    /// round on the calling thread.
+    diagnostics: Vec<String>,
+    profile: Vec<StratumProfile>,
+}
+
+impl RunState {
+    /// The run's relations as a result.
+    fn finish(self, p: &Program, converged: bool) -> FixpointResult {
+        FixpointResult {
+            idb_names: p.idbs().iter().map(|(n, _)| n.clone()).collect(),
+            goal: p.goal_index(),
+            relations: self.idb,
+            stages: self.stages,
+            converged,
+            diagnostics: self.diagnostics,
+            profile: self.profile,
+        }
+    }
+
+    /// The run stopped at a round boundary of `stratum`: its checkpoint.
+    fn exhausted(mut self, p: &Program, stratum: usize, stop: Stop) -> Exhausted<EvalCheckpoint> {
+        let delta = std::mem::take(&mut self.delta);
+        let fuel = stop.state();
+        stop.with_partial(EvalCheckpoint {
+            partial: self.finish(p, false),
+            delta,
+            stratum,
+            fuel,
+        })
+    }
 }
 
 /// A resumable snapshot of a budgeted semi-naive evaluation, returned as
@@ -543,63 +594,78 @@ impl Program {
                     .collect()
             })
             .collect();
-        let mut pool = IndexPool::new(&plan, a);
-        // A worker panic degrades the rest of the evaluation to the
-        // calling thread; the diagnostics record every such recovery.
-        let mut degraded = false;
-        let mut diagnostics: Vec<String> = Vec::new();
-        let checkpoint = |idb: Vec<IdbRelation>,
-                          delta: Vec<IdbRelation>,
-                          stages: usize,
-                          stratum: usize,
-                          diagnostics: Vec<String>,
-                          profile: Vec<StratumProfile>,
-                          fuel: GaugeState| {
-            EvalCheckpoint {
-                partial: FixpointResult {
-                    idb_names: self.idbs().iter().map(|(n, _)| n.clone()).collect(),
-                    goal: self.goal_index(),
-                    relations: idb,
-                    stages,
-                    converged: false,
-                    diagnostics,
-                    profile,
-                },
-                delta,
-                stratum,
-                fuel,
-            }
-        };
-        let mut profile: Vec<StratumProfile> = Vec::new();
-        let (mut idb, mut delta, mut stages, start_stratum, mut mid_stratum) = match resume {
+        let (mut run, start_stratum, mut mid_stratum) = match resume {
             Some(cp) => {
                 // Shape validation happened in `check_checkpoint` before the
                 // public entry points reached this engine.
                 debug_assert_eq!(cp.partial.relations.len(), n_idb);
-                // The fresh indexes must already contain the merged IDB
-                // tuples; the pending delta is absorbed by the loop below
-                // exactly as in an uninterrupted run.
-                pool.absorb(&plan, &cp.partial.relations)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                diagnostics = cp.partial.diagnostics;
-                degraded = !diagnostics.is_empty();
                 // Completed-strata costs survive the interruption; the
                 // resumed stratum's entry covers only post-resume work.
-                profile = cp.partial.profile;
-                (
-                    cp.partial.relations,
-                    cp.delta,
-                    cp.partial.stages,
-                    cp.stratum,
-                    true,
-                )
+                let run = RunState {
+                    idb: cp.partial.relations,
+                    delta: cp.delta,
+                    stages: cp.partial.stages,
+                    diagnostics: cp.partial.diagnostics,
+                    profile: cp.partial.profile,
+                };
+                (run, cp.stratum, true)
             }
-            None => (self.empty_idbs(), self.empty_idbs(), 0, 0, false),
+            None => (
+                RunState {
+                    idb: self.empty_idbs(),
+                    delta: self.empty_idbs(),
+                    stages: 0,
+                    diagnostics: Vec::new(),
+                    profile: Vec::new(),
+                },
+                0,
+                false,
+            ),
+        };
+        // The indexes start from the merged IDB tuples; a resumed run's
+        // pending delta is absorbed by the loop below exactly as in an
+        // uninterrupted run.
+        let mut pool = IndexPool::new(&plan, a, &run.idb);
+        // One round, either kind: run `items` against the current state
+        // (on the calling thread once a worker panic was recovered, or
+        // when `seed_tuples` is too few for the pool), make the tuples not
+        // yet accumulated the next delta, and charge `1 + derived`.
+        let round = |run: &mut RunState,
+                     pool: &IndexPool,
+                     items: &[WorkItem],
+                     seed_tuples: usize,
+                     gauge: &mut Gauge|
+         -> Result<u64, Stop> {
+            let ctx = JoinCtx {
+                a,
+                idb: &run.idb,
+                delta: &run.delta,
+                pool,
+            };
+            let w = if run.diagnostics.is_empty() {
+                round_workers(workers, cfg.parallel_min_seed, seed_tuples)
+            } else {
+                1
+            };
+            let (results, recovered) = run_round(&plan, &ctx, items, w);
+            if recovered {
+                run.diagnostics.push(recovery_note(run.stages));
+            }
+            // New facts = (round output) \ (accumulated IDB): a galloping
+            // sorted-set difference, then one sorted-run merge per head.
+            let mut next_delta: Vec<IdbRelation> = self.empty_idbs();
+            for (h, out) in &results {
+                next_delta[*h].merge_store(&out.difference(run.idb[*h].store()));
+            }
+            run.delta = next_delta;
+            let derived: u64 = run.delta.iter().map(|d| d.len() as u64).sum();
+            gauge.tick(1 + derived)?;
+            Ok(derived)
         };
         let mut converged = true;
-        'strata: for s in start_stratum..num_strata {
+        for s in start_stratum..num_strata {
             let stratum_start = std::time::Instant::now();
-            let stratum_stages_entry = stages;
+            let stratum_stages_entry = run.stages;
             let stratum_fuel_entry = gauge.spent();
             let mut stratum_derived: u64 = 0;
             // Round 0 of stratum `s`: the stratum's exit rules against the
@@ -610,79 +676,31 @@ impl Program {
             // re-enters its interrupted stratum directly at the delta loop,
             // pending delta in hand.
             if !std::mem::take(&mut mid_stratum) {
-                delta = self.empty_idbs();
+                run.delta = self.empty_idbs();
                 let items: Vec<WorkItem> = (0..plan.rules.len())
                     .filter(|&ri| rule_strata[ri] == s && delta_atoms[ri].is_empty())
                     .flat_map(|ri| (0..chunks).map(move |c| (ri, None, (c, chunks))))
                     .collect();
-                let ctx = JoinCtx {
-                    a,
-                    idb: &idb,
-                    delta: &delta,
-                    pool: &pool,
-                };
                 let edb_tuples: usize = a.relations().map(|(_, r)| r.len()).sum();
-                let w = if degraded {
-                    1
-                } else {
-                    round_workers(workers, cfg.parallel_min_seed, edb_tuples)
-                };
-                let (results, recovered) = run_round(&plan, &ctx, &items, w);
-                if recovered {
-                    degraded = true;
-                    diagnostics.push(recovery_note(stages));
-                }
-                for (h, out) in &results {
-                    delta[*h].merge_store(out);
-                }
-                let derived: u64 = delta.iter().map(|d| d.len() as u64).sum();
-                stratum_derived += derived;
-                if let Err(stop) = gauge.tick(1 + derived) {
-                    let fuel = stop.state();
-                    return Err(stop.with_partial(checkpoint(
-                        idb,
-                        delta,
-                        stages,
-                        s,
-                        diagnostics,
-                        profile,
-                        fuel,
-                    )));
+                match round(&mut run, &pool, &items, edb_tuples, &mut gauge) {
+                    Ok(derived) => stratum_derived += derived,
+                    Err(stop) => return Err(run.exhausted(self, s, stop)),
                 }
             }
             loop {
-                if delta.iter().all(|d| d.is_empty()) {
+                if run.delta.iter().all(|d| d.is_empty()) {
                     break; // stratum sealed; move on to the next
                 }
-                if cfg.max_stages.is_some_and(|cap| stages >= cap) {
+                if cfg.max_stages.is_some_and(|cap| run.stages >= cap) {
                     converged = false;
-                    profile.push(StratumProfile {
-                        stratum: s,
-                        stages: stages - stratum_stages_entry,
-                        derived: stratum_derived,
-                        fuel: gauge.spent() - stratum_fuel_entry,
-                        elapsed: stratum_start.elapsed(),
-                    });
-                    break 'strata;
+                    break;
                 }
                 if let Err(stop) = gauge.check() {
-                    let fuel = stop.state();
-                    return Err(stop.with_partial(checkpoint(
-                        idb,
-                        delta,
-                        stages,
-                        s,
-                        diagnostics,
-                        profile,
-                        fuel,
-                    )));
+                    return Err(run.exhausted(self, s, stop));
                 }
-                stages += 1;
-                // Row-id capacity exhaustion (> u32::MAX rows in one IDB
-                // index arena) is unrecoverable mid-fixpoint; surface the
-                // typed error loudly instead of wrapping.
-                pool.absorb(&plan, &delta).unwrap_or_else(|e| panic!("{e}"));
-                for (acc, d) in idb.iter_mut().zip(&delta) {
+                run.stages += 1;
+                pool.absorb(&plan, &run.delta);
+                for (acc, d) in run.idb.iter_mut().zip(&run.delta) {
                     acc.merge(d);
                 }
                 // One work item per (stratum rule, same-stratum positive IDB
@@ -697,63 +715,24 @@ impl Program {
                         })
                     })
                     .collect();
-                let ctx = JoinCtx {
-                    a,
-                    idb: &idb,
-                    delta: &delta,
-                    pool: &pool,
-                };
-                let delta_tuples: usize = delta.iter().map(Relation::len).sum();
-                let w = if degraded {
-                    1
-                } else {
-                    round_workers(workers, cfg.parallel_min_seed, delta_tuples)
-                };
-                let (results, recovered) = run_round(&plan, &ctx, &items, w);
-                if recovered {
-                    degraded = true;
-                    diagnostics.push(recovery_note(stages));
-                }
-                // New facts = (round output) \ (accumulated IDB): a galloping
-                // sorted-set difference, then one sorted-run merge per head.
-                let mut next_delta: Vec<IdbRelation> = self.empty_idbs();
-                for (h, out) in &results {
-                    let fresh = out.difference(idb[*h].store());
-                    next_delta[*h].merge_store(&fresh);
-                }
-                delta = next_delta;
-                let derived: u64 = delta.iter().map(|d| d.len() as u64).sum();
-                stratum_derived += derived;
-                if let Err(stop) = gauge.tick(1 + derived) {
-                    let fuel = stop.state();
-                    return Err(stop.with_partial(checkpoint(
-                        idb,
-                        delta,
-                        stages,
-                        s,
-                        diagnostics,
-                        profile,
-                        fuel,
-                    )));
+                let delta_tuples: usize = run.delta.iter().map(Relation::len).sum();
+                match round(&mut run, &pool, &items, delta_tuples, &mut gauge) {
+                    Ok(derived) => stratum_derived += derived,
+                    Err(stop) => return Err(run.exhausted(self, s, stop)),
                 }
             }
-            profile.push(StratumProfile {
+            run.profile.push(StratumProfile {
                 stratum: s,
-                stages: stages - stratum_stages_entry,
+                stages: run.stages - stratum_stages_entry,
                 derived: stratum_derived,
                 fuel: gauge.spent() - stratum_fuel_entry,
                 elapsed: stratum_start.elapsed(),
             });
+            if !converged {
+                break;
+            }
         }
-        Ok(FixpointResult {
-            idb_names: self.idbs().iter().map(|(n, _)| n.clone()).collect(),
-            goal: self.goal_index(),
-            relations: idb,
-            stages,
-            converged,
-            diagnostics,
-            profile,
-        })
+        Ok(run.finish(self, converged))
     }
 }
 
@@ -849,18 +828,15 @@ fn join(
         // of the sorted-store complement. Negated IDB atoms live in
         // strictly lower strata, whose deltas drained before this stratum
         // started, so their relations are final. A unary guard tests one
-        // bit of the pool's membership arena (filled at setup for an EDB,
+        // bit of the pool's membership bitmap (filled at setup for an EDB,
         // by `IndexPool::absorb` as the lower stratum grew for an IDB). A
         // wider guard probes the sealed relation from this depth's cursor,
         // so guard keys arriving in ascending order sweep it once.
         let (key, cursor) = probes.key(step, depth, asg);
         let present = match step.index {
-            Some(spec) => ctx.pool.get(spec).contains(key[0]),
+            Some(spec) => ctx.pool.contains(spec, key[0]),
             None => {
-                let store = match atom.pred {
-                    PredRef::Edb(sym) => ctx.a.relation(sym).store(),
-                    PredRef::Idb(p) => ctx.idb[p].store(),
-                };
+                let store = ctx.rows(atom.pred).store();
                 debug_assert!(store.is_sealed(), "a negated guard reads a sealed relation");
                 let range = store.prefix_range_from(key, *cursor);
                 *cursor = range.start;
@@ -876,7 +852,10 @@ fn join(
         // Index probe on exactly the bound positions; candidates satisfy the
         // bound equalities by construction of the key.
         let (key, cursor) = probes.key(step, depth, asg);
-        for t in ctx.pool.get(spec).probe(key, cursor) {
+        let rows = ctx.rows(atom.pred).store();
+        let (store, pos_of, range) = ctx.pool.index(spec).probe(rows, key, cursor);
+        for r in range {
+            let t = ResolvedRow::new(store, pos_of, r);
             advance(ctx, item, depth, asg, probes, out, t, false);
         }
         return;
@@ -885,9 +864,8 @@ fn join(
     // atom). The seed scan at depth 0 is the sharding point: each work item
     // visits only its own contiguous slice of the scan.
     let rel: &IdbRelation = match atom.pred {
-        PredRef::Edb(sym) => ctx.a.relation(sym),
         PredRef::Idb(p) if item.delta_atom == Some(step.atom) => &ctx.delta[p],
-        PredRef::Idb(p) => &ctx.idb[p],
+        pred => ctx.rows(pred),
     };
     let n = rel.len();
     let rows = if depth == 0 {
@@ -1329,6 +1307,19 @@ mod tests {
         b.tuple(1, &[0]).build()
     }
 
+    /// Two random digraphs over `n` elements as `E` (seed `seed`) and `F`
+    /// (seed `seed + 1`).
+    fn two_digraphs(n: usize, m: usize, seed: u64) -> Structure {
+        let mut b = Structure::builder(Vocabulary::from_pairs([("E", 2), ("F", 2)]), n);
+        for (sym, seed) in [(0, seed), (1, seed + 1)] {
+            let g = random_digraph(n, m, seed);
+            for t in g.relation(g.vocab().lookup("E").unwrap()).iter() {
+                b = b.tuple(sym, &[t.get(0).0, t.get(1).0]);
+            }
+        }
+        b.build()
+    }
+
     /// `(len, hash of the row sequence)` per relation.
     fn fingerprint(rels: &[IdbRelation]) -> Vec<(usize, u64)> {
         rels.iter()
@@ -1350,7 +1341,7 @@ mod tests {
     #[test]
     fn fuel_schedule_is_pinned() {
         // Relations, stage counts, per-stratum profiles and fuel stops of
-        // two programs, at 1, 2 and 4 threads with every round on the
+        // four programs, at 1, 2 and 4 threads with every round on the
         // pool. The figures were recorded from the evaluator that still ran
         // every rule in round 0 and probed without cursors; restricting
         // round 0 to exit rules, sharding by contiguous ranges and
@@ -1406,6 +1397,44 @@ mod tests {
             (383, (false, 12, 383)),
             (384, (true, 12, 383)),
         ];
+        // Nonlinear TC probes `T` on [0] (the accumulated relation itself)
+        // and on [1] (a permuted copy that absorbs every delta); so does
+        // the `A` rule of `late_right` on `A`, where, unlike in TC, the
+        // copy's variant derives tuples no other variant does. Their
+        // figures were recorded from the evaluator whose IDB probes still
+        // read a hash index over absorbed row ids.
+        let nonlinear_tc = Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap();
+        let late_right = Program::parse(
+            "A(x,y) :- E(x,y).\nB(x,y) :- F(x,y).\nB(x,z) :- B(x,y), E(y,z).\n\
+             A(x,z) :- A(x,y), B(y,z).",
+            &Vocabulary::from_pairs([("E", 2), ("F", 2)]),
+        )
+        .unwrap();
+        let late_right_stops: FuelStops = &[
+            (1, (false, 0, 141)),
+            (100, (false, 0, 141)),
+            (300, (false, 2, 566)),
+            (962, (false, 3, 1030)),
+            (1000, (false, 3, 1030)),
+            (1924, (false, 8, 1924)),
+            (1925, (false, 9, 1925)),
+            (1926, (true, 9, 1925)),
+        ];
+        let nonlinear_stops: FuelStops = &[
+            (1, (false, 0, 151)),
+            (100, (false, 0, 151)),
+            (300, (false, 1, 324)),
+            (1000, (false, 3, 1734)),
+            (1124, (false, 3, 1734)),
+            (2247, (false, 5, 2247)),
+            (2248, (false, 6, 2248)),
+            (2249, (true, 6, 2248)),
+            (3000, (true, 6, 2248)),
+        ];
         let cases = [
             (
                 crate::gallery::win_move(3),
@@ -1422,6 +1451,22 @@ mod tests {
                 &[(370, 13783079395887220828)][..],
                 &[(12, 370, 383)][..],
                 reach_stops,
+            ),
+            (
+                nonlinear_tc,
+                random_digraph(120, 150, 3),
+                6,
+                &[(2241, 10803259854939965657)][..],
+                &[(6, 2241, 2248)][..],
+                nonlinear_stops,
+            ),
+            (
+                late_right,
+                two_digraphs(60, 70, 3),
+                9,
+                &[(1561, 13913406589287665361), (354, 15035057078310420369)][..],
+                &[(9, 1915, 1925)][..],
+                late_right_stops,
             ),
         ];
         for (p, a, stages, fp, profile, stops) in &cases {

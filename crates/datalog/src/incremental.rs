@@ -19,9 +19,10 @@
 //! dependencies first. Delta joins reuse the join-order
 //! machinery of [`crate::plan`] — each rule gets one seeded order per body
 //! occurrence plus a fully-prebound rederivation order — and probe the
-//! committed stores, or permuted sorted copies of them where the key is not
-//! a prefix ([`TupleStore::prefix_range`]), instead of per-evaluation hash
-//! maps, because the committed stores persist across update batches.
+//! evaluator's index type, [`ProbeIndex`]: the committed stores
+//! themselves, or permuted sorted copies of them where the key is not a
+//! prefix ([`TupleStore::prefix_range`]). The copies persist across update
+//! batches, following each committed batch in place.
 //!
 //! Maintenance is budgeted and resumable under the same law as
 //! [`Program::resume_budgeted`]: the gauge is charged at SCC boundaries, an
@@ -40,7 +41,7 @@ use hp_structures::{
 use crate::ast::{PredRef, Program};
 use crate::depgraph::DepGraph;
 use crate::eval::{EvalConfig, EvalError, FixpointResult, StratumProfile};
-use crate::index::{permuted_copy, KeyOrder, ResolvedRow};
+use crate::index::{ProbeIndex, ResolvedRow};
 use crate::plan::{
     plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, ProbeScratch, RulePlan,
 };
@@ -213,77 +214,12 @@ impl MaintPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Secondary indexes: permuted sorted copies of the committed stores
-// ---------------------------------------------------------------------------
-
-/// A persistent index for one [`IndexSpec`]: a sorted [`TupleStore`] whose
-/// rows are the committed relation's rows **permuted** so the key columns
-/// come first ([`permuted_copy`]); a probe is then
-/// [`TupleStore::prefix_range`]. Unlike the per-evaluation hash pool of
-/// [`crate::index`], these survive across update batches and follow each
-/// committed batch in place ([`TupleStore::subtract`],
-/// [`TupleStore::merge`]).
-///
-/// When the key columns are already a prefix, the committed store is
-/// sorted exactly as the copy would be, so no copy is kept: probes read
-/// the committed relation itself, as the evaluator's `Natural` arena does.
-#[derive(Clone, Debug)]
-struct SecondaryIndex {
-    /// The permuted copy and its column order; `None` for the identity.
-    copy: Option<(KeyOrder, TupleStore)>,
-}
-
-impl SecondaryIndex {
-    /// The index for `spec` over `committed`, copying it only when the
-    /// key columns are not a prefix.
-    fn new(spec: &IndexSpec, committed: &TupleStore) -> SecondaryIndex {
-        SecondaryIndex {
-            copy: permuted_copy(&spec.key_positions, committed),
-        }
-    }
-
-    /// The store a probe reads: the permuted copy, or `committed` itself
-    /// for the identity permutation, with the position map to read its
-    /// rows in original column order (`None` when they already are).
-    fn probe_store<'a>(
-        &'a self,
-        committed: &'a TupleStore,
-    ) -> (&'a TupleStore, Option<&'a [usize]>) {
-        match &self.copy {
-            Some((order, store)) => (store, Some(order.pos_of.as_slice())),
-            None => (committed, None),
-        }
-    }
-
-    /// Fold a committed batch in: the copy follows it in place (the
-    /// permuted deletions are [subtracted](TupleStore::subtract), the
-    /// permuted insertions [merged](TupleStore::merge)), while an identity
-    /// index already sees it through the committed store.
-    fn apply_batch(&mut self, removed: &TupleStore, inserted: &TupleStore) {
-        let Some((order, store)) = &mut self.copy else {
-            return;
-        };
-        if !removed.is_empty() {
-            store.subtract(&order.permute(removed));
-        }
-        if !inserted.is_empty() {
-            store.merge(&order.permute(inserted));
-        }
-    }
-
-    /// Heap bytes of the permuted copy (0 for the identity).
-    fn heap_bytes(&self) -> usize {
-        self.copy.as_ref().map_or(0, |(_, s)| s.heap_bytes())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The materialized database
 // ---------------------------------------------------------------------------
 
 /// A program's input structure together with its materialized least
 /// fixpoint, derivation depths for the recursive strata, and the
-/// persistent secondary indexes the maintenance joins probe.
+/// persistent probe indexes the maintenance joins read.
 ///
 /// Build one with [`MaterializedDb::new`], then apply update batches with
 /// [`Program::evaluate_incremental`]. The database owns the structure; read
@@ -303,7 +239,9 @@ pub struct MaterializedDb {
     /// Monotone upper bound over every assigned depth; fresh and revived
     /// tuples get depths above it, keeping the invariant without renumbering.
     depth_clock: u64,
-    indexes: Vec<SecondaryIndex>,
+    /// One per maintenance index spec, over the committed relation; each
+    /// follows every committed batch ([`ProbeIndex::apply_batch`]).
+    indexes: Vec<ProbeIndex>,
     /// True while a budget-exhausted maintenance run awaits
     /// [`Program::resume_incremental`]; fresh updates are refused until
     /// then.
@@ -346,7 +284,7 @@ impl MaterializedDb {
         }
         let plan = MaintPlan::new(program);
         let idb = result.relations;
-        let indexes: Vec<SecondaryIndex> = plan
+        let indexes: Vec<ProbeIndex> = plan
             .specs
             .iter()
             .map(|spec| {
@@ -354,7 +292,7 @@ impl MaterializedDb {
                     PredRef::Edb(sym) => structure.relation(sym).store(),
                     PredRef::Idb(i) => idb[i].store(),
                 };
-                SecondaryIndex::new(spec, committed)
+                ProbeIndex::new(&spec.key_positions, committed)
             })
             .collect();
         let mut depths: Vec<Option<DepthMap>> = (0..idb.len()).map(|_| None).collect();
@@ -426,12 +364,12 @@ impl MaterializedDb {
 
     /// Heap bytes this database holds beyond its input structure: the
     /// materialized IDB relations, the derivation depths, and
-    /// the permuted secondary-index copies (identity-keyed indexes probe
-    /// the committed relation and hold nothing).
+    /// the permuted index copies (identity-keyed indexes probe the
+    /// committed relation and hold nothing).
     pub fn heap_bytes(&self) -> usize {
         let idb: usize = self.idb.iter().map(Relation::heap_bytes).sum();
         let depths: usize = self.depths.iter().flatten().map(DepthMap::heap_bytes).sum();
-        let indexes: usize = self.indexes.iter().map(SecondaryIndex::heap_bytes).sum();
+        let indexes: usize = self.indexes.iter().map(ProbeIndex::heap_bytes).sum();
         idb + depths + indexes
     }
 }
@@ -808,7 +746,7 @@ struct Ctx<'a> {
     plan: &'a MaintPlan,
     structure: &'a Structure,
     idb: &'a [Relation],
-    indexes: &'a [SecondaryIndex],
+    indexes: &'a [ProbeIndex],
     deltas: &'a Deltas,
     overlay: Option<Overlay<'a>>,
     gate: Option<DepthGate<'a>>,
@@ -946,23 +884,16 @@ fn mjoin(
     let step = &steps[depth];
     let pred = mr.atoms[step.atom].pred;
     let committed = ctx.committed(pred);
-    let (store, pos_of, range, check_bound) = match step.index {
+    let ((store, pos_of, range), check_bound) = match step.index {
         Some(si) => {
-            let (store, pos_of) = ctx.indexes[si].probe_store(committed);
             let (key, cursor) = probes.key(step, depth, asg);
-            let range = store.prefix_range_from(key, *cursor);
-            *cursor = range.start;
-            (store, pos_of, range, false)
+            (ctx.indexes[si].probe(committed, key, cursor), false)
         }
-        None => (committed, None, 0..committed.len(), true),
+        None => ((committed, None, 0..committed.len()), true),
     };
     let rows = ViewRows::new(ctx, pred, views[step.atom]);
     for r in range {
-        let row = store.row(r);
-        let cand = match pos_of {
-            Some(pos_of) => ResolvedRow::Permuted { row, pos_of },
-            None => ResolvedRow::Direct(row),
-        };
+        let cand = ResolvedRow::new(store, pos_of, r);
         if rows.shows(cand)
             && !accept(
                 ctx,
@@ -1101,7 +1032,7 @@ where
 
 /// Apply the update batch to the EDB: compute effective per-symbol deltas
 /// against the committed structure, splice them into (and subtract them
-/// from) the committed relations in place, and keep the EDB secondary
+/// from) the committed relations in place, and keep the EDB probe
 /// indexes in sync the same way — `O(batch · log n)` plus one tail shift
 /// per touched store. A relation still shared with a snapshot is copied
 /// once, by copy-on-write. Validates every inserted tuple **before** any
@@ -1924,9 +1855,8 @@ mod tests {
                 .collect()
         };
         // Read on the stores themselves: a clone's planes are exact.
-        let copy_bytes = |db: &MaterializedDb| -> usize {
-            db.indexes.iter().map(SecondaryIndex::heap_bytes).sum()
-        };
+        let copy_bytes =
+            |db: &MaterializedDb| -> usize { db.indexes.iter().map(ProbeIndex::heap_bytes).sum() };
         assert_eq!(copies(&db).len(), 1);
 
         for step in 0..200 {

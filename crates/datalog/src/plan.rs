@@ -1,5 +1,5 @@
 //! Precomputed join plans: dense per-rule variable numbering, atom join
-//! orders chosen by bound-variable selectivity, and the hash-index key
+//! orders chosen by bound-variable selectivity, and the probe-index key
 //! specifications those orders probe.
 //!
 //! The seed evaluator recomputed `rule.variables()` (and a fresh
@@ -14,10 +14,11 @@
 //! items, where that occurrence reads the delta relation and is scanned
 //! first). Orders are greedy: after the seed, repeatedly pick the atom with
 //! the most argument positions over already-bound variables (ties prefer
-//! EDB atoms, then source order), so each step can be answered by a hash
-//! index keyed on exactly those bound positions. A negated literal over a
-//! unary predicate gets a spec of its own kind, a membership arena, so the
-//! guard is one bit test.
+//! EDB atoms, then source order), so each step can be answered by a sorted
+//! probe index ([`crate::index`]) keyed on exactly those bound positions:
+//! the relation itself when they are a prefix, else a permuted copy. A
+//! negated literal over a unary predicate gets a spec of its own kind, a
+//! membership bitmap, so the guard is one bit test.
 
 use std::cmp::Reverse;
 
@@ -25,16 +26,18 @@ use hp_structures::Elem;
 
 use crate::ast::{PredRef, Program, Rule};
 
-/// Key specification for one hash index: a predicate together with the
+/// Key specification for one probe index: a predicate together with the
 /// sorted tuple positions the key is drawn from. Interned per program so
-/// equal specs across rules share one physical index.
+/// equal specs across rules share one physical index — the relation's own
+/// sorted store when the positions are the prefix `0..k`, else one
+/// permuted copy.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct IndexSpec {
     /// Indexed predicate.
     pub pred: PredRef,
     /// Sorted tuple positions forming the key.
     pub key_positions: Vec<usize>,
-    /// True for the membership arena of a negated unary guard (key `[0]`):
+    /// True for the membership bitmap of a negated unary guard (key `[0]`):
     /// a bit per universe element, tested rather than probed. Part of the
     /// interning key, so a guard never shares a positive probe's index
     /// on the same predicate and positions.
@@ -72,7 +75,7 @@ pub(crate) struct JoinStep {
     /// Index into [`ProgramPlan::index_specs`] to probe with the values of
     /// `bound`, or `None` to scan the whole relation (nothing bound yet, or
     /// the step reads a delta relation). On a negated step: the guard's
-    /// membership arena when the predicate is unary, else `None` — the
+    /// membership bitmap when the predicate is unary, else `None` — the
     /// guard then probes the sealed relation itself.
     pub index: Option<usize>,
 }
@@ -137,17 +140,15 @@ pub(crate) struct ProgramPlan {
     pub rules: Vec<RulePlan>,
     /// Interned index-key specs referenced by [`JoinStep::index`].
     pub index_specs: Vec<IndexSpec>,
-    /// Aligned with `index_specs`: whether the evaluator fills an IDB
-    /// index as its predicate grows. False when only the seed orders of
-    /// rules in the predicate's own stratum probe it: such a rule is not an
-    /// exit rule, so the fixpoint never runs its seed order (round 0 runs
-    /// exit rules only), and the index is never read. Always true for a
-    /// guard arena over an IDB: a negated predicate sits in a strictly
-    /// lower stratum than every rule reading it. Unused for EDB specs.
+    /// Aligned with `index_specs`: whether the evaluator keeps an IDB
+    /// index in step with its predicate as it grows. False when only the
+    /// seed orders of rules in the predicate's own stratum probe it: such
+    /// a rule is not an exit rule, so the fixpoint never runs its seed
+    /// order (round 0 runs exit rules only), and the index is never read.
+    /// Always true for a guard bitmap over an IDB: a negated predicate
+    /// sits in a strictly lower stratum than every rule reading it. Unused
+    /// for EDB specs.
     pub absorbed: Vec<bool>,
-    /// IDB arities, aligned with [`Program::idbs`] — the row strides the
-    /// index pool's owned arenas use.
-    pub idb_arities: Vec<usize>,
 }
 
 impl ProgramPlan {
@@ -183,7 +184,6 @@ impl ProgramPlan {
             rules,
             index_specs,
             absorbed,
-            idb_arities: p.idbs().iter().map(|&(_, a)| a).collect(),
         }
     }
 }
@@ -334,7 +334,7 @@ fn plan_steps_inner(
             }
             // The delta atom (always at depth 0) reads the per-round delta
             // relation, which is scanned, never indexed. A negated guard
-            // over a unary predicate tests one bit of its membership arena;
+            // over a unary predicate tests one bit of its membership bitmap;
             // a wider (or 0-ary) guard is a sorted-store probe of the
             // sealed relation from the depth's cursor, not an index. Any
             // other step with at least one bound position probes an index
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn unary_guards_get_a_membership_spec_of_their_own() {
         // `R` is probed on position 0 and guarded on position 0: two specs,
-        // only the guard's marked, and the guard's IDB arena is absorbed.
+        // only the guard's marked, and the guard's IDB bitmap is absorbed.
         // The binary guard `not E(y,x)` gets no spec at all.
         let p = Program::parse(
             "R(x) :- M(x).\nS(x) :- E(x,y), R(y), not R(x).\nU(x) :- E(x,y), not E(y,x).",

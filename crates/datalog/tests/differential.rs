@@ -377,6 +377,43 @@ fn stratified_fuel_split_over_unary_guards() {
     assert_fuel_split_law(&p, &a, 1..total + 2);
 }
 
+/// The same law on programs whose delta orders probe an IDB through a
+/// permuted copy (key `[1]`): a resumed run rebuilds the copy from the
+/// checkpoint's relations, then absorbs the pending delta into it. In
+/// nonlinear TC the copy serves the right-delta variant, which TC never
+/// needs (every new path also splits with its newest half on the left);
+/// in the second program it serves the `B`-delta variant of the `A` rule,
+/// the only one that joins an old `A` fact with a `B` fact derived rounds
+/// later. `f1` runs past each straight run's whole fuel spend, so every
+/// round boundary is a stop point.
+#[test]
+fn nonlinear_fuel_split_over_idb_copies() {
+    let nonlinear_tc = Program::parse(
+        "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).",
+        &Vocabulary::digraph(),
+    )
+    .unwrap();
+    let late_right = Program::parse(
+        "A(x,y) :- E(x,y).\nB(x,y) :- F(x,y).\nB(x,z) :- B(x,y), E(y,z).\n\
+         A(x,z) :- A(x,y), B(y,z).",
+        &Vocabulary::from_pairs([("E", 2), ("F", 2)]),
+    )
+    .unwrap();
+    let cases = [
+        (
+            hp_structures::generators::random_digraph(40, 55, 3),
+            nonlinear_tc,
+        ),
+        (random_edb(late_right.edb(), 30, 40, 11), late_right),
+    ];
+    for (a, p) in &cases {
+        let full = p.evaluate(a);
+        assert!(full.stages >= 4, "the run spans several rounds");
+        let total: u64 = full.profile.iter().map(|s| s.fuel).sum();
+        assert_fuel_split_law(p, a, 1..total + 2);
+    }
+}
+
 /// The old failure shape, demonstrated: a capped stage sequence used to be
 /// indistinguishable from a converged one. `converged` now tells them
 /// apart, and capped `evaluate_with` agrees.

@@ -35,18 +35,6 @@ pub enum StructureError {
         /// 1-based line on which it occurred.
         line: usize,
     },
-    /// A store or index outgrew a fixed-width id space (e.g. more than
-    /// `u32::MAX` rows in a row-id index). Raised as a typed error instead
-    /// of a debug-only assert so release builds fail loudly rather than
-    /// silently wrapping at 10⁸-row scale.
-    CapacityExceeded {
-        /// What ran out of id space ("IDB index row id", ...).
-        what: &'static str,
-        /// The count that no longer fits.
-        requested: usize,
-        /// The largest representable count.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for StructureError {
@@ -71,14 +59,6 @@ impl fmt::Display for StructureError {
             StructureError::Parse { message, line } => {
                 write!(f, "parse error on line {line}: {message}")
             }
-            StructureError::CapacityExceeded {
-                what,
-                requested,
-                limit,
-            } => write!(
-                f,
-                "capacity exceeded: {what} count {requested} exceeds representable limit {limit}"
-            ),
         }
     }
 }
