@@ -15,6 +15,12 @@
 //! Every timing is the median of [`hp_bench::K`] runs. After the cycles
 //! the maintained IDB is asserted bit-identical to a fresh evaluation.
 //!
+//! A second table builds a view of nonlinear transitive closure
+//! (`T(x,z) :- T(x,y), T(y,z)`) on `directed_path(200)`, whatever the size
+//! argument, beside a full evaluation of the same program: a build is a
+//! maintenance run over the empty database, and this is the program whose
+//! insertion rounds probe the rows they have added most.
+//!
 //! Usage: `incremental_scale [MAX_EXP] [--json PATH]` — rows for
 //! 10³ … 10^MAX_EXP edges (default 6; CI passes 5 to keep the smoke run
 //! short). With `--json PATH` a machine-readable snapshot (the committed
@@ -78,7 +84,37 @@ fn main() {
         );
     }
 
+    let nltc = Program::parse(
+        "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).",
+        &Vocabulary::digraph(),
+    )
+    .expect("nonlinear TC parses");
+    let nltc_workload = "nonlinear transitive closure view build, directed path";
+    println!("\n{nltc_workload}");
+    let mut nonlinear = Table::new();
+    let n = 200;
+    let a = generators::directed_path(n);
+    let (build_ms, db) =
+        median_ms(|| MaterializedDb::new(&nltc, a.clone()).expect("vocab matches"));
+    let (full_ms, full) = median_ms(|| nltc.evaluate(&a));
+    assert_eq!(
+        db.relations(),
+        &full.relations[..],
+        "nonlinear TC build diverged"
+    );
+    nonlinear.push(
+        Row::new()
+            .int("path", n)
+            .num("build_ms", build_ms, 3)
+            .num("full_eval_ms", full_ms, 3)
+            .int("tc", full.relations[0].len()),
+    );
+
     if let Some(path) = json {
+        let nonlinear = Json::Obj(vec![
+            ("workload".into(), Json::Str(nltc_workload.into())),
+            ("rows".into(), nonlinear.json()),
+        ]);
         write_json(
             &path,
             "incremental_scale",
@@ -87,6 +123,7 @@ fn main() {
             vec![
                 ("cycles_per_size", Json::Num(CYCLES as f64)),
                 ("rows", table.json()),
+                ("nonlinear_tc", nonlinear),
             ],
         );
     }

@@ -15,6 +15,12 @@
 //! and monotonicity is all DRed needs. In a non-recursive stratum no rule
 //! body mentions a member, so each phase has at most one productive round.
 //!
+//! A database is built the same way: [`MaterializedDb::new`] maintains
+//! the empty database with the whole input as one insertion batch.
+//! Monotonicity makes the insertion phase reach the least fixpoint, and
+//! its rounds are the semi-naive stages, which become the recursive
+//! members' derivation depths.
+//!
 //! Strata are the SCCs of the program's [`DepGraph`], visited
 //! dependencies first. Delta joins reuse the join-order
 //! machinery of [`crate::plan`] — each rule gets one seeded order per body
@@ -22,7 +28,9 @@
 //! evaluator's index type, [`ProbeIndex`]: the committed stores
 //! themselves, or permuted sorted copies of them where the key is not a
 //! prefix ([`TupleStore::prefix_range`]). The copies persist across update
-//! batches, following each committed batch in place.
+//! batches, following each committed batch in place. The rows the
+//! insertion phase adds are probed through indexes of their own, which
+//! follow them round by round for one stratum's maintenance.
 //!
 //! Maintenance is budgeted and resumable under the same law as
 //! [`Program::resume_budgeted`]: the gauge is charged at SCC boundaries, an
@@ -40,8 +48,8 @@ use hp_structures::{
 
 use crate::ast::{PredRef, Program};
 use crate::depgraph::DepGraph;
-use crate::eval::{EvalConfig, EvalError, FixpointResult, StratumProfile};
-use crate::index::{ProbeIndex, ResolvedRow};
+use crate::eval::{EvalConfig, EvalError, StratumProfile};
+use crate::index::{Probe, ProbeIndex, ResolvedRow};
 use crate::plan::{
     plan_steps, plan_steps_prebound, AtomPlan, IndexSpec, JoinStep, ProbeScratch, RulePlan,
 };
@@ -150,8 +158,6 @@ struct MaintRule {
     head_repeats: Vec<(usize, usize)>,
     var_count: usize,
     atoms: Vec<AtomPlan>,
-    /// Naive order over all atoms — the first stage of the depth replay.
-    full_order: Vec<JoinStep>,
     /// Order seeded by body occurrence `i` scanning a delta, one per atom.
     seeded_orders: Vec<Vec<JoinStep>>,
     /// Order with every head variable prebound — the DRed rederivation
@@ -184,7 +190,6 @@ impl MaintPlan {
                     head_repeats.push((i, j));
                 }
             }
-            let full_order = plan_steps(&rp.atoms, rp.var_count, None, &mut specs);
             let seeded_orders = (0..rp.atoms.len())
                 .map(|ai| plan_steps(&rp.atoms, rp.var_count, Some(ai), &mut specs))
                 .collect();
@@ -200,7 +205,6 @@ impl MaintPlan {
                 head_repeats,
                 var_count: rp.var_count,
                 atoms: rp.atoms,
-                full_order,
                 seeded_orders,
                 rederive_order,
             });
@@ -249,41 +253,37 @@ pub struct MaterializedDb {
 }
 
 impl MaterializedDb {
-    /// Evaluate `program` on `structure` and materialize the result for
+    /// Materialize `program`'s least fixpoint on `structure` for
     /// incremental maintenance, with the default [`EvalConfig`].
     pub fn new(program: &Program, structure: Structure) -> Result<MaterializedDb, EvalError> {
         MaterializedDb::new_with(program, structure, &EvalConfig::new())
     }
 
-    /// As [`MaterializedDb::new`] with an explicit configuration.
+    /// As [`MaterializedDb::new`] with an explicit configuration (its
+    /// worker threads; a stage cap does not apply).
+    ///
+    /// The database is built the way it is maintained: from empty IDB
+    /// relations, with the whole input as one insertion batch. A positive
+    /// program is monotone, so DRed's insertion phase reaches its least
+    /// fixpoint stratum by stratum, and gives every tuple of a recursive
+    /// stratum its semi-naive stage as its depth.
     pub fn new_with(
         program: &Program,
         structure: Structure,
         cfg: &EvalConfig,
     ) -> Result<MaterializedDb, EvalError> {
-        check_materializable(program, &structure)?;
-        let full = program.evaluate_with(&structure, cfg);
-        MaterializedDb::from_fixpoint(program, structure, full)
-    }
-
-    /// Materialize an already computed least fixpoint of `program` on
-    /// `structure` (from [`Program::evaluate`] or one of its variants):
-    /// the one construction path, so a caller that has just evaluated the
-    /// program pays no second evaluation. `result` must be that
-    /// evaluation's converged result; an unconverged one is refused.
-    pub fn from_fixpoint(
-        program: &Program,
-        structure: Structure,
-        result: FixpointResult,
-    ) -> Result<MaterializedDb, EvalError> {
-        check_materializable(program, &structure)?;
-        if !result.converged || result.relations.len() != program.idbs().len() {
+        if program.has_negation() {
+            return Err(EvalError::NegationUnsupported {
+                operation: "incremental view maintenance".to_string(),
+            });
+        }
+        if structure.vocab() != program.edb() {
             return Err(EvalError::ProgramMismatch {
-                detail: "fixpoint result is not this program's least fixpoint".to_string(),
+                detail: "structure vocabulary differs from the program's EDB".to_string(),
             });
         }
         let plan = MaintPlan::new(program);
-        let idb = result.relations;
+        let idb = program.empty_idbs();
         let indexes: Vec<ProbeIndex> = plan
             .specs
             .iter()
@@ -295,40 +295,34 @@ impl MaterializedDb {
                 ProbeIndex::new(&spec.key_positions, committed)
             })
             .collect();
-        let mut depths: Vec<Option<DepthMap>> = (0..idb.len()).map(|_| None).collect();
-        let mut depth_clock = 0u64;
-        {
-            let deltas = Deltas::empty(program);
-            let ctx = Ctx {
-                plan: &plan,
-                structure: &structure,
-                idb: &idb,
-                indexes: &indexes,
-                deltas: &deltas,
-                overlay: None,
-                gate: None,
-            };
-            for si in 0..plan.graph.scc_count() {
-                if plan.graph.is_recursive_scc(si) {
-                    depth_clock = depth_clock.max(build_depths(
-                        &ctx,
-                        si,
-                        |p| program.idbs()[p].1,
-                        &mut depths,
-                    ));
-                }
-            }
+        let depths = (0..idb.len())
+            .map(|p| plan.graph.is_recursive_pred(p).then(DepthMap::default))
+            .collect();
+        let mut deltas = Deltas::empty(program);
+        for (sym, rel) in structure.relations() {
+            deltas.edb_plus[sym.index()] = rel.store().clone();
         }
-        Ok(MaterializedDb {
+        let mut db = MaterializedDb {
             program: program.clone(),
             plan,
             structure,
             idb,
             depths,
-            depth_clock,
+            depth_clock: 0,
             indexes,
             in_flight: false,
-        })
+        };
+        maintain(
+            &mut db,
+            cfg,
+            Budget::unlimited().gauge(),
+            deltas,
+            0,
+            0,
+            Vec::new(),
+        )
+        .unwrap_or_else(|_| unreachable!("an unlimited budget cannot exhaust"));
+        Ok(db)
     }
 
     /// The current input structure (reflecting every committed batch).
@@ -372,141 +366,6 @@ impl MaterializedDb {
         let indexes: usize = self.indexes.iter().map(ProbeIndex::heap_bytes).sum();
         idb + depths + indexes
     }
-}
-
-/// The checks every [`MaterializedDb`] construction makes first.
-fn check_materializable(program: &Program, structure: &Structure) -> Result<(), EvalError> {
-    if program.has_negation() {
-        return Err(EvalError::NegationUnsupported {
-            operation: "incremental view maintenance".to_string(),
-        });
-    }
-    if structure.vocab() != program.edb() {
-        return Err(EvalError::ProgramMismatch {
-            detail: "structure vocabulary differs from the program's EDB".to_string(),
-        });
-    }
-    Ok(())
-}
-
-/// Assign derivation depths to every tuple of recursive SCC `scc` by
-/// replaying its semi-naive stages over the committed relations: stage-`r`
-/// tuples derive from stage-`< r` members (read as `Cur` through a
-/// shadow-everything / reveal-known overlay) and committed externals.
-/// Returns the number of stages, an upper bound on every assigned depth.
-fn build_depths(
-    ctx: &Ctx<'_>,
-    scc: usize,
-    arity_of: impl Fn(usize) -> usize,
-    depths: &mut [Option<DepthMap>],
-) -> u64 {
-    let members = ctx.plan.graph.scc_members(scc);
-    let n_idb = ctx.idb.len();
-    let removed: Vec<TupleStore> = (0..n_idb)
-        .map(|p| {
-            if is_member(ctx.plan, PredRef::Idb(p), scc) {
-                ctx.idb[p].store().clone()
-            } else {
-                TupleStore::new(arity_of(p))
-            }
-        })
-        .collect();
-    let mut known: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
-    let added: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
-    let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-    for &p in members {
-        depths[p] = Some(DepthMap::default());
-    }
-    let mut round = 0u64;
-    loop {
-        round += 1;
-        let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        {
-            let rctx = Ctx {
-                plan: ctx.plan,
-                structure: ctx.structure,
-                idb: ctx.idb,
-                indexes: ctx.indexes,
-                deltas: ctx.deltas,
-                overlay: Some(Overlay {
-                    removed: &removed,
-                    revived: &known,
-                    added: &added,
-                }),
-                gate: None,
-            };
-            for &p in members {
-                for &ri in ctx.plan.graph.rules_of(p) {
-                    let mr = &ctx.plan.rules[ri];
-                    let views = scc_views(ctx.plan, mr, scc, View::New);
-                    let mut head = Vec::with_capacity(arity_of(p));
-                    if round == 1 {
-                        let mut asg = vec![Elem(0); mr.var_count];
-                        mjoin(
-                            &rctx,
-                            mr,
-                            &mr.full_order,
-                            &views,
-                            0,
-                            &mut asg,
-                            &mut ProbeScratch::default(),
-                            &mut |a| {
-                                head.clear();
-                                head.extend(mr.head_args.iter().map(|&s| a[s]));
-                                cand[p].push(&head);
-                                true
-                            },
-                        );
-                    } else {
-                        for ai in 0..mr.atoms.len() {
-                            let PredRef::Idb(q) = mr.atoms[ai].pred else {
-                                continue;
-                            };
-                            if ctx.plan.graph.scc_of(q) != scc || frontier[q].is_empty() {
-                                continue;
-                            }
-                            run_seeded(
-                                &rctx,
-                                mr,
-                                &mr.seeded_orders[ai],
-                                &views,
-                                &frontier[q],
-                                &mut |asg| {
-                                    head.clear();
-                                    head.extend(mr.head_args.iter().map(|&s| asg[s]));
-                                    cand[p].push(&head);
-                                    true
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        let mut any = false;
-        for &p in members {
-            cand[p].seal();
-            let fresh = cand[p].difference(known[p].store());
-            let map = depths[p].as_mut().expect("member map was just created");
-            for t in fresh.iter() {
-                map.insert(t, round);
-            }
-            known[p].merge_store(&fresh);
-            any = any || !fresh.is_empty();
-            frontier[p] = fresh;
-        }
-        if !any {
-            break;
-        }
-    }
-    for &p in members {
-        debug_assert_eq!(
-            known[p].len(),
-            ctx.idb[p].len(),
-            "depth replay must reconstruct the fixpoint"
-        );
-    }
-    round
 }
 
 // ---------------------------------------------------------------------------
@@ -571,7 +430,7 @@ pub struct MaintenanceReport {
     /// run: an exhausted one returns an [`IncCheckpoint`] instead).
     pub converged: bool,
     /// Worker-panic recoveries, one note per affected stratum, as in
-    /// [`FixpointResult::diagnostics`].
+    /// [`FixpointResult::diagnostics`](crate::FixpointResult::diagnostics).
     pub diagnostics: Vec<String>,
     /// One [`StratumProfile`] for the run (maintained programs are
     /// positive, so there is one stratum): rounds, changed tuples, fuel
@@ -739,6 +598,9 @@ struct Overlay<'a> {
     revived: &'a [Relation],
     /// Tuples added by the insertion phase.
     added: &'a [Relation],
+    /// One index per maintenance spec over the added tuples of its
+    /// predicate, following `added` round by round.
+    added_indexes: &'a [ProbeIndex],
 }
 
 /// Shared read-only state for one maintenance round's join items.
@@ -771,8 +633,11 @@ struct ViewRows<'a> {
     /// … unless they are in this one (`Cur`: the revived rows).
     revived: Option<&'a Relation>,
     /// Rows the view reads beyond the committed ones (`Old`: the rows this
-    /// batch deleted; `Cur`: the rows added so far).
+    /// batch deleted; `Cur`: the rows added so far) …
     extra: Option<&'a TupleStore>,
+    /// … probed through these, one per maintenance spec (`Cur`), or else
+    /// scanned whole.
+    extra_indexes: Option<&'a [ProbeIndex]>,
     /// `Cur` under a depth gate: every row, committed or added, must pass
     /// it as a row of member `p`.
     gate: Option<(&'a DepthGate<'a>, usize)>,
@@ -799,6 +664,7 @@ impl<'a> ViewRows<'a> {
                     hidden: (!ov.removed[p].is_empty()).then_some(&ov.removed[p]),
                     revived: Some(&ov.revived[p]),
                     extra: Some(ov.added[p].store()),
+                    extra_indexes: Some(ov.added_indexes),
                     gate: ctx.gate.as_ref().map(|g| (g, p)),
                 }
             }
@@ -862,11 +728,10 @@ fn accept(
 /// call `emit` per complete assignment. Returns `false` iff `emit` stopped
 /// the enumeration.
 ///
-/// A step reads the committed rows its index probe returns (or, unindexed,
-/// all of them, checking the bound positions per row), minus the rows its
-/// view hides, followed by the rows its view adds. Probes write their key
-/// into `probes` and gallop from its per-depth cursor, as the evaluator's
-/// do.
+/// A step reads the committed rows its index probe returns, minus the rows
+/// its view hides, followed by the rows its view adds, probed the same way
+/// when the view indexes them. Probes write their key into `probes` and
+/// gallop from a per-depth cursor, as the evaluator's do.
 #[allow(clippy::too_many_arguments)]
 fn mjoin(
     ctx: &Ctx<'_>,
@@ -883,42 +748,69 @@ fn mjoin(
     }
     let step = &steps[depth];
     let pred = mr.atoms[step.atom].pred;
-    let committed = ctx.committed(pred);
-    let ((store, pos_of, range), check_bound) = match step.index {
-        Some(si) => {
-            let (key, cursor) = probes.key(step, depth, asg);
-            (ctx.indexes[si].probe(committed, key, cursor), false)
-        }
-        None => ((committed, None, 0..committed.len()), true),
-    };
     let rows = ViewRows::new(ctx, pred, views[step.atom]);
-    for r in range {
-        let cand = ResolvedRow::new(store, pos_of, r);
-        if rows.shows(cand)
-            && !accept(
-                ctx,
-                mr,
-                steps,
-                views,
-                depth,
-                asg,
-                probes,
-                emit,
-                cand,
-                check_bound,
-            )
-        {
-            return false;
-        }
-    }
-    for t in rows.extra.into_iter().flat_map(TupleStore::iter) {
-        let cand = ResolvedRow::Direct(t);
-        if rows.admits(cand) && !accept(ctx, mr, steps, views, depth, asg, probes, emit, cand, true)
-        {
-            return false;
+    let committed = candidates(
+        step,
+        Some(ctx.indexes),
+        ctx.committed(pred),
+        asg,
+        probes,
+        depth,
+    );
+    let extra = rows.extra.filter(|e| !e.is_empty()).map(|extra| {
+        let cursor = steps.len() + depth;
+        candidates(step, rows.extra_indexes, extra, asg, probes, cursor)
+    });
+    for (((store, pos_of, range), check_bound), is_extra) in
+        std::iter::once((committed, false)).chain(extra.map(|e| (e, true)))
+    {
+        for r in range {
+            let cand = ResolvedRow::new(store, pos_of, r);
+            let shown = if is_extra {
+                rows.admits(cand)
+            } else {
+                rows.shows(cand)
+            };
+            if shown
+                && !accept(
+                    ctx,
+                    mr,
+                    steps,
+                    views,
+                    depth,
+                    asg,
+                    probes,
+                    emit,
+                    cand,
+                    check_bound,
+                )
+            {
+                return false;
+            }
         }
     }
     true
+}
+
+/// The rows of `rows` that `step` reads: a probe of its index among
+/// `indexes` on its bound key, or, unindexed, every row — whose bound
+/// positions [`accept`] must then check, the returned flag. `cursor` picks
+/// the probe's gallop cursor in `probes`.
+fn candidates<'a>(
+    step: &JoinStep,
+    indexes: Option<&'a [ProbeIndex]>,
+    rows: &'a TupleStore,
+    asg: &[Elem],
+    probes: &mut ProbeScratch,
+    cursor: usize,
+) -> (Probe<'a>, bool) {
+    match (step.index, indexes) {
+        (Some(si), Some(indexes)) => {
+            let (key, cursor) = probes.key(step, cursor, asg);
+            (indexes[si].probe(rows, key, cursor), false)
+        }
+        _ => ((rows, None, 0..rows.len()), true),
+    }
 }
 
 /// Run one seeded join item: scan `seeds` as the delta occupying
@@ -1005,6 +897,31 @@ fn scc_views(plan: &MaintPlan, mr: &MaintRule, scc: usize, external: View) -> Ve
             _ => external,
         })
         .collect()
+}
+
+/// The views of the insertion phase's round-0 item seeded by the external
+/// body atom `ai`: members read `Cur`, the external atoms before `ai` read
+/// `Stable` and those after it `New`. A derivation that uses several
+/// inserted external tuples is then enumerated once, by the item seeded at
+/// the first of them. `None` when a `Stable` atom has no rows (every
+/// committed row was inserted by this batch, as in a build): the item
+/// derives nothing.
+fn first_insertion_views(
+    ctx: &Ctx<'_>,
+    mr: &MaintRule,
+    scc: usize,
+    ai: usize,
+) -> Option<Vec<View>> {
+    let mut views = scc_views(ctx.plan, mr, scc, View::New);
+    for (view, atom) in views.iter_mut().zip(&mr.atoms).take(ai) {
+        if *view == View::New {
+            if ctx.committed(atom.pred).len() == ctx.deltas.plus(atom.pred).len() {
+                return None;
+            }
+            *view = View::Stable;
+        }
+    }
+    Some(views)
 }
 
 fn is_member(plan: &MaintPlan, pred: PredRef, scc: usize) -> bool {
@@ -1112,6 +1029,18 @@ fn dred_scc(
     let mut removed: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
     let mut revived: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
     let mut added: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
+    let mut added_indexes: Vec<ProbeIndex> = db
+        .plan
+        .specs
+        .iter()
+        .map(|spec| {
+            let arity = match spec.pred {
+                PredRef::Edb(sym) => db.structure.relation(sym).arity(),
+                PredRef::Idb(q) => arity_of(q),
+            };
+            ProbeIndex::new(&spec.key_positions, &TupleStore::new(arity))
+        })
+        .collect();
     let mut rounds = 0usize;
     let mut clock = db.depth_clock;
 
@@ -1209,6 +1138,7 @@ fn dred_scc(
             let removed_ref = &removed;
             let revived_ref = &revived;
             let added_ref = &added;
+            let added_indexes_ref = &added_indexes;
             let cands_ref = &cands;
             pooled(workers, cands.len(), |i| {
                 let (p, t) = &cands_ref[i];
@@ -1226,6 +1156,7 @@ fn dred_scc(
                         removed: removed_ref,
                         revived: revived_ref,
                         added: added_ref,
+                        added_indexes: added_indexes_ref,
                     }),
                     gate: Some(DepthGate { depths, limit }),
                 };
@@ -1275,6 +1206,7 @@ fn dred_scc(
                     removed: &removed,
                     revived: &revived,
                     added: &added,
+                    added_indexes: &added_indexes,
                 }),
                 gate: None,
             };
@@ -1300,34 +1232,14 @@ fn dred_scc(
     }
 
     // Phase C: warm-started semi-naive insertion over the repaired state.
-    // Round 0 is seeded by the external insertions; later rounds by the
-    // SCC tuples that became true last round (fresh or revived).
+    // Round 0 is seeded by the external insertions, each derivation once
+    // (see `first_insertion_views`), and by the empty-body rules whose
+    // nullary head is still absent; later rounds by the SCC tuples that
+    // became true last round (fresh or revived).
     let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
     let mut first = true;
     loop {
-        let mut items: Vec<(usize, usize)> = Vec::new();
-        for &p in &members {
-            for &ri in db.plan.graph.rules_of(p) {
-                let mr = &db.plan.rules[ri];
-                for ai in 0..mr.atoms.len() {
-                    let pred = mr.atoms[ai].pred;
-                    let seeded = if first {
-                        !is_member(&db.plan, pred, scc) && !deltas.plus(pred).is_empty()
-                    } else {
-                        matches!(pred, PredRef::Idb(q) if db.plan.graph.scc_of(q) == scc
-                            && !frontier[q].is_empty())
-                    };
-                    if seeded {
-                        items.push((ri, ai));
-                    }
-                }
-            }
-        }
-        if items.is_empty() {
-            break;
-        }
-        rounds += 1;
-        let outs: Vec<TupleStore> = {
+        let outs: Vec<(usize, TupleStore)> = {
             let ctx = Ctx {
                 plan: &db.plan,
                 structure: &db.structure,
@@ -1338,39 +1250,70 @@ fn dred_scc(
                     removed: &removed,
                     revived: &revived,
                     added: &added,
+                    added_indexes: &added_indexes,
                 }),
                 gate: None,
             };
+            // `(rule, seeded body atom, views)`; no seed for an empty body.
+            let mut items: Vec<(usize, Option<usize>, Vec<View>)> = Vec::new();
+            for &p in &members {
+                for &ri in ctx.plan.graph.rules_of(p) {
+                    let mr = &ctx.plan.rules[ri];
+                    if first && mr.atoms.is_empty() && ctx.idb[p].is_empty() {
+                        items.push((ri, None, Vec::new()));
+                    }
+                    for (ai, atom) in mr.atoms.iter().enumerate() {
+                        let member = is_member(ctx.plan, atom.pred, scc);
+                        let views = match atom.pred {
+                            _ if first && !member && !deltas.plus(atom.pred).is_empty() => {
+                                first_insertion_views(&ctx, mr, scc, ai)
+                            }
+                            PredRef::Idb(q) if !first && member && !frontier[q].is_empty() => {
+                                Some(scc_views(ctx.plan, mr, scc, View::New))
+                            }
+                            _ => None,
+                        };
+                        if let Some(views) = views {
+                            items.push((ri, Some(ai), views));
+                        }
+                    }
+                }
+            }
+            if items.is_empty() {
+                break;
+            }
             let frontier_ref = &frontier;
             pooled(workers, items.len(), |ix| {
-                let (ri, ai) = items[ix];
+                let (ri, seed, ref views) = items[ix];
                 let mr = &ctx.plan.rules[ri];
                 let h = mr.head;
-                let views = scc_views(ctx.plan, mr, scc, View::New);
-                let pred = mr.atoms[ai].pred;
-                let seeds: &TupleStore = if first {
-                    ctx.deltas.plus(pred)
-                } else {
-                    let PredRef::Idb(q) = pred else {
-                        unreachable!()
-                    };
-                    &frontier_ref[q]
-                };
                 let mut out = TupleStore::new(arity_of(h));
                 let mut head = Vec::with_capacity(arity_of(h));
-                run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
+                let mut emit = |asg: &[Elem]| {
                     head.clear();
                     head.extend(mr.head_args.iter().map(|&s| asg[s]));
                     out.push(&head);
                     true
-                });
+                };
+                match seed {
+                    Some(ai) => {
+                        let seeds = match mr.atoms[ai].pred {
+                            PredRef::Idb(q) if !first => &frontier_ref[q],
+                            pred => ctx.deltas.plus(pred),
+                        };
+                        run_seeded(&ctx, mr, &mr.seeded_orders[ai], views, seeds, &mut emit);
+                    }
+                    None => {
+                        emit(&[]);
+                    }
+                }
                 out.seal();
-                out
+                (h, out)
             })
         };
+        rounds += 1;
         let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        for (ix, out) in outs.into_iter().enumerate() {
-            let h = db.plan.rules[items[ix].0].head;
+        for (h, out) in outs {
             cand[h].merge(&out);
         }
         let mut any = false;
@@ -1398,6 +1341,11 @@ fn dred_scc(
                 }
             }
             added[p].merge_store(&fresh);
+            for (si, spec) in db.plan.specs.iter().enumerate() {
+                if spec.pred == PredRef::Idb(p) {
+                    added_indexes[si].apply_batch(&TupleStore::new(arity_of(p)), &fresh);
+                }
+            }
             revived[p].merge_store(&revive);
             let mut next = fresh;
             next.merge(&revive);
@@ -1900,23 +1848,50 @@ mod tests {
     }
 
     #[test]
-    fn from_fixpoint_matches_new_and_refuses_a_partial_result() {
-        let p = gallery::transitive_closure();
-        let a = directed_path(6);
-        let built = MaterializedDb::from_fixpoint(&p, a.clone(), p.evaluate(&a)).unwrap();
-        let fresh = MaterializedDb::new(&p, a.clone()).unwrap();
-        assert_eq!(built.relations(), fresh.relations());
-        assert_eq!(built.heap_bytes(), fresh.heap_bytes());
-        let capped = EvalConfig {
-            max_stages: Some(1),
-            ..EvalConfig::new()
-        };
-        let mut partial = p.evaluate_with(&a, &capped);
-        assert!(!partial.converged);
-        assert!(MaterializedDb::from_fixpoint(&p, a.clone(), partial.clone()).is_err());
-        partial.converged = true;
-        partial.relations.clear();
-        assert!(MaterializedDb::from_fixpoint(&p, a, partial).is_err());
+    fn build_depths_are_naive_stages() {
+        // For a one-SCC program, every member tuple's depth is the first
+        // `m` with the tuple in Φ^m, and the clock is the number of
+        // stages Φ^0 … Φ^k. Coarser depths would stay correct but widen
+        // the deletion cascade.
+        use hp_structures::generators::random_digraph;
+        let digraph = Vocabulary::digraph();
+        let parse = |src: &str, vocab: &Vocabulary| Program::parse(src, vocab).unwrap();
+        let reach_vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let e = SymbolId::from(0usize);
+        let mut reach_input = Structure::new(reach_vocab.clone(), 40);
+        for t in random_digraph(40, 70, 7).relation(e).iter() {
+            reach_input.add_tuple(e, t).unwrap();
+        }
+        reach_input.add_tuple_ids(1, &[0]).unwrap();
+        let left_tc = "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).";
+        let nonlinear_tc = "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).";
+        let even_odd =
+            "Even(x,y) :- E(x,z), Odd(z,y).\nOdd(x,y) :- E(x,y).\nOdd(x,y) :- E(x,z), Even(z,y).";
+        let cases = [
+            (
+                parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).", &reach_vocab),
+                reach_input,
+            ),
+            (parse(left_tc, &digraph), random_digraph(24, 40, 3)),
+            (gallery::transitive_closure(), random_digraph(24, 40, 4)),
+            (parse(nonlinear_tc, &digraph), directed_path(20)),
+            (parse(nonlinear_tc, &digraph), random_digraph(24, 40, 5)),
+            (parse(even_odd, &digraph), random_digraph(16, 30, 6)),
+        ];
+        for (p, a) in cases {
+            let db = MaterializedDb::new(&p, a.clone()).unwrap();
+            assert_eq!(db.plan.graph.scc_count(), 1);
+            let seq = p.stages(&a, usize::MAX);
+            assert!(seq.converged);
+            for (i, rel) in db.relations().iter().enumerate() {
+                let depths = db.depths[i].as_ref().expect("the SCC is recursive");
+                for t in rel.iter() {
+                    let stage = seq.stages.iter().position(|s| s[i].contains(t));
+                    assert_eq!(depths.get(t).map(|d| d as usize), stage, "{p:?}: {t:?}");
+                }
+            }
+            assert_eq!(db.depth_clock, seq.stages.len() as u64);
+        }
     }
 
     #[test]

@@ -160,6 +160,26 @@ fn digraph_programs() -> Vec<Program> {
             &Vocabulary::digraph(),
         )
         .unwrap(),
+        // Nonlinear TC: two member atoms in one body.
+        Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap(),
+        // A two-member SCC whose seeded join probes the member `T` on its
+        // second column: the insertion phase must follow its added rows
+        // with a permuted index, not only the committed ones.
+        Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), S(y,z).\nS(x,y) :- T(x,y).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap(),
+        // An empty-body rule in a stratum of its own, read by the next.
+        Program::parse(
+            "Z().\nT(x,y) :- E(x,y), Z().\nT(x,z) :- T(x,y), E(y,z).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap(),
     ]
 }
 

@@ -389,7 +389,7 @@ impl QueryService {
         match program.evaluate_budgeted(&snap.structure, &cfg, budget) {
             Ok(result) => {
                 let (stages, fuel_spent) = (result.stages, fixpoint_fuel(&result));
-                let (rows, built) = self.views.record(program, snap, result);
+                let (rows, built) = self.views.record(program, snap, result, &cfg);
                 let cache = if built {
                     CacheOutcome::View
                 } else {

@@ -12,10 +12,12 @@
 //!   claims no containment. The goal is not part of it; it only picks
 //!   which maintained relation a reader gets.
 //! * **Lifecycle.** The first completed evaluation of a program only
-//!   records it. The second materializes a view from that evaluation's
-//!   own fixpoint ([`MaterializedDb::from_fixpoint`]), so no request pays
-//!   for a second evaluation. At most [`MAX_VIEWS`] views, and as many
-//!   recorded programs, are kept; the least recently used goes first.
+//!   records it. The second also builds a view
+//!   ([`MaterializedDb::new_with`], which derives the fixpoint again by
+//!   maintaining the empty database), so that request pays for two
+//!   fixpoints; every later one reads the view. At most [`MAX_VIEWS`]
+//!   views, and as many recorded programs, are kept; the least recently
+//!   used goes first.
 //! * **Catch-up.** Epochs are copy-on-write, so a relation no write
 //!   touched since the view's epoch is the same allocation in the
 //!   reader's snapshot ([`Structure::shares_relation`]). Only the
@@ -182,46 +184,37 @@ impl ViewRegistry {
         })
     }
 
-    /// Note a completed evaluation of `program` on `snap`. The first for a
-    /// program only records it; the second materializes a view from
-    /// `result`. Returns the goal rows, read from the new view when this
-    /// call built one (so the rows and the build's scratch are never held
-    /// at once) and from `result` otherwise, with true when it built one.
+    /// Note a completed evaluation of `program` on `snap`, whose result is
+    /// `result`. The first for a program only records it; the second
+    /// builds a view under `cfg`. Returns the goal rows, read from the new
+    /// view when this call built one and from `result` otherwise, with
+    /// true when it built one.
     pub(crate) fn record(
         &self,
         program: &Program,
         snap: &Snapshot,
         result: FixpointResult,
+        cfg: &EvalConfig,
     ) -> (Vec<Vec<Elem>>, bool) {
-        match self.build(program, snap, result) {
-            Ok(rows) => (rows, true),
-            Err(result) => (goal_rows(result.goal()), false),
+        match self.build(program, snap, cfg) {
+            Some(rows) => (rows, true),
+            None => (goal_rows(result.goal()), false),
         }
     }
 
-    /// [`record`](Self::record)'s bookkeeping: the new view's goal rows, or
-    /// `result` back when no view was built.
-    #[allow(clippy::result_large_err)]
+    /// [`record`](Self::record)'s bookkeeping: the new view's goal rows,
+    /// or `None` when no view was built.
     fn build(
         &self,
         program: &Program,
         snap: &Snapshot,
-        result: FixpointResult,
-    ) -> Result<Vec<Vec<Elem>>, FixpointResult> {
-        // `from_fixpoint` refuses exactly these; check them while `result`
-        // can still be handed back.
-        if !result.converged
-            || program.has_negation()
-            || snap.structure.vocab() != program.edb()
-            || result.relations.len() != program.idbs().len()
-        {
-            return Err(result);
-        }
+        cfg: &EvalConfig,
+    ) -> Option<Vec<Vec<Elem>>> {
         let hash = program_hash(program);
         {
             let mut reg = self.registry();
             if reg.views.iter().any(|v| v.is_for(hash, program)) {
-                return Err(result);
+                return None;
             }
             match reg
                 .seen
@@ -233,14 +226,13 @@ impl ViewRegistry {
                 }
                 None => {
                     reg.remember(hash, program.clone());
-                    return Err(result);
+                    return None;
                 }
             }
         }
         // Materialize outside the registry lock: other programs' readers
         // are not held up by this one's build.
-        let db = MaterializedDb::from_fixpoint(program, snap.structure.clone(), result)
-            .expect("from_fixpoint's preconditions were checked");
+        let db = MaterializedDb::new_with(program, snap.structure.clone(), cfg).ok()?;
         let rows = goal_rows(program.goal_index().map(|g| db.idb(g)));
         let view = Arc::new(View {
             hash,
@@ -249,14 +241,14 @@ impl ViewRegistry {
         });
         let mut reg = self.registry();
         if reg.views.iter().any(|v| v.is_for(hash, program)) {
-            return Ok(rows);
+            return Some(rows);
         }
         if reg.views.len() == MAX_VIEWS {
             let evicted = reg.views.remove(0);
             reg.remember(evicted.hash, evicted.program.clone());
         }
         reg.views.push(view);
-        Ok(rows)
+        Some(rows)
     }
 
     /// Drop `view`, remembering its program so the next completed
