@@ -21,6 +21,12 @@
 //! maintenance run over the empty database, and this is the program whose
 //! insertion rounds probe the rows they have added most.
 //!
+//! A third table builds a view of the non-recursive `two_hop`
+//! (`H(x,y) :- E(x,z), E(z,y)`) on 10⁵ xorshift64* edges with `n = m/4`,
+//! whatever the size argument, beside a full evaluation: one insertion
+//! round and no recursion, so the build's overhead over the evaluator
+//! shows undiluted.
+//!
 //! Usage: `incremental_scale [MAX_EXP] [--json PATH]` — rows for
 //! 10³ … 10^MAX_EXP edges (default 6; CI passes 5 to keep the smoke run
 //! short). With `--json PATH` a machine-readable snapshot (the committed
@@ -29,6 +35,7 @@
 use hp_bench::{
     args, median_ms, random_reach_structure, reach_program, write_json, Row, Table, XorShift,
 };
+use hp_preservation::datalog::gallery;
 use hp_preservation::prelude::*;
 use hp_serve::json::Json;
 
@@ -110,10 +117,41 @@ fn main() {
             .int("tc", full.relations[0].len()),
     );
 
+    let two_hop = gallery::two_hop();
+    let two_hop_workload = "two_hop view build, xorshift64* edges, n = m/4";
+    println!("\n{two_hop_workload}");
+    let mut two_hop_table = Table::new();
+    let (m, n) = (100_000, 25_000);
+    let mut rng = XorShift(0xE5CA1E);
+    let mut b = Structure::builder(Vocabulary::digraph(), n);
+    for _ in 0..m {
+        b = b.tuple(0, &[rng.below(n), rng.below(n)]);
+    }
+    let a = b.build();
+    let (build_ms, db) =
+        median_ms(|| MaterializedDb::new(&two_hop, a.clone()).expect("vocab matches"));
+    let (full_ms, full) = median_ms(|| two_hop.evaluate(&a));
+    assert_eq!(
+        db.relations(),
+        &full.relations[..],
+        "two_hop build diverged"
+    );
+    two_hop_table.push(
+        Row::new()
+            .int("edges", m)
+            .num("build_ms", build_ms, 3)
+            .num("full_eval_ms", full_ms, 3)
+            .int("h", full.relations[0].len()),
+    );
+
     if let Some(path) = json {
         let nonlinear = Json::Obj(vec![
             ("workload".into(), Json::Str(nltc_workload.into())),
             ("rows".into(), nonlinear.json()),
+        ]);
+        let two_hop = Json::Obj(vec![
+            ("workload".into(), Json::Str(two_hop_workload.into())),
+            ("rows".into(), two_hop_table.json()),
         ]);
         write_json(
             &path,
@@ -124,6 +162,7 @@ fn main() {
                 ("cycles_per_size", Json::Num(CYCLES as f64)),
                 ("rows", table.json()),
                 ("nonlinear_tc", nonlinear),
+                ("two_hop", two_hop),
             ],
         );
     }
