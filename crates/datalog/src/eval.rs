@@ -327,22 +327,58 @@ impl Indexes for [ProbeIndex] {
     }
 }
 
-/// Shared read-only state for one round's work items.
+/// The committed state a round reads: the structure, the IDB relations
+/// and the indexes over both. It hides nothing and adds nothing, so its
+/// join compiles to the plain probe-and-scan walk.
 pub(crate) struct JoinCtx<'a, I: Indexes + ?Sized> {
     pub a: &'a Structure,
     pub idb: &'a [IdbRelation],
     pub indexes: &'a I,
 }
 
-impl<I: Indexes + ?Sized> JoinCtx<'_, I> {
-    /// The relation an atom over `pred` reads outside an item's seed: the
-    /// EDB relation, or the IDB accumulated so far — which, while a round
-    /// runs, already holds every delta the indexes have absorbed.
-    fn rows(&self, pred: PredRef) -> &IdbRelation {
+/// What an atom over a predicate reads in [`join`]: the predicate's
+/// committed rows, less the rows the reader hides, then extra rows
+/// scanned whole. [`JoinCtx`] reads the committed state as it is (the
+/// defaults); DRed's deletion and rederivation phases read pre-batch and
+/// mid-deletion views of it. Each reader gets its own compiled join.
+pub(crate) trait Reads: Sync {
+    /// The committed rows of `pred` — which, while a round runs, already
+    /// hold every delta the indexes have absorbed.
+    fn rows(&self, pred: PredRef) -> &TupleStore;
+    /// The probe index of positive spec `spec`, over the committed rows.
+    fn index(&self, spec: usize) -> &ProbeIndex;
+    /// Whether the unary relation behind guard spec `spec` holds `e`.
+    fn contains(&self, spec: usize, e: Elem) -> bool;
+    /// Whether an atom over `pred` skips committed row `t`.
+    #[inline]
+    fn hides(&self, _pred: PredRef, _t: ResolvedRow<'_>) -> bool {
+        false
+    }
+    /// Rows an atom over `pred` reads after the committed ones, scanned
+    /// whole.
+    #[inline]
+    fn extra(&self, _pred: PredRef) -> Option<&TupleStore> {
+        None
+    }
+}
+
+impl<I: Indexes + ?Sized> Reads for JoinCtx<'_, I> {
+    #[inline]
+    fn rows(&self, pred: PredRef) -> &TupleStore {
         match pred {
-            PredRef::Edb(sym) => self.a.relation(sym),
-            PredRef::Idb(p) => &self.idb[p],
+            PredRef::Edb(sym) => self.a.relation(sym).store(),
+            PredRef::Idb(p) => self.idb[p].store(),
         }
+    }
+
+    #[inline]
+    fn index(&self, spec: usize) -> &ProbeIndex {
+        self.indexes.index(spec)
+    }
+
+    #[inline]
+    fn contains(&self, spec: usize, e: Elem) -> bool {
+        self.indexes.contains(spec, e)
     }
 }
 
@@ -794,8 +830,8 @@ fn recovery_note(round: usize) -> String {
 /// round context and the per-item outputs are ordered sets, so the merge
 /// is deterministic regardless of scheduling, and a recovered round is
 /// bit-identical to an all-sequential one.
-pub(crate) fn run_round<I: Indexes + ?Sized>(
-    ctx: &JoinCtx<'_, I>,
+pub(crate) fn run_round<V: Reads + ?Sized>(
+    view: &V,
     items: &[Item<'_>],
     workers: usize,
 ) -> (Vec<(usize, TupleStore)>, bool) {
@@ -807,12 +843,15 @@ pub(crate) fn run_round<I: Indexes + ?Sized>(
         let mut out = TupleStore::new(rp.head_args.len());
         let mut asg = vec![Elem(0); rp.var_count];
         join(
-            ctx,
+            view,
             item,
             0,
             &mut asg,
             &mut ProbeScratch::default(),
-            &mut out,
+            &mut |asg: &[Elem]| {
+                out.push_with(|buf| buf.extend(rp.head_args.iter().map(|&s| asg[s])));
+                true
+            },
         );
         out.seal();
         (rp.head, out)
@@ -827,8 +866,8 @@ pub(crate) struct Item<'a> {
     /// A join order over the specs of the context's [`Indexes`].
     pub steps: &'a [JoinStep],
     /// The rows the depth-0 step scans in place of its relation: a delta,
-    /// or in maintenance an external insertion batch. `None` scans the
-    /// relation.
+    /// or in maintenance an external insertion or deletion batch or the
+    /// last deletion round's kills. `None` scans the relation.
     pub seed: Option<&'a TupleStore>,
     pub chunk: (usize, usize),
 }
@@ -864,22 +903,24 @@ impl<'a> Item<'a> {
     }
 }
 
-fn join<I: Indexes + ?Sized>(
-    ctx: &JoinCtx<'_, I>,
+/// Extend `asg` through `item.steps[depth..]`, reading each atom as
+/// `view` does, and hand every complete assignment to `sink`. Returns
+/// `false` iff `sink` stopped the walk.
+pub(crate) fn join<V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
+    view: &V,
     item: &Item<'_>,
     depth: usize,
-    asg: &mut Vec<Elem>,
+    asg: &mut [Elem],
     probes: &mut ProbeScratch,
-    out: &mut TupleStore,
-) {
+    sink: &mut S,
+) -> bool {
     let rp = item.rp;
     if depth == item.steps.len() {
-        // Duplicates are fine here: the item's seal dedups in one pass.
-        out.push_with(|buf| buf.extend(rp.head_args.iter().map(|&s| asg[s])));
-        return;
+        return sink(asg);
     }
     let step = &item.steps[depth];
     let atom = &rp.atoms[step.atom];
+    let pred = atom.pred;
     if atom.negated {
         // Negated guard: the plan schedules it only once every argument is
         // bound, so the step filters one candidate tuple — the point lookup
@@ -892,83 +933,98 @@ fn join<I: Indexes + ?Sized>(
         // so guard keys arriving in ascending order sweep it once.
         let (key, cursor) = probes.key(step, depth, asg);
         let present = match step.index {
-            Some(spec) => ctx.indexes.contains(spec, key[0]),
+            Some(spec) => view.contains(spec, key[0]),
             None => {
-                let store = ctx.rows(atom.pred).store();
+                let store = view.rows(pred);
                 debug_assert!(store.is_sealed(), "a negated guard reads a sealed relation");
                 let range = store.prefix_range_from(key, *cursor);
                 *cursor = range.start;
                 !range.is_empty()
             }
         };
-        if !present {
-            join(ctx, item, depth + 1, asg, probes, out);
-        }
-        return;
+        return present || join(view, item, depth + 1, asg, probes, sink);
     }
     if let Some(spec) = step.index {
         // Index probe on exactly the bound positions; candidates satisfy the
         // bound equalities by construction of the key.
         let (key, cursor) = probes.key(step, depth, asg);
-        let rows = ctx.rows(atom.pred).store();
-        let (store, pos_of, range) = ctx.indexes.index(spec).probe(rows, key, cursor);
+        let (store, pos_of, range) = view.index(spec).probe(view.rows(pred), key, cursor);
         for r in range {
             let t = ResolvedRow::new(store, pos_of, r);
-            advance(ctx, item, depth, asg, probes, out, t, false);
+            if !view.hides(pred, t) && !advance(view, item, depth, asg, probes, sink, t, false) {
+                return false;
+            }
         }
-        return;
-    }
-    // Scan path: the whole relation (nothing bound), or at depth 0 the
-    // item's seed. The depth-0 scan is the sharding point: each work item
-    // visits only its own contiguous slice of it.
-    let store = match item.seed {
-        Some(seed) if depth == 0 => seed,
-        _ => ctx.rows(atom.pred).store(),
-    };
-    let n = store.len();
-    let rows = if depth == 0 {
-        let (shard, of) = item.chunk;
-        n * shard / of..n * (shard + 1) / of
     } else {
-        0..n
-    };
-    for i in rows {
-        advance(ctx, item, depth, asg, probes, out, store.row(i), true);
+        // Scan path: the whole relation (nothing bound), or at depth 0 the
+        // item's seed, which is read as it is. The depth-0 scan is the
+        // sharding point: each work item visits only its own contiguous
+        // slice of it.
+        let (store, seeded) = match item.seed {
+            Some(seed) if depth == 0 => (seed, true),
+            _ => (view.rows(pred), false),
+        };
+        let n = store.len();
+        let rows = if depth == 0 {
+            let (shard, of) = item.chunk;
+            n * shard / of..n * (shard + 1) / of
+        } else {
+            0..n
+        };
+        for i in rows {
+            let t = store.row(i);
+            if (seeded || !view.hides(pred, ResolvedRow::Direct(t)))
+                && !advance(view, item, depth, asg, probes, sink, t, true)
+            {
+                return false;
+            }
+        }
+        if seeded {
+            return true;
+        }
     }
+    // The reader's extra rows (DRed's `Old` view: the rows this batch
+    // deleted). Only unsharded items have any.
+    for t in view.extra(pred).into_iter().flat_map(TupleStore::iter) {
+        if !advance(view, item, depth, asg, probes, sink, t, true) {
+            return false;
+        }
+    }
+    true
 }
 
 /// Check one candidate tuple against the step's repeat (and, for scans,
 /// bound) constraints, bind its fresh variables, and recurse. No rollback
 /// is needed: the plan statically guarantees deeper steps only read slots
-/// bound on their prefix.
+/// bound on their prefix. Returns `false` iff the sink stopped the walk.
 #[allow(clippy::too_many_arguments)]
-fn advance<R: Row, I: Indexes + ?Sized>(
-    ctx: &JoinCtx<'_, I>,
+fn advance<R: Row, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
+    view: &V,
     item: &Item<'_>,
     depth: usize,
-    asg: &mut Vec<Elem>,
+    asg: &mut [Elem],
     probes: &mut ProbeScratch,
-    out: &mut TupleStore,
+    sink: &mut S,
     t: R,
     check_bound: bool,
-) {
+) -> bool {
     let step = &item.steps[depth];
     if check_bound {
         for &(i, s) in &step.bound {
             if t.at(i) != asg[s] {
-                return;
+                return true;
             }
         }
     }
     for &(i, j) in &step.repeats {
         if t.at(i) != t.at(j) {
-            return;
+            return true;
         }
     }
     for &(i, s) in &step.binds {
         asg[s] = t.at(i);
     }
-    join(ctx, item, depth + 1, asg, probes, out);
+    join(view, item, depth + 1, asg, probes, sink)
 }
 
 #[cfg(test)]

@@ -35,9 +35,9 @@
 //! themselves, or permuted sorted copies of them where the key is not a
 //! prefix ([`TupleStore::prefix_range`]). The copies persist across update
 //! batches, following each committed batch — and each insertion round —
-//! in place. Phases A and B join through their own core, which reads
-//! pre-batch and mid-deletion views of the relations; phase C runs the
-//! evaluator's join and round directly on the committed state.
+//! in place. Every phase runs the evaluator's join: phases A and B read
+//! pre-batch and mid-deletion views of the committed state through a
+//! [`PhaseView`], phase C reads the committed state itself.
 //!
 //! Maintenance is budgeted and resumable under the same law as
 //! [`Program::resume_budgeted`]: the gauge is charged at SCC boundaries, an
@@ -50,12 +50,12 @@ use std::collections::HashMap;
 
 use hp_guard::{Budget, Budgeted, Gauge, GaugeState};
 use hp_structures::{
-    Elem, Relation, Row, Structure, StructureError, SymbolId, TupleStore, Vocabulary,
+    Elem, Relation, Row, RowRef, Structure, StructureError, SymbolId, TupleStore, Vocabulary,
 };
 
 use crate::ast::{PredRef, Program};
 use crate::depgraph::DepGraph;
-use crate::eval::{run_round, EvalConfig, EvalError, Item, JoinCtx, StratumProfile};
+use crate::eval::{join, run_round, EvalConfig, EvalError, Item, JoinCtx, Reads, StratumProfile};
 use crate::index::{ProbeIndex, ResolvedRow};
 use crate::plan::{plan_steps, plan_steps_prebound, IndexSpec, JoinStep, ProbeScratch, RulePlan};
 
@@ -359,11 +359,13 @@ impl MaterializedDb {
         self.structure.adopt_equal_relations(other)
     }
 
-    /// The committed relation of `pred`.
-    fn committed(&self, pred: PredRef) -> &TupleStore {
-        match pred {
-            PredRef::Edb(sym) => self.structure.relation(sym).store(),
-            PredRef::Idb(i) => self.idb[i].store(),
+    /// The committed relations and indexes, as the evaluator's join reads
+    /// them.
+    fn committed(&self) -> JoinCtx<'_, [ProbeIndex]> {
+        JoinCtx {
+            a: &self.structure,
+            idb: &self.idb,
+            indexes: &self.indexes,
         }
     }
 
@@ -405,10 +407,7 @@ impl MaterializedDb {
 #[derive(Clone, Debug)]
 pub struct IncCheckpoint {
     next_scc: usize,
-    edb_plus: Vec<TupleStore>,
-    edb_minus: Vec<TupleStore>,
-    idb_plus: Vec<TupleStore>,
-    idb_minus: Vec<TupleStore>,
+    deltas: Deltas,
     stages: usize,
     /// Worker-panic recoveries so far; a resume stays single-threaded.
     diagnostics: Vec<String>,
@@ -466,8 +465,9 @@ pub struct MaintenanceReport {
 // Join driver
 // ---------------------------------------------------------------------------
 
-/// Which state of a relation an atom occurrence reads in DRed's deletion
-/// and rederivation phases.
+/// Which state of a relation an atom outside the maintained SCC reads in
+/// DRed's deletion and rederivation phases. SCC members read [`Cur`]
+/// there, except in phase A, where every atom reads `Old`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum View {
     /// Post-update committed state (EDB after the batch, lower strata after
@@ -476,9 +476,6 @@ enum View {
     /// Pre-update state, reconstructed as `committed ∖ plus ∪ minus` from
     /// the recorded per-predicate deltas.
     Old,
-    /// Mid-DRed state of an SCC member: committed rows that are not
-    /// over-deleted, or were revived.
-    Cur,
     /// Tuples present both before and after the batch: `committed ∖ plus`.
     /// The deletion-phase support check reads external atoms this way: a
     /// kept tuple's witness must exist in the `Old` state, because kills
@@ -579,6 +576,7 @@ impl DepthGate<'_> {
 /// Per-predicate effective deltas of one maintenance run: what actually
 /// changed in the EDB, and what each already-processed stratum's
 /// maintenance changed in its IDB.
+#[derive(Clone, Debug)]
 struct Deltas {
     edb_plus: Vec<TupleStore>,
     edb_minus: Vec<TupleStore>,
@@ -617,272 +615,113 @@ impl Deltas {
     }
 }
 
-/// The in-progress deletion state of one SCC, overlaid on the committed
-/// relations to form the `Cur` view. Both vectors are indexed by IDB id;
+/// The mid-DRed state SCC members read as `Cur`: committed rows that are
+/// not over-deleted, or were revived. Both vectors are indexed by IDB id;
 /// non-members stay empty.
-struct Overlay<'a> {
+struct Cur<'a> {
+    scc: usize,
     /// The deletion over-approximation `D`.
     removed: &'a [TupleStore],
     /// Over-deleted tuples with a surviving alternative derivation.
     revived: &'a [Relation],
-}
-
-/// Shared read-only state for one deletion or rederivation round.
-struct Ctx<'a> {
-    plan: &'a MaintPlan,
-    structure: &'a Structure,
-    idb: &'a [Relation],
-    indexes: &'a [ProbeIndex],
-    deltas: &'a Deltas,
-    overlay: Option<Overlay<'a>>,
+    /// The support check's depth gate.
     gate: Option<DepthGate<'a>>,
 }
 
-impl Ctx<'_> {
-    fn committed(&self, pred: PredRef) -> &TupleStore {
-        match pred {
-            PredRef::Edb(sym) => self.structure.relation(sym).store(),
-            PredRef::Idb(i) => self.idb[i].store(),
-        }
-    }
-}
-
-/// How one [`View`] of an atom differs from the committed rows: which of
-/// them it hides and which rows it adds.
-#[derive(Default)]
-struct ViewRows<'a> {
-    /// Committed rows in this store are hidden (`Old`, `Stable`: the rows
-    /// this batch inserted; `Cur`: the over-deleted rows) …
-    hidden: Option<&'a TupleStore>,
-    /// … unless they are in this one (`Cur`: the revived rows).
-    revived: Option<&'a Relation>,
-    /// Rows the view reads beyond the committed ones, scanned whole
-    /// (`Old`: the rows this batch deleted).
-    extra: Option<&'a TupleStore>,
-    /// `Cur` under a depth gate: every row must pass it as a row of
-    /// member `p`.
-    gate: Option<(&'a DepthGate<'a>, usize)>,
-}
-
-impl<'a> ViewRows<'a> {
-    fn new(ctx: &'a Ctx<'a>, pred: PredRef, view: View) -> ViewRows<'a> {
-        match view {
-            View::New => ViewRows::default(),
-            View::Old | View::Stable => {
-                let plus = ctx.deltas.plus(pred);
-                ViewRows {
-                    hidden: (!plus.is_empty()).then_some(plus),
-                    extra: (view == View::Old).then(|| ctx.deltas.minus(pred)),
-                    ..ViewRows::default()
-                }
-            }
-            View::Cur => {
-                let ov = ctx.overlay.as_ref().expect("Cur view requires an overlay");
-                let PredRef::Idb(p) = pred else {
-                    unreachable!("Cur views are only assigned to SCC members")
-                };
-                ViewRows {
-                    hidden: (!ov.removed[p].is_empty()).then_some(&ov.removed[p]),
-                    revived: Some(&ov.revived[p]),
-                    gate: ctx.gate.as_ref().map(|g| (g, p)),
-                    ..ViewRows::default()
-                }
-            }
-        }
-    }
-
-    /// Does the view read committed row `t`?
-    #[inline]
-    fn shows(&self, t: ResolvedRow<'_>) -> bool {
-        if let Some(hidden) = self.hidden {
-            if hidden.contains(t) && !self.revived.is_some_and(|r| r.contains(t)) {
-                return false;
-            }
-        }
-        self.gate.is_none_or(|(g, p)| g.admits(p, t))
-    }
-}
-
-/// Check a candidate against step `depth` and, on a match, bind its fresh
-/// slots and recurse. Returns `false` iff `emit` asked to stop.
-#[allow(clippy::too_many_arguments)]
-fn accept(
-    ctx: &Ctx<'_>,
-    mr: &MaintRule,
-    steps: &[JoinStep],
-    views: &[View],
-    depth: usize,
-    asg: &mut [Elem],
-    probes: &mut ProbeScratch,
-    emit: &mut dyn FnMut(&[Elem]) -> bool,
-    cand: ResolvedRow<'_>,
-    check_bound: bool,
-) -> bool {
-    let step = &steps[depth];
-    if check_bound {
-        for &(i, s) in &step.bound {
-            if cand.at(i) != asg[s] {
-                return true;
-            }
-        }
-    }
-    for &(i, j) in &step.repeats {
-        if cand.at(i) != cand.at(j) {
-            return true;
-        }
-    }
-    for &(i, s) in &step.binds {
-        asg[s] = cand.at(i);
-    }
-    mjoin(ctx, mr, steps, views, depth + 1, asg, probes, emit)
-}
-
-/// The deletion and rederivation join core: enumerate every extension of
-/// `asg` through `steps[depth..]`, reading each atom in the state its
-/// [`View`] names, and call `emit` per complete assignment. Returns
-/// `false` iff `emit` stopped the enumeration.
+/// What every atom reads in one DRed phase, by predicate: SCC members
+/// read `cur` when it is set, every other atom reads `external`.
 ///
-/// A step reads the committed rows its index probe returns (or, unindexed,
-/// every committed row), minus the rows its view hides, followed by the
-/// rows its view adds. Probes write their key into `probes` and gallop
-/// from a per-depth cursor, as the evaluator's do.
-#[allow(clippy::too_many_arguments)]
-fn mjoin(
-    ctx: &Ctx<'_>,
-    mr: &MaintRule,
-    steps: &[JoinStep],
-    views: &[View],
-    depth: usize,
-    asg: &mut [Elem],
-    probes: &mut ProbeScratch,
-    emit: &mut dyn FnMut(&[Elem]) -> bool,
-) -> bool {
-    if depth == steps.len() {
-        return emit(asg);
-    }
-    let step = &steps[depth];
-    let pred = mr.rp.atoms[step.atom].pred;
-    let rows = ViewRows::new(ctx, pred, views[step.atom]);
-    let committed = ctx.committed(pred);
-    // Unindexed candidates must still be checked on the bound positions.
-    let ((store, pos_of, range), check_bound) = match step.index {
-        Some(si) => {
-            let (key, cursor) = probes.key(step, depth, asg);
-            (ctx.indexes[si].probe(committed, key, cursor), false)
+/// - phase A: everything reads `Old` (no `cur`);
+/// - the support check: members read `Cur` under the depth gate,
+///   externals read `Stable`;
+/// - phase B: members read `Cur`, externals read `New`.
+struct PhaseView<'a> {
+    committed: JoinCtx<'a, [ProbeIndex]>,
+    plan: &'a MaintPlan,
+    deltas: &'a Deltas,
+    external: View,
+    cur: Option<Cur<'a>>,
+}
+
+impl<'a> PhaseView<'a> {
+    fn new(
+        db: &'a MaterializedDb,
+        deltas: &'a Deltas,
+        external: View,
+        cur: Option<Cur<'a>>,
+    ) -> PhaseView<'a> {
+        PhaseView {
+            committed: db.committed(),
+            plan: &db.plan,
+            deltas,
+            external,
+            cur,
         }
-        None => ((committed, None, 0..committed.len()), true),
-    };
-    let shown = range
-        .map(|r| (ResolvedRow::new(store, pos_of, r), check_bound))
-        .filter(|&(cand, _)| rows.shows(cand));
-    // `Old` also reads the rows this batch deleted, scanned whole.
-    let deleted = (rows.extra.into_iter())
-        .flat_map(TupleStore::iter)
-        .map(|t| (ResolvedRow::Direct(t), true));
-    for (cand, check_bound) in shown.chain(deleted) {
-        if !accept(
-            ctx,
-            mr,
-            steps,
-            views,
-            depth,
-            asg,
-            probes,
-            emit,
-            cand,
-            check_bound,
-        ) {
+    }
+
+    /// The overlay of `pred` and its IDB index, when it reads `Cur`.
+    fn cur(&self, pred: PredRef) -> Option<(&Cur<'a>, usize)> {
+        match (pred, &self.cur) {
+            (PredRef::Idb(p), Some(cur)) if self.plan.graph.scc_of(p) == cur.scc => Some((cur, p)),
+            _ => None,
+        }
+    }
+}
+
+impl Reads for PhaseView<'_> {
+    fn rows(&self, pred: PredRef) -> &TupleStore {
+        self.committed.rows(pred)
+    }
+
+    fn index(&self, spec: usize) -> &ProbeIndex {
+        self.committed.index(spec)
+    }
+
+    fn contains(&self, spec: usize, e: Elem) -> bool {
+        self.committed.contains(spec, e)
+    }
+
+    /// `Old` and `Stable` hide the rows this batch inserted; `Cur` hides
+    /// the over-deleted rows that were not revived, and under the depth
+    /// gate every row it does not admit.
+    fn hides(&self, pred: PredRef, t: ResolvedRow<'_>) -> bool {
+        if let Some((cur, p)) = self.cur(pred) {
+            let removed = &cur.removed[p];
+            return (!removed.is_empty() && removed.contains(t) && !cur.revived[p].contains(t))
+                || cur.gate.as_ref().is_some_and(|g| !g.admits(p, t));
+        }
+        let plus = self.deltas.plus(pred);
+        self.external != View::New && !plus.is_empty() && plus.contains(t)
+    }
+
+    /// `Old` also reads the rows this batch deleted.
+    fn extra(&self, pred: PredRef) -> Option<&TupleStore> {
+        (self.external == View::Old).then(|| self.deltas.minus(pred))
+    }
+}
+
+/// True when head tuple `t` of IDB `p` has a derivation in `view`: some
+/// rule's body matches along its rederivation order with the head slots
+/// prebound to `t`. The walk stops at the first witness.
+fn rederives(view: &PhaseView<'_>, p: usize, t: RowRef<'_>) -> bool {
+    let mut probes = ProbeScratch::default();
+    view.plan.graph.rules_of(p).iter().any(|&ri| {
+        let mr = &view.plan.rules[ri];
+        if mr.head_repeats.iter().any(|&(i, j)| t.get(i) != t.get(j)) {
             return false;
         }
-    }
-    true
-}
-
-/// Run one seeded join item: scan `seeds` as the delta occupying
-/// `steps[0]`, extend through the remaining steps, and call `emit` per
-/// satisfying assignment.
-fn run_seeded(
-    ctx: &Ctx<'_>,
-    mr: &MaintRule,
-    steps: &[JoinStep],
-    views: &[View],
-    seeds: &TupleStore,
-    emit: &mut dyn FnMut(&[Elem]) -> bool,
-) {
-    let step0 = &steps[0];
-    debug_assert!(step0.bound.is_empty(), "seed step binds first");
-    let mut asg = vec![Elem(0); mr.rp.var_count];
-    let mut probes = ProbeScratch::default();
-    'seeds: for t in seeds.iter() {
-        for &(i, j) in &step0.repeats {
-            if t[i] != t[j] {
-                continue 'seeds;
-            }
-        }
-        for &(i, s) in &step0.binds {
-            asg[s] = t.get(i);
-        }
-        if !mjoin(ctx, mr, steps, views, 1, &mut asg, &mut probes, emit) {
-            return;
-        }
-    }
-}
-
-/// True when the over-deleted head tuple `t` of IDB `p` has a surviving
-/// derivation: some rule body matches with SCC members read as `Cur`
-/// (excluding `t` itself unless revived) and everything else as `New`.
-fn rederives(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem]) -> bool {
-    rederives_with(ctx, scc, p, t, View::New)
-}
-
-/// As [`rederives`], reading non-member atoms in the given view. The
-/// deletion-phase support check passes [`View::Stable`] (and sets the
-/// context's depth gate), so its witnesses use only pre-existing external
-/// tuples and strictly shallower members.
-fn rederives_with(ctx: &Ctx<'_>, scc: usize, p: usize, t: &[Elem], external: View) -> bool {
-    let mut probes = ProbeScratch::default();
-    for &ri in ctx.plan.graph.rules_of(p) {
-        let mr = &ctx.plan.rules[ri];
-        if mr.head_repeats.iter().any(|&(i, j)| t[i] != t[j]) {
-            continue;
-        }
-        let views = scc_views(ctx.plan, mr, scc, external);
         let mut asg = vec![Elem(0); mr.rp.var_count];
         for (i, &s) in mr.rp.head_args.iter().enumerate() {
-            asg[s] = t[i];
+            asg[s] = t.get(i);
         }
-        let mut found = false;
-        mjoin(
-            ctx,
-            mr,
-            &mr.rederive_order,
-            &views,
-            0,
-            &mut asg,
-            &mut probes,
-            &mut |_| {
-                found = true;
-                false
-            },
-        );
-        if found {
-            return true;
-        }
-    }
-    false
-}
-
-/// Views for a rule during DRed: SCC members read `Cur`, everything else
-/// reads `external`.
-fn scc_views(plan: &MaintPlan, mr: &MaintRule, scc: usize, external: View) -> Vec<View> {
-    mr.rp
-        .atoms
-        .iter()
-        .map(|a| match a.pred {
-            PredRef::Idb(q) if plan.graph.scc_of(q) == scc => View::Cur,
-            _ => external,
-        })
-        .collect()
+        let item = Item {
+            rp: &mr.rp,
+            steps: &mr.rederive_order,
+            seed: None,
+            chunk: (0, 1),
+        };
+        !join(view, &item, 0, &mut asg, &mut probes, &mut |_| false)
+    })
 }
 
 fn is_member(plan: &MaintPlan, pred: PredRef, scc: usize) -> bool {
@@ -902,6 +741,36 @@ where
         *workers = 1;
     }
     out
+}
+
+/// The rows of the sealed store `rows` that `keep` holds for, tested on
+/// the pool as in [`pooled`]; sealed.
+fn filter_pooled<F>(workers: &mut usize, rows: &TupleStore, keep: F) -> TupleStore
+where
+    F: Fn(RowRef<'_>) -> bool + Sync,
+{
+    let kept = pooled(workers, rows.len(), |i| keep(rows.row(i)));
+    let mut out = TupleStore::new(rows.arity());
+    for (t, _) in rows.iter().zip(kept).filter(|&(_, k)| k) {
+        out.push(t);
+    }
+    out.seal();
+    out
+}
+
+/// One round's items through the evaluator's [`run_round`]; a recovered
+/// worker panic drops the rest of the batch to the calling thread, as in
+/// [`pooled`].
+fn round<V: Reads + ?Sized>(
+    view: &V,
+    items: &[Item<'_>],
+    workers: &mut usize,
+) -> Vec<(usize, TupleStore)> {
+    let (outs, recovered) = run_round(view, items, *workers);
+    if recovered {
+        *workers = 1;
+    }
+    outs
 }
 
 // ---------------------------------------------------------------------------
@@ -969,9 +838,10 @@ fn commit_edb(
     Ok(deltas)
 }
 
-/// Maintain one SCC by DRed: phase A (over-deletion), phase B
-/// (rederivation), the commit of the confirmed deletions, then phase C
-/// (insertion) as the evaluator's rounds on the committed relations.
+/// Maintain one SCC by DRed: phase A (over-deletion) as the evaluator's
+/// rounds over the `Old` view, phase B (rederivation) as its join from a
+/// prebound head, the commit of the confirmed deletions, then phase C
+/// (insertion) as its rounds on the committed relations.
 /// Records the stratum's net deltas for the strata above and returns
 /// `(rounds, changed_tuples)`.
 ///
@@ -1004,122 +874,72 @@ fn dred_scc(
     let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
     let mut first = true;
     loop {
-        let mut items: Vec<(usize, usize)> = Vec::new();
-        for &p in &members {
-            for &ri in db.plan.graph.rules_of(p) {
-                let mr = &db.plan.rules[ri];
-                for (ai, atom) in mr.rp.atoms.iter().enumerate() {
-                    let pred = atom.pred;
-                    let seeded = if first {
-                        !is_member(&db.plan, pred, scc) && !deltas.minus(pred).is_empty()
-                    } else {
-                        matches!(pred, PredRef::Idb(q) if db.plan.graph.scc_of(q) == scc
-                            && !frontier[q].is_empty())
-                    };
-                    if seeded {
-                        items.push((ri, ai));
+        let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
+        {
+            let mut items: Vec<Item<'_>> = Vec::new();
+            for &p in &members {
+                for &ri in db.plan.graph.rules_of(p) {
+                    let mr = &db.plan.rules[ri];
+                    for (ai, atom) in mr.rp.atoms.iter().enumerate() {
+                        let seed = match atom.pred {
+                            PredRef::Idb(q) if is_member(&db.plan, atom.pred, scc) => {
+                                if first {
+                                    continue;
+                                }
+                                &frontier[q]
+                            }
+                            pred if first => deltas.minus(pred),
+                            _ => continue,
+                        };
+                        if !seed.is_empty() {
+                            items.push(Item {
+                                rp: &mr.rp,
+                                steps: &mr.seeded_orders[ai],
+                                seed: Some(seed),
+                                chunk: (0, 1),
+                            });
+                        }
                     }
                 }
             }
+            if items.is_empty() {
+                break;
+            }
+            rounds += 1;
+            let view = PhaseView::new(db, deltas, View::Old, None);
+            for (h, out) in round(&view, &items, workers) {
+                debug_assert!(
+                    out.difference(db.idb[h].store()).is_empty(),
+                    "an `Old` derivation's head is committed"
+                );
+                cand[h].merge(&out.difference(&removed[h]));
+            }
         }
-        if items.is_empty() {
-            break;
-        }
-        rounds += 1;
-        let outs: Vec<TupleStore> = {
-            let ctx = Ctx {
-                plan: &db.plan,
-                structure: &db.structure,
-                idb: &db.idb,
-                indexes: &db.indexes,
-                deltas,
-                overlay: None,
-                gate: None,
-            };
-            let removed_ref = &removed;
-            let frontier_ref = &frontier;
-            pooled(workers, items.len(), |ix| {
-                let (ri, ai) = items[ix];
-                let mr = &ctx.plan.rules[ri];
-                let h = mr.rp.head;
-                let views = vec![View::Old; mr.rp.atoms.len()];
-                let pred = mr.rp.atoms[ai].pred;
-                let seeds: &TupleStore = if first {
-                    ctx.deltas.minus(pred)
-                } else {
-                    let PredRef::Idb(q) = pred else {
-                        unreachable!()
+        // The support check: a candidate with a witness among strictly
+        // shallower members and stable externals is kept.
+        let kills: Vec<TupleStore> = members
+            .iter()
+            .map(|&p| {
+                filter_pooled(workers, &cand[p], |t| {
+                    let limit = db.depths[p].as_ref().and_then(|m| m.get(t)).unwrap_or(0);
+                    let cur = Cur {
+                        scc,
+                        removed: &removed,
+                        revived: &revived,
+                        gate: Some(DepthGate {
+                            depths: &db.depths,
+                            limit,
+                        }),
                     };
-                    &frontier_ref[q]
-                };
-                let mut out = TupleStore::new(arity_of(h));
-                let mut head = Vec::with_capacity(arity_of(h));
-                run_seeded(&ctx, mr, &mr.seeded_orders[ai], &views, seeds, &mut |asg| {
-                    head.clear();
-                    head.extend(mr.rp.head_args.iter().map(|&s| asg[s]));
-                    if ctx.idb[h].contains(&head) && !removed_ref[h].contains(&head) {
-                        out.push(&head);
-                    }
-                    true
-                });
-                out.seal();
-                out
+                    !rederives(&PhaseView::new(db, deltas, View::Stable, Some(cur)), p, t)
+                })
             })
-        };
-        let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        for (ix, out) in outs.into_iter().enumerate() {
-            let h = db.plan.rules[items[ix].0].rp.head;
-            cand[h].merge(&out);
-        }
-        let mut cands: Vec<(usize, Vec<Elem>)> = Vec::new();
-        for &p in &members {
-            for t in cand[p].difference(&removed[p]).iter() {
-                cands.push((p, t.to_vec()));
-            }
-        }
-        let supported: Vec<bool> = {
-            let plan = &db.plan;
-            let structure = &db.structure;
-            let idb = &db.idb;
-            let indexes = &db.indexes;
-            let depths = &db.depths;
-            let dref: &Deltas = deltas;
-            let removed_ref = &removed;
-            let revived_ref = &revived;
-            let cands_ref = &cands;
-            pooled(workers, cands.len(), |i| {
-                let (p, t) = &cands_ref[i];
-                let limit = depths[*p]
-                    .as_ref()
-                    .and_then(|m| m.get(t.as_slice()))
-                    .unwrap_or(0);
-                let gctx = Ctx {
-                    plan,
-                    structure,
-                    idb,
-                    indexes,
-                    deltas: dref,
-                    overlay: Some(Overlay {
-                        removed: removed_ref,
-                        revived: revived_ref,
-                    }),
-                    gate: Some(DepthGate { depths, limit }),
-                };
-                rederives_with(&gctx, scc, *p, t, View::Stable)
-            })
-        };
-        let mut kills: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
-        for (i, (p, t)) in cands.iter().enumerate() {
-            if !supported[i] {
-                kills[*p].push(t);
-            }
-        }
+            .collect();
         let mut any = false;
-        for &p in &members {
-            kills[p].seal();
-            any = any || !kills[p].is_empty();
-            removed[p].merge(&kills[p]);
-            frontier[p] = std::mem::replace(&mut kills[p], TupleStore::new(0));
+        for (&p, kill) in members.iter().zip(kills) {
+            any = any || !kill.is_empty();
+            removed[p].merge(&kill);
+            frontier[p] = kill;
         }
         first = false;
         if !any {
@@ -1130,44 +950,36 @@ fn dred_scc(
     // Phase B: revive every over-deleted tuple with a surviving alternative
     // derivation; revivals can support further revivals, so iterate.
     loop {
-        let mut cands: Vec<(usize, Vec<Elem>)> = Vec::new();
-        for &p in &members {
-            for t in removed[p].difference(revived[p].store()).iter() {
-                cands.push((p, t.to_vec()));
-            }
-        }
-        if cands.is_empty() {
+        let cands: Vec<TupleStore> = members
+            .iter()
+            .map(|&p| removed[p].difference(revived[p].store()))
+            .collect();
+        if cands.iter().all(TupleStore::is_empty) {
             break;
         }
         rounds += 1;
-        let hits: Vec<bool> = {
-            let ctx = Ctx {
-                plan: &db.plan,
-                structure: &db.structure,
-                idb: &db.idb,
-                indexes: &db.indexes,
-                deltas,
-                overlay: Some(Overlay {
-                    removed: &removed,
-                    revived: &revived,
-                }),
+        let hits: Vec<TupleStore> = {
+            let cur = Cur {
+                scc,
+                removed: &removed,
+                revived: &revived,
                 gate: None,
             };
-            pooled(workers, cands.len(), |i| {
-                rederives(&ctx, scc, cands[i].0, &cands[i].1)
-            })
+            let view = PhaseView::new(db, deltas, View::New, Some(cur));
+            (members.iter().zip(&cands))
+                .map(|(&p, c)| filter_pooled(workers, c, |t| rederives(&view, p, t)))
+                .collect()
         };
         let mut any = false;
         clock += 1;
-        for (i, hit) in hits.iter().enumerate() {
-            if *hit {
-                let (p, t) = &cands[i];
-                revived[*p].insert(t);
-                if let Some(map) = db.depths[*p].as_mut() {
-                    map.insert(t.as_slice(), clock);
+        for (&p, hit) in members.iter().zip(hits) {
+            if let Some(map) = db.depths[p].as_mut() {
+                for t in hit.iter() {
+                    map.insert(t, clock);
                 }
-                any = true;
             }
+            any = any || !hit.is_empty();
+            revived[p].merge_store(&hit);
         }
         if !any {
             break;
@@ -1202,6 +1014,7 @@ fn dred_scc(
         // In round 0 an item is not formed when an earlier external atom
         // holds only rows this batch inserted: the item seeded there
         // enumerates its derivations.
+        let ctx = db.committed();
         let mut seeded: Vec<(usize, Option<(usize, &TupleStore)>)> = Vec::new();
         for &p in &members {
             for &ri in db.plan.graph.rules_of(p) {
@@ -1223,7 +1036,7 @@ fn dred_scc(
                     let inserted_before = || {
                         atoms[..ai].iter().any(|a| {
                             !is_member(&db.plan, a.pred, scc)
-                                && db.committed(a.pred).len() == deltas.plus(a.pred).len()
+                                && ctx.rows(a.pred).len() == deltas.plus(a.pred).len()
                         })
                     };
                     if seed.is_empty() || (first && inserted_before()) {
@@ -1238,7 +1051,7 @@ fn dred_scc(
         }
         rounds += 1;
         clock += 1;
-        let (outs, recovered) = {
+        let outs = {
             // An item another of whose atoms reads an empty relation
             // derives nothing, and is not run.
             let items: Vec<Item<'_>> = seeded
@@ -1255,7 +1068,7 @@ fn dred_scc(
                     };
                     let atoms = &mr.rp.atoms;
                     let starved =
-                        (0..atoms.len()).any(|j| j != ai && db.committed(atoms[j].pred).is_empty());
+                        (0..atoms.len()).any(|j| j != ai && ctx.rows(atoms[j].pred).is_empty());
                     (!starved).then(|| Item {
                         rp: &mr.rp,
                         steps: &mr.seeded_orders[ai],
@@ -1264,16 +1077,8 @@ fn dred_scc(
                     })
                 })
                 .collect();
-            let ctx = JoinCtx {
-                a: &db.structure,
-                idb: &db.idb,
-                indexes: db.indexes.as_slice(),
-            };
-            run_round(&ctx, &items, *workers)
+            round(&ctx, &items, workers)
         };
-        if recovered {
-            *workers = 1;
-        }
         let mut next: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
         for (h, out) in outs {
             next[h].merge(&out.difference(db.idb[h].store()));
@@ -1354,7 +1159,7 @@ fn maintain(
     for si in first_scc..db.plan.graph.scc_count() {
         if let Err(stop) = gauge.check() {
             db.in_flight = true;
-            let cp = checkpoint(si, &deltas, stages, diagnostics, &gauge);
+            let cp = checkpoint(si, deltas, stages, diagnostics, &gauge);
             return Err(stop.with_partial(cp));
         }
         let before = workers;
@@ -1367,7 +1172,7 @@ fn maintain(
         fuel += 1 + changed as u64;
         if let Err(stop) = gauge.tick(1 + changed as u64) {
             db.in_flight = true;
-            let cp = checkpoint(si + 1, &deltas, stages, diagnostics, &gauge);
+            let cp = checkpoint(si + 1, deltas, stages, diagnostics, &gauge);
             return Err(stop.with_partial(cp));
         }
     }
@@ -1399,17 +1204,14 @@ fn recovery_note(scc: usize) -> String {
 
 fn checkpoint(
     next_scc: usize,
-    deltas: &Deltas,
+    deltas: Deltas,
     stages: usize,
     diagnostics: Vec<String>,
     gauge: &Gauge,
 ) -> IncCheckpoint {
     IncCheckpoint {
         next_scc,
-        edb_plus: deltas.edb_plus.clone(),
-        edb_minus: deltas.edb_minus.clone(),
-        idb_plus: deltas.idb_plus.clone(),
-        idb_minus: deltas.idb_minus.clone(),
+        deltas,
         stages,
         diagnostics,
         fuel: gauge.state(),
@@ -1510,25 +1312,19 @@ impl Program {
             });
         }
         if checkpoint.next_scc > db.plan.graph.scc_count()
-            || checkpoint.edb_plus.len() != self.edb().len()
-            || checkpoint.idb_plus.len() != self.idbs().len()
+            || checkpoint.deltas.edb_plus.len() != self.edb().len()
+            || checkpoint.deltas.idb_plus.len() != self.idbs().len()
         {
             return Err(EvalError::CheckpointMismatch {
                 detail: "checkpoint shape does not match this program".to_string(),
             });
         }
-        let deltas = Deltas {
-            edb_plus: checkpoint.edb_plus,
-            edb_minus: checkpoint.edb_minus,
-            idb_plus: checkpoint.idb_plus,
-            idb_minus: checkpoint.idb_minus,
-        };
         let gauge = budget.resume(checkpoint.fuel);
         Ok(maintain(
             db,
             cfg,
             gauge,
-            deltas,
+            checkpoint.deltas,
             checkpoint.next_scc,
             checkpoint.stages,
             checkpoint.diagnostics,
@@ -1666,8 +1462,9 @@ mod tests {
         let e = SymbolId::from(0usize);
 
         let (mut shared, mut copies) = (0usize, 0usize);
+        let ctx = db.committed();
         for (spec, ix) in db.plan.specs.iter().zip(&db.indexes) {
-            let committed = db.committed(spec.pred);
+            let committed = ctx.rows(spec.pred);
             match &ix.copy {
                 None => {
                     assert!(spec.key_positions.iter().enumerate().all(|(k, &i)| k == i));

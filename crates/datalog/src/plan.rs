@@ -80,8 +80,7 @@ pub(crate) struct JoinStep {
     pub index: Option<usize>,
 }
 
-/// One work item's probe scratch, shared by both join cores: the key
-/// buffer every probe writes into, so no probe allocates, and one cursor
+/// One work item's probe scratch: the key buffer every probe writes into, so no probe allocates, and one cursor
 /// per join depth — the start of that depth's previous probe range, from
 /// which a sorted probe ([`TupleStore::prefix_range_from`]) gallops
 /// forward while keys arrive in ascending order, as they do under a

@@ -180,6 +180,13 @@ fn digraph_programs() -> Vec<Program> {
             &Vocabulary::digraph(),
         )
         .unwrap(),
+        // A head that repeats a variable: rederiving `T(a,b)` through the
+        // second rule must first check `a = b`.
+        Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,x) :- T(x,y), T(y,x).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap(),
     ]
 }
 
