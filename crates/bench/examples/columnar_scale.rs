@@ -19,7 +19,10 @@
 //! (six strata of game-value approximation over `{Move/2, Pos/1}`) on
 //! random DAG move graphs of 10³–10⁵ positions, timing the stratum-
 //! ordered engine at 1/2/4 threads — asserted bit-identical — and the
-//! scan-join reference oracle at the sizes where it is feasible.
+//! scan-join reference oracle at the sizes where it is feasible. Its
+//! `cold_ms` column is the first evaluation of a freshly built structure,
+//! which also builds the `Move` copy on its second column that the other
+//! runs on the same structure reuse.
 //!
 //! A third table runs nonlinear transitive closure (`T(x,z) :- T(x,y),
 //! T(y,z)`) on directed paths of 100–400 elements, whatever the size
@@ -35,9 +38,11 @@
 //! lower bound on what the old layout actually used). The "arena" column
 //! is the measured `heap_bytes()` of the columnar stores.
 
+use std::time::Instant;
+
 use hp_bench::{
     args, median_ms, random_game_structure, random_reach_structure, reach_program, write_json, Row,
-    Table,
+    Table, K,
 };
 use hp_preservation::datalog::gallery;
 use hp_preservation::prelude::*;
@@ -104,6 +109,17 @@ fn main() {
     for exp in 3..=max_exp.min(5) as u32 {
         let n = 10usize.pow(exp);
         let m = 2 * n;
+        // The first evaluation of a freshly built structure also builds
+        // the permuted copies its probes read; later ones reuse them.
+        let mut cold = [0.0; K];
+        for ms in &mut cold {
+            let fresh = random_game_structure(n, m, 0x5712A7);
+            let t = Instant::now();
+            let fix = wm.evaluate(&fresh);
+            *ms = t.elapsed().as_secs_f64() * 1e3;
+            drop(fix);
+        }
+        cold.sort_by(f64::total_cmp);
         let a = random_game_structure(n, m, 0x5712A7);
         let (eval1_ms, fix) = median_ms(|| wm.evaluate(&a));
         let (eval2_ms, fix2) = median_ms(|| wm.evaluate_with(&a, &t2));
@@ -129,6 +145,7 @@ fn main() {
             Row::new()
                 .int("positions", n)
                 .int("moves", m)
+                .num("cold_ms", cold[K / 2], 3)
                 .num("eval1_ms", eval1_ms, 3)
                 .num("eval2_ms", eval2_ms, 3)
                 .num("eval4_ms", eval4_ms, 3)

@@ -23,7 +23,7 @@ use hp_guard::{Budget, Budgeted, Exhausted, Gauge, GaugeState, Stop};
 use hp_structures::{Elem, Relation, Row, Structure, StructureError, TupleStore};
 
 use crate::ast::{PredRef, Program};
-use crate::index::{IndexPool, ProbeIndex, ResolvedRow};
+use crate::index::{IndexPool, ResolvedRow};
 use crate::plan::{JoinStep, ProbeScratch, ProgramPlan, RulePlan};
 
 /// User-reachable misuse of the evaluation APIs, reported as a typed error
@@ -291,64 +291,29 @@ fn round_workers(workers: usize, min_seed: usize, seed_tuples: usize) -> usize {
     }
 }
 
-/// The indexes a round's probes read, aligned with the specs its join
-/// orders were planned against: an evaluation's [`IndexPool`], over
-/// [`ProgramPlan::index_specs`], or a
-/// [`MaterializedDb`](crate::MaterializedDb)'s persistent indexes, over
-/// its maintenance specs, which plan no guards. The join is compiled
-/// once per kind.
-pub(crate) trait Indexes: Sync {
-    /// The probe index of positive spec `spec`.
-    fn index(&self, spec: usize) -> &ProbeIndex;
-    /// Whether the unary relation behind guard spec `spec` holds `e`.
-    fn contains(&self, spec: usize, e: Elem) -> bool;
-}
-
-impl Indexes for IndexPool {
-    #[inline]
-    fn index(&self, spec: usize) -> &ProbeIndex {
-        IndexPool::index(self, spec)
-    }
-
-    #[inline]
-    fn contains(&self, spec: usize, e: Elem) -> bool {
-        IndexPool::contains(self, spec, e)
-    }
-}
-
-impl Indexes for [ProbeIndex] {
-    #[inline]
-    fn index(&self, spec: usize) -> &ProbeIndex {
-        &self[spec]
-    }
-
-    fn contains(&self, _: usize, _: Elem) -> bool {
-        unreachable!("maintenance plans no guards")
-    }
-}
-
-/// The committed state a round reads: the structure, the IDB relations
-/// and the indexes over both. It hides nothing and adds nothing, so its
-/// join compiles to the plain probe-and-scan walk.
-pub(crate) struct JoinCtx<'a, I: Indexes + ?Sized> {
+/// The committed state a round reads: the structure, the IDB relations,
+/// and an evaluation's guard bitmaps. It hides nothing and adds nothing,
+/// so its join compiles to the plain probe-and-scan walk.
+pub(crate) struct JoinCtx<'a> {
     pub a: &'a Structure,
     pub idb: &'a [IdbRelation],
-    pub indexes: &'a I,
+    pub guards: Option<&'a IndexPool>,
 }
 
 /// What an atom over a predicate reads in [`join`]: the predicate's
-/// committed rows, less the rows the reader hides, then extra rows
+/// committed relation, less the rows the reader hides, then extra rows
 /// scanned whole. [`JoinCtx`] reads the committed state as it is (the
 /// defaults); DRed's deletion and rederivation phases read pre-batch and
 /// mid-deletion views of it. Each reader gets its own compiled join.
 pub(crate) trait Reads: Sync {
-    /// The committed rows of `pred` — which, while a round runs, already
-    /// hold every delta the indexes have absorbed.
-    fn rows(&self, pred: PredRef) -> &TupleStore;
-    /// The probe index of positive spec `spec`, over the committed rows.
-    fn index(&self, spec: usize) -> &ProbeIndex;
-    /// Whether the unary relation behind guard spec `spec` holds `e`.
-    fn contains(&self, spec: usize, e: Elem) -> bool;
+    /// The committed relation of `pred`, every delta merged so far
+    /// included; its store or a permuted copy answers each probe.
+    fn relation(&self, pred: PredRef) -> &Relation;
+    /// Whether the unary relation behind guard spec `spec` holds `e`
+    /// (maintenance plans no guards).
+    fn contains(&self, _spec: usize, _e: Elem) -> bool {
+        unreachable!("maintenance plans no guards")
+    }
     /// Whether an atom over `pred` skips committed row `t`.
     #[inline]
     fn hides(&self, _pred: PredRef, _t: ResolvedRow<'_>) -> bool {
@@ -362,23 +327,20 @@ pub(crate) trait Reads: Sync {
     }
 }
 
-impl<I: Indexes + ?Sized> Reads for JoinCtx<'_, I> {
+impl Reads for JoinCtx<'_> {
     #[inline]
-    fn rows(&self, pred: PredRef) -> &TupleStore {
+    fn relation(&self, pred: PredRef) -> &Relation {
         match pred {
-            PredRef::Edb(sym) => self.a.relation(sym).store(),
-            PredRef::Idb(p) => self.idb[p].store(),
+            PredRef::Edb(sym) => self.a.relation(sym),
+            PredRef::Idb(p) => &self.idb[p],
         }
     }
 
     #[inline]
-    fn index(&self, spec: usize) -> &ProbeIndex {
-        self.indexes.index(spec)
-    }
-
-    #[inline]
     fn contains(&self, spec: usize, e: Elem) -> bool {
-        self.indexes.contains(spec, e)
+        self.guards
+            .expect("an evaluation's guards")
+            .contains(spec, e)
     }
 }
 
@@ -395,8 +357,10 @@ struct RunState {
 }
 
 impl RunState {
-    /// The run's relations as a result.
-    fn finish(self, p: &Program, converged: bool) -> FixpointResult {
+    /// The run's relations as a result, without the copies its probes
+    /// built: results and cached answers hold rows only.
+    fn finish(mut self, p: &Program, converged: bool) -> FixpointResult {
+        self.idb.iter_mut().for_each(Relation::drop_copies);
         FixpointResult {
             idb_names: p.idbs().iter().map(|(n, _)| n.clone()).collect(),
             goal: p.goal_index(),
@@ -693,9 +657,9 @@ impl Program {
                 false,
             ),
         };
-        // The indexes start from the merged IDB tuples; a resumed run's
-        // pending delta is absorbed by the loop below exactly as in an
-        // uninterrupted run.
+        // The guard bitmaps start from the merged IDB tuples; a resumed
+        // run's pending delta is absorbed by the loop below exactly as in
+        // an uninterrupted run.
         let mut pool = IndexPool::new(&plan, a, &run.idb);
         // One round, either kind: run `items` against the current state
         // (on the calling thread once a worker panic was recovered, or
@@ -710,7 +674,7 @@ impl Program {
             let ctx = JoinCtx {
                 a,
                 idb: &run.idb,
-                indexes: pool,
+                guards: Some(pool),
             };
             let items: Vec<Item<'_>> = items
                 .iter()
@@ -847,7 +811,7 @@ pub(crate) fn run_round<V: Reads + ?Sized>(
             item,
             0,
             &mut asg,
-            &mut ProbeScratch::default(),
+            &mut ProbeScratch::new(item.steps.len()),
             &mut |asg: &[Elem]| {
                 out.push_with(|buf| buf.extend(rp.head_args.iter().map(|&s| asg[s])));
                 true
@@ -863,7 +827,7 @@ pub(crate) fn run_round<V: Reads + ?Sized>(
 /// slice of the depth-0 scan.
 pub(crate) struct Item<'a> {
     pub rp: &'a RulePlan,
-    /// A join order over the specs of the context's [`Indexes`].
+    /// A join order: the evaluator's, or one of the maintenance plan's.
     pub steps: &'a [JoinStep],
     /// The rows the depth-0 step scans in place of its relation: a delta,
     /// or in maintenance an external insertion or deletion batch or the
@@ -906,12 +870,12 @@ impl<'a> Item<'a> {
 /// Extend `asg` through `item.steps[depth..]`, reading each atom as
 /// `view` does, and hand every complete assignment to `sink`. Returns
 /// `false` iff `sink` stopped the walk.
-pub(crate) fn join<V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
-    view: &V,
+pub(crate) fn join<'v, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
+    view: &'v V,
     item: &Item<'_>,
     depth: usize,
     asg: &mut [Elem],
-    probes: &mut ProbeScratch,
+    probes: &mut ProbeScratch<'v>,
     sink: &mut S,
 ) -> bool {
     let rp = item.rp;
@@ -935,7 +899,7 @@ pub(crate) fn join<V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
         let present = match step.index {
             Some(spec) => view.contains(spec, key[0]),
             None => {
-                let store = view.rows(pred);
+                let store = view.relation(pred).store();
                 debug_assert!(store.is_sealed(), "a negated guard reads a sealed relation");
                 let range = store.prefix_range_from(key, *cursor);
                 *cursor = range.start;
@@ -944,11 +908,14 @@ pub(crate) fn join<V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
         };
         return present || join(view, item, depth + 1, asg, probes, sink);
     }
-    if let Some(spec) = step.index {
-        // Index probe on exactly the bound positions; candidates satisfy the
-        // bound equalities by construction of the key.
+    if step.index.is_some() {
+        // Probe on exactly the bound positions, through the relation's
+        // store or permuted copy for them; candidates satisfy the bound
+        // equalities by construction of the key.
+        let (store, pos_of) = probes.source(step, depth, || view.relation(pred));
         let (key, cursor) = probes.key(step, depth, asg);
-        let (store, pos_of, range) = view.index(spec).probe(view.rows(pred), key, cursor);
+        let range = store.prefix_range_from(key, *cursor);
+        *cursor = range.start;
         for r in range {
             let t = ResolvedRow::new(store, pos_of, r);
             if !view.hides(pred, t) && !advance(view, item, depth, asg, probes, sink, t, false) {
@@ -962,7 +929,7 @@ pub(crate) fn join<V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
         // slice of it.
         let (store, seeded) = match item.seed {
             Some(seed) if depth == 0 => (seed, true),
-            _ => (view.rows(pred), false),
+            _ => (view.relation(pred).store(), false),
         };
         let n = store.len();
         let rows = if depth == 0 {
@@ -998,12 +965,12 @@ pub(crate) fn join<V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
 /// is needed: the plan statically guarantees deeper steps only read slots
 /// bound on their prefix. Returns `false` iff the sink stopped the walk.
 #[allow(clippy::too_many_arguments)]
-fn advance<R: Row, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
-    view: &V,
+fn advance<'v, R: Row, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
+    view: &'v V,
     item: &Item<'_>,
     depth: usize,
     asg: &mut [Elem],
-    probes: &mut ProbeScratch,
+    probes: &mut ProbeScratch<'v>,
     sink: &mut S,
     t: R,
     check_bound: bool,
@@ -1624,5 +1591,39 @@ mod tests {
             assert_eq!(reference.relations, indexed.relations, "seed {seed}");
             assert_eq!(reference.stages, indexed.stages, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn concurrent_evaluations_build_one_shared_copy() {
+        // Two threads evaluate win_move(2) on one structure whose `Move`
+        // copy on its second column is not built yet: both race for it,
+        // one builds it, and both read the same copy.
+        let p = crate::gallery::win_move(2);
+        let a = game(3000, 6000, 11);
+        let mv = a.vocab().lookup("Move").unwrap();
+        assert_eq!(a.relation(mv).copies().count(), 0);
+        let barrier = std::sync::Barrier::new(2);
+        let (r1, r2) = std::thread::scope(|s| {
+            let run = || {
+                barrier.wait();
+                p.evaluate(&a)
+            };
+            let (h1, h2) = (s.spawn(run), s.spawn(run));
+            (h1.join().unwrap(), h2.join().unwrap())
+        });
+        assert_eq!(r1.relations, r2.relations);
+        assert_eq!((r1.stages, r1.converged), (r2.stages, r2.converged));
+        let copies: Vec<Vec<usize>> = a
+            .relation(mv)
+            .copies()
+            .map(|(order, _)| order.pos_of().to_vec())
+            .collect();
+        assert_eq!(copies, vec![vec![1, 0]]);
+        // The results carry no copies, and equal a run on an unshared
+        // structure.
+        assert!(r1.relations.iter().all(|r| r.copies().next().is_none()));
+        let fresh = p.evaluate(&game(3000, 6000, 11));
+        assert_eq!(r1.relations, fresh.relations);
+        assert_eq!(r1.stages, fresh.stages);
     }
 }

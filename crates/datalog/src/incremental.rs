@@ -30,12 +30,13 @@
 //! Strata are the SCCs of the program's [`DepGraph`], visited
 //! dependencies first. Delta joins reuse the join-order
 //! machinery of [`crate::plan`] — each rule gets one seeded order per body
-//! occurrence plus a fully-prebound rederivation order — and probe the
-//! evaluator's index type, [`ProbeIndex`]: the committed stores
-//! themselves, or permuted sorted copies of them where the key is not a
-//! prefix ([`TupleStore::prefix_range`]). The copies persist across update
-//! batches, following each committed batch — and each insertion round —
-//! in place. Every phase runs the evaluator's join: phases A and B read
+//! occurrence plus a fully-prebound rederivation order — and probe what
+//! the evaluator probes: the committed stores themselves, or the permuted
+//! sorted copies the relations own where the key is not a prefix
+//! ([`Relation::copy`]). A copy is built on the first probe that needs
+//! it — for reach, the first batch that deletes — and then follows each
+//! committed batch and each insertion round in place, as every write to
+//! its relation does. Every phase runs the evaluator's join: phases A and B read
 //! pre-batch and mid-deletion views of the committed state through a
 //! [`PhaseView`], phase C reads the committed state itself.
 //!
@@ -56,8 +57,8 @@ use hp_structures::{
 use crate::ast::{PredRef, Program};
 use crate::depgraph::DepGraph;
 use crate::eval::{join, run_round, EvalConfig, EvalError, Item, JoinCtx, Reads, StratumProfile};
-use crate::index::{ProbeIndex, ResolvedRow};
-use crate::plan::{plan_steps, plan_steps_prebound, IndexSpec, JoinStep, ProbeScratch, RulePlan};
+use crate::index::ResolvedRow;
+use crate::plan::{plan_steps, plan_steps_prebound, JoinStep, ProbeScratch, RulePlan};
 
 // ---------------------------------------------------------------------------
 // Update batches
@@ -152,12 +153,10 @@ impl EdbDelta {
 
 /// One rule, pre-planned for maintenance: the dense slotting of its
 /// [`RulePlan`], plus one seeded join order per body occurrence (the
-/// signed-delta work items) and a fully head-prebound rederivation order,
-/// both over the maintenance specs.
+/// signed-delta work items) and a fully head-prebound rederivation order.
 #[derive(Clone, Debug)]
 struct MaintRule {
-    /// The rule's slotting. Its own orders were planned against a
-    /// discarded spec list and are never run here.
+    /// The rule's slotting. Its own orders are never run here.
     rp: RulePlan,
     /// `(later, earlier)` head argument positions carrying the same
     /// variable: a concrete head tuple must agree on them before its slots
@@ -174,7 +173,6 @@ struct MaintRule {
 #[derive(Clone, Debug)]
 struct MaintPlan {
     rules: Vec<MaintRule>,
-    specs: Vec<IndexSpec>,
     /// The program's dependency graph: maintenance visits its SCCs in
     /// order, dependencies first.
     graph: DepGraph,
@@ -182,13 +180,11 @@ struct MaintPlan {
 
 impl MaintPlan {
     fn new(p: &Program) -> MaintPlan {
-        let mut specs: Vec<IndexSpec> = Vec::new();
+        // Probes read their relations' stores or copies: specs are dropped.
+        let mut specs = Vec::new();
         let mut rules: Vec<MaintRule> = Vec::new();
         for rule in p.rules() {
-            // Reuse the dense slotting; the seed/delta orders interned into
-            // `throwaway` are not needed for maintenance.
-            let mut throwaway = Vec::new();
-            let rp = RulePlan::new(rule, &mut throwaway);
+            let rp = RulePlan::new(rule, &mut specs);
             let mut head_repeats = Vec::new();
             for (i, &s) in rp.head_args.iter().enumerate() {
                 if let Some(j) = rp.head_args[..i].iter().position(|&t| t == s) {
@@ -213,7 +209,6 @@ impl MaintPlan {
         }
         MaintPlan {
             rules,
-            specs,
             graph: p.graph().clone(),
         }
     }
@@ -224,8 +219,9 @@ impl MaintPlan {
 // ---------------------------------------------------------------------------
 
 /// A program's input structure together with its materialized least
-/// fixpoint, derivation depths for the recursive strata, and the
-/// persistent probe indexes the maintenance joins read.
+/// fixpoint and derivation depths for the recursive strata. The permuted
+/// copies the maintenance joins probe belong to the relations, EDB and
+/// IDB alike ([`Relation::copy`]).
 ///
 /// Build one with [`MaterializedDb::new`], then apply update batches with
 /// [`Program::evaluate_incremental`]. The database owns the structure; read
@@ -245,10 +241,6 @@ pub struct MaterializedDb {
     /// Monotone upper bound over every assigned depth; fresh and revived
     /// tuples get depths above it, keeping the invariant without renumbering.
     depth_clock: u64,
-    /// One per maintenance index spec, over the committed relation; each
-    /// follows every committed batch and insertion round
-    /// ([`ProbeIndex::apply_batch`]).
-    indexes: Vec<ProbeIndex>,
     /// True while a budget-exhausted maintenance run awaits
     /// [`Program::resume_incremental`]; fresh updates are refused until
     /// then.
@@ -287,17 +279,6 @@ impl MaterializedDb {
         }
         let plan = MaintPlan::new(program);
         let idb = program.empty_idbs();
-        let indexes: Vec<ProbeIndex> = plan
-            .specs
-            .iter()
-            .map(|spec| {
-                let committed = match spec.pred {
-                    PredRef::Edb(sym) => structure.relation(sym).store(),
-                    PredRef::Idb(i) => idb[i].store(),
-                };
-                ProbeIndex::new(&spec.key_positions, committed)
-            })
-            .collect();
         let depths = (0..idb.len())
             .map(|p| plan.graph.is_recursive_pred(p).then(DepthMap::default))
             .collect();
@@ -312,7 +293,6 @@ impl MaterializedDb {
             idb,
             depths,
             depth_clock: 0,
-            indexes,
             in_flight: false,
         };
         maintain(
@@ -359,35 +339,24 @@ impl MaterializedDb {
         self.structure.adopt_equal_relations(other)
     }
 
-    /// The committed relations and indexes, as the evaluator's join reads
-    /// them.
-    fn committed(&self) -> JoinCtx<'_, [ProbeIndex]> {
+    /// The committed relations, as the evaluator's join reads them.
+    fn committed(&self) -> JoinCtx<'_> {
         JoinCtx {
             a: &self.structure,
             idb: &self.idb,
-            indexes: &self.indexes,
-        }
-    }
-
-    /// Fold a committed batch of `pred` (both sealed) into every index
-    /// over it.
-    fn index_batch(&mut self, pred: PredRef, removed: &TupleStore, inserted: &TupleStore) {
-        for (spec, index) in self.plan.specs.iter().zip(&mut self.indexes) {
-            if spec.pred == pred {
-                index.apply_batch(removed, inserted);
-            }
+            guards: None,
         }
     }
 
     /// Heap bytes this database holds beyond its input structure: the
-    /// materialized IDB relations, the derivation depths, and
-    /// the permuted index copies (identity-keyed indexes probe the
-    /// committed relation and hold nothing).
+    /// materialized IDB relations with their permuted copies, and the
+    /// derivation depths. The copies of the input relations are counted
+    /// in the structure ([`Structure::heap_bytes`]), which a view shares
+    /// with the snapshots it follows.
     pub fn heap_bytes(&self) -> usize {
         let idb: usize = self.idb.iter().map(Relation::heap_bytes).sum();
         let depths: usize = self.depths.iter().flatten().map(DepthMap::heap_bytes).sum();
-        let indexes: usize = self.indexes.iter().map(ProbeIndex::heap_bytes).sum();
-        idb + depths + indexes
+        idb + depths
     }
 }
 
@@ -636,7 +605,7 @@ struct Cur<'a> {
 ///   externals read `Stable`;
 /// - phase B: members read `Cur`, externals read `New`.
 struct PhaseView<'a> {
-    committed: JoinCtx<'a, [ProbeIndex]>,
+    committed: JoinCtx<'a>,
     plan: &'a MaintPlan,
     deltas: &'a Deltas,
     external: View,
@@ -669,16 +638,8 @@ impl<'a> PhaseView<'a> {
 }
 
 impl Reads for PhaseView<'_> {
-    fn rows(&self, pred: PredRef) -> &TupleStore {
-        self.committed.rows(pred)
-    }
-
-    fn index(&self, spec: usize) -> &ProbeIndex {
-        self.committed.index(spec)
-    }
-
-    fn contains(&self, spec: usize, e: Elem) -> bool {
-        self.committed.contains(spec, e)
+    fn relation(&self, pred: PredRef) -> &Relation {
+        self.committed.relation(pred)
     }
 
     /// `Old` and `Stable` hide the rows this batch inserted; `Cur` hides
@@ -704,7 +665,6 @@ impl Reads for PhaseView<'_> {
 /// rule's body matches along its rederivation order with the head slots
 /// prebound to `t`. The walk stops at the first witness.
 fn rederives(view: &PhaseView<'_>, p: usize, t: RowRef<'_>) -> bool {
-    let mut probes = ProbeScratch::default();
     view.plan.graph.rules_of(p).iter().any(|&ri| {
         let mr = &view.plan.rules[ri];
         if mr.head_repeats.iter().any(|&(i, j)| t.get(i) != t.get(j)) {
@@ -720,6 +680,7 @@ fn rederives(view: &PhaseView<'_>, p: usize, t: RowRef<'_>) -> bool {
             seed: None,
             chunk: (0, 1),
         };
+        let mut probes = ProbeScratch::new(item.steps.len());
         !join(view, &item, 0, &mut asg, &mut probes, &mut |_| false)
     })
 }
@@ -779,9 +740,8 @@ fn round<V: Reads + ?Sized>(
 
 /// Apply the update batch to the EDB: compute effective per-symbol deltas
 /// against the committed structure, splice them into (and subtract them
-/// from) the committed relations in place, and keep the EDB probe
-/// indexes in sync the same way — `O(batch · log n)` plus one tail shift
-/// per touched store. A relation still shared with a snapshot is copied
+/// from) the committed relations — and so their built permuted copies — in
+/// place, `O(batch · log n)` plus one tail shift per touched store. A relation still shared with a snapshot is copied
 /// once, by copy-on-write. Validates every inserted tuple **before** any
 /// mutation so a bad batch leaves the database untouched.
 fn commit_edb(
@@ -831,7 +791,6 @@ fn commit_edb(
             .extend_tuples(sym, eff_plus.iter())
             .map_err(EvalError::Structure)?;
         db.structure.remove_tuples(sym, &eff_minus);
-        db.index_batch(PredRef::Edb(sym), &eff_minus, &eff_plus);
         deltas.edb_plus[i] = eff_plus;
         deltas.edb_minus[i] = eff_minus;
     }
@@ -995,7 +954,6 @@ fn dred_scc(
             }
         }
         db.idb[p].remove_tuples(&m);
-        db.index_batch(PredRef::Idb(p), &m, &TupleStore::new(arity_of(p)));
         removed[p] = m;
     }
 
@@ -1036,7 +994,7 @@ fn dred_scc(
                     let inserted_before = || {
                         atoms[..ai].iter().any(|a| {
                             !is_member(&db.plan, a.pred, scc)
-                                && ctx.rows(a.pred).len() == deltas.plus(a.pred).len()
+                                && ctx.relation(a.pred).len() == deltas.plus(a.pred).len()
                         })
                     };
                     if seed.is_empty() || (first && inserted_before()) {
@@ -1068,7 +1026,7 @@ fn dred_scc(
                     };
                     let atoms = &mr.rp.atoms;
                     let starved =
-                        (0..atoms.len()).any(|j| j != ai && ctx.rows(atoms[j].pred).is_empty());
+                        (0..atoms.len()).any(|j| j != ai && ctx.relation(atoms[j].pred).is_empty());
                     (!starved).then(|| Item {
                         rp: &mr.rp,
                         steps: &mr.seeded_orders[ai],
@@ -1092,7 +1050,6 @@ fn dred_scc(
                     }
                 }
                 db.idb[p].merge_store(&delta);
-                db.index_batch(PredRef::Idb(p), &TupleStore::new(arity_of(p)), &delta);
             }
             added[p].push(delta);
         }
@@ -1446,7 +1403,8 @@ mod tests {
     fn identity_indexes_probe_the_committed_relations() {
         // Reach from S: maintenance probes E and R on their first column
         // (the identity permutation, so no copy) and E on its second (the
-        // rederivation probe, a permuted copy).
+        // rederivation probe, a permuted copy E builds on the first batch
+        // that deletes).
         let vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
         let p = Program::parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).\n# goal: R", &vocab).unwrap();
         let mut a = Structure::new(vocab, 48);
@@ -1460,31 +1418,30 @@ mod tests {
         let _ = a.add_tuple_ids(1, &[0]);
         let mut db = MaterializedDb::new(&p, a).unwrap();
         let e = SymbolId::from(0usize);
-
-        let (mut shared, mut copies) = (0usize, 0usize);
-        let ctx = db.committed();
-        for (spec, ix) in db.plan.specs.iter().zip(&db.indexes) {
-            let committed = ctx.rows(spec.pred);
-            match &ix.copy {
-                None => {
-                    assert!(spec.key_positions.iter().enumerate().all(|(k, &i)| k == i));
-                    shared += committed.heap_bytes();
-                }
-                Some((_, copy)) => {
-                    assert_eq!(spec.pred, PredRef::Edb(e));
-                    assert_eq!(spec.key_positions, vec![1]);
-                    copies += copy.heap_bytes();
-                }
-            }
-        }
-        let e_bytes = db.structure().relation(e).heap_bytes();
-        let r_bytes = db.idb(0).heap_bytes();
-        let s_bytes = db.structure().relation(SymbolId::from(1usize)).heap_bytes();
-        // The identity indexes are S, E and R keyed on their first column:
-        // a copy of each is what the database no longer holds.
-        assert_eq!(shared, s_bytes + e_bytes + r_bytes);
+        // Every copy built so far, as (relation, column order, bytes).
+        let copies = |db: &MaterializedDb| -> Vec<(PredRef, Vec<usize>, usize)> {
+            let idb = db
+                .relations()
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (PredRef::Idb(i), r));
+            let edb = db
+                .structure()
+                .relations()
+                .map(|(sym, r)| (PredRef::Edb(sym), r));
+            edb.chain(idb)
+                .flat_map(|(pred, r)| {
+                    r.copies()
+                        .map(move |(order, c)| (pred, order.pos_of().to_vec(), c.heap_bytes()))
+                })
+                .collect()
+        };
+        // The build probes S, E and R on their first column only: the
+        // stores themselves, a copy of each being what no one holds.
+        assert!(copies(&db).is_empty());
         let depths: usize = db.depths.iter().flatten().map(DepthMap::heap_bytes).sum();
-        assert_eq!(db.heap_bytes(), r_bytes + depths + copies);
+        assert_eq!(db.heap_bytes(), db.idb(0).heap_bytes() + depths);
+        assert_eq!(db.idb(0).heap_bytes(), db.idb(0).store().heap_bytes());
 
         // Maintenance over the shared stores stays bit-identical to a
         // full evaluation, batch after batch.
@@ -1507,6 +1464,13 @@ mod tests {
             let full = p.evaluate(db.structure());
             assert_eq!(db.relations(), &full.relations[..], "step {step}");
         }
+        // The one permuted copy is E's on its second column, counted in
+        // the structure.
+        let built = copies(&db);
+        assert_eq!(built.len(), 1);
+        assert_eq!((built[0].0, &built[0].1), (PredRef::Edb(e), &vec![1, 0]));
+        let rel = db.structure().relation(e);
+        assert_eq!(rel.heap_bytes(), rel.store().heap_bytes() + built[0].2);
     }
 
     #[test]
@@ -1534,16 +1498,14 @@ mod tests {
         a.add_tuple_ids(1, &[0]).unwrap();
         let mut db = MaterializedDb::new(&p, a).unwrap();
         let e = SymbolId::from(0usize);
-        let copies = |db: &MaterializedDb| -> Vec<TupleStore> {
-            db.indexes
-                .iter()
-                .filter_map(|ix| ix.copy.as_ref().map(|(_, s)| s.clone()))
-                .collect()
-        };
+        let copies =
+            |rel: &Relation| -> Vec<TupleStore> { rel.copies().map(|(_, s)| s.clone()).collect() };
         // Read on the stores themselves: a clone's planes are exact.
         let copy_bytes =
-            |db: &MaterializedDb| -> usize { db.indexes.iter().map(ProbeIndex::heap_bytes).sum() };
-        assert_eq!(copies(&db).len(), 1);
+            |rel: &Relation| -> usize { rel.copies().map(|(_, s)| s.heap_bytes()).sum() };
+        // The build reads no copy; the first batch that deletes builds E's.
+        assert_eq!(copies(db.structure().relation(e)).len(), 0);
+        let mut deleted = false;
 
         for step in 0..200 {
             let (u, v) = (next() % n, next() % n);
@@ -1565,13 +1527,24 @@ mod tests {
                 _ if next() % 2 == 0 => plus.push_ids(1, &[u]),
                 _ => minus.push_ids(1, &[u]),
             }
+            let before = db.structure().clone();
             p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
             let full = p.evaluate(db.structure());
             assert_eq!(db.relations(), &full.relations[..], "step {step}");
-            let fresh = MaterializedDb::new(&p, db.structure().clone()).unwrap();
-            assert_eq!(copies(&db), copies(&fresh), "step {step}");
+            deleted |= before
+                .relations()
+                .any(|(sym, r)| !r.is_subset(db.structure().relation(sym)));
+            let rel = db.structure().relation(e);
+            assert_eq!(copies(rel).len(), usize::from(deleted), "step {step}");
+            // A copy built from an unshared relation with the same rows.
+            let mut fresh = Relation::new(2);
+            fresh.merge_store(rel.store());
+            if deleted {
+                fresh.copy(&[1]);
+            }
+            assert_eq!(copies(rel), copies(&fresh), "step {step}");
             assert_eq!(
-                copy_bytes(&db),
+                copy_bytes(rel),
                 copy_bytes(&fresh),
                 "step {step}: the in-place copy holds no spare capacity"
             );

@@ -1,32 +1,26 @@
-//! Probe indexes keyed on bound argument positions, one type for both
-//! engines.
-//!
-//! The [`ProgramPlan`] knows, statically, every `(predicate, bound
-//! positions)` combination the evaluator's join orders probe, and the
-//! maintenance plan of [`MaterializedDb`](crate::MaterializedDb) knows its
-//! own. Every positive spec of either is answered by a [`ProbeIndex`] over
-//! the column-plane [`TupleStore`], in one of two shapes:
+//! Probe sources keyed on bound argument positions, one shape for both
+//! engines. Every positive probe of the evaluator's and the maintenance
+//! joins reads a sorted store that its relation owns
+//! ([`Relation::copy`](hp_structures::Relation::copy)), in one of two
+//! shapes:
 //!
 //! - **identity** (key positions are the prefix `0..k`): nothing is built.
 //!   The relation's own sealed store is already sorted lexicographically,
 //!   so a probe is [`TupleStore::prefix_range_from`] on it — a chunked
 //!   search over the leading column planes that gallops forward from the
 //!   caller's cursor while keys ascend.
-//! - **permuted copy** (any other key positions): a sorted copy of the
-//!   relation with the key columns moved to the front (remaining columns
-//!   keep their relative order), probed the same way. The copy follows its
-//!   relation through [`ProbeIndex::apply_batch`]: a maintenance batch's
-//!   deletions and insertions, or an evaluation round's delta, each
-//!   [subtracted](TupleStore::subtract) or [merged](TupleStore::merge) in
-//!   place.
+//! - **permuted copy** (any other key positions): a sorted copy with the
+//!   key columns moved to the front, probed the same way, built on the
+//!   first probe that needs it and spliced by every later write (a
+//!   maintenance batch, a round's delta merge, a served update).
+//!   Evaluations, snapshots and views sharing a relation share its copies;
+//!   results leave an evaluation without them.
 //!
-//! The evaluator's [`IndexPool`] adds a third shape for the guard specs (a
-//! negated literal over a unary predicate): a **membership bitmap**, one
-//! [`BitSet`] bit per universe element, so the guard is a single bit test
-//! (`universe / 8` bytes, 12.5 KB at 10⁵ elements). Guards of arity ≥ 2
-//! get no spec: they probe the sealed store.
-
-use std::ops::Range;
+//! The evaluator's [`IndexPool`] holds only what no relation owns: for a
+//! guard spec (a negated literal over a unary predicate) a **membership
+//! bitmap**, one [`BitSet`] bit per universe element, so the guard is a
+//! single bit test (`universe / 8` bytes, 12.5 KB at 10⁵ elements). Guards
+//! of arity ≥ 2 get no spec: they probe the sealed store.
 
 use hp_structures::{BitSet, Elem, Row, RowRef, Structure, TupleStore};
 
@@ -35,7 +29,7 @@ use crate::eval::IdbRelation;
 use crate::plan::ProgramPlan;
 
 /// One candidate row handed out by a probe, in the atom's original column
-/// order regardless of how the backing index stores it.
+/// order regardless of how the backing store holds it.
 #[derive(Clone, Copy)]
 pub(crate) enum ResolvedRow<'a> {
     /// A row of a sealed store already in original column order.
@@ -48,7 +42,7 @@ pub(crate) enum ResolvedRow<'a> {
 }
 
 impl<'a> ResolvedRow<'a> {
-    /// Row `r` of a [`Probe`]'s store, read through its position map.
+    /// Row `r` of a [`Source`]'s store, read through its position map.
     #[inline]
     pub(crate) fn new(store: &'a TupleStore, pos_of: Option<&'a [usize]>, r: usize) -> Self {
         let row = store.row(r);
@@ -77,210 +71,67 @@ impl Row for ResolvedRow<'_> {
     }
 }
 
-/// The rows one probe matched: a range of sorted rows of a store, and the
-/// position map to read them in original column order (`None` when they
-/// already are). [`ResolvedRow::new`] reads one of them.
-pub(crate) type Probe<'a> = (&'a TupleStore, Option<&'a [usize]>, Range<usize>);
+/// What a probe step searches, as
+/// [`Relation::copy`](hp_structures::Relation::copy) hands it out: a sorted
+/// store and the map to read its rows in original column order (`None`
+/// when they already are).
+pub(crate) type Source<'a> = (&'a TupleStore, Option<&'a [usize]>);
 
-/// A column order that moves an index's key columns to the front, the
-/// remaining columns following in ascending order, so that a probe on the
-/// key is a [`TupleStore::prefix_range`].
-#[derive(Clone, Debug)]
-pub(crate) struct KeyOrder {
-    /// `perm[k]` = original column stored at permuted position `k`.
-    perm: Vec<usize>,
-    /// `pos_of[i]` = permuted position of original column `i`.
-    pos_of: Vec<usize>,
-}
-
-impl KeyOrder {
-    /// The rows of `rows` with their columns in this order, sealed.
-    fn permute(&self, rows: &TupleStore) -> TupleStore {
-        let mut out = TupleStore::with_capacity(self.perm.len(), rows.len());
-        for t in rows.iter() {
-            out.push_with(|buf| buf.extend(self.perm.iter().map(|&i| t.get(i))));
-        }
-        out.seal();
-        out
-    }
-}
-
-/// The sorted copy of `rows` with the columns `key_positions` moved to the
-/// front, and the order that built it. `None` when the key columns already
-/// are the prefix `0..k`: `rows` is then sorted exactly as the copy would
-/// be, and serves every probe itself.
-fn permuted_copy(key_positions: &[usize], rows: &TupleStore) -> Option<(KeyOrder, TupleStore)> {
-    if key_positions.iter().copied().eq(0..key_positions.len()) {
-        return None;
-    }
-    let arity = rows.arity();
-    let mut perm = key_positions.to_vec();
-    perm.extend((0..arity).filter(|i| !key_positions.contains(i)));
-    let mut pos_of = vec![0usize; arity];
-    for (k, &i) in perm.iter().enumerate() {
-        pos_of[i] = k;
-    }
-    let order = KeyOrder { perm, pos_of };
-    let store = order.permute(rows);
-    Some((order, store))
-}
-
-/// The probe index for one positive spec over one relation: the identity
-/// (the relation's own store answers) or a permuted copy that follows the
-/// relation batch by batch. The relation itself is handed to each probe,
-/// so the index borrows nothing.
-#[derive(Clone, Debug)]
-pub(crate) struct ProbeIndex {
-    /// The permuted copy and its column order; `None` for the identity.
-    pub(crate) copy: Option<(KeyOrder, TupleStore)>,
-}
-
-impl ProbeIndex {
-    /// The index on `key_positions` over `rows`, copying them only when
-    /// the key columns are not a prefix.
-    pub(crate) fn new(key_positions: &[usize], rows: &TupleStore) -> ProbeIndex {
-        ProbeIndex {
-            copy: permuted_copy(key_positions, rows),
-        }
-    }
-
-    /// All rows of `rows` — the relation this index was built over, in its
-    /// current state — whose key columns equal `key`, in ascending order
-    /// of the index's store. `cursor` is the caller's per-(work item,
-    /// depth) position: the search gallops forward from it while it is
-    /// still valid (see [`TupleStore::prefix_range_from`]) and leaves the
-    /// range's start there, so ascending keys sweep the store once. The
-    /// answer never depends on it.
-    #[inline]
-    pub(crate) fn probe<'a>(
-        &'a self,
-        rows: &'a TupleStore,
-        key: &[Elem],
-        cursor: &mut usize,
-    ) -> Probe<'a> {
-        let (store, pos_of) = match &self.copy {
-            Some((order, store)) => (store, Some(order.pos_of.as_slice())),
-            None => (rows, None),
-        };
-        let range = store.prefix_range_from(key, *cursor);
-        *cursor = range.start;
-        (store, pos_of, range)
-    }
-
-    /// Fold a batch of the relation in: the copy follows it in place (the
-    /// permuted deletions are [subtracted](TupleStore::subtract), the
-    /// permuted insertions [merged](TupleStore::merge)), while an identity
-    /// index already sees it through the relation's store. Both batches
-    /// are sealed.
-    pub(crate) fn apply_batch(&mut self, removed: &TupleStore, inserted: &TupleStore) {
-        let Some((order, store)) = &mut self.copy else {
-            return;
-        };
-        if !removed.is_empty() {
-            store.subtract(&order.permute(removed));
-        }
-        if !inserted.is_empty() {
-            store.merge(&order.permute(inserted));
-        }
-    }
-
-    /// Heap bytes of the permuted copy (0 for the identity).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.copy.as_ref().map_or(0, |(_, s)| s.heap_bytes())
-    }
-}
-
-/// How the pool answers one spec.
-#[derive(Clone, Debug)]
-enum Arena {
-    /// A positive probe spec.
-    Probe(ProbeIndex),
-    /// Unary guard: the relation's members as a bit per universe element.
-    Members(BitSet),
-}
-
-/// All indexes one evaluation needs, aligned with
-/// [`ProgramPlan::index_specs`].
+/// The guard bitmaps one evaluation needs, aligned with
+/// [`ProgramPlan::index_specs`]: `Some` for a guard spec, `None` for a
+/// positive spec, whose relation answers its probes.
 pub(crate) struct IndexPool {
-    arenas: Vec<Arena>,
+    guards: Vec<Option<BitSet>>,
 }
 
 impl IndexPool {
     /// Build the pool over `a` and the IDB relations accumulated so far —
     /// all empty (stage Φ⁰) for a fresh run, a checkpoint's for a resumed
-    /// one: a probe spec becomes a [`ProbeIndex`] over its relation, a
-    /// guard spec a bitmap of its members. An IDB spec the plan does not
-    /// absorb is never probed, and stays as built.
+    /// one: each guard spec becomes a bitmap of its relation's members.
     pub fn new(plan: &ProgramPlan, a: &Structure, idb: &[IdbRelation]) -> IndexPool {
         let n = a.universe_size();
-        let arenas = plan
+        let guards = plan
             .index_specs
             .iter()
             .map(|s| {
-                let rows = match s.pred {
-                    PredRef::Edb(sym) => a.relation(sym).store(),
-                    PredRef::Idb(i) => idb[i].store(),
-                };
-                if s.guard {
-                    Arena::Members(BitSet::from_indices(
-                        n,
-                        rows.iter().map(|t| t.get(0).index()),
-                    ))
-                } else {
-                    Arena::Probe(ProbeIndex::new(&s.key_positions, rows))
-                }
+                s.guard.then(|| {
+                    let rows = match s.pred {
+                        PredRef::Edb(sym) => a.relation(sym).store(),
+                        PredRef::Idb(i) => idb[i].store(),
+                    };
+                    BitSet::from_indices(n, rows.iter().map(|t| t.get(0).index()))
+                })
             })
             .collect();
-        IndexPool { arenas }
+        IndexPool { guards }
     }
 
-    /// Fold one round's newly derived tuples into the absorbed IDB
-    /// indexes, which then mirror `idb ∪ delta`: a copy merges them, a
-    /// bitmap sets their bits, an identity index reads the merged relation
-    /// itself. Call exactly once per delta round, right when the delta is
-    /// merged into the accumulated relations.
+    /// Fold one round's newly derived tuples into the absorbed IDB guard
+    /// bitmaps, which then mirror `idb ∪ delta`. Call exactly once per
+    /// delta round, right when the delta is merged into the accumulated
+    /// relations (whose merge also carries every built copy along).
     pub fn absorb(&mut self, plan: &ProgramPlan, delta: &[IdbRelation]) {
-        for ((arena, spec), &absorbed) in self
-            .arenas
+        for ((bits, spec), &absorbed) in self
+            .guards
             .iter_mut()
             .zip(&plan.index_specs)
             .zip(&plan.absorbed)
         {
-            let PredRef::Idb(i) = spec.pred else {
-                continue;
-            };
-            if !absorbed || delta[i].is_empty() {
-                continue;
-            }
-            match arena {
-                Arena::Probe(index) => {
-                    index.apply_batch(&TupleStore::new(delta[i].arity()), delta[i].store());
-                }
-                Arena::Members(bits) => {
-                    for t in delta[i].iter() {
-                        bits.insert(t.get(0).index());
-                    }
+            if let (Some(bits), PredRef::Idb(i), true) = (bits, spec.pred, absorbed) {
+                for t in delta[i].iter() {
+                    bits.insert(t.get(0).index());
                 }
             }
         }
     }
 
-    /// The probe index of spec `idx`.
-    #[inline]
-    pub fn index(&self, idx: usize) -> &ProbeIndex {
-        let Arena::Probe(index) = &self.arenas[idx] else {
-            unreachable!("a guard arena is tested, not probed");
-        };
-        index
-    }
-
     /// Whether the unary relation behind guard spec `idx` holds `e`.
     #[inline]
     pub fn contains(&self, idx: usize, e: Elem) -> bool {
-        let Arena::Members(bits) = &self.arenas[idx] else {
-            unreachable!("membership test on a probe index");
-        };
-        bits.contains(e.index())
+        self.guards[idx]
+            .as_ref()
+            .expect("membership test on a probe spec")
+            .contains(e.index())
     }
 }
 
@@ -288,8 +139,20 @@ impl IndexPool {
 mod tests {
     use super::*;
     use crate::ast::Program;
+    use crate::plan::IndexSpec;
     use hp_structures::generators::directed_path;
-    use hp_structures::{Relation, SymbolId, Vocabulary};
+    use hp_structures::{permuted_copy, Relation, SymbolId, Vocabulary};
+    use std::ops::Range;
+
+    type Probe<'a> = (&'a TupleStore, Option<&'a [usize]>, Range<usize>);
+
+    /// The rows of `source` whose key columns equal `key`, galloping from
+    /// `cursor` as the join does.
+    fn probe<'a>((store, pos_of): Source<'a>, key: &[Elem], cursor: &mut usize) -> Probe<'a> {
+        let range = store.prefix_range_from(key, *cursor);
+        *cursor = range.start;
+        (store, pos_of, range)
+    }
 
     fn collect((store, pos_of, range): Probe<'_>) -> Vec<Vec<Elem>> {
         range
@@ -301,6 +164,14 @@ mod tests {
         a.relation(SymbolId::from(sym)).store()
     }
 
+    /// The source an EDB spec's probes read: its relation's store or copy.
+    fn source<'a>(a: &'a Structure, spec: &IndexSpec) -> Source<'a> {
+        let PredRef::Edb(sym) = spec.pred else {
+            unreachable!("an EDB spec")
+        };
+        a.relation(sym).copy(&spec.key_positions)
+    }
+
     #[test]
     fn edb_index_probes_by_position() {
         let p = Program::parse(
@@ -310,17 +181,16 @@ mod tests {
         .unwrap();
         let plan = ProgramPlan::new(&p);
         let a = directed_path(4);
-        let pool = IndexPool::new(&plan, &a, &p.empty_idbs());
         // The TC delta order probes E on its second position; edges into
         // element 2 = {(1,2)}.
         let spec = plan
             .index_specs
             .iter()
-            .position(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![1])
+            .find(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![1])
             .expect("E indexed on position 1");
-        let hits = collect(pool.index(spec).probe(edb(&a, 0), &[Elem(2)], &mut 0));
+        let hits = collect(probe(source(&a, spec), &[Elem(2)], &mut 0));
         assert_eq!(hits, vec![vec![Elem(1), Elem(2)]]);
-        assert!(collect(pool.index(spec).probe(edb(&a, 0), &[Elem(0)], &mut 0)).is_empty());
+        assert!(collect(probe(source(&a, spec), &[Elem(0)], &mut 0)).is_empty());
     }
 
     #[test]
@@ -336,16 +206,15 @@ mod tests {
             a.add_tuple_ids(0, &[i, i + 1]).unwrap();
         }
         a.add_tuple_ids(1, &[0]).unwrap();
-        let pool = IndexPool::new(&plan, &a, &p.empty_idbs());
         let spec = plan
             .index_specs
             .iter()
-            .position(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![0])
+            .find(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![0])
             .expect("E indexed on position 0 (the linear chain probe)");
-        assert!(pool.index(spec).copy.is_none());
-        let (store, pos_of, _) = pool.index(spec).probe(edb(&a, 0), &[Elem(2)], &mut 0);
+        let (store, pos_of, _) = probe(source(&a, spec), &[Elem(2)], &mut 0);
+        assert!(a.relation(SymbolId::from(0usize)).copies().next().is_none());
         assert!(std::ptr::eq(store, edb(&a, 0)) && pos_of.is_none());
-        let hits = collect(pool.index(spec).probe(edb(&a, 0), &[Elem(2)], &mut 0));
+        let hits = collect(probe(source(&a, spec), &[Elem(2)], &mut 0));
         assert_eq!(hits, vec![vec![Elem(2), Elem(3)]]);
     }
 
@@ -360,16 +229,15 @@ mod tests {
         let mut a = directed_path(4);
         a.add_tuple_ids(0, &[0, 2]).unwrap();
         a.add_tuple_ids(0, &[3, 2]).unwrap();
-        let pool = IndexPool::new(&plan, &a, &p.empty_idbs());
         let spec = plan
             .index_specs
             .iter()
-            .position(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![1])
+            .find(|s| matches!(s.pred, PredRef::Edb(_)) && s.key_positions == vec![1])
             .expect("E indexed on position 1");
         // Edges into 2: (0,2), (1,2), (3,2) — ascending by the remaining
         // (source) column, exactly the relation's own row order restricted
         // to the key, with every row decoded back to (src, dst).
-        let hits = collect(pool.index(spec).probe(edb(&a, 0), &[Elem(2)], &mut 0));
+        let hits = collect(probe(source(&a, spec), &[Elem(2)], &mut 0));
         assert_eq!(
             hits,
             vec![
@@ -396,23 +264,18 @@ mod tests {
                 a.add_tuple_ids(0, &[i, (i * d + 3) % 200]).unwrap();
             }
         }
-        let pool = IndexPool::new(&plan, &a, &p.empty_idbs());
         let keys: Vec<u32> = (0..200)
             .chain([5, 5, 199, 0, 150, 150, 3])
             .chain((0..200).rev())
             .collect();
-        for (spec, s) in plan.index_specs.iter().enumerate() {
-            let PredRef::Edb(sym) = s.pred else {
+        for spec in &plan.index_specs {
+            if !matches!(spec.pred, PredRef::Edb(_)) {
                 continue;
-            };
-            let rows = a.relation(sym).store();
+            }
             let mut cursor = 0;
             for &k in &keys {
-                let got = collect(pool.index(spec).probe(rows, &[Elem(k)], &mut cursor));
-                assert_eq!(
-                    got,
-                    collect(pool.index(spec).probe(rows, &[Elem(k)], &mut 0))
-                );
+                let got = collect(probe(source(&a, spec), &[Elem(k)], &mut cursor));
+                assert_eq!(got, collect(probe(source(&a, spec), &[Elem(k)], &mut 0)));
             }
         }
     }
@@ -438,6 +301,10 @@ mod tests {
         };
         let (prefix, permuted) = (spec_on(vec![0]), spec_on(vec![1]));
         assert!(plan.absorbed[prefix] && plan.absorbed[permuted]);
+        let keys = |spec: usize| plan.index_specs[spec].key_positions.clone();
+        // Stage Φ⁰: the copy is built over the empty relation, then follows
+        // every merged delta.
+        idb[0].copy(&keys(permuted));
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for round in 0..6 {
             let mut batch = Relation::new(2);
@@ -453,17 +320,13 @@ mod tests {
             pool.absorb(&plan, &delta);
             idb[0].merge(&delta[0]);
 
-            let copy = pool.index(permuted).copy.as_ref().map(|(_, s)| s);
-            let want = permuted_copy(&[1], idb[0].store()).map(|(_, s)| s);
-            assert_eq!(copy, want.as_ref(), "round {round}");
+            let copy = idb[0].copies().next().map(|(_, s)| s.clone());
+            let want = Some(permuted_copy(&[1], idb[0].store()).1);
+            assert_eq!(copy, want, "round {round}");
             for (spec, col) in [(prefix, 0), (permuted, 1)] {
                 let mut cursor = 0;
                 for k in 0..12u32 {
-                    let mut got = collect(pool.index(spec).probe(
-                        idb[0].store(),
-                        &[Elem(k)],
-                        &mut cursor,
-                    ));
+                    let mut got = collect(probe(idb[0].copy(&keys(spec)), &[Elem(k)], &mut cursor));
                     got.sort();
                     let scan: Vec<Vec<Elem>> = idb[0]
                         .iter()
@@ -473,11 +336,12 @@ mod tests {
                     assert_eq!(got, scan, "round {round}, column {col}, key {k}");
                 }
             }
-            assert_eq!(pool.index(prefix).heap_bytes(), 0);
+            assert_eq!(idb[0].copies().count(), 1);
             // A resumed run builds the same copy from the accumulated
             // relation in one go.
-            let rebuilt = IndexPool::new(&plan, &a, &idb);
-            assert_eq!(rebuilt.index(permuted).copy.as_ref().map(|(_, s)| s), copy);
+            let mut rebuilt = Relation::new(2);
+            rebuilt.merge_store(idb[0].store());
+            assert_eq!(Some(rebuilt.copy(&keys(permuted)).0), copy.as_ref());
         }
     }
 

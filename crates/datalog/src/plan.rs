@@ -22,9 +22,10 @@
 
 use std::cmp::Reverse;
 
-use hp_structures::Elem;
+use hp_structures::{Elem, Relation};
 
 use crate::ast::{PredRef, Program, Rule};
+use crate::index::Source;
 
 /// Key specification for one probe index: a predicate together with the
 /// sorted tuple positions the key is drawn from. Interned per program so
@@ -80,20 +81,30 @@ pub(crate) struct JoinStep {
     pub index: Option<usize>,
 }
 
-/// One work item's probe scratch: the key buffer every probe writes into, so no probe allocates, and one cursor
-/// per join depth — the start of that depth's previous probe range, from
-/// which a sorted probe ([`TupleStore::prefix_range_from`]) gallops
-/// forward while keys arrive in ascending order, as they do under a
-/// sorted delta scan.
+/// One work item's probe scratch: the key buffer every probe writes into,
+/// so no probe allocates; one cursor per join depth — the start of that
+/// depth's previous probe range, from which a sorted probe
+/// ([`TupleStore::prefix_range_from`]) gallops forward while keys arrive
+/// in ascending order, as they do under a sorted delta scan; and the
+/// [`Source`] each depth probes, resolved on the item's first probe there.
 ///
 /// [`TupleStore::prefix_range_from`]: hp_structures::TupleStore::prefix_range_from
-#[derive(Default)]
-pub(crate) struct ProbeScratch {
+pub(crate) struct ProbeScratch<'a> {
     key: Vec<Elem>,
     cursors: Vec<usize>,
+    sources: Vec<Option<Source<'a>>>,
 }
 
-impl ProbeScratch {
+impl<'a> ProbeScratch<'a> {
+    /// The scratch of an item of `depths` join steps.
+    pub(crate) fn new(depths: usize) -> ProbeScratch<'a> {
+        ProbeScratch {
+            key: Vec::new(),
+            cursors: vec![0; depths],
+            sources: vec![None; depths],
+        }
+    }
+
     /// Write `step`'s probe key — the values of its bound slots under
     /// `asg` — into the buffer, and return it with the cursor of `depth`.
     pub(crate) fn key(
@@ -104,10 +115,21 @@ impl ProbeScratch {
     ) -> (&[Elem], &mut usize) {
         self.key.clear();
         self.key.extend(step.bound.iter().map(|&(_, s)| asg[s]));
-        if self.cursors.len() <= depth {
-            self.cursors.resize(depth + 1, 0);
-        }
         (&self.key, &mut self.cursors[depth])
+    }
+
+    /// The source of `relation()` keyed on `step`'s bound positions,
+    /// looked up on the item's first probe at `depth`.
+    pub(crate) fn source(
+        &mut self,
+        step: &JoinStep,
+        depth: usize,
+        relation: impl FnOnce() -> &'a Relation,
+    ) -> Source<'a> {
+        *self.sources[depth].get_or_insert_with(|| {
+            let key: Vec<usize> = step.bound.iter().map(|&(i, _)| i).collect();
+            relation().copy(&key)
+        })
     }
 }
 

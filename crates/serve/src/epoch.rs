@@ -347,6 +347,48 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_share_permuted_copies_until_a_write_splices_them() {
+        let vocab = Vocabulary::from_pairs([("E", 2), ("S", 1)]);
+        let e = vocab.lookup("E").unwrap();
+        let mut seed = Structure::new(vocab, 6);
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 2), (4, 5)] {
+            seed.add_tuple(e, &[Elem(u), Elem(v)]).unwrap();
+        }
+        let store = EpochStore::new(seed, AnswerCache::new());
+        let old = store.pin();
+        let (built, _) = old.structure.relation(e).copy(&[1]);
+        let write = |rel: &str, insert: Vec<Elem>, delete: Vec<Elem>| {
+            store
+                .apply(&UpdateBatch {
+                    inserts: vec![(rel.into(), insert)],
+                    deletes: vec![(rel.into(), delete)],
+                    ..Default::default()
+                })
+                .unwrap();
+            store.pin()
+        };
+
+        // A write to S carries E, copy and all, in the same allocation.
+        let next = write("S", vec![Elem(2)], vec![Elem(4)]);
+        let carried = next.structure.relation(e).copies().next().unwrap().1;
+        assert!(std::ptr::eq(built, carried));
+        assert!(std::ptr::eq(built, next.structure.relation(e).copy(&[1]).0));
+
+        // A write to E splices the successor's carried copy, which then
+        // equals a fresh build; the old epoch's copy is untouched.
+        let before = built.clone();
+        let after = write("E", vec![Elem(5), Elem(1)], vec![Elem(2), Elem(0)]);
+        let rel = after.structure.relation(e);
+        let carried = rel.copies().next().unwrap().1;
+        let mut fresh = hp_structures::Relation::new(2);
+        fresh.merge_store(rel.store());
+        assert_eq!(carried, fresh.copy(&[1]).0);
+        assert_eq!(carried.heap_bytes(), fresh.copy(&[1]).0.heap_bytes());
+        assert_eq!(rel.copies().count(), 1);
+        assert_eq!(old.structure.relation(e).copy(&[1]).0, &before);
+    }
+
+    #[test]
     fn invalid_batches_are_rejected_atomically() {
         let store = EpochStore::new(seed(), AnswerCache::new());
         let bad = UpdateBatch {

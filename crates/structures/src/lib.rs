@@ -66,5 +66,5 @@ pub use graph::Graph;
 pub use ops::identity_map;
 pub use row::{Row, RowElems, RowRef};
 pub use store::{Rows, TupleStore};
-pub use structure::{Relation, Structure, StructureBuilder};
+pub use structure::{permuted_copy, KeyOrder, Relation, Structure, StructureBuilder};
 pub use vocab::{Symbol, SymbolId, Vocabulary, VocabularyBuilder};

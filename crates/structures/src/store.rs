@@ -456,6 +456,39 @@ impl TupleStore {
         out
     }
 
+    /// The sorted run with column `perm[c]` as column `c`, where `perm`
+    /// moves one column to the front and keeps the rest in order: a stable
+    /// counting sort on that column leaves rows with one key in this run's
+    /// order, which is the rest's. Linear, and beside the result it holds
+    /// one count per key value. `None` when the key values are sparse (one
+    /// exceeds `len + 1024`) or the rows too many for `u32` counts.
+    pub(crate) fn lead_sorted(&self, perm: &[usize]) -> Option<TupleStore> {
+        let (n, key) = (self.rows, &self.planes[perm[0]]);
+        let bound = key.iter().map(|e| e.index() + 1).max().unwrap_or(0);
+        if bound > n + 1024 || u32::try_from(n).is_err() {
+            return None;
+        }
+        // `next[v]`: the output row the next row with key `v` goes to.
+        let mut next = vec![0u32; bound + 1];
+        for e in key {
+            next[e.index() + 1] += 1;
+        }
+        for v in 1..=bound {
+            next[v] += next[v - 1];
+        }
+        let mut planes = vec![vec![Elem(0); n]; self.arity];
+        for (i, e) in key.iter().enumerate() {
+            let j = next[e.index()] as usize;
+            next[e.index()] += 1;
+            for (out, &c) in planes.iter_mut().zip(perm) {
+                out[j] = self.planes[c][i];
+            }
+        }
+        let mut out = TupleStore::new(self.arity);
+        (out.rows, out.planes) = (n, planes);
+        Some(out)
+    }
+
     /// Membership test: a chunked binary search of the sorted run plus a
     /// linear scan of the pending delta.
     pub fn contains<R: Row>(&self, t: R) -> bool {

@@ -1,7 +1,8 @@
 //! Finite σ-structures.
 
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use crate::elem::Elem;
 use crate::error::StructureError;
@@ -21,9 +22,18 @@ use crate::vocab::{SymbolId, Vocabulary};
 /// For bulk loads use [`extend_tuples`](Relation::extend_tuples), which
 /// buffers into the store's pending delta and seals once, instead of n
 /// shifting [`insert`](Relation::insert)s.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// A relation also owns its **permuted copies** ([`copy`](Relation::copy)),
+/// which probes on non-prefix key columns read: at most one per
+/// [`KeyOrder`], built on the first probe that needs it (through a `&self`
+/// that threads may share), then kept in step by every `&mut` mutator at
+/// `O(batch)` cost. A clone carries them, so relations shared copy-on-write
+/// share their copies. Equality, hashing and `Debug` ignore them;
+/// [`heap_bytes`](Relation::heap_bytes) counts them.
+#[derive(Clone)]
 pub struct Relation {
     store: TupleStore,
+    copies: Copies,
 }
 
 impl Relation {
@@ -31,7 +41,29 @@ impl Relation {
     pub fn new(arity: usize) -> Self {
         Relation {
             store: TupleStore::new(arity),
+            copies: Copies::default(),
         }
+    }
+
+    /// The rows sorted with the columns `key_positions` (ascending) first,
+    /// and the map to read them in original column order: the store and
+    /// `None` for a prefix `0..k`, else a permuted copy built on first use.
+    pub fn copy(&self, key_positions: &[usize]) -> (&TupleStore, Option<&[usize]>) {
+        if key_positions.iter().copied().eq(0..key_positions.len()) {
+            return (&self.store, None);
+        }
+        let c = self.copies.get(key_positions, &self.store);
+        (&c.rows, Some(&c.order.pos_of))
+    }
+
+    /// The permuted copies built so far, with their column orders.
+    pub fn copies(&self) -> impl Iterator<Item = (&KeyOrder, &TupleStore)> {
+        self.copies.iter()
+    }
+
+    /// Drop every permuted copy, keeping the rows.
+    pub fn drop_copies(&mut self) {
+        self.copies = Copies::default();
     }
 
     /// The backing columnar store (always sealed).
@@ -65,7 +97,10 @@ impl Relation {
 
     /// Insert a tuple, keeping sort order. Returns true if newly inserted.
     pub fn insert<R: Row>(&mut self, t: R) -> bool {
-        self.store.insert(t)
+        if self.copies().next().is_none() {
+            return self.store.insert(t);
+        }
+        self.extend_tuples([t]) == 1
     }
 
     /// Bulk-insert: buffer every tuple into the pending delta, then sort,
@@ -79,6 +114,12 @@ impl Relation {
         I: IntoIterator<Item = T>,
         T: Row,
     {
+        if self.copies().next().is_some() {
+            let mut batch = TupleStore::new(self.arity());
+            tuples.into_iter().for_each(|t| batch.push(t));
+            batch.seal();
+            return self.merge_store(&batch);
+        }
         let before = self.store.len();
         for t in tuples {
             self.store.push(t);
@@ -99,6 +140,7 @@ impl Relation {
     pub fn merge_store(&mut self, other: &TupleStore) -> usize {
         let before = self.store.len();
         self.store.merge(other);
+        self.copies.follow(other, true);
         self.store.len() - before
     }
 
@@ -110,7 +152,13 @@ impl Relation {
 
     /// Remove a tuple. Returns true if it was present.
     pub fn remove<R: Row>(&mut self, t: R) -> bool {
-        self.store.remove(t)
+        if self.copies().next().is_none() {
+            return self.store.remove(t);
+        }
+        let mut one = TupleStore::new(self.arity());
+        one.push(t);
+        one.seal();
+        self.remove_tuples(&one) == 1
     }
 
     /// Bulk-remove: drop every tuple of the sealed store `other` in place,
@@ -118,12 +166,14 @@ impl Relation {
     /// ([`TupleStore::subtract`]). Returns the number of tuples actually
     /// removed; an empty batch costs nothing.
     pub fn remove_tuples(&mut self, other: &TupleStore) -> usize {
+        self.copies.follow(other, false);
         self.store.subtract(other)
     }
 
-    /// Drop all tuples, keeping the arena allocation.
+    /// Drop all tuples, keeping the arena allocation, and every copy.
     pub fn clear(&mut self) {
-        self.store.clear()
+        self.store.clear();
+        self.drop_copies();
     }
 
     /// Iterate over the tuples in lexicographic order (zero-copy rows).
@@ -141,10 +191,25 @@ impl Relation {
         self.store.is_subset(other.store())
     }
 
-    /// Heap bytes held by the backing arena (see
+    /// Heap bytes held by the backing arena and the permuted copies (see
     /// [`TupleStore::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.store.heap_bytes()
+        let copies: usize = self.copies().map(|(_, c)| c.heap_bytes()).sum();
+        self.store.heap_bytes() + copies
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.store == other.store
+    }
+}
+
+impl Eq for Relation {}
+
+impl Hash for Relation {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.store.hash(state);
     }
 }
 
@@ -160,6 +225,110 @@ impl<'a> IntoIterator for &'a Relation {
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&self.store, f)
+    }
+}
+
+/// A column order that moves an index's key columns to the front, the
+/// remaining columns following in ascending order, so that a probe on the
+/// key is a [`TupleStore::prefix_range`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KeyOrder {
+    /// `perm[k]` = original column stored at permuted position `k`.
+    perm: Vec<usize>,
+    /// `pos_of[i]` = permuted position of original column `i`.
+    pos_of: Vec<usize>,
+}
+
+impl KeyOrder {
+    /// `pos_of[i]`: the permuted position of original column `i`.
+    pub fn pos_of(&self) -> &[usize] {
+        &self.pos_of
+    }
+
+    /// The rows of `rows` with their columns in this order, sealed.
+    pub fn permute(&self, rows: &TupleStore) -> TupleStore {
+        let mut out = TupleStore::with_capacity(self.perm.len(), rows.len());
+        for t in rows.iter() {
+            out.push_with(|buf| buf.extend(self.perm.iter().map(|&i| t.get(i))));
+        }
+        out.seal();
+        out
+    }
+}
+
+/// The sorted copy of `rows` with the columns `key_positions` (ascending,
+/// not the prefix `0..k`) moved to the front, and the order that built it.
+/// A one-column key over dense values is counting-sorted, without
+/// [`KeyOrder::permute`]'s row arena and sort scratch.
+pub fn permuted_copy(key_positions: &[usize], rows: &TupleStore) -> (KeyOrder, TupleStore) {
+    let arity = rows.arity();
+    let mut perm = key_positions.to_vec();
+    perm.extend((0..arity).filter(|i| !key_positions.contains(i)));
+    let mut pos_of = vec![0usize; arity];
+    for (k, &i) in perm.iter().enumerate() {
+        pos_of[i] = k;
+    }
+    let order = KeyOrder { perm, pos_of };
+    let store = (key_positions.len() == 1)
+        .then(|| rows.lead_sorted(&order.perm))
+        .flatten()
+        .unwrap_or_else(|| order.permute(rows));
+    (order, store)
+}
+
+/// One built copy, and the slot of the relation's next one.
+#[derive(Clone)]
+struct Built {
+    order: KeyOrder,
+    rows: TupleStore,
+    next: Copies,
+}
+
+/// A relation's built copies: a chain of write-once slots. A reader walks
+/// it to the copy of its order, or builds that copy in the first empty
+/// slot; a racing reader of another order waits for the slot, then walks
+/// on. A clone carries every built copy.
+#[derive(Clone, Default)]
+struct Copies(OnceLock<Box<Built>>);
+
+impl Copies {
+    /// The copy of `rows` keyed on `key_positions` (not a prefix), built
+    /// on first use.
+    fn get(&self, key_positions: &[usize], rows: &TupleStore) -> &Built {
+        let mut slot = self;
+        loop {
+            let c = slot.0.get_or_init(|| {
+                let (order, rows) = permuted_copy(key_positions, rows);
+                let next = Copies::default();
+                Box::new(Built { order, rows, next })
+            });
+            let (key, rest) = c.order.perm.split_at(key_positions.len());
+            if key == key_positions && rest.is_sorted() {
+                return c;
+            }
+            slot = &c.next;
+        }
+    }
+
+    /// Every built copy, in build order.
+    fn iter(&self) -> impl Iterator<Item = (&KeyOrder, &TupleStore)> {
+        std::iter::successors(self.0.get(), |c| c.next.0.get()).map(|c| (&c.order, &c.rows))
+    }
+
+    /// Fold a sealed batch of the relation into every built copy: the
+    /// permuted rows are [merged](TupleStore::merge) when `add`, else
+    /// [subtracted](TupleStore::subtract), in place.
+    fn follow(&mut self, batch: &TupleStore, add: bool) {
+        let Some(c) = self.0.get_mut().filter(|_| !batch.is_empty()) else {
+            return;
+        };
+        let rows = c.order.permute(batch);
+        if add {
+            c.rows.merge(&rows);
+        } else {
+            c.rows.subtract(&rows);
+        }
+        c.next.follow(batch, add);
     }
 }
 
@@ -243,8 +412,8 @@ impl Structure {
         self.relations.iter().map(|r| r.len()).sum()
     }
 
-    /// Heap bytes held by all relation arenas (see
-    /// [`Relation::heap_bytes`]); the universe itself stores nothing.
+    /// Heap bytes held by all relation arenas and their permuted copies
+    /// (see [`Relation::heap_bytes`]); the universe itself stores nothing.
     /// Arenas this structure shares with its clones are counted in full.
     pub fn heap_bytes(&self) -> usize {
         self.relations.iter().map(|r| r.heap_bytes()).sum()
@@ -548,6 +717,61 @@ mod tests {
         r.insert(&[Elem(0), Elem(0)]);
         let v: Vec<Vec<u32>> = r.iter().map(|t| t.iter().map(|e| e.0).collect()).collect();
         assert_eq!(v, vec![vec![0, 0], vec![0, 1], vec![2, 0]]);
+    }
+
+    fn edges(pairs: &[(u32, u32)]) -> Relation {
+        let mut r = Relation::new(2);
+        r.extend_tuples(pairs.iter().map(|&(a, b)| vec![Elem(a), Elem(b)]));
+        r
+    }
+
+    fn copy_rows(r: &Relation) -> Vec<TupleStore> {
+        r.copies().map(|(_, c)| c.clone()).collect()
+    }
+
+    #[test]
+    fn a_clone_carries_copies_and_writes_stay_its_own() {
+        let mut a = edges(&[(0, 1), (1, 2), (2, 0)]);
+        a.copy(&[1]);
+        let before = copy_rows(&a);
+        let mut b = a.clone();
+        assert_eq!(copy_rows(&b), before);
+        b.insert(&[Elem(3), Elem(1)]);
+        b.remove(&[Elem(0), Elem(1)]);
+        assert_eq!(copy_rows(&a), before, "the original's copy is untouched");
+        assert_eq!(a.copy(&[1]).0, &before[0]);
+        let (copy, pos_of) = b.copy(&[1]);
+        assert_eq!(pos_of, Some(&[1, 0][..]));
+        let rows: Vec<Vec<u32>> = copy.iter().map(|t| vec![t.get(0).0, t.get(1).0]).collect();
+        assert_eq!(rows, vec![vec![0, 2], vec![1, 3], vec![2, 1]]);
+        a.clear();
+        assert_eq!(
+            copy_rows(&b)[0].len(),
+            3,
+            "nor does the original's write reach the clone"
+        );
+    }
+
+    #[test]
+    fn copies_are_invisible_to_equality_and_hashing() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |r: &Relation| {
+            let mut h = DefaultHasher::new();
+            r.hash(&mut h);
+            h.finish()
+        };
+        let a = edges(&[(0, 1), (1, 2), (2, 0)]);
+        let b = edges(&[(2, 0), (1, 2), (0, 1)]);
+        b.copy(&[1]);
+        assert_eq!(copy_rows(&a).len(), 0);
+        assert_eq!(copy_rows(&b).len(), 1);
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(
+            b.heap_bytes() > a.heap_bytes(),
+            "the copy's bytes are counted"
+        );
     }
 
     #[test]
