@@ -29,7 +29,9 @@
 //! argument: its delta orders probe `T` both through the accumulated
 //! relation itself (key `[0]`) and through a permuted copy that absorbs
 //! every round's delta (key `[1]`), a path no other family takes. Work
-//! grows as n³, so 400 elements stay well under a second.
+//! grows as n³, so 400 elements stay well under a second. Its
+//! `peak_pending` column is the most derivations, duplicates included, one
+//! work item held before its seal (`StratumProfile::peak_pending`).
 //!
 //! The "boxed" column is the analytic footprint of the seed
 //! representation (`BTreeSet<Vec<Elem>>`, counted as one 24-byte
@@ -175,7 +177,8 @@ fn main() {
                 .int("path", n)
                 .num("eval_ms", eval_ms, 3)
                 .int("stages", fix.stages)
-                .int("tc", fix.relations[0].len()),
+                .int("tc", fix.relations[0].len())
+                .int("peak_pending", fix.profile[0].peak_pending),
         );
     }
 

@@ -178,7 +178,8 @@ impl EvalConfig {
 /// reference evaluator does not profile; its results carry an empty
 /// profile. Incremental maintenance (positive programs only) reports one
 /// entry for stratum 0: its maintenance rounds, the IDB tuples it added
-/// or removed, and the fuel it charged (`1 + changed` per SCC).
+/// or removed, the fuel it charged (`1 + changed` per SCC), and the peak
+/// pending rows of its rounds.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StratumProfile {
     /// The stratum index (ascending; 0 for positive programs).
@@ -194,6 +195,11 @@ pub struct StratumProfile {
     /// Wall-clock time spent inside this stratum. On a resumed run the
     /// interrupted stratum's entry covers only the post-resume work.
     pub elapsed: std::time::Duration,
+    /// The most pending rows any one work item sealed in this stratum:
+    /// its derivations, duplicates included, before the seal deduplicated
+    /// them. Each worker holds one such batch at a time, so a round's
+    /// transient memory follows it.
+    pub peak_pending: usize,
 }
 
 /// The result of evaluating a program on a structure.
@@ -664,13 +670,14 @@ impl Program {
         // One round, either kind: run `items` against the current state
         // (on the calling thread once a worker panic was recovered, or
         // when `seed_tuples` is too few for the pool), make the tuples not
-        // yet accumulated the next delta, and charge `1 + derived`.
+        // yet accumulated the next delta, and charge `1 + derived`. Returns
+        // `derived` and the round's peak pending rows.
         let round = |run: &mut RunState,
                      pool: &IndexPool,
                      items: &[WorkItem],
                      seed_tuples: usize,
                      gauge: &mut Gauge|
-         -> Result<u64, Stop> {
+         -> Result<(u64, usize), Stop> {
             let ctx = JoinCtx {
                 a,
                 idb: &run.idb,
@@ -687,27 +694,27 @@ impl Program {
             } else {
                 1
             };
-            let (results, recovered) = run_round(&ctx, &items, w);
-            if recovered {
+            let r = run_round(&ctx, &items, w);
+            if r.recovered {
                 run.diagnostics.push(recovery_note(run.stages));
             }
             // New facts = (round output) \ (accumulated IDB): a galloping
             // sorted-set difference, then one sorted-run merge per head.
             let mut next_delta: Vec<IdbRelation> = self.empty_idbs();
-            for (h, out) in &results {
+            for (h, out) in &r.outs {
                 next_delta[*h].merge_store(&out.difference(run.idb[*h].store()));
             }
             run.delta = next_delta;
             let derived: u64 = run.delta.iter().map(|d| d.len() as u64).sum();
             gauge.tick(1 + derived)?;
-            Ok(derived)
+            Ok((derived, r.peak_pending))
         };
         let mut converged = true;
         for s in start_stratum..num_strata {
             let stratum_start = std::time::Instant::now();
             let stratum_stages_entry = run.stages;
             let stratum_fuel_entry = gauge.spent();
-            let mut stratum_derived: u64 = 0;
+            let (mut stratum_derived, mut peak_pending) = (0u64, 0usize);
             // Round 0 of stratum `s`: the stratum's exit rules against the
             // IDBs accumulated so far (sealed lower strata). This stratum's
             // own predicates are still empty, so everything derived is new,
@@ -723,7 +730,10 @@ impl Program {
                     .collect();
                 let edb_tuples: usize = a.relations().map(|(_, r)| r.len()).sum();
                 match round(&mut run, &pool, &items, edb_tuples, &mut gauge) {
-                    Ok(derived) => stratum_derived += derived,
+                    Ok((derived, peak)) => {
+                        stratum_derived += derived;
+                        peak_pending = peak_pending.max(peak);
+                    }
                     Err(stop) => return Err(run.exhausted(self, s, stop)),
                 }
             }
@@ -757,7 +767,10 @@ impl Program {
                     .collect();
                 let delta_tuples: usize = run.delta.iter().map(Relation::len).sum();
                 match round(&mut run, &pool, &items, delta_tuples, &mut gauge) {
-                    Ok(derived) => stratum_derived += derived,
+                    Ok((derived, peak)) => {
+                        stratum_derived += derived;
+                        peak_pending = peak_pending.max(peak);
+                    }
                     Err(stop) => return Err(run.exhausted(self, s, stop)),
                 }
             }
@@ -767,6 +780,7 @@ impl Program {
                 derived: stratum_derived,
                 fuel: gauge.spent() - stratum_fuel_entry,
                 elapsed: stratum_start.elapsed(),
+                peak_pending,
             });
             if !converged {
                 break;
@@ -786,9 +800,21 @@ fn recovery_note(round: usize) -> String {
     )
 }
 
+/// What [`run_round`] returns.
+pub(crate) struct RoundOutput {
+    /// Each work item's `(head IDB, derived tuples)`, in item order.
+    pub outs: Vec<(usize, TupleStore)>,
+    /// A worker panicked and the round was recomputed on the calling
+    /// thread.
+    pub recovered: bool,
+    /// The most pending rows any one item sealed.
+    pub peak_pending: usize,
+}
+
 /// Run one round's work items on the [worker pool](crate::pool::run) and
-/// return each item's `(head IDB, derived tuples)` plus whether a worker
-/// panic forced a sequential recovery. Each item yields every satisfying
+/// return each item's `(head IDB, derived tuples)`, whether a worker panic
+/// forced a sequential recovery, and the largest pending count an item
+/// sealed. Each item yields every satisfying
 /// substitution of its rule along its join order, with the seed scan
 /// restricted to its shard. Items are pure functions of the immutable
 /// round context and the per-item outputs are ordered sets, so the merge
@@ -798,8 +824,8 @@ pub(crate) fn run_round<V: Reads + ?Sized>(
     view: &V,
     items: &[Item<'_>],
     workers: usize,
-) -> (Vec<(usize, TupleStore)>, bool) {
-    crate::pool::run(workers, items.len(), |i| {
+) -> RoundOutput {
+    let (outs, recovered) = crate::pool::run(workers, items.len(), |i| {
         let item = &items[i];
         let rp = item.rp;
         // Derivations land in the store's pending delta (no per-tuple
@@ -817,9 +843,15 @@ pub(crate) fn run_round<V: Reads + ?Sized>(
                 true
             },
         );
+        let pending = out.pending_len();
         out.seal();
-        (rp.head, out)
-    })
+        (rp.head, out, pending)
+    });
+    RoundOutput {
+        peak_pending: outs.iter().map(|o| o.2).max().unwrap_or(0),
+        outs: outs.into_iter().map(|(h, out, _)| (h, out)).collect(),
+        recovered,
+    }
 }
 
 /// One work item's fixed inputs: the rule, the join order of its seeding
@@ -1385,6 +1417,41 @@ mod tests {
             b = b.tuple(0, &[t.get(0).0, t.get(1).0]);
         }
         b.tuple(1, &[0]).build()
+    }
+
+    #[test]
+    fn peak_pending_is_the_largest_item_batch() {
+        // One thread, one item per round. Reach's delta item pends one
+        // derivation per `E` edge leaving the round's delta, so its peak
+        // follows from the naive stages; round 0 pends `S`.
+        let reach = Program::parse(
+            "R(x) :- S(x).\nR(y) :- R(x), E(x,y).",
+            &Vocabulary::from_pairs([("E", 2), ("S", 1)]),
+        )
+        .unwrap();
+        let a = reach_input(400, 1000, 3);
+        let e = a.relation(a.vocab().lookup("E").unwrap()).store();
+        let out_degree = |x: Elem| e.prefix_range(&[x]).len();
+        let naive = reach.stages(&a, 64);
+        let expect = naive
+            .stages
+            .windows(2)
+            .map(|w| w[1][0].store().difference(w[0][0].store()))
+            .map(|delta| delta.iter().map(|t| out_degree(t.get(0))).sum::<usize>())
+            .fold(1, usize::max);
+        let cfg = EvalConfig::new().with_threads(1);
+        let r = reach.evaluate_with(&a, &cfg);
+        assert_eq!(r.profile[0].peak_pending, expect);
+        assert_eq!(expect, 256);
+        // Nonlinear TC seeds two delta items per round; pinned.
+        let nonlinear_tc = Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).",
+            &Vocabulary::digraph(),
+        )
+        .unwrap();
+        let r = nonlinear_tc.evaluate_with(&directed_path(64), &cfg);
+        assert_eq!(r.relations[0].len(), 64 * 63 / 2);
+        assert_eq!(r.profile[0].peak_pending, 11_776);
     }
 
     /// Two random digraphs over `n` elements as `E` (seed `seed`) and `F`

@@ -721,17 +721,19 @@ where
 
 /// One round's items through the evaluator's [`run_round`]; a recovered
 /// worker panic drops the rest of the batch to the calling thread, as in
-/// [`pooled`].
+/// [`pooled`]. Raises `peak` to the most pending rows an item sealed.
 fn round<V: Reads + ?Sized>(
     view: &V,
     items: &[Item<'_>],
     workers: &mut usize,
+    peak: &mut usize,
 ) -> Vec<(usize, TupleStore)> {
-    let (outs, recovered) = run_round(view, items, *workers);
-    if recovered {
+    let r = run_round(view, items, *workers);
+    if r.recovered {
         *workers = 1;
     }
-    outs
+    *peak = (*peak).max(r.peak_pending);
+    r.outs
 }
 
 // ---------------------------------------------------------------------------
@@ -802,7 +804,8 @@ fn commit_edb(
 /// prebound head, the commit of the confirmed deletions, then phase C
 /// (insertion) as its rounds on the committed relations.
 /// Records the stratum's net deltas for the strata above and returns
-/// `(rounds, changed_tuples)`.
+/// `(rounds, changed_tuples, peak_pending)`: the last is the most pending
+/// rows any work item of its rounds sealed.
 ///
 /// A non-recursive member carries no depth map, and needs none: the depth
 /// gate only filters `Cur` atoms, and none of its rule bodies mentions an
@@ -812,14 +815,14 @@ fn dred_scc(
     workers: &mut usize,
     deltas: &mut Deltas,
     scc: usize,
-) -> (usize, usize) {
+) -> (usize, usize, usize) {
     let n_idb = db.idb.len();
     let members: Vec<usize> = db.plan.graph.scc_members(scc).to_vec();
     let arities: Vec<usize> = db.idb.iter().map(Relation::arity).collect();
     let arity_of = |p: usize| arities[p];
     let mut removed: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
     let mut revived: Vec<Relation> = (0..n_idb).map(|p| Relation::new(arity_of(p))).collect();
-    let mut rounds = 0usize;
+    let (mut rounds, mut peak) = (0usize, 0usize);
     let mut clock = db.depth_clock;
 
     // Phase A: propagate a deletion over-approximation `D` to a fixpoint.
@@ -866,7 +869,7 @@ fn dred_scc(
             }
             rounds += 1;
             let view = PhaseView::new(db, deltas, View::Old, None);
-            for (h, out) in round(&view, &items, workers) {
+            for (h, out) in round(&view, &items, workers, &mut peak) {
                 debug_assert!(
                     out.difference(db.idb[h].store()).is_empty(),
                     "an `Old` derivation's head is committed"
@@ -1035,7 +1038,7 @@ fn dred_scc(
                     })
                 })
                 .collect();
-            round(&ctx, &items, workers)
+            round(&ctx, &items, workers, &mut peak)
         };
         let mut next: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
         for (h, out) in outs {
@@ -1068,7 +1071,7 @@ fn dred_scc(
         deltas.idb_plus[p] = plus;
     }
     db.depth_clock = clock;
-    (rounds, changed)
+    (rounds, changed, peak)
 }
 
 /// The union of disjoint sealed stores of arity `arity`, built at its
@@ -1113,6 +1116,7 @@ fn maintain(
     };
     let started = std::time::Instant::now();
     let (first_stages, mut derived, mut fuel) = (stages, 0u64, 0u64);
+    let mut peak_pending = 0usize;
     for si in first_scc..db.plan.graph.scc_count() {
         if let Err(stop) = gauge.check() {
             db.in_flight = true;
@@ -1120,7 +1124,8 @@ fn maintain(
             return Err(stop.with_partial(cp));
         }
         let before = workers;
-        let (rounds, changed) = dred_scc(db, &mut workers, &mut deltas, si);
+        let (rounds, changed, peak) = dred_scc(db, &mut workers, &mut deltas, si);
+        peak_pending = peak_pending.max(peak);
         if workers < before {
             diagnostics.push(recovery_note(si));
         }
@@ -1145,6 +1150,7 @@ fn maintain(
             derived,
             fuel,
             elapsed: started.elapsed(),
+            peak_pending,
         }],
     })
 }

@@ -15,12 +15,14 @@
 //!   instead of `n` shifting array inserts.
 //!
 //! [`seal`](TupleStore::seal) folds the pending delta into the sorted run:
-//! it sorts the pending rows (`u32` values directly at arity 1, packed
-//! `u64` pairs at arity 2, an index sort above), and **splices** them into
-//! the existing run in place. Every read (`contains`, `iter`, equality,
-//! hashing) is defined over the *sealed* content; `contains` additionally
-//! scans the pending region so unsealed stores still answer membership
-//! correctly.
+//! it orders the pending rows and **splices** them into the existing run in
+//! place. At arity 1 the values are universe indices, so a dense batch is
+//! marked in a [`BitSet`] over `0..=max` and read back in order; a
+//! sparse unary batch sorts its `u32` values directly, arity 2 sorts packed
+//! `u64` pairs, and wider rows sort an index. Every read (`contains`,
+//! `iter`, equality, hashing) is defined over the *sealed* content;
+//! `contains` additionally scans the pending region so unsealed stores
+//! still answer membership correctly.
 //!
 //! Batch updates of a sealed run are in place and cost `O(m · log n)` for
 //! `m` rows plus one shift of the tail: the splice behind `seal` and
@@ -59,6 +61,7 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::bitset::BitSet;
 use crate::elem::Elem;
 use crate::row::{Row, RowRef};
 
@@ -99,6 +102,39 @@ fn gallop<T: Copy>(w: &[T], below: impl Fn(T) -> bool) -> usize {
     }
     let hi = (lo + step).min(w.len());
     lo + 1 + search(&w[lo + 1..hi], below)
+}
+
+/// Bits a unary seal may spend on its bitmap beyond the density rule,
+/// so tiny batches over a small range need not sort.
+const DENSE_SLACK: usize = 64;
+
+/// The unary seal's density rule: a batch of `pending` values whose range
+/// `0..=max` holds `span = max + 1` values is marked in a bitmap when
+/// `span ≤ 32 · pending` plus [`DENSE_SLACK`]. The bitmap's `span / 8`
+/// bytes then never exceed the `4 · pending`-byte arena it orders (beyond
+/// the slack's 8 bytes): the seal's scratch is at most the arena's own
+/// size, where the arity-2 path's packed copy is twice it. A sparser batch
+/// sorts in place.
+fn dense_range(span: usize, pending: usize) -> bool {
+    span <= pending.saturating_mul(32).saturating_add(DENSE_SLACK)
+}
+
+/// Sort and dedup the unary values `v` (non-empty) in place. A dense batch
+/// ([`dense_range`]) is marked in a [`BitSet`] and read back in order into
+/// `v`'s own allocation, `O(len + span / 64)`; a sparse one is sorted.
+fn sort_dedup_unary(v: &mut Vec<Elem>) {
+    let span = v.iter().map(|e| e.index() + 1).max().unwrap_or(0);
+    if dense_range(span, v.len()) {
+        let mut bits = BitSet::new(span);
+        for e in v.iter() {
+            bits.insert(e.index());
+        }
+        v.clear();
+        v.extend(bits.iter().map(|i| Elem(i as u32)));
+    } else {
+        v.sort_unstable();
+        v.dedup();
+    }
 }
 
 /// Sort row indices `idx` by the rows they address in the arity-`k`
@@ -263,11 +299,15 @@ impl TupleStore {
     /// store the sorted batch simply becomes the run. Idempotent; a no-op
     /// when sealed.
     ///
-    /// Arity ≤ 2 sorts values directly (packed `u64` pairs at arity 2);
-    /// wider rows sort through a `Vec<u32>` of row indices to halve the
-    /// scratch footprint of the common case — a pending count that does
-    /// not fit in `u32` (≥ 2³² buffered rows) automatically takes an
-    /// equivalent `usize`-indexed path instead of silently truncating.
+    /// Arity 1 orders the values without comparing them when they are
+    /// dense: a batch whose largest value is below 32 times its pending
+    /// count (plus a 64-value slack) is marked in a bitmap over `0..=max`
+    /// and read back in order, in linear time and with scratch no larger
+    /// than the pending arena; a sparser batch sorts. Arity 2 sorts packed
+    /// `u64` pairs; wider rows sort through a `Vec<u32>` of row indices to
+    /// halve the scratch footprint of the common case — a pending count
+    /// that does not fit in `u32` (≥ 2³² buffered rows) automatically takes
+    /// an equivalent `usize`-indexed path instead of silently truncating.
     pub fn seal(&mut self) {
         self.seal_impl(self.pending_rows > u32::MAX as usize);
     }
@@ -292,8 +332,7 @@ impl TupleStore {
         debug_assert_eq!(pend.len(), prows * k);
         let batch = match k {
             1 => {
-                pend.sort_unstable();
-                pend.dedup();
+                sort_dedup_unary(&mut pend);
                 vec![pend]
             }
             2 => {
@@ -438,10 +477,29 @@ impl TupleStore {
 
     /// The rows of `probe` (sealed) whose presence in `base` (sealed)
     /// equals `keep`, as a new sealed store: one galloping pass through
-    /// `base` from an advancing cursor, `O(|probe| · log |base|)`.
+    /// `base` from an advancing cursor, `O(|probe| · log |base|)`. At
+    /// arity 1, when `probe` holds at least an eighth as many rows as
+    /// `base`, the gallops would land a few values apart, so `base` is
+    /// walked linearly instead, `O(|probe| + |base|)`.
     fn filter(probe: &TupleStore, base: &TupleStore, keep: bool) -> TupleStore {
         let k = probe.arity;
         let mut out = TupleStore::new(k);
+        if k == 1 && probe.rows.saturating_mul(8) >= base.rows {
+            let (p, b) = (&probe.planes[0], &base.planes[0]);
+            let mut j = 0usize;
+            out.planes[0] = p
+                .iter()
+                .copied()
+                .filter(|&v| {
+                    while j < b.len() && b[j] < v {
+                        j += 1;
+                    }
+                    (j < b.len() && b[j] == v) == keep
+                })
+                .collect();
+            out.rows = out.planes[0].len();
+            return out;
+        }
         let mut j = 0usize;
         for i in 0..probe.rows {
             let (nj, found) = base.locate(Some(j), |c| probe.planes[c][i]);
@@ -1054,6 +1112,20 @@ mod tests {
         let mut m = even.clone();
         m.merge(&odd);
         assert_eq!(m, s);
+    }
+
+    #[test]
+    fn density_rule_boundary() {
+        // The bitmap holds at most 32 bits per pending value plus the
+        // slack; one bit more sorts.
+        for p in [1usize, 2, 100, 1 << 20] {
+            assert!(dense_range(1, p));
+            assert!(dense_range(32 * p + DENSE_SLACK, p));
+            assert!(!dense_range(32 * p + DENSE_SLACK + 1, p));
+        }
+        // Saturating: a pending count near `usize::MAX` admits any span.
+        assert!(dense_range(usize::MAX, usize::MAX / 16));
+        assert!(!dense_range(usize::MAX, 1));
     }
 
     #[test]

@@ -915,3 +915,119 @@ proptest! {
         }
     }
 }
+
+/// The unary batch a dense-seal case draws: `pending ≥ 2` values below
+/// `span`, the largest (`span − 1`) present, with `span` placed against the
+/// seal's density rule (`span ≤ 32 · pending + 64` marks a bitmap, a wider
+/// range sorts): `side` 0 is well inside it with many duplicates, 1
+/// anywhere inside, 2 on the boundary, 3 one past it, 4 far outside, and 5
+/// reaches the top of the `u32` values.
+fn unary_batch(pending: usize, side: usize, draws: &[u32]) -> Vec<u32> {
+    let rule = 32 * pending + 64;
+    let d = draws[0] as usize;
+    let span = match side {
+        0 => 1 + d % (2 * pending),
+        1 => 1 + d % rule,
+        2 => rule,
+        3 => rule + 1,
+        4 => rule + 1 + d % 100_000,
+        _ => u32::MAX as usize + 1,
+    };
+    let mut batch = vec![(span - 1) as u32];
+    batch.extend(
+        draws[1..pending]
+            .iter()
+            .map(|&x| (x as usize % span) as u32),
+    );
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A unary seal on either side of the density rule, and on its
+    /// boundary, into an empty store or a sealed run (the splice path):
+    /// the run is the batch and the old rows sorted and deduplicated, and
+    /// it equals, hashes like and holds the heap bytes of a fresh build
+    /// from the same rows.
+    #[test]
+    fn unary_seal_matches_sort_dedup_on_both_sides_of_the_density_rule(
+        input in (2usize..150, 0usize..6, any::<bool>()).prop_flat_map(
+            |(pending, side, into_run)| (
+                Just((pending, side, into_run)),
+                prop::collection::vec(any::<u32>(), pending..=pending),
+                prop::collection::vec(any::<u32>(), 1..40),
+            ),
+        ),
+    ) {
+        let ((pending, side, into_run), draws, run) = input;
+        let batch = unary_batch(pending, side, &draws);
+        let mut s = TupleStore::new(1);
+        let mut want: Vec<u32> = Vec::new();
+        if into_run {
+            // Old rows inside the batch's range and anywhere else.
+            let top = *batch.iter().max().expect("non-empty batch");
+            for &x in &run {
+                let v = if x % 2 == 0 { x % top.saturating_add(1) } else { x };
+                s.push(&[Elem(v)]);
+                want.push(v);
+            }
+            s.seal();
+        }
+        for &v in &batch {
+            s.push(&[Elem(v)]);
+        }
+        want.extend(&batch);
+        s.seal();
+        want.sort_unstable();
+        want.dedup();
+        prop_assert!(s.is_sealed());
+        let got: Vec<u32> = s.iter().map(|t| t.get(0).0).collect();
+        prop_assert_eq!(&got, &want);
+        let model: BTreeSet<Vec<Elem>> = want.iter().map(|&v| vec![Elem(v)]).collect();
+        let fresh = fresh_store(1, &model);
+        prop_assert!(s == fresh, "not canonical");
+        prop_assert_eq!(hash_of(&s), hash_of(&fresh));
+        prop_assert_eq!(s.heap_bytes(), fresh.heap_bytes());
+    }
+
+    /// Unary `difference` and `intersection` — which walk the other
+    /// store when the probing side holds at least an eighth as many rows —
+    /// equal the galloping kernels' result, read through the same rows
+    /// widened to arity 2 (where every size gallops), and the model.
+    #[test]
+    fn dense_unary_filters_match_galloping(
+        a in prop::collection::vec(0u32..400, 0..120),
+        b in prop::collection::vec(0u32..400, 0..900),
+    ) {
+        let unary = |xs: &[u32]| {
+            let mut s = TupleStore::new(1);
+            xs.iter().for_each(|&x| s.push(&[Elem(x)]));
+            s.seal();
+            s
+        };
+        let widened = |xs: &[u32]| {
+            let mut s = TupleStore::new(2);
+            xs.iter().for_each(|&x| s.push(&[Elem(x), Elem(0)]));
+            s.seal();
+            s
+        };
+        let lead = |s: &TupleStore| s.iter().map(|t| t.get(0).0).collect::<Vec<u32>>();
+        let (ma, mb): (BTreeSet<u32>, BTreeSet<u32>) =
+            (a.iter().copied().collect(), b.iter().copied().collect());
+        let (ua, ub, wa, wb) = (unary(&a), unary(&b), widened(&a), widened(&b));
+        for (x, y, wx, wy, mx, my) in [
+            (&ua, &ub, &wa, &wb, &ma, &mb),
+            (&ub, &ua, &wb, &wa, &mb, &ma),
+        ] {
+            let d = x.difference(y);
+            prop_assert_eq!(lead(&d), lead(&wx.difference(wy)));
+            prop_assert_eq!(lead(&d), mx.difference(my).copied().collect::<Vec<_>>());
+            let i = x.intersection(y);
+            prop_assert_eq!(lead(&i), lead(&wx.intersection(wy)));
+            prop_assert_eq!(lead(&i), mx.intersection(my).copied().collect::<Vec<_>>());
+            prop_assert!(d.is_sealed() && i.is_sealed());
+            prop_assert_eq!(d.len() + i.len(), x.len());
+        }
+    }
+}
