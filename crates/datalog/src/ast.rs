@@ -98,7 +98,8 @@ impl Rule {
     }
 }
 
-/// A positive Datalog program over an EDB vocabulary.
+/// A Datalog program over an EDB vocabulary, positive or with stratified
+/// negation (validated at construction).
 #[derive(Clone, Debug)]
 pub struct Program {
     edb: Vocabulary,
@@ -244,6 +245,14 @@ impl Program {
         &self.rules
     }
 
+    /// True when `self` and `other` agree on the EDB vocabulary, the IDB
+    /// predicates and the rules: the identity a [`crate::MaterializedDb`]
+    /// is maintained for. Variable names, source lines and the goal do not
+    /// count.
+    pub fn same_rules(&self, other: &Program) -> bool {
+        self.edb == other.edb && self.idbs == other.idbs && self.rules == other.rules
+    }
+
     /// Look up an IDB predicate index by name.
     pub fn idb_index(&self, name: &str) -> Option<usize> {
         self.idbs.iter().position(|(n, _)| n == name)
@@ -376,6 +385,24 @@ mod tests {
             &Vocabulary::digraph(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn same_rules_ignores_names_lines_and_goal() {
+        let v = Vocabulary::digraph();
+        let renamed = Program::parse(
+            "# goal: T\n\nT(u,w) :- E(u,w).\nT(u,w) :- E(u,v), T(v,w).",
+            &v,
+        )
+        .unwrap();
+        assert!(tc().same_rules(&renamed) && renamed.same_rules(&tc()));
+        let reversed = Program::parse("T(x,y) :- E(y,x).\nT(x,y) :- E(x,z), T(z,y).", &v);
+        assert!(!tc().same_rules(&reversed.unwrap()));
+        let other_edb = Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,y) :- E(x,z), T(z,y).",
+            &Vocabulary::from_pairs([("E", 2), ("M", 1)]),
+        );
+        assert!(!tc().same_rules(&other_edb.unwrap()));
     }
 
     #[test]

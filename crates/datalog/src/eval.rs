@@ -9,8 +9,9 @@
 //!   the least fixpoint was actually verified within the cap;
 //! - **semi-naive fixpoints** ([`Program::evaluate`] /
 //!   [`Program::evaluate_with`]) — delta rounds driven through precomputed
-//!   join plans ([`crate::plan`]) and sorted probe indexes
-//!   ([`crate::index`]). With [`EvalConfig::threads`] > 1 each round's
+//!   join plans ([`crate::plan`]) that probe the sorted stores, permuted
+//!   copies and membership bitmaps the relations own. With
+//!   [`EvalConfig::threads`] > 1 each round's
 //!   `(rule × delta atom × delta shard)` work items run on the engine's
 //!   [worker pool](crate::pool); rounds are barriers and every derived
 //!   tuple lands in an ordered set, so the result — relations *and* stage
@@ -23,8 +24,7 @@ use hp_guard::{Budget, Budgeted, Exhausted, Gauge, GaugeState, Stop};
 use hp_structures::{Elem, Relation, Row, Structure, StructureError, TupleStore};
 
 use crate::ast::{PredRef, Program};
-use crate::index::{IndexPool, ResolvedRow};
-use crate::plan::{JoinStep, ProbeScratch, ProgramPlan, RulePlan};
+use crate::plan::{JoinStep, ProbeScratch, ProgramPlan, ResolvedRow, RulePlan};
 
 /// User-reachable misuse of the evaluation APIs, reported as a typed error
 /// instead of a panic.
@@ -297,13 +297,12 @@ fn round_workers(workers: usize, min_seed: usize, seed_tuples: usize) -> usize {
     }
 }
 
-/// The committed state a round reads: the structure, the IDB relations,
-/// and an evaluation's guard bitmaps. It hides nothing and adds nothing,
-/// so its join compiles to the plain probe-and-scan walk.
+/// The committed state a round reads: the structure and the IDB
+/// relations. It hides nothing and adds nothing, so its join compiles to
+/// the plain probe-and-scan walk.
 pub(crate) struct JoinCtx<'a> {
     pub a: &'a Structure,
     pub idb: &'a [IdbRelation],
-    pub guards: Option<&'a IndexPool>,
 }
 
 /// What an atom over a predicate reads in [`join`]: the predicate's
@@ -313,13 +312,9 @@ pub(crate) struct JoinCtx<'a> {
 /// mid-deletion views of it. Each reader gets its own compiled join.
 pub(crate) trait Reads: Sync {
     /// The committed relation of `pred`, every delta merged so far
-    /// included; its store or a permuted copy answers each probe.
+    /// included; its store, a permuted copy or its membership bitmap
+    /// answers each probe.
     fn relation(&self, pred: PredRef) -> &Relation;
-    /// Whether the unary relation behind guard spec `spec` holds `e`
-    /// (maintenance plans no guards).
-    fn contains(&self, _spec: usize, _e: Elem) -> bool {
-        unreachable!("maintenance plans no guards")
-    }
     /// Whether an atom over `pred` skips committed row `t`.
     #[inline]
     fn hides(&self, _pred: PredRef, _t: ResolvedRow<'_>) -> bool {
@@ -341,13 +336,6 @@ impl Reads for JoinCtx<'_> {
             PredRef::Idb(p) => &self.idb[p],
         }
     }
-
-    #[inline]
-    fn contains(&self, spec: usize, e: Elem) -> bool {
-        self.guards
-            .expect("an evaluation's guards")
-            .contains(spec, e)
-    }
 }
 
 /// What a semi-naive run carries from round to round: everything an
@@ -363,8 +351,8 @@ struct RunState {
 }
 
 impl RunState {
-    /// The run's relations as a result, without the copies its probes
-    /// built: results and cached answers hold rows only.
+    /// The run's relations as a result, without the copies and bitmaps
+    /// its probes built: results and cached answers hold rows only.
     fn finish(mut self, p: &Program, converged: bool) -> FixpointResult {
         self.idb.iter_mut().for_each(Relation::drop_copies);
         FixpointResult {
@@ -568,8 +556,8 @@ impl Program {
                 ),
             });
         }
-        // The resumed pool refills its arenas, the guard bitmaps among
-        // them, from these tuples.
+        // A checkpoint is outside input: an element beyond the universe
+        // would leak into the result.
         if let Some(e) = cp
             .partial
             .relations
@@ -663,26 +651,17 @@ impl Program {
                 false,
             ),
         };
-        // The guard bitmaps start from the merged IDB tuples; a resumed
-        // run's pending delta is absorbed by the loop below exactly as in
-        // an uninterrupted run.
-        let mut pool = IndexPool::new(&plan, a, &run.idb);
         // One round, either kind: run `items` against the current state
         // (on the calling thread once a worker panic was recovered, or
         // when `seed_tuples` is too few for the pool), make the tuples not
         // yet accumulated the next delta, and charge `1 + derived`. Returns
         // `derived` and the round's peak pending rows.
         let round = |run: &mut RunState,
-                     pool: &IndexPool,
                      items: &[WorkItem],
                      seed_tuples: usize,
                      gauge: &mut Gauge|
          -> Result<(u64, usize), Stop> {
-            let ctx = JoinCtx {
-                a,
-                idb: &run.idb,
-                guards: Some(pool),
-            };
+            let ctx = JoinCtx { a, idb: &run.idb };
             let items: Vec<Item<'_>> = items
                 .iter()
                 .map(|&(ri, delta_atom, chunk)| {
@@ -729,7 +708,7 @@ impl Program {
                     .flat_map(|ri| (0..chunks).map(move |c| (ri, None, (c, chunks))))
                     .collect();
                 let edb_tuples: usize = a.relations().map(|(_, r)| r.len()).sum();
-                match round(&mut run, &pool, &items, edb_tuples, &mut gauge) {
+                match round(&mut run, &items, edb_tuples, &mut gauge) {
                     Ok((derived, peak)) => {
                         stratum_derived += derived;
                         peak_pending = peak_pending.max(peak);
@@ -749,7 +728,6 @@ impl Program {
                     return Err(run.exhausted(self, s, stop));
                 }
                 run.stages += 1;
-                pool.absorb(&plan, &run.delta);
                 for (acc, d) in run.idb.iter_mut().zip(&run.delta) {
                     acc.merge(d);
                 }
@@ -766,7 +744,7 @@ impl Program {
                     })
                     .collect();
                 let delta_tuples: usize = run.delta.iter().map(Relation::len).sum();
-                match round(&mut run, &pool, &items, delta_tuples, &mut gauge) {
+                match round(&mut run, &items, delta_tuples, &mut gauge) {
                     Ok((derived, peak)) => {
                         stratum_derived += derived;
                         peak_pending = peak_pending.max(peak);
@@ -923,15 +901,16 @@ pub(crate) fn join<'v, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
         // of the sorted-store complement. Negated IDB atoms live in
         // strictly lower strata, whose deltas drained before this stratum
         // started, so their relations are final. A unary guard tests one
-        // bit of the pool's membership bitmap (filled at setup for an EDB,
-        // by `IndexPool::absorb` as the lower stratum grew for an IDB). A
+        // bit of the relation's membership bitmap, which the first test
+        // builds (once per relation, so once per shared EDB snapshot). A
         // wider guard probes the sealed relation from this depth's cursor,
         // so guard keys arriving in ascending order sweep it once.
+        let relation = view.relation(pred);
         let (key, cursor) = probes.key(step, depth, asg);
-        let present = match step.index {
-            Some(spec) => view.contains(spec, key[0]),
-            None => {
-                let store = view.relation(pred).store();
+        let present = match *key {
+            [e] => relation.holds(e),
+            _ => {
+                let store = relation.store();
                 debug_assert!(store.is_sealed(), "a negated guard reads a sealed relation");
                 let range = store.prefix_range_from(key, *cursor);
                 *cursor = range.start;
@@ -940,7 +919,7 @@ pub(crate) fn join<'v, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
         };
         return present || join(view, item, depth + 1, asg, probes, sink);
     }
-    if step.index.is_some() {
+    if !step.bound.is_empty() {
         // Probe on exactly the bound positions, through the relation's
         // store or permuted copy for them; candidates satisfy the bound
         // equalities by construction of the key.
@@ -1686,11 +1665,45 @@ mod tests {
             .map(|(order, _)| order.pos_of().to_vec())
             .collect();
         assert_eq!(copies, vec![vec![1, 0]]);
-        // The results carry no copies, and equal a run on an unshared
-        // structure.
-        assert!(r1.relations.iter().all(|r| r.copies().next().is_none()));
+        // The results carry no copies, nor the bitmaps of the IDB guards,
+        // and equal a run on an unshared structure.
+        assert!(r1
+            .relations
+            .iter()
+            .all(|r| r.heap_bytes() == r.store().heap_bytes()));
         let fresh = p.evaluate(&game(3000, 6000, 11));
         assert_eq!(r1.relations, fresh.relations);
         assert_eq!(r1.stages, fresh.stages);
+        // An EDB guard: both runs test the shared `Pos` relation, whose
+        // membership bitmap the first test builds, once.
+        let dead = Program::parse("Dead(x) :- Move(x,y), not Pos(y).", p.edb()).unwrap();
+        let build = || {
+            let mut b = Structure::builder(p.edb().clone(), 3000);
+            for t in a.relation(mv).iter() {
+                b = b.tuple(0, &[t.get(0).0, t.get(1).0]);
+            }
+            for x in (0..3000).filter(|x| x % 3 != 0) {
+                b = b.tuple(1, &[x]);
+            }
+            b.build()
+        };
+        let b = build();
+        let pos = b.relation(b.vocab().lookup("Pos").unwrap());
+        let bitmap_bytes = |r: &Relation| r.heap_bytes() - r.store().heap_bytes();
+        assert_eq!(bitmap_bytes(pos), 0);
+        let (d1, d2) = std::thread::scope(|s| {
+            let run = || {
+                barrier.wait();
+                dead.evaluate(&b)
+            };
+            let (h1, h2) = (s.spawn(run), s.spawn(run));
+            (h1.join().unwrap(), h2.join().unwrap())
+        });
+        // 3000 values in one bit each, rounded up to whole words.
+        assert_eq!(bitmap_bytes(pos), 3000usize.div_ceil(64) * 8);
+        assert_eq!(d1.relations, d2.relations);
+        assert!(!d1.relations[0].is_empty());
+        let unshared = dead.evaluate(&build());
+        assert_eq!(d1.relations, unshared.relations);
     }
 }

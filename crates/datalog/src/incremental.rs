@@ -57,8 +57,7 @@ use hp_structures::{
 use crate::ast::{PredRef, Program};
 use crate::depgraph::DepGraph;
 use crate::eval::{join, run_round, EvalConfig, EvalError, Item, JoinCtx, Reads, StratumProfile};
-use crate::index::ResolvedRow;
-use crate::plan::{plan_steps, plan_steps_prebound, JoinStep, ProbeScratch, RulePlan};
+use crate::plan::{plan_steps, plan_steps_prebound, JoinStep, ProbeScratch, ResolvedRow, RulePlan};
 
 // ---------------------------------------------------------------------------
 // Update batches
@@ -180,11 +179,9 @@ struct MaintPlan {
 
 impl MaintPlan {
     fn new(p: &Program) -> MaintPlan {
-        // Probes read their relations' stores or copies: specs are dropped.
-        let mut specs = Vec::new();
         let mut rules: Vec<MaintRule> = Vec::new();
         for rule in p.rules() {
-            let rp = RulePlan::new(rule, &mut specs);
+            let rp = RulePlan::new(rule);
             let mut head_repeats = Vec::new();
             for (i, &s) in rp.head_args.iter().enumerate() {
                 if let Some(j) = rp.head_args[..i].iter().position(|&t| t == s) {
@@ -192,14 +189,13 @@ impl MaintPlan {
                 }
             }
             let seeded_orders = (0..rp.atoms.len())
-                .map(|ai| plan_steps(&rp.atoms, rp.var_count, Some(ai), &mut specs))
+                .map(|ai| plan_steps(&rp.atoms, rp.var_count, Some(ai)))
                 .collect();
             let mut prebound = vec![false; rp.var_count];
             for &s in &rp.head_args {
                 prebound[s] = true;
             }
-            let rederive_order =
-                plan_steps_prebound(&rp.atoms, rp.var_count, &prebound, &mut specs);
+            let rederive_order = plan_steps_prebound(&rp.atoms, rp.var_count, &prebound);
             rules.push(MaintRule {
                 rp,
                 head_repeats,
@@ -344,7 +340,6 @@ impl MaterializedDb {
         JoinCtx {
             a: &self.structure,
             idb: &self.idb,
-            guards: None,
         }
     }
 
@@ -1296,10 +1291,7 @@ impl Program {
 
     /// Cheap identity check: was `db` built for (a clone of) this program?
     fn check_db(&self, db: &MaterializedDb) -> Result<(), EvalError> {
-        if self.edb() != db.program.edb()
-            || self.idbs() != db.program.idbs()
-            || self.rules() != db.program.rules()
-        {
+        if !self.same_rules(&db.program) {
             return Err(EvalError::ProgramMismatch {
                 detail: "materialized database was built for a different program".to_string(),
             });

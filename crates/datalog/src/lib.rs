@@ -13,7 +13,7 @@
 //! - bottom-up evaluation: **naive** stages `Φ⁰, Φ¹, …` (the monotone
 //!   operator of §2.3, used for stage counting — with explicit convergence
 //!   reporting, see [`StageSequence`]) and **semi-naive** fixpoints driven
-//!   through precomputed join plans and per-predicate hash indexes, with
+//!   through precomputed join plans and sorted probes of the relations, with
 //!   optional sharded parallel delta rounds ([`EvalConfig`]) that are
 //!   bit-identical to sequential evaluation;
 //! - **Theorem 7.1** made executable: the m-th stage of a k-Datalog program
@@ -54,7 +54,6 @@ mod error;
 mod eval;
 pub mod gallery;
 mod incremental;
-mod index;
 mod parser;
 mod plan;
 mod pool;

@@ -1,6 +1,5 @@
-//! Precomputed join plans: dense per-rule variable numbering, atom join
-//! orders chosen by bound-variable selectivity, and the probe-index key
-//! specifications those orders probe.
+//! Precomputed join plans: dense per-rule variable numbering, and atom
+//! join orders chosen by bound-variable selectivity.
 //!
 //! The seed evaluator recomputed `rule.variables()` (and a fresh
 //! binary-search closure over it) on **every** `rule_matches` invocation of
@@ -14,36 +13,34 @@
 //! items, where that occurrence reads the delta relation and is scanned
 //! first). Orders are greedy: after the seed, repeatedly pick the atom with
 //! the most argument positions over already-bound variables (ties prefer
-//! EDB atoms, then source order), so each step can be answered by a sorted
-//! probe index ([`crate::index`]) keyed on exactly those bound positions:
-//! the relation itself when they are a prefix, else a permuted copy. A
-//! negated literal over a unary predicate gets a spec of its own kind, a
-//! membership bitmap, so the guard is one bit test.
+//! EDB atoms, then source order). A plan names no index: each step's
+//! [`JoinStep::bound`] positions are the key, and every structure a probe
+//! reads belongs to the relation it reads ([`Relation::copy`],
+//! [`Relation::holds`]), in one of three shapes:
+//!
+//! - **identity** (key positions are the prefix `0..k`): nothing is built.
+//!   The relation's own sealed store is already sorted lexicographically,
+//!   so a probe is [`TupleStore::prefix_range_from`] on it — a chunked
+//!   search over the leading column planes that gallops forward from the
+//!   caller's cursor while keys ascend.
+//! - **permuted copy** (any other key positions): a sorted copy with the
+//!   key columns moved to the front, probed the same way, built on the
+//!   first probe that needs it and spliced by every later write (a
+//!   maintenance batch, a round's delta merge, a served update).
+//!   Evaluations, snapshots and views sharing a relation share its copies;
+//!   results leave an evaluation without them.
+//! - **membership bitmap** (a negated literal over a unary predicate): one
+//!   bit per value up to the relation's largest member, so the guard is a
+//!   single bit test, built and kept in step the same way. A wider guard
+//!   probes the sealed store.
+//!
+//! [`TupleStore::prefix_range_from`]: hp_structures::TupleStore::prefix_range_from
 
 use std::cmp::Reverse;
 
-use hp_structures::{Elem, Relation};
+use hp_structures::{Elem, Relation, Row, RowRef, TupleStore};
 
 use crate::ast::{PredRef, Program, Rule};
-use crate::index::Source;
-
-/// Key specification for one probe index: a predicate together with the
-/// sorted tuple positions the key is drawn from. Interned per program so
-/// equal specs across rules share one physical index — the relation's own
-/// sorted store when the positions are the prefix `0..k`, else one
-/// permuted copy.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct IndexSpec {
-    /// Indexed predicate.
-    pub pred: PredRef,
-    /// Sorted tuple positions forming the key.
-    pub key_positions: Vec<usize>,
-    /// True for the membership bitmap of a negated unary guard (key `[0]`):
-    /// a bit per universe element, tested rather than probed. Part of the
-    /// interning key, so a guard never shares a positive probe's index
-    /// on the same predicate and positions.
-    pub guard: bool,
-}
 
 /// One body atom with its arguments renumbered to dense rule-local slots.
 #[derive(Clone, Debug)]
@@ -65,7 +62,9 @@ pub(crate) struct JoinStep {
     /// Body atom index this step joins.
     pub atom: usize,
     /// `(argument position, slot)` pairs whose variable is already bound by
-    /// earlier steps, in argument-position order — these form the probe key.
+    /// earlier steps (or prebound), in argument-position order — these form
+    /// the probe key. Empty on a step that scans: nothing is bound yet, or
+    /// the step is the delta atom at depth 0, which scans its delta.
     pub bound: Vec<(usize, usize)>,
     /// `(argument position, slot)` pairs binding a variable for the first
     /// time.
@@ -73,13 +72,55 @@ pub(crate) struct JoinStep {
     /// `(later, earlier)` argument positions carrying the same — hitherto
     /// unbound — variable within this atom: candidate tuples must agree.
     pub repeats: Vec<(usize, usize)>,
-    /// Index into [`ProgramPlan::index_specs`] to probe with the values of
-    /// `bound`, or `None` to scan the whole relation (nothing bound yet, or
-    /// the step reads a delta relation). On a negated step: the guard's
-    /// membership bitmap when the predicate is unary, else `None` — the
-    /// guard then probes the sealed relation itself.
-    pub index: Option<usize>,
 }
+
+/// One candidate row handed out by a probe, in the atom's original column
+/// order regardless of how the backing store holds it.
+#[derive(Clone, Copy)]
+pub(crate) enum ResolvedRow<'a> {
+    /// A row of a sealed store already in original column order.
+    Direct(RowRef<'a>),
+    /// A permuted-copy row read through the copy's position map.
+    Permuted {
+        row: RowRef<'a>,
+        pos_of: &'a [usize],
+    },
+}
+
+impl<'a> ResolvedRow<'a> {
+    /// Row `r` of a [`Source`]'s store, read through its position map.
+    #[inline]
+    pub(crate) fn new(store: &'a TupleStore, pos_of: Option<&'a [usize]>, r: usize) -> Self {
+        let row = store.row(r);
+        match pos_of {
+            Some(pos_of) => ResolvedRow::Permuted { row, pos_of },
+            None => ResolvedRow::Direct(row),
+        }
+    }
+}
+
+impl Row for ResolvedRow<'_> {
+    #[inline]
+    fn width(&self) -> usize {
+        match self {
+            ResolvedRow::Direct(r) => r.len(),
+            ResolvedRow::Permuted { pos_of, .. } => pos_of.len(),
+        }
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> Elem {
+        match self {
+            ResolvedRow::Direct(r) => r.get(i),
+            ResolvedRow::Permuted { row, pos_of } => row.get(pos_of[i]),
+        }
+    }
+}
+
+/// What a probe step searches, as [`Relation::copy`] hands it out: a
+/// sorted store and the map to read its rows in original column order
+/// (`None` when they already are).
+pub(crate) type Source<'a> = (&'a TupleStore, Option<&'a [usize]>);
 
 /// One work item's probe scratch: the key buffer every probe writes into,
 /// so no probe allocates; one cursor per join depth — the start of that
@@ -87,8 +128,6 @@ pub(crate) struct JoinStep {
 /// ([`TupleStore::prefix_range_from`]) gallops forward while keys arrive
 /// in ascending order, as they do under a sorted delta scan; and the
 /// [`Source`] each depth probes, resolved on the item's first probe there.
-///
-/// [`TupleStore::prefix_range_from`]: hp_structures::TupleStore::prefix_range_from
 pub(crate) struct ProbeScratch<'a> {
     key: Vec<Elem>,
     cursors: Vec<usize>,
@@ -154,67 +193,27 @@ pub(crate) struct RulePlan {
 }
 
 /// Per-program metadata for the indexed join core: one [`RulePlan`] per
-/// rule plus the interned set of index specs the orders probe.
+/// rule.
 #[derive(Clone, Debug)]
 pub(crate) struct ProgramPlan {
     /// Rule plans, aligned with [`Program::rules`].
     pub rules: Vec<RulePlan>,
-    /// Interned index-key specs referenced by [`JoinStep::index`].
-    pub index_specs: Vec<IndexSpec>,
-    /// Aligned with `index_specs`: whether the evaluator keeps an IDB
-    /// index in step with its predicate as it grows. False when only the
-    /// seed orders of rules in the predicate's own stratum probe it: such
-    /// a rule is not an exit rule, so the fixpoint never runs its seed
-    /// order (round 0 runs exit rules only), and the index is never read.
-    /// Always true for a guard bitmap over an IDB: a negated predicate
-    /// sits in a strictly lower stratum than every rule reading it. Unused
-    /// for EDB specs.
-    pub absorbed: Vec<bool>,
 }
 
 impl ProgramPlan {
     /// Build the plan for a validated program.
     pub fn new(p: &Program) -> ProgramPlan {
-        let mut index_specs: Vec<IndexSpec> = Vec::new();
-        let rules: Vec<RulePlan> = p
-            .rules()
-            .iter()
-            .map(|r| RulePlan::new(r, &mut index_specs))
-            .collect();
-        let mut absorbed = vec![false; index_specs.len()];
-        for (ri, rp) in rules.iter().enumerate() {
-            // Delta orders run while the accumulated IDBs grow; a seed
-            // order runs in round 0 only for an exit rule, whose IDB atoms
-            // all lie in lower strata.
-            for i in rp
-                .delta_orders
-                .iter()
-                .flatten()
-                .flatten()
-                .filter_map(|s| s.index)
-            {
-                absorbed[i] = true;
-            }
-            for i in rp.seed_order.iter().filter_map(|s| s.index) {
-                if let PredRef::Idb(q) = index_specs[i].pred {
-                    absorbed[i] |= p.stratum_of(q) < p.rule_stratum(ri);
-                }
-            }
-        }
         ProgramPlan {
-            rules,
-            index_specs,
-            absorbed,
+            rules: p.rules().iter().map(RulePlan::new).collect(),
         }
     }
 }
 
 impl RulePlan {
-    /// Build the plan for one rule, interning index specs into `specs`.
-    /// Also used by the incremental-maintenance planner, which reuses the
-    /// dense slotting and then derives its own orders with
-    /// [`plan_steps`]/[`plan_steps_prebound`].
-    pub(crate) fn new(rule: &Rule, specs: &mut Vec<IndexSpec>) -> RulePlan {
+    /// Build the plan for one rule. Also used by the
+    /// incremental-maintenance planner, which reuses the dense slotting and
+    /// then derives its own orders with [`plan_steps`]/[`plan_steps_prebound`].
+    pub(crate) fn new(rule: &Rule) -> RulePlan {
         let vars: Vec<u32> = rule.variables().into_iter().collect();
         let slot = |v: u32| vars.binary_search(&v).expect("rule variable");
         let atoms: Vec<AtomPlan> = rule
@@ -238,12 +237,12 @@ impl RulePlan {
             .filter(|(_, a)| matches!(a.pred, PredRef::Idb(_)) && !a.negated)
             .map(|(i, _)| i)
             .collect();
-        let seed_order = plan_steps(&atoms, vars.len(), None, specs);
+        let seed_order = plan_steps(&atoms, vars.len(), None);
         let delta_orders = (0..atoms.len())
             .map(|i| {
                 idb_atoms
                     .contains(&i)
-                    .then(|| plan_steps(&atoms, vars.len(), Some(i), specs))
+                    .then(|| plan_steps(&atoms, vars.len(), Some(i)))
             })
             .collect();
         RulePlan {
@@ -259,27 +258,25 @@ impl RulePlan {
 }
 
 /// Choose a greedy join order seeded by `seed` (the delta atom, scanned
-/// first) and derive the per-step classification and index specs.
+/// first) and derive the per-step classification.
 pub(crate) fn plan_steps(
     atoms: &[AtomPlan],
     var_count: usize,
     seed: Option<usize>,
-    specs: &mut Vec<IndexSpec>,
 ) -> Vec<JoinStep> {
-    plan_steps_inner(atoms, var_count, seed, &[], specs)
+    plan_steps_inner(atoms, var_count, seed, &[])
 }
 
 /// Like [`plan_steps`], but with some variable slots *prebound* before the
 /// first step — the rederivation orders of DRed start from a fully bound
-/// head tuple, so every step can be answered by an index probe on its
+/// head tuple, so every step can be answered by a probe on its
 /// prebound-or-earlier-bound positions.
 pub(crate) fn plan_steps_prebound(
     atoms: &[AtomPlan],
     var_count: usize,
     prebound: &[bool],
-    specs: &mut Vec<IndexSpec>,
 ) -> Vec<JoinStep> {
-    plan_steps_inner(atoms, var_count, None, prebound, specs)
+    plan_steps_inner(atoms, var_count, None, prebound)
 }
 
 fn plan_steps_inner(
@@ -287,7 +284,6 @@ fn plan_steps_inner(
     var_count: usize,
     seed: Option<usize>,
     prebound: &[bool],
-    specs: &mut Vec<IndexSpec>,
 ) -> Vec<JoinStep> {
     debug_assert!(prebound.is_empty() || prebound.len() == var_count);
     let mut order: Vec<usize> = Vec::new();
@@ -353,60 +349,25 @@ fn plan_steps_inner(
             for &(_, s) in &binds {
                 bound_var[s] = true;
             }
-            // The delta atom (always at depth 0) reads the per-round delta
-            // relation, which is scanned, never indexed. A negated guard
-            // over a unary predicate tests one bit of its membership bitmap;
-            // a wider (or 0-ary) guard is a sorted-store probe of the
-            // sealed relation from the depth's cursor, not an index. Any
-            // other step with at least one bound position probes an index
-            // on exactly those positions.
-            let reads_delta = seed == Some(ai);
-            let index = if atom.negated {
-                (atom.args.len() == 1).then(|| intern(specs, atom.pred, vec![0], true))
-            } else {
-                (!bound.is_empty() && !reads_delta).then(|| {
-                    intern(
-                        specs,
-                        atom.pred,
-                        bound.iter().map(|&(i, _)| i).collect(),
-                        false,
-                    )
-                })
-            };
+            // The delta atom (always at depth 0) binds before anything is
+            // bound, so it scans: `bound` is empty.
+            debug_assert!(seed != Some(ai) || bound.is_empty());
             JoinStep {
                 atom: ai,
                 bound,
                 binds,
                 repeats,
-                index,
             }
         })
         .collect()
 }
 
-fn intern(
-    specs: &mut Vec<IndexSpec>,
-    pred: PredRef,
-    key_positions: Vec<usize>,
-    guard: bool,
-) -> usize {
-    let spec = IndexSpec {
-        pred,
-        key_positions,
-        guard,
-    };
-    if let Some(i) = specs.iter().position(|s| *s == spec) {
-        i
-    } else {
-        specs.push(spec);
-        specs.len() - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hp_structures::Vocabulary;
+    use hp_structures::generators::directed_path;
+    use hp_structures::{permuted_copy, Structure, SymbolId, Vocabulary};
+    use std::ops::Range;
 
     fn tc() -> Program {
         Program::parse(
@@ -416,6 +377,52 @@ mod tests {
         .unwrap()
     }
 
+    /// The argument positions `step` probes on.
+    fn key_of(step: &JoinStep) -> Vec<usize> {
+        step.bound.iter().map(|&(i, _)| i).collect()
+    }
+
+    /// Every `(predicate, key positions)` a positive step of `plan`
+    /// probes, in first-use order.
+    fn probed(plan: &ProgramPlan) -> Vec<(PredRef, Vec<usize>)> {
+        let mut keys = Vec::new();
+        for rp in &plan.rules {
+            for steps in std::iter::once(&rp.seed_order).chain(rp.delta_orders.iter().flatten()) {
+                for step in steps.iter().filter(|s| !s.bound.is_empty()) {
+                    let probe = (rp.atoms[step.atom].pred, key_of(step));
+                    if !rp.atoms[step.atom].negated && !keys.contains(&probe) {
+                        keys.push(probe);
+                    }
+                }
+            }
+        }
+        keys
+    }
+
+    type Probe<'a> = (&'a TupleStore, Option<&'a [usize]>, Range<usize>);
+
+    /// The rows of `source` whose key columns equal `key`, galloping from
+    /// `cursor` as the join does.
+    fn probe<'a>((store, pos_of): Source<'a>, key: &[Elem], cursor: &mut usize) -> Probe<'a> {
+        let range = store.prefix_range_from(key, *cursor);
+        *cursor = range.start;
+        (store, pos_of, range)
+    }
+
+    fn collect((store, pos_of, range): Probe<'_>) -> Vec<Vec<Elem>> {
+        range
+            .map(|r| ResolvedRow::new(store, pos_of, r).to_elems())
+            .collect()
+    }
+
+    /// The source an EDB probe on `key` reads: its relation's store or copy.
+    fn source<'a>(a: &'a Structure, pred: PredRef, key: &[usize]) -> Source<'a> {
+        let PredRef::Edb(sym) = pred else {
+            unreachable!("an EDB probe")
+        };
+        a.relation(sym).copy(key)
+    }
+
     #[test]
     fn tc_plan_shape() {
         let plan = ProgramPlan::new(&tc());
@@ -423,14 +430,13 @@ mod tests {
         let r1 = &plan.rules[1];
         assert_eq!(r1.var_count, 3);
         assert_eq!(r1.idb_atoms, vec![1]);
-        // Delta order for the T(z,y) atom: T first, then E probed on its
-        // second position (z bound).
+        // Delta order for the T(z,y) atom: T first (scanned), then E probed
+        // on its second position (z bound).
         let steps = r1.delta_orders[1].as_ref().unwrap();
         assert_eq!(steps[0].atom, 1);
-        assert!(steps[0].index.is_none());
+        assert!(steps[0].bound.is_empty());
         assert_eq!(steps[1].atom, 0);
-        let spec = &plan.index_specs[steps[1].index.unwrap()];
-        assert_eq!(spec.key_positions, vec![1]);
+        assert_eq!(key_of(&steps[1]), vec![1]);
     }
 
     #[test]
@@ -441,14 +447,13 @@ mod tests {
         assert_eq!(step.binds, vec![(0, 0)]);
         assert_eq!(step.repeats, vec![(1, 0)]);
         assert!(step.bound.is_empty());
-        assert!(step.index.is_none());
     }
 
     #[test]
-    fn unary_guards_get_a_membership_spec_of_their_own() {
-        // `R` is probed on position 0 and guarded on position 0: two specs,
-        // only the guard's marked, and the guard's IDB bitmap is absorbed.
-        // The binary guard `not E(y,x)` gets no spec at all.
+    fn guards_come_last_with_every_argument_bound() {
+        // `R` is probed on position 0 and guarded on position 0; the unary
+        // guard `not R(x)` and the binary guard `not E(y,x)` both run once
+        // every argument is bound, binding nothing.
         let p = Program::parse(
             "R(x) :- M(x).\nS(x) :- E(x,y), R(y), not R(x).\nU(x) :- E(x,y), not E(y,x).",
             &Vocabulary::from_pairs([("E", 2), ("M", 1)]),
@@ -456,34 +461,170 @@ mod tests {
         .unwrap();
         let plan = ProgramPlan::new(&p);
         let r = p.idbs().iter().position(|(n, _)| n == "R").unwrap();
-        let on_r: Vec<(bool, bool)> = (0..plan.index_specs.len())
-            .filter(|&i| plan.index_specs[i].pred == PredRef::Idb(r))
-            .map(|i| (plan.index_specs[i].guard, plan.absorbed[i]))
-            .collect();
-        assert_eq!(on_r, vec![(false, true), (true, true)]);
-        let u = p.idbs().iter().position(|(n, _)| n == "U").unwrap();
-        let rp = plan.rules.iter().find(|rp| rp.head == u).unwrap();
-        let guard = &rp.seed_order[1];
-        assert!(rp.atoms[guard.atom].negated && guard.index.is_none());
+        assert!(probed(&plan).contains(&(PredRef::Idb(r), vec![0])));
+        for (head, key) in [("S", vec![0]), ("U", vec![0, 1])] {
+            let h = p.idbs().iter().position(|(n, _)| n == head).unwrap();
+            let rp = plan.rules.iter().find(|rp| rp.head == h).unwrap();
+            let guard = rp.seed_order.last().unwrap();
+            assert!(rp.atoms[guard.atom].negated, "{head}");
+            assert_eq!(key_of(guard), key, "{head}");
+            assert!(guard.binds.is_empty() && guard.repeats.is_empty(), "{head}");
+        }
     }
 
     #[test]
-    fn specs_are_interned_across_rules() {
-        // Both rules probe E on position 1 after seeding from the IDB atom;
-        // the spec is shared.
+    fn edb_copies_probe_by_position() {
+        let plan = ProgramPlan::new(&tc());
+        let a = directed_path(4);
+        // The TC delta order probes E on its second position; edges into
+        // element 2 = {(1,2)}.
+        let (pred, key) = probed(&plan)
+            .into_iter()
+            .find(|(pred, key)| matches!(pred, PredRef::Edb(_)) && *key == vec![1])
+            .expect("E probed on position 1");
+        let hits = collect(probe(source(&a, pred, &key), &[Elem(2)], &mut 0));
+        assert_eq!(hits, vec![vec![Elem(1), Elem(2)]]);
+        assert!(collect(probe(source(&a, pred, &key), &[Elem(0)], &mut 0)).is_empty());
+    }
+
+    #[test]
+    fn prefix_keys_probe_the_relation_directly() {
         let p = Program::parse(
-            "A(x) :- E(x,x).\nA(x) :- E(x,y), A(y).\nB(x) :- E(x,y), B(y).\nB(x) :- E(x,x).",
+            "R(y) :- S(x), E(x,y).\nR(y) :- R(x), E(x,y).",
+            &Vocabulary::from_pairs([("E", 2), ("S", 1)]),
+        )
+        .unwrap();
+        let plan = ProgramPlan::new(&p);
+        let mut a = Structure::new(p.edb().clone(), 4);
+        for i in 0..3u32 {
+            a.add_tuple_ids(0, &[i, i + 1]).unwrap();
+        }
+        a.add_tuple_ids(1, &[0]).unwrap();
+        let (pred, key) = probed(&plan)
+            .into_iter()
+            .find(|(pred, key)| matches!(pred, PredRef::Edb(_)) && *key == vec![0])
+            .expect("E probed on position 0 (the linear chain probe)");
+        let e = a.relation(SymbolId::from(0usize));
+        let (store, pos_of, _) = probe(source(&a, pred, &key), &[Elem(2)], &mut 0);
+        assert!(e.copies().next().is_none());
+        assert!(std::ptr::eq(store, e.store()) && pos_of.is_none());
+        let hits = collect(probe(source(&a, pred, &key), &[Elem(2)], &mut 0));
+        assert_eq!(hits, vec![vec![Elem(2), Elem(3)]]);
+    }
+
+    #[test]
+    fn permuted_rows_come_back_in_original_column_order() {
+        let mut a = directed_path(4);
+        a.add_tuple_ids(0, &[0, 2]).unwrap();
+        a.add_tuple_ids(0, &[3, 2]).unwrap();
+        let e = PredRef::Edb(SymbolId::from(0usize));
+        // Edges into 2: (0,2), (1,2), (3,2) — ascending by the remaining
+        // (source) column, exactly the relation's own row order restricted
+        // to the key, with every row decoded back to (src, dst).
+        let hits = collect(probe(source(&a, e, &[1]), &[Elem(2)], &mut 0));
+        assert_eq!(
+            hits,
+            vec![
+                vec![Elem(0), Elem(2)],
+                vec![Elem(1), Elem(2)],
+                vec![Elem(3), Elem(2)],
+            ]
+        );
+    }
+
+    #[test]
+    fn a_shared_cursor_never_changes_an_answer() {
+        // One cursor through ascending, repeated and descending keys, on
+        // both sorted shapes: every answer equals a fresh-cursor probe.
+        let p = Program::parse(
+            "R(y) :- S(x), E(x,y).\nR(y) :- R(x), E(x,y).\nT(x) :- E(x,y), R(y).",
+            &Vocabulary::from_pairs([("E", 2), ("S", 1)]),
+        )
+        .unwrap();
+        let plan = ProgramPlan::new(&p);
+        let mut a = Structure::new(p.edb().clone(), 200);
+        for i in 0..200u32 {
+            for d in [1, 7, 30] {
+                a.add_tuple_ids(0, &[i, (i * d + 3) % 200]).unwrap();
+            }
+        }
+        let keys: Vec<u32> = (0..200)
+            .chain([5, 5, 199, 0, 150, 150, 3])
+            .chain((0..200).rev())
+            .collect();
+        let edb_probes: Vec<_> = probed(&plan)
+            .into_iter()
+            .filter(|(pred, _)| matches!(pred, PredRef::Edb(_)))
+            .collect();
+        assert_eq!(edb_probes.len(), 2, "E on [0] and on [1]");
+        for (pred, key) in edb_probes {
+            let mut cursor = 0;
+            for &k in &keys {
+                let got = collect(probe(source(&a, pred, &key), &[Elem(k)], &mut cursor));
+                assert_eq!(
+                    got,
+                    collect(probe(source(&a, pred, &key), &[Elem(k)], &mut 0))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn idb_copies_follow_absorbed_deltas() {
+        // Nonlinear TC probes T on [0] (a prefix: the identity, no copy)
+        // and on [1] (a permuted copy absorbing every delta).
+        let p = Program::parse(
+            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).",
             &Vocabulary::digraph(),
         )
         .unwrap();
         let plan = ProgramPlan::new(&p);
-        let probe_specs: Vec<usize> = plan
-            .rules
-            .iter()
-            .flat_map(|r| r.delta_orders.iter().flatten())
-            .flat_map(|steps| steps.iter().filter_map(|s| s.index))
+        let on_t: Vec<Vec<usize>> = probed(&plan)
+            .into_iter()
+            .filter(|(pred, _)| *pred == PredRef::Idb(0))
+            .map(|(_, key)| key)
             .collect();
-        assert!(!probe_specs.is_empty());
-        assert!(probe_specs.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(on_t, vec![vec![0], vec![1]]);
+        let mut idb = p.empty_idbs();
+        // Stage Φ⁰: the copy is built over the empty relation, then follows
+        // every merged delta.
+        idb[0].copy(&[1]);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..6 {
+            let mut batch = Relation::new(2);
+            for _ in 0..15 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                batch.insert(&[Elem((x % 12) as u32), Elem(((x >> 32) % 12) as u32)]);
+            }
+            // A delta holds only tuples new to the accumulated relation.
+            let mut delta = p.empty_idbs();
+            delta[0].merge_store(&batch.store().difference(idb[0].store()));
+            idb[0].merge(&delta[0]);
+
+            let copy = idb[0].copies().next().map(|(_, s)| s.clone());
+            let want = Some(permuted_copy(&[1], idb[0].store()).1);
+            assert_eq!(copy, want, "round {round}");
+            for col in [0, 1] {
+                let mut cursor = 0;
+                for k in 0..12u32 {
+                    let mut got = collect(probe(idb[0].copy(&[col]), &[Elem(k)], &mut cursor));
+                    got.sort();
+                    let scan: Vec<Vec<Elem>> = idb[0]
+                        .iter()
+                        .filter(|t| t.get(col) == Elem(k))
+                        .map(|t| t.to_vec())
+                        .collect();
+                    assert_eq!(got, scan, "round {round}, column {col}, key {k}");
+                }
+            }
+            assert_eq!(idb[0].copies().count(), 1);
+            // A resumed run builds the same copy from the accumulated
+            // relation in one go.
+            let mut rebuilt = Relation::new(2);
+            rebuilt.merge_store(idb[0].store());
+            assert_eq!(Some(rebuilt.copy(&[1]).0), copy.as_ref());
+        }
     }
 }

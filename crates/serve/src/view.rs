@@ -64,7 +64,7 @@ struct View {
 
 impl View {
     fn is_for(&self, hash: u64, program: &Program) -> bool {
-        self.hash == hash && same_program(&self.program, program)
+        self.hash == hash && self.program.same_rules(program)
     }
 }
 
@@ -219,7 +219,7 @@ impl ViewRegistry {
             match reg
                 .seen
                 .iter()
-                .position(|(h, p)| *h == hash && same_program(p, program))
+                .position(|(h, p)| *h == hash && p.same_rules(program))
             {
                 Some(i) => {
                     reg.seen.remove(i);
@@ -272,19 +272,14 @@ impl Registry {
     }
 }
 
-/// The view key: a hash of exactly what [`same_program`] compares.
+/// The view key: a hash of exactly what [`Program::same_rules`] compares,
+/// the identity a view is maintained for.
 fn program_hash(p: &Program) -> u64 {
     let mut h = DefaultHasher::new();
     p.edb().hash(&mut h);
     p.idbs().hash(&mut h);
     p.rules().hash(&mut h);
     h.finish()
-}
-
-/// The identity a view is maintained for: the comparison
-/// [`Program::evaluate_incremental`] makes before touching a database.
-fn same_program(a: &Program, b: &Program) -> bool {
-    a.edb() == b.edb() && a.idbs() == b.idbs() && a.rules() == b.rules()
 }
 
 /// Chaos-suite hook: panic at site `"serve.view"` in the middle of a

@@ -27,13 +27,16 @@ use crate::vocab::{SymbolId, Vocabulary};
 /// which probes on non-prefix key columns read: at most one per
 /// [`KeyOrder`], built on the first probe that needs it (through a `&self`
 /// that threads may share), then kept in step by every `&mut` mutator at
-/// `O(batch)` cost. A clone carries them, so relations shared copy-on-write
-/// share their copies. Equality, hashing and `Debug` ignore them;
-/// [`heap_bytes`](Relation::heap_bytes) counts them.
+/// `O(batch)` cost. A unary relation likewise owns a **membership bitmap**
+/// ([`holds`](Relation::holds)), which negated guards test. A clone carries
+/// both, so relations shared copy-on-write share them. Equality, hashing
+/// and `Debug` ignore them; [`heap_bytes`](Relation::heap_bytes) counts
+/// them.
 #[derive(Clone)]
 pub struct Relation {
     store: TupleStore,
     copies: Copies,
+    members: Members,
 }
 
 impl Relation {
@@ -42,7 +45,18 @@ impl Relation {
         Relation {
             store: TupleStore::new(arity),
             copies: Copies::default(),
+            members: Members::default(),
         }
+    }
+
+    /// Whether the unary relation holds `(e)`: one bit test of its
+    /// membership bitmap, built on the first call (through a `&self` that
+    /// threads may share) with one bit per value up to the largest member.
+    #[inline]
+    pub fn holds(&self, e: Elem) -> bool {
+        let v = e.index();
+        let words = self.members.get(&self.store);
+        words.get(v / 64).is_some_and(|w| w >> (v % 64) & 1 == 1)
     }
 
     /// The rows sorted with the columns `key_positions` (ascending) first,
@@ -61,9 +75,16 @@ impl Relation {
         self.copies.iter()
     }
 
-    /// Drop every permuted copy, keeping the rows.
+    /// Drop every permuted copy and the membership bitmap, keeping the
+    /// rows.
     pub fn drop_copies(&mut self) {
         self.copies = Copies::default();
+        self.members = Members::default();
+    }
+
+    /// True when a mutation has a copy or a bitmap to keep in step.
+    fn has_derived(&self) -> bool {
+        self.copies.0.get().is_some() || self.members.0.get().is_some()
     }
 
     /// The backing columnar store (always sealed).
@@ -97,7 +118,7 @@ impl Relation {
 
     /// Insert a tuple, keeping sort order. Returns true if newly inserted.
     pub fn insert<R: Row>(&mut self, t: R) -> bool {
-        if self.copies().next().is_none() {
+        if !self.has_derived() {
             return self.store.insert(t);
         }
         self.extend_tuples([t]) == 1
@@ -114,7 +135,7 @@ impl Relation {
         I: IntoIterator<Item = T>,
         T: Row,
     {
-        if self.copies().next().is_some() {
+        if self.has_derived() {
             let mut batch = TupleStore::new(self.arity());
             tuples.into_iter().for_each(|t| batch.push(t));
             batch.seal();
@@ -141,6 +162,7 @@ impl Relation {
         let before = self.store.len();
         self.store.merge(other);
         self.copies.follow(other, true);
+        self.members.follow(other, true);
         self.store.len() - before
     }
 
@@ -152,7 +174,7 @@ impl Relation {
 
     /// Remove a tuple. Returns true if it was present.
     pub fn remove<R: Row>(&mut self, t: R) -> bool {
-        if self.copies().next().is_none() {
+        if !self.has_derived() {
             return self.store.remove(t);
         }
         let mut one = TupleStore::new(self.arity());
@@ -167,10 +189,12 @@ impl Relation {
     /// removed; an empty batch costs nothing.
     pub fn remove_tuples(&mut self, other: &TupleStore) -> usize {
         self.copies.follow(other, false);
+        self.members.follow(other, false);
         self.store.subtract(other)
     }
 
-    /// Drop all tuples, keeping the arena allocation, and every copy.
+    /// Drop all tuples (keeping the arena allocation), every copy and the
+    /// bitmap.
     pub fn clear(&mut self) {
         self.store.clear();
         self.drop_copies();
@@ -191,11 +215,11 @@ impl Relation {
         self.store.is_subset(other.store())
     }
 
-    /// Heap bytes held by the backing arena and the permuted copies (see
-    /// [`TupleStore::heap_bytes`]).
+    /// Heap bytes held by the backing arena, the permuted copies (see
+    /// [`TupleStore::heap_bytes`]) and the membership bitmap.
     pub fn heap_bytes(&self) -> usize {
         let copies: usize = self.copies().map(|(_, c)| c.heap_bytes()).sum();
-        self.store.heap_bytes() + copies
+        self.store.heap_bytes() + copies + self.members.heap_bytes()
     }
 }
 
@@ -329,6 +353,63 @@ impl Copies {
             c.rows.subtract(&rows);
         }
         c.next.follow(batch, add);
+    }
+}
+
+/// A unary relation's membership bitmap, in a write-once slot: bit `v % 64`
+/// of word `v / 64` is set iff `(v)` is a member, and the words end at the
+/// largest member's, as a fresh build from the rows would allocate them.
+#[derive(Clone, Default)]
+struct Members(OnceLock<Vec<u64>>);
+
+impl Members {
+    /// The bitmap of the unary `rows`, built on first use.
+    fn get(&self, rows: &TupleStore) -> &[u64] {
+        self.0.get_or_init(|| {
+            assert_eq!(rows.arity(), 1, "a membership bitmap of a unary relation");
+            let mut words = Vec::new();
+            Members::mark(&mut words, rows);
+            words
+        })
+    }
+
+    /// Set the bits of the sealed unary `rows`, growing `words` to the
+    /// largest of them.
+    fn mark(words: &mut Vec<u64>, rows: &TupleStore) {
+        let Some(top) = rows.iter().next_back() else {
+            return;
+        };
+        let len = (top.get(0).index() / 64 + 1).max(words.len());
+        words.reserve_exact(len - words.len());
+        words.resize(len, 0);
+        for v in rows.iter().map(|t| t.get(0).index()) {
+            words[v / 64] |= 1 << (v % 64);
+        }
+    }
+
+    /// Fold a sealed batch of the relation into a built bitmap: set its
+    /// bits when `add`, else clear them and drop the trailing empty words.
+    fn follow(&mut self, batch: &TupleStore, add: bool) {
+        let Some(words) = self.0.get_mut() else {
+            return;
+        };
+        if add {
+            return Members::mark(words, batch);
+        }
+        for v in batch.iter().map(|t| t.get(0).index()) {
+            if let Some(w) = words.get_mut(v / 64) {
+                *w &= !(1 << (v % 64));
+            }
+        }
+        let len = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        if len < words.len() {
+            words.truncate(len);
+            words.shrink_to_fit();
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.0.get().map_or(0, |w| w.capacity() * 8)
     }
 }
 
@@ -750,6 +831,51 @@ mod tests {
             3,
             "nor does the original's write reach the clone"
         );
+        // Likewise the membership bitmap of a unary relation.
+        let mut u = members(&[1, 70]);
+        assert!(u.holds(Elem(70)));
+        let mut v = u.clone();
+        assert_eq!(
+            v.heap_bytes(),
+            u.heap_bytes(),
+            "the clone carries the bitmap"
+        );
+        v.insert(&[Elem(2)]);
+        v.remove(&[Elem(70)]);
+        assert!(!u.holds(Elem(2)) && u.holds(Elem(70)));
+        assert!(v.holds(Elem(2)) && !v.holds(Elem(70)));
+        u.clear();
+        assert!(!u.holds(Elem(1)) && v.holds(Elem(1)));
+    }
+
+    fn members(values: &[u32]) -> Relation {
+        let mut r = Relation::new(1);
+        r.extend_tuples(values.iter().map(|&v| vec![Elem(v)]));
+        r
+    }
+
+    #[test]
+    fn holds_reads_one_bit_per_member() {
+        // Members 0, 63, 64 and 69 of 70 values span two words; a value
+        // above the largest member reads false.
+        let mut r = members(&[64, 0, 69, 63]);
+        let held = |r: &Relation| {
+            (0..140u32)
+                .filter(|&e| r.holds(Elem(e)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(held(&r), vec![0, 63, 64, 69]);
+        assert_eq!(r.heap_bytes() - r.store().heap_bytes(), 16);
+        r.insert(&[Elem(130)]);
+        r.remove(&[Elem(63)]);
+        assert_eq!(held(&r), vec![0, 64, 69, 130]);
+        assert_eq!(r.heap_bytes() - r.store().heap_bytes(), 24);
+        // Removing the largest members drops the words past the new one.
+        r.remove_tuples(members(&[69, 130]).store());
+        assert_eq!(held(&r), vec![0, 64]);
+        assert_eq!(r.heap_bytes() - r.store().heap_bytes(), 16);
+        r.drop_copies();
+        assert_eq!(r.heap_bytes(), r.store().heap_bytes());
     }
 
     #[test]
@@ -771,6 +897,16 @@ mod tests {
         assert!(
             b.heap_bytes() > a.heap_bytes(),
             "the copy's bytes are counted"
+        );
+        let (u, v) = (members(&[3, 1, 200]), members(&[200, 3, 1]));
+        assert!(v.holds(Elem(200)));
+        assert_eq!(u, v);
+        assert_eq!(hash(&u), hash(&v));
+        assert_eq!(format!("{u:?}"), format!("{v:?}"));
+        assert_eq!(
+            v.heap_bytes() - u.heap_bytes(),
+            32,
+            "the bitmap's four words are counted"
         );
     }
 

@@ -808,7 +808,8 @@ proptest! {
     }
 }
 
-/// One write to a [`Relation`], or a probe that builds a permuted copy.
+/// One write to a [`Relation`], or a read that builds a permuted copy or
+/// the membership bitmap.
 #[derive(Clone, Debug)]
 enum CopyStep {
     Insert(Vec<Elem>),
@@ -817,34 +818,45 @@ enum CopyStep {
     Merge(Vec<Vec<Elem>>),
     RemoveTuples(Vec<Vec<Elem>>),
     Clear,
-    /// Probe on the key columns set in the mask's low three bits.
+    /// Probe on the key columns set in the mask's low `arity` bits.
     Probe(u8),
+    /// Test membership of a unary relation.
+    Holds(Elem),
 }
 
-/// Rows of arity 3: dense values, for the counting-sort build, and a
-/// sparse one, for the sorting build.
-fn copy_rows() -> impl Strategy<Value = Vec<Vec<Elem>>> {
+/// Rows of `arity`: dense values, for the counting-sort build, and a
+/// sparse one, for the sorting build and a many-word bitmap.
+fn copy_rows(arity: usize) -> impl Strategy<Value = Vec<Vec<Elem>>> {
     let elem = prop_oneof![(0u32..6).prop_map(Elem), Just(Elem(5000))];
-    prop::collection::vec(prop::collection::vec(elem, 3..=3), 0..12)
+    prop::collection::vec(prop::collection::vec(elem, arity..=arity), 0..12)
 }
 
-fn copy_step() -> impl Strategy<Value = CopyStep> {
+fn copy_step(arity: usize) -> impl Strategy<Value = CopyStep> {
+    let one = move |r: Vec<Vec<Elem>>| r.into_iter().next().unwrap_or(vec![Elem(1); arity]);
+    let masks = 1u8..1 << arity;
+    // The read that builds a derived structure: a bitmap at arity 1, whose
+    // only key is the prefix, else a copy.
+    let build = if arity == 1 {
+        prop_oneof![(0u32..8).prop_map(Elem), Just(Elem(5001))]
+            .prop_map(CopyStep::Holds)
+            .boxed()
+    } else {
+        masks.clone().prop_map(CopyStep::Probe).boxed()
+    };
     prop_oneof![
-        copy_rows()
-            .prop_map(|r| CopyStep::Insert(r.into_iter().next().unwrap_or(vec![Elem(1); 3]))),
-        copy_rows()
-            .prop_map(|r| CopyStep::Remove(r.into_iter().next().unwrap_or(vec![Elem(1); 3]))),
-        copy_rows().prop_map(CopyStep::Extend),
-        copy_rows().prop_map(CopyStep::Merge),
-        copy_rows().prop_map(CopyStep::RemoveTuples),
+        copy_rows(arity).prop_map(move |r| CopyStep::Insert(one(r))),
+        copy_rows(arity).prop_map(move |r| CopyStep::Remove(one(r))),
+        copy_rows(arity).prop_map(CopyStep::Extend),
+        copy_rows(arity).prop_map(CopyStep::Merge),
+        copy_rows(arity).prop_map(CopyStep::RemoveTuples),
         Just(CopyStep::Clear),
-        (1u8..8).prop_map(CopyStep::Probe),
-        (1u8..8).prop_map(CopyStep::Probe),
+        masks.prop_map(CopyStep::Probe),
+        build,
     ]
 }
 
-fn sealed(rows: &[Vec<Elem>]) -> TupleStore {
-    let mut s = TupleStore::new(3);
+fn sealed(arity: usize, rows: &[Vec<Elem>]) -> TupleStore {
+    let mut s = TupleStore::new(arity);
     for t in rows {
         s.push(t);
     }
@@ -866,14 +878,27 @@ fn copies_are_fresh(r: &Relation) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The heap bytes `r` holds beyond its store and copies: its bitmap's.
+fn bitmap_bytes(r: &Relation) -> usize {
+    let copies: usize = r.copies().map(|(_, c)| c.heap_bytes()).sum();
+    r.heap_bytes() - r.store().heap_bytes() - copies
+}
+
 proptest! {
-    /// Random sequences of every `&mut` mutator, with copies on random key
-    /// orders built at random points: the relation matches a model, and
-    /// every built copy follows it exactly.
+    /// Random sequences of every `&mut` mutator over a unary or a ternary
+    /// relation, with copies on random key orders and (at arity 1) the
+    /// membership bitmap built at random points: the relation matches a
+    /// model, every built copy follows it exactly, and a built bitmap
+    /// answers like the rows and holds the bytes of a fresh build.
     #[test]
-    fn relation_copies_follow_every_mutator(steps in prop::collection::vec(copy_step(), 0..40)) {
-        let mut r = Relation::new(3);
+    fn relation_copies_follow_every_mutator(
+        input in prop_oneof![Just(1usize), Just(3)]
+            .prop_flat_map(|arity| (Just(arity), prop::collection::vec(copy_step(arity), 0..40)))
+    ) {
+        let (arity, steps) = input;
+        let mut r = Relation::new(arity);
         let mut model: BTreeSet<Vec<Elem>> = BTreeSet::new();
+        let mut built = false;
         for step in steps {
             match step {
                 CopyStep::Insert(t) => prop_assert_eq!(r.insert(&t), model.insert(t)),
@@ -884,21 +909,22 @@ proptest! {
                     model.extend(rows);
                 }
                 CopyStep::Merge(rows) => {
-                    r.merge_store(&sealed(&rows));
+                    r.merge_store(&sealed(arity, &rows));
                     model.extend(rows);
                 }
                 CopyStep::RemoveTuples(rows) => {
-                    r.remove_tuples(&sealed(&rows));
+                    r.remove_tuples(&sealed(arity, &rows));
                     rows.iter().for_each(|t| { model.remove(t); });
                 }
                 CopyStep::Clear => {
                     r.clear();
                     model.clear();
+                    built = false;
                 }
                 CopyStep::Probe(mask) => {
                     // A prefix key reads the store itself; any other key
                     // the copy sorted on it.
-                    let key: Vec<usize> = (0..3).filter(|&i| mask >> i & 1 == 1).collect();
+                    let key: Vec<usize> = (0..arity).filter(|&i| mask >> i & 1 == 1).collect();
                     let (store, pos_of) = r.copy(&key);
                     if key.iter().copied().eq(0..key.len()) {
                         prop_assert!(std::ptr::eq(store, r.store()) && pos_of.is_none());
@@ -908,10 +934,26 @@ proptest! {
                         prop_assert_eq!(pos_of, Some(order.pos_of()));
                     }
                 }
+                CopyStep::Holds(e) => {
+                    prop_assert_eq!(r.holds(e), model.contains(&vec![e]));
+                    built = true;
+                }
             }
             let got: Vec<Vec<Elem>> = r.iter().map(|t| t.to_vec()).collect();
             prop_assert_eq!(got, model.iter().cloned().collect::<Vec<_>>());
             copies_are_fresh(&r)?;
+            if built {
+                let top = model.last().map_or(0, |t| t[0].0);
+                for e in (0..=top + 1).map(Elem) {
+                    prop_assert_eq!(r.holds(e), r.contains(&[e]), "{:?}", e);
+                }
+                let mut fresh = Relation::new(1);
+                fresh.merge_store(r.store());
+                fresh.holds(Elem(0));
+                prop_assert_eq!(bitmap_bytes(&r), bitmap_bytes(&fresh));
+            } else {
+                prop_assert_eq!(bitmap_bytes(&r), 0);
+            }
         }
     }
 }
