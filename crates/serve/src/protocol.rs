@@ -155,6 +155,9 @@ pub enum Response {
         /// Catch-ups that brought a view forward to a reader's epoch, so
         /// far.
         view_catchups: u64,
+        /// Full fixpoints computed so far: completed evaluations of a
+        /// Datalog program (resumes included) and view builds.
+        fixpoints: u64,
         /// Requests admitted.
         admitted: u64,
         /// Requests shed.
@@ -397,6 +400,7 @@ impl Response {
                 cache_carried,
                 views,
                 view_catchups,
+                fixpoints,
                 admitted,
                 shed,
                 depth,
@@ -410,6 +414,7 @@ impl Response {
                 .num("coalesced", *coalesced)
                 .num("views", *views)
                 .num("view_catchups", *view_catchups)
+                .num("fixpoints", *fixpoints)
                 .num("admitted", *admitted)
                 .num("shed", *shed)
                 .num("depth", *depth)

@@ -93,6 +93,11 @@ impl Relation {
         &self.store
     }
 
+    /// The backing store, without the copies and bitmap built over it.
+    pub fn into_store(self) -> TupleStore {
+        self.store
+    }
+
     /// The arity of the relation.
     #[inline]
     pub fn arity(&self) -> usize {
