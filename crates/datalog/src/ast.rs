@@ -1,6 +1,7 @@
 //! Datalog programs: rules, predicates, and variable accounting.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use hp_structures::{SymbolId, Vocabulary};
 
@@ -114,8 +115,9 @@ pub struct Program {
     /// named [`DEFAULT_GOAL_NAME`] by convention.
     goal: Option<usize>,
     /// The IDB dependency graph, its condensation and least strata.
-    /// Built (and stratifiability enforced) at construction.
-    graph: DepGraph,
+    /// Built (and stratifiability enforced) at construction; rule plans
+    /// share it.
+    pub(crate) graph: Arc<DepGraph>,
 }
 
 /// The IDB name treated as the goal when no `# goal:` pragma designates
@@ -147,7 +149,7 @@ impl Program {
     ) -> Result<Program, DatalogError> {
         assert_eq!(rules.len(), rule_lines.len(), "rule_lines misaligned");
         let goal = idbs.iter().position(|(n, _)| n == DEFAULT_GOAL_NAME);
-        let graph = DepGraph::new(idbs.len(), &rules);
+        let graph = Arc::new(DepGraph::new(idbs.len(), &rules));
         let p = Program {
             edb,
             idbs,
