@@ -12,8 +12,9 @@
 //!   --deny-warnings   exit non-zero on warnings too
 //!   --quiet           print only the per-input summary lines
 //!   --list-passes     print the registered passes and their codes
-//!   --format FMT      "text" (default) or "json": one JSON object per
-//!                     input with code/severity/span/message fields
+//!   --format FMT      "text" (default) or "json": one JSON array, one
+//!                     object per input with code/severity/span/message
+//!                     fields, in the workspace's pretty JSON layout
 //!   --boundedness     opt in to the HP014 budgeted boundedness
 //!                     certification (Theorem 7.5)
 //!   --max-stage N     HP014 stage cap (default 4)
@@ -52,10 +53,11 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use hp_analysis::json::{self, Json};
 use hp_analysis::{
     datalog_core_key, datalog_stratum_profile, fix_check_source, fix_source, formula_core_key,
-    json_string, lint_datalog_source_with, lint_formula_source_with, parse_vocab_spec, Analyzer,
-    Code, Diagnostics, Severity, StrataCost,
+    lint_datalog_source_with, lint_formula_source_with, parse_vocab_spec, Analyzer, Code,
+    Diagnostics, RemovedAtom, RemovedRule, Severity, StrataCost,
 };
 use hp_datalog::gallery;
 use hp_guard::Budget;
@@ -196,38 +198,54 @@ fn budget(o: &Options) -> Budget {
 }
 
 /// Report one input's diagnostics; returns whether it fails the build.
-/// `core_key` is a pre-rendered `"core_key": …` JSON field (and its text
-/// form) when `--core-key` is active; `strata` is the measured
-/// per-stratum cost when the input carried an HP024 stratum note.
+/// `core_key` is the input's canonical-core key, or why it has none, when
+/// `--core-key` is active; `strata` is the measured per-stratum cost when
+/// the input carried an HP024 stratum note.
 fn report(
     name: &str,
     source: Option<&str>,
     ds: &Diagnostics,
-    core_key: Option<&CoreKeyLine>,
+    core_key: Option<&Result<String, String>>,
     strata: Option<&StrataCost>,
     o: &Options,
-    json: &mut Vec<String>,
+    json: &mut Vec<Json>,
 ) -> bool {
     match o.format {
         Format::Text => {
             if !o.quiet && !ds.is_empty() {
                 print!("{}", ds.render(name, source));
             }
-            if let Some(k) = core_key {
-                println!("{name}: core-key {}", k.text);
+            if let Some(Ok(k) | Err(k)) = core_key {
+                println!("{name}: core-key {k}");
             }
             println!("{name}: {}", ds.totals());
         }
         Format::Json => {
-            let mut obj = ds.to_json(name);
-            if let Some(c) = strata {
-                obj = obj.replacen('{', &format!("{{\"strata\": {}, ", strata_json(c)), 1);
-            }
+            let mut fields = Vec::new();
             if let Some(k) = core_key {
-                // Splice the key in as the first field of the object.
-                obj = obj.replacen('{', &format!("{{\"core_key\": {}, ", k.json), 1);
+                fields.push(("core_key".to_string(), k.as_deref().ok().into()));
             }
-            json.push(obj);
+            if let Some(c) = strata {
+                let costs = c.costs.iter().map(|s| {
+                    Json::obj([
+                        ("stratum", s.stratum.into()),
+                        ("stages", s.stages.into()),
+                        ("derived", Json::Num(s.derived as f64)),
+                        ("fuel", Json::Num(s.fuel as f64)),
+                        ("elapsed_ms", Json::fixed(s.elapsed.as_secs_f64() * 1e3, 3)),
+                    ])
+                });
+                let strata = Json::obj([
+                    ("universe", c.universe.into()),
+                    ("exhausted", c.exhausted.as_deref().into()),
+                    ("costs", Json::Arr(costs.collect())),
+                ]);
+                fields.push(("strata".to_string(), strata));
+            }
+            if let Json::Obj(diagnostics) = ds.to_json(name) {
+                fields.extend(diagnostics);
+            }
+            json.push(Json::Obj(fields));
         }
     }
     ds.has_errors() || (o.deny_warnings && ds.count(Severity::Warning) > 0)
@@ -263,73 +281,29 @@ fn strata_text(c: &StrataCost) -> String {
     out
 }
 
-/// Render a measured stratum profile as the `"strata"` JSON field.
-fn strata_json(c: &StrataCost) -> String {
-    let costs: Vec<String> = c
-        .costs
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"stratum\": {}, \"stages\": {}, \"derived\": {}, \"fuel\": {}, \
-                 \"elapsed_ms\": {:.3}}}",
-                s.stratum,
-                s.stages,
-                s.derived,
-                s.fuel,
-                s.elapsed.as_secs_f64() * 1e3,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"universe\": {}, \"exhausted\": {}, \"costs\": [{}]}}",
-        c.universe,
-        c.exhausted
-            .as_deref()
-            .map_or("null".to_string(), json_string),
-        costs.join(", ")
-    )
-}
-
-/// One input's canonical-core key, rendered for both output formats.
-struct CoreKeyLine {
-    text: String,
-    json: String,
-}
-
-/// Compute the `--core-key` line for one input under the shared budget.
-fn core_key_line(path: &str, text: &str, o: &Options) -> CoreKeyLine {
+/// One input's canonical-core key under the shared budget, or why it has
+/// none.
+fn core_key(path: &str, text: &str, o: &Options) -> Result<String, String> {
     let r = if path.ends_with(".fo") {
         formula_core_key(text, o.edb.as_ref(), &budget(o))
     } else {
         datalog_core_key(text, o.edb.as_ref(), &budget(o))
     };
     match r {
-        Ok(Ok(Some(k))) => CoreKeyLine {
-            text: k.to_string(),
-            json: format!("\"{k}\""),
-        },
-        Ok(Ok(None)) => CoreKeyLine {
-            text: "none (recursive, goal-less, or not existential-positive)".to_string(),
-            json: "null".to_string(),
-        },
-        Ok(Err(e)) => CoreKeyLine {
-            text: format!(
-                "not computed ({} budget exhausted; rerun with more)",
-                e.resource
-            ),
-            json: "null".to_string(),
-        },
-        Err(_) => CoreKeyLine {
-            // The parse error itself is already reported by the lint run.
-            text: "none (input does not parse)".to_string(),
-            json: "null".to_string(),
-        },
+        Ok(Ok(Some(k))) => Ok(k.to_string()),
+        Ok(Ok(None)) => Err("none (recursive, goal-less, or not existential-positive)".into()),
+        Ok(Err(e)) => Err(format!(
+            "not computed ({} budget exhausted; rerun with more)",
+            e.resource
+        )),
+        // The parse error itself is already reported by the lint run.
+        Err(_) => Err("none (input does not parse)".into()),
     }
 }
 
 /// Apply the certified rewrites to one file in place; returns whether the
 /// run failed (parse or I/O error).
-fn fix_file(path: &str, o: &Options, json: &mut Vec<String>) -> bool {
+fn fix_file(path: &str, o: &Options, json: &mut Vec<Json>) -> bool {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -388,58 +362,49 @@ fn fix_file(path: &str, o: &Options, json: &mut Vec<String>) -> bool {
             );
         }
         Format::Json => {
-            json.push(format!(
-                "{{\"input\": \"{path}\", \"changed\": {}, \"removed\": [{}], \
-                 \"removed_atoms\": [{}]}}",
-                out.changed(),
-                removed_rules_json(&out.removed),
-                removed_atoms_json(&out.removed_atoms)
-            ));
+            let fields = fix_json(path, out.changed(), &out.removed, &out.removed_atoms);
+            json.push(Json::obj(fields));
         }
     }
     false
 }
 
-/// Render the removed-rule records as a JSON array body.
-fn removed_rules_json(removed: &[hp_analysis::RemovedRule]) -> String {
-    let items: Vec<String> = removed
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"rule\": {}, \"line\": {}, \"head\": \"{}\", \"code\": \"{}\"}}",
-                r.rule,
-                r.line.map_or("null".to_string(), |l| l.to_string()),
-                r.head,
-                r.code
-            )
-        })
-        .collect();
-    items.join(", ")
-}
-
-/// Render the removed-atom records as a JSON array body.
-fn removed_atoms_json(removed: &[hp_analysis::RemovedAtom]) -> String {
-    let items: Vec<String> = removed
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"rule\": {}, \"atom\": {}, \"line\": {}, \"text\": {}, \
-                 \"code\": \"{}\"}}",
-                a.rule,
-                a.atom,
-                a.line.map_or("null".to_string(), |l| l.to_string()),
-                json_string(&a.text),
-                a.code
-            )
-        })
-        .collect();
-    items.join(", ")
+/// The JSON fields `--fix` and `--fix=check` report for one file.
+fn fix_json(
+    path: &str,
+    changed: bool,
+    removed: &[RemovedRule],
+    removed_atoms: &[RemovedAtom],
+) -> Vec<(&'static str, Json)> {
+    let removed = removed.iter().map(|r| {
+        Json::obj([
+            ("rule", r.rule.into()),
+            ("line", r.line.into()),
+            ("head", r.head.as_str().into()),
+            ("code", r.code.as_str().into()),
+        ])
+    });
+    let removed_atoms = removed_atoms.iter().map(|a| {
+        Json::obj([
+            ("rule", a.rule.into()),
+            ("atom", a.atom.into()),
+            ("line", a.line.into()),
+            ("text", a.text.as_str().into()),
+            ("code", a.code.as_str().into()),
+        ])
+    });
+    vec![
+        ("input", path.into()),
+        ("changed", Json::Bool(changed)),
+        ("removed", Json::Arr(removed.collect())),
+        ("removed_atoms", Json::Arr(removed_atoms.collect())),
+    ]
 }
 
 /// `--fix=check`: report what the certified rewrites would change without
 /// touching the file. Returns whether the run fails the build — a parse
 /// or I/O error, or pending changes (so CI can gate on a clean tree).
-fn check_file(path: &str, o: &Options, json: &mut Vec<String>) -> bool {
+fn check_file(path: &str, o: &Options, json: &mut Vec<Json>) -> bool {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -479,14 +444,9 @@ fn check_file(path: &str, o: &Options, json: &mut Vec<String>) -> bool {
             );
         }
         Format::Json => {
-            json.push(format!(
-                "{{\"input\": \"{path}\", \"changed\": {}, \"removed\": [{}], \
-                 \"removed_atoms\": [{}], \"diff\": {}}}",
-                out.changed,
-                removed_rules_json(&out.removed),
-                removed_atoms_json(&out.removed_atoms),
-                json_string(&out.diff)
-            ));
+            let mut fields = fix_json(path, out.changed, &out.removed, &out.removed_atoms);
+            fields.push(("diff", Json::Str(out.diff)));
+            json.push(Json::obj(fields));
         }
     }
     out.changed
@@ -525,7 +485,7 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    let mut json: Vec<String> = Vec::new();
+    let mut json = Vec::new();
 
     for path in &o.files {
         if let Some(mode) = o.fix {
@@ -562,7 +522,7 @@ fn main() -> ExitCode {
         } else {
             None
         };
-        let key = o.core_key.then(|| core_key_line(path, &text, &o));
+        let key = o.core_key.then(|| core_key(path, &text, &o));
         failed |= report(
             path,
             Some(&text),
@@ -594,7 +554,7 @@ fn main() -> ExitCode {
     }
 
     if o.format == Format::Json {
-        println!("[{}]", json.join(",\n "));
+        println!("{}", json::pretty(&Json::Arr(json)));
     }
 
     if failed {

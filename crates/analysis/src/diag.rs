@@ -10,6 +10,8 @@ use std::fmt;
 use hp_datalog::{DatalogError, DatalogErrorKind, DatalogSpan};
 use hp_logic::ParseError;
 
+use crate::json::Json;
+
 /// A stable diagnostic code. The numeric part never changes meaning.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub enum Code {
@@ -338,45 +340,19 @@ impl Diagnostic {
             },
         )
     }
-}
 
-impl Diagnostic {
-    /// Render as a JSON object (see [`Diagnostics::to_json`]).
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<usize>| v.map_or("null".to_string(), |n| n.to_string());
-        format!(
-            "{{\"code\": \"{}\", \"severity\": \"{}\", \"message\": {}, \
-             \"line\": {}, \"col\": {}, \"rule\": {}, \"atom\": {}}}",
-            self.code,
-            self.severity.label(),
-            json_string(&self.message),
-            opt(self.span.line),
-            opt(self.span.col),
-            opt(self.span.rule),
-            opt(self.span.atom)
-        )
+    /// The diagnostic as a JSON object (see [`Diagnostics::to_json`]).
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("code", self.code.as_str().into()),
+            ("severity", self.severity.label().into()),
+            ("message", self.message.as_str().into()),
+            ("line", self.span.line.into()),
+            ("col", self.span.col.into()),
+            ("rule", self.span.rule.into()),
+            ("atom", self.span.atom.into()),
+        ])
     }
-}
-
-/// Quote and escape a string per RFC 8259 — the one JSON string escaper
-/// behind every JSON emitter in the workspace (lint output, the query
-/// service's codec).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// 1-based (line, column) of a byte offset in `source`.
@@ -518,36 +494,27 @@ impl Diagnostics {
         out
     }
 
-    /// Render as a JSON object for machine consumption
+    /// The diagnostics as a JSON object for machine consumption
     /// (`hompres-lint --format json`):
     ///
     /// ```json
     /// {"input": "f.dl",
     ///  "diagnostics": [{"code": "HP007", "severity": "warning",
     ///                   "message": "...", "line": 3, "col": null,
-    ///                   "rule": 2}],
+    ///                   "rule": 2, "atom": null}],
     ///  "errors": 0, "warnings": 1, "notes": 0}
     /// ```
-    ///
-    /// Hand-rolled (the workspace takes no serialization dependency);
-    /// strings are escaped per RFC 8259.
-    pub fn to_json(&self, input: &str) -> String {
-        let mut out = String::from("{\"input\": ");
-        out.push_str(&json_string(input));
-        out.push_str(", \"diagnostics\": [");
-        for (i, d) in self.items.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&d.to_json());
-        }
-        out.push_str(&format!(
-            "], \"errors\": {}, \"warnings\": {}, \"notes\": {}}}",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Note)
-        ));
-        out
+    pub fn to_json(&self, input: &str) -> Json {
+        Json::obj([
+            ("input", input.into()),
+            (
+                "diagnostics",
+                Json::Arr(self.items.iter().map(Diagnostic::to_json).collect()),
+            ),
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warning).into()),
+            ("notes", self.count(Severity::Note).into()),
+        ])
     }
 
     /// One-line totals, e.g. `2 errors, 1 warning, 3 notes`.
@@ -593,15 +560,35 @@ mod tests {
                 atom: None,
             },
         ));
-        let j = ds.to_json("dir/it's.dl");
-        assert!(j.starts_with("{\"input\": \"dir/it's.dl\""), "{j}");
-        assert!(j.contains("\"code\": \"HP007\""), "{j}");
-        assert!(j.contains("\"severity\": \"warning\""), "{j}");
-        assert!(j.contains("\\\"U\\\" can be\\nremoved"), "{j}");
-        assert!(j.contains("\"line\": 3, \"col\": null, \"rule\": 2"), "{j}");
-        assert!(
-            j.ends_with("\"errors\": 0, \"warnings\": 1, \"notes\": 0}"),
-            "{j}"
+        let text = ds.to_json("dir/it's.dl").to_string();
+        assert!(text.contains(r#"\"U\" can be\nremoved"#), "{text}");
+        let j = crate::json::parse(&text).expect("rendered JSON parses");
+        let Json::Obj(fields) = &j else {
+            panic!("not an object: {text}")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["input", "diagnostics", "errors", "warnings", "notes"]
+        );
+        assert_eq!(j.get("input").and_then(Json::as_str), Some("dir/it's.dl"));
+        let count = |k| j.get(k).and_then(Json::as_u64);
+        assert_eq!(
+            (count("errors"), count("warnings"), count("notes")),
+            (Some(0), Some(1), Some(0))
+        );
+        let want = Json::obj([
+            ("code", "HP007".into()),
+            ("severity", "warning".into()),
+            ("message", "rule for \"U\" can be\nremoved".into()),
+            ("line", 3usize.into()),
+            ("col", Json::Null),
+            ("rule", 2usize.into()),
+            ("atom", Json::Null),
+        ]);
+        assert_eq!(
+            j.get("diagnostics").and_then(Json::as_arr),
+            Some(&[want][..])
         );
     }
 

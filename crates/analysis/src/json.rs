@@ -1,13 +1,20 @@
-//! A minimal JSON value type with an RFC 8259 parser and emitter.
+//! The workspace's JSON codec: the [`Json`] value type, an RFC 8259
+//! parser, and the two writers every JSON output goes through.
 //!
-//! The workspace has no network access to crates.io, so the wire protocol
-//! cannot lean on serde; this module implements exactly the JSON surface
-//! the line protocol needs: objects, arrays, strings, integers/floats,
-//! booleans, and null, with strict string escaping both ways. Numbers are
-//! kept as `f64` (every protocol field fits in 53 bits — element ids are
-//! `u32`, fuel values are validated against `2^53` at the protocol layer).
+//! - [`ObjWriter`] is the compact emitter: the query service streams each
+//!   response line through it field by field, and [`Json`]'s `Display`
+//!   writes through it too.
+//! - [`pretty`] is the indented layout of `hompres-lint --format json`
+//!   and the committed `BENCH_*.json` snapshots.
+//!
+//! The workspace builds offline, without serde. Numbers are kept as
+//! `f64`; every integer the workspace writes fits in 53 bits (element ids
+//! are `u32`, fuel values are validated against `2^53` at the protocol
+//! layer).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+use hp_structures::Elem;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,6 +35,22 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object holding `fields` in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// `x` rounded to `digits` decimals.
+    pub fn fixed(x: f64, digits: i32) -> Json {
+        let scale = 10f64.powi(digits);
+        Json::Num((x * scale).round() / scale)
+    }
+
     /// Object field lookup (last occurrence wins).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -65,44 +88,213 @@ impl Json {
     }
 }
 
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 /// Quote and escape a string per RFC 8259.
-pub use hp_analysis::json_string as escape;
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_escaped(&mut out, s);
+    out
+}
+
+/// Append `s` quoted, escaping `"`, `\` and the control characters.
+fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Append the decimal digits of `n`.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// Append `n`: whole numbers below `9e15` as integer digits, anything
+/// else in `f64`'s shortest round-trip form.
+fn push_num(out: &mut String, n: f64) {
+    let _ = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+}
+
+/// Append `v` compactly: no whitespace, objects through [`ObjWriter`].
+fn push_value(out: &mut String, v: &Json) {
+    match v {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(n) => push_num(out, *n),
+        Json::Str(s) => push_escaped(out, s),
+        Json::Arr(items) => push_list(out, items, push_value),
+        Json::Obj(fields) => {
+            let obj = ObjWriter::open(std::mem::take(out));
+            *out = fields.iter().fold(obj, |o, (k, v)| o.value(k, v)).finish();
+        }
+    }
+}
+
+/// Append `items` as a compact array, each written by `item`.
+fn push_list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// A JSON object written compactly, field by field, straight into its
+/// output line: the bytes [`Json::Obj`]'s `Display` produces, without
+/// building the tree first.
+pub struct ObjWriter(String);
+
+impl ObjWriter {
+    /// An empty object, its line allocated with `capacity` bytes.
+    pub fn new(capacity: usize) -> ObjWriter {
+        ObjWriter::open(String::with_capacity(capacity))
+    }
+
+    /// An object appended to `out`.
+    fn open(mut out: String) -> ObjWriter {
+        out.push('{');
+        ObjWriter(out)
+    }
+
+    /// Open field `key`, leaving the output positioned at its value. No
+    /// value ends in `{`, so only an object without fields does.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.0.ends_with('{') {
+            self.0.push(',');
+        }
+        push_escaped(&mut self.0, key);
+        self.0.push(':');
+        &mut self.0
+    }
+
+    /// Field `key` holding the string `value`.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        push_escaped(self.key(key), value);
+        self
+    }
+
+    /// Field `key` holding the integer `value`, which must be below
+    /// `2^53` to read back exactly.
+    pub fn num(mut self, key: &str, value: u64) -> Self {
+        push_uint(self.key(key), value);
+        self
+    }
+
+    /// Field `key` holding any value.
+    pub fn value(mut self, key: &str, value: &Json) -> Self {
+        push_value(self.key(key), value);
+        self
+    }
+
+    /// Field `key` holding `rows` as an array of arrays of element ids,
+    /// digits appended as they are produced.
+    pub fn rows(mut self, key: &str, rows: &[Vec<Elem>]) -> Self {
+        let out = self.key(key);
+        out.reserve(rows.iter().map(|r| 2 + 11 * r.len()).sum());
+        push_list(out, rows, |out, row| {
+            push_list(out, row, |out, e| push_uint(out, e.0 as u64))
+        });
+        self
+    }
+
+    /// Close the object and return the output.
+    pub fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
+}
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => f.write_str(&escape(s)),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{}:{v}", escape(k))?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        push_value(&mut out, self);
+        f.write_str(&out)
     }
+}
+
+/// Render `v` in the pretty layout: one line per member of every object
+/// or array that holds an object or array, indented two spaces a level,
+/// with `": "` after each such member's key; every other value is
+/// compact. No trailing newline.
+pub fn pretty(v: &Json) -> String {
+    let mut out = String::new();
+    push_pretty(&mut out, v, "");
+    out
+}
+
+fn push_pretty(out: &mut String, v: &Json, pad: &str) {
+    let nested = |v: &Json| matches!(v, Json::Obj(_) | Json::Arr(_));
+    let (open, close, items): (_, _, Vec<(Option<&str>, &Json)>) = match v {
+        Json::Obj(fields) if fields.iter().any(|(_, v)| nested(v)) => (
+            '{',
+            '}',
+            fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+        Json::Arr(items) if items.iter().any(nested) => {
+            ('[', ']', items.iter().map(|v| (None, v)).collect())
+        }
+        _ => return push_value(out, v),
+    };
+    let inner = format!("{pad}  ");
+    out.push(open);
+    for (i, (key, v)) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&inner);
+        if let Some(k) = key {
+            push_escaped(out, k);
+            out.push_str(": ");
+        }
+        push_pretty(out, v, &inner);
+    }
+    out.push('\n');
+    out.push_str(pad);
+    out.push(close);
 }
 
 /// Parse one JSON value from `text`, requiring it to consume the whole
@@ -322,6 +514,19 @@ mod tests {
             let emitted = v.to_string();
             assert_eq!(parse(&emitted).unwrap(), v, "{src}");
         }
+    }
+
+    #[test]
+    fn display_is_compact() {
+        let src = r#"{"a":-17,"b":[true,null,3.5],"c":{"d":"e\u0001\"\\"},"e":{},"f":[]}"#;
+        assert_eq!(parse(src).unwrap().to_string(), src);
+        let v = parse(src).unwrap();
+        let streamed = ObjWriter::new(0)
+            .num("n", 7)
+            .str("s", "x\ty")
+            .value("v", &v)
+            .finish();
+        assert_eq!(streamed, format!(r#"{{"n":7,"s":"x\ty","v":{src}}}"#));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   (Theorem 2.2), and CQ treewidth upper bounds via `hp-tw`.
 //!
 //! The `hompres-lint` binary drives both layers over `.dl` / `.fo` files
-//! and the built-in program gallery.
+//! and the built-in program gallery. Its JSON output, the query
+//! service's wire protocol and the bench snapshots all go through one
+//! codec, [`json`].
 //!
 //! ```
 //! use hp_analysis::{Analyzer, Code};
@@ -48,6 +50,7 @@ pub mod diff;
 pub mod facts;
 pub mod fix;
 pub mod formula;
+pub mod json;
 pub mod lint;
 pub mod pass;
 pub mod pdg;
@@ -58,7 +61,7 @@ pub use dataflow::{
     JoinSemiLattice, StageBound,
 };
 pub use dce::{eliminate_dead_rules, DeadRuleElimination};
-pub use diag::{json_string, Code, Diagnostic, Diagnostics, Severity, Span};
+pub use diag::{Code, Diagnostic, Diagnostics, Severity, Span};
 pub use diff::unified_diff;
 pub use facts::ProgramFacts;
 pub use fix::{

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use hp_preservation::prelude::*;
-use hp_serve::json::{escape, Json};
+use hp_serve::json::{self, Json};
 
 /// Deterministic xorshift64* stream, so the random families need no RNG
 /// dependency and are identical on every run.
@@ -137,9 +137,8 @@ impl Row {
     /// Appends a measurement rounded to `digits` decimals, or `null` for
     /// `None` (not measured).
     pub fn num(mut self, key: &str, v: impl Into<Option<f64>>, digits: i32) -> Row {
-        let scale = 10f64.powi(digits);
-        let v = v.into().map(|x| Json::Num((x * scale).round() / scale));
-        self.0.push((key.to_string(), v.unwrap_or(Json::Null)));
+        let v = v.into().map_or(Json::Null, |x| Json::fixed(x, digits));
+        self.0.push((key.to_string(), v));
         self
     }
 
@@ -188,7 +187,8 @@ impl Table {
 }
 
 /// Writes the snapshot `{"bench", "workload", fields…, "provenance"}` to
-/// `path`: one row per line, every other value compact.
+/// `path` in the codec's [pretty](json::pretty) layout: one row per line,
+/// every other value compact.
 pub fn write_json(path: &str, bench: &str, workload: &str, fields: Vec<(&str, Json)>) {
     let mut doc = vec![
         ("bench".to_string(), Json::Str(bench.to_string())),
@@ -196,42 +196,10 @@ pub fn write_json(path: &str, bench: &str, workload: &str, fields: Vec<(&str, Js
     ];
     doc.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
     doc.push(("provenance".to_string(), provenance()));
-    let mut out = String::new();
-    render(&Json::Obj(doc), "", &mut out);
+    let mut out = json::pretty(&Json::Obj(doc));
     out.push('\n');
     std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
-}
-
-/// Renders `v` with one line per member of every object or array that
-/// holds an object or array, and everything else compact.
-fn render(v: &Json, pad: &str, out: &mut String) {
-    let nested = |v: &Json| matches!(v, Json::Obj(_) | Json::Arr(_));
-    let (open, close, items): (_, _, Vec<(Option<&str>, &Json)>) = match v {
-        Json::Obj(fields) if fields.iter().any(|(_, v)| nested(v)) => (
-            '{',
-            '}',
-            fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
-        ),
-        Json::Arr(items) if items.iter().any(nested) => {
-            ('[', ']', items.iter().map(|v| (None, v)).collect())
-        }
-        _ => return out.push_str(&v.to_string()),
-    };
-    let inner = format!("{pad}  ");
-    out.push(open);
-    for (i, (key, v)) in items.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&inner);
-        if let Some(k) = key {
-            out.push_str(&escape(k));
-            out.push_str(": ");
-        }
-        render(v, &inner, out);
-    }
-    out.push('\n');
-    out.push_str(pad);
-    out.push(close);
 }
 
 /// Where a snapshot was measured: host cores, checked-out commit, and
@@ -292,6 +260,27 @@ mod tests {
             (25.0..80.0).contains(&ms),
             "median {ms} ms is not the 25 ms run"
         );
+    }
+
+    #[test]
+    fn committed_snapshots_are_in_the_pretty_layout() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&root).expect("workspace root") {
+            let name = entry.expect("dir entry").file_name();
+            let name = name.to_str().expect("UTF-8 file name");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(root.join(name)).expect("snapshot reads");
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(
+                json::pretty(&doc) + "\n" == text,
+                "{name} differs from the pretty rendering of its own parse"
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "no BENCH_*.json under {}", root.display());
     }
 
     #[test]

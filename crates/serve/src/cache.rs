@@ -18,8 +18,7 @@
 //! before any reader can pin *t*: every published entry of *t−1* whose
 //! footprint misses the write's touched symbols is re-keyed onto
 //! `(key, t)`, sharing the answer. A write that grows the universe touches
-//! everything and carries nothing, and a `None` footprint is never
-//! carried. An answer published for *t−1* after the carry stays on *t−1*:
+//! everything and carries nothing. An answer published for *t−1* after the carry stays on *t−1*:
 //! that costs a miss on *t*, never a wrong answer.
 //! [`AnswerCache::retire_before`] drops entries of epochs no longer asked
 //! for.
@@ -52,9 +51,8 @@ pub struct CachedAnswer {
     pub stages: usize,
 }
 
-/// The sorted, deduplicated EDB symbols an answer reads. `None` reads
-/// everything.
-pub type Footprint = Option<Arc<[SymbolId]>>;
+/// The sorted, deduplicated EDB symbols an answer reads.
+pub type Footprint = Arc<[SymbolId]>;
 
 enum Slot {
     /// A leader holds the claim and is evaluating; its followers wait on
@@ -222,7 +220,7 @@ impl AnswerCache {
             .slots
             .iter()
             .filter_map(|(&(key, epoch), slot)| match slot {
-                Slot::Ready(ans, Some(reads))
+                Slot::Ready(ans, reads)
                     if epoch == from && !reads.iter().any(|s| touched.binary_search(s).is_ok()) =>
                 {
                     Some((key, ans.clone(), reads.clone()))
@@ -235,7 +233,7 @@ impl AnswerCache {
             state
                 .slots
                 .entry((key, from + 1))
-                .or_insert(Slot::Ready(ans, Some(reads)));
+                .or_insert(Slot::Ready(ans, reads));
         }
         drop(state);
         self.shared.carried.fetch_add(n as u64, Ordering::Relaxed);
@@ -353,7 +351,7 @@ mod tests {
         while cache.stats().2 == 0 {
             thread::sleep(Duration::from_millis(1));
         }
-        leader.publish(ans(42), None);
+        leader.publish(ans(42), reads(&[]));
         assert_eq!(follower.join().unwrap(), vec![vec![Elem(42)]]);
 
         let (hits, misses, coalesced) = cache.stats();
@@ -382,10 +380,10 @@ mod tests {
         // pauses would let it re-check key 1 between wake-ups if it were
         // woken; the count must read 1 however many of them it sees.
         for key in 2..6 {
-            publish_at(&cache, key, 0, None);
+            publish_at(&cache, key, 0, reads(&[]));
             thread::sleep(Duration::from_millis(20));
         }
-        leader.publish(ans(1), None);
+        leader.publish(ans(1), reads(&[]));
         assert!(follower.join().unwrap());
         assert_eq!(cache.stats().2, 1);
     }
@@ -406,7 +404,7 @@ mod tests {
 
         match follower.join().unwrap() {
             Claim::Leader(g) => {
-                g.publish(ans(1), None);
+                g.publish(ans(1), reads(&[]));
             }
             _ => panic!("follower re-claims leadership after abandonment"),
         }
@@ -439,7 +437,7 @@ mod tests {
         for epoch in 0..3u64 {
             match cache.claim(5, epoch, Duration::ZERO) {
                 Claim::Leader(g) => {
-                    g.publish(ans(epoch as u32), None);
+                    g.publish(ans(epoch as u32), reads(&[]));
                 }
                 _ => panic!("fresh (key, epoch) leads"),
             }
@@ -463,7 +461,7 @@ mod tests {
     }
 
     fn reads(syms: &[u16]) -> Footprint {
-        Some(syms.iter().map(|&s| SymbolId(s)).collect())
+        syms.iter().map(|&s| SymbolId(s)).collect()
     }
 
     #[test]
@@ -492,15 +490,13 @@ mod tests {
     }
 
     #[test]
-    fn universe_growth_and_none_footprints_carry_nothing() {
+    fn universe_growth_carries_nothing() {
         let cache = AnswerCache::new();
         publish_at(&cache, 1, 0, reads(&[0]));
-        publish_at(&cache, 2, 0, None);
         assert_eq!(cache.carry_forward(0, None), 0, "universe growth");
         assert!(cache.peek(1, 1).is_none());
         assert_eq!(cache.carry_forward(0, Some(&[])), 1, "nothing touched");
         assert!(cache.peek(1, 1).is_some());
-        assert!(cache.peek(2, 1).is_none(), "None reads everything");
         assert_eq!(cache.carried(), 1);
     }
 

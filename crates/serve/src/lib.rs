@@ -25,8 +25,8 @@
 //!   caught up to the reader's epoch by incremental maintenance.
 //! * [`server`] — the line-delimited JSON protocol over a Unix socket,
 //!   with per-connection interrupts and graceful drain.
-//! * [`protocol`] / [`json`] — the wire format (hand-rolled RFC 8259;
-//!   the build container has no serde).
+//! * [`protocol`] — the wire format, written and parsed through
+//!   [`json`], the workspace's JSON codec (re-exported from `hp-analysis`).
 //!
 //! Robustness claims are not aspirational: the chaos suite (tests under
 //! `tests/`, `--features fault-inject`) injects worker panics, forced
@@ -39,11 +39,12 @@
 pub mod admission;
 pub mod cache;
 pub mod epoch;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod service;
 pub mod view;
+
+pub use hp_analysis::json;
 
 pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
 pub use cache::{AnswerCache, CachedAnswer, Claim, Footprint, LeaderGuard};

@@ -28,7 +28,7 @@ use hp_structures::Elem;
 
 use crate::admission::Overloaded;
 use crate::epoch::UpdateBatch;
-use crate::json::{self, Json};
+use crate::json::{self, Json, ObjWriter};
 
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]
@@ -253,94 +253,6 @@ fn tuple_map(v: Option<&Json>) -> Result<Vec<(String, Vec<Elem>)>, String> {
     Ok(out)
 }
 
-/// A JSON object written field by field straight into its output line:
-/// the bytes [`Json::Obj`]'s `Display` would produce, without building
-/// the tree first.
-struct ObjWriter(String);
-
-impl ObjWriter {
-    fn new(capacity: usize) -> ObjWriter {
-        let mut out = String::with_capacity(capacity);
-        out.push('{');
-        ObjWriter(out)
-    }
-
-    /// Open field `key`, leaving the output positioned at its value.
-    fn key(&mut self, key: &str) -> &mut String {
-        if self.0.len() > 1 {
-            self.0.push(',');
-        }
-        self.0.push_str(&json::escape(key));
-        self.0.push(':');
-        &mut self.0
-    }
-
-    fn str(mut self, key: &str, value: &str) -> Self {
-        let v = json::escape(value);
-        self.key(key).push_str(&v);
-        self
-    }
-
-    fn num(mut self, key: &str, value: u64) -> Self {
-        push_uint(self.key(key), value);
-        self
-    }
-
-    fn bool(mut self, key: &str, value: bool) -> Self {
-        self.key(key).push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    fn null(mut self, key: &str) -> Self {
-        self.key(key).push_str("null");
-        self
-    }
-
-    /// `rows` as an array of arrays of element ids, digits appended as
-    /// they are produced.
-    fn rows(mut self, key: &str, rows: &[Vec<Elem>]) -> Self {
-        let out = self.key(key);
-        out.reserve(rows.iter().map(|r| 2 + 11 * r.len()).sum());
-        out.push('[');
-        for (i, row) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, e) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_uint(out, e.0 as u64);
-            }
-            out.push(']');
-        }
-        out.push(']');
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.0.push('}');
-        self.0
-    }
-}
-
-/// Append the decimal digits of `n`. Every protocol integer is below
-/// `2^53`, where [`Json::Num`] prints the same digits.
-fn push_uint(out: &mut String, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
-}
-
 impl Response {
     /// Render as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
@@ -373,22 +285,17 @@ impl Response {
                 rows,
                 resume,
                 fuel_spent,
-            } => {
-                let obj = ObjWriter::new(96)
-                    .str("status", "partial")
-                    .num("epoch", *epoch)
-                    .str("resource", resource)
-                    .rows("rows", rows);
-                match resume {
-                    Some(t) => obj.str("resume", t),
-                    None => obj.null("resume"),
-                }
-                .num("fuel_spent", *fuel_spent)
-            }
+            } => ObjWriter::new(96)
+                .str("status", "partial")
+                .num("epoch", *epoch)
+                .str("resource", resource)
+                .rows("rows", rows)
+                .value("resume", &resume.as_deref().into())
+                .num("fuel_spent", *fuel_spent),
             Response::Fault { message, retried } => ObjWriter::new(64)
                 .str("status", "fault")
                 .str("message", message)
-                .bool("retried", *retried),
+                .value("retried", &Json::Bool(*retried)),
             Response::Error { message } => ObjWriter::new(64)
                 .str("status", "error")
                 .str("message", message),

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use hp_guard::Interrupt;
 
-use crate::json::Json;
+use crate::json::ObjWriter;
 use crate::protocol::{parse_request, Request, Response};
 use crate::service::QueryService;
 
@@ -220,10 +220,10 @@ fn serve_connection(
         if buf.last() == Some(&b'\n') {
             buf.pop();
         } else if buf.len() > MAX_LINE_BYTES {
-            let too_large = Json::Obj(vec![
-                ("status".into(), Json::Str("too_large".into())),
-                ("max_line_bytes".into(), Json::Num(MAX_LINE_BYTES as f64)),
-            ]);
+            let too_large = ObjWriter::new(48)
+                .str("status", "too_large")
+                .num("max_line_bytes", MAX_LINE_BYTES as u64)
+                .finish();
             let _ = writeln!(writer, "{too_large}");
             let _ = writer.flush();
             token.trigger();

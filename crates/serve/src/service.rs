@@ -676,7 +676,7 @@ fn program_footprint(program: &Program) -> Footprint {
             PredRef::Edb(s) => Some(s),
             PredRef::Idb(_) => None,
         });
-    Some(sorted(syms))
+    sorted(syms)
 }
 
 /// A UCQ's read footprint: every symbol with a tuple in some disjunct's
@@ -688,7 +688,7 @@ fn ucq_footprint(ucq: &Ucq) -> Footprint {
             .filter(|(_, rel)| !rel.is_empty())
             .map(|(s, _)| s)
     });
-    Some(sorted(syms))
+    sorted(syms)
 }
 
 fn sorted(syms: impl Iterator<Item = SymbolId>) -> Arc<[SymbolId]> {
@@ -711,9 +711,11 @@ fn request_budget(fuel: u64, deadline: Instant, interrupt: &Interrupt) -> Budget
 }
 
 /// The fuel a completed evaluation was charged, mirroring the evaluator:
-/// one unit per round plus one per derived tuple.
+/// one unit per round, one per derived tuple, and one per stratum for the
+/// round 0 that seeds it (once per stratum across a resume chain too).
 fn fixpoint_fuel(result: &FixpointResult) -> u64 {
-    result.stages as u64 + result.relations.iter().map(|r| r.len() as u64).sum::<u64>()
+    let derived: u64 = result.relations.iter().map(|r| r.len() as u64).sum();
+    (result.stages + result.profile.len()) as u64 + derived
 }
 
 fn answer(epoch: u64, ans: CachedAnswer, cache: CacheOutcome) -> Response {
@@ -976,6 +978,40 @@ mod tests {
             } => (resource, resume.is_some(), fuel_spent),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_completed_evaluation_reports_the_fuel_it_was_charged() {
+        let mut path = Structure::new(Vocabulary::digraph(), 16);
+        let e = path.vocab().lookup("E").unwrap();
+        for i in 0..15u32 {
+            path.add_tuple(e, &[Elem(i), Elem(i + 1)]).unwrap();
+        }
+        let svc = QueryService::new(path, ServiceConfig::default());
+        let ask = |fuel: u64| {
+            let line = tc_line(fuel).replacen('}', ",\"no_cache\":true}", 1);
+            query(&svc, &line)
+        };
+        // All 120 pairs cost 136: 15 rounds, 120 tuples, 1 stratum seeded.
+        let (resource, _, spent) = partial_of(ask(136));
+        assert_eq!((resource.as_str(), spent), ("fuel", 136));
+        let fuel_of = |r: Response| match r {
+            Response::Answer {
+                rows, fuel_spent, ..
+            } => (rows.len(), fuel_spent),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(fuel_of(ask(137)), (120, 136));
+        // A stop and its resumption are charged as one run.
+        let token = match ask(50) {
+            Response::Partial {
+                resume: Some(token),
+                ..
+            } => token,
+            other => panic!("{other:?}"),
+        };
+        let resume = format!("{{\"op\":\"query\",\"resume\":\"{token}\",\"fuel\":100000}}");
+        assert_eq!(fuel_of(query(&svc, &resume)), (120, 136));
     }
 
     #[test]
