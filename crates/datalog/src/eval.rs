@@ -20,8 +20,9 @@
 //!
 //! The semi-naive round loop, [`semi_naive`], is the engine's only one:
 //! evaluation runs it once per stratum, and incremental maintenance
-//! ([`crate::incremental`]) runs it once per SCC for its insertion phase,
-//! which is also how a [`MaterializedDb`](crate::MaterializedDb) is built.
+//! ([`crate::incremental`]) runs it once per SCC for its insertion phase.
+//! A [`MaterializedDb`](crate::MaterializedDb) is built by evaluation
+//! itself, which stamps the recursive members' tuples with their stages.
 
 use std::fmt;
 
@@ -29,6 +30,7 @@ use hp_guard::{Budget, Budgeted, Gauge, GaugeState, Stop};
 use hp_structures::{Elem, Relation, Row, Structure, StructureError, TupleStore};
 
 use crate::ast::{PredRef, Program};
+use crate::incremental::DepthMap;
 use crate::plan::{JoinStep, ProbeScratch, ProgramPlan, ResolvedRow, RulePlan};
 
 /// User-reachable misuse of the evaluation APIs, reported as a typed error
@@ -172,11 +174,11 @@ impl EvalConfig {
 /// entry per stratum *entered* (in ascending stratum order). Positive
 /// programs have a single entry for stratum 0. The oracle-simple
 /// reference evaluator does not profile; its results carry an empty
-/// profile. Incremental maintenance and budgeted builds (positive programs
-/// only) report one entry for stratum 0 covering every SCC: the rounds of
-/// all four DRed steps, the IDB tuples they added or removed, the fuel
-/// charged (`1 + changed` per SCC), and the peak pending rows of the
-/// deletion and insertion rounds.
+/// profile. Incremental maintenance (positive programs only) reports one
+/// entry for stratum 0 covering every SCC: the rounds of all four DRed
+/// steps, the IDB tuples they added or removed, the fuel charged
+/// (`1 + changed` per SCC), and the peak pending rows of the deletion and
+/// insertion rounds. A build reports its evaluation's entry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StratumProfile {
     /// The stratum index (ascending; 0 for positive programs).
@@ -412,7 +414,7 @@ impl Program {
     /// sharded parallel rounds and an optional stage cap. See
     /// [`EvalConfig`]; results are bit-identical across thread counts.
     pub fn evaluate_with(&self, a: &Structure, cfg: &EvalConfig) -> FixpointResult {
-        self.fixpoint(a, cfg, Budget::unlimited().gauge(), None)
+        self.evaluate_budgeted(a, cfg, &Budget::unlimited())
             .unwrap_or_else(|_| unreachable!("an unlimited budget cannot exhaust"))
     }
 
@@ -433,7 +435,7 @@ impl Program {
         cfg: &EvalConfig,
         budget: &Budget,
     ) -> Budgeted<FixpointResult, EvalCheckpoint> {
-        self.fixpoint(a, cfg, budget.gauge(), None)
+        self.fixpoint(&ProgramPlan::new(self), a, cfg, budget.gauge(), None, None)
     }
 
     /// Continue an exhausted [`Program::evaluate_budgeted`] run from its
@@ -456,7 +458,8 @@ impl Program {
     ) -> Result<Budgeted<FixpointResult, EvalCheckpoint>, EvalError> {
         self.check_checkpoint(&checkpoint, a.universe_size())?;
         let gauge = budget.resume(checkpoint.fuel);
-        Ok(self.fixpoint(a, cfg, gauge, Some(checkpoint)))
+        let plan = ProgramPlan::new(self);
+        Ok(self.fixpoint(&plan, a, cfg, gauge, Some(checkpoint), None))
     }
 
     /// Validate that a checkpoint's IDB shape matches this program and its
@@ -520,10 +523,11 @@ impl Program {
         Ok(())
     }
 
-    /// The engine behind the budgeted and unbudgeted entry points:
-    /// [`semi_naive`] once per stratum, in ascending order, charged
-    /// against `gauge`, optionally continuing from a checkpoint taken at a
-    /// round boundary.
+    /// The engine behind the budgeted and unbudgeted entry points and
+    /// [`MaterializedDb`](crate::MaterializedDb)'s build: [`semi_naive`]
+    /// once per stratum of `plan`, in ascending order, charged against
+    /// `gauge`, optionally continuing from a checkpoint taken at a round
+    /// boundary.
     ///
     /// Round 0 of a stratum runs its exit rules (no positive atom over an
     /// IDB of the same stratum) against the IDBs accumulated so far; the
@@ -533,15 +537,21 @@ impl Program {
     /// (its delta has drained) by the time the reading stratum starts, so
     /// negation-as-complement is sound. Positive programs collapse to the
     /// single stratum 0.
+    ///
+    /// A build passes the recursive members' `depths`: each round stamps
+    /// a member's new tuples with their stage, the first `m` with the
+    /// tuple in Φ^m, and a completed run keeps the copies its probes built
+    /// for maintenance to probe. Any other result holds rows only.
     #[allow(clippy::result_large_err)]
-    fn fixpoint(
+    pub(crate) fn fixpoint(
         &self,
+        plan: &ProgramPlan,
         a: &Structure,
         cfg: &EvalConfig,
         mut gauge: Gauge,
         resume: Option<EvalCheckpoint>,
+        mut depths: Option<&mut [Option<DepthMap>]>,
     ) -> Budgeted<FixpointResult, EvalCheckpoint> {
-        let plan = ProgramPlan::new(self);
         // The run's state is its result: relations, stages, notes and
         // profile, plus the pending delta. Completed-strata costs survive
         // an interruption; the resumed stratum's entry covers only
@@ -593,9 +603,10 @@ impl Program {
                 cap: cfg.max_stages,
                 gauge: &mut gauge,
                 derived: 0,
+                depths: depths.as_deref_mut(),
             };
             let sealed = semi_naive(
-                &plan,
+                plan,
                 &members,
                 a,
                 &mut run.relations,
@@ -631,7 +642,10 @@ impl Program {
             }
         }
         run.diagnostics = workers.diagnostics;
-        Ok(run.finish(converged))
+        Ok(match depths {
+            Some(_) => FixpointResult { converged, ..run },
+            None => run.finish(converged),
+        })
     }
 }
 
@@ -646,13 +660,15 @@ impl FixpointResult {
 }
 
 /// Evaluation's round boundaries: each round charges `1 + derived` fuel,
-/// and each delta round is a stage of Φ, up to the stage cap.
+/// and each delta round is a stage of Φ, up to the stage cap. A build
+/// also stamps the recursive members' new tuples with their stage.
 struct Stages<'a> {
     stages: &'a mut usize,
     cap: Option<usize>,
     gauge: &'a mut Gauge,
     /// Tuples derived so far in this stratum.
     derived: u64,
+    depths: Option<&'a mut [Option<DepthMap>]>,
 }
 
 impl Rounds for Stages<'_> {
@@ -670,9 +686,18 @@ impl Rounds for Stages<'_> {
         Ok(true)
     }
 
+    /// Round 0 derives Φ¹, and delta round `m` derives Φ^{m+1} ∖ Φ^m.
     fn after(&mut self, _seeded: bool, delta: &[Relation]) -> Result<(), Stop> {
         let derived: u64 = delta.iter().map(|d| d.len() as u64).sum();
         self.derived += derived;
+        if let Some(depths) = self.depths.as_deref_mut() {
+            let stage = *self.stages as u64 + 1;
+            for (map, d) in depths.iter_mut().zip(delta) {
+                if let Some(map) = map {
+                    d.iter().for_each(|t| map.insert(t, stage));
+                }
+            }
+        }
         self.gauge.tick(1 + derived)
     }
 }

@@ -23,10 +23,10 @@
 //! all DRed needs. In a non-recursive SCC no rule body mentions a member,
 //! so each phase has at most one productive round.
 //!
-//! A database is built the same way: [`MaterializedDb::new`] maintains
-//! the empty database with the whole input as one insertion batch, so a
-//! build is phase C alone. Its rounds are the semi-naive stages, which
-//! become the recursive members' derivation depths.
+//! A database is built by evaluation: [`MaterializedDb::new`] runs the
+//! program's semi-naive fixpoint, whose round hook stamps each recursive
+//! member's new tuples with their stage in Φ⁰ ⊆ Φ¹ ⊆ ⋯ (§2.3). Those
+//! stages are the members' first derivation depths.
 //!
 //! Every phase plans and joins as the evaluator does, through its
 //! [`ProgramPlan`] and its join: phases A and B read pre-batch and
@@ -40,11 +40,9 @@
 //! exhausted run returns an [`IncCheckpoint`] (the database keeps the
 //! already-committed SCCs and refuses further updates until resumed), and
 //! resuming with fuel `f2` after exhausting `f1` lands at exactly the state
-//! of a single `f1 + f2` run. An SCC whose members start empty, as every
-//! SCC of a build ([`MaterializedDb::new_budgeted`]) does, is also polled
-//! after each insertion round: when the deadline passed, the interrupt
-//! fired, or its charge so far would exhaust the fuel, it is abandoned,
-//! its members emptied again, and the checkpoint resumes before it.
+//! of a single `f1 + f2` run. A budgeted build
+//! ([`MaterializedDb::new_budgeted`]) is budgeted as evaluation is, round
+//! by round, and a stopped one is the stopped evaluation.
 
 use std::collections::HashMap;
 
@@ -55,7 +53,8 @@ use hp_structures::{
 
 use crate::ast::{PredRef, Program};
 use crate::eval::{
-    join, semi_naive, EvalConfig, EvalError, Item, JoinCtx, Reads, Rounds, StratumProfile, Workers,
+    join, semi_naive, EvalCheckpoint, EvalConfig, EvalError, Item, JoinCtx, Reads, Rounds,
+    StratumProfile, Workers,
 };
 use crate::plan::{ProbeScratch, ProgramPlan, ResolvedRow};
 
@@ -201,28 +200,24 @@ impl MaterializedDb {
         }
     }
 
-    /// As [`MaterializedDb::new_with`], charged against `budget` as
-    /// maintenance is ([`Program::evaluate_incremental_budgeted`]), with
+    /// As [`MaterializedDb::new_with`], charged against `budget`, with
     /// the build's [`MaintenanceReport`].
     ///
-    /// The database is built the way it is maintained: from empty IDB
-    /// relations, with the whole input as one insertion batch. A positive
-    /// program is monotone, so DRed's insertion phase reaches its least
-    /// fixpoint SCC by SCC, and gives every tuple of a recursive SCC its
-    /// semi-naive stage as its depth. The budget is polled after every
-    /// round; on exhaustion the partial is the database, in flight, and
-    /// the checkpoint that [`Program::resume_incremental`] completes the
-    /// build from.
-    #[allow(clippy::type_complexity, clippy::result_large_err)]
+    /// A build is [`Program::evaluate_budgeted`]: the same rounds, fuel,
+    /// stages and profile, a stage cap aside. Its round hook stamps each
+    /// recursive member's new tuples with their stage, the first `m` with
+    /// the tuple in Φ^m, and the depth clock starts at the stage count
+    /// plus one. The database keeps the permuted copies the evaluation's
+    /// probes built. On exhaustion the partial is the evaluation's own
+    /// [`EvalCheckpoint`], which [`Program::resume_budgeted`] continues to
+    /// the fixpoint; no database is kept.
+    #[allow(clippy::result_large_err)]
     pub fn new_budgeted(
         program: &Program,
         structure: Structure,
         cfg: &EvalConfig,
         budget: &Budget,
-    ) -> Result<
-        Budgeted<(MaterializedDb, MaintenanceReport), (MaterializedDb, IncCheckpoint)>,
-        EvalError,
-    > {
+    ) -> Result<Budgeted<(MaterializedDb, MaintenanceReport), EvalCheckpoint>, EvalError> {
         if program.has_negation() {
             return Err(EvalError::NegationUnsupported {
                 operation: "incremental view maintenance".to_string(),
@@ -233,30 +228,35 @@ impl MaterializedDb {
                 detail: "structure vocabulary differs from the program's EDB".to_string(),
             });
         }
-        let graph = program.graph();
-        let idb = program.empty_idbs();
-        let depths = (0..idb.len())
-            .map(|p| graph.is_recursive_pred(p).then(DepthMap::default))
+        let plan = ProgramPlan::new(program);
+        let mut depths: Vec<Option<DepthMap>> = (0..program.idbs().len())
+            .map(|p| plan.graph.is_recursive_pred(p).then(DepthMap::default))
             .collect();
-        let mut deltas = Deltas::empty(program);
-        for (sym, rel) in structure.relations() {
-            deltas.edb_plus[sym.index()] = rel.store().clone();
-        }
-        let mut db = MaterializedDb {
+        let cfg = EvalConfig {
+            max_stages: None,
+            ..cfg.clone()
+        };
+        let gauge = budget.gauge();
+        let run = match program.fixpoint(&plan, &structure, &cfg, gauge, None, Some(&mut depths)) {
+            Ok(run) => run,
+            Err(stop) => return Ok(Err(stop)),
+        };
+        let db = MaterializedDb {
             program: program.clone(),
-            plan: ProgramPlan::new(program),
+            plan,
             structure,
-            idb,
+            idb: run.relations,
             depths,
-            depth_clock: 0,
+            depth_clock: run.stages as u64 + 1,
             in_flight: false,
         };
-        Ok(
-            match maintain(&mut db, cfg, budget.gauge(), deltas, 0, 0, Vec::new()) {
-                Ok(report) => Ok((db, report)),
-                Err(stop) => Err(stop.map_partial(|cp| (db, cp))),
-            },
-        )
+        let report = MaintenanceReport {
+            stages: run.stages,
+            converged: true,
+            diagnostics: run.diagnostics,
+            profile: run.profile,
+        };
+        Ok(Ok((db, report)))
     }
 
     /// The current input structure (reflecting every committed batch).
@@ -320,14 +320,9 @@ impl MaterializedDb {
 ///
 /// The snapshot is taken at a **stratum boundary**: every SCC before
 /// `next_scc` is fully committed to the database, none from it on has been
-/// touched (an SCC abandoned in flight was emptied again), and the
-/// recorded per-predicate deltas let later strata reconstruct their
-/// pre-update views. Resuming with fuel `f2` after exhausting `f1` lands
-/// at exactly the state of a single `f1 + f2` run. An abandoned SCC's
-/// charge counts in the stopped run's [`Exhausted::spent`] but not in
-/// [`IncCheckpoint::fuel_spent`]: the resume derives it again.
-///
-/// [`Exhausted::spent`]: hp_guard::Exhausted::spent
+/// touched, and the recorded per-predicate deltas let later strata
+/// reconstruct their pre-update views. Resuming with fuel `f2` after
+/// exhausting `f1` lands at exactly the state of a single `f1 + f2` run.
 #[derive(Clone, Debug)]
 pub struct IncCheckpoint {
     next_scc: usize,
@@ -366,12 +361,13 @@ impl IncCheckpoint {
 pub struct MaintenanceReport {
     /// Maintenance rounds (delta passes across all strata), cumulative
     /// over a resume chain — not the full evaluator's Φ rounds; an update
-    /// nothing depends on reports 0. Every stratum reports the rounds its
-    /// DRed phases ran, a non-recursive one included (up to one deletion,
-    /// two rederivation and one insertion round), not a flat 1. An
-    /// insertion round counts when something seeds it — an external
-    /// insertion, an absent empty-body head, or last round's new tuples —
-    /// even if every item it forms reads an empty relation and is skipped.
+    /// nothing depends on reports 0, and a build reports its Φ stages.
+    /// Every stratum reports the rounds its DRed phases ran, a
+    /// non-recursive one included (up to one deletion, two rederivation
+    /// and one insertion round), not a flat 1. An insertion round counts
+    /// when something seeds it — an external insertion or last round's
+    /// new tuples — even if every item it forms reads an empty relation
+    /// and is skipped.
     pub stages: usize,
     /// True when every stratum was maintained (always, for a completed
     /// run: an exhausted one returns an [`IncCheckpoint`] instead).
@@ -382,7 +378,7 @@ pub struct MaintenanceReport {
     pub diagnostics: Vec<String>,
     /// One [`StratumProfile`] for the run (maintained programs are
     /// positive, so there is one stratum): rounds, changed tuples, fuel
-    /// and wall time of this call.
+    /// and wall time of this call; for a build, its evaluation's.
     pub profile: Vec<StratumProfile>,
 }
 
@@ -420,7 +416,7 @@ enum View {
 /// Rows of arity at most 2 pack into one `u64` key, so the common unary
 /// and binary members hold no allocation per row; wider rows are boxed.
 #[derive(Clone, Debug, Default)]
-struct DepthMap {
+pub(crate) struct DepthMap {
     packed: HashMap<u64, u64>,
     boxed: HashMap<Box<[Elem]>, u64>,
 }
@@ -444,7 +440,7 @@ impl DepthMap {
         }
     }
 
-    fn insert<R: Row>(&mut self, t: R, depth: u64) {
+    pub(crate) fn insert<R: Row>(&mut self, t: R, depth: u64) {
         match DepthMap::pack(&t) {
             Some(k) => self.packed.insert(k, depth),
             None => self.boxed.insert(t.to_elems().into(), depth),
@@ -721,15 +717,10 @@ fn dred_scc(
     deltas: &mut Deltas,
     scc: usize,
     rounds: &mut usize,
-    gauge: &mut Gauge,
-) -> Result<usize, Stop> {
+) -> usize {
     let n_idb = db.idb.len();
     let graph = &db.plan.graph;
     let members = graph.scc_members(scc);
-    // A fresh SCC (members empty, as in a build) has nothing to delete,
-    // and emptying its members undoes it: it can be abandoned in flight.
-    let fresh = members.iter().all(|&p| db.idb[p].is_empty());
-    let rounds_before = *rounds;
     let arities: Vec<usize> = db.idb.iter().map(Relation::arity).collect();
     let arity_of = |p: usize| arities[p];
     let mut removed: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
@@ -868,25 +859,13 @@ fn dred_scc(
 
     // Phase C: the evaluator's semi-naive rounds over the committed state,
     // with the SCC as the round unit. Round 0 is seeded by the external
-    // insertions and by the empty-body rules whose nullary head is
-    // absent. An external atom holding only rows this batch inserted
-    // seeds no item when an earlier external atom does too: the item
-    // seeded there enumerates its derivations.
-    let external = |pred: PredRef| !matches!(pred, PredRef::Idb(q) if in_scc[q]);
+    // insertions.
     let mut items: Vec<Item<'_>> = Vec::new();
-    let ctx = db.committed();
     for rp in db.plan.rules.iter().filter(|rp| in_scc[rp.head]) {
-        if rp.atoms.is_empty() && db.idb[rp.head].is_empty() {
-            items.push(Item::new(rp, None));
-        }
         for (ai, atom) in rp.atoms.iter().enumerate() {
             let seed = deltas.plus(atom.pred);
-            let inserted_before = || {
-                rp.atoms[..ai].iter().any(|a| {
-                    external(a.pred) && ctx.relation(a.pred).len() == deltas.plus(a.pred).len()
-                })
-            };
-            if external(atom.pred) && !seed.is_empty() && !inserted_before() {
+            let external = !matches!(atom.pred, PredRef::Idb(q) if in_scc[q]);
+            if external && !seed.is_empty() {
                 items.push(Item::new(rp, Some((ai, seed))));
             }
         }
@@ -901,8 +880,6 @@ fn dred_scc(
         clock: &mut clock,
         rounds,
         added: vec![Vec::new(); n_idb],
-        gauge: fresh.then_some(gauge),
-        charge: 1,
     };
     let mut delta = db.program.empty_idbs();
     let sealed = semi_naive(
@@ -916,17 +893,7 @@ fn dred_scc(
         &mut insertions,
     );
     let mut added = insertions.added;
-    if let Err(stop) = sealed {
-        for &p in members {
-            db.idb[p].clear();
-            if let Some(map) = db.depths[p].as_mut() {
-                *map = DepthMap::default();
-            }
-        }
-        *rounds = rounds_before;
-        return Err(stop);
-    }
-    debug_assert!(matches!(sealed, Ok(true)), "phase C never caps");
+    debug_assert!(matches!(sealed, Ok(true)), "phase C never stops");
 
     // A tuple deleted and then derived again reaches the strata above as
     // neither a deletion nor an insertion.
@@ -940,21 +907,17 @@ fn dred_scc(
         deltas.idb_plus[p] = plus;
     }
     db.depth_clock = clock;
-    Ok(changed)
+    changed
 }
 
 /// Phase C's round boundaries: a round some item was seeded for counts,
 /// advances the depth clock and stamps the recursive members' new tuples
 /// with it; every merged delta is kept, per IDB and round.
-/// In a fresh SCC each round also polls the gauge, and stops the SCC once
-/// its charge so far (`1 +` the tuples derived) would exhaust the fuel.
 struct Insertions<'a> {
     depths: &'a mut [Option<DepthMap>],
     clock: &'a mut u64,
     rounds: &'a mut usize,
     added: Vec<Vec<TupleStore>>,
-    gauge: Option<&'a mut Gauge>,
-    charge: u64,
 }
 
 impl Rounds for Insertions<'_> {
@@ -974,14 +937,6 @@ impl Rounds for Insertions<'_> {
                     }
                 }
             }
-        }
-        if let Some(gauge) = self.gauge.as_deref_mut() {
-            self.charge += delta.iter().map(|d| d.len() as u64).sum::<u64>();
-            let GaugeState { spent, limit } = gauge.state();
-            if spent.saturating_add(self.charge) >= limit {
-                return gauge.tick(self.charge);
-            }
-            gauge.check()?;
         }
         Ok(())
     }
@@ -1036,11 +991,7 @@ fn maintain(
             let fuel = stop.state();
             return Err(stopped(db, stop, si, deltas, stages, workers, fuel));
         }
-        let before = gauge.state();
-        let changed = match dred_scc(db, &mut workers, &mut deltas, si, &mut stages, &mut gauge) {
-            Ok(changed) => changed as u64,
-            Err(stop) => return Err(stopped(db, stop, si, deltas, stages, workers, before)),
-        };
+        let changed = dred_scc(db, &mut workers, &mut deltas, si, &mut stages) as u64;
         derived += changed;
         fuel += 1 + changed;
         if let Err(stop) = gauge.tick(1 + changed) {
@@ -1457,10 +1408,11 @@ mod tests {
 
     #[test]
     fn build_depths_are_naive_stages() {
-        // For a one-SCC program, every member tuple's depth is the first
-        // `m` with the tuple in Φ^m, and the clock is the number of
-        // stages Φ^0 … Φ^k. Coarser depths would stay correct but widen
-        // the deletion cascade.
+        // For every positive program, every recursive member tuple's depth
+        // is the first `m` with the tuple in Φ^m, non-recursive members
+        // carry no depths, and the clock is the number of stages Φ^0 …
+        // Φ^k. Coarser depths would stay correct but widen the deletion
+        // cascade.
         use hp_structures::generators::random_digraph;
         let digraph = Vocabulary::digraph();
         let parse = |src: &str, vocab: &Vocabulary| Program::parse(src, vocab).unwrap();
@@ -1475,11 +1427,16 @@ mod tests {
         let nonlinear_tc = "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).";
         let even_odd =
             "Even(x,y) :- E(x,z), Odd(z,y).\nOdd(x,y) :- E(x,y).\nOdd(x,y) :- E(x,z), Even(z,y).";
+        let reach_then_q = "R(x) :- S(x).\nR(y) :- R(x), E(x,y).\nQ(x) :- R(x), E(x,y).";
+        let tc_under_u = "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
+                          U(x,y) :- T(x,y).\nU(x,z) :- U(x,y), T(y,z).";
         let cases = [
             (
                 parse("R(x) :- S(x).\nR(y) :- R(x), E(x,y).", &reach_vocab),
-                reach_input,
+                reach_input.clone(),
             ),
+            (parse(reach_then_q, &reach_vocab), reach_input),
+            (parse(tc_under_u, &digraph), random_digraph(16, 24, 8)),
             (parse(left_tc, &digraph), random_digraph(24, 40, 3)),
             (gallery::transitive_closure(), random_digraph(24, 40, 4)),
             (parse(nonlinear_tc, &digraph), directed_path(20)),
@@ -1488,11 +1445,14 @@ mod tests {
         ];
         for (p, a) in cases {
             let db = MaterializedDb::new(&p, a.clone()).unwrap();
-            assert_eq!(db.plan.graph.scc_count(), 1);
             let seq = p.stages(&a, usize::MAX);
             assert!(seq.converged);
             for (i, rel) in db.relations().iter().enumerate() {
-                let depths = db.depths[i].as_ref().expect("the SCC is recursive");
+                let recursive = db.plan.graph.is_recursive_pred(i);
+                assert_eq!(db.depths[i].is_some(), recursive, "{p:?}: IDB {i}");
+                let Some(depths) = &db.depths[i] else {
+                    continue;
+                };
                 for t in rel.iter() {
                     let stage = seq.stages.iter().position(|s| s[i].contains(t));
                     assert_eq!(depths.get(t).map(|d| d as usize), stage, "{p:?}: {t:?}");
@@ -1604,27 +1564,29 @@ mod tests {
                     (13, 156, 157, 129, 10256868701647908071),
                 ],
             ),
+            // R and Q derive in the same stages: the build's clock is
+            // its Φ stage count plus one, 2, not R's rounds plus Q's.
             (
                 "R(x) :- S(x).\nR(y) :- R(x), E(x,y).\nQ(x) :- R(x), E(x,y).",
                 &reach_vocab,
                 &[
-                    (0, 0, 0, 3, 12478961607815935348),
-                    (4, 0, 2, 5, 12478959408792678926),
-                    (15, 19, 21, 17, 18384311361400258083),
-                    (7, 3, 5, 21, 15265694798350809353),
-                    (15, 19, 21, 26, 17591830527163901084),
-                    (4, 0, 2, 28, 17591828328140644662),
-                    (14, 25, 27, 40, 10086102761657526219),
-                    (22, 4, 6, 54, 15330702822759498721),
-                    (4, 0, 2, 56, 15330696225689729455),
-                    (8, 4, 6, 60, 17581159127003898519),
-                    (21, 2, 4, 70, 14675878496258003248),
-                    (10, 4, 6, 75, 7954145718470965341),
-                    (6, 4, 6, 79, 308849282225099059),
-                    (2, 0, 2, 79, 308849282225099059),
-                    (7, 6, 8, 82, 5125210795109902141),
-                    (7, 2, 4, 86, 700702123120966260),
-                    (6, 5, 7, 90, 1167716250243511546),
+                    (0, 0, 0, 2, 12478962707327563559),
+                    (4, 0, 2, 4, 12478960508304307137),
+                    (15, 19, 21, 16, 124516261646697655),
+                    (7, 3, 5, 20, 3824235723748487497),
+                    (15, 19, 21, 25, 5676578083241922835),
+                    (4, 0, 2, 27, 5676580282265179257),
+                    (14, 25, 27, 39, 17096501621297140848),
+                    (22, 4, 6, 53, 5287464515674420353),
+                    (4, 0, 2, 55, 5287462316651163931),
+                    (8, 4, 6, 59, 9769374211725273969),
+                    (21, 2, 4, 69, 1338891482011985969),
+                    (10, 4, 6, 74, 6499024583044601118),
+                    (6, 4, 6, 78, 7348052083749133842),
+                    (2, 0, 2, 78, 7348052083749133842),
+                    (7, 6, 8, 81, 86454574975151183),
+                    (7, 2, 4, 85, 11003705828909517291),
+                    (6, 5, 7, 89, 2810718549141115736),
                 ],
             ),
         ];
@@ -1686,14 +1648,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_stopped_build_resumes_to_the_full_build() {
-        // Two SCCs, recursive `T` under non-recursive `Q`. A build charges
-        // `1 + changed` per SCC, and stops an SCC in flight once its
-        // charge so far reaches the fuel left. These allowances stop it
-        // before the first SCC, in the first SCC's first and last rounds,
-        // and in the second SCC; resumed, each lands on the unbudgeted
-        // build, fuel included.
+    /// Recursive `T` under non-recursive `Q`, on a path with one back
+    /// edge.
+    fn two_scc_build() -> (Program, Structure) {
         let p = Program::parse(
             "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\nQ(x) :- T(x,x).",
             &Vocabulary::digraph(),
@@ -1701,47 +1658,66 @@ mod tests {
         .unwrap();
         let mut a = directed_path(6);
         a.add_tuple_ids(0, &[5, 3]).unwrap();
+        (p, a)
+    }
+
+    #[test]
+    fn a_stopped_build_resumes_to_the_full_build() {
+        // A stopped build is a stopped evaluation: its checkpoint resumes
+        // through `resume_budgeted` to the unbudgeted build's relations
+        // and stages, the split charged as one run.
+        let (p, a) = two_scc_build();
         let cfg = EvalConfig::new();
         let build = |budget: &Budget| MaterializedDb::new_budgeted(&p, a.clone(), &cfg, budget);
         let (full, report) = build(&Budget::unlimited()).unwrap().unwrap();
-        let (t, q) = (full.idb(0).len() as u64, full.idb(1).len() as u64);
-        for (fuel, committed) in [(0, 0), (1, 0), (t + 1, 0), (t + 2, 1)] {
-            let Err(stop) = build(&Budget::fuel(fuel)).unwrap() else {
-                panic!("{fuel} fuel cannot finish the build");
+        let fuel = report.profile[0].fuel;
+        for f in [0, 1, fuel / 2, fuel] {
+            let Err(stop) = build(&Budget::fuel(f)).unwrap() else {
+                panic!("{f} fuel cannot finish the build");
             };
-            let (mut db, cp) = stop.partial;
-            assert!(db.is_in_flight());
-            assert_eq!(cp.committed_strata(), committed, "fuel {fuel}");
-            // The abandoned SCC is charged to the stopped run, not to the
-            // checkpoint.
-            let spent = cp.fuel_spent();
-            assert_eq!(spent, if committed == 0 { 0 } else { 1 + t });
-            assert!(stop.spent >= fuel, "fuel {fuel}");
-            assert_eq!(stop.spent > spent, fuel > 0, "only 0 stops at a boundary");
+            assert!(stop.spent >= f, "fuel {f}");
+            let spent = stop.partial.fuel_spent();
             let rest = p
-                .resume_incremental(&mut db, cp, &cfg, &Budget::unlimited())
+                .resume_budgeted(&a, &cfg, stop.partial, &Budget::unlimited())
                 .unwrap()
                 .unwrap();
-            assert!(!db.is_in_flight());
-            assert_eq!(db.relations(), full.relations(), "fuel {fuel}");
-            assert_eq!(depth_fingerprint(&db), depth_fingerprint(&full));
-            assert_eq!(spent + rest.profile[0].fuel, report.profile[0].fuel);
+            assert_eq!(&rest.relations[..], full.relations(), "fuel {f}");
+            assert_eq!(rest.stages, report.stages, "fuel {f}");
+            assert_eq!(spent + rest.profile[0].fuel, fuel, "fuel {f}");
         }
-        // One fuel stops the first round: `E`'s six edges, not the closure.
-        let Err(stop) = build(&Budget::fuel(1)).unwrap() else {
-            unreachable!()
-        };
-        assert_eq!(stop.spent, 1 + 6);
-        assert!(stop.spent < 1 + t, "the closure was not derived");
-        assert_eq!(report.profile[0].fuel, (1 + t) + (1 + q));
-        assert!(build(&Budget::fuel(t + q + 3)).unwrap().is_ok());
+        assert!(build(&Budget::fuel(fuel + 1)).unwrap().is_ok());
+    }
+
+    #[test]
+    fn a_stopped_build_is_the_stopped_evaluation() {
+        // At each allowance the build stops in the round evaluation stops
+        // in, with the same partial relations, pending delta and fuel.
+        let (p, a) = two_scc_build();
+        let cfg = EvalConfig::new();
+        let t = p.evaluate(&a).relations[0].len() as u64;
+        for fuel in [1, t, t + 1] {
+            let budget = Budget::fuel(fuel);
+            let Err(built) = MaterializedDb::new_budgeted(&p, a.clone(), &cfg, &budget).unwrap()
+            else {
+                panic!("{fuel} fuel cannot finish the build");
+            };
+            let Err(evaluated) = p.evaluate_budgeted(&a, &cfg, &budget) else {
+                panic!("{fuel} fuel cannot finish the evaluation");
+            };
+            let (b, e) = (&built.partial, &evaluated.partial);
+            assert_eq!(built.spent, evaluated.spent, "fuel {fuel}");
+            assert_eq!(b.partial.stages, e.partial.stages, "fuel {fuel}");
+            assert_eq!(b.partial.relations, e.partial.relations, "fuel {fuel}");
+            assert_eq!(b.pending_delta(), e.pending_delta(), "fuel {fuel}");
+            assert_eq!(b.fuel_spent(), e.fuel_spent(), "fuel {fuel}");
+        }
     }
 
     #[test]
     fn a_deadline_stops_a_build_in_flight() {
-        // One recursive SCC, hundreds of rounds: the SCC boundaries are
-        // the start and the end, so only the per-round poll can see the
-        // deadline pass.
+        // One recursive SCC, hundreds of rounds: the deadline is polled
+        // before every delta round, so it stops the build in flight, and
+        // the stopped evaluation resumes to the build's relations.
         let p = gallery::transitive_closure();
         let a = directed_path(300);
         let cfg = EvalConfig::new();
@@ -1750,14 +1726,12 @@ mod tests {
             panic!("the build outlasts its deadline");
         };
         assert_eq!(stop.resource, hp_guard::Resource::Time);
-        let (mut db, cp) = stop.partial;
-        assert_eq!(cp.committed_strata(), 0);
-        p.resume_incremental(&mut db, cp, &cfg, &Budget::unlimited())
+        let rest = p
+            .resume_budgeted(&a, &cfg, stop.partial, &Budget::unlimited())
             .unwrap()
             .unwrap();
         let full = MaterializedDb::new(&p, a).unwrap();
-        assert_eq!(db.relations(), full.relations());
-        assert_eq!(depth_fingerprint(&db), depth_fingerprint(&full));
+        assert_eq!(&rest.relations[..], full.relations());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::admission::AdmissionGate;
 use crate::cache::{AnswerCache, CachedAnswer, Claim, Footprint};
 use crate::epoch::{EpochStore, Snapshot, UpdateBatch, WriteError};
 use crate::protocol::{CacheOutcome, QueryRequest, Request, Response};
-use crate::view::{Cost, ViewRegistry};
+use crate::view::{Miss, ViewRegistry};
 
 /// Tuning knobs for a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -51,16 +51,17 @@ pub struct ServiceConfig {
     /// Admission: maximum summed outstanding deadlines (ms) before
     /// shedding.
     pub max_debt_ms: u64,
-    /// Worker threads inside one evaluation (see
-    /// [`EvalConfig::threads`]); requests are already concurrent with
-    /// each other, so the default is 1.
-    pub eval_threads: usize,
     /// Fuel granted to canonical-core key computation; exhaustion here
     /// degrades to a cache bypass, not a failed request.
     pub key_fuel: u64,
-    /// Cap on outstanding resume tokens (oldest evicted first).
-    pub max_resume_tokens: usize,
 }
+
+/// Worker threads inside one evaluation (see [`EvalConfig::threads`]):
+/// requests are already concurrent with each other.
+const EVAL_THREADS: usize = 1;
+
+/// Cap on outstanding resume tokens (oldest evicted first).
+const MAX_RESUME_TOKENS: usize = 256;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -69,9 +70,7 @@ impl Default for ServiceConfig {
             default_fuel: 5_000_000,
             max_depth: 64,
             max_debt_ms: 120_000,
-            eval_threads: 1,
             key_fuel: 100_000,
-            max_resume_tokens: 256,
         }
     }
 }
@@ -374,13 +373,10 @@ impl QueryService {
         }
     }
 
-    /// A recursive positive program: read its maintained view, build it
-    /// when a completed evaluation recorded the program and what the read
-    /// left of the request's budget covers that fixpoint's cost, or else
-    /// evaluate and record the program once the evaluation completes. A
-    /// build runs under what is left of the request's budget; one that
-    /// stops is dropped, and the request evaluates with the fuel and time
-    /// left, recording nothing.
+    /// A recursive positive program: read its maintained view, or build
+    /// one under what the read left of the request's budget. A build the
+    /// budget stops returns the evaluation's partial and resume token. A
+    /// reader behind the view evaluates and builds nothing.
     fn view_query(
         &self,
         program: &Program,
@@ -391,50 +387,32 @@ impl QueryService {
         seq: u64,
     ) -> Response {
         let cfg = self.eval_config();
-        let mut budget = request_budget(fuel, deadline, interrupt);
-        let left = match self.views.read(program, snap, &cfg, &budget, seq) {
+        let budget = request_budget(fuel, deadline, interrupt);
+        let stopped = match self.views.read(program, snap, &cfg, &budget, seq) {
             Ok(ans) => return answer(snap.epoch, ans, CacheOutcome::View),
-            Err(spent) => fuel.saturating_sub(spent),
+            Err(Miss::Behind) => match program.evaluate_budgeted(&snap.structure, &cfg, &budget) {
+                Ok(result) => {
+                    let ans = self.fixpoint_answer(&result);
+                    return answer(snap.epoch, ans, CacheOutcome::Bypass);
+                }
+                Err(exhausted) => exhausted,
+            },
+            Err(Miss::Absent { spent }) => {
+                let budget = request_budget(fuel.saturating_sub(spent), deadline, interrupt);
+                match self.views.build(program, snap, &cfg, &budget) {
+                    Ok(ans) => {
+                        self.fixpoints.fetch_add(1, Ordering::Relaxed);
+                        return answer(snap.epoch, ans, CacheOutcome::View);
+                    }
+                    Err(exhausted) => exhausted,
+                }
+            }
         };
-        let builds = self.views.take_recorded(program).is_some_and(|cost| {
-            cost.fuel <= left && cost.time <= deadline.saturating_duration_since(Instant::now())
-        });
-        if builds {
-            let budget_left = request_budget(left, deadline, interrupt);
-            match self.views.build(program, snap, &cfg, &budget_left) {
-                Ok(ans) => {
-                    self.fixpoints.fetch_add(1, Ordering::Relaxed);
-                    return answer(snap.epoch, ans, CacheOutcome::View);
-                }
-                Err(spent) => {
-                    budget = request_budget(left.saturating_sub(spent), deadline, interrupt)
-                }
-            }
-        }
-        match program.evaluate_budgeted(&snap.structure, &cfg, &budget) {
-            Ok(result) => {
-                if !builds {
-                    let cost = Cost {
-                        fuel: result.profile.iter().map(|p| p.fuel).sum(),
-                        time: result.profile.iter().map(|p| p.elapsed).sum(),
-                    };
-                    self.views.record(program, cost);
-                }
-                answer(
-                    snap.epoch,
-                    self.fixpoint_answer(&result),
-                    CacheOutcome::Bypass,
-                )
-            }
-            Err(exhausted) => self.stash_partial(program, snap, Stopped::from(exhausted)),
-        }
+        self.stash_partial(program, snap, Stopped::from(stopped))
     }
 
     fn eval_config(&self) -> EvalConfig {
-        EvalConfig {
-            threads: self.cfg.eval_threads,
-            ..EvalConfig::default()
-        }
+        EvalConfig::new().with_threads(EVAL_THREADS)
     }
 
     /// The answer of a completed evaluation, counted as a fixpoint.
@@ -526,7 +504,7 @@ impl QueryService {
             Some(cp) if resource != Resource::Interrupt => {
                 let token = format!("r{:x}", self.seq.fetch_add(1, Ordering::Relaxed));
                 let mut store = self.resumes.lock().unwrap_or_else(|e| e.into_inner());
-                while store.order.len() >= self.cfg.max_resume_tokens {
+                while store.order.len() >= MAX_RESUME_TOKENS {
                     let evict = store.order.remove(0);
                     store.slots.remove(&evict);
                 }
@@ -908,13 +886,12 @@ mod tests {
             goal_rows(p.evaluate_reference(&snap.structure).goal())
         };
         let served = |svc: &QueryService| served_line(svc, &q);
-        // The first evaluation only records the program; the second
-        // request builds the view instead of evaluating, and answers from
-        // it: one fixpoint each.
-        assert_eq!(served(&svc), (CacheOutcome::Bypass, expect(&svc)));
+        // The first request builds the view and answers from it, one
+        // fixpoint; the second reads the view and computes none.
+        assert_eq!(served(&svc), (CacheOutcome::View, expect(&svc)));
         assert_eq!(fixpoints(&svc), 1);
         assert_eq!(served(&svc), (CacheOutcome::View, expect(&svc)));
-        assert_eq!(fixpoints(&svc), 2);
+        assert_eq!(fixpoints(&svc), 1);
         assert_eq!(svc.views().len(), 1);
         assert_eq!(
             svc.cache().len(),
@@ -1018,12 +995,9 @@ mod tests {
     fn a_view_build_is_charged_to_its_request() {
         let svc = service();
         let ask = |fuel: u64| query(&svc, &tc_line(fuel));
-        // The recording evaluation costs 15 fuel (five rounds, ten
-        // tuples).
-        assert_eq!(cache_of(ask(1000)), CacheOutcome::Bypass);
-        // 3 fuel cannot cover that: the request evaluates as it would
-        // without views, and stops after its 3 units, resumably. It builds
-        // nothing and forgets the program.
+        // 3 fuel cannot cover the build's 15 (five rounds, ten tuples):
+        // it stops in its first delta round, resumably, and installs
+        // nothing.
         let (resource, resumable, spent) = partial_of(ask(3));
         assert_eq!((resource.as_str(), resumable), ("fuel", true));
         assert!(
@@ -1031,67 +1005,103 @@ mod tests {
             "stopped in the first round, not after the closure"
         );
         assert_eq!(svc.views().len(), 0);
-        assert_eq!(fixpoints(&svc), 1);
-        // Recorded, then built, again.
-        assert_eq!(cache_of(ask(1000)), CacheOutcome::Bypass);
-        assert_eq!(cache_of(ask(1000)), CacheOutcome::View);
+        assert_eq!(fixpoints(&svc), 0);
+        // 1000 fuel covers it: the build answers, charged 15.
+        match ask(1000) {
+            Response::Answer {
+                cache,
+                rows,
+                fuel_spent,
+                ..
+            } => assert_eq!(
+                (cache, rows.len(), fuel_spent),
+                (CacheOutcome::View, 10, 15)
+            ),
+            other => panic!("{other:?}"),
+        }
         assert_eq!(svc.views().len(), 1);
-        assert_eq!(fixpoints(&svc), 3);
+        assert_eq!(fixpoints(&svc), 1);
+    }
+
+    #[test]
+    fn a_building_request_answers_as_a_no_cache_one() {
+        let svc = service();
+        query(&svc, "{\"op\":\"update\",\"insert\":{\"E\":[[4,0]]}}");
+        let fresh = tc_line(1000).replacen('}', ",\"no_cache\":true}", 1);
+        let plain = query(&svc, &fresh);
+        let built = query(&svc, &tc_line(1000));
+        let figures = |r: &Response| match r {
+            Response::Answer {
+                rows,
+                stages,
+                fuel_spent,
+                ..
+            } => (rows.clone(), *stages, *fuel_spent),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(cache_of(built.clone()), CacheOutcome::View);
+        assert_eq!(cache_of(plain.clone()), CacheOutcome::Bypass);
+        assert_eq!(figures(&built), figures(&plain));
+        assert_eq!(figures(&built).0.len(), 25);
     }
 
     #[test]
     fn a_build_the_budget_stops_is_dropped() {
         let svc = service();
         let ask = |fuel: u64| query(&svc, &tc_line(fuel));
-        assert_eq!(cache_of(ask(1000)), CacheOutcome::Bypass);
-        // Closing the path into a cycle after the recording evaluation:
-        // the build now derives 25 tuples, past the recorded 15 fuel the
-        // request affords. It stops in its third round, owing 1 + 15, and
-        // the evaluation has no fuel left.
-        query(&svc, "{\"op\":\"update\",\"insert\":{\"E\":[[4,0]]}}");
-        let (resource, resumable, _) = partial_of(ask(15));
-        assert_eq!((resource.as_str(), resumable), ("fuel", true));
+        // The build's charge reaches its 15 fuel in its last round, so it
+        // stops there; its partial resumes as an evaluation, and the
+        // resume installs no view.
+        let token = match ask(15) {
+            Response::Partial {
+                resource,
+                resume: Some(token),
+                ..
+            } if resource == "fuel" => token,
+            other => panic!("{other:?}"),
+        };
         assert_eq!(svc.views().len(), 0);
-        assert_eq!(fixpoints(&svc), 1, "no build completed");
-        assert_eq!(cache_of(ask(1000)), CacheOutcome::Bypass);
+        assert_eq!(fixpoints(&svc), 0, "no build completed");
+        let resume = format!("{{\"op\":\"query\",\"resume\":\"{token}\",\"fuel\":1000}}");
+        assert_eq!(cache_of(query(&svc, &resume)), CacheOutcome::Bypass);
+        assert_eq!(svc.views().len(), 0, "a resume builds nothing");
+        assert_eq!(fixpoints(&svc), 1);
         assert_eq!(cache_of(ask(1000)), CacheOutcome::View);
+        assert_eq!(fixpoints(&svc), 2);
     }
 
     #[test]
     fn an_interrupt_stops_a_view_build() {
         let svc = service();
-        assert_eq!(cache_of(query(&svc, &tc_line(1000))), CacheOutcome::Bypass);
         let token = Interrupt::new();
         token.trigger();
         let req = parse_request(&tc_line(1000)).unwrap();
-        // The build stops before its first SCC, charging nothing; the
-        // evaluation then stops after its unpolled round 0 (1 + 4 fuel).
+        // The build is an evaluation: it stops after its unpolled round 0
+        // (1 + 4 fuel), with no token for a client that is gone.
         let (resource, resumable, spent) = partial_of(svc.handle(&req, &token));
         assert_eq!(
             (resource.as_str(), resumable, spent),
             ("interrupt", false, 5)
         );
         assert_eq!(svc.views().len(), 0);
-        assert_eq!(fixpoints(&svc), 1);
+        assert_eq!(fixpoints(&svc), 0);
     }
 
     #[test]
     fn a_catch_up_out_of_fuel_builds_nothing_in_its_request() {
         let svc = service();
         let ask = |fuel: u64| query(&svc, &tc_line(fuel));
-        assert_eq!(cache_of(ask(1000)), CacheOutcome::Bypass);
         assert_eq!(cache_of(ask(1000)), CacheOutcome::View);
         query(&svc, "{\"op\":\"update\",\"insert\":{\"E\":[[4,0]]}}");
-        // The catch-up overdraws 1 fuel and drops the view. Nothing is
-        // left for a rebuild: the request evaluates with its 1 fuel as it
-        // would without views, and forgets the program.
+        // The catch-up overdraws 1 fuel and drops the view. The request
+        // builds with what is left, nothing, and returns the stopped
+        // build's resumable partial.
         let (resource, resumable, _) = partial_of(ask(1));
         assert_eq!((resource.as_str(), resumable), ("fuel", true));
         assert_eq!(svc.views().len(), 0);
-        assert_eq!(fixpoints(&svc), 2);
-        assert_eq!(cache_of(ask(1000)), CacheOutcome::Bypass);
+        assert_eq!(fixpoints(&svc), 1);
         assert_eq!(cache_of(ask(1000)), CacheOutcome::View);
-        assert_eq!(fixpoints(&svc), 4);
+        assert_eq!(fixpoints(&svc), 2);
         assert_eq!(svc.views().catchups(), 0);
     }
 

@@ -11,17 +11,15 @@
 //!   rules, confirmed by `==` on the same three. The key is exact: it
 //!   claims no containment. The goal is not part of it; it only picks
 //!   which maintained relation a reader gets.
-//! * **Lifecycle.** The first completed evaluation of a program only
-//!   records it, with the fuel and time it cost. The next request for it
-//!   takes the record. When the budget it has left covers that cost, it
-//!   builds the view instead of evaluating
-//!   ([`MaterializedDb::new_budgeted`], which derives the fixpoint by
-//!   maintaining the empty database) under that budget, and answers from
-//!   it: that request computes one fixpoint. Otherwise it evaluates as it
-//!   would without views, and a completed evaluation records the program
-//!   again. Every request after a build reads the view. At most
-//!   [`MAX_VIEWS`] views, and as many recorded programs, are kept; the
-//!   least recently used goes first.
+//! * **Lifecycle.** A request for a program no view holds builds one
+//!   ([`MaterializedDb::new_budgeted`]), under its own budget: the build
+//!   is the program's budgeted evaluation, so the request computes one
+//!   fixpoint and answers from it with the rows, stages and fuel the
+//!   evaluation reports. A build the budget stops is that evaluation
+//!   stopped, and the request returns its partial and resume token; a
+//!   resume continues the evaluation and builds nothing. Every request
+//!   after a build reads the view. At most [`MAX_VIEWS`] views are kept;
+//!   the least recently used goes first.
 //! * **Catch-up.** Epochs are copy-on-write, so a relation no write
 //!   touched since the view's epoch is the same allocation in the
 //!   reader's snapshot ([`Structure::shares_relation`]). Only the
@@ -30,17 +28,11 @@
 //!   under the view's lock. The view then adopts the snapshot's relations,
 //!   so the next catch-up again diffs only what was written since. No
 //!   update log is kept.
-//! * **Fallback.** A reader pinned before the view's epoch, a snapshot
-//!   whose universe grew, a catch-up that runs out of budget, and a lock
-//!   poisoned by a panic all miss: the caller evaluates as it would
-//!   without views, partials and resume tokens included. The last three
-//!   also drop the view and remember its program with its build's cost,
-//!   so the same request rebuilds it when what its catch-up left of its
-//!   budget covers that: after growth or a poisoned lock it usually
-//!   does, after a catch-up that ran out it cannot, and evaluates. A
-//!   build is polled after every round and stops there when its budget
-//!   runs out; it is dropped, its program forgotten, and the request
-//!   evaluates with the fuel and time it has left.
+//! * **Fallback.** A reader pinned before the view's epoch evaluates as
+//!   it would without views and builds nothing. A snapshot whose universe
+//!   grew, a catch-up that runs out of budget, and a lock poisoned by a
+//!   panic drop the view; the same request then builds it again with the
+//!   fuel and time it has left.
 //!
 //! [`Structure::shares_relation`]: hp_structures::Structure::shares_relation
 
@@ -48,34 +40,30 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
-use hp_datalog::{EdbDelta, EvalConfig, MaterializedDb, Program};
-use hp_guard::Budget;
+use hp_datalog::{EdbDelta, EvalCheckpoint, EvalConfig, MaterializedDb, Program};
+use hp_guard::{Budget, Exhausted};
 
 use crate::cache::CachedAnswer;
 use crate::epoch::Snapshot;
 use crate::service::goal_rows;
 
-/// Most views held at once; as many programs with one completed
-/// evaluation are remembered besides.
+/// Most views held at once.
 pub const MAX_VIEWS: usize = 16;
 
-/// What one fixpoint of a program cost: the fuel charged and the time
-/// taken. A recorded program is built only by a request whose budget
-/// covers its cost.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Cost {
-    pub fuel: u64,
-    pub time: Duration,
+/// Why a view did not answer a reader.
+pub(crate) enum Miss {
+    /// The view reflects an epoch after the reader's: evaluate.
+    Behind,
+    /// No view holds the program, or its catch-up failed and dropped it
+    /// after charging `spent` fuel: build.
+    Absent { spent: u64 },
 }
 
 /// One program's maintained fixpoint.
 struct View {
     hash: u64,
     program: Program,
-    /// What its build cost.
-    cost: Cost,
     /// The epoch the database reflects, and the database. `None` once a
     /// failed catch-up retired the view: a reader that found it in the
     /// registry before its removal must not read the half-maintained
@@ -89,26 +77,18 @@ impl View {
     }
 }
 
-#[derive(Default)]
-struct Registry {
-    /// Programs with one completed evaluation and no view, with what that
-    /// fixpoint cost, oldest first.
-    seen: Vec<(u64, Program, Cost)>,
-    /// Built views, least recently used first.
-    views: Vec<Arc<View>>,
-}
-
 /// The service's maintained views. See the [module docs](self).
 #[derive(Default)]
 pub struct ViewRegistry {
-    inner: Mutex<Registry>,
+    /// Built views, least recently used first.
+    views: Mutex<Vec<Arc<View>>>,
     catchups: AtomicU64,
 }
 
 impl ViewRegistry {
     /// Views currently held.
     pub fn len(&self) -> usize {
-        self.registry().views.len()
+        self.registry().len()
     }
 
     /// True when no view is held.
@@ -121,17 +101,16 @@ impl ViewRegistry {
         self.catchups.load(Ordering::Relaxed)
     }
 
-    fn registry(&self) -> MutexGuard<'_, Registry> {
+    fn registry(&self) -> MutexGuard<'_, Vec<Arc<View>>> {
         // Registry updates are single pushes and removals: a panic cannot
         // leave it half-written, so a poisoned lock is safe to reuse.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        self.views.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The answer to `program` on `snap` from its view, caught up to
-    /// `snap`'s epoch under `budget` first. `Err` sends the caller down
-    /// the evaluation path (see the module docs for when) with the fuel a
-    /// failed catch-up charged, 0 when none ran. `seq` is the request's
-    /// sequence number (the `"serve.view"` fault site's counter).
+    /// `snap`'s epoch under `budget` first; see the module docs for when
+    /// it misses. `seq` is the request's sequence number (the
+    /// `"serve.view"` fault site's counter).
     pub(crate) fn read(
         &self,
         program: &Program,
@@ -139,26 +118,26 @@ impl ViewRegistry {
         cfg: &EvalConfig,
         budget: &Budget,
         seq: u64,
-    ) -> Result<CachedAnswer, u64> {
+    ) -> Result<CachedAnswer, Miss> {
         let view = {
             let hash = program_hash(program);
             let mut reg = self.registry();
-            let Some(i) = reg.views.iter().position(|v| v.is_for(hash, program)) else {
-                return Err(0);
+            let Some(i) = reg.iter().position(|v| v.is_for(hash, program)) else {
+                return Err(Miss::Absent { spent: 0 });
             };
-            let view = reg.views.remove(i);
-            reg.views.push(view.clone());
+            let view = reg.remove(i);
+            reg.push(view.clone());
             view
         };
         let Ok(mut guard) = view.state.lock() else {
             self.drop_view(&view);
-            return Err(0);
+            return Err(Miss::Absent { spent: 0 });
         };
         let Some(state) = guard.as_mut() else {
-            return Err(0);
+            return Err(Miss::Absent { spent: 0 });
         };
         if snap.epoch < state.0 {
-            return Err(0);
+            return Err(Miss::Behind);
         }
         let answer = self.catch_up(state, program, snap, cfg, budget, seq);
         if answer.is_err() {
@@ -166,7 +145,7 @@ impl ViewRegistry {
             drop(guard);
             self.drop_view(&view);
         }
-        answer
+        answer.map_err(|spent| Miss::Absent { spent })
     }
 
     /// Bring a view's `(epoch, database)` forward to `snap` and read
@@ -213,105 +192,46 @@ impl ViewRegistry {
         })
     }
 
-    /// Note a completed evaluation of `program` that cost `cost`: the
-    /// next request for it that can afford as much builds its view,
-    /// unless one is held.
-    pub(crate) fn record(&self, program: &Program, cost: Cost) {
-        let hash = program_hash(program);
-        let mut reg = self.registry();
-        if !reg.has_view(hash, program) && reg.seen_at(hash, program).is_none() {
-            reg.remember(hash, program.clone(), cost);
-        }
-    }
-
-    /// What the fixpoint that recorded `program` cost, when one did and
-    /// no view holds it. The record is taken: a request that does not
-    /// build, or whose build stops, forgets the program.
-    pub(crate) fn take_recorded(&self, program: &Program) -> Option<Cost> {
-        let hash = program_hash(program);
-        let mut reg = self.registry();
-        if reg.has_view(hash, program) {
-            return None;
-        }
-        let i = reg.seen_at(hash, program)?;
-        Some(reg.seen.remove(i).2)
-    }
-
     /// Build `program`'s view of `snap` under `budget` and answer from it.
-    /// A build the budget stops is dropped; `Err` holds the fuel it spent.
+    /// A build the budget stops is the evaluation stopped: `Err` holds its
+    /// checkpoint, consumed at once on the partial-response path.
+    #[allow(clippy::result_large_err)]
     pub(crate) fn build(
         &self,
         program: &Program,
         snap: &Snapshot,
         cfg: &EvalConfig,
         budget: &Budget,
-    ) -> Result<CachedAnswer, u64> {
+    ) -> Result<CachedAnswer, Exhausted<EvalCheckpoint>> {
         // Materialize outside the registry lock: other programs' readers
         // are not held up by this one's build.
-        let started = Instant::now();
-        let built = MaterializedDb::new_budgeted(program, snap.structure.clone(), cfg, budget);
-        let (db, report) = match built {
-            Ok(Ok(built)) => built,
-            Ok(Err(stopped)) => return Err(stopped.spent),
-            // Unreachable: views hold positive programs over the
-            // snapshot's vocabulary.
-            Err(_) => return Err(0),
-        };
-        let cost = Cost {
-            fuel: report.profile.iter().map(|p| p.fuel).sum(),
-            time: started.elapsed(),
-        };
+        let (db, report) =
+            MaterializedDb::new_budgeted(program, snap.structure.clone(), cfg, budget)
+                .expect("views hold positive programs over the snapshot's vocabulary")?;
         let answer = CachedAnswer {
             rows: goal_rows(program.goal_index().map(|g| db.idb(g))),
-            fuel_spent: cost.fuel,
+            fuel_spent: report.profile.iter().map(|p| p.fuel).sum(),
             stages: report.stages,
         };
         let hash = program_hash(program);
-        let view = Arc::new(View {
-            hash,
-            program: program.clone(),
-            cost,
-            state: Mutex::new(Some((snap.epoch, db))),
-        });
         let mut reg = self.registry();
-        if reg.has_view(hash, program) {
+        if reg.iter().any(|v| v.is_for(hash, program)) {
             return Ok(answer);
         }
-        if reg.views.len() == MAX_VIEWS {
-            let evicted = reg.views.remove(0);
-            reg.remember(evicted.hash, evicted.program.clone(), evicted.cost);
+        if reg.len() == MAX_VIEWS {
+            reg.remove(0);
         }
-        reg.views.push(view);
+        reg.push(Arc::new(View {
+            hash,
+            program: program.clone(),
+            state: Mutex::new(Some((snap.epoch, db))),
+        }));
         Ok(answer)
     }
 
-    /// Drop `view`, remembering its program so the next request for it
-    /// rebuilds it.
+    /// Drop `view`: the next request for its program builds it again.
     fn drop_view(&self, view: &Arc<View>) {
-        let mut reg = self.registry();
-        let before = reg.views.len();
-        reg.views.retain(|v| !Arc::ptr_eq(v, view));
-        if reg.views.len() < before {
-            reg.remember(view.hash, view.program.clone(), view.cost);
-        }
-    }
-}
-
-impl Registry {
-    fn has_view(&self, hash: u64, program: &Program) -> bool {
-        self.views.iter().any(|v| v.is_for(hash, program))
-    }
-
-    /// Where `program` sits among the recorded programs.
-    fn seen_at(&self, hash: u64, program: &Program) -> Option<usize> {
-        (self.seen.iter()).position(|(h, p, _)| *h == hash && p.same_rules(program))
-    }
-
-    fn remember(&mut self, hash: u64, program: Program, cost: Cost) {
-        if self.seen.len() == MAX_VIEWS {
-            self.seen.remove(0);
-        }
-        self.seen.push((hash, program, cost));
+        self.registry().retain(|v| !Arc::ptr_eq(v, view));
     }
 }
 

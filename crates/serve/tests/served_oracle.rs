@@ -327,8 +327,8 @@ fn views_follow_writes_readers_behind_and_growth() {
 
     assert_eq!(
         ask_all(&current()),
-        vec![CacheOutcome::Bypass; n],
-        "recorded"
+        vec![CacheOutcome::View; n],
+        "built by the first request"
     );
     assert_eq!(ask_all(&current()), vec![CacheOutcome::View; n], "built");
     let epoch0 = current();

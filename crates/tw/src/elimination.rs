@@ -143,12 +143,20 @@ fn greedy_order(g: &Graph, score: impl Fn(usize, usize) -> usize) -> Vec<u32> {
 /// Upper bound on the treewidth of `g`, with a validated decomposition: the
 /// better of min-degree and min-fill.
 pub fn treewidth_upper_bound(g: &Graph) -> (usize, TreeDecomposition) {
+    let td = decomposition_from_order(g, &heuristic_order(g).1);
+    (td.width(), td)
+}
+
+/// The better of the min-fill and min-degree orders, with its width.
+fn heuristic_order(g: &Graph) -> (usize, Vec<u32>) {
     let o1 = min_fill_order(g);
     let o2 = min_degree_order(g);
     let (w1, w2) = (order_width(g, &o1), order_width(g, &o2));
-    let order = if w1 <= w2 { o1 } else { o2 };
-    let td = decomposition_from_order(g, &order);
-    (td.width(), td)
+    if w1 <= w2 {
+        (w1, o1)
+    } else {
+        (w2, o2)
+    }
 }
 
 /// The **degeneracy** of `g` (max over subgraphs of the min degree): a lower
@@ -191,97 +199,138 @@ pub fn treewidth_exact(g: &Graph) -> usize {
 /// degeneracy, `upper` from the heuristics improved by every completed
 /// branch — so an interrupted run still reports rigorous bounds.
 pub fn treewidth_exact_with_budget(g: &Graph, budget: &Budget) -> Budgeted<usize, (usize, usize)> {
+    exact_order(g, budget).map(|(width, _)| width)
+}
+
+/// An elimination order of the exact treewidth, with that width, from one
+/// branch-and-bound; the partial as in [`treewidth_exact_with_budget`].
+fn exact_order(g: &Graph, budget: &Budget) -> Budgeted<(usize, Vec<u32>), (usize, usize)> {
     let n = g.vertex_count();
     if n == 0 {
-        return Ok(0);
+        return Ok((0, Vec::new()));
     }
-    let (mut ub, _) = treewidth_upper_bound(g);
+    let (ub, order) = heuristic_order(g);
     let lb = degeneracy(g);
     if lb >= ub {
-        return Ok(ub);
+        return Ok((ub, order));
     }
-    let mut adj: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for (u, v) in g.edges() {
-        adj[u as usize].insert(v as usize);
-        adj[v as usize].insert(u as usize);
+    let mut search = Search::new(g, ub, lb, budget);
+    search.best = order;
+    match search.branch(&BitSet::full(n), 0) {
+        Ok(()) => Ok((search.ub, search.best)),
+        Err(stop) => Err(stop.with_partial((lb, search.ub))),
     }
-    let alive = BitSet::full(n);
-    fn bb(
-        adj: &mut Vec<BitSet>,
-        alive: &BitSet,
-        width_so_far: usize,
-        ub: &mut usize,
-        lb: usize,
-        gauge: &mut Gauge,
-    ) -> Result<(), Stop> {
-        gauge.tick(1)?;
-        if width_so_far >= *ub {
+}
+
+/// Branch-and-bound over elimination orders (QuickBB style): the fill-in
+/// graph, the order being extended, and the best order found, of width
+/// `ub`. The search looks only for orders narrower than `ub` and stops
+/// once `ub <= lb`.
+struct Search {
+    adj: Vec<BitSet>,
+    prefix: Vec<u32>,
+    best: Vec<u32>,
+    ub: usize,
+    lb: usize,
+    gauge: Gauge,
+}
+
+impl Search {
+    fn new(g: &Graph, ub: usize, lb: usize, budget: &Budget) -> Search {
+        let n = g.vertex_count();
+        let mut adj: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+        for (u, v) in g.edges() {
+            adj[u as usize].insert(v as usize);
+            adj[v as usize].insert(u as usize);
+        }
+        Search {
+            adj,
+            prefix: Vec::with_capacity(n),
+            best: Vec::new(),
+            ub,
+            lb,
+            gauge: budget.gauge(),
+        }
+    }
+
+    /// One search node: the `alive` vertices remain, and eliminating the
+    /// prefix reached `width`. Charges one fuel unit.
+    fn branch(&mut self, alive: &BitSet, width: usize) -> Result<(), Stop> {
+        self.gauge.tick(1)?;
+        if width >= self.ub {
             return Ok(());
         }
         let live: Vec<usize> = alive.iter().collect();
-        if live.len() <= 1 {
-            *ub = (*ub).min(width_so_far);
+        // Everything alive fits under `width` as one clique bag.
+        if live.len() <= width + 1 {
+            self.ub = width;
+            self.best = self.prefix.clone();
+            self.best.extend(live.iter().map(|&v| v as u32));
             return Ok(());
         }
-        // If everything alive fits under width_so_far as one clique bag:
-        if live.len() - 1 <= width_so_far {
-            *ub = (*ub).min(width_so_far);
-            return Ok(());
-        }
+        let nbrs = |adj: &[BitSet], v: usize| -> Vec<usize> {
+            adj[v].iter().filter(|&u| alive.contains(u)).collect()
+        };
         // Simplicial shortcut: a vertex whose alive neighborhood is a clique
         // can always be eliminated first, without loss.
         for &v in &live {
-            let nbrs: Vec<usize> = adj[v].iter().filter(|&u| alive.contains(u)).collect();
+            let nbrs = nbrs(&self.adj, v);
             let is_clique = nbrs
                 .iter()
                 .enumerate()
-                .all(|(i, &a)| nbrs[i + 1..].iter().all(|&b| adj[a].contains(b)));
+                .all(|(i, &a)| nbrs[i + 1..].iter().all(|&b| self.adj[a].contains(b)));
             if is_clique {
-                let w = width_so_far.max(nbrs.len());
-                if w >= *ub {
+                let w = width.max(nbrs.len());
+                if w >= self.ub {
                     return Ok(());
                 }
-                let mut alive2 = alive.clone();
-                alive2.remove(v);
-                return bb(adj, &alive2, w, ub, lb, gauge);
+                return self.eliminate(alive, v, &nbrs, w);
             }
         }
         // Branch on each alive vertex.
         for &v in &live {
-            let nbrs: Vec<usize> = adj[v].iter().filter(|&u| alive.contains(u)).collect();
-            let w = width_so_far.max(nbrs.len());
-            if w >= *ub {
+            let nbrs = nbrs(&self.adj, v);
+            let w = width.max(nbrs.len());
+            if w >= self.ub {
                 continue;
             }
-            // Apply fill-in, remember which edges were added.
-            let mut added: Vec<(usize, usize)> = Vec::new();
-            for a in 0..nbrs.len() {
-                for b in (a + 1)..nbrs.len() {
-                    if !adj[nbrs[a]].contains(nbrs[b]) {
-                        adj[nbrs[a]].insert(nbrs[b]);
-                        adj[nbrs[b]].insert(nbrs[a]);
-                        added.push((nbrs[a], nbrs[b]));
-                    }
-                }
-            }
-            let mut alive2 = alive.clone();
-            alive2.remove(v);
-            let branch = bb(adj, &alive2, w, ub, lb, gauge);
-            for (a, b) in added {
-                adj[a].remove(b);
-                adj[b].remove(a);
-            }
-            branch?;
-            if *ub <= lb {
+            self.eliminate(alive, v, &nbrs, w)?;
+            if self.ub <= self.lb {
                 return Ok(());
             }
         }
         Ok(())
     }
-    let mut gauge = budget.gauge();
-    match bb(&mut adj, &alive, 0, &mut ub, lb, &mut gauge) {
-        Ok(()) => Ok(ub),
-        Err(stop) => Err(stop.with_partial((lb, ub))),
+
+    /// Eliminate `v`, whose alive neighbours are `nbrs`, search on, and
+    /// undo the fill-in.
+    fn eliminate(
+        &mut self,
+        alive: &BitSet,
+        v: usize,
+        nbrs: &[usize],
+        w: usize,
+    ) -> Result<(), Stop> {
+        let mut added: Vec<(usize, usize)> = Vec::new();
+        for (i, &a) in nbrs.iter().enumerate() {
+            for &b in &nbrs[i + 1..] {
+                if !self.adj[a].contains(b) {
+                    self.adj[a].insert(b);
+                    self.adj[b].insert(a);
+                    added.push((a, b));
+                }
+            }
+        }
+        let mut alive2 = alive.clone();
+        alive2.remove(v);
+        self.prefix.push(v as u32);
+        let branch = self.branch(&alive2, w);
+        self.prefix.pop();
+        for (a, b) in added {
+            self.adj[a].remove(b);
+            self.adj[b].remove(a);
+        }
+        branch
     }
 }
 
@@ -407,86 +456,18 @@ mod tests {
 /// `target = treewidth_exact(g)` for an optimal order; feed the result to
 /// [`decomposition_from_order`] for the optimal tree decomposition).
 pub fn elimination_order_of_width(g: &Graph, target: usize) -> Option<Vec<u32>> {
-    let n = g.vertex_count();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let mut adj: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for (u, v) in g.edges() {
-        adj[u as usize].insert(v as usize);
-        adj[v as usize].insert(u as usize);
-    }
-    let alive = BitSet::full(n);
-    fn dfs(adj: &mut Vec<BitSet>, alive: &BitSet, target: usize, prefix: &mut Vec<u32>) -> bool {
-        let live: Vec<usize> = alive.iter().collect();
-        if live.len() <= target + 1 {
-            prefix.extend(live.iter().map(|&v| v as u32));
-            return true;
-        }
-        // Simplicial shortcut (safe: always optimal to eliminate first).
-        for &v in &live {
-            let nbrs: Vec<usize> = adj[v].iter().filter(|&u| alive.contains(u)).collect();
-            if nbrs.len() > target {
-                continue;
-            }
-            let is_clique = nbrs
-                .iter()
-                .enumerate()
-                .all(|(i, &a)| nbrs[i + 1..].iter().all(|&b| adj[a].contains(b)));
-            if is_clique {
-                let mut alive2 = alive.clone();
-                alive2.remove(v);
-                prefix.push(v as u32);
-                if dfs(adj, &alive2, target, prefix) {
-                    return true;
-                }
-                prefix.pop();
-                return false;
-            }
-        }
-        for &v in &live {
-            let nbrs: Vec<usize> = adj[v].iter().filter(|&u| alive.contains(u)).collect();
-            if nbrs.len() > target {
-                continue;
-            }
-            let mut added: Vec<(usize, usize)> = Vec::new();
-            for a in 0..nbrs.len() {
-                for b in (a + 1)..nbrs.len() {
-                    if !adj[nbrs[a]].contains(nbrs[b]) {
-                        adj[nbrs[a]].insert(nbrs[b]);
-                        adj[nbrs[b]].insert(nbrs[a]);
-                        added.push((nbrs[a], nbrs[b]));
-                    }
-                }
-            }
-            let mut alive2 = alive.clone();
-            alive2.remove(v);
-            prefix.push(v as u32);
-            if dfs(adj, &alive2, target, prefix) {
-                return true;
-            }
-            prefix.pop();
-            for (a, b) in added {
-                adj[a].remove(b);
-                adj[b].remove(a);
-            }
-        }
-        false
-    }
-    let mut prefix = Vec::new();
-    let mut adj2 = adj;
-    if dfs(&mut adj2, &alive, target, &mut prefix) {
-        Some(prefix)
-    } else {
-        None
-    }
+    let mut search = Search::new(g, target + 1, target, &Budget::unlimited());
+    search
+        .branch(&BitSet::full(g.vertex_count()), 0)
+        .unwrap_or_else(|_| unreachable!("an unlimited budget cannot exhaust"));
+    (search.ub <= target).then_some(search.best)
 }
 
-/// Exact treewidth **with the optimal tree decomposition** as a witness.
+/// Exact treewidth **with the optimal tree decomposition** as a witness,
+/// both from one branch-and-bound.
 pub fn treewidth_exact_decomposition(g: &Graph) -> (usize, TreeDecomposition) {
-    let w = treewidth_exact(g);
-    let order =
-        elimination_order_of_width(g, w).expect("an order of the exact width always exists");
+    let (w, order) = exact_order(g, &Budget::unlimited())
+        .unwrap_or_else(|_| unreachable!("an unlimited budget cannot exhaust"));
     let td = decomposition_from_order(g, &order);
     debug_assert_eq!(td.width(), w);
     (w, td)
