@@ -17,9 +17,9 @@
 //!
 //! A second table builds a view of nonlinear transitive closure
 //! (`T(x,z) :- T(x,y), T(y,z)`) on `directed_path(200)`, whatever the size
-//! argument, beside a full evaluation of the same program: a build is a
-//! maintenance run over the empty database, and this is the program whose
-//! insertion rounds probe the rows they have added most.
+//! argument, beside a full evaluation of the same program: a build is that
+//! evaluation, keeping each stage's delta as a depth run, and this is the
+//! program whose rounds probe the rows earlier rounds added most.
 //!
 //! A third table builds a view of the non-recursive `two_hop`
 //! (`H(x,y) :- E(x,z), E(z,y)`) on 10⁵ xorshift64* edges with `n = m/4`,
