@@ -8,7 +8,7 @@
 //! The crate has two layers:
 //!
 //! - a **diagnostics core** ([`diag`]): the [`Diagnostic`] type with
-//!   stable `HP001`–`HP013` codes, three severities, source [`Span`]s fed
+//!   stable `HP001`–`HP024` codes, three severities, source [`Span`]s fed
 //!   by the line-tracking parsers, and a terminal renderer with source
 //!   excerpts;
 //! - **analysis passes** ([`datalog_passes`], [`formula`]) behind a

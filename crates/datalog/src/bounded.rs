@@ -19,10 +19,11 @@
 use std::time::Duration;
 
 use hp_guard::{Budget, Resource};
+use hp_logic::Ucq;
 use hp_structures::Structure;
 
 use crate::ast::Program;
-use crate::unfold::stage_ucq;
+use crate::unfold::{next_stage, stage_zero};
 
 /// One row of an empirical boundedness probe.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,29 +57,26 @@ pub fn stage_probe<'a, I: IntoIterator<Item = &'a Structure>>(
 
 /// Decide whether the program is bounded **at stage `s`**: for every IDB,
 /// `Θ^s ≡ Θ^{s+1}` as queries on all finite structures (checked by UCQ
-/// equivalence). Sound and complete for positive Datalog.
+/// equivalence). Sound and complete for positive Datalog. Equivalence at
+/// `s` holds exactly when it holds at some stage `≤ s`, so this is
+/// [`certified_boundedness`] with cap `s`.
 pub fn certified_bounded_at(p: &Program, s: usize) -> Result<bool, String> {
-    for idb in 0..p.idbs().len() {
-        let a = stage_ucq(p, idb, s)?;
-        let b = stage_ucq(p, idb, s + 1)?;
-        if !a.is_equivalent_to(&b) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    Ok(certified_boundedness(p, s)?.is_some())
 }
 
 /// Search for the least `s ≤ max_s` at which the program is certified
 /// bounded. Returns `Ok(Some(s))`, `Ok(None)` when no such stage exists up
 /// to the cap (the program may be unbounded — transitive closure never
-/// stabilizes), or an error from the unfolding.
+/// stabilizes), or an error from the unfolding: [`certify_boundedness`]
+/// on an unlimited budget.
 pub fn certified_boundedness(p: &Program, max_s: usize) -> Result<Option<usize>, String> {
-    for s in 0..=max_s {
-        if certified_bounded_at(p, s)? {
-            return Ok(Some(s));
+    match certify_boundedness(p, max_s, &Budget::unlimited())? {
+        BoundednessVerdict::Certified { stage, .. } => Ok(Some(stage)),
+        BoundednessVerdict::NotCertified { .. } => Ok(None),
+        BoundednessVerdict::BudgetExhausted { .. } => {
+            unreachable!("an unlimited budget cannot exhaust")
         }
     }
-    Ok(None)
 }
 
 /// Outcome of a budgeted boundedness search ([`certify_boundedness`]).
@@ -133,9 +131,16 @@ pub fn certify_boundedness(
     budget: &Budget,
 ) -> Result<BoundednessVerdict, String> {
     let mut gauge = budget.gauge();
+    // Θ^s of every IDB; each stage is unfolded once, from the one before.
+    let mut stage = stage_zero(p);
     for s in 0..=max_stage {
+        // Θ^{s+1}, unfolded only once the stage's first test is charged, so
+        // a spent budget stops the search before any unfolding work (and
+        // before a negated program's unfolding error). Empty until then: a
+        // program with IDBs unfolds to one UCQ per IDB.
+        let mut next: Vec<Ucq> = Vec::new();
         let mut certified = true;
-        for idb in 0..p.idbs().len() {
+        for idb in 0..stage.len() {
             // Charge the test about to run and poll the clock/interrupt:
             // exhaustion is reported *before* starting another NP-hard
             // equivalence check, never after one that certified a stage.
@@ -147,29 +152,25 @@ pub fn certify_boundedness(
                     elapsed: stop.elapsed,
                 });
             }
-            let a = stage_ucq(p, idb, s)?;
-            let b = stage_ucq(p, idb, s + 1)?;
-            if !a.is_equivalent_to(&b) {
+            if next.is_empty() {
+                next = next_stage(p, &stage)?;
+            }
+            if !stage[idb].is_equivalent_to(&next[idb]) {
                 certified = false;
                 break;
             }
         }
         if certified {
             let ucq_disjuncts = match p.goal_index() {
-                Some(g) => stage_ucq(p, g, s)?.len(),
-                None => {
-                    let mut total = 0;
-                    for idb in 0..p.idbs().len() {
-                        total += stage_ucq(p, idb, s)?.len();
-                    }
-                    total
-                }
+                Some(g) => stage[g].len(),
+                None => stage.iter().map(Ucq::len).sum(),
             };
             return Ok(BoundednessVerdict::Certified {
                 stage: s,
                 ucq_disjuncts,
             });
         }
+        stage = next;
     }
     Ok(BoundednessVerdict::NotCertified { max_stage })
 }

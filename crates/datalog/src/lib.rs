@@ -16,15 +16,15 @@
 //!   through precomputed join plans and sorted probes of the relations, with
 //!   optional sharded parallel delta rounds ([`EvalConfig`]) that are
 //!   bit-identical to sequential evaluation;
-//! - **Theorem 7.1** made executable: the m-th stage of a k-Datalog program
-//!   unfolded into a finite disjunction of `CQ^k` formulas
-//!   ([`stage_formula`] / [`stage_ucq`]), or one IDB at a time over its
-//!   children's UCQs ([`unfold_over`]);
+//! - **Theorem 7.1** made executable: one IDB's rules unfolded one step
+//!   over given UCQs for its children ([`unfold_over`]), iterated from
+//!   `Θ⁰ = ⊥` into the m-th stage of a k-Datalog program as a finite
+//!   disjunction of `CQ^k` formulas ([`stage_ucq`]);
 //! - **boundedness**: an empirical stage-count probe over structure
-//!   families, and a *certified* decision procedure
-//!   ([`certified_bounded_at`]) that checks `Θ^s ≡ Θ^{s+1}` by
-//!   Sagiv–Yannakakis UCQ equivalence — exactly the Ajtai–Gurevich
-//!   criterion of Theorem 7.5.
+//!   families, and a *certified*, budgeted decision procedure
+//!   ([`certify_boundedness`]) that unfolds each stage once and checks
+//!   `Θ^s ≡ Θ^{s+1}` by Sagiv–Yannakakis UCQ equivalence — exactly the
+//!   Ajtai–Gurevich criterion of Theorem 7.5.
 //!
 //! ```
 //! use hp_structures::{Vocabulary, generators::directed_path};
@@ -73,7 +73,4 @@ pub use eval::{
 };
 pub use incremental::{EdbDelta, IncCheckpoint, MaintenanceReport, MaterializedDb};
 pub use parser::{body_atom_byte_ranges, rule_byte_ranges};
-pub use unfold::{
-    stage_formula, stage_formulas, stage_formulas_with_budget, stage_ucq, stage_ucq_with_budget,
-    stages_agree, unfold_over,
-};
+pub use unfold::{stage_ucq, stages_agree, unfold_over};

@@ -1,30 +1,19 @@
 //! **Theorem 7.1 made executable**: the m-th stage of a k-Datalog program is
 //! definable by a finite disjunction of `CQ^k` formulas.
 //!
-//! The unfolding substitutes, at each step, every IDB body atom by the
-//! previous stage's formula (with free variables renamed to the atom's
-//! arguments and bound variables freshened). The result for each stage is
-//! an existential-positive formula using only the program's variables —
-//! reused, exactly as in the `CQ^k` fragment — which
-//! [`hp_logic::ucq_of_existential_positive`] then flattens to a UCQ.
+//! One unfolding step ([`unfold_over`]) substitutes every IDB body atom of
+//! an IDB's rules by a given UCQ for that IDB (free variables renamed to
+//! the atom's arguments, bound variables freshened) and flattens the
+//! existential-positive result with
+//! [`hp_logic::ucq_of_existential_positive`]. Stage UCQs iterate it from
+//! `Θ⁰ = ⊥`: `Θ^{m+1}_P` is `P`'s rules unfolded over every `Θ^m_Q`.
 
-use hp_guard::{Budget, Budgeted, Gauge, Stop};
 use hp_logic::{ucq_of_existential_positive, Formula, Ucq};
 use hp_structures::Elem;
 
 use crate::ast::{PredRef, Program};
 
 impl Program {
-    /// The existential-positive formula `Θ^m_P` defining stage `m` of IDB
-    /// `P`, with free variables `0 .. arity(P)` standing for the head
-    /// positions.
-    ///
-    /// `Θ⁰ = ⊥`; `Θ^{m+1}_P = ⋁_{rules for P} ∃(body vars) ⋀ atoms`, with
-    /// IDB atoms replaced by the previous stage's formula.
-    pub fn stage_formula(&self, idb: usize, m: usize) -> Formula {
-        stage_formula(self, idb, m)
-    }
-
     /// Stage `m` of IDB `P` as a UCQ (the Theorem 7.1 disjunction of
     /// `CQ^k` sentences/formulas).
     pub fn stage_ucq(&self, idb: usize, m: usize) -> Result<Ucq, String> {
@@ -32,96 +21,8 @@ impl Program {
     }
 }
 
-/// Free-standing form of [`Program::stage_formula`].
-///
-/// Computed by iterated substitution over all IDBs simultaneously, so the
-/// cost is linear in `m` (per-stage formula sizes can still grow for
-/// non-linear recursions, as the normal form demands).
-pub fn stage_formula(p: &Program, idb: usize, m: usize) -> Formula {
-    stage_formulas(p, m).swap_remove(idb)
-}
-
-/// Stage-`m` formulas of **all** IDBs at once (dynamic programming over
-/// stages).
-pub fn stage_formulas(p: &Program, m: usize) -> Vec<Formula> {
-    let mut gauge = Budget::unlimited().gauge();
-    match stage_formulas_gauged(p, m, &mut gauge) {
-        Ok(fs) => fs,
-        Err(_) => unreachable!("an unlimited budget cannot exhaust"),
-    }
-}
-
-/// Budgeted form of [`stage_formulas`]: unfolding sizes can grow with the
-/// stage for non-linear recursions, so the iterated substitution charges
-/// one fuel unit per `(IDB, stage)` unfolding step and polls the wall
-/// clock / interrupt token between stages. The partial carries
-/// `(m', formulas)` for the last fully-unfolded stage `m' < m` — a valid
-/// Theorem 7.1 unfolding in its own right, just of an earlier stage.
-pub fn stage_formulas_with_budget(
-    p: &Program,
-    m: usize,
-    budget: &Budget,
-) -> Budgeted<Vec<Formula>, (usize, Vec<Formula>)> {
-    let mut gauge = budget.gauge();
-    stage_formulas_gauged(p, m, &mut gauge)
-        .map_err(|(stage, fs, stop)| stop.with_partial((stage, fs)))
-}
-
-/// Budgeted form of [`stage_ucq`]: the unfolding is charged as in
-/// [`stage_formulas_with_budget`]; the flattening to a UCQ happens only
-/// once the unfolding completed. The exhaustion partial is the index of
-/// the last fully-unfolded stage. The outer `Result` reports (rare)
-/// flattening failures, exactly like [`stage_ucq`].
-pub fn stage_ucq_with_budget(
-    p: &Program,
-    idb: usize,
-    m: usize,
-    budget: &Budget,
-) -> Result<Budgeted<Ucq, usize>, String> {
-    if p.has_negation() {
-        return Err("stage unfoldings are defined for positive programs only".to_string());
-    }
-    let mut gauge = budget.gauge();
-    match stage_formulas_gauged(p, m, &mut gauge) {
-        Ok(mut fs) => Ok(ucq_of_existential_positive(&fs.swap_remove(idb), p.edb()).map(Ok)?),
-        Err((stage, _, stop)) => Ok(Err(stop.with_partial(stage))),
-    }
-}
-
-/// The gauge-threaded DP behind the budgeted and unbudgeted unfoldings.
-/// On exhaustion returns the last completed stage index, its formulas,
-/// and the stop provenance.
-fn stage_formulas_gauged(
-    p: &Program,
-    m: usize,
-    gauge: &mut Gauge,
-) -> Result<Vec<Formula>, (usize, Vec<Formula>, Stop)> {
-    // Theorem 7.1 is a statement about the positive-existential fragment;
-    // a negated literal has no existential-positive unfolding. Callers
-    // (the semantic pass, boundedness certification) gate on
-    // `Program::has_negation` before reaching here.
-    assert!(
-        !p.has_negation(),
-        "stage unfoldings are defined for positive programs only"
-    );
-    let mut prev: Vec<Formula> = (0..p.idbs().len()).map(|_| Formula::bottom()).collect();
-    for done in 0..m {
-        if let Err(stop) = gauge.check() {
-            return Err((done, prev, stop));
-        }
-        let mut next = Vec::with_capacity(p.idbs().len());
-        for i in 0..p.idbs().len() {
-            if let Err(stop) = gauge.tick(1) {
-                return Err((done, prev, stop));
-            }
-            next.push(stage_step(p, i, &prev));
-        }
-        prev = next;
-    }
-    Ok(prev)
-}
-
-/// One unfolding step for one IDB given the previous stage's formulas.
+/// One unfolding step for one IDB over formulas for the IDBs its rules
+/// mention (`prev[q]`, free variables `0 .. arity(q)`).
 fn stage_step(p: &Program, idb: usize, prev: &[Formula]) -> Formula {
     let arity = p.idbs()[idb].1;
     let mut disjuncts: Vec<Formula> = Vec::new();
@@ -210,20 +111,18 @@ fn substitute_free(f: &Formula, args: &[u32], fresh: &mut u32) -> Formula {
 
 /// One unfolding step of IDB `idb` over given UCQs for the IDBs its rules
 /// mention: every IDB body atom `Q(ū)` is replaced by `child(Q)` with its
-/// free positions renamed to `ū` — the same substitution as one stage of
-/// [`stage_ucq`] — and the result is flattened to a UCQ over the EDB
-/// vocabulary. In a nonrecursive program, when each child is equivalent
-/// to that child's full unfolding (its core, say), the result is
-/// equivalent to `idb`'s full unfolding: replacing a subquery by an
+/// free positions renamed to `ū`, and the result is flattened to a UCQ
+/// over the EDB vocabulary; over the previous stage's UCQs this is one
+/// stage of [`stage_ucq`]. In a nonrecursive program, when each child is
+/// equivalent to that child's full unfolding (its core, say), the result
+/// is equivalent to `idb`'s full unfolding: replacing a subquery by an
 /// equivalent one preserves equivalence (Theorem 2.1).
 pub fn unfold_over<'a>(
     p: &Program,
     idb: usize,
     child: impl Fn(usize) -> &'a Ucq,
 ) -> Result<Ucq, String> {
-    if p.has_negation() {
-        return Err("stage unfoldings are defined for positive programs only".to_string());
-    }
+    positive(p)?;
     let deps = p.graph().deps(idb);
     let prev: Vec<Formula> = (0..p.idbs().len())
         .map(|q| {
@@ -237,13 +136,39 @@ pub fn unfold_over<'a>(
     ucq_of_existential_positive(&stage_step(p, idb, &prev), p.edb())
 }
 
-/// Free-standing form of [`Program::stage_ucq`].
-pub fn stage_ucq(p: &Program, idb: usize, m: usize) -> Result<Ucq, String> {
+/// Theorem 7.1 is a statement about the positive-existential fragment: a
+/// negated literal has no existential-positive unfolding.
+fn positive(p: &Program) -> Result<(), String> {
     if p.has_negation() {
         return Err("stage unfoldings are defined for positive programs only".to_string());
     }
-    let f = stage_formula(p, idb, m);
-    ucq_of_existential_positive(&f, p.edb())
+    Ok(())
+}
+
+/// `Θ⁰ = ⊥` for every IDB: the empty union at the IDB's arity.
+pub(crate) fn stage_zero(p: &Program) -> Vec<Ucq> {
+    p.idbs()
+        .iter()
+        .map(|&(_, arity)| Ucq::empty(arity))
+        .collect()
+}
+
+/// `Θ^{m+1}` of every IDB from `Θ^m`: one [`unfold_over`] per IDB.
+pub(crate) fn next_stage(p: &Program, stage: &[Ucq]) -> Result<Vec<Ucq>, String> {
+    (0..stage.len())
+        .map(|idb| unfold_over(p, idb, |q| &stage[q]))
+        .collect()
+}
+
+/// Free-standing form of [`Program::stage_ucq`]: [`unfold_over`] iterated
+/// `m` times from `Θ⁰ = ⊥`, one step over all IDBs at a time.
+pub fn stage_ucq(p: &Program, idb: usize, m: usize) -> Result<Ucq, String> {
+    positive(p)?;
+    let mut stage = stage_zero(p);
+    for _ in 0..m {
+        stage = next_stage(p, &stage)?;
+    }
+    Ok(stage.swap_remove(idb))
 }
 
 /// Check that stage-`m` unfoldings agree with the naive operator stages on
@@ -287,8 +212,6 @@ mod tests {
     #[test]
     fn stage_zero_is_false() {
         let p = tc();
-        let f = p.stage_formula(0, 0);
-        assert_eq!(f, Formula::bottom());
         let u = p.stage_ucq(0, 0).unwrap();
         assert!(u.is_empty());
     }

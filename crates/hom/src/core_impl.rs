@@ -38,7 +38,10 @@ pub fn retract_avoiding(a: &Structure, e: Elem) -> Option<Vec<Elem>> {
 /// It suffices to check single-element-avoiding retracts: if `a` folds into
 /// any proper substructure, the image misses some element.
 pub fn is_core(a: &Structure) -> bool {
-    a.elements().all(|e| retract_avoiding(a, e).is_none())
+    match is_core_with_budget(a, &Budget::unlimited()) {
+        Ok(core) => core,
+        Err(_) => unreachable!("an unlimited budget cannot exhaust"),
+    }
 }
 
 /// Budgeted [`is_core`]: one shared budget across all the per-element
@@ -61,15 +64,9 @@ pub fn is_core_with_budget(a: &Structure, budget: &Budget) -> Budgeted<bool, ()>
 }
 
 /// Compute the core of `a` (unique up to isomorphism), with the retraction
-/// map from `a` onto it.
-///
-/// Algorithm: repeatedly find a single-element-avoiding endo-retract, take
-/// the induced substructure on its image, and compose the maps; stop when no
-/// element can be avoided. Each round removes at least one element, so at
-/// most `|A|` rounds run; each round is a homomorphism search.
+/// map from `a` onto it: [`core_of_pointed_gauged`] with no points.
 pub fn core_of(a: &Structure) -> Core {
-    let mut gauge = Budget::unlimited().gauge();
-    match core_of_gauged(a, &mut gauge) {
+    match core_of_with_budget(a, &Budget::unlimited()) {
         Ok(core) => core,
         Err(_) => unreachable!("an unlimited budget cannot exhaust"),
     }
@@ -85,97 +82,97 @@ pub fn core_of(a: &Structure) -> Core {
 // folded core so the caller keeps the work already done.
 #[allow(clippy::result_large_err)]
 pub fn core_of_with_budget(a: &Structure, budget: &Budget) -> Budgeted<Core, Core> {
-    let mut gauge = budget.gauge();
-    core_of_gauged(a, &mut gauge).map_err(|(partial, stop)| stop.with_partial(partial))
+    core_of_pointed_gauged(a, &[], &mut budget.gauge())
+        .map_err(|(partial, stop)| stop.with_partial(partial))
 }
 
-/// The gauge-threaded fold loop behind [`core_of`] and
-/// [`core_of_with_budget`]. On exhaustion returns the fold state reached
-/// so far as a [`Core`] (a valid retract, possibly not minimal).
+/// The core of `a` **relative to `points`**: the smallest retract of `a`
+/// onto which some endomorphism fixing every point folds `a`, charging an
+/// existing gauge (one fuel unit per search node). With points this is
+/// Chandra–Merlin minimization of a query whose free positions are the
+/// points (`hp_logic::Cq::minimize`); without, it is [`core_of`]. The
+/// retraction fixes every core element (`retraction[old_of_new[j]] = j`),
+/// so a point `p` sits at `retraction[p]` in the core's numbering.
+///
+/// The fold searches, element by element, for an endomorphism fixing the
+/// points whose image avoids the element, restricts to that image and
+/// restarts. An element no such endomorphism avoids stays unavoidable in
+/// every later retract — if `g` avoided it on the image `h(C)`, `g∘h`
+/// would avoid it on `C` — so it is marked kept and never re-tested, and
+/// the points are kept from the start. `induced` preserves element order,
+/// so the folds happen exactly as in a loop that re-tests every element
+/// after each fold.
+///
+/// On exhaustion returns the fold state reached so far (a valid retract
+/// with its retraction, possibly not minimal) with the stop provenance.
 #[allow(clippy::result_large_err)]
-fn core_of_gauged(a: &Structure, gauge: &mut Gauge) -> Result<Core, (Core, Stop)> {
-    let mut current = a.clone();
-    // retraction[i] = current element that original element i maps to,
-    // expressed in current's numbering.
-    let mut retraction: Vec<Elem> = (0..a.universe_size()).map(Elem::from).collect();
-    // old_of_new[j] = original element behind current element j.
-    let mut old_of_new: Vec<Elem> = (0..a.universe_size()).map(Elem::from).collect();
+pub fn core_of_pointed_gauged(
+    a: &Structure,
+    points: &[Elem],
+    gauge: &mut Gauge,
+) -> Result<Core, (Core, Stop)> {
+    let identity: Vec<Elem> = a.elements().collect();
+    let mut core = Core {
+        structure: a.clone(),
+        retraction: identity.clone(),
+        old_of_new: identity,
+    };
+    let mut kept = vec![false; a.universe_size()];
+    for p in points {
+        kept[p.index()] = true;
+    }
     'outer: loop {
-        for e in current.elements() {
-            let found = match HomSearch::new(&current, &current)
-                .forbid_value(e)
-                .solve_gauged(gauge)
-            {
-                Ok(h) => h,
-                Err(stop) => {
-                    return Err((
-                        Core {
-                            structure: current,
-                            retraction,
-                            old_of_new,
-                        },
-                        stop,
-                    ))
-                }
-            };
-            if let Some(h) = found {
-                // Iterate h to an idempotent power: folding maps compose,
-                // so h^(2^j) shrinks the image to the h-recurrent elements
-                // in O(log n) squarings — collapsing what would otherwise
-                // take one search round per dropped element.
-                let mut h = h;
-                loop {
-                    let squared: Vec<Elem> = h.iter().map(|&v| h[v.index()]).collect();
-                    if squared == h {
-                        break;
-                    }
-                    let img = |m: &[Elem]| {
-                        let mut s = BitSet::new(m.len());
-                        for &v in m {
-                            s.insert(v.index());
-                        }
-                        s.len()
-                    };
-                    let shrink = img(&squared) < img(&h);
-                    h = squared;
-                    if !shrink {
-                        break;
-                    }
-                }
-                // Restrict to the image of h.
-                let mut image = BitSet::new(current.universe_size());
-                for &v in &h {
-                    image.insert(v.index());
-                }
-                let (next, old_of_new_step) = current.induced(&image);
-                // new_of_old over current's numbering:
-                let mut new_of_old = vec![u32::MAX; current.universe_size()];
-                for (new, &old) in old_of_new_step.iter().enumerate() {
-                    new_of_old[old.index()] = new as u32;
-                }
-                for r in retraction.iter_mut() {
-                    let via = h[r.index()];
-                    *r = Elem(new_of_old[via.index()]);
-                }
-                old_of_new = old_of_new_step
-                    .iter()
-                    .map(|&cur| old_of_new[cur.index()])
-                    .collect();
-                current = next;
-                continue 'outer;
+        for e in core.structure.elements() {
+            if kept[e.index()] {
+                continue;
             }
+            let mut s = HomSearch::new(&core.structure, &core.structure).forbid_value(e);
+            for p in points {
+                let at = core.retraction[p.index()];
+                s = s.pin(at, at);
+            }
+            let h = match s.solve_gauged(gauge) {
+                Ok(Some(h)) => h,
+                Ok(None) => {
+                    kept[e.index()] = true;
+                    continue;
+                }
+                Err(stop) => return Err((core, stop)),
+            };
+            let mut image = BitSet::new(core.structure.universe_size());
+            for &v in &h {
+                image.insert(v.index());
+            }
+            let (next, old_of_new) = core.structure.induced(&image);
+            let mut new_of_old = vec![u32::MAX; core.structure.universe_size()];
+            for (new, &old) in old_of_new.iter().enumerate() {
+                new_of_old[old.index()] = new as u32;
+            }
+            for r in core.retraction.iter_mut() {
+                *r = Elem(new_of_old[h[r.index()].index()]);
+            }
+            core.old_of_new = old_of_new
+                .iter()
+                .map(|&cur| core.old_of_new[cur.index()])
+                .collect();
+            kept = old_of_new.iter().map(|old| kept[old.index()]).collect();
+            core.structure = next;
+            continue 'outer;
         }
         break;
     }
-    debug_assert!(a.is_homomorphism(
-        &retraction.iter().map(|e| Elem(e.0)).collect::<Vec<_>>(),
-        &current
-    ));
-    Ok(Core {
-        structure: current,
-        retraction,
-        old_of_new,
-    })
+    // Every point-fixing endomorphism of the finished core is an
+    // automorphism, so the composed folds map the core's own elements by a
+    // permutation; undo it so the retraction fixes every core element.
+    let mut undo = vec![Elem(0); core.old_of_new.len()];
+    for (j, old) in core.old_of_new.iter().enumerate() {
+        undo[core.retraction[old.index()].index()] = Elem(j as u32);
+    }
+    for r in core.retraction.iter_mut() {
+        *r = undo[r.index()];
+    }
+    debug_assert!(a.is_homomorphism(&core.retraction, &core.structure));
+    Ok(core)
 }
 
 #[cfg(test)]
@@ -263,6 +260,20 @@ mod tests {
         assert!(are_isomorphic(&c.structure, &cc.structure));
         // old_of_new maps into the original universe.
         assert!(c.old_of_new.iter().all(|e| e.index() < g.universe_size()));
+    }
+
+    #[test]
+    fn retraction_fixes_the_core() {
+        // Random digraphs whose first folds permute the surviving
+        // elements: the returned map must still fix each core element.
+        for (n, seed) in [(7usize, 40u64), (6, 51), (7, 874)] {
+            let a = hp_structures::generators::random_digraph(n, 2 * n, seed);
+            let c = core_of(&a);
+            assert!(a.is_homomorphism(&c.retraction, &c.structure));
+            for (j, old) in c.old_of_new.iter().enumerate() {
+                assert_eq!(c.retraction[old.index()].index(), j, "seed {seed}");
+            }
+        }
     }
 
     #[test]

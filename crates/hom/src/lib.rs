@@ -13,6 +13,12 @@
 //! (constants, pebbles), restricted codomains, injectivity (for
 //! isomorphism), and surjectivity (for the minimal-model arguments of §7).
 //!
+//! Cores come from one fold, [`core_of_pointed_gauged`]: it retracts a
+//! structure element by element onto its core relative to a list of
+//! points, which every retract fixes. [`core_of`] is the fold with no
+//! points; Chandra–Merlin minimization of a query (`hp_logic::Cq`) is the
+//! fold with the query's free elements as points.
+//!
 //! ```
 //! use hp_structures::generators::{directed_cycle, directed_path};
 //! use hp_hom::{hom_exists, core_of};
@@ -40,7 +46,8 @@ pub use canon::{
     canonical_form_pointed_with_budget, CanonicalForm,
 };
 pub use core_impl::{
-    core_of, core_of_with_budget, is_core, is_core_with_budget, retract_avoiding, Core,
+    core_of, core_of_pointed_gauged, core_of_with_budget, is_core, is_core_with_budget,
+    retract_avoiding, Core,
 };
 pub use iso::{
     are_homomorphically_equivalent, are_isomorphic, are_isomorphic_pointed, canonical_invariant,

@@ -3,7 +3,12 @@
 
 use proptest::prelude::*;
 
-use hp_hom::{are_homomorphically_equivalent, are_isomorphic, core_of, is_core, HomSearch};
+use hp_guard::Budget;
+use hp_hom::{
+    are_homomorphically_equivalent, are_isomorphic, core_of, core_of_pointed_gauged, is_core,
+    HomSearch,
+};
+use hp_logic::Cq;
 use hp_structures::{Elem, Structure, Vocabulary};
 
 fn digraph_strategy(max_n: usize, max_m: usize) -> impl Strategy<Value = Structure> {
@@ -99,6 +104,42 @@ proptest! {
         prop_assert!(a.is_homomorphism(&c.retraction, &c.structure));
         let c2 = core_of(&c.structure);
         prop_assert!(are_isomorphic(&c.structure, &c2.structure));
+    }
+
+    /// The pointed fold: every point stays fixed, the retraction is a
+    /// homomorphism onto the result that fixes the result's elements, no
+    /// point-fixing endomorphism of the result avoids an element, and the
+    /// result is the structure (and the points the free tuple) of
+    /// `Cq::minimize`.
+    #[test]
+    fn pointed_fold_is_the_cq_core(
+        a in digraph_strategy(6, 10),
+        picks in prop::collection::vec(0usize..12, 0..4),
+    ) {
+        let n = a.universe_size();
+        let points: Vec<Elem> = picks.iter().map(|&i| Elem((i % n) as u32)).collect();
+        let core = core_of_pointed_gauged(&a, &points, &mut Budget::unlimited().gauge()).unwrap();
+        let c = &core.structure;
+        let at: Vec<Elem> = points.iter().map(|p| core.retraction[p.index()]).collect();
+        for (p, q) in points.iter().zip(&at) {
+            prop_assert_eq!(core.old_of_new[q.index()], *p);
+        }
+        prop_assert!(a.is_homomorphism(&core.retraction, c));
+        for (j, old) in core.old_of_new.iter().enumerate() {
+            prop_assert_eq!(core.retraction[old.index()].index(), j, "retraction moves the core");
+        }
+        let image: std::collections::BTreeSet<Elem> = core.retraction.iter().copied().collect();
+        prop_assert_eq!(image.len(), c.universe_size());
+        for e in c.elements() {
+            let mut s = HomSearch::new(c, c).forbid_value(e);
+            for &q in &at {
+                s = s.pin(q, q);
+            }
+            prop_assert!(s.solve().is_none(), "a point-fixing retract avoids {:?}", e);
+        }
+        let m = Cq::with_free(&a, &points).minimize();
+        prop_assert_eq!(m.canonical(), c);
+        prop_assert_eq!(m.free(), &at[..]);
     }
 
     /// Isomorphism is reflexive and symmetric, and implies hom-equivalence.

@@ -3,7 +3,7 @@
 use hp_structures::{BitSet, Elem, Structure, Vocabulary};
 
 use hp_guard::{Budget, Gauge, Stop};
-use hp_hom::{canonical_form_pointed_gauged, HomSearch};
+use hp_hom::{canonical_form_pointed_gauged, core_of_pointed_gauged, HomSearch};
 
 use crate::ast::{Atom, Formula, Var};
 use crate::key::CanonicalCoreKey;
@@ -169,19 +169,12 @@ impl Cq {
     /// there is a homomorphism from `other`'s canonical structure to
     /// `self`'s mapping free positions pointwise.
     pub fn is_contained_in(&self, other: &Cq) -> bool {
-        if self.free.len() != other.free.len() {
-            return false;
-        }
-        let mut s = HomSearch::new(&other.canonical, &self.canonical);
-        for (i, &fe) in other.free.iter().enumerate() {
-            s = s.pin(fe, self.free[i]);
-        }
-        s.exists()
+        unlimited(|gauge| self.is_contained_in_gauged(other, gauge))
     }
 
     /// Logical equivalence of queries.
     pub fn is_equivalent_to(&self, other: &Cq) -> bool {
-        self.is_contained_in(other) && other.is_contained_in(self)
+        unlimited(|gauge| self.is_equivalent_to_gauged(other, gauge))
     }
 
     /// [`is_contained_in`](Cq::is_contained_in) charging an existing
@@ -208,63 +201,23 @@ impl Cq {
     /// is the unique (up to isomorphism) minimal equivalent CQ — the
     /// Chandra–Merlin optimal implementation.
     pub fn minimize(&self) -> Cq {
-        let mut gauge = Budget::unlimited().gauge();
-        match self.minimize_gauged(&mut gauge) {
-            Ok(q) => q,
-            Err(_) => unreachable!("an unlimited budget cannot exhaust"),
-        }
+        unlimited(|gauge| self.minimize_gauged(gauge))
     }
 
-    /// [`minimize`](Cq::minimize) charging an existing gauge. Exhaustion
-    /// aborts mid-fold; no partial is returned (re-run with more fuel).
-    ///
-    /// An element no endomorphism can avoid stays unavoidable in every
-    /// later retract: if `g` avoided it on the image `h(C)`, then `g∘h`
-    /// would avoid it on `C`. Such elements are marked `kept` and never
-    /// re-tested; `induced` preserves element order, so the folds happen
-    /// exactly as in a restart-from-scratch loop.
+    /// [`minimize`](Cq::minimize) charging an existing gauge: the pointed
+    /// fold [`core_of_pointed_gauged`] with the free elements as points.
+    /// Exhaustion aborts mid-fold; no partial is returned (re-run with more
+    /// fuel).
     pub fn minimize_gauged(&self, gauge: &mut Gauge) -> Result<Cq, Stop> {
-        let mut current = self.canonical.clone();
-        let mut free = self.free.clone();
-        let mut kept = vec![false; current.universe_size()];
-        for fe in &free {
-            kept[fe.index()] = true;
-        }
-        'outer: loop {
-            for e in current.elements() {
-                if kept[e.index()] {
-                    continue;
-                }
-                let mut s = HomSearch::new(&current, &current).forbid_value(e);
-                for &fe in &free {
-                    s = s.pin(fe, fe);
-                }
-                let Some(h) = s.solve_gauged(gauge)? else {
-                    kept[e.index()] = true;
-                    continue;
-                };
-                let mut image = BitSet::new(current.universe_size());
-                for &v in &h {
-                    image.insert(v.index());
-                }
-                for &fe in &free {
-                    image.insert(fe.index());
-                }
-                let (next, old_of_new) = current.induced(&image);
-                let mut new_of_old = vec![u32::MAX; current.universe_size()];
-                for (new, &old) in old_of_new.iter().enumerate() {
-                    new_of_old[old.index()] = new as u32;
-                }
-                free = free.iter().map(|f| Elem(new_of_old[f.index()])).collect();
-                kept = old_of_new.iter().map(|old| kept[old.index()]).collect();
-                current = next;
-                continue 'outer;
-            }
-            break;
-        }
+        let core =
+            core_of_pointed_gauged(&self.canonical, &self.free, gauge).map_err(|(_, stop)| stop)?;
         Ok(Cq {
-            canonical: current,
-            free,
+            free: self
+                .free
+                .iter()
+                .map(|f| core.retraction[f.index()])
+                .collect(),
+            canonical: core.structure,
         })
     }
 
@@ -274,11 +227,7 @@ impl Cq {
     /// two presentations differing by variable renaming or redundant atoms
     /// — get the identical key.
     pub fn canonical_core_key(&self) -> CanonicalCoreKey {
-        let mut gauge = Budget::unlimited().gauge();
-        match self.canonical_core_key_gauged(&mut gauge) {
-            Ok(k) => k,
-            Err(_) => unreachable!("an unlimited budget cannot exhaust"),
-        }
+        unlimited(|gauge| self.canonical_core_key_gauged(gauge))
     }
 
     /// [`canonical_core_key`](Cq::canonical_core_key) charging an existing
@@ -287,6 +236,15 @@ impl Cq {
         let m = self.minimize_gauged(gauge)?;
         let form = canonical_form_pointed_gauged(&m.canonical, &m.free, gauge)?;
         Ok(CanonicalCoreKey::of_form(&form))
+    }
+}
+
+/// Run a gauged computation on an unlimited budget: the unbudgeted form of
+/// every `_gauged` method here.
+pub(crate) fn unlimited<T>(run: impl FnOnce(&mut Gauge) -> Result<T, Stop>) -> T {
+    match run(&mut Budget::unlimited().gauge()) {
+        Ok(t) => t,
+        Err(_) => unreachable!("an unlimited budget cannot exhaust"),
     }
 }
 

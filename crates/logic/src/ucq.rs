@@ -1,10 +1,10 @@
 //! Unions of conjunctive queries (select-project-join-union queries).
 
-use hp_guard::{Budget, Gauge, Stop};
+use hp_guard::{Gauge, Stop};
 use hp_structures::{Elem, Structure, Vocabulary};
 
 use crate::ast::{Atom, Formula, Var};
-use crate::cq::Cq;
+use crate::cq::{unlimited, Cq};
 use crate::key::CanonicalCoreKey;
 use hp_hom::canonical_form_pointed_gauged;
 
@@ -101,14 +101,12 @@ impl Ucq {
     /// **Sagiv–Yannakakis containment**: `self ⊑ other` iff every disjunct
     /// of `self` is contained in *some* disjunct of `other`.
     pub fn is_contained_in(&self, other: &Ucq) -> bool {
-        self.disjuncts
-            .iter()
-            .all(|d| other.disjuncts.iter().any(|e| d.is_contained_in(e)))
+        unlimited(|gauge| self.is_contained_in_gauged(other, gauge))
     }
 
     /// Logical equivalence.
     pub fn is_equivalent_to(&self, other: &Ucq) -> bool {
-        self.is_contained_in(other) && other.is_contained_in(self)
+        unlimited(|gauge| self.is_equivalent_to_gauged(other, gauge))
     }
 
     /// Gauged Sagiv–Yannakakis containment: every per-disjunct-pair
@@ -139,11 +137,7 @@ impl Ucq {
     /// contained in another kept disjunct. The result is equivalent and
     /// irredundant.
     pub fn minimize(&self) -> Ucq {
-        let mut gauge = Budget::unlimited().gauge();
-        match self.minimize_gauged(&mut gauge) {
-            Ok(u) => u,
-            Err(_) => unreachable!("an unlimited budget cannot exhaust"),
-        }
+        unlimited(|gauge| self.minimize_gauged(gauge))
     }
 
     /// [`minimize`](Ucq::minimize) charging an existing gauge.
@@ -182,11 +176,7 @@ impl Ucq {
     /// key each pointed core, and combine order-insensitively. Logically
     /// equivalent UCQs get the identical key.
     pub fn canonical_core_key(&self) -> CanonicalCoreKey {
-        let mut gauge = Budget::unlimited().gauge();
-        match self.canonical_core_key_gauged(&mut gauge) {
-            Ok(k) => k,
-            Err(_) => unreachable!("an unlimited budget cannot exhaust"),
-        }
+        unlimited(|gauge| self.canonical_core_key_gauged(gauge))
     }
 
     /// [`canonical_core_key`](Ucq::canonical_core_key) charging an
