@@ -14,6 +14,12 @@
 //! full-eval column is a from-scratch `evaluate` on the same structure.
 //! Every timing is the median of [`hp_bench::K`] runs. After the cycles
 //! the maintained IDB is asserted bit-identical to a fresh evaluation.
+//! The `stop_ms` column then deletes the only source `S(0)` from copies
+//! of that view through the budgeted entry point under a 1 ms deadline:
+//! the catch-up would unwind every reached element, and the column is the
+//! time until it returns, the dropped copy included. From 10⁴ edges on,
+//! where that catch-up runs several times the deadline, every run must
+//! return stopped.
 //!
 //! A second table builds a view of nonlinear transitive closure
 //! (`T(x,z) :- T(x,y), T(y,z)`) on `directed_path(200)`, whatever the size
@@ -32,8 +38,10 @@
 //! short). With `--json PATH` a machine-readable snapshot (the committed
 //! `BENCH_incremental.json`) is written alongside the table.
 
+use std::time::Duration;
+
 use hp_bench::{
-    args, median_ms, random_reach_structure, reach_program, write_json, Row, Table, XorShift,
+    args, median_ms, random_reach_structure, reach_program, write_json, Row, Table, XorShift, K,
 };
 use hp_preservation::datalog::gallery;
 use hp_preservation::prelude::*;
@@ -79,6 +87,26 @@ fn main() {
             &full.relations[..],
             "maintained view diverged at m={m}"
         );
+
+        let mut source = EdbDelta::new(p.edb());
+        source.push_ids(1, &[0]);
+        let deadline = Budget::unlimited().with_wall_clock(Duration::from_millis(1));
+        let mut copies = vec![db.clone(); K];
+        let (stop_ms, ()) = median_ms(|| {
+            let copy = copies.pop().expect("one copy per run");
+            let run = p.evaluate_incremental_budgeted(
+                copy,
+                &empty,
+                &source,
+                &EvalConfig::new(),
+                &deadline,
+            );
+            // At 10³ edges the whole catch-up fits inside the deadline.
+            assert!(
+                run.expect("valid batch").is_err() || m < 10_000,
+                "the source deletion outran its deadline at m={m}"
+            );
+        });
         table.push(
             Row::new()
                 .int("edges", m)
@@ -87,6 +115,7 @@ fn main() {
                 .num("full_eval_ms", full_ms, 3)
                 .num("inc_upd_ms", inc_upd_ms, 4)
                 .num("speedup", full_ms / inc_upd_ms, 1)
+                .num("stop_ms", stop_ms, 3)
                 .int("reached", full.relations[0].len()),
         );
     }

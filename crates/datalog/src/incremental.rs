@@ -35,18 +35,17 @@
 //! copies the relations own ([`Relation::copy`]), built on first use and
 //! kept in step by every committed batch and insertion round.
 //!
-//! Maintenance is budgeted and resumable under the same law as
-//! [`Program::resume_budgeted`]: the gauge is charged at SCC boundaries, an
-//! exhausted run returns an [`IncCheckpoint`] (the database keeps the
-//! already-committed SCCs and refuses further updates until resumed), and
-//! resuming with fuel `f2` after exhausting `f1` lands at exactly the state
-//! of a single `f1 + f2` run. A budgeted build
-//! ([`MaterializedDb::new_budgeted`]) is budgeted as evaluation is, round
-//! by round, and a stopped one is the stopped evaluation.
+//! Maintenance is budgeted: the gauge is polled before every DRed round
+//! and charged at SCC boundaries. A stop may land mid-SCC, so budgeted
+//! maintenance ([`Program::evaluate_incremental_budgeted`]) takes the
+//! database by value and returns it only on completion; a stopped run
+//! reports the fuel it spent and leaves nothing to resume. A budgeted
+//! build ([`MaterializedDb::new_budgeted`]) is budgeted as evaluation is,
+//! round by round, and a stopped one is the stopped evaluation.
 
 use std::borrow::Cow;
 
-use hp_guard::{Budget, Budgeted, Gauge, GaugeState, Stop};
+use hp_guard::{Budget, Budgeted, Gauge, Stop};
 use hp_structures::{
     Elem, Relation, Row, RowRef, Structure, StructureError, SymbolId, TupleStore, Vocabulary,
 };
@@ -174,10 +173,6 @@ pub struct MaterializedDb {
     /// Monotone upper bound over every assigned depth; fresh and revived
     /// tuples get depths above it, keeping the invariant without renumbering.
     depth_clock: u64,
-    /// True while a budget-exhausted maintenance run awaits
-    /// [`Program::resume_incremental`]; fresh updates are refused until
-    /// then.
-    in_flight: bool,
 }
 
 impl MaterializedDb {
@@ -248,11 +243,9 @@ impl MaterializedDb {
             idb: run.relations,
             depths,
             depth_clock: run.stages as u64 + 1,
-            in_flight: false,
         };
         let report = MaintenanceReport {
             stages: run.stages,
-            converged: true,
             diagnostics: run.diagnostics,
             profile: run.profile,
         };
@@ -273,12 +266,6 @@ impl MaterializedDb {
     /// [`Program::idbs`](crate::Program::idbs).
     pub fn relations(&self) -> &[Relation] {
         &self.idb
-    }
-
-    /// True while an exhausted maintenance run awaits
-    /// [`Program::resume_incremental`].
-    pub fn is_in_flight(&self) -> bool {
-        self.in_flight
     }
 
     /// Share `other`'s relation wherever its content equals this
@@ -310,45 +297,8 @@ impl MaterializedDb {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints
+// Reports
 // ---------------------------------------------------------------------------
-
-/// A resumable snapshot of a budget-exhausted incremental maintenance run,
-/// returned as the `partial` of [`Program::evaluate_incremental_budgeted`] /
-/// [`Program::resume_incremental`].
-///
-/// The snapshot is taken at a **stratum boundary**: every SCC before
-/// `next_scc` is fully committed to the database, none from it on has been
-/// touched, and the recorded per-predicate deltas let later strata
-/// reconstruct their pre-update views. Resuming with fuel `f2` after
-/// exhausting `f1` lands at exactly the state of a single `f1 + f2` run.
-#[derive(Clone, Debug)]
-pub struct IncCheckpoint {
-    next_scc: usize,
-    deltas: Deltas,
-    stages: usize,
-    /// Worker-panic recoveries so far; a resume stays single-threaded.
-    diagnostics: Vec<String>,
-    fuel: GaugeState,
-}
-
-impl IncCheckpoint {
-    /// Cumulative fuel charged when the snapshot was taken, across all runs
-    /// of a resume chain.
-    pub fn fuel_spent(&self) -> u64 {
-        self.fuel.spent
-    }
-
-    /// Number of strata already committed to the database.
-    pub fn committed_strata(&self) -> usize {
-        self.next_scc
-    }
-
-    /// Maintenance rounds performed so far.
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-}
 
 /// What one maintenance run did — the `Ok` value of
 /// [`Program::evaluate_incremental`] and its variants.
@@ -358,9 +308,9 @@ impl IncCheckpoint {
 /// [`MaterializedDb::idb`], so a run costs no copy of the fixpoint.
 #[derive(Clone, Debug)]
 pub struct MaintenanceReport {
-    /// Maintenance rounds (delta passes across all strata), cumulative
-    /// over a resume chain — not the full evaluator's Φ rounds; an update
-    /// nothing depends on reports 0, and a build reports its Φ stages.
+    /// Maintenance rounds (delta passes across all strata) — not the full
+    /// evaluator's Φ rounds; an update nothing depends on reports 0, and a
+    /// build reports its Φ stages.
     /// Every stratum reports the rounds its DRed phases ran, a
     /// non-recursive one included (up to one deletion, two rederivation
     /// and one insertion round), not a flat 1. An insertion round counts
@@ -368,9 +318,6 @@ pub struct MaintenanceReport {
     /// new tuples — even if every item it forms reads an empty relation
     /// and is skipped.
     pub stages: usize,
-    /// True when every stratum was maintained (always, for a completed
-    /// run: an exhausted one returns an [`IncCheckpoint`] instead).
-    pub converged: bool,
     /// Worker-panic recoveries, one note naming the round, as in
     /// [`FixpointResult::diagnostics`](crate::FixpointResult::diagnostics);
     /// after one, the rest of the run is single-threaded.
@@ -459,7 +406,6 @@ impl DepthRuns {
 /// Per-predicate effective deltas of one maintenance run: what actually
 /// changed in the EDB, and what each already-processed stratum's
 /// maintenance changed in its IDB.
-#[derive(Clone, Debug)]
 struct Deltas {
     edb_plus: Vec<TupleStore>,
     edb_minus: Vec<TupleStore>,
@@ -691,7 +637,9 @@ fn commit_edb(
 /// prebound head, the commit of the confirmed deletions, then phase C
 /// (insertion) as the evaluator's [`semi_naive`] loop on the committed
 /// relations. Records the SCC's net deltas for the SCCs above, adds its
-/// rounds to `rounds`, and returns the number of tuples it changed.
+/// rounds to `rounds`, and returns the number of tuples it changed. The
+/// gauge is polled before every round of each phase; a stop leaves the SCC
+/// half-maintained.
 ///
 /// A non-recursive member carries no depth runs, and needs none: the depth
 /// gate only filters `Cur` atoms, and none of its rule bodies mentions an
@@ -699,10 +647,11 @@ fn commit_edb(
 fn dred_scc(
     db: &mut MaterializedDb,
     workers: &mut Workers,
+    gauge: &mut Gauge,
     deltas: &mut Deltas,
     scc: usize,
     rounds: &mut usize,
-) -> usize {
+) -> Result<usize, Stop> {
     let n_idb = db.idb.len();
     let graph = &db.plan.graph;
     let members = graph.scc_members(scc);
@@ -720,10 +669,13 @@ fn dred_scc(
     // if it has no surviving support from strictly shallower members and
     // stable externals — kills propagate strictly depth-upward, so a kept
     // tuple is re-examined whenever a witness supporter dies later, and the
-    // cascade stays local when alternative derivations abound.
+    // cascade stays local when alternative derivations abound. The poll
+    // opens every round, the one that finds nothing to do included, so
+    // every SCC is polled at least once.
     let mut frontier: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
     let mut first = true;
     loop {
+        gauge.check()?;
         let mut cand: Vec<TupleStore> = (0..n_idb).map(|p| TupleStore::new(arity_of(p))).collect();
         {
             let mut items: Vec<Item<'_>> = Vec::new();
@@ -800,6 +752,7 @@ fn dred_scc(
         if cands.iter().all(TupleStore::is_empty) {
             break;
         }
+        gauge.check()?;
         *rounds += 1;
         workers.round = *rounds;
         let hits: Vec<TupleStore> = {
@@ -862,10 +815,11 @@ fn dred_scc(
         depths: &mut db.depths,
         clock: &mut clock,
         rounds,
+        gauge,
         added: vec![Vec::new(); n_idb],
     };
     let mut delta = db.program.empty_idbs();
-    let sealed = semi_naive(
+    semi_naive(
         &db.plan,
         &in_scc,
         &db.structure,
@@ -874,9 +828,8 @@ fn dred_scc(
         Some((items, seed_tuples)),
         workers,
         &mut insertions,
-    );
+    )?;
     let mut added = insertions.added;
-    debug_assert!(matches!(sealed, Ok(true)), "phase C never stops");
 
     // A tuple deleted and then derived again reaches the strata above as
     // neither a deletion nor an insertion. A recursive member's insertions
@@ -897,17 +850,19 @@ fn dred_scc(
         deltas.idb_plus[p] = plus;
     }
     db.depth_clock = clock;
-    changed
+    Ok(changed)
 }
 
-/// Phase C's round boundaries: a round some item was seeded for counts
-/// and advances the depth clock. Every merged delta is kept: a recursive
-/// member's as the run of the clock its round set, any other's in
-/// `added`, per IDB and round.
+/// Phase C's round boundaries: the gauge is polled before every delta
+/// round, and a round some item was seeded for counts and advances the
+/// depth clock. Every merged delta is kept: a recursive member's as the
+/// run of the clock its round set, any other's in `added`, per IDB and
+/// round.
 struct Insertions<'a> {
     depths: &'a mut [Option<DepthRuns>],
     clock: &'a mut u64,
     rounds: &'a mut usize,
+    gauge: &'a mut Gauge,
     added: Vec<Vec<TupleStore>>,
 }
 
@@ -915,6 +870,11 @@ impl Rounds for Insertions<'_> {
     /// A round is counted once it ran.
     fn round(&self) -> usize {
         *self.rounds + 1
+    }
+
+    fn before(&mut self) -> Result<bool, Stop> {
+        self.gauge.check()?;
+        Ok(true)
     }
 
     fn after(&mut self, seeded: bool, _delta: &[Relation]) -> Result<(), Stop> {
@@ -957,75 +917,39 @@ fn union_of(parts: Vec<Cow<'_, TupleStore>>, arity: usize) -> TupleStore {
     out
 }
 
-/// Run maintenance from SCC `first_scc` on, charging the gauge at SCC
-/// boundaries: a `check` before each SCC and a `tick` of
-/// `1 + changed_tuples` after it commits, mirroring the per-round charge of
-/// the full evaluator.
-// The large Err variant is the point of the budgeted API: exhaustion
-// carries a full checkpoint so callers can resume (same as eval.rs).
-#[allow(clippy::result_large_err)]
+/// Maintain every SCC, dependencies first, polling the gauge before every
+/// DRed round ([`Gauge::check`] charges nothing) and charging it
+/// `1 + changed_tuples` after each SCC commits, mirroring the per-round
+/// charge of the full evaluator. A stop leaves `db` half-maintained.
 fn maintain(
     db: &mut MaterializedDb,
     cfg: &EvalConfig,
     mut gauge: Gauge,
     mut deltas: Deltas,
-    first_scc: usize,
-    mut stages: usize,
-    diagnostics: Vec<String>,
-) -> Budgeted<MaintenanceReport, IncCheckpoint> {
+) -> Result<MaintenanceReport, Stop> {
     // As in the full evaluator, a worker panic degrades the rest of the
-    // batch (resumes included) to the calling thread.
-    let mut workers = Workers::new(cfg, diagnostics);
+    // batch to the calling thread.
+    let mut workers = Workers::new(cfg, Vec::new());
     let started = std::time::Instant::now();
-    let (first_stages, mut derived, mut fuel) = (stages, 0u64, 0u64);
-    for si in first_scc..db.plan.graph.scc_count() {
-        if let Err(stop) = gauge.check() {
-            let fuel = stop.state();
-            return Err(stopped(db, stop, si, deltas, stages, workers, fuel));
-        }
-        let changed = dred_scc(db, &mut workers, &mut deltas, si, &mut stages) as u64;
+    let (mut stages, mut derived, mut fuel) = (0, 0u64, 0u64);
+    for si in 0..db.plan.graph.scc_count() {
+        let changed = dred_scc(db, &mut workers, &mut gauge, &mut deltas, si, &mut stages)? as u64;
         derived += changed;
         fuel += 1 + changed;
-        if let Err(stop) = gauge.tick(1 + changed) {
-            let fuel = stop.state();
-            return Err(stopped(db, stop, si + 1, deltas, stages, workers, fuel));
-        }
+        gauge.tick(1 + changed)?;
     }
-    db.in_flight = false;
     Ok(MaintenanceReport {
         stages,
-        converged: true,
         diagnostics: workers.diagnostics,
         // Maintained programs are positive: one stratum.
         profile: vec![StratumProfile {
             stratum: 0,
-            stages: stages - first_stages,
+            stages,
             derived,
             fuel,
             elapsed: started.elapsed(),
             peak_pending: workers.peak_pending,
         }],
-    })
-}
-
-/// A maintenance run stopped before SCC `next_scc`: the database is in
-/// flight, and the checkpoint resumes it there with the gauge at `fuel`.
-fn stopped(
-    db: &mut MaterializedDb,
-    stop: Stop,
-    next_scc: usize,
-    deltas: Deltas,
-    stages: usize,
-    workers: Workers,
-    fuel: GaugeState,
-) -> hp_guard::Exhausted<IncCheckpoint> {
-    db.in_flight = true;
-    stop.with_partial(IncCheckpoint {
-        next_scc,
-        deltas,
-        stages,
-        diagnostics: workers.diagnostics,
-        fuel,
     })
 }
 
@@ -1066,30 +990,44 @@ impl Program {
         minus: &EdbDelta,
         cfg: &EvalConfig,
     ) -> Result<MaintenanceReport, EvalError> {
-        self.evaluate_incremental_budgeted(db, plus, minus, cfg, &Budget::unlimited())
-            .map(|r| r.expect("unlimited budgets cannot exhaust"))
+        let run = self.fold_batch(db, plus, minus, cfg, &Budget::unlimited())?;
+        Ok(run.expect("unlimited budgets cannot exhaust"))
     }
 
-    /// Budgeted incremental maintenance, returning a [`MaintenanceReport`]
-    /// on completion. On exhaustion the returned [`IncCheckpoint`]
-    /// snapshots the run at a stratum boundary — already
-    /// maintained strata stay committed in `db`, which refuses further
-    /// update batches until [`Program::resume_incremental`] completes the
-    /// run. The resume law of [`Program::resume_budgeted`] holds: fuel `f1`
-    /// then `f2` is indistinguishable from a single `f1 + f2` run.
+    /// As [`Program::evaluate_incremental_with`], charged against
+    /// `budget`. The database is returned only on completion, with the
+    /// report: a stop may land in any DRed round, mid-SCC, so a stopped
+    /// run drops the half-maintained database and reports only the fuel
+    /// it spent. Build a fresh [`MaterializedDb`] on the updated
+    /// structure to go on.
     pub fn evaluate_incremental_budgeted(
+        &self,
+        mut db: MaterializedDb,
+        plus: &EdbDelta,
+        minus: &EdbDelta,
+        cfg: &EvalConfig,
+        budget: &Budget,
+    ) -> Result<Budgeted<(MaterializedDb, MaintenanceReport), ()>, EvalError> {
+        let run = self.fold_batch(&mut db, plus, minus, cfg, budget)?;
+        Ok(run
+            .map(|report| (db, report))
+            .map_err(|stop| stop.with_partial(())))
+    }
+
+    /// Commit the batch to `db` and maintain its fixpoint under `budget`.
+    /// A mismatched database or batch is refused before any mutation.
+    fn fold_batch(
         &self,
         db: &mut MaterializedDb,
         plus: &EdbDelta,
         minus: &EdbDelta,
         cfg: &EvalConfig,
         budget: &Budget,
-    ) -> Result<Budgeted<MaintenanceReport, IncCheckpoint>, EvalError> {
+    ) -> Result<Result<MaintenanceReport, Stop>, EvalError> {
         // A database is only ever built for a positive program.
-        self.check_db(db)?;
-        if db.in_flight {
+        if !self.same_rules(&db.program) {
             return Err(EvalError::ProgramMismatch {
-                detail: "maintenance is in progress on this database; resume it first".to_string(),
+                detail: "materialized database was built for a different program".to_string(),
             });
         }
         if plus.vocab != *self.edb() || minus.vocab != *self.edb() {
@@ -1098,54 +1036,7 @@ impl Program {
             });
         }
         let deltas = commit_edb(db, plus, minus)?;
-        Ok(maintain(db, cfg, budget.gauge(), deltas, 0, 0, Vec::new()))
-    }
-
-    /// Resume a budget-exhausted maintenance run from its checkpoint,
-    /// continuing at the first unmaintained stratum with cumulative fuel
-    /// accounting; a completed resume returns a [`MaintenanceReport`]
-    /// whose `stages` count the whole chain.
-    pub fn resume_incremental(
-        &self,
-        db: &mut MaterializedDb,
-        checkpoint: IncCheckpoint,
-        cfg: &EvalConfig,
-        budget: &Budget,
-    ) -> Result<Budgeted<MaintenanceReport, IncCheckpoint>, EvalError> {
-        self.check_db(db)?;
-        if !db.in_flight {
-            return Err(EvalError::CheckpointMismatch {
-                detail: "no maintenance run is in progress on this database".to_string(),
-            });
-        }
-        if checkpoint.next_scc > db.plan.graph.scc_count()
-            || checkpoint.deltas.edb_plus.len() != self.edb().len()
-            || checkpoint.deltas.idb_plus.len() != self.idbs().len()
-        {
-            return Err(EvalError::CheckpointMismatch {
-                detail: "checkpoint shape does not match this program".to_string(),
-            });
-        }
-        let gauge = budget.resume(checkpoint.fuel);
-        Ok(maintain(
-            db,
-            cfg,
-            gauge,
-            checkpoint.deltas,
-            checkpoint.next_scc,
-            checkpoint.stages,
-            checkpoint.diagnostics,
-        ))
-    }
-
-    /// Cheap identity check: was `db` built for (a clone of) this program?
-    fn check_db(&self, db: &MaterializedDb) -> Result<(), EvalError> {
-        if !self.same_rules(&db.program) {
-            return Err(EvalError::ProgramMismatch {
-                detail: "materialized database was built for a different program".to_string(),
-            });
-        }
-        Ok(())
+        Ok(maintain(db, cfg, budget.gauge(), deltas))
     }
 }
 
@@ -1233,7 +1124,6 @@ mod tests {
         minus.push_ids(0, &[3, 0]); // absent
         let r = p.evaluate_incremental(&mut db, &plus, &minus).unwrap();
         assert_eq!(r.stages, 0);
-        assert!(r.converged);
     }
 
     #[test]
@@ -1823,6 +1713,28 @@ mod tests {
             .unwrap();
         let full = MaterializedDb::new(&p, a).unwrap();
         assert_eq!(&rest.relations[..], full.relations());
+    }
+
+    #[test]
+    fn a_deadline_stops_a_catch_up_in_flight() {
+        // One recursive SCC: the gallery's right-linear closure loses
+        // T(x, 299) one x per deletion round once the path's last edge
+        // goes, hundreds of rounds. The deadline is polled before every
+        // DRed round, so it stops the catch-up in flight, and the stop
+        // takes the half-maintained database with it.
+        let p = gallery::transitive_closure();
+        let db = MaterializedDb::new(&p, directed_path(300)).unwrap();
+        let (plus, mut minus) = delta_pair(p.edb());
+        minus.push_ids(0, &[298, 299]);
+        let cfg = EvalConfig::new();
+        let budget = Budget::wall_clock(std::time::Duration::from_millis(1));
+        let Err(stop) = p
+            .evaluate_incremental_budgeted(db, &plus, &minus, &cfg, &budget)
+            .unwrap()
+        else {
+            panic!("the catch-up outlasts its deadline");
+        };
+        assert_eq!(stop.resource, hp_guard::Resource::Time);
     }
 
     #[test]

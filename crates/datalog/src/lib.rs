@@ -71,6 +71,6 @@ pub use eval::{
     EvalCheckpoint, EvalConfig, EvalError, FixpointResult, IdbRelation, StageSequence,
     StratumProfile,
 };
-pub use incremental::{EdbDelta, IncCheckpoint, MaintenanceReport, MaterializedDb};
+pub use incremental::{EdbDelta, MaintenanceReport, MaterializedDb};
 pub use parser::{body_atom_byte_ranges, rule_byte_ranges};
 pub use unfold::{stage_ucq, stages_agree, unfold_over};

@@ -2,16 +2,15 @@
 //! streams applied through [`Program::evaluate_incremental`] must leave the
 //! materialized database bit-identical to a from-scratch evaluation of the
 //! updated structure — for recursive and non-recursive gallery programs, at
-//! 1, 2, and 4 worker threads — and budgeted maintenance must obey the
-//! split-budget resume law.
+//! 1, 2, and 4 worker threads — and budgeted maintenance must either
+//! complete as an unlimited run does or stop and return no database.
 
 use proptest::prelude::*;
 
 use hp_datalog::{
-    gallery, EdbDelta, EvalConfig, EvalError, IncCheckpoint, MaintenanceReport, MaterializedDb,
-    Program,
+    gallery, EdbDelta, EvalConfig, EvalError, MaintenanceReport, MaterializedDb, Program,
 };
-use hp_guard::{Budget, Budgeted};
+use hp_guard::Budget;
 use hp_structures::{Elem, Structure, SymbolId, Vocabulary};
 
 /// One EDB operation: `(symbol, insert?, raw elements)`. Elements are taken
@@ -252,52 +251,46 @@ proptest! {
             check_thread_invariance(&p, n, m, seed, &stream)?;
         }
     }
-    /// Split-budget maintenance equals single-budget maintenance: fuel `f1`
-    /// then `f2` leaves the database and the outcome exactly where one
-    /// `f1 + f2` run does.
+    /// Budgeted maintenance is all or nothing. Under any fuel a run either
+    /// completes bit-identical to the unlimited run (relations, stages,
+    /// fuel), or it stops, exactly when the fuel does not exceed the
+    /// unlimited run's, and returns no database; a build on the updated
+    /// structure then equals full evaluation.
     #[test]
     fn incremental_fuel_split_law(
         n in 2usize..7,
         m in 1usize..10,
         seed in 0u64..1000,
         ops in prop::collection::vec((0usize..4, any::<bool>(), (0usize..16, 0usize..16)), 1..8),
-        f1 in 1u64..20,
-        f2 in 1u64..20,
+        fuel in 0u64..60,
     ) {
         let p = gallery::cycle_detection(); // two strata: a tick between them
         let cfg = EvalConfig::new();
         let a = random_structure(p.edb(), n, m, seed);
-        let mut db_single = MaterializedDb::new(&p, a.clone()).unwrap();
-        let mut db_split = db_single.clone();
+        let db = MaterializedDb::new(&p, a.clone()).unwrap();
         let mut mirror = a;
         let (plus, minus) = apply_batch(p.edb(), &mut mirror, &ops);
-
-        let single = p
-            .evaluate_incremental_budgeted(&mut db_single, &plus, &minus, &cfg, &Budget::fuel(f1 + f2))
-            .expect("valid batch");
-        let split = match p
-            .evaluate_incremental_budgeted(&mut db_split, &plus, &minus, &cfg, &Budget::fuel(f1))
-            .expect("valid batch")
-        {
-            Ok(done) => Ok(done),
-            Err(e) => p
-                .resume_incremental(&mut db_split, e.partial, &cfg, &Budget::fuel(f2))
-                .expect("checkpoint comes from this run"),
+        let maintain = |db: MaterializedDb, budget: &Budget| {
+            p.evaluate_incremental_budgeted(db, &plus, &minus, &cfg, budget)
+                .expect("valid batch")
         };
-        prop_assert_eq!(state(split), state(single));
-        prop_assert_eq!(db_split.relations(), db_single.relations());
-        prop_assert_eq!(db_split.is_in_flight(), db_single.is_in_flight());
-    }
-}
-
-/// Collapse a budgeted outcome into comparable state (the relations are
-/// compared on the databases themselves).
-fn state(r: Budgeted<MaintenanceReport, IncCheckpoint>) -> (usize, Option<(usize, u64)>) {
-    match r {
-        Ok(r) => (r.stages, None),
-        Err(e) => {
-            let cp = e.partial;
-            (cp.stages(), Some((cp.committed_strata(), cp.fuel_spent())))
+        let (full, full_report) = maintain(db.clone(), &Budget::unlimited())
+            .expect("unlimited budgets cannot exhaust");
+        let full_fuel = full_report.profile[0].fuel;
+        match maintain(db, &Budget::fuel(fuel)) {
+            Ok((done, report)) => {
+                prop_assert!(fuel > full_fuel);
+                prop_assert_eq!(done.relations(), full.relations());
+                prop_assert_eq!(report.stages, full_report.stages);
+                prop_assert_eq!(report.profile[0].fuel, full_fuel);
+            }
+            Err(stop) => {
+                prop_assert!(fuel <= full_fuel);
+                prop_assert!(fuel <= stop.spent && stop.spent <= full_fuel);
+                let rebuilt = MaterializedDb::new(&p, mirror.clone()).unwrap();
+                prop_assert_eq!(rebuilt.relations(), &p.evaluate(&mirror).relations[..]);
+                prop_assert_eq!(rebuilt.relations(), full.relations());
+            }
         }
     }
 }
@@ -345,84 +338,6 @@ fn delete_below_recursive_derivation_and_reinsert() {
         &original[..],
         "reinsertion restores the fixpoint"
     );
-}
-
-/// An exhausted run leaves the database in-flight: fresh batches are
-/// refused with a typed error until the run is resumed, and resuming a
-/// database that is not in flight is refused too.
-#[test]
-fn in_flight_database_refuses_new_batches() {
-    let p = gallery::cycle_detection();
-    let mut a = Structure::new(Vocabulary::digraph(), 6);
-    for v in 0..6u32 {
-        let _ = a.add_tuple_ids(0, &[v, (v + 1) % 6]);
-    }
-    let mut db = MaterializedDb::new(&p, a).unwrap();
-    let cfg = EvalConfig::new();
-    let mut minus = EdbDelta::new(p.edb());
-    minus.push_ids(0, &[0, 1]);
-    let empty = EdbDelta::new(p.edb());
-    let exhausted = p
-        .evaluate_incremental_budgeted(&mut db, &empty, &minus, &cfg, &Budget::fuel(1))
-        .expect("valid batch")
-        .expect_err("fuel 1 cannot finish a real deletion");
-    assert!(db.is_in_flight());
-
-    let err = p
-        .evaluate_incremental(&mut db, &empty, &minus)
-        .expect_err("in-flight database must refuse new batches");
-    assert!(matches!(err, EvalError::ProgramMismatch { .. }));
-
-    let done = p
-        .resume_incremental(&mut db, exhausted.partial, &cfg, &Budget::unlimited())
-        .expect("checkpoint comes from this run")
-        .expect("unlimited resume finishes");
-    assert!(!db.is_in_flight());
-    assert!(done.converged);
-
-    // Resuming again, with nothing in flight, is a typed error.
-    let exhausted2 = p
-        .evaluate_incremental_budgeted(
-            &mut db,
-            &empty,
-            &EdbDelta::new(p.edb()),
-            &cfg,
-            &Budget::fuel(1),
-        )
-        .expect("valid batch");
-    if let Err(cp) = exhausted2 {
-        // If even the no-op run exhausted, finish it first.
-        p.resume_incremental(&mut db, cp.partial, &cfg, &Budget::unlimited())
-            .unwrap()
-            .unwrap();
-    }
-    let stale = IncCheckpointProbe::steal(&p, &mut db);
-    let err = p
-        .resume_incremental(&mut db, stale, &cfg, &Budget::unlimited())
-        .expect_err("nothing is in flight");
-    assert!(matches!(err, EvalError::CheckpointMismatch { .. }));
-}
-
-/// Helper: manufacture a checkpoint by exhausting a clone, leaving the
-/// original database idle.
-struct IncCheckpointProbe;
-
-impl IncCheckpointProbe {
-    fn steal(p: &Program, db: &mut MaterializedDb) -> IncCheckpoint {
-        let mut clone = db.clone();
-        let mut minus = EdbDelta::new(p.edb());
-        minus.push_ids(0, &[0, 1]);
-        p.evaluate_incremental_budgeted(
-            &mut clone,
-            &EdbDelta::new(p.edb()),
-            &minus,
-            &EvalConfig::new(),
-            &Budget::fuel(1),
-        )
-        .expect("valid batch")
-        .expect_err("fuel 1 cannot finish")
-        .partial
-    }
 }
 
 /// A database built for one program refuses batches from another, and

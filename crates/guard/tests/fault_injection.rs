@@ -9,8 +9,10 @@
 //!   diagnostic, and the result is bit-identical to a sequential run;
 //! * a forced fuel exhaustion at a fixed point yields the same
 //!   deterministic partial every time;
-//! * resuming an exhausted run with a larger budget reaches the same
-//!   fixpoint as an uninterrupted run, for randomized injection points.
+//! * resuming an exhausted evaluation with a larger budget reaches the
+//!   same fixpoint as an uninterrupted run, for randomized injection
+//!   points; an exhausted maintenance run returns no database, and a build
+//!   on the updated structure reaches that fixpoint.
 //!
 //! The fault plan is process-global, so every test serializes through
 //! [`hp_guard::fault::exclusive`].
@@ -161,10 +163,11 @@ fn randomized_exhaustion_points_never_hang_or_poison() {
 }
 
 /// Forced fuel exhaustion mid-maintenance: the incremental engine stops at
-/// a stratum boundary with a resumable checkpoint, and resuming (trigger
-/// disarmed) lands on exactly the state a full re-evaluation computes.
+/// the first SCC boundary and returns no database, and a build on the
+/// updated structure (trigger disarmed) lands on exactly the state a full
+/// re-evaluation computes.
 #[test]
-fn forced_exhaustion_during_incremental_maintenance_resumes_exactly() {
+fn forced_exhaustion_during_incremental_maintenance_drops_the_db() {
     use hp_datalog::{EdbDelta, MaterializedDb};
 
     let _serial = fault::exclusive();
@@ -172,46 +175,44 @@ fn forced_exhaustion_during_incremental_maintenance_resumes_exactly() {
     let p = gallery::cycle_detection();
     let a = directed_path(12);
     let cfg = EvalConfig::new();
-    let mut db = MaterializedDb::new(&p, a.clone()).expect("vocab matches");
+    let db = MaterializedDb::new(&p, a.clone()).expect("vocab matches");
 
     // Delete an edge below the recursive derivations, then force the gauge
     // to trip at the first stratum boundary.
     let mut minus = EdbDelta::new(p.edb());
     minus.push_ids(0, &[5, 6]);
     let plus = EdbDelta::new(p.edb());
+    let (_, full) = p
+        .evaluate_incremental_budgeted(db.clone(), &plus, &minus, &cfg, &Budget::unlimited())
+        .expect("valid batch")
+        .expect("an un-faulted run finishes");
     fault::install(fault::FaultPlan {
         exhaust_at: Some(1),
         panic_at: None,
         panic_span: None,
     });
     let exhausted = p
-        .evaluate_incremental_budgeted(&mut db, &plus, &minus, &cfg, &Budget::unlimited())
+        .evaluate_incremental_budgeted(db, &plus, &minus, &cfg, &Budget::unlimited())
         .expect("valid batch")
         .expect_err("forced exhaustion must stop an unlimited run");
-    assert!(db.is_in_flight());
-    assert_eq!(
-        exhausted.partial.committed_strata(),
-        1,
+    fault::clear();
+    assert_eq!(exhausted.resource, hp_guard::Resource::Fuel);
+    assert!(
+        exhausted.spent < full.profile[0].fuel,
         "stopped at the first boundary"
     );
 
-    fault::clear();
-    let resumed = p
-        .resume_incremental(&mut db, exhausted.partial, &cfg, &Budget::unlimited())
-        .expect("checkpoint comes from this run")
-        .expect("an unlimited, un-faulted resume finishes");
-    assert!(!db.is_in_flight());
-    assert!(resumed.converged);
-
     let mut b = a;
     assert!(b.remove_tuple(0usize.into(), &[5u32.into(), 6u32.into()]));
-    let reference = p.evaluate(&b);
-    assert_eq!(db.relations(), &reference.relations[..]);
+    let rebuilt = MaterializedDb::new(&p, b.clone()).expect("vocab matches");
+    assert_eq!(rebuilt.relations(), &p.evaluate(&b).relations[..]);
 }
 
 /// Randomized injection points across a stream of incremental updates:
-/// whatever boundary the forced exhaustion lands on, resuming reaches the
-/// same fixpoint as full re-evaluation, and the database is never poisoned.
+/// whatever boundary the forced exhaustion lands on, the run either
+/// completes on the fixpoint full re-evaluation computes or returns no
+/// database, and a build on the updated structure computes it; neither
+/// is poisoned for the next batch.
 #[test]
 fn randomized_exhaustion_points_in_maintenance_never_poison() {
     use hp_datalog::{EdbDelta, MaterializedDb};
@@ -223,7 +224,7 @@ fn randomized_exhaustion_points_in_maintenance_never_poison() {
     for seed in 0..4u64 {
         let a = random_digraph(8, 16, seed);
         for at in [1u64, 2, 3, 5, 8, 10_000] {
-            let mut db = MaterializedDb::new(&p, a.clone()).expect("vocab matches");
+            let db = MaterializedDb::new(&p, a.clone()).expect("vocab matches");
             let mut b = a.clone();
             // One deletion, one insertion — both touch the recursive stratum.
             let mut minus = EdbDelta::new(p.edb());
@@ -247,31 +248,19 @@ fn randomized_exhaustion_points_in_maintenance_never_poison() {
                 panic_at: None,
                 panic_span: None,
             });
-            match p
-                .evaluate_incremental_budgeted(&mut db, &plus, &minus, &cfg, &Budget::unlimited())
-                .expect("valid batch")
-            {
-                Ok(_) => {
-                    assert_eq!(
-                        db.relations(),
-                        &reference.relations[..],
-                        "seed {seed} at {at}"
-                    );
-                }
-                Err(e) => {
-                    assert!(db.is_in_flight());
-                    fault::clear();
-                    p.resume_incremental(&mut db, e.partial, &cfg, &Budget::unlimited())
-                        .expect("checkpoint comes from this run")
-                        .expect("resume after a disarmed fault finishes");
-                    assert_eq!(
-                        db.relations(),
-                        &reference.relations[..],
-                        "seed {seed} at {at}"
-                    );
-                }
-            }
+            let outcome = p
+                .evaluate_incremental_budgeted(db, &plus, &minus, &cfg, &Budget::unlimited())
+                .expect("valid batch");
             fault::clear();
+            let mut db = match outcome {
+                Ok((db, _)) => db,
+                Err(_) => MaterializedDb::new(&p, b.clone()).expect("vocab matches"),
+            };
+            assert_eq!(
+                db.relations(),
+                &reference.relations[..],
+                "seed {seed} at {at}"
+            );
             // No poisoned state: a follow-up no-op batch changes nothing.
             let empty = EdbDelta::new(p.edb());
             let clean = p
@@ -289,8 +278,8 @@ fn randomized_exhaustion_points_in_maintenance_never_poison() {
 
 /// A worker panic during parallel maintenance is recovered on the calling
 /// thread: the batch still lands on the full re-evaluation's fixpoint, the
-/// recovery is recorded, and the database is neither left in flight nor
-/// out of step with its EDB.
+/// recovery is recorded, and the database is not out of step with its
+/// EDB.
 #[test]
 fn worker_panic_during_maintenance_recovers() {
     use hp_datalog::{EdbDelta, MaterializedDb};
@@ -333,7 +322,6 @@ fn worker_panic_during_maintenance_recovers() {
             "item {item}: recovery must be recorded: {:?}",
             r.diagnostics
         );
-        assert!(!db.is_in_flight(), "item {item}");
         assert_eq!(db.relations(), &reference.relations[..], "item {item}");
 
         // Nothing lingers: an empty follow-up batch is a clean no-op.

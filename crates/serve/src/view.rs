@@ -29,8 +29,10 @@
 //!   so the next catch-up again diffs only what was written since. No
 //!   update log is kept.
 //! * **Fallback.** A reader pinned before the view's epoch evaluates as
-//!   it would without views and builds nothing. A snapshot whose universe
-//!   grew, a catch-up that runs out of budget, and a lock poisoned by a
+//!   it would without views and builds nothing. A catch-up takes the
+//!   database out of the view and puts it back only when it completes. A
+//!   snapshot whose universe grew, a catch-up its budget stops (in any
+//!   DRed round, so nothing is left to resume), and a lock poisoned by a
 //!   panic drop the view; the same request then builds it again with the
 //!   fuel and time it has left.
 //!
@@ -65,9 +67,8 @@ struct View {
     hash: u64,
     program: Program,
     /// The epoch the database reflects, and the database. `None` once a
-    /// failed catch-up retired the view: a reader that found it in the
-    /// registry before its removal must not read the half-maintained
-    /// database.
+    /// failed catch-up took it and retired the view: a reader that found
+    /// the view in the registry before its removal builds instead.
     state: Mutex<Option<(u64, MaterializedDb)>>,
 }
 
@@ -133,15 +134,11 @@ impl ViewRegistry {
             self.drop_view(&view);
             return Err(Miss::Absent { spent: 0 });
         };
-        let Some(state) = guard.as_mut() else {
-            return Err(Miss::Absent { spent: 0 });
-        };
-        if snap.epoch < state.0 {
+        if guard.as_ref().is_some_and(|&(epoch, _)| snap.epoch < epoch) {
             return Err(Miss::Behind);
         }
-        let answer = self.catch_up(state, program, snap, cfg, budget, seq);
+        let answer = self.catch_up(&mut guard, program, snap, cfg, budget, seq);
         if answer.is_err() {
-            *guard = None;
             drop(guard);
             self.drop_view(&view);
         }
@@ -149,42 +146,45 @@ impl ViewRegistry {
     }
 
     /// Bring a view's `(epoch, database)` forward to `snap` and read
-    /// `program`'s goal rows from it. `Err` holds the fuel charged when
-    /// the view cannot follow (the universe grew, or maintenance stopped
-    /// or failed): the database may then be half-maintained and must be
-    /// dropped.
+    /// `program`'s goal rows from it. The pair leaves `state` for the
+    /// catch-up and goes back only on success. `Err` holds the fuel charged
+    /// when the view is retired or cannot follow (the universe grew, or
+    /// maintenance stopped or failed); `state` is then `None`.
     fn catch_up(
         &self,
-        (epoch, db): &mut (u64, MaterializedDb),
+        state: &mut Option<(u64, MaterializedDb)>,
         program: &Program,
         snap: &Snapshot,
         cfg: &EvalConfig,
         budget: &Budget,
         seq: u64,
     ) -> Result<CachedAnswer, u64> {
+        let Some((epoch, mut db)) = state.take() else {
+            return Err(0);
+        };
         if snap.structure.universe_size() != db.structure().universe_size() {
             return Err(0);
         }
         let (mut stages, mut fuel_spent) = (0, 0);
-        if snap.epoch > *epoch {
+        if snap.epoch > epoch {
             let (plus, minus) = EdbDelta::between(db.structure(), &snap.structure);
-            let result = match program.evaluate_incremental_budgeted(db, &plus, &minus, cfg, budget)
-            {
-                Ok(Ok(result)) => result,
-                Ok(Err(stopped)) => return Err(stopped.spent),
-                Err(_) => return Err(0),
-            };
-            stages = result.stages;
-            fuel_spent = result.profile.iter().map(|p| p.fuel).sum();
-            // Between maintenance and the epoch stamp: a panic here leaves
-            // the database ahead of its epoch, which the poisoned lock
-            // keeps anyone from reading.
+            let report;
+            (db, report) =
+                match program.evaluate_incremental_budgeted(db, &plus, &minus, cfg, budget) {
+                    Ok(Ok(done)) => done,
+                    Ok(Err(stopped)) => return Err(stopped.spent),
+                    Err(_) => return Err(0),
+                };
+            stages = report.stages;
+            fuel_spent = report.profile.iter().map(|p| p.fuel).sum();
+            // Between maintenance and the epoch stamp: a panic here drops
+            // the database, and the poisoned lock retires the view.
             fault_view(seq);
             db.adopt_relations(&snap.structure);
-            *epoch = snap.epoch;
             self.catchups.fetch_add(1, Ordering::Relaxed);
         }
         let rows = goal_rows(program.goal_index().map(|g| db.idb(g)));
+        *state = Some((snap.epoch, db));
         Ok(CachedAnswer {
             rows,
             fuel_spent,

@@ -376,3 +376,73 @@ fn views_follow_writes_readers_behind_and_growth() {
         assert_eq!(outcome, CacheOutcome::Bypass, "no_cache skips the view");
     }
 }
+
+/// A deadline stops a view's catch-up in any DRed round. Deleting reach's
+/// only source over 10⁴ edges unwinds every reached element, round by
+/// round; a request with a 1 ms deadline must not run that catch-up to
+/// its end. It drops the view and answers from a build under what is left
+/// of its budget, or returns partial. Every later answer equals the
+/// reference on its epoch: the next request reads the rebuilt view, and
+/// after the source returns the view catches up again.
+#[test]
+fn a_short_deadline_stops_a_view_catch_up() {
+    let reach = &POOL[RECURSIVE.start];
+    let n = 2_500u64;
+    let mut s = Structure::new(vocab(), n as usize);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..10_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        s.add_tuple_ids(0, &[(x % n) as u32, ((x >> 32) % n) as u32])
+            .unwrap();
+    }
+    s.add_tuple_ids(1, &[0]).unwrap();
+    let svc = QueryService::new(s, ServiceConfig::default());
+    let ask = |timeout_ms| {
+        let q = QueryRequest {
+            timeout_ms,
+            ..query_request(reach)
+        };
+        svc.handle(&Request::Query(q), &Interrupt::new())
+    };
+    let source = |insert: bool| {
+        let tuples = vec![("S".to_string(), vec![Elem(0)])];
+        let batch = match insert {
+            true => UpdateBatch {
+                inserts: tuples,
+                ..UpdateBatch::default()
+            },
+            false => UpdateBatch {
+                deletes: tuples,
+                ..UpdateBatch::default()
+            },
+        };
+        let resp = svc.handle(&Request::Update(batch), &Interrupt::new());
+        assert!(matches!(resp, Response::Updated { .. }), "{resp:?}");
+    };
+    let checked = |resp| check_answer(resp, reach, &svc.epochs().pin()).unwrap();
+    let Response::Answer { rows, cache, .. } = ask(None) else {
+        panic!("an unbounded build answers");
+    };
+    assert_eq!((cache, rows.len() > 1000), (CacheOutcome::View, true));
+
+    source(false);
+    match ask(Some(1)) {
+        Response::Partial { epoch, rows, .. } => {
+            let snap = svc.epochs().pin();
+            assert_eq!(epoch, snap.epoch);
+            let want = expected(reach, &snap.structure);
+            assert!(rows.iter().all(|r| want.contains(r)), "{rows:?}");
+        }
+        // Without a source the build derives nothing, and may finish
+        // before its first poll.
+        resp => assert_eq!(checked(resp), CacheOutcome::View, "rebuilt"),
+    }
+    assert_eq!(svc.views().catchups(), 0, "the catch-up stopped");
+    assert_eq!(checked(ask(None)), CacheOutcome::View);
+
+    source(true);
+    assert_eq!(checked(ask(None)), CacheOutcome::View, "caught up");
+    assert_eq!(svc.views().catchups(), 1);
+}
