@@ -79,6 +79,4 @@ pub use lint::{
 };
 pub use pass::{Analyzer, Pass};
 pub use pdg::Pdg;
-pub use semantic::{
-    goal_core_key, resume_semantic_scan, semantic_scan, SemanticCheckpoint, SemanticPass,
-};
+pub use semantic::{goal_core_key, semantic_scan, SemanticCheckpoint, SemanticPass};

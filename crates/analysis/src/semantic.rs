@@ -34,11 +34,9 @@
 //! lints for negation live in [`crate::datalog_passes`] (HP022–HP024).
 //!
 //! Every check charges an [`hp_guard`] budget. Exhaustion is graceful:
-//! the scan stops at a deterministic item boundary, reports the findings
-//! confirmed so far (never a wrong verdict), and hands back a
-//! [`SemanticCheckpoint`] from which [`resume_semantic_scan`] continues
-//! under the exact-resume law — fuel `f1` then a resume with `f2` lands
-//! in the same state as one uninterrupted run with `f1 + f2`.
+//! the scan stops inside a deterministic item and hands back a
+//! [`SemanticCheckpoint`] with the findings confirmed so far (never a
+//! wrong verdict) and the index of the item it was running.
 //!
 //! [`goal_core_key`] exposes the cache identity: the canonical-core key
 //! of the goal's unfolded UCQ, stable across runs, machines, variable
@@ -54,7 +52,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hp_datalog::{unfold_over, DatalogAtom, PredRef, Program, Rule};
-use hp_guard::{Budget, Budgeted, Gauge, GaugeState, Stop};
+use hp_guard::{Budget, Budgeted, Gauge, Stop};
 use hp_logic::{CanonicalCoreKey, Cq, Ucq};
 use hp_structures::{Elem, Structure, Vocabulary};
 
@@ -64,8 +62,7 @@ use crate::facts::ProgramFacts;
 use crate::pass::Pass;
 
 /// One unit of semantic work. The item list is a deterministic function
-/// of the program, which is what makes checkpoints exact: a resumed scan
-/// rebuilds the same list and continues at the recorded index.
+/// of the program, so the index a stopped scan reports names one item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Item {
     /// HP020 on rule `ri`.
@@ -164,24 +161,12 @@ fn items_of(facts: &ProgramFacts, nonrecursive: bool) -> Vec<Item> {
     items
 }
 
-/// A paused semantic scan: how far it got, the fuel position **at the
-/// start of the interrupted item**, and the findings confirmed so far.
-///
-/// Resuming re-executes the interrupted item from scratch with the
-/// recorded fuel position, which is exactly what an uninterrupted run
-/// with the combined fuel would have done — the exact-resume law at item
-/// granularity.
+/// Where a stopped semantic scan stopped: the index of the item it was
+/// running and the findings confirmed before it.
 #[derive(Clone, Debug)]
 pub struct SemanticCheckpoint {
     next_item: usize,
-    gauge: GaugeState,
     findings: Vec<Diagnostic>,
-    /// Cores and keys computed by completed [`Item::CoreKey`] items, for
-    /// their IDBs and every IDB below them (`None` when the IDB has no
-    /// unfolding, e.g. under negation). Part of the checkpoint so a
-    /// resumed scan compares exactly the keys the one-shot scan would
-    /// have — the resume law covers the memo.
-    core_keys: BTreeMap<usize, CoreEntry>,
 }
 
 /// An IDB's irredundant union of cores and its canonical-core key; `None`
@@ -195,39 +180,30 @@ impl SemanticCheckpoint {
         &self.findings
     }
 
-    /// The fuel position to hand to [`Budget::resume`].
-    pub fn gauge(&self) -> GaugeState {
-        self.gauge
-    }
-
     /// How many checks completed.
     pub fn items_done(&self) -> usize {
         self.next_item
     }
 }
 
-/// Make sure IDB `i`'s core is in `memo` or `fresh`, computing it and every
-/// missing IDB below it into `fresh`. IDBs are visited in `p.graph()` SCC
-/// order, dependencies first, and each is unfolded one step over its
-/// children's cores and minimized (see the module docs). A child without a
-/// core — negation, or a recursive SCC, where no child is ready — leaves
-/// its parent without one. Charges one fuel unit per IDB, one per
-/// disjunct of its unfolding, and the minimization.
-///
-/// The caller commits `fresh` into `memo` only once its item completes,
-/// so an interrupted item leaves the checkpointed memo untouched.
+/// Make sure IDB `i`'s core is in `memo`, computing it and every missing
+/// IDB below it. IDBs are visited in `p.graph()` SCC order, dependencies
+/// first, and each is unfolded one step over its children's cores and
+/// minimized (see the module docs), then written to `memo`. A child
+/// without a core — negation, or a recursive SCC, where no child is
+/// ready — leaves its parent without one. Charges one fuel unit per IDB,
+/// one per disjunct of its unfolding, and the minimization.
 fn core_of_idb(
     p: &Program,
     i: usize,
-    memo: &BTreeMap<usize, CoreEntry>,
-    fresh: &mut BTreeMap<usize, CoreEntry>,
+    memo: &mut BTreeMap<usize, CoreEntry>,
     gauge: &mut Gauge,
 ) -> Result<(), Stop> {
     let g = p.graph();
     let mut missing: BTreeSet<usize> = BTreeSet::new();
     let mut stack = vec![i];
     while let Some(q) = stack.pop() {
-        if !memo.contains_key(&q) && !fresh.contains_key(&q) && missing.insert(q) {
+        if !memo.contains_key(&q) && missing.insert(q) {
             stack.extend(g.deps(q).iter().copied());
         }
     }
@@ -235,7 +211,7 @@ fn core_of_idb(
     order.sort_by_key(|&q| g.scc_of(q));
     for q in order {
         gauge.tick(1)?;
-        let core = |c: usize| match memo.get(&c).or_else(|| fresh.get(&c)) {
+        let core = |c: usize| match memo.get(&c) {
             Some(Some((u, _))) => Some(u),
             _ => None,
         };
@@ -250,7 +226,7 @@ fn core_of_idb(
         } else {
             None
         };
-        fresh.insert(q, entry);
+        memo.insert(q, entry);
     }
     Ok(())
 }
@@ -371,8 +347,7 @@ fn atom_text(facts: &ProgramFacts, a: &DatalogAtom) -> String {
     format!("{}({})", facts.pred_name(a.pred), args.join(","))
 }
 
-/// Scan context built once per (re)entry; a deterministic function of
-/// the facts, so scans and resumes agree on it.
+/// Scan context, built once per scan from the facts.
 struct Ctx {
     vocab: Vocabulary,
     program: Option<Program>,
@@ -545,9 +520,7 @@ fn run_item(
             // redoing the unfolding. `None` (no unfolding, e.g. a negated
             // rule in the program) makes every pair with `i`
             // inconclusive, and inconclusive never flags.
-            let mut fresh = BTreeMap::new();
-            core_of_idb(p, i, keys, &mut fresh, gauge)?;
-            keys.append(&mut fresh);
+            core_of_idb(p, i, keys, gauge)?;
         }
         Item::Equivalent(i, j) => {
             gauge.tick(1)?;
@@ -600,69 +573,32 @@ fn other_line(facts: &ProgramFacts, rj: usize) -> String {
         .unwrap_or_default()
 }
 
-fn scan_from(
-    facts: &ProgramFacts,
-    start: usize,
-    mut findings: Vec<Diagnostic>,
-    mut core_keys: BTreeMap<usize, CoreEntry>,
-    mut gauge: Gauge,
-) -> Budgeted<Vec<Diagnostic>, SemanticCheckpoint> {
-    let ctx = Ctx::new(facts);
-    if ctx.program.is_none() {
-        // Raw facts that fail validation already carry HP003–HP005
-        // errors; semantic claims about an invalid program are void.
-        return Ok(findings);
-    }
-    let items = items_of(facts, ctx.nonrecursive);
-    for (idx, &item) in items.iter().enumerate().skip(start) {
-        // Snapshot *before* the item: a resume re-runs the interrupted
-        // item from this exact fuel position, tick-for-tick what an
-        // uninterrupted larger-budget run would have done. Core keys are
-        // only recorded when their item completes, so the checkpointed
-        // memo is exactly what the one-shot scan had at this point.
-        let at_start = gauge.state();
-        if let Err(stop) = run_item(facts, &ctx, item, &mut findings, &mut core_keys, &mut gauge) {
-            return Err(stop.with_partial(SemanticCheckpoint {
-                next_item: idx,
-                gauge: at_start,
-                findings,
-                core_keys,
-            }));
-        }
-    }
-    Ok(findings)
-}
-
 /// Run the full semantic scan under `budget`. On exhaustion the
-/// [`hp_guard::Exhausted::partial`] is a [`SemanticCheckpoint`]: sound
-/// findings so
-/// far plus the exact position to [`resume_semantic_scan`] from.
+/// [`hp_guard::Exhausted::partial`] is a [`SemanticCheckpoint`]: the
+/// sound findings so far and the item the scan stopped in.
 #[allow(clippy::result_large_err)]
 pub fn semantic_scan(
     facts: &ProgramFacts,
     budget: &Budget,
 ) -> Budgeted<Vec<Diagnostic>, SemanticCheckpoint> {
-    scan_from(facts, 0, Vec::new(), BTreeMap::new(), budget.gauge())
-}
-
-/// Continue a scan from a checkpoint with a fresh allowance. Under the
-/// exact-resume law, `semantic_scan` with fuel `f1` followed by a resume
-/// with fuel `f2` produces exactly the findings of one `semantic_scan`
-/// with fuel `f1 + f2`.
-#[allow(clippy::result_large_err)]
-pub fn resume_semantic_scan(
-    facts: &ProgramFacts,
-    checkpoint: SemanticCheckpoint,
-    budget: &Budget,
-) -> Budgeted<Vec<Diagnostic>, SemanticCheckpoint> {
-    let gauge = budget.resume(checkpoint.gauge);
-    scan_from(
-        facts,
-        checkpoint.next_item,
-        checkpoint.findings,
-        checkpoint.core_keys,
-        gauge,
-    )
+    let ctx = Ctx::new(facts);
+    let mut findings = Vec::new();
+    if ctx.program.is_none() {
+        // Raw facts that fail validation already carry HP003–HP005
+        // errors; semantic claims about an invalid program are void.
+        return Ok(findings);
+    }
+    let mut gauge = budget.gauge();
+    let mut core_keys = BTreeMap::new();
+    for (idx, &item) in items_of(facts, ctx.nonrecursive).iter().enumerate() {
+        if let Err(stop) = run_item(facts, &ctx, item, &mut findings, &mut core_keys, &mut gauge) {
+            return Err(stop.with_partial(SemanticCheckpoint {
+                next_item: idx,
+                findings,
+            }));
+        }
+    }
+    Ok(findings)
 }
 
 /// The [`Pass`] wrapper: run the scan under this pass's budget; on
@@ -754,8 +690,7 @@ pub fn goal_core_key(p: &Program, budget: &Budget) -> Budgeted<Option<CanonicalC
     };
     let mut gauge = budget.gauge();
     let mut cores = BTreeMap::new();
-    core_of_idb(p, goal, &BTreeMap::new(), &mut cores, &mut gauge)
-        .map_err(|s| s.with_partial(()))?;
+    core_of_idb(p, goal, &mut cores, &mut gauge).map_err(|s| s.with_partial(()))?;
     Ok(cores[&goal].as_ref().map(|(_, key)| *key))
 }
 
@@ -940,41 +875,22 @@ mod tests {
     }
 
     #[test]
-    fn resume_law_is_exact() {
-        let facts = facts_of(
-            "T(x,y) :- E(x,y), E(x,z).\nT(x,y) :- E(x,y), E(y,y), E(x,w).\n\
-             P(a,c) :- E(a,b), E(b,c).\nQ(u,w) :- E(u,v), E(v,w).\n\
-             Goal() :- T(x,x), P(x,x), Q(x,x).",
+    fn pass_reports_exhaustion_as_note() {
+        let facts = facts_of("T(x,y) :- E(x,y), E(x,z).\nGoal() :- T(x,x).");
+        let mut out = Diagnostics::new();
+        SemanticPass::new(Budget::fuel(1)).run(&facts, &mut out);
+        assert_eq!(out.count(Severity::Note), 1, "{}", out.render("t", None));
+        assert!(!out.has_errors());
+        let note = out.iter().find(|d| d.severity == Severity::Note).unwrap();
+        assert!(
+            note.message.contains("budget exhausted"),
+            "{}",
+            note.message
         );
-        let oneshot_total = {
-            let mut g = Budget::unlimited().gauge();
-            let items = items_of(&facts, true);
-            let ctx = Ctx::new(&facts);
-            let mut fs = Vec::new();
-            let mut ks = BTreeMap::new();
-            for &it in &items {
-                run_item(&facts, &ctx, it, &mut fs, &mut ks, &mut g).unwrap();
-            }
-            g.spent()
-        };
-        assert!(oneshot_total > 4, "test premise: the scan costs real fuel");
-        for f1 in [1, 3, oneshot_total / 2, oneshot_total - 1] {
-            let ex = match semantic_scan(&facts, &Budget::fuel(f1)) {
-                Err(ex) => ex,
-                Ok(_) => panic!("fuel {f1} must exhaust"),
-            };
-            let resumed =
-                resume_semantic_scan(&facts, ex.partial, &Budget::fuel(oneshot_total)).unwrap();
-            let oneshot = semantic_scan(&facts, &Budget::fuel(f1 + oneshot_total)).unwrap();
-            assert_eq!(resumed, oneshot, "resume at fuel {f1} diverged");
-        }
-    }
+        assert!(note.message.contains("sound"), "{}", note.message);
 
-    #[test]
-    fn resume_inside_a_core_key_item_that_fills_descendants() {
         // D's key item comes first and fills C, B and A on the way; every
-        // fuel value that stops inside it must leave the memo uncommitted
-        // and resume to the one-shot result.
+        // fuel value that stops inside it names that item.
         let facts = facts_of(
             "D(x,y) :- E(x,z), C(z,y), E(x,w).\nC(x,y) :- E(x,z), B(z,y).\n\
              B(x,y) :- E(x,z), A(z,y), E(z,w).\nA(x,y) :- E(x,y), E(y,y).\n\
@@ -990,45 +906,30 @@ mod tests {
         let ctx = Ctx::new(&facts);
         let (mut fs, mut ks, mut g) = (Vec::new(), BTreeMap::new(), Budget::unlimited().gauge());
         let mut spent = Vec::new();
-        for &it in &items {
+        for &it in &items[..=at] {
             run_item(&facts, &ctx, it, &mut fs, &mut ks, &mut g).unwrap();
             spent.push(g.spent());
         }
         assert_eq!(
             ks.len(),
             4,
-            "test premise: the key items fill D, C, B and A"
+            "test premise: the key item fills D, C, B and A"
         );
-        let (start, end, total) = (spent[at - 1], spent[at], g.spent());
+        let (start, end) = (spent[at - 1], spent[at]);
         assert!(end > start + 3, "test premise: the item costs real fuel");
-        let full = semantic_scan(&facts, &Budget::unlimited()).unwrap();
         // A tick that reaches the limit stops, so fuel in start+1..=end
         // stops inside the item.
-        for f1 in start + 1..=end {
-            let ex = semantic_scan(&facts, &Budget::fuel(f1)).unwrap_err();
-            assert_eq!(ex.partial.next_item, at, "fuel {f1}");
-            assert!(ex.partial.core_keys.is_empty(), "fuel {f1} committed cores");
-            let resumed = resume_semantic_scan(&facts, ex.partial, &Budget::fuel(total)).unwrap();
-            let oneshot = semantic_scan(&facts, &Budget::fuel(f1 + total)).unwrap();
-            assert_eq!(resumed, oneshot, "resume at fuel {f1} diverged");
-            assert_eq!(resumed, full, "fuel {f1}");
+        for fuel in start + 1..=end {
+            let mut out = Diagnostics::new();
+            SemanticPass::new(Budget::fuel(fuel)).run(&facts, &mut out);
+            let note = out.iter().find(|d| d.severity == Severity::Note).unwrap();
+            assert!(
+                note.message
+                    .contains("stopped at the canonical-core key of D ("),
+                "fuel {fuel}: {}",
+                note.message
+            );
         }
-    }
-
-    #[test]
-    fn pass_reports_exhaustion_as_note() {
-        let facts = facts_of("T(x,y) :- E(x,y), E(x,z).\nGoal() :- T(x,x).");
-        let mut out = Diagnostics::new();
-        SemanticPass::new(Budget::fuel(1)).run(&facts, &mut out);
-        assert_eq!(out.count(Severity::Note), 1, "{}", out.render("t", None));
-        assert!(!out.has_errors());
-        let note = out.iter().find(|d| d.severity == Severity::Note).unwrap();
-        assert!(
-            note.message.contains("budget exhausted"),
-            "{}",
-            note.message
-        );
-        assert!(note.message.contains("sound"), "{}", note.message);
     }
 
     #[test]

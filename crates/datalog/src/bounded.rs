@@ -36,21 +36,17 @@ pub struct BoundednessProbe {
 
 /// Run the program on each structure and record the stage counts.
 ///
-/// Uses uncapped evaluation, so every recorded count is a true `m₀` (the
-/// fixpoint is always reached — never a cap artefact).
+/// Evaluation runs to the fixpoint, so every recorded count is a true
+/// `m₀`.
 pub fn stage_probe<'a, I: IntoIterator<Item = &'a Structure>>(
     p: &Program,
     structures: I,
 ) -> Vec<BoundednessProbe> {
     structures
         .into_iter()
-        .map(|a| {
-            let r = p.evaluate(a);
-            debug_assert!(r.converged, "uncapped evaluation reaches the fixpoint");
-            BoundednessProbe {
-                universe: a.universe_size(),
-                stages: r.stages,
-            }
+        .map(|a| BoundednessProbe {
+            universe: a.universe_size(),
+            stages: p.evaluate(a).stages,
         })
         .collect()
 }

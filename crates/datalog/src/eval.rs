@@ -120,11 +120,6 @@ pub struct EvalConfig {
     /// parallelism. Rounds seeded by few tuples skip the pool (spawn cost
     /// would dominate). Results are **bit-identical** for every setting.
     pub threads: usize,
-    /// Cap on the number of Φ rounds, `None` (the default) to run to the
-    /// least fixpoint. When the cap stops evaluation early the result
-    /// carries the relations of stage Φ^cap and
-    /// [`FixpointResult::converged`] is `false`.
-    pub max_stages: Option<usize>,
     /// Rounds seeded by fewer tuples than this run on the calling thread
     /// even when `threads > 1` (worker spawn would cost more than the
     /// round's joins). Set to `0` to force every round onto the pool —
@@ -136,14 +131,13 @@ impl Default for EvalConfig {
     fn default() -> EvalConfig {
         EvalConfig {
             threads: 1,
-            max_stages: None,
             parallel_min_seed: PARALLEL_MIN_SEED,
         }
     }
 }
 
 impl EvalConfig {
-    /// The default configuration: sequential, uncapped.
+    /// The default configuration: sequential.
     pub fn new() -> EvalConfig {
         EvalConfig::default()
     }
@@ -151,12 +145,6 @@ impl EvalConfig {
     /// Set the worker-thread count (`0` = available parallelism).
     pub fn with_threads(mut self, threads: usize) -> EvalConfig {
         self.threads = threads;
-        self
-    }
-
-    /// Cap the number of Φ rounds.
-    pub fn with_max_stages(mut self, max_stages: usize) -> EvalConfig {
-        self.max_stages = Some(max_stages);
         self
     }
 
@@ -201,7 +189,9 @@ pub struct StratumProfile {
     pub peak_pending: usize,
 }
 
-/// The result of evaluating a program on a structure.
+/// The result of evaluating a program on a structure: the least fixpoint,
+/// or, as the partial of an [`EvalCheckpoint`], the stage a budget stopped
+/// at.
 #[derive(Clone, Debug)]
 pub struct FixpointResult {
     pub(crate) idb_names: Vec<String>,
@@ -209,12 +199,8 @@ pub struct FixpointResult {
     /// Final relations, one per IDB.
     pub relations: Vec<IdbRelation>,
     /// Number of iterations of the simultaneous operator Φ performed (the
-    /// `m₀` of §2.3 when `converged`; 0 for the empty fixpoint).
+    /// `m₀` of §2.3 for a fixpoint; 0 for the empty fixpoint).
     pub stages: usize,
-    /// True when `relations` is the least fixpoint. Always true for
-    /// uncapped evaluation; false when [`EvalConfig::max_stages`] stopped
-    /// the rounds before the fixpoint was reached.
-    pub converged: bool,
     /// Human-readable notes about degraded-mode events during evaluation —
     /// today, worker-panic recoveries in the sharded pool (the round was
     /// recomputed on the calling thread and evaluation continued
@@ -329,16 +315,15 @@ impl Reads for JoinCtx<'_> {
 /// [`Program::resume_budgeted`] run.
 ///
 /// The snapshot is taken at a **round boundary**: [`EvalCheckpoint::partial`]
-/// holds the relations after `partial.stages` delta rounds (with
-/// `converged == false`), and the pending delta plus the fuel position are
-/// kept privately so [`Program::resume_budgeted`] can continue the very
-/// same computation. Resuming with extra fuel `f2` after exhausting `f1`
-/// lands at exactly the state of a single `f1 + f2` run (see
-/// [`hp_guard::Budget::resume`]).
+/// holds the relations after `partial.stages` delta rounds, and the
+/// pending delta plus the fuel position are kept privately so
+/// [`Program::resume_budgeted`] can continue the very same computation.
+/// Resuming with extra fuel `f2` after exhausting `f1` lands at exactly
+/// the state of a single `f1 + f2` run (see [`hp_guard::Budget::resume`]).
 #[derive(Clone, Debug)]
 pub struct EvalCheckpoint {
-    /// The best-effort partial result: relations of stage Φ^{stages}, with
-    /// [`FixpointResult::converged`] `false`.
+    /// The best-effort partial result: for a positive program, the
+    /// relations of stage Φ^{stages}.
     pub partial: FixpointResult,
     delta: Vec<IdbRelation>,
     /// The stratum whose delta rounds were interrupted (always 0 for
@@ -382,14 +367,14 @@ impl Program {
         self.apply_operator_with(&ProgramPlan::new(self), a, idb)
     }
 
-    /// The naive stage sequence `Φ⁰ ⊆ Φ¹ ⊆ ⋯`, capped at `max_stages`
+    /// The naive stage sequence `Φ⁰ ⊆ Φ¹ ⊆ ⋯`, capped at `cap`
     /// applications. The result says whether the least fixpoint was reached
     /// within the cap — a capped prefix no longer masquerades as `Φ^{m₀}`.
-    pub fn stages(&self, a: &Structure, max_stages: usize) -> StageSequence {
+    pub fn stages(&self, a: &Structure, cap: usize) -> StageSequence {
         let plan = ProgramPlan::new(self);
         let mut stages = vec![self.empty_idbs()];
         let mut converged = false;
-        for _ in 0..max_stages {
+        for _ in 0..cap {
             let cur = stages.last().expect("non-empty");
             let next = self.apply_operator_with(&plan, a, cur);
             if &next == cur {
@@ -402,8 +387,8 @@ impl Program {
     }
 
     /// Semi-naive evaluation to the least fixpoint with the default
-    /// configuration (sequential, uncapped). Also records the stage count
-    /// of the **naive** operator (which is what boundedness is about) by
+    /// configuration (sequential). Also records the stage count of the
+    /// **naive** operator (which is what boundedness is about) by
     /// counting delta rounds — for Datalog the two coincide: the semi-naive
     /// rounds compute exactly the naive stages.
     pub fn evaluate(&self, a: &Structure) -> FixpointResult {
@@ -411,8 +396,8 @@ impl Program {
     }
 
     /// Semi-naive evaluation through the indexed join core, with optional
-    /// sharded parallel rounds and an optional stage cap. See
-    /// [`EvalConfig`]; results are bit-identical across thread counts.
+    /// sharded parallel rounds. See [`EvalConfig`]; results are
+    /// bit-identical across thread counts.
     pub fn evaluate_with(&self, a: &Structure, cfg: &EvalConfig) -> FixpointResult {
         self.evaluate_budgeted(a, cfg, &Budget::unlimited())
             .unwrap_or_else(|_| unreachable!("an unlimited budget cannot exhaust"))
@@ -569,7 +554,6 @@ impl Program {
                     goal: self.goal_index(),
                     relations: self.empty_idbs(),
                     stages: 0,
-                    converged: false,
                     diagnostics: Vec::new(),
                     profile: Vec::new(),
                 };
@@ -578,7 +562,6 @@ impl Program {
         };
         let mut workers = Workers::new(cfg, std::mem::take(&mut run.diagnostics));
         let edb_tuples: usize = a.relations().map(|(_, r)| r.len()).sum();
-        let mut converged = true;
         for s in start_stratum..self.num_strata() {
             let stratum_start = std::time::Instant::now();
             let (stages_entry, fuel_entry) = (run.stages, gauge.spent());
@@ -600,12 +583,11 @@ impl Program {
             });
             let mut stages = Stages {
                 stages: &mut run.stages,
-                cap: cfg.max_stages,
                 gauge: &mut gauge,
                 derived: 0,
                 depths: depths.as_deref_mut(),
             };
-            let sealed = semi_naive(
+            if let Err(stop) = semi_naive(
                 plan,
                 &members,
                 a,
@@ -614,21 +596,17 @@ impl Program {
                 round0,
                 &mut workers,
                 &mut stages,
-            );
-            let derived = stages.derived;
-            match sealed {
-                Ok(sealed) => converged = sealed,
-                Err(stop) => {
-                    run.diagnostics = workers.diagnostics;
-                    let fuel = stop.state();
-                    return Err(stop.with_partial(EvalCheckpoint {
-                        partial: run.finish(false),
-                        delta,
-                        stratum: s,
-                        fuel,
-                    }));
-                }
+            ) {
+                run.diagnostics = workers.diagnostics;
+                let fuel = stop.state();
+                return Err(stop.with_partial(EvalCheckpoint {
+                    partial: run.finish(),
+                    delta,
+                    stratum: s,
+                    fuel,
+                }));
             }
+            let derived = stages.derived;
             run.profile.push(StratumProfile {
                 stratum: s,
                 stages: run.stages - stages_entry,
@@ -637,14 +615,11 @@ impl Program {
                 elapsed: stratum_start.elapsed(),
                 peak_pending: std::mem::take(&mut workers.peak_pending),
             });
-            if !converged {
-                break;
-            }
         }
         run.diagnostics = workers.diagnostics;
         Ok(match depths {
-            Some(_) => FixpointResult { converged, ..run },
-            None => run.finish(converged),
+            Some(_) => run,
+            None => run.finish(),
         })
     }
 }
@@ -652,19 +627,17 @@ impl Program {
 impl FixpointResult {
     /// The run's relations as a result, without the copies and bitmaps
     /// its probes built: results and cached answers hold rows only.
-    fn finish(mut self, converged: bool) -> FixpointResult {
+    fn finish(mut self) -> FixpointResult {
         self.relations.iter_mut().for_each(Relation::drop_copies);
-        self.converged = converged;
         self
     }
 }
 
 /// Evaluation's round boundaries: each round charges `1 + derived` fuel,
-/// and each delta round is a stage of Φ, up to the stage cap. A build
-/// also keeps the recursive members' deltas as their depth runs.
+/// and each delta round is a stage of Φ. A build also keeps the recursive
+/// members' deltas as their depth runs.
 struct Stages<'a> {
     stages: &'a mut usize,
-    cap: Option<usize>,
     gauge: &'a mut Gauge,
     /// Tuples derived so far in this stratum.
     derived: u64,
@@ -677,13 +650,10 @@ impl Rounds for Stages<'_> {
         *self.stages
     }
 
-    fn before(&mut self) -> Result<bool, Stop> {
-        if self.cap.is_some_and(|cap| *self.stages >= cap) {
-            return Ok(false);
-        }
+    fn before(&mut self) -> Result<(), Stop> {
         self.gauge.check()?;
         *self.stages += 1;
-        Ok(true)
+        Ok(())
     }
 
     fn after(&mut self, _seeded: bool, delta: &[Relation]) -> Result<(), Stop> {
@@ -713,11 +683,9 @@ pub(crate) trait Rounds {
     /// about to run ([`Workers::round`]).
     fn round(&self) -> usize;
 
-    /// Before a round merges the pending delta: `Ok(false)` ends the run
+    /// Before a round merges the pending delta: a stop ends the run
     /// there, the delta still pending.
-    fn before(&mut self) -> Result<bool, Stop> {
-        Ok(true)
-    }
+    fn before(&mut self) -> Result<(), Stop>;
 
     /// After a round: `seeded` tells whether any item was formed for it,
     /// `delta` holds what it derived that the committed relations lack.
@@ -735,8 +703,8 @@ pub(crate) trait Rounds {
 /// resumes with `delta` pending instead. Every later round merges the
 /// pending delta into `idb` and is seeded by it: one item per rule with a
 /// member head and positive body atom over a member whose delta is not
-/// empty. Returns `Ok(true)` once the delta drains, `Ok(false)` when
-/// [`Rounds::before`] ended the run.
+/// empty. Returns once the delta drains, or at the first stop a hook
+/// returns.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn semi_naive<H: Rounds>(
     plan: &ProgramPlan,
@@ -747,7 +715,7 @@ pub(crate) fn semi_naive<H: Rounds>(
     round0: Option<(Vec<Item<'_>>, usize)>,
     workers: &mut Workers,
     hooks: &mut H,
-) -> Result<bool, Stop> {
+) -> Result<(), Stop> {
     if let Some((items, seed_tuples)) = round0 {
         workers.round = hooks.round();
         *delta = derive(a, idb, &items, seed_tuples, workers);
@@ -755,11 +723,9 @@ pub(crate) fn semi_naive<H: Rounds>(
     }
     loop {
         if delta.iter().all(Relation::is_empty) {
-            return Ok(true);
+            return Ok(());
         }
-        if !hooks.before()? {
-            return Ok(false);
-        }
+        hooks.before()?;
         for (acc, d) in idb.iter_mut().zip(delta.iter()) {
             acc.merge(d);
         }
@@ -1111,7 +1077,6 @@ mod tests {
         assert!(r.idb("T").unwrap().contains(&[Elem(0), Elem(4)]));
         assert!(!r.idb("T").unwrap().contains(&[Elem(4), Elem(0)]));
         assert!(r.idb("U").is_none());
-        assert!(r.converged);
     }
 
     #[test]
@@ -1197,23 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_evaluate_reports_non_convergence() {
-        let p = tc();
-        let a = directed_path(8);
-        let full = p.evaluate(&a);
-        assert!(full.converged);
-        assert_eq!(full.stages, 7);
-        for cap in 0..=7 {
-            let r = p.evaluate_with(&a, &EvalConfig::new().with_max_stages(cap));
-            assert_eq!(r.converged, cap >= 7, "cap {cap}");
-            assert_eq!(r.stages, cap.min(7), "cap {cap}");
-            // Capped relations are exactly the naive stage Φ^cap.
-            let naive = p.stages(&a, cap);
-            assert_eq!(&r.relations[..], naive.last(), "cap {cap}");
-        }
-    }
-
-    #[test]
     fn multi_idb_reachability() {
         let v = Vocabulary::from_pairs([("Down", 2), ("Leaf", 1)]);
         let p = Program::parse(
@@ -1244,7 +1192,6 @@ mod tests {
         let r = p.evaluate(&a);
         assert!(r.idb("T").unwrap().is_empty());
         assert_eq!(r.stages, 0);
-        assert!(r.converged);
     }
 
     #[test]
@@ -1304,7 +1251,6 @@ mod tests {
                     let par = p.evaluate_with(&a, &cfg);
                     assert_eq!(par.relations, sequential.relations, "threads {threads}");
                     assert_eq!(par.stages, sequential.stages, "threads {threads}");
-                    assert_eq!(par.converged, sequential.converged);
                 }
             }
         }
@@ -1320,7 +1266,6 @@ mod tests {
             .evaluate_budgeted(&a, &cfg, &Budget::fuel(3))
             .expect_err("3 fuel cannot finish TC on a 7-edge path");
         assert_eq!(e.resource, hp_guard::Resource::Fuel);
-        assert!(!e.partial.partial.converged);
         assert!(e.partial.fuel_spent() >= 3);
         // Every checkpointed relation is a subset of the true fixpoint.
         for (partial, fixed) in e.partial.partial.relations.iter().zip(&full.relations) {
@@ -1332,7 +1277,6 @@ mod tests {
             .expect("unlimited resume reaches the fixpoint");
         assert_eq!(r.relations, full.relations);
         assert_eq!(r.stages, full.stages);
-        assert!(r.converged);
     }
 
     #[test]
@@ -1396,18 +1340,27 @@ mod tests {
     fn fuel_split_equals_straight_run() {
         // Budget monotonicity at the engine level: for every split point,
         // f1 then f2 lands exactly where a single f1+f2 run lands.
+        // And a stop below the total holds exactly the naive stage Φ^m of
+        // its stage count m.
         let p = tc();
         let a = directed_path(9);
         let cfg = EvalConfig::new();
-        for f1 in 1..28u64 {
+        let total: u64 = p.evaluate(&a).profile.iter().map(|s| s.fuel).sum();
+        for f1 in 1..total {
             for f2 in [1u64, 4, 17, 200] {
                 let straight = p.evaluate_budgeted(&a, &cfg, &Budget::fuel(f1 + f2));
-                let split = match p.evaluate_budgeted(&a, &cfg, &Budget::fuel(f1)) {
-                    Ok(r) => Ok(r),
-                    Err(e) => p
-                        .resume_budgeted(&a, &cfg, e.partial, &Budget::fuel(f2))
-                        .expect("checkpoint comes from this program"),
-                };
+                let stop = p
+                    .evaluate_budgeted(&a, &cfg, &Budget::fuel(f1))
+                    .expect_err("fuel below the total stops");
+                let m = stop.partial.partial.stages;
+                assert_eq!(
+                    &stop.partial.partial.relations[..],
+                    p.stages(&a, m).last(),
+                    "f1={f1}"
+                );
+                let split = p
+                    .resume_budgeted(&a, &cfg, stop.partial, &Budget::fuel(f2))
+                    .expect("checkpoint comes from this program");
                 match (straight, split) {
                     (Ok(s), Ok(t)) => {
                         assert_eq!(s.relations, t.relations, "f1={f1} f2={f2}");
@@ -1686,7 +1639,6 @@ mod tests {
                     .with_threads(threads)
                     .with_parallel_min_seed(0);
                 let r = p.evaluate_with(a, &cfg);
-                assert!(r.converged, "threads {threads}");
                 assert_eq!(r.stages, *stages, "threads {threads}");
                 assert_eq!(fingerprint(&r.relations), *fp, "threads {threads}");
                 let got: Vec<(usize, u64, u64)> = r
@@ -1743,7 +1695,7 @@ mod tests {
             (h1.join().unwrap(), h2.join().unwrap())
         });
         assert_eq!(r1.relations, r2.relations);
-        assert_eq!((r1.stages, r1.converged), (r2.stages, r2.converged));
+        assert_eq!(r1.stages, r2.stages);
         let copies: Vec<Vec<usize>> = a
             .relation(mv)
             .copies()

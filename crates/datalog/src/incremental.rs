@@ -183,7 +183,7 @@ impl MaterializedDb {
     }
 
     /// As [`MaterializedDb::new`] with an explicit configuration (its
-    /// worker threads; a stage cap does not apply).
+    /// worker threads).
     pub fn new_with(
         program: &Program,
         structure: Structure,
@@ -199,11 +199,10 @@ impl MaterializedDb {
     /// the build's [`MaintenanceReport`].
     ///
     /// A build is [`Program::evaluate_budgeted`]: the same rounds, fuel,
-    /// stages and profile, a stage cap aside. Its round hook keeps each
-    /// recursive member's stage delta as the run of that stage, the first
-    /// `m` with its tuples in Φ^m, and the depth clock starts at the stage
-    /// count plus one. The database keeps the permuted copies the evaluation's
-    /// probes built. On exhaustion the partial is the evaluation's own
+    /// stages and profile. Its round hook keeps each recursive member's
+    /// stage delta as the run of that stage, the first `m` with its tuples
+    /// in Φ^m, and the depth clock starts at the stage count plus one. The
+    /// database keeps the permuted copies the evaluation's probes built. On exhaustion the partial is the evaluation's own
     /// [`EvalCheckpoint`], which [`Program::resume_budgeted`] continues to
     /// the fixpoint; no database is kept.
     #[allow(clippy::result_large_err)]
@@ -227,12 +226,8 @@ impl MaterializedDb {
         let mut depths: Vec<Option<DepthRuns>> = (0..program.idbs().len())
             .map(|p| plan.graph.is_recursive_pred(p).then(DepthRuns::default))
             .collect();
-        let cfg = EvalConfig {
-            max_stages: None,
-            ..cfg.clone()
-        };
         let gauge = budget.gauge();
-        let run = match program.fixpoint(&plan, &structure, &cfg, gauge, None, Some(&mut depths)) {
+        let run = match program.fixpoint(&plan, &structure, cfg, gauge, None, Some(&mut depths)) {
             Ok(run) => run,
             Err(stop) => return Ok(Err(stop)),
         };
@@ -872,9 +867,8 @@ impl Rounds for Insertions<'_> {
         *self.rounds + 1
     }
 
-    fn before(&mut self) -> Result<bool, Stop> {
-        self.gauge.check()?;
-        Ok(true)
+    fn before(&mut self) -> Result<(), Stop> {
+        self.gauge.check()
     }
 
     fn after(&mut self, seeded: bool, _delta: &[Relation]) -> Result<(), Stop> {

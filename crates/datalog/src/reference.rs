@@ -233,7 +233,6 @@ impl Program {
             goal: self.goal_index(),
             relations: idb,
             stages,
-            converged: true,
             diagnostics: Vec::new(),
             profile: Vec::new(),
         }

@@ -57,7 +57,6 @@ proptest! {
             let naive = p.stages(&a, 64);
             prop_assert!(naive.converged);
             let semi = p.evaluate(&a);
-            prop_assert!(semi.converged);
             prop_assert_eq!(&semi.relations[..], naive.last());
             prop_assert_eq!(semi.stages, naive.applications());
         }

@@ -31,17 +31,17 @@ fn tc() -> Program {
     .unwrap()
 }
 
-/// Collapse a budgeted outcome into comparable state: `(converged,
-/// relations, stages, fuel spent if exhausted)`.
+/// Collapse a budgeted outcome into comparable state: `(relations,
+/// stages, fuel spent if exhausted)`.
 fn state(
     r: Budgeted<FixpointResult, EvalCheckpoint>,
-) -> (bool, Vec<hp_datalog::IdbRelation>, usize, Option<u64>) {
+) -> (Vec<hp_datalog::IdbRelation>, usize, Option<u64>) {
     match r {
-        Ok(r) => (r.converged, r.relations, r.stages, None),
+        Ok(r) => (r.relations, r.stages, None),
         Err(e) => {
             let fuel = e.partial.fuel_spent();
             let p = e.partial.partial;
-            (p.converged, p.relations, p.stages, Some(fuel))
+            (p.relations, p.stages, Some(fuel))
         }
     }
 }
