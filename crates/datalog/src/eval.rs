@@ -963,9 +963,7 @@ pub(crate) fn join<'v, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
             _ => {
                 let store = relation.store();
                 debug_assert!(store.is_sealed(), "a negated guard reads a sealed relation");
-                let range = store.prefix_range_from(key, *cursor);
-                *cursor = range.start;
-                !range.is_empty()
+                store.prefix_rows(key, cursor).next().is_some()
             }
         };
         return present || join(view, item, depth + 1, asg, probes, sink);
@@ -976,10 +974,8 @@ pub(crate) fn join<'v, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
         // equalities by construction of the key.
         let (store, pos_of) = probes.source(step, depth, || view.relation(pred));
         let (key, cursor) = probes.key(step, depth, asg);
-        let range = store.prefix_range_from(key, *cursor);
-        *cursor = range.start;
-        for r in range {
-            let t = ResolvedRow::new(store, pos_of, r);
+        for t in store.prefix_rows(key, cursor) {
+            let t = ResolvedRow::new(t, pos_of);
             if !view.hides(pred, t) && !advance(view, item, depth, asg, probes, sink, t, false) {
                 return false;
             }
@@ -1000,8 +996,7 @@ pub(crate) fn join<'v, V: Reads + ?Sized, S: FnMut(&[Elem]) -> bool>(
         } else {
             0..n
         };
-        for i in rows {
-            let t = store.row(i);
+        for t in store.rows_in(rows) {
             if (seeded || !view.hides(pred, ResolvedRow::Direct(t)))
                 && !advance(view, item, depth, asg, probes, sink, t, true)
             {

@@ -570,8 +570,10 @@ where
 /// Apply the update batch to the EDB: compute effective per-symbol deltas
 /// against the committed structure, splice them into (and subtract them
 /// from) the committed relations — and so their built permuted copies — in
-/// place, `O(batch · log n)` plus one tail shift per touched store. A
-/// relation still shared with a snapshot is copied once, by copy-on-write.
+/// place, `O(batch · log n)` plus a shift within each touched page of each
+/// touched store, at most [`PAGE`](hp_structures::PAGE) rows per plane
+/// whatever the store's length. A relation still shared with a snapshot is
+/// copied once, by copy-on-write.
 /// Validates every inserted tuple **before** any mutation so a bad batch
 /// leaves the database untouched.
 fn commit_edb(
@@ -961,7 +963,8 @@ impl Program {
     /// passes across all strata), not the full evaluator's Φ rounds; an
     /// update nothing depends on reports 0 stages. The batch is committed
     /// to the input structure and its permuted index copies in place, at
-    /// `O(batch · log n)` plus one tail shift per touched store.
+    /// `O(batch · log n)` plus a shift within each touched page, whatever
+    /// the relations' length.
     pub fn evaluate_incremental(
         &self,
         db: &mut MaterializedDb,

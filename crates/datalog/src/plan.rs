@@ -24,7 +24,7 @@
 //!
 //! - **identity** (key positions are the prefix `0..k`): nothing is built.
 //!   The relation's own sealed store is already sorted lexicographically,
-//!   so a probe is [`TupleStore::prefix_range_from`] on it — a chunked
+//!   so a probe is [`TupleStore::prefix_rows`] on it — a chunked
 //!   search over the leading column planes that gallops forward from the
 //!   caller's cursor while keys ascend.
 //! - **permuted copy** (any other key positions): a sorted copy with the
@@ -38,12 +38,12 @@
 //!   single bit test, built and kept in step the same way. A wider guard
 //!   probes the sealed store.
 //!
-//! [`TupleStore::prefix_range_from`]: hp_structures::TupleStore::prefix_range_from
+//! [`TupleStore::prefix_rows`]: hp_structures::TupleStore::prefix_rows
 
 use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
 
-use hp_structures::{Elem, Relation, Row, RowRef, TupleStore};
+use hp_structures::{Cursor, Elem, Relation, Row, RowRef, TupleStore};
 
 use crate::ast::{PredRef, Program, Rule};
 use crate::depgraph::DepGraph;
@@ -94,10 +94,9 @@ pub(crate) enum ResolvedRow<'a> {
 }
 
 impl<'a> ResolvedRow<'a> {
-    /// Row `r` of a [`Source`]'s store, read through its position map.
+    /// A row of a [`Source`]'s store, read through its position map.
     #[inline]
-    pub(crate) fn new(store: &'a TupleStore, pos_of: Option<&'a [usize]>, r: usize) -> Self {
-        let row = store.row(r);
+    pub(crate) fn new(row: RowRef<'a>, pos_of: Option<&'a [usize]>) -> Self {
         match pos_of {
             Some(pos_of) => ResolvedRow::Permuted { row, pos_of },
             None => ResolvedRow::Direct(row),
@@ -131,12 +130,12 @@ pub(crate) type Source<'a> = (&'a TupleStore, Option<&'a [usize]>);
 /// One work item's probe scratch: the key buffer every probe writes into,
 /// so no probe allocates; one cursor per join depth — the start of that
 /// depth's previous probe range, from which a sorted probe
-/// ([`TupleStore::prefix_range_from`]) gallops forward while keys arrive
+/// ([`TupleStore::prefix_rows`]) gallops forward while keys arrive
 /// in ascending order, as they do under a sorted delta scan; and the
 /// [`Source`] each depth probes, resolved on the item's first probe there.
 pub(crate) struct ProbeScratch<'a> {
     key: Vec<Elem>,
-    cursors: Vec<usize>,
+    cursors: Vec<Cursor>,
     sources: Vec<Option<Source<'a>>>,
 }
 
@@ -145,7 +144,7 @@ impl<'a> ProbeScratch<'a> {
     pub(crate) fn new(depths: usize) -> ProbeScratch<'a> {
         ProbeScratch {
             key: Vec::new(),
-            cursors: vec![0; depths],
+            cursors: vec![Cursor::default(); depths],
             sources: vec![None; depths],
         }
     }
@@ -157,7 +156,7 @@ impl<'a> ProbeScratch<'a> {
         step: &JoinStep,
         depth: usize,
         asg: &[Elem],
-    ) -> (&[Elem], &mut usize) {
+    ) -> (&[Elem], &mut Cursor) {
         self.key.clear();
         self.key.extend(step.bound.iter().map(|&(_, s)| asg[s]));
         (&self.key, &mut self.cursors[depth])
@@ -375,8 +374,8 @@ fn plan_steps(atoms: &[AtomPlan], seed: Option<usize>, prebound: &[bool]) -> Vec
 mod tests {
     use super::*;
     use hp_structures::generators::directed_path;
+    use hp_structures::Rows;
     use hp_structures::{permuted_copy, Structure, SymbolId, Vocabulary};
-    use std::ops::Range;
 
     fn tc() -> Program {
         Program::parse(
@@ -410,19 +409,16 @@ mod tests {
         keys
     }
 
-    type Probe<'a> = (&'a TupleStore, Option<&'a [usize]>, Range<usize>);
+    type Probe<'a> = (&'a TupleStore, Option<&'a [usize]>, Rows<'a>);
 
     /// The rows of `source` whose key columns equal `key`, galloping from
     /// `cursor` as the join does.
-    fn probe<'a>((store, pos_of): Source<'a>, key: &[Elem], cursor: &mut usize) -> Probe<'a> {
-        let range = store.prefix_range_from(key, *cursor);
-        *cursor = range.start;
-        (store, pos_of, range)
+    fn probe<'a>((store, pos_of): Source<'a>, key: &[Elem], cursor: &mut Cursor) -> Probe<'a> {
+        (store, pos_of, store.prefix_rows(key, cursor))
     }
 
-    fn collect((store, pos_of, range): Probe<'_>) -> Vec<Vec<Elem>> {
-        range
-            .map(|r| ResolvedRow::new(store, pos_of, r).to_elems())
+    fn collect((_, pos_of, rows): Probe<'_>) -> Vec<Vec<Elem>> {
+        rows.map(|t| ResolvedRow::new(t, pos_of).to_elems())
             .collect()
     }
 
@@ -493,9 +489,18 @@ mod tests {
             .into_iter()
             .find(|(pred, key)| matches!(pred, PredRef::Edb(_)) && *key == vec![1])
             .expect("E probed on position 1");
-        let hits = collect(probe(source(&a, pred, &key), &[Elem(2)], &mut 0));
+        let hits = collect(probe(
+            source(&a, pred, &key),
+            &[Elem(2)],
+            &mut Cursor::default(),
+        ));
         assert_eq!(hits, vec![vec![Elem(1), Elem(2)]]);
-        assert!(collect(probe(source(&a, pred, &key), &[Elem(0)], &mut 0)).is_empty());
+        assert!(collect(probe(
+            source(&a, pred, &key),
+            &[Elem(0)],
+            &mut Cursor::default()
+        ))
+        .is_empty());
     }
 
     #[test]
@@ -516,10 +521,14 @@ mod tests {
             .find(|(pred, key)| matches!(pred, PredRef::Edb(_)) && *key == vec![0])
             .expect("E probed on position 0 (the linear chain probe)");
         let e = a.relation(SymbolId::from(0usize));
-        let (store, pos_of, _) = probe(source(&a, pred, &key), &[Elem(2)], &mut 0);
+        let (store, pos_of, _) = probe(source(&a, pred, &key), &[Elem(2)], &mut Cursor::default());
         assert!(e.copies().next().is_none());
         assert!(std::ptr::eq(store, e.store()) && pos_of.is_none());
-        let hits = collect(probe(source(&a, pred, &key), &[Elem(2)], &mut 0));
+        let hits = collect(probe(
+            source(&a, pred, &key),
+            &[Elem(2)],
+            &mut Cursor::default(),
+        ));
         assert_eq!(hits, vec![vec![Elem(2), Elem(3)]]);
     }
 
@@ -532,7 +541,11 @@ mod tests {
         // Edges into 2: (0,2), (1,2), (3,2) — ascending by the remaining
         // (source) column, exactly the relation's own row order restricted
         // to the key, with every row decoded back to (src, dst).
-        let hits = collect(probe(source(&a, e, &[1]), &[Elem(2)], &mut 0));
+        let hits = collect(probe(
+            source(&a, e, &[1]),
+            &[Elem(2)],
+            &mut Cursor::default(),
+        ));
         assert_eq!(
             hits,
             vec![
@@ -572,12 +585,16 @@ mod tests {
             .collect();
         assert_eq!(edb_probes.len(), 2, "E on [0] and on [1]");
         for (pred, key) in edb_probes {
-            let mut cursor = 0;
+            let mut cursor = Cursor::default();
             for &k in &keys {
                 let got = collect(probe(source(&a, pred, &key), &[Elem(k)], &mut cursor));
                 assert_eq!(
                     got,
-                    collect(probe(source(&a, pred, &key), &[Elem(k)], &mut 0))
+                    collect(probe(
+                        source(&a, pred, &key),
+                        &[Elem(k)],
+                        &mut Cursor::default()
+                    ))
                 );
             }
         }
@@ -621,7 +638,7 @@ mod tests {
             let want = Some(permuted_copy(&[1], idb[0].store()).1);
             assert_eq!(copy, want, "round {round}");
             for col in [0, 1] {
-                let mut cursor = 0;
+                let mut cursor = Cursor::default();
                 for k in 0..12u32 {
                     let mut got = collect(probe(idb[0].copy(&[col]), &[Elem(k)], &mut cursor));
                     got.sort();

@@ -65,6 +65,6 @@ pub use gaifman::{is_d_scattered, Neighborhoods};
 pub use graph::Graph;
 pub use ops::identity_map;
 pub use row::{Row, RowElems, RowRef};
-pub use store::{Rows, TupleStore};
+pub use store::{Cursor, Rows, TupleStore, PAGE};
 pub use structure::{permuted_copy, KeyOrder, Relation, Structure, StructureBuilder};
 pub use vocab::{Symbol, SymbolId, Vocabulary, VocabularyBuilder};

@@ -1,17 +1,18 @@
-//! Row handles over the column-plane [`TupleStore`]: the borrowed
+//! Row handles over the column-plane [`TupleStore`](crate::TupleStore): the borrowed
 //! [`RowRef`] and the [`Row`] trait unifying every row-shaped input.
 //!
 //! With the structure-of-arrays layout a stored row is no longer a
 //! contiguous `&[Elem]` slice — its cells live in `arity` separate column
-//! planes of element values. [`RowRef`] is the zero-copy handle the store
-//! hands out instead: a `(store, row-index)` pair that reads cells from
-//! the planes on access. It is `Copy`, indexes like a slice (`t[i]` borrows
+//! planes of element values, on one page of the store's sorted run.
+//! [`RowRef`] is the zero-copy handle the store hands out instead: the
+//! page's planes and the row's offset there, reading cells from the planes
+//! on access. It is `Copy`, indexes like a slice (`t[i]` borrows
 //! the [`Elem`] in the plane), iterates cells by value, and compares by
 //! element values so rows from different stores order lexicographically.
 //!
 //! [`Row`] abstracts over everything callers pass as "a tuple": borrowed
 //! slices, `Vec`s, array literals, and `RowRef` itself. Write-side store
-//! APIs ([`TupleStore::push`], `contains`, `insert`, `remove`, and the
+//! APIs ([`TupleStore::push`](crate::TupleStore::push), `contains`, `insert`, `remove`, and the
 //! `Relation`/`Structure` wrappers) are generic over it, so call sites keep
 //! their pre-refactor shape (`s.push(&[Elem(1), Elem(2)])`,
 //! `idb.contains(t)` with `t` a `RowRef`) without materializing rows.
@@ -21,12 +22,11 @@ use std::fmt;
 use std::ops::Index;
 
 use crate::elem::Elem;
-use crate::store::TupleStore;
 
 /// Anything that can be read as a fixed-width row of [`Elem`]s.
 ///
 /// Implemented for borrowed slices, `Vec`s, arrays (by reference), boxed
-/// slices, and [`RowRef`]. Store and structure write paths take
+/// slices, [`RowRef`], and references to any of them. Store and structure write paths take
 /// `impl Row` so both row handles and plain element buffers flow in
 /// without copies.
 pub trait Row {
@@ -65,21 +65,6 @@ impl Row for &[Elem] {
     }
 }
 
-impl Row for &&[Elem] {
-    #[inline]
-    fn width(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn at(&self, i: usize) -> Elem {
-        self[i]
-    }
-    #[inline]
-    fn append_to(&self, buf: &mut Vec<Elem>) {
-        buf.extend_from_slice(self);
-    }
-}
-
 impl Row for Vec<Elem> {
     #[inline]
     fn width(&self) -> usize {
@@ -95,37 +80,7 @@ impl Row for Vec<Elem> {
     }
 }
 
-impl Row for &Vec<Elem> {
-    #[inline]
-    fn width(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn at(&self, i: usize) -> Elem {
-        self[i]
-    }
-    #[inline]
-    fn append_to(&self, buf: &mut Vec<Elem>) {
-        buf.extend_from_slice(self);
-    }
-}
-
 impl Row for Box<[Elem]> {
-    #[inline]
-    fn width(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn at(&self, i: usize) -> Elem {
-        self[i]
-    }
-    #[inline]
-    fn append_to(&self, buf: &mut Vec<Elem>) {
-        buf.extend_from_slice(self);
-    }
-}
-
-impl Row for &Box<[Elem]> {
     #[inline]
     fn width(&self) -> usize {
         self.len()
@@ -166,26 +121,33 @@ impl Row for RowRef<'_> {
     }
 }
 
-impl Row for &RowRef<'_> {
+impl<R: Row + ?Sized> Row for &R {
     #[inline]
     fn width(&self) -> usize {
-        self.len()
+        (**self).width()
     }
     #[inline]
     fn at(&self, i: usize) -> Elem {
-        self.get(i)
+        (**self).at(i)
+    }
+    #[inline]
+    fn append_to(&self, buf: &mut Vec<Elem>) {
+        (**self).append_to(buf)
     }
 }
 
-/// A borrowed, zero-copy handle to one sealed row of a [`TupleStore`].
+/// A borrowed, zero-copy handle to one sealed row of a
+/// [`TupleStore`](crate::TupleStore).
 ///
 /// Cells are read on access: `t[i]` and [`get`](RowRef::get) read the
-/// `i`-th column plane at this row. Comparisons (`==`, `<`) are by element
+/// `i`-th column plane of the row's page at the row's offset. Comparisons (`==`, `<`) are by element
 /// values, so handles from different stores compare lexicographically,
 /// exactly as contiguous `&[Elem]` rows do.
 #[derive(Clone, Copy)]
 pub struct RowRef<'a> {
-    pub(crate) store: &'a TupleStore,
+    /// The column planes of the row's page.
+    pub(crate) planes: &'a [Vec<Elem>],
+    /// The row's offset on its page.
     pub(crate) row: usize,
 }
 
@@ -193,7 +155,7 @@ impl<'a> RowRef<'a> {
     /// The arity of the underlying store (number of cells).
     #[inline]
     pub fn len(&self) -> usize {
-        self.store.arity()
+        self.planes.len()
     }
 
     /// True for rows of a nullary relation.
@@ -205,17 +167,17 @@ impl<'a> RowRef<'a> {
     /// The `i`-th cell.
     #[inline]
     pub fn get(&self, i: usize) -> Elem {
-        self.store.cell(i, self.row)
+        self.planes[i][self.row]
     }
 
     /// Iterate the cells in column order, by value.
     #[inline]
     pub fn iter(&self) -> RowElems<'a> {
         RowElems {
-            store: self.store,
+            planes: self.planes,
             row: self.row,
             front: 0,
-            back: self.store.arity(),
+            back: self.planes.len(),
         }
     }
 
@@ -228,12 +190,6 @@ impl<'a> RowRef<'a> {
         }
         v
     }
-
-    /// The sorted-run index of this row within its store.
-    #[inline]
-    pub fn index(&self) -> usize {
-        self.row
-    }
 }
 
 impl Index<usize> for RowRef<'_> {
@@ -241,7 +197,7 @@ impl Index<usize> for RowRef<'_> {
 
     #[inline]
     fn index(&self, i: usize) -> &Elem {
-        self.store.cell_ref(i, self.row)
+        &self.planes[i][self.row]
     }
 }
 
@@ -268,7 +224,7 @@ impl<'a> IntoIterator for &RowRef<'a> {
 /// By-value cell iterator of a [`RowRef`].
 #[derive(Clone)]
 pub struct RowElems<'a> {
-    store: &'a TupleStore,
+    planes: &'a [Vec<Elem>],
     row: usize,
     front: usize,
     back: usize,
@@ -282,7 +238,7 @@ impl Iterator for RowElems<'_> {
         if self.front >= self.back {
             return None;
         }
-        let e = self.store.cell(self.front, self.row);
+        let e = self.planes[self.front][self.row];
         self.front += 1;
         Some(e)
     }
@@ -301,7 +257,7 @@ impl DoubleEndedIterator for RowElems<'_> {
             return None;
         }
         self.back -= 1;
-        Some(self.store.cell(self.back, self.row))
+        Some(self.planes[self.back][self.row])
     }
 }
 

@@ -1,69 +1,92 @@
 //! Column-plane tuple storage: element values in a structure-of-arrays
-//! layout with chunked galloping kernels.
+//! layout, cut into fixed-size sorted pages, with chunked galloping kernels.
 //!
 //! [`TupleStore`] is the single physical representation behind
 //! [`Relation`](crate::Relation) and the evaluator's IDB relations. Tuples
 //! live in a **structure-of-arrays** layout:
 //!
-//! * **column planes** — one `Vec<Elem>` per column, all of length `rows`,
-//!   holding the **sorted run**: rows in lexicographic order, deduplicated,
-//!   addressed by row index across the planes. A cell is the element value
-//!   itself: an [`Elem`] is already a dense `u32` index into the universe
-//!   `{0, …, n−1}`, so there is nothing to encode or decode;
+//! * the **sorted run** — rows in lexicographic order, deduplicated — is
+//!   cut into **pages** of at most [`PAGE`] rows. A page holds one plane
+//!   (`Vec<Elem>`) per column, all of the page's length, and the store
+//!   keeps every page's planes in one vector, page after page. A cell is
+//!   the element value itself: an [`Elem`] is already a dense `u32` index
+//!   into the universe `{0, …, n−1}`, so there is nothing to encode or
+//!   decode;
+//! * a **page index** — for every page after the first, its first row and
+//!   that row's run index — so a search gallops the index to one page, then
+//!   that page's planes, and a run index resolves to its page by one search
+//!   of the page starts. A one-page store keeps no index;
 //! * a **pending delta** — rows appended in arrival order, possibly
 //!   duplicated, batching inserts so a bulk load costs one sort + merge
-//!   instead of `n` shifting array inserts.
+//!   instead of `n` single-row inserts.
 //!
-//! [`seal`](TupleStore::seal) folds the pending delta into the sorted run:
-//! it orders the pending rows and **splices** them into the existing run in
-//! place. At arity 1 the values are universe indices, so a dense batch is
-//! marked in a [`BitSet`] over `0..=max` and read back in order; a
-//! sparse unary batch sorts its `u32` values directly, arity 2 sorts packed
-//! `u64` pairs, and wider rows sort an index. Every read (`contains`,
-//! `iter`, equality, hashing) is defined over the *sealed* content;
-//! `contains` additionally scans the pending region so unsealed stores
-//! still answer membership correctly.
+//! [`seal`](TupleStore::seal) folds the pending delta into the sorted run.
+//! At arity 1 the values are universe indices, so a dense batch is marked
+//! in a [`BitSet`] over `0..=max` and read back in order; a sparse unary
+//! batch sorts its `u32` values directly, arity 2 sorts packed `u64` pairs,
+//! and wider rows sort an index. The sorted batch is cut into full pages as
+//! it is read out; into an empty store those pages become the run.
+//! Every read (`contains`, `iter`, equality, hashing) is defined over the
+//! *sealed* content; `contains` additionally scans the pending region so
+//! unsealed stores still answer membership correctly.
 //!
-//! Batch updates of a sealed run are in place and cost `O(m · log n)` for
-//! `m` rows plus one shift of the tail: the splice behind `seal` and
-//! [`merge`](TupleStore::merge) gallops each new row's position, grows
-//! every plane by exactly the rows added and fills it from the back;
-//! [`subtract`](TupleStore::subtract) gallops each doomed row, compacts
-//! the run forward once and shrinks the planes. On these batch paths plane
-//! capacity tracks length, so the planes' share of
-//! [`heap_bytes`](TupleStore::heap_bytes) matches a fresh build. The
-//! single-row [`insert`](TupleStore::insert)/[`remove`](TupleStore::remove)
-//! use `Vec::insert`/`Vec::remove` instead, whose geometric capacity keeps
-//! row-by-row builds amortised.
+//! Writes into a sealed run are in place and **shift within one page**:
+//! the splice behind `seal`, [`merge`](TupleStore::merge) and the
+//! single-row [`insert`](TupleStore::insert) gallops each new row's page and
+//! position, grows each touched page's planes by exactly the rows it gains
+//! and fills them from the back; a page that outgrows [`PAGE`] rows is
+//! written once into the fewest equal pages. [`subtract`](TupleStore::subtract)
+//! and the single-row [`remove`](TupleStore::remove) compact each touched
+//! page forward once and shrink its planes; a page left below a quarter
+//! full joins its neighbour. So a write of `m` rows costs `O(m · log n)`
+//! searches plus at most one page's shift per touched page, whatever the
+//! run's length. At arity 1 a batch of at least an eighth of the run is
+//! merged linearly instead, `O(n + m)`, and cut into full pages. On every
+//! write path plane capacity tracks length, so the planes' share of
+//! [`heap_bytes`](TupleStore::heap_bytes) equals a fresh build's; only the
+//! page index, a few words per page after the first, depends on where the
+//! pages were cut.
 //!
 //! The search kernels run on the **lead plane first**: a binary search —
 //! or, from a cursor, an exponential gallop — narrows to a window of at
 //! most 64 values, which a branch-free `(v < target) as usize` counting
 //! loop — a shape LLVM autovectorizes — resolves; equal-lead groups then
 //! narrow column by column the same way, and each group's end gallops
-//! from its start. The batch kernels ([`merge`](TupleStore::merge),
+//! from its start. Across pages the same search runs on the page index
+//! first, comparing the target with each page's first row, and an equal
+//! group that reaches a page's end continues on the following pages. The
+//! batch kernels ([`merge`](TupleStore::merge),
 //! [`subtract`](TupleStore::subtract),
 //! [`difference`](TupleStore::difference),
 //! [`intersection`](TupleStore::intersection)) gallop from an advancing
 //! cursor; `contains` and [`prefix_range`](TupleStore::prefix_range)
-//! search the whole run, and
-//! [`prefix_range_from`](TupleStore::prefix_range_from) gallops from a
-//! caller's cursor when it is valid. Cross-store operations read the
-//! other store's planes as they are: two stores holding the same rows hold
-//! the same planes.
+//! search the whole run, and [`prefix_rows`](TupleStore::prefix_rows)
+//! gallops from a caller's [`Cursor`] — a page and an offset — when it is
+//! valid. Cross-store operations read the other store's pages as they are;
+//! equality and hashing compare rows, not page boundaries, so a bulk load
+//! and a store grown row by row are equal.
 //!
-//! Rows are addressed by index and handed out as [`RowRef`] — a `Copy`
-//! `(store, row)` handle that reads the planes on access (see
-//! [`crate::row`]). Arity-0 relations (nullary predicates) are supported:
-//! the planes stay empty and only the explicit row counters distinguish
-//! `{}` from `{()}`.
+//! Rows are handed out as [`RowRef`] — a `Copy` handle on the row's page
+//! planes and its offset there, which reads the planes on access (see
+//! [`crate::row`]). A row's page is resolved once per probe range or scan
+//! ([`prefix_rows`](TupleStore::prefix_rows),
+//! [`rows_in`](TupleStore::rows_in), [`iter`](TupleStore::iter)), not once
+//! per cell. Arity-0 relations (nullary predicates) are supported: their
+//! pages hold no planes, and the one row `()` is present iff the run has a
+//! page.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use crate::bitset::BitSet;
 use crate::elem::Elem;
 use crate::row::{Row, RowRef};
+
+/// Rows per page of a sorted run: a single-row write shifts at most this
+/// many rows per plane. 4096 binary rows are 32 KiB of planes; EXPERIMENTS.md
+/// (E-IVM) records the sizes measured.
+pub const PAGE: usize = 4096;
 
 /// Window size below which galloping searches switch from binary halving
 /// to a branch-free counting scan over the plane (autovectorizable).
@@ -102,6 +125,34 @@ fn gallop<T: Copy>(w: &[T], below: impl Fn(T) -> bool) -> usize {
     }
     let hi = (lo + step).min(w.len());
     lo + 1 + search(&w[lo + 1..hi], below)
+}
+
+/// First index in `lo..hi` where `below` turns false (`below` holds on a
+/// prefix of the range): an exponential gallop from `lo` when `near`, then
+/// binary halving. The page-index search, over a few hundred pages.
+#[inline]
+fn partition(mut lo: usize, mut hi: usize, near: bool, below: impl Fn(usize) -> bool) -> usize {
+    if near {
+        let mut step = 1usize;
+        while lo + step <= hi {
+            let probe = lo + step - 1;
+            if !below(probe) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+            step <<= 1;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Bits a unary seal may spend on its bitmap beyond the density rule,
@@ -158,12 +209,61 @@ fn sort_dedup_rows<I: Copy>(
     idx
 }
 
-/// A set of same-arity tuples in column-plane layout.
+/// The sorted rows `0..n` of a batch cut into full pages, the last one
+/// holding the rest, as a run's planes page by page: `planes(range)` reads
+/// out the batch rows at `range`, one plane per column.
+fn cut(n: usize, mut planes: impl FnMut(Range<usize>) -> Vec<Vec<Elem>>) -> Vec<Vec<Elem>> {
+    (0..n)
+        .step_by(PAGE)
+        .flat_map(|lo| planes(lo..n.min(lo + PAGE)))
+        .collect()
+}
+
+/// A row position: a page, and an offset in it. An offset equal to the
+/// page's length stands just past its last row, where a row sorting
+/// between this page and the next is inserted.
+#[derive(Clone, Copy, Debug, Default)]
+struct Pos {
+    page: usize,
+    off: usize,
+}
+
+impl Pos {
+    const START: Pos = Pos { page: 0, off: 0 };
+
+    /// The position `by` rows further on the same page.
+    #[inline]
+    fn skip(self, by: bool) -> Pos {
+        Pos {
+            off: self.off + usize::from(by),
+            ..self
+        }
+    }
+}
+
+/// Where a run of probes on a sealed store stands: the start of the last
+/// probe's range, as a page and an offset on it
+/// ([`TupleStore::prefix_rows`]). The default cursor stands at row 0. Any
+/// cursor is safe with any store: a probe trusts it only when it lies in
+/// the run and the row before it sorts below the probe's key, and otherwise
+/// searches from row 0, so the answer never depends on it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Cursor(Pos);
+
+/// A set of same-arity tuples in paged column-plane layout.
 ///
 /// See the module docs for the layout. Invariants:
 ///
-/// * every plane has length `rows`;
-/// * rows `0..rows` are lexicographically sorted and distinct;
+/// * `planes` holds `arity` planes per page, page after page: page `p`'s
+///   plane for column `c` is `planes[p * arity + c]`. Every page holds
+///   `1..=PAGE` rows, and each of its planes has that length; a nullary
+///   store's only page holds `()` and no planes;
+/// * the pages' rows, read in page order, are lexicographically sorted
+///   and distinct, and number `rows`;
+/// * page 0 opens the run at row 0; for every later page `p`,
+///   `starts[p - 1]` is the run index of its first row and
+///   `heads[(p - 1) * arity..][..arity]` is that row, so a one-page store
+///   keeps no page index at all;
 /// * `pending` holds `pending_rows * arity` elements in insertion order,
 ///   possibly duplicated, until [`seal`](TupleStore::seal).
 ///
@@ -172,17 +272,22 @@ fn sort_dedup_rows<I: Copy>(
 /// capacity check.
 ///
 /// Equality and hashing require a sealed store (checked with
-/// `debug_assert`); a sealed store's planes are a canonical form of its
-/// rows, so equality compares planes. [`Relation`](crate::Relation)
-/// maintains "sealed after every `&mut` method returns" so its comparisons
-/// are always canonical.
+/// `debug_assert`) and compare the row sequences, whatever the page
+/// boundaries. [`Relation`](crate::Relation) maintains "sealed after every
+/// `&mut` method returns" so its comparisons are always canonical.
 #[derive(Clone)]
 pub struct TupleStore {
     arity: usize,
     /// Number of rows in the sorted run.
     rows: usize,
-    /// One plane of element values per column, each of length `rows`.
+    /// Number of pages in the sorted run.
+    pages: usize,
+    /// The sorted run's planes, page by page.
     planes: Vec<Vec<Elem>>,
+    /// The run index of the first row of each page after the first.
+    starts: Vec<usize>,
+    /// The first row of each page after the first, row-major.
+    heads: Vec<Elem>,
     /// Number of rows in the pending delta.
     pending_rows: usize,
     /// Pending arena: `pending_rows * arity` elements, insertion order.
@@ -196,15 +301,129 @@ impl TupleStore {
     }
 
     /// An empty store with pending-delta capacity reserved for `rows`
-    /// buffered rows (the planes size themselves exactly at seal).
+    /// buffered rows (the pages size themselves exactly at seal).
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
         TupleStore {
             arity,
             rows: 0,
-            planes: vec![Vec::new(); arity],
+            pages: 0,
+            planes: Vec::new(),
+            starts: Vec::new(),
+            heads: Vec::new(),
             pending_rows: 0,
             pending: Vec::with_capacity(rows * arity),
         }
+    }
+
+    /// A sealed store (of arity at least 1) whose run is `planes`, page by
+    /// page.
+    fn from_planes(arity: usize, planes: Vec<Vec<Elem>>) -> Self {
+        let mut s = TupleStore::new(arity);
+        s.planes = planes;
+        s.reindex(0);
+        s
+    }
+
+    /// A sealed store whose run is the sorted, distinct rows of `planes`,
+    /// one plane per column (at least one): the planes themselves when they
+    /// fit on one page, else cut into full pages.
+    fn paged(planes: Vec<Vec<Elem>>) -> Self {
+        let (k, n) = (planes.len(), planes[0].len());
+        match n {
+            0 => return TupleStore::new(k),
+            1..=PAGE => return TupleStore::from_planes(k, planes),
+            _ => {}
+        }
+        TupleStore::from_planes(
+            k,
+            cut(n, |r| {
+                planes.iter().map(|p| p[r.clone()].to_vec()).collect()
+            }),
+        )
+    }
+
+    /// The sealed nullary store holding `()` iff `present`.
+    fn nullary(present: bool) -> Self {
+        let mut s = TupleStore::new(0);
+        s.rows = usize::from(present);
+        s.pages = s.rows;
+        s
+    }
+
+    /// Recompute the page count, the page index from page `from` on, and
+    /// the row count, after a write to the planes (arity at least 1).
+    fn reindex(&mut self, from: usize) {
+        let k = self.arity;
+        self.pages = self.planes.len() / k;
+        let from = from.clamp(1, self.pages.max(1));
+        self.starts.truncate(from - 1);
+        self.heads.truncate((from - 1) * k);
+        let mut at = match self.pages {
+            0 => 0,
+            _ => self.start(from - 1) + self.page_len(from - 1),
+        };
+        for page in self.planes.chunks_exact(k).skip(from) {
+            self.starts.push(at);
+            self.heads.extend(page.iter().map(|plane| plane[0]));
+            at += page[0].len();
+        }
+        self.rows = at;
+        debug_assert!(self.well_formed());
+    }
+
+    /// The planes of page `p`, one per column.
+    #[inline]
+    fn page(&self, p: usize) -> &[Vec<Elem>] {
+        &self.planes[p * self.arity..(p + 1) * self.arity]
+    }
+
+    /// The rows on page `p`.
+    #[inline]
+    fn page_len(&self, p: usize) -> usize {
+        match self.arity {
+            0 => 1,
+            k => self.planes[p * k].len(),
+        }
+    }
+
+    /// The run index of page `p`'s first row.
+    #[inline]
+    fn start(&self, p: usize) -> usize {
+        match p {
+            0 => 0,
+            _ => self.starts[p - 1],
+        }
+    }
+
+    /// The layout invariants, on the page level: page lengths, the page
+    /// index, and row order across every page boundary.
+    fn well_formed(&self) -> bool {
+        let k = self.arity;
+        let mut at = 0;
+        let later = self.pages.saturating_sub(1);
+        if self.planes.len() != self.pages * k
+            || self.starts.len() != later
+            || self.heads.len() != later * k
+        {
+            return false;
+        }
+        for p in 0..self.pages {
+            let (page, n) = (self.page(p), self.page_len(p));
+            if !(1..=PAGE).contains(&n)
+                || page.iter().any(|plane| plane.len() != n)
+                || self.start(p) != at
+            {
+                return false;
+            }
+            if p > 0
+                && ((0..k).any(|c| self.heads[(p - 1) * k + c] != page[c][0])
+                    || self.row_at(self.last_of(p - 1)) >= self.row_at(Pos { page: p, off: 0 }))
+            {
+                return false;
+            }
+            at += n;
+        }
+        at == self.rows
     }
 
     /// The arity (number of column planes) of the store.
@@ -238,34 +457,93 @@ impl TupleStore {
         self.pending_rows == 0
     }
 
-    /// The `i`-th row of the sorted run, as a zero-copy handle.
+    /// The position of run index `i`, at most `rows` (which maps past the
+    /// last page's end). No page holds more than [`PAGE`] rows, so the
+    /// page is at least `i / PAGE`, and the search of the page starts
+    /// gallops from there: one step when the pages are full, as a bulk
+    /// load cuts them. The run must have a page.
     #[inline]
-    pub fn row(&self, i: usize) -> RowRef<'_> {
-        debug_assert!(i < self.rows);
-        RowRef {
-            store: self,
-            row: i,
+    fn pos(&self, i: usize) -> Pos {
+        let low = (i / PAGE).min(self.pages - 1);
+        let page = low + gallop(&self.starts[low..], |s| s <= i);
+        Pos {
+            page,
+            off: i - self.start(page),
         }
     }
 
-    /// The cell at column `c`, row `i` of the sorted run.
+    /// The last row of page `p`.
     #[inline]
-    pub(crate) fn cell(&self, c: usize, i: usize) -> Elem {
-        self.planes[c][i]
+    fn last_of(&self, p: usize) -> Pos {
+        Pos {
+            page: p,
+            off: self.page_len(p) - 1,
+        }
     }
 
-    /// Borrow the cell at column `c`, row `i` of the sorted run.
+    /// The row at `at`, which must hold one.
     #[inline]
-    pub(crate) fn cell_ref(&self, c: usize, i: usize) -> &Elem {
-        &self.planes[c][i]
+    fn row_at(&self, at: Pos) -> RowRef<'_> {
+        RowRef {
+            planes: self.page(at.page),
+            row: at.off,
+        }
+    }
+
+    /// The `i`-th row of the sorted run, as a zero-copy handle. Resolves
+    /// the row's page; to read a range of rows, resolve it once with
+    /// [`rows_in`](TupleStore::rows_in).
+    #[inline]
+    pub fn row(&self, i: usize) -> RowRef<'_> {
+        debug_assert!(i < self.rows);
+        self.row_at(self.pos(i))
     }
 
     /// Iterate the sorted run in lexicographic order (zero-copy handles).
     pub fn iter(&self) -> Rows<'_> {
+        self.rows_at(Pos::START, self.rows)
+    }
+
+    /// The rows of the sorted run at the run indices `range`, in order:
+    /// the first row's page is resolved once, then the iterator walks the
+    /// pages.
+    pub fn rows_in(&self, range: Range<usize>) -> Rows<'_> {
+        debug_assert!(range.end <= self.rows);
+        if range.is_empty() {
+            return Rows::default();
+        }
+        self.rows_at(self.pos(range.start), range.len())
+    }
+
+    /// The `n` rows from `at` on.
+    #[inline]
+    fn rows_at(&self, mut at: Pos, n: usize) -> Rows<'_> {
+        if n == 0 {
+            return Rows::default();
+        }
+        if at.off == self.page_len(at.page) {
+            at = Pos {
+                page: at.page + 1,
+                off: 0,
+            };
+        }
+        let (planes, len) = (self.page(at.page), self.page_len(at.page));
+        if at.off + n <= len {
+            return Rows {
+                planes,
+                at: at.off,
+                end: at.off + n,
+                ..Rows::default()
+            };
+        }
+        let last = self.pos(self.start(at.page) + at.off + n - 1);
+        let k = self.arity;
         Rows {
-            store: self,
-            front: 0,
-            back: self.rows,
+            planes,
+            at: at.off,
+            end: len,
+            rest: &self.planes[(at.page + 1) * k..(last.page + 1) * k],
+            back: last.off + 1,
         }
     }
 
@@ -291,13 +569,13 @@ impl TupleStore {
     }
 
     /// Fold the pending delta into the sorted run: sort and dedup the
-    /// pending rows, then splice them into the existing run **in place** —
-    /// each new row's position is galloped, every plane grows by exactly
-    /// the number of new rows and is filled from the back — so a batch of
-    /// `m` rows costs `O(m · log n)` searches plus one shift of the tail
-    /// behind its first row, with no full-size temporary. Into an empty
-    /// store the sorted batch simply becomes the run. Idempotent; a no-op
-    /// when sealed.
+    /// pending rows, cutting them into full pages as they are read out,
+    /// then splice them into the existing run **in place** — each new
+    /// row's page and position are galloped, and each touched page grows by
+    /// exactly its new rows and is filled from the back — so a batch of
+    /// `m` rows costs `O(m · log n)` searches plus one shift of each
+    /// touched page. Into an empty store the batch's pages become the run.
+    /// Idempotent; a no-op when sealed.
     ///
     /// Arity 1 orders the values without comparing them when they are
     /// dense: a batch whose largest value is below 32 times its pending
@@ -321,8 +599,7 @@ impl TupleStore {
         let k = self.arity;
         if k == 0 {
             // The only possible row is `()`; sealing collapses to "present".
-            self.rows = 1;
-            self.pending_rows = 0;
+            (self.rows, self.pages, self.pending_rows) = (1, 1, 0);
             self.pending.clear();
             return;
         }
@@ -333,7 +610,10 @@ impl TupleStore {
         let batch = match k {
             1 => {
                 sort_dedup_unary(&mut pend);
-                vec![pend]
+                // On one page, the arena itself, whose capacity the dedup
+                // left behind.
+                pend.shrink_to_fit();
+                TupleStore::paged(vec![pend]).planes
             }
             2 => {
                 let mut packed: Vec<u64> = pend
@@ -342,9 +622,12 @@ impl TupleStore {
                     .collect();
                 packed.sort_unstable();
                 packed.dedup();
-                let p0 = packed.iter().map(|&p| Elem((p >> 32) as u32)).collect();
-                let p1 = packed.iter().map(|&p| Elem(p as u32)).collect();
-                vec![p0, p1]
+                cut(packed.len(), |r| {
+                    let page = &packed[r];
+                    let p0 = page.iter().map(|&p| Elem((p >> 32) as u32)).collect();
+                    let p1 = page.iter().map(|&p| Elem(p as u32)).collect();
+                    vec![p0, p1]
+                })
             }
             _ => {
                 let idx: Vec<usize> = if wide {
@@ -360,119 +643,266 @@ impl TupleStore {
                     .map(|i| i as usize)
                     .collect()
                 };
-                (0..k)
-                    .map(|c| idx.iter().map(|&i| pend[i * k + c]).collect())
-                    .collect()
+                cut(idx.len(), |r| {
+                    let page = &idx[r];
+                    (0..k)
+                        .map(|c| page.iter().map(|&i| pend[i * k + c]).collect())
+                        .collect()
+                })
             }
         };
         if self.rows == 0 {
-            // The batch becomes the run; at arity 1 it is the pending
-            // arena itself, whose capacity the dedup left behind.
-            self.rows = batch[0].len();
             self.planes = batch;
-            self.planes.iter_mut().for_each(Vec::shrink_to_fit);
+            self.reindex(0);
         } else {
-            self.splice(&batch);
+            self.splice(TupleStore::from_planes(k, batch).iter());
         }
     }
 
-    /// Splice sorted, distinct rows into the sorted run, **in place**.
-    /// `batch` holds one plane per column. One galloping pass finds each
-    /// row's position and skips rows already present; then each plane
-    /// grows by exactly the number of new rows (so a batch-maintained
-    /// store's capacity matches a fresh build's) and is filled from the
-    /// back, every run of old rows moved once.
-    fn splice(&mut self, batch: &[Vec<Elem>]) {
-        debug_assert_eq!(batch.len(), self.arity);
-        // (run position, batch row) of every row to add, ascending.
-        let mut at: Vec<(usize, usize)> = Vec::new();
-        let mut from = 0usize;
-        for (j, _) in batch[0].iter().enumerate() {
-            let (pos, found) = self.locate(Some(from), |c| batch[c][j]);
-            if found {
-                from = pos + 1;
-            } else {
-                from = pos;
-                at.push((pos, j));
+    /// Splice sorted, distinct rows into the sorted run (which must have a
+    /// page), **in place**: one galloping pass finds each row's page and
+    /// position and skips rows already present, then
+    /// [`insert_at`](TupleStore::insert_at) writes them.
+    fn splice<R: Row>(&mut self, rows: impl IntoIterator<Item = R>) {
+        let mut at: Vec<(Pos, R)> = Vec::new();
+        let mut from = Pos::START;
+        for t in rows {
+            let (pos, found) = self.locate(Some(from), |c| t.at(c));
+            from = pos.skip(found);
+            if !found {
+                at.push((pos, t));
             }
         }
-        let (n, add) = (self.rows, at.len());
-        if add == 0 {
+        self.insert_at(&at);
+    }
+
+    /// Insert each row at its position (ascending; none present). Each
+    /// touched page grows its planes by exactly its new rows (so capacity
+    /// tracks length, as in a fresh build) and fills them from the back,
+    /// each run of old rows moved once; a page that outgrows [`PAGE`] rows
+    /// then [splits](TupleStore::split). Pages are visited last to first,
+    /// so a split never moves a page still to be written.
+    fn insert_at<R: Row>(&mut self, at: &[(Pos, R)]) {
+        let Some(first) = at.first().map(|(p, _)| p.page) else {
+            return;
+        };
+        let mut end = at.len();
+        while end > 0 {
+            let page = at[end - 1].0.page;
+            let begin = at[..end]
+                .iter()
+                .rposition(|(p, _)| p.page != page)
+                .map_or(0, |i| i + 1);
+            let group = &at[begin..end];
+            let (k, n) = (self.arity, self.page_len(page));
+            let total = n + group.len();
+            for (c, plane) in self.planes[page * k..(page + 1) * k].iter_mut().enumerate() {
+                if total > PAGE {
+                    // The page splits: write its rows once, in order, into
+                    // a plane of the new length, and cut that.
+                    let mut merged = Vec::with_capacity(total);
+                    let mut lo = 0;
+                    for (pos, t) in group {
+                        merged.extend_from_slice(&plane[lo..pos.off]);
+                        merged.push(t.at(c));
+                        lo = pos.off;
+                    }
+                    merged.extend_from_slice(&plane[lo..]);
+                    *plane = merged;
+                    continue;
+                }
+                plane.reserve_exact(group.len());
+                plane.resize(total, Elem(0));
+                let mut hi = n;
+                for (i, (pos, t)) in group.iter().enumerate().rev() {
+                    // Old rows `pos.off..hi` have `i + 1` new rows before them.
+                    plane.copy_within(pos.off..hi, pos.off + i + 1);
+                    plane[pos.off + i] = t.at(c);
+                    hi = pos.off;
+                }
+            }
+            if total > PAGE {
+                self.split(page);
+            }
+            end = begin;
+        }
+        self.reindex(first);
+    }
+
+    /// Cut an overfull page into the fewest equal pages of at most
+    /// [`PAGE`] rows. Each later piece is split off the back of the page's
+    /// planes at its length, and the first is shrunk to fit.
+    fn split(&mut self, page: usize) {
+        let (k, n) = (self.arity, self.page_len(page));
+        let parts = n.div_ceil(PAGE);
+        let planes = &mut self.planes[page * k..(page + 1) * k];
+        let mut tail: Vec<Vec<Vec<Elem>>> = (1..parts)
+            .rev()
+            .map(|i| {
+                planes
+                    .iter_mut()
+                    .map(|p| p.split_off(n * i / parts))
+                    .collect()
+            })
+            .collect();
+        planes.iter_mut().for_each(Vec::shrink_to_fit);
+        tail.reverse();
+        let at = (page + 1) * k;
+        self.planes.splice(at..at, tail.into_iter().flatten());
+        self.pages += parts - 1;
+    }
+
+    /// Delete the rows at the positions `at` (ascending, each holding a
+    /// row), in place: each touched page's kept rows move down once with
+    /// `copy_within`, and its planes are truncated and shrunk so capacity
+    /// tracks length; then every touched page left below a quarter full
+    /// joins a neighbour ([`rebalance`](TupleStore::rebalance)).
+    fn drop_at(&mut self, at: &[Pos]) {
+        let Some(first) = at.first().map(|p| p.page) else {
+            return;
+        };
+        let mut touched = Vec::new();
+        let mut end = at.len();
+        while end > 0 {
+            let page = at[end - 1].page;
+            let begin = at[..end]
+                .iter()
+                .rposition(|p| p.page != page)
+                .map_or(0, |i| i + 1);
+            let group = &at[begin..end];
+            let (k, n) = (self.arity, self.page_len(page));
+            for plane in &mut self.planes[page * k..(page + 1) * k] {
+                for (i, pos) in group.iter().enumerate() {
+                    let hi = group.get(i + 1).map_or(n, |q| q.off);
+                    plane.copy_within(pos.off + 1..hi, pos.off - i);
+                }
+                plane.truncate(n - group.len());
+                plane.shrink_to_fit();
+            }
+            touched.push(page);
+            end = begin;
+        }
+        // Descending, so a join never moves a page still to be visited.
+        for page in touched {
+            self.rebalance(page);
+        }
+        if self.pages == 1 && self.page_len(0) == 0 {
+            self.planes.clear();
+        }
+        self.reindex(first.saturating_sub(1));
+    }
+
+    /// Join page `page`, when it is below a quarter full and not the only
+    /// page, with its next page (its previous, if it is the last): into one
+    /// page when they fit, else into two equal ones.
+    fn rebalance(&mut self, page: usize) {
+        if self.pages < 2 || self.page_len(page) >= PAGE / 4 {
             return;
         }
-        for (p, col) in self.planes.iter_mut().zip(batch) {
-            p.reserve_exact(add);
-            p.resize(n + add, Elem(0));
-            let p = p.as_mut_slice();
-            let mut end = n;
-            for (i, &(pos, j)) in at.iter().enumerate().rev() {
-                // Old rows `pos..end` have `i + 1` new rows before them.
-                p.copy_within(pos..end, pos + i + 1);
-                p[pos + i] = col[j];
-                end = pos;
-            }
+        let (k, a) = (self.arity, page.min(self.pages - 2));
+        let b: Vec<Vec<Elem>> = self.planes.drain((a + 1) * k..(a + 2) * k).collect();
+        self.pages -= 1;
+        for (p, q) in self.planes[a * k..(a + 1) * k].iter_mut().zip(&b) {
+            p.reserve_exact(q.len());
+            p.extend_from_slice(q);
         }
-        self.rows = n + add;
+        if self.page_len(a) > PAGE {
+            self.split(a);
+        }
     }
 
-    /// Delete the sorted-run rows at the strictly increasing positions
-    /// `at`, in place: every run of kept rows moves down once with
-    /// `copy_within`, then the planes are truncated and shrunk so capacity
-    /// tracks length.
-    fn drop_rows(&mut self, at: &[usize]) {
-        if at.is_empty() {
-            return;
-        }
-        let n = self.rows;
-        for p in &mut self.planes {
-            for (i, &pos) in at.iter().enumerate() {
-                let end = at.get(i + 1).copied().unwrap_or(n);
-                p.copy_within(pos + 1..end, pos - i);
-            }
-            p.truncate(n - at.len());
-            p.shrink_to_fit();
-        }
-        self.rows = n - at.len();
-    }
-
-    /// The rows of the sorted run whose first `k` cells are
-    /// `target(0..k)`, as a range; when there are none, the empty range
-    /// sits at their lexicographic lower bound. The lead column is searched
-    /// from `from` — galloping forward from a cursor (`Some`), or binary
-    /// over the whole run (`None`) — and each later column within the
-    /// previous column's equal group; every group's end gallops from the
-    /// group's start. With `from = Some(i)`, every row before `i` must sort
-    /// below the target.
+    /// The rows whose first `k` cells are `target(0..k)`, as a run range,
+    /// and the position of its start; when there are none, the empty range
+    /// sits at their lexicographic lower bound. The search narrows on the
+    /// last page whose first row sorts below the target
+    /// ([`page_of`](TupleStore::page_of)), then on that page's planes
+    /// ([`narrow_page`]); a group that reaches the page's end continues over
+    /// the following pages whose first rows match. With `from = Some(at)`,
+    /// every row before `at` must sort below the target.
     fn narrow(
         &self,
-        from: Option<usize>,
+        from: Option<Pos>,
         k: usize,
         target: impl Fn(usize) -> Elem,
-    ) -> std::ops::Range<usize> {
-        let (mut lo, mut hi) = (from.unwrap_or(0), self.rows);
-        for c in 0..k {
-            let t = target(c);
-            let w = &self.planes[c][lo..hi];
-            let s = match from {
-                Some(_) if c == 0 => gallop(w, |v| v < t),
-                _ => search(w, |v| v < t),
-            };
-            if s >= w.len() || w[s] != t {
-                return lo + s..lo + s;
-            }
-            hi = lo + s + gallop(&w[s..], |v| v <= t);
-            lo += s;
+    ) -> (Pos, Range<usize>) {
+        let n = self.pages;
+        if n == 0 {
+            return (Pos::START, 0..0);
         }
-        lo..hi
+        let (page, local) = self.page_of(from, k, &target, false);
+        let planes = self.page(page);
+        let len = planes.first().map_or(1, Vec::len);
+        let r = narrow_page(planes, len, local, k, &target);
+        let start = self.start(page);
+        let mut end = start + r.end;
+        if r.end == len && page + 1 < n {
+            // Pages `page + 1..q` open with the target's cells.
+            let q = partition(page + 1, n, true, |p| self.head_below(p, k, &target, true));
+            if q > page + 1 {
+                let last = (self.page(q - 1), self.page_len(q - 1));
+                end = self.start(q - 1) + narrow_page(last.0, last.1, Some(0), k, &target).end;
+            }
+        }
+        (Pos { page, off: r.start }, start + r.start..end)
+    }
+
+    /// The page a search for `target(0..k)` narrows on, and the offset on
+    /// it to gallop from: the last page whose first row, cut to `k` cells,
+    /// sorts below the target (at or below it, when `or_equal`). From a
+    /// cursor (`Some`) the page index is galloped from the cursor's page,
+    /// and the page's planes from the cursor, or from the front of a later
+    /// page, whose first row sorts below the target too; without one
+    /// (`None`) both searches are binary. The run must have a page.
+    #[inline]
+    fn page_of(
+        &self,
+        from: Option<Pos>,
+        k: usize,
+        target: &impl Fn(usize) -> Elem,
+        or_equal: bool,
+    ) -> (usize, Option<usize>) {
+        let lo = from.map_or(0, |at| at.page);
+        let below = |p| self.head_below(p, k, target, or_equal);
+        let page = partition(lo + 1, self.pages, from.is_some(), below) - 1;
+        let local = from.map(|at| if at.page == page { at.off } else { 0 });
+        (page, local)
+    }
+
+    /// Whether the first row of page `p` (not the first page), cut to `k`
+    /// cells, sorts below `target(0..k)` (or equals it, when `or_equal`).
+    #[inline]
+    fn head_below(
+        &self,
+        p: usize,
+        k: usize,
+        target: &impl Fn(usize) -> Elem,
+        or_equal: bool,
+    ) -> bool {
+        let head = &self.heads[(p - 1) * self.arity..][..k];
+        for (c, &h) in head.iter().enumerate() {
+            let t = target(c);
+            if h != t {
+                return h < t;
+            }
+        }
+        or_equal
     }
 
     /// Seek the row whose cell in column `c` is `target(c)`, from a cursor
     /// (`Some`, galloping) or over the whole run (`None`). Returns the
-    /// lexicographic lower bound and whether the row is present.
-    fn locate(&self, from: Option<usize>, target: impl Fn(usize) -> Elem) -> (usize, bool) {
+    /// lexicographic lower bound — the row itself, when present — and
+    /// whether the row is present. Rows are distinct, so a present row lies
+    /// on the last page whose first row sorts at or below it, and no group
+    /// continues past a page's end.
+    fn locate(&self, from: Option<Pos>, target: impl Fn(usize) -> Elem) -> (Pos, bool) {
         debug_assert!(self.arity > 0);
-        let r = self.narrow(from, self.arity, target);
-        (r.start, !r.is_empty())
+        if self.pages == 0 {
+            return (Pos::START, false);
+        }
+        let (page, local) = self.page_of(from, self.arity, &target, true);
+        let len = self.page_len(page);
+        let r = narrow_page(self.page(page), len, local, self.arity, &target);
+        (Pos { page, off: r.start }, !r.is_empty())
     }
 
     /// The rows of `probe` (sealed) whose presence in `base` (sealed)
@@ -480,75 +910,73 @@ impl TupleStore {
     /// `base` from an advancing cursor, `O(|probe| · log |base|)`. At
     /// arity 1, when `probe` holds at least an eighth as many rows as
     /// `base`, the gallops would land a few values apart, so `base` is
-    /// walked linearly instead, `O(|probe| + |base|)`.
+    /// walked linearly instead, page after page, `O(|probe| + |base|)`.
     fn filter(probe: &TupleStore, base: &TupleStore, keep: bool) -> TupleStore {
-        let k = probe.arity;
-        let mut out = TupleStore::new(k);
-        if k == 1 && probe.rows.saturating_mul(8) >= base.rows {
-            let (p, b) = (&probe.planes[0], &base.planes[0]);
-            let mut j = 0usize;
-            out.planes[0] = p
-                .iter()
-                .copied()
-                .filter(|&v| {
-                    while j < b.len() && b[j] < v {
-                        j += 1;
-                    }
-                    (j < b.len() && b[j] == v) == keep
-                })
-                .collect();
-            out.rows = out.planes[0].len();
-            return out;
-        }
-        let mut j = 0usize;
-        for i in 0..probe.rows {
-            let (nj, found) = base.locate(Some(j), |c| probe.planes[c][i]);
-            j = nj + usize::from(found);
-            if found == keep {
-                for (o, p) in out.planes.iter_mut().zip(&probe.planes) {
-                    o.push(p[i]);
+        if probe.arity == 1 && probe.rows.saturating_mul(8) >= base.rows {
+            // At arity 1 each page is one plane: walk the concatenations.
+            let (p, b) = (probe.planes.concat(), base.planes.concat());
+            let mut j = 0;
+            let kept = p.into_iter().filter(|&v| {
+                while j < b.len() && b[j] < v {
+                    j += 1;
                 }
-                out.rows += 1;
+                (j < b.len() && b[j] == v) == keep
+            });
+            return TupleStore::paged(vec![kept.collect()]);
+        }
+        let mut out = vec![Vec::new(); probe.arity];
+        let mut from = Pos::START;
+        for t in probe.iter() {
+            let (pos, found) = base.locate(Some(from), |c| t.get(c));
+            from = pos.skip(found);
+            if found == keep {
+                for (c, plane) in out.iter_mut().enumerate() {
+                    plane.push(t.get(c));
+                }
             }
         }
-        out
+        TupleStore::paged(out)
     }
 
     /// The sorted run with column `perm[c]` as column `c`, where `perm`
     /// moves one column to the front and keeps the rest in order: a stable
     /// counting sort on that column leaves rows with one key in this run's
-    /// order, which is the rest's. Linear, and beside the result it holds
-    /// one count per key value. `None` when the key values are sparse (one
-    /// exceeds `len + 1024`) or the rows too many for `u32` counts.
+    /// order, which is the rest's. Linear, writing each row straight into
+    /// its full page of the result; beside the result it holds one count
+    /// per key value. `None` when the key values are sparse (one exceeds
+    /// `len + 1024`) or the rows too many for `u32` counts.
     pub(crate) fn lead_sorted(&self, perm: &[usize]) -> Option<TupleStore> {
-        let (n, key) = (self.rows, &self.planes[perm[0]]);
-        let bound = key.iter().map(|e| e.index() + 1).max().unwrap_or(0);
+        let n = self.rows;
+        let k = self.arity;
+        let keys = || self.planes.iter().skip(perm[0]).step_by(k).flatten();
+        let bound = keys().map(|e| e.index() + 1).max().unwrap_or(0);
         if bound > n + 1024 || u32::try_from(n).is_err() {
             return None;
         }
         // `next[v]`: the output row the next row with key `v` goes to.
         let mut next = vec![0u32; bound + 1];
-        for e in key {
+        for e in keys() {
             next[e.index() + 1] += 1;
         }
         for v in 1..=bound {
             next[v] += next[v - 1];
         }
-        let mut planes = vec![vec![Elem(0); n]; self.arity];
-        for (i, e) in key.iter().enumerate() {
-            let j = next[e.index()] as usize;
-            next[e.index()] += 1;
-            for (out, &c) in planes.iter_mut().zip(perm) {
-                out[j] = self.planes[c][i];
+        let mut planes = cut(n, |r| vec![vec![Elem(0); r.len()]; k]);
+        for page in self.planes.chunks_exact(k) {
+            for (i, e) in page[perm[0]].iter().enumerate() {
+                let j = next[e.index()] as usize;
+                next[e.index()] += 1;
+                let out = &mut planes[j / PAGE * k..][..k];
+                for (plane, &c) in out.iter_mut().zip(perm) {
+                    plane[j % PAGE] = page[c][i];
+                }
             }
         }
-        let mut out = TupleStore::new(self.arity);
-        (out.rows, out.planes) = (n, planes);
-        Some(out)
+        Some(TupleStore::from_planes(k, planes))
     }
 
-    /// Membership test: a chunked binary search of the sorted run plus a
-    /// linear scan of the pending delta.
+    /// Membership test: a chunked binary search of the page index and one
+    /// page, plus a linear scan of the pending delta.
     pub fn contains<R: Row>(&self, t: R) -> bool {
         debug_assert_eq!(t.width(), self.arity);
         if self.arity == 0 {
@@ -564,57 +992,52 @@ impl TupleStore {
     }
 
     /// Insert a single row into the sorted run (sealing first if needed).
-    /// Returns true when the row was not already present. The row goes in
-    /// at its galloped position with `Vec::insert`, shifting every plane's
-    /// tail in place; capacity grows geometrically, so building a store
-    /// row by row in order costs amortised `O(log n)` per row. Prefer
-    /// batching through [`push`](TupleStore::push)/[`seal`](TupleStore::seal),
-    /// which pays the shift once per batch.
+    /// Returns true when the row was not already present. The one-row case
+    /// of the splice behind [`seal`](TupleStore::seal): the row's page and
+    /// position are galloped, and only that page's planes shift, growing by
+    /// exactly one row (a full page splits in two), so a write costs
+    /// `O(log n + PAGE)` whatever the run's length.
     pub fn insert<R: Row>(&mut self, t: R) -> bool {
         debug_assert_eq!(t.width(), self.arity);
         self.seal();
-        if self.arity == 0 {
+        if self.arity == 0 || self.rows == 0 {
             let added = self.rows == 0;
-            self.rows = 1;
+            self.push(t);
+            self.seal();
             return added;
         }
         let (pos, found) = self.locate(None, |c| t.at(c));
-        if found {
-            return false;
+        if !found {
+            self.insert_at(&[(pos, t)]);
         }
-        for (c, p) in self.planes.iter_mut().enumerate() {
-            p.insert(pos, t.at(c));
-        }
-        self.rows += 1;
-        true
+        !found
     }
 
-    /// Remove a row (sealing first if needed). Returns true if present.
-    /// The planes' tails shift down in place (`Vec::remove`, capacity
-    /// kept).
+    /// Remove a row (sealing first if needed). Returns true if present. The
+    /// one-row case of [`subtract`](TupleStore::subtract): only the row's
+    /// page shifts down and shrinks.
     pub fn remove<R: Row>(&mut self, t: R) -> bool {
         debug_assert_eq!(t.width(), self.arity);
         self.seal();
         if self.arity == 0 {
             let removed = self.rows > 0;
-            self.rows = 0;
+            *self = TupleStore::nullary(false);
             return removed;
         }
         let (pos, found) = self.locate(None, |c| t.at(c));
-        if !found {
-            return false;
+        if found {
+            self.drop_at(&[pos]);
         }
-        for p in &mut self.planes {
-            p.remove(pos);
-        }
-        self.rows -= 1;
-        true
+        found
     }
 
     /// Set-union `other` (sealed) into `self` (sealed), in place: `other`'s
-    /// planes are spliced into the run as they are. A batch of `m` rows
-    /// costs `O(m · log n)` plus one tail shift. Into an empty store,
-    /// `other` is copied as it is.
+    /// rows are spliced into the run as they are read. A batch of `m` rows
+    /// costs `O(m · log n)` plus one shift of each touched page. Into an
+    /// empty store, `other`'s pages are copied as they are. At arity 1, when
+    /// `other` holds at least an eighth as many rows as `self`, the two runs
+    /// are merged linearly instead, as [`difference`](TupleStore::difference)
+    /// walks them, and the union is cut into full pages, `O(n + m)`.
     pub fn merge(&mut self, other: &TupleStore) {
         debug_assert_eq!(self.arity, other.arity);
         debug_assert!(self.is_sealed() && other.is_sealed());
@@ -622,20 +1045,35 @@ impl TupleStore {
             return;
         }
         if self.arity == 0 {
-            self.rows = self.rows.max(other.rows);
+            *self = TupleStore::nullary(true);
         } else if self.rows == 0 {
             self.planes = other.planes.clone();
-            self.rows = other.rows;
+            self.reindex(0);
+        } else if self.arity == 1 && other.rows.saturating_mul(8) >= self.rows {
+            let (a, b) = (self.planes.concat(), other.planes.concat());
+            let mut union = Vec::with_capacity(a.len() + b.len());
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                let (x, y) = (a[i], b[j]);
+                union.push(x.min(y));
+                i += usize::from(x <= y);
+                j += usize::from(y <= x);
+            }
+            union.extend_from_slice(&a[i..]);
+            union.extend_from_slice(&b[j..]);
+            union.shrink_to_fit();
+            self.planes = TupleStore::paged(vec![union]).planes;
+            self.reindex(0);
         } else {
-            self.splice(&other.planes);
+            self.splice(other.iter());
         }
     }
 
     /// Remove every row of `other` (sealed) from `self` (sealed), in place:
-    /// each of `other`'s rows is galloped, and the run is compacted forward
-    /// once. A batch of `m` rows costs `O(m · log n)` plus one shift of the
-    /// tail behind its first hit; an empty batch returns at once. Returns
-    /// the number of rows removed.
+    /// each of `other`'s rows is galloped, and each touched page is
+    /// compacted forward once. A batch of `m` rows costs `O(m · log n)` plus
+    /// one shift of each touched page; an empty batch returns at once.
+    /// Returns the number of rows removed.
     pub fn subtract(&mut self, other: &TupleStore) -> usize {
         debug_assert_eq!(self.arity, other.arity);
         debug_assert!(self.is_sealed() && other.is_sealed());
@@ -643,19 +1081,19 @@ impl TupleStore {
             return 0;
         }
         if self.arity == 0 {
-            self.rows = 0;
+            *self = TupleStore::nullary(false);
             return 1;
         }
-        let mut at: Vec<usize> = Vec::new();
-        let mut from = 0usize;
-        for j in 0..other.rows {
-            let (pos, found) = self.locate(Some(from), |c| other.planes[c][j]);
+        let mut at: Vec<Pos> = Vec::new();
+        let mut from = Pos::START;
+        for t in other.iter() {
+            let (pos, found) = self.locate(Some(from), |c| t.get(c));
             if found {
                 at.push(pos);
             }
-            from = pos + usize::from(found);
+            from = pos.skip(found);
         }
-        self.drop_rows(&at);
+        self.drop_at(&at);
         at.len()
     }
 
@@ -666,9 +1104,7 @@ impl TupleStore {
         debug_assert_eq!(self.arity, other.arity);
         debug_assert!(self.is_sealed() && other.is_sealed());
         if self.arity == 0 {
-            let mut out = TupleStore::new(0);
-            out.rows = usize::from(self.rows > 0 && other.rows == 0);
-            return out;
+            return TupleStore::nullary(self.rows > 0 && other.rows == 0);
         }
         if other.rows == 0 {
             return self.clone();
@@ -683,9 +1119,7 @@ impl TupleStore {
         debug_assert_eq!(self.arity, other.arity);
         debug_assert!(self.is_sealed() && other.is_sealed());
         if self.arity == 0 {
-            let mut out = TupleStore::new(0);
-            out.rows = self.rows.min(other.rows);
-            return out;
+            return TupleStore::nullary(self.rows > 0 && other.rows > 0);
         }
         if self.rows <= other.rows {
             Self::filter(self, other, true)
@@ -696,32 +1130,84 @@ impl TupleStore {
 
     /// The contiguous range of sorted-run row indices whose first
     /// `prefix.len()` elements equal `prefix` (sealed stores only). One
-    /// chunked binary search per prefix column, narrowing the equal group;
-    /// an empty prefix selects every row. This is the probe primitive
-    /// behind the evaluator's natural and permuted secondary indexes: an
-    /// EDB relation whose join key is a column prefix needs *no* index
-    /// build at all — `prefix_range(key)` is the matching row set.
-    pub fn prefix_range(&self, prefix: &[Elem]) -> std::ops::Range<usize> {
+    /// chunked binary search of the page index, then one per prefix column
+    /// within a page, narrowing the equal group; an empty prefix selects
+    /// every row. This is the probe primitive behind the evaluator's
+    /// natural and permuted secondary indexes: an EDB relation whose join
+    /// key is a column prefix needs *no* index build at all —
+    /// `prefix_range(key)` is the matching row set.
+    pub fn prefix_range(&self, prefix: &[Elem]) -> Range<usize> {
         self.prefix_range_from(prefix, 0)
     }
 
     /// [`prefix_range`](TupleStore::prefix_range) with a cursor: `hint` is
     /// a row index, typically the start of the previous probe's range.
     /// When the row just before `hint` sorts strictly below `prefix`, so
-    /// does every earlier row, and the search gallops forward from `hint`;
-    /// otherwise (a hint of 0, past the end of a shorter run, or left by a
-    /// larger key) it searches from row 0. The answer is the unhinted
-    /// one whatever the hint; a run of probes with ascending keys becomes
-    /// one forward sweep.
-    pub fn prefix_range_from(&self, prefix: &[Elem], hint: usize) -> std::ops::Range<usize> {
+    /// does every earlier row, and the search gallops forward from `hint`
+    /// — over the page index, then within the page; otherwise (a hint of 0,
+    /// past the end of a shorter run, or left by a larger key) it searches
+    /// from row 0. The answer is the unhinted one whatever the hint; a run
+    /// of probes with ascending keys becomes one forward sweep.
+    #[inline]
+    pub fn prefix_range_from(&self, prefix: &[Elem], hint: usize) -> Range<usize> {
+        let at = match hint.min(self.rows) {
+            0 => Pos::START,
+            h => self.pos(h - 1).skip(true),
+        };
+        self.probe(prefix, at).1
+    }
+
+    /// The rows whose first `prefix.len()` cells equal `prefix` (sealed
+    /// stores only), searched from `cursor` as
+    /// [`prefix_range_from`](TupleStore::prefix_range_from) searches from a
+    /// hint, and the cursor moved to their start. The cursor is a page and
+    /// an offset, so a probe neither resolves it to a page nor resolves its
+    /// rows' page again; the rows are read where the search found them.
+    #[inline]
+    pub fn prefix_rows(&self, prefix: &[Elem], cursor: &mut Cursor) -> Rows<'_> {
+        let (at, range) = self.probe(prefix, cursor.0);
+        cursor.0 = at;
+        if range.is_empty() {
+            return Rows::default();
+        }
+        let planes = self.page(at.page);
+        match at.off + range.len() {
+            // The common case: the range lies on its first page.
+            end if end <= planes.first().map_or(1, Vec::len) => Rows {
+                planes,
+                at: at.off,
+                end,
+                ..Rows::default()
+            },
+            _ => self.rows_at(at, range.len()),
+        }
+    }
+
+    /// The body of [`prefix_rows`](TupleStore::prefix_rows): the matching
+    /// range, and the position of its start. `at` is used as a cursor when
+    /// it lies in the run and the row before it sorts below `prefix`.
+    #[inline]
+    fn probe(&self, prefix: &[Elem], at: Pos) -> (Pos, Range<usize>) {
         debug_assert!(self.is_sealed());
         debug_assert!(prefix.len() <= self.arity);
-        let h = hint.min(self.rows);
-        let below = h > 0
-            && (0..prefix.len())
-                .map(|c| self.planes[c][h - 1])
-                .lt(prefix.iter().copied());
-        self.narrow(below.then_some(h), prefix.len(), |c| prefix[c])
+        let from = Some(at).filter(|at| {
+            if at.page >= self.pages {
+                return false;
+            }
+            let (mut planes, mut off) = (self.page(at.page), at.off);
+            if off == 0 {
+                if at.page == 0 {
+                    return false;
+                }
+                planes = self.page(at.page - 1);
+                off = planes.first().map_or(1, Vec::len);
+            }
+            off <= planes.first().map_or(1, Vec::len)
+                && (0..prefix.len())
+                    .map(|c| planes[c][off - 1])
+                    .lt(prefix.iter().copied())
+        });
+        self.narrow(from, prefix.len(), |c| prefix[c])
     }
 
     /// True when every sealed row of `self` is a row of `other` (both
@@ -735,43 +1221,108 @@ impl TupleStore {
         if self.rows > other.rows {
             return false;
         }
-        let mut j = 0usize;
-        for i in 0..self.rows {
-            let (nj, found) = other.locate(Some(j), |c| self.planes[c][i]);
+        let mut from = Pos::START;
+        for t in self.iter() {
+            let (pos, found) = other.locate(Some(from), |c| t.get(c));
             if !found {
                 return false;
             }
-            j = nj + 1;
+            from = pos.skip(true);
         }
         true
     }
 
-    /// Drop all rows (sealed and pending), keeping the allocations.
+    /// Drop all rows (sealed and pending), keeping the pending arena's
+    /// allocation.
     pub fn clear(&mut self) {
         self.rows = 0;
-        for p in &mut self.planes {
-            p.clear();
-        }
+        self.pages = 0;
+        self.planes.clear();
+        self.starts.clear();
+        self.heads.clear();
         self.pending_rows = 0;
         self.pending.clear();
     }
 
-    /// Bytes of heap held (capacity, not just length) across the column
-    /// planes and the pending arena — the store's contribution to peak
-    /// memory. `#![forbid(unsafe_code)]` rules out a counting allocator,
+    /// Bytes of heap held: the planes' and the pending arena's capacity,
+    /// plus, for every page after the first, its plane headers and its
+    /// page-index entry (its start and its first row). A one-page store
+    /// counts its cells alone. This is the store's contribution to peak
+    /// memory; `#![forbid(unsafe_code)]` rules out a counting allocator,
     /// so footprint reporting is analytic.
     pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
         let cells: usize = self.planes.iter().map(Vec::capacity).sum();
-        (cells + self.pending.capacity()) * std::mem::size_of::<Elem>()
+        let per_page =
+            self.arity * (size_of::<Vec<Elem>>() + size_of::<Elem>()) + size_of::<usize>();
+        (cells + self.pending.capacity()) * size_of::<Elem>()
+            + self.pages.saturating_sub(1) * per_page
     }
 }
 
-/// Zero-copy iterator over the sorted rows of a [`TupleStore`].
-#[derive(Clone)]
+/// [`TupleStore::narrow`] within one page of `len` rows and the planes
+/// `planes`, from the offset `from` (`Some`, galloping) or over the whole
+/// page (`None`).
+#[inline(always)]
+fn narrow_page(
+    planes: &[Vec<Elem>],
+    len: usize,
+    from: Option<usize>,
+    k: usize,
+    target: &impl Fn(usize) -> Elem,
+) -> Range<usize> {
+    let (mut lo, mut hi) = (from.unwrap_or(0), len);
+    for (c, plane) in planes[..k].iter().enumerate() {
+        let t = target(c);
+        let w = &plane[lo..hi];
+        let s = match from {
+            Some(_) if c == 0 => gallop(w, |v| v < t),
+            _ => search(w, |v| v < t),
+        };
+        if s >= w.len() || w[s] != t {
+            return lo + s..lo + s;
+        }
+        hi = lo + s + gallop(&w[s..], |v| v <= t);
+        lo += s;
+    }
+    lo..hi
+}
+
+/// Zero-copy iterator over sorted rows of a [`TupleStore`], walking its
+/// pages: within a page a step is one comparison, as over a range.
+#[derive(Clone, Default)]
 pub struct Rows<'a> {
-    store: &'a TupleStore,
-    front: usize,
+    /// The planes of the front row's page.
+    planes: &'a [Vec<Elem>],
+    /// The front row's offset on its page, and where the rows handed out
+    /// from that page end.
+    at: usize,
+    end: usize,
+    /// The planes of the pages after the front row's, through the back
+    /// row's, page by page.
+    rest: &'a [Vec<Elem>],
+    /// One past the back row's offset on the last page of `rest` (unused
+    /// while `rest` is empty).
     back: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Step onto the next page (`rest` is not empty) and hand out its first
+    /// row. Only a store of arity at least 1 has more than one page.
+    #[inline]
+    fn turn(&mut self) -> Option<RowRef<'a>> {
+        let (page, rest) = self.rest.split_at(self.planes.len());
+        (self.planes, self.at, self.rest) = (page, 1, rest);
+        self.end = if rest.is_empty() {
+            self.back
+        } else {
+            page[0].len()
+        };
+        Some(RowRef {
+            planes: page,
+            row: 0,
+        })
+    }
 }
 
 impl<'a> Iterator for Rows<'a> {
@@ -779,20 +1330,30 @@ impl<'a> Iterator for Rows<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<RowRef<'a>> {
-        if self.front >= self.back {
+        if self.at < self.end {
+            self.at += 1;
+            return Some(RowRef {
+                planes: self.planes,
+                row: self.at - 1,
+            });
+        }
+        if self.rest.is_empty() {
             return None;
         }
-        let i = self.front;
-        self.front += 1;
-        Some(RowRef {
-            store: self.store,
-            row: i,
-        })
+        self.turn()
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.back - self.front;
+        let k = self.planes.len().max(1);
+        let n = self.end - self.at
+            + match self.rest.len().checked_sub(k) {
+                Some(full) => {
+                    let pages = self.rest[..full].iter().step_by(k);
+                    pages.map(Vec::len).sum::<usize>() + self.back
+                }
+                None => 0,
+            };
         (n, Some(n))
     }
 }
@@ -800,23 +1361,62 @@ impl<'a> Iterator for Rows<'a> {
 impl DoubleEndedIterator for Rows<'_> {
     #[inline]
     fn next_back(&mut self) -> Option<Self::Item> {
-        if self.front >= self.back {
-            return None;
+        let k = self.planes.len();
+        if self.rest.is_empty() {
+            if self.at == self.end {
+                return None;
+            }
+            self.end -= 1;
+            return Some(RowRef {
+                planes: self.planes,
+                row: self.end,
+            });
         }
+        let (full, last) = self.rest.split_at(self.rest.len() - k);
         self.back -= 1;
-        Some(RowRef {
-            store: self.store,
+        let row = RowRef {
+            planes: last,
             row: self.back,
-        })
+        };
+        if self.back == 0 {
+            self.rest = full;
+            self.back = full.len().checked_sub(k).map_or(0, |p| full[p].len());
+        }
+        Some(row)
     }
 }
 
 impl ExactSizeIterator for Rows<'_> {}
 
 impl PartialEq for TupleStore {
+    /// Row by row, in segments that lie within one page of each store, so
+    /// page boundaries do not matter.
     fn eq(&self, other: &Self) -> bool {
         debug_assert!(self.is_sealed() && other.is_sealed());
-        self.arity == other.arity && self.rows == other.rows && self.planes == other.planes
+        if self.arity != other.arity || self.rows != other.rows {
+            return false;
+        }
+        let k = self.arity;
+        if k == 0 {
+            return true;
+        }
+        let (mut a, mut b) = (self.planes.chunks_exact(k), other.planes.chunks_exact(k));
+        let (mut pa, mut pb) = (a.next(), b.next());
+        let (mut i, mut j) = (0, 0);
+        while let (Some(x), Some(y)) = (pa, pb) {
+            let m = (x[0].len() - i).min(y[0].len() - j);
+            if x.iter().zip(y).any(|(u, v)| u[i..i + m] != v[j..j + m]) {
+                return false;
+            }
+            (i, j) = (i + m, j + m);
+            if i == x[0].len() {
+                (pa, i) = (a.next(), 0);
+            }
+            if j == y[0].len() {
+                (pb, j) = (b.next(), 0);
+            }
+        }
+        true
     }
 }
 
@@ -829,9 +1429,9 @@ impl Hash for TupleStore {
         self.rows.hash(state);
         // Row-major, so the hash is a function of the row sequence alone
         // and agrees with `Eq`, which compares the same cells.
-        for i in 0..self.rows {
-            for p in &self.planes {
-                p[i].hash(state);
+        for t in self.iter() {
+            for e in t {
+                e.hash(state);
             }
         }
     }

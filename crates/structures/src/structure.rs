@@ -20,8 +20,10 @@ use crate::vocab::{SymbolId, Vocabulary};
 /// lexicographic order.
 ///
 /// For bulk loads use [`extend_tuples`](Relation::extend_tuples), which
-/// buffers into the store's pending delta and seals once, instead of n
-/// shifting [`insert`](Relation::insert)s.
+/// buffers into the store's pending delta and seals once: one sort, then
+/// the sorted rows are cut into full pages (into an empty relation) or
+/// spliced page by page, instead of n single-row
+/// [`insert`](Relation::insert)s, each a search and a shift of one page.
 ///
 /// A relation also owns its **permuted copies** ([`copy`](Relation::copy)),
 /// which probes on non-prefix key columns read: at most one per
@@ -122,19 +124,25 @@ impl Relation {
     }
 
     /// Insert a tuple, keeping sort order. Returns true if newly inserted.
+    /// The row goes into the store and, permuted, into every built copy by
+    /// [`TupleStore::insert`], each a shift within one page; a built bitmap
+    /// sets its bit.
     pub fn insert<R: Row>(&mut self, t: R) -> bool {
-        if !self.has_derived() {
-            return self.store.insert(t);
+        let added = self.store.insert(&t);
+        if added {
+            self.copies
+                .each(|order, rows| rows.insert(order.permuted(&t)));
+            self.members.follow(std::iter::once_with(|| t.at(0)), true);
         }
-        self.extend_tuples([t]) == 1
+        added
     }
 
     /// Bulk-insert: buffer every tuple into the pending delta, then sort,
     /// dedup, and splice them into the sorted run **once**, in place
     /// ([`TupleStore::seal`]). Returns the number of newly inserted
-    /// tuples. This is the `O(m · log m + m · log n)` path (plus one tail
-    /// shift) generators, builders and update batches use in place of m
-    /// shifting inserts.
+    /// tuples. This is the `O(m · log m + m · log n)` path (plus one shift
+    /// of each touched page) generators, builders and update batches use in
+    /// place of m single-row inserts.
     pub fn extend_tuples<I, T>(&mut self, tuples: I) -> usize
     where
         I: IntoIterator<Item = T>,
@@ -167,7 +175,7 @@ impl Relation {
         let before = self.store.len();
         self.store.merge(other);
         self.copies.follow(other, true);
-        self.members.follow(other, true);
+        self.members.follow(other.iter().map(|t| t.get(0)), true);
         self.store.len() - before
     }
 
@@ -177,15 +185,17 @@ impl Relation {
         self.store.difference(other.store())
     }
 
-    /// Remove a tuple. Returns true if it was present.
+    /// Remove a tuple. Returns true if it was present. The row leaves the
+    /// store and every built copy by [`TupleStore::remove`]; a built bitmap
+    /// clears its bit.
     pub fn remove<R: Row>(&mut self, t: R) -> bool {
-        if !self.has_derived() {
-            return self.store.remove(t);
+        let removed = self.store.remove(&t);
+        if removed {
+            self.copies
+                .each(|order, rows| rows.remove(order.permuted(&t)));
+            self.members.follow(std::iter::once_with(|| t.at(0)), false);
         }
-        let mut one = TupleStore::new(self.arity());
-        one.push(t);
-        one.seal();
-        self.remove_tuples(&one) == 1
+        removed
     }
 
     /// Bulk-remove: drop every tuple of the sealed store `other` in place,
@@ -194,7 +204,7 @@ impl Relation {
     /// removed; an empty batch costs nothing.
     pub fn remove_tuples(&mut self, other: &TupleStore) -> usize {
         self.copies.follow(other, false);
-        self.members.follow(other, false);
+        self.members.follow(other.iter().map(|t| t.get(0)), false);
         self.store.subtract(other)
     }
 
@@ -274,6 +284,11 @@ impl KeyOrder {
         &self.pos_of
     }
 
+    /// The row `t` with its columns in this order.
+    fn permuted(&self, t: impl Row) -> Vec<Elem> {
+        self.perm.iter().map(|&i| t.at(i)).collect()
+    }
+
     /// The rows of `rows` with their columns in this order, sealed.
     pub fn permute(&self, rows: &TupleStore) -> TupleStore {
         let mut out = TupleStore::with_capacity(self.perm.len(), rows.len());
@@ -344,20 +359,30 @@ impl Copies {
         std::iter::successors(self.0.get(), |c| c.next.0.get()).map(|c| (&c.order, &c.rows))
     }
 
+    /// Apply `write` to every built copy, with its column order.
+    fn each<T>(&mut self, mut write: impl FnMut(&KeyOrder, &mut TupleStore) -> T) {
+        let mut slot = self;
+        while let Some(c) = slot.0.get_mut() {
+            write(&c.order, &mut c.rows);
+            slot = &mut c.next;
+        }
+    }
+
     /// Fold a sealed batch of the relation into every built copy: the
     /// permuted rows are [merged](TupleStore::merge) when `add`, else
     /// [subtracted](TupleStore::subtract), in place.
     fn follow(&mut self, batch: &TupleStore, add: bool) {
-        let Some(c) = self.0.get_mut().filter(|_| !batch.is_empty()) else {
+        if batch.is_empty() {
             return;
-        };
-        let rows = c.order.permute(batch);
-        if add {
-            c.rows.merge(&rows);
-        } else {
-            c.rows.subtract(&rows);
         }
-        c.next.follow(batch, add);
+        self.each(|order, rows| {
+            let batch = order.permute(batch);
+            if add {
+                rows.merge(&batch);
+            } else {
+                rows.subtract(&batch);
+            }
+        });
     }
 }
 
@@ -373,35 +398,36 @@ impl Members {
         self.0.get_or_init(|| {
             assert_eq!(rows.arity(), 1, "a membership bitmap of a unary relation");
             let mut words = Vec::new();
-            Members::mark(&mut words, rows);
+            Members::mark(&mut words, rows.iter().map(|t| t.get(0)));
             words
         })
     }
 
-    /// Set the bits of the sealed unary `rows`, growing `words` to the
+    /// Set the bits of the ascending `values`, growing `words` to the
     /// largest of them.
-    fn mark(words: &mut Vec<u64>, rows: &TupleStore) {
-        let Some(top) = rows.iter().next_back() else {
+    fn mark(words: &mut Vec<u64>, values: impl DoubleEndedIterator<Item = Elem> + Clone) {
+        let Some(top) = values.clone().next_back() else {
             return;
         };
-        let len = (top.get(0).index() / 64 + 1).max(words.len());
+        let len = (top.index() / 64 + 1).max(words.len());
         words.reserve_exact(len - words.len());
         words.resize(len, 0);
-        for v in rows.iter().map(|t| t.get(0).index()) {
+        for v in values.map(Elem::index) {
             words[v / 64] |= 1 << (v % 64);
         }
     }
 
-    /// Fold a sealed batch of the relation into a built bitmap: set its
-    /// bits when `add`, else clear them and drop the trailing empty words.
-    fn follow(&mut self, batch: &TupleStore, add: bool) {
+    /// Fold the ascending values of a write to the relation into a built
+    /// bitmap: set their bits when `add`, else clear them and drop the
+    /// trailing empty words. Reads nothing when no bitmap is built.
+    fn follow(&mut self, values: impl DoubleEndedIterator<Item = Elem> + Clone, add: bool) {
         let Some(words) = self.0.get_mut() else {
             return;
         };
         if add {
-            return Members::mark(words, batch);
+            return Members::mark(words, values);
         }
-        for v in batch.iter().map(|t| t.get(0).index()) {
+        for v in values.map(Elem::index) {
             if let Some(w) = words.get_mut(v / 64) {
                 *w &= !(1 << (v % 64));
             }

@@ -1073,3 +1073,234 @@ proptest! {
         }
     }
 }
+
+/// Deterministic xorshift64* stream: the multi-page test draws its
+/// thousands of rows from a seed rather than from proptest vectors.
+struct Draws(u64);
+
+impl Draws {
+    fn below(&mut self, n: u32) -> u32 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u32 % n
+    }
+}
+
+/// A row of arity `k` for a store of about `n` rows: `groups` lead values
+/// (a few, so equal groups span pages, or many), the later columns wide
+/// enough that about half of all rows are absent.
+fn draw_row(d: &mut Draws, k: usize, n: usize, groups: u32) -> Vec<Elem> {
+    let rest = (2 * n as u32 / groups).max(2);
+    match k {
+        1 => vec![Elem(d.below(2 * n as u32))],
+        2 => vec![Elem(d.below(groups)), Elem(d.below(rest))],
+        _ => vec![
+            Elem(d.below(groups)),
+            Elem(d.below(8)),
+            Elem(d.below(rest / 8 + 1)),
+        ],
+    }
+}
+
+/// `count` model rows from `lo` on, wrapping: a contiguous stretch of the
+/// run, so removing it empties pages.
+fn stretch(model: &BTreeSet<Vec<Elem>>, lo: usize, count: usize) -> Vec<Vec<Elem>> {
+    model
+        .iter()
+        .cycle()
+        .skip(lo % model.len().max(1))
+        .take(count.min(model.len()))
+        .cloned()
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Stores of 2–4 × `PAGE` rows at arities 1–3 against a `BTreeSet`
+    /// model, under bursts of single-row inserts and removes that split
+    /// full pages and join emptied ones, `push` + `seal`, `merge` and
+    /// `subtract` of batches, and the read kernels (`difference`,
+    /// `intersection`, `is_subset`, `contains`, `prefix_range_from` with
+    /// hints around page boundaries and equal groups that span pages).
+    /// After every step the store equals, and hashes like, a bulk load of
+    /// the model, and so does a store grown from the model row by row in
+    /// random order. A `Relation` takes the same writes: its permuted copy
+    /// (arities 2–3) equals a fresh build, and its membership bitmap
+    /// (arity 1) answers like the rows and holds a fresh build's bytes.
+    #[test]
+    fn multi_page_stores_match_model(
+        k in 1usize..=3,
+        pages in 2usize..=4,
+        few_groups in any::<bool>(),
+        seed in any::<u64>(),
+        ops in prop::collection::vec(0usize..8, 4..10),
+    ) {
+        let n = pages * hp_structures::PAGE;
+        let groups = if few_groups { 3 } else { (n / 64) as u32 };
+        let mut d = Draws(seed | 1);
+        let mut model: BTreeSet<Vec<Elem>> = BTreeSet::new();
+        while model.len() < n {
+            model.insert(draw_row(&mut d, k, n, groups));
+        }
+        let mut s = fresh_store(k, &model);
+        let mut r = Relation::new(k);
+        r.extend_tuples(model.iter());
+        if k == 1 {
+            r.holds(Elem(0));
+        } else {
+            r.copy(&[k - 1]);
+        }
+        let batch = |d: &mut Draws, model: &BTreeSet<Vec<Elem>>, count: usize| {
+            // Half fresh draws, half rows of one stretch of the run.
+            let mut rows: Vec<Vec<Elem>> = (0..count / 2).map(|_| draw_row(d, k, n, groups)).collect();
+            rows.extend(stretch(model, d.below(n as u32) as usize, count - count / 2));
+            rows
+        };
+        for op in ops {
+            match op {
+                0 => {
+                    // A burst of new rows around one stretch: its page
+                    // overflows and splits.
+                    let near = stretch(&model, d.below(n as u32) as usize, 1);
+                    for _ in 0..600 {
+                        let mut t = near.first().cloned().unwrap_or_else(|| draw_row(&mut d, k, n, groups));
+                        t[k - 1] = Elem(t[k - 1].0 + d.below(40));
+                        let fresh = model.insert(t.clone());
+                        prop_assert_eq!(s.insert(&t), fresh, "insert {:?}", t);
+                        prop_assert_eq!(r.insert(&t), fresh);
+                    }
+                }
+                1 => {
+                    // Remove most of one page's worth, one row at a time,
+                    // with absent rows between: pages empty and join.
+                    let gone = stretch(&model, d.below(n as u32) as usize, hp_structures::PAGE * 9 / 10);
+                    for t in gone {
+                        let present = model.remove(&t);
+                        prop_assert_eq!(s.remove(&t), present, "remove {:?}", t);
+                        prop_assert_eq!(r.remove(&t), present);
+                        let absent = draw_row(&mut d, k, n, groups);
+                        let present = model.remove(&absent);
+                        prop_assert_eq!(s.remove(&absent), present);
+                        prop_assert_eq!(r.remove(&absent), present);
+                    }
+                }
+                2 => {
+                    let rows = batch(&mut d, &model, 3000);
+                    rows.iter().for_each(|t| s.push(t));
+                    let added = rows.iter().filter(|t| !model.contains(*t)).collect::<BTreeSet<_>>().len();
+                    s.seal();
+                    prop_assert_eq!(r.extend_tuples(rows.iter()), added);
+                    model.extend(rows);
+                }
+                3 => {
+                    let b = sealed(k, &batch(&mut d, &model, 5000));
+                    s.merge(&b);
+                    r.merge_store(&b);
+                    model.extend(b.iter().map(|t| t.to_vec()));
+                }
+                4 => {
+                    let b = sealed(k, &batch(&mut d, &model, 2 * hp_structures::PAGE));
+                    let want = b.iter().filter(|t| model.remove(&t.to_vec())).count();
+                    prop_assert_eq!(s.subtract(&b), want);
+                    prop_assert_eq!(r.remove_tuples(&b), want);
+                }
+                5 => {
+                    let b = sealed(k, &batch(&mut d, &model, 4000));
+                    let rows = |x: &TupleStore| x.iter().map(|t| t.to_vec()).collect::<Vec<_>>();
+                    let inb: BTreeSet<Vec<Elem>> = rows(&b).into_iter().collect();
+                    prop_assert_eq!(rows(&b.difference(&s)), inb.difference(&model).cloned().collect::<Vec<_>>());
+                    prop_assert_eq!(rows(&s.difference(&b)), model.difference(&inb).cloned().collect::<Vec<_>>());
+                    let both: Vec<Vec<Elem>> = inb.intersection(&model).cloned().collect();
+                    prop_assert_eq!(rows(&b.intersection(&s)), both.clone());
+                    prop_assert_eq!(rows(&s.intersection(&b)), both.clone());
+                    prop_assert_eq!(b.is_subset(&s), both.len() == inb.len());
+                    prop_assert!(sealed(k, &both).is_subset(&s));
+                    prop_assert!(!s.is_subset(&sealed(k, &both)) || both.len() == model.len());
+                    for t in &inb {
+                        prop_assert_eq!(s.contains(t), model.contains(t));
+                    }
+                }
+                6 => {
+                    // Probes on rows around every multiple of `PAGE` (the
+                    // boundaries of a bulk load, shifted by the writes).
+                    let all: Vec<&Vec<Elem>> = model.iter().collect();
+                    for b in (1..=all.len() / hp_structures::PAGE).map(|i| i * hp_structures::PAGE) {
+                        for i in b.saturating_sub(2)..(b + 2).min(all.len()) {
+                            for len in 0..=k {
+                                let prefix = &all[i][..len];
+                                let lower = all.iter().filter(|t| &t[..len] < prefix).count();
+                                let hits = all.iter().filter(|t| &t[..len] == prefix).count();
+                                let want = lower..lower + hits;
+                                let near = d.below(64) as usize;
+                                for h in [0, i, b, b - 1, want.start, want.end, b + near, b - near, all.len(), d.below(n as u32) as usize] {
+                                    prop_assert_eq!(s.prefix_range_from(prefix, h), want.clone(), "{:?} from {}", prefix, h);
+                                }
+                                // Cursors left by a probe of a nearby row,
+                                // before or after the prefix's range.
+                                let rows: Vec<Vec<Elem>> = all[want].iter().map(|t| t.to_vec()).collect();
+                                for j in [i.saturating_sub(near), b - 1, b, b + near].map(|j| j.min(all.len() - 1)) {
+                                    let mut cursor = hp_structures::Cursor::default();
+                                    prop_assert_eq!(s.prefix_rows(all[j], &mut cursor).count(), 1);
+                                    let got = s.prefix_rows(prefix, &mut cursor);
+                                    prop_assert_eq!(got.len(), hits);
+                                    let got: Vec<Vec<Elem>> = got.map(|t| t.to_vec()).collect();
+                                    prop_assert_eq!(&got, &rows, "{:?} after {:?}", prefix, all[j]);
+                                    let back: Vec<Vec<Elem>> = s.prefix_rows(prefix, &mut cursor).rev().map(|t| t.to_vec()).collect();
+                                    prop_assert_eq!(back, rows.iter().rev().cloned().collect::<Vec<_>>());
+                                }
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    let lo = d.below(n as u32) as usize % (model.len() + 1);
+                    let hi = lo + (d.below(3 * hp_structures::PAGE as u32) as usize).min(model.len() - lo);
+                    let got: Vec<Vec<Elem>> = s.rows_in(lo..hi).map(|t| t.to_vec()).collect();
+                    let want: Vec<Vec<Elem>> = model.iter().skip(lo).take(hi - lo).cloned().collect();
+                    prop_assert_eq!(got, want.clone());
+                    let back: Vec<Vec<Elem>> = s.rows_in(lo..hi).rev().map(|t| t.to_vec()).collect();
+                    prop_assert_eq!(back, want.into_iter().rev().collect::<Vec<_>>());
+                    for i in [lo, hi.saturating_sub(1)].into_iter().filter(|&i| i < model.len()) {
+                        prop_assert_eq!(s.row(i).to_vec(), model.iter().nth(i).cloned().unwrap());
+                    }
+                }
+            }
+            prop_assert!(s.is_sealed());
+            let got: Vec<Vec<Elem>> = s.iter().map(|t| t.to_vec()).collect();
+            prop_assert_eq!(&got, &model.iter().cloned().collect::<Vec<_>>(), "after op {}", op);
+            let fresh = fresh_store(k, &model);
+            prop_assert!(s == fresh, "not canonical after op {}", op);
+            prop_assert_eq!(hash_of(&s), hash_of(&fresh));
+            prop_assert!(r.store() == &fresh);
+            for (order, copy) in r.copies() {
+                let built = order.permute(r.store());
+                prop_assert!(copy == &built, "copy on {:?}", order);
+            }
+            if k == 1 {
+                let top = model.last().map_or(0, |t| t[0].0);
+                for e in (0..=top + 1).map(Elem) {
+                    prop_assert_eq!(r.holds(e), model.contains(&vec![e]), "{:?}", e);
+                }
+                let mut built = Relation::new(1);
+                built.merge_store(&fresh);
+                built.holds(Elem(0));
+                prop_assert_eq!(bitmap_bytes(&r), bitmap_bytes(&built));
+            }
+        }
+        // A store grown row by row, in random order, is the bulk load.
+        let mut shuffled: Vec<&Vec<Elem>> = model.iter().collect();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, d.below(i as u32 + 1) as usize);
+        }
+        let mut grown = TupleStore::new(k);
+        for t in shuffled {
+            prop_assert!(grown.insert(t));
+        }
+        let fresh = fresh_store(k, &model);
+        prop_assert!(grown == fresh);
+        prop_assert_eq!(hash_of(&grown), hash_of(&fresh));
+        prop_assert_eq!(grown.len(), model.len());
+    }
+}
